@@ -7,7 +7,7 @@ slot.  The package also carries representative baseline schemes, link-level
 Monte Carlo evaluation, and energy-efficiency / feedback accounting.
 """
 
-from .baseband import BasebandPrecoder, DegenerateBeamError, effective_channel, power_allocation, zf_precoder
+from .baseband import DegenerateBeamError, effective_channel, power_allocation, zf_precoder
 from .baselines import SchemeId, SlotPrecoders, build_precoders, design_long_term
 from .channel import (
     ArrayGeometry,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
-    "BasebandPrecoder",
     "DegenerateBeamError",
     "DegenerateGroupError",
     "EigenDecomposition",

@@ -8,8 +8,6 @@ power at P across all users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import NearSingularError, solve_right_inverse
@@ -17,19 +15,6 @@ from .numerics import NearSingularError, solve_right_inverse
 
 class DegenerateBeamError(ValueError):
     """A user's combined analog+baseband beam has zero norm; power is undefined."""
-
-
-@dataclass
-class BasebandPrecoder:
-    """Per-group baseband precoders plus per-user powers.
-
-    ``w_groups[g]`` is None when group g declared an outage this slot (its
-    users transmit nothing and log zero rate).  ``power`` is indexed by
-    global user index.
-    """
-
-    w_groups: list[np.ndarray | None]
-    power: np.ndarray
 
 
 def effective_channel(channel_group: np.ndarray, rf_group: np.ndarray) -> np.ndarray:

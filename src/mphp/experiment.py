@@ -8,16 +8,12 @@ output is a pure function of (config, seed) regardless of execution order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import SchemeId
 from .metrics import PowerModel, RunMetrics, build_context, monte_carlo_rates
-
-THREADS_ENV_VAR = "MPHP_THREADS"
 
 
 class ExperimentError(RuntimeError):
@@ -249,8 +245,8 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
 
     The scenario (user AoDs, correlations, grouping) is shared by all
     schemes at a sweep value; statistical schemes then design their analog
-    stage from the grouping alone.  Cells run independently; the optional
-    MPHP_THREADS environment variable sets the worker count.
+    stage from the grouping alone.  Cells run one after another in a fixed
+    order, each from its own derived seed.
     """
     config.validate()
     if config.sweep_parameter is None:
@@ -263,54 +259,29 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
         ]
 
     scheme_rank = {scheme: i for i, scheme in enumerate(SchemeId)}
-    cells = []
+    schemes = sorted(config.schemes, key=scheme_rank.__getitem__)
+    rows = []
     for sweep_index, point in enumerate(points):
-        for scheme in sorted(config.schemes, key=scheme_rank.__getitem__):
-            cells.append((sweep_index, point, scheme))
-
-    contexts: dict[int, tuple] = {}
-
-    def context_for(sweep_index: int, point: SystemConfig):
-        if sweep_index not in contexts:
-            contexts[sweep_index] = build_context(point, _scenario_seed(config.seed, sweep_index))
-        return contexts[sweep_index]
-
-    def evaluate(cell) -> ResultRow:
-        sweep_index, point, scheme = cell
-        try:
-            grouping, scenario, _ = context_for(sweep_index, point)
-            metrics = monte_carlo_rates(
-                scheme,
-                point,
-                point.n_slots,
-                _cell_seed(config.seed, sweep_index, scheme_rank[scheme]),
-                grouping=grouping,
-                scenario=scenario,
-            )
-        except Exception as exc:
-            raise ExperimentError(
-                f"scheme {scheme.value} at sweep value {sweep_values[sweep_index]!r}: {exc}"
-            ) from exc
-        return _to_row(sweep_values[sweep_index], scheme, metrics)
-
-    n_threads = _thread_count()
-    if n_threads > 1:
-        # Contexts are materialized up front so workers only read shared state.
-        for sweep_index, point in enumerate(points):
-            context_for(sweep_index, point)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(evaluate, cells))
-    else:
-        rows = [evaluate(cell) for cell in cells]
+        context = None
+        for scheme in schemes:
+            try:
+                if context is None:
+                    context = build_context(point, _scenario_seed(config.seed, sweep_index))
+                grouping, scenario, _ = context
+                metrics = monte_carlo_rates(
+                    scheme,
+                    point,
+                    point.n_slots,
+                    _cell_seed(config.seed, sweep_index, scheme_rank[scheme]),
+                    grouping=grouping,
+                    scenario=scenario,
+                )
+            except Exception as exc:
+                raise ExperimentError(
+                    f"scheme {scheme.value} at sweep value {sweep_values[sweep_index]!r}: {exc}"
+                ) from exc
+            rows.append(_to_row(sweep_values[sweep_index], scheme, metrics))
     return rows
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _to_row(sweep_value: float, scheme: SchemeId, metrics: RunMetrics) -> ResultRow:

@@ -49,13 +49,17 @@ class Grouping:
     def user_count(self) -> int:
         return int(self.assignments.size)
 
+    @property
+    def chain_users(self) -> np.ndarray:
+        """User index served by each RF chain (chain blocks follow group order)."""
+        return np.concatenate(self.members)
+
     def chain_user(self, chain: int) -> int:
         """User index served by a given RF chain."""
-        for g, chains in enumerate(self.rf_chains):
-            pos = np.where(chains == chain)[0]
-            if pos.size:
-                return int(self.members[g][pos[0]])
-        raise ValueError(f"chain {chain} not present in any group")
+        users = self.chain_users
+        if not 0 <= chain < users.size:
+            raise ValueError(f"chain {chain} not present in any group")
+        return int(users[chain])
 
 
 def _dominant_projector(corr: np.ndarray, rank: int) -> np.ndarray:

@@ -13,14 +13,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import channel as channel_mod
-from .baselines import (
-    SchemeId,
-    SlotPrecoders,
-    build_precoders,
-    connectivity_of,
-    design_long_term,
-    is_statistical,
-)
+from .baselines import SCHEMES, SchemeId, SlotPrecoders, build_precoders, design_long_term
 from .grouping import Grouping, group_users
 from .numerics import hermitian_eig
 
@@ -53,7 +46,6 @@ class SlotMetrics:
 
     sinr: np.ndarray
     rate: np.ndarray
-    intra_group_leakage: np.ndarray  # diagnostic only, never added to SINR
     outage_groups: list[int]
 
 
@@ -80,6 +72,29 @@ class UndefinedFairnessError(ValueError):
     """Jain's index is undefined when every rate is zero."""
 
 
+def _received_power(
+    channel: np.ndarray,
+    f_groups: Sequence[np.ndarray],
+    w_groups: Sequence[np.ndarray | None],
+    power: np.ndarray,
+    grouping: Grouping,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Received powers of one slot and the same-group mask.
+
+    Entry (k, j) of the first (K, K) matrix is p_j * |h_k^H b_j|^2, the
+    power user k receives from user j's beam b_j = F_g w_j.  Beams of a
+    silent (outage) group are zero.  Entry (k, j) of the boolean mask is
+    True when users k and j share a group.
+    """
+    beams = np.zeros(channel.shape, dtype=complex)
+    for g in range(grouping.group_count):
+        if w_groups[g] is not None:
+            beams[:, grouping.members[g]] = f_groups[g] @ w_groups[g]
+    received = np.abs(channel.conj().T @ beams) ** 2 * power[None, :]
+    same_group = grouping.assignments[:, None] == grouping.assignments[None, :]
+    return received, same_group
+
+
 def sinr_per_user(
     channel: np.ndarray,
     f_groups: Sequence[np.ndarray],
@@ -93,26 +108,9 @@ def sinr_per_user(
     them; see ``intra_group_leakage`` for the residual).  Users of a silent
     (outage) group score zero and contribute no interference.
     """
-    n_users = channel.shape[1]
-    out = np.zeros(n_users)
-    beams = [
-        f_groups[g] @ w_groups[g] if w_groups[g] is not None else None
-        for g in range(grouping.group_count)
-    ]
-    for g in range(grouping.group_count):
-        if beams[g] is None:
-            continue
-        for i, k in enumerate(grouping.members[g]):
-            h_k = channel[:, k]
-            signal = power[k] * np.abs(h_k.conj() @ beams[g][:, i]) ** 2
-            interference = 0.0
-            for other in range(grouping.group_count):
-                if other == g or beams[other] is None:
-                    continue
-                cross = np.abs(h_k.conj() @ beams[other]) ** 2
-                interference += float(np.sum(power[grouping.members[other]] * cross))
-            out[k] = signal / (interference + 1.0)
-    return out
+    received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
+    interference = np.sum(np.where(same_group, 0.0, received), axis=1)
+    return np.diag(received) / (interference + 1.0)
 
 
 def slnr_per_user(
@@ -126,18 +124,9 @@ def slnr_per_user(
 
     The user's own power multiplies both the signal and the leakage terms.
     """
-    n_users = channel.shape[1]
-    out = np.zeros(n_users)
-    for g in range(grouping.group_count):
-        if w_groups[g] is None:
-            continue
-        beam = f_groups[g] @ w_groups[g]
-        outsiders = np.setdiff1d(np.arange(n_users), grouping.members[g])
-        for i, k in enumerate(grouping.members[g]):
-            signal = power[k] * np.abs(channel[:, k].conj() @ beam[:, i]) ** 2
-            leak = power[k] * float(np.sum(np.abs(channel[:, outsiders].conj().T @ beam[:, i]) ** 2))
-            out[k] = signal / (leak + 1.0)
-    return out
+    received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
+    leakage = np.sum(np.where(same_group, 0.0, received), axis=0)
+    return np.diag(received) / (leakage + 1.0)
 
 
 def intra_group_leakage(
@@ -148,29 +137,14 @@ def intra_group_leakage(
     grouping: Grouping,
 ) -> np.ndarray:
     """Residual in-group interference power per user (diagnostic)."""
-    n_users = channel.shape[1]
-    out = np.zeros(n_users)
-    for g in range(grouping.group_count):
-        if w_groups[g] is None:
-            continue
-        beam = f_groups[g] @ w_groups[g]
-        for i, k in enumerate(grouping.members[g]):
-            cross = np.abs(channel[:, k].conj() @ beam) ** 2
-            cross[i] = 0.0
-            out[k] = float(np.sum(power[grouping.members[g]] * cross))
-    return out
+    received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
+    np.fill_diagonal(same_group, False)
+    return np.sum(np.where(same_group, received, 0.0), axis=1)
 
 
 def evaluate_slot(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> SlotMetrics:
     sinr = sinr_per_user(channel, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
-    return SlotMetrics(
-        sinr=sinr,
-        rate=np.log2(1.0 + sinr),
-        intra_group_leakage=intra_group_leakage(
-            channel, precoders.f_groups, precoders.w_groups, precoders.power, grouping
-        ),
-        outage_groups=list(precoders.outage_groups),
-    )
+    return SlotMetrics(sinr=sinr, rate=np.log2(1.0 + sinr), outage_groups=list(precoders.outage_groups))
 
 
 def jain_fairness(rates: np.ndarray) -> float:
@@ -251,7 +225,7 @@ def feedback_overhead(
     """
     if stats_period < 1:
         raise ValueError(f"stats_period must be >= 1, got {stats_period}")
-    if not is_statistical(scheme):
+    if not SCHEMES[scheme].statistical:
         return antenna_count * n_users * stats_period
     short_term = stats_period * int(sum(s**2 for s in group_sizes))
     total = short_term + statistics_count
@@ -324,12 +298,12 @@ def monte_carlo_rates(
     sum_stderr = float(per_slot_sum.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
 
     model = power_model if power_model is not None else config.power_model()
-    model = replace(model, connectivity=connectivity_of(scheme))
+    model = replace(model, connectivity=SCHEMES[scheme].connectivity)
     sum_rate = float(per_user_rate.sum())
     ee = energy_efficiency(sum_rate, config.P, config.L, config.M, model)
 
     stats_count = (
-        statistics_feedback_count(grouping.group_correlations) if is_statistical(scheme) else 0
+        statistics_feedback_count(grouping.group_correlations) if SCHEMES[scheme].statistical else 0
     )
     feedback = feedback_overhead(
         scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count

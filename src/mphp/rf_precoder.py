@@ -306,16 +306,7 @@ def sslnr(
     leakage into the other groups' correlations plus the noise term
     K * S_g / P.
     """
-    sizes = grouping.sizes
     signal = float(np.real(np.trace(f_group.conj().T @ grouping.group_correlations[g] @ f_group)))
-    leakage = 0.0
-    for other in range(grouping.group_count):
-        if other == g:
-            continue
-        leakage += float(
-            sizes[g]
-            * sizes[other]
-            * np.real(np.trace(f_group.conj().T @ grouping.group_correlations[other] @ f_group))
-        )
-    noise = n_users * sizes[g] / power
+    leakage = float(np.real(np.trace(f_group.conj().T @ leakage_correlation(grouping, g) @ f_group)))
+    noise = n_users * grouping.sizes[g] / power
     return signal / (leakage + noise)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from mphp.baselines import (
+    SCHEMES,
     SchemeId,
     adaptive_instant_precoder,
     build_precoders,
-    connectivity_of,
     design_long_term,
     fixed_subarray_map,
     fixed_subarray_precoder,
-    is_statistical,
 )
 from mphp.channel import draw_channel
 from mphp.experiment import SystemConfig
@@ -28,18 +27,21 @@ def two_user_grouping(n_ant):
 
 class TestSchemeTaxonomy:
     def test_statistical_schemes(self):
-        assert is_statistical(SchemeId.MPHP)
-        assert is_statistical(SchemeId.FRPS_STATISTICAL)
-        assert not is_statistical(SchemeId.FULL_DIGITAL_ZF)
-        assert not is_statistical(SchemeId.FIXED_SUBARRAY)
-        assert not is_statistical(SchemeId.ADAPTIVE_INSTANT)
+        assert SCHEMES[SchemeId.MPHP].statistical
+        assert SCHEMES[SchemeId.FRPS_STATISTICAL].statistical
+        assert not SCHEMES[SchemeId.FULL_DIGITAL_ZF].statistical
+        assert not SCHEMES[SchemeId.FIXED_SUBARRAY].statistical
+        assert not SCHEMES[SchemeId.ADAPTIVE_INSTANT].statistical
 
     def test_connectivity(self):
-        assert connectivity_of(SchemeId.MPHP) == "partially-connected"
-        assert connectivity_of(SchemeId.FIXED_SUBARRAY) == "partially-connected"
-        assert connectivity_of(SchemeId.ADAPTIVE_INSTANT) == "partially-connected"
-        assert connectivity_of(SchemeId.FRPS_STATISTICAL) == "fully-connected"
-        assert connectivity_of(SchemeId.FULL_DIGITAL_ZF) == "fully-connected"
+        assert SCHEMES[SchemeId.MPHP].connectivity == "partially-connected"
+        assert SCHEMES[SchemeId.FIXED_SUBARRAY].connectivity == "partially-connected"
+        assert SCHEMES[SchemeId.ADAPTIVE_INSTANT].connectivity == "partially-connected"
+        assert SCHEMES[SchemeId.FRPS_STATISTICAL].connectivity == "fully-connected"
+        assert SCHEMES[SchemeId.FULL_DIGITAL_ZF].connectivity == "fully-connected"
+
+    def test_one_record_per_scheme(self):
+        assert list(SCHEMES) == list(SchemeId)
 
     def test_closed_enumeration(self):
         assert {s.value for s in SchemeId} == {

@@ -126,13 +126,6 @@ class TestRunExperiment:
         second = rows_to_csv(run_experiment(config))
         assert first == second
 
-    def test_threaded_matches_sequential(self, monkeypatch):
-        config = parse_config(TINY + "sweep.parameter = P\nsweep.values = 0.5, 1\n")
-        sequential = rows_to_csv(run_experiment(config))
-        monkeypatch.setenv("MPHP_THREADS", "3")
-        threaded = rows_to_csv(run_experiment(config))
-        assert sequential == threaded
-
 
 class TestCsv:
     def test_header_and_row_count(self, tmp_path):
@@ -178,11 +171,6 @@ class TestValidation:
         config = parse_config(TINY + "sweep.parameter = M\nsweep.values = 8, 16\n")
         with pytest.raises(ExperimentError, match="MPHP at sweep value 8.0"):
             run_experiment(config)
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("MPHP_THREADS", "many")
-        with pytest.raises(ValueError, match="MPHP_THREADS"):
-            run_experiment(parse_config(TINY))
 
     @pytest.mark.parametrize(
         "field,value",

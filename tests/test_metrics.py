@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mphp.baselines import SchemeId, build_precoders, design_long_term
+from mphp.baselines import SchemeId, SlotPrecoders, build_precoders, design_long_term
 from mphp.channel import draw_channel
 from mphp.experiment import SystemConfig
 from mphp.metrics import (
@@ -33,6 +33,107 @@ def orthogonal_slot():
     w_groups = [np.eye(1, dtype=complex), np.eye(1, dtype=complex)]
     power = np.array([0.5, 0.5])
     return channel, f_groups, w_groups, power, grouping
+
+
+# Scalar reference loops: the definitions the matrix versions must reproduce.
+def sinr_loop(channel, f_groups, w_groups, power, grouping):
+    out = np.zeros(channel.shape[1])
+    beams = [
+        f_groups[g] @ w_groups[g] if w_groups[g] is not None else None
+        for g in range(grouping.group_count)
+    ]
+    for g in range(grouping.group_count):
+        if beams[g] is None:
+            continue
+        for i, k in enumerate(grouping.members[g]):
+            h_k = channel[:, k]
+            signal = power[k] * np.abs(h_k.conj() @ beams[g][:, i]) ** 2
+            interference = 0.0
+            for other in range(grouping.group_count):
+                if other == g or beams[other] is None:
+                    continue
+                cross = np.abs(h_k.conj() @ beams[other]) ** 2
+                interference += float(np.sum(power[grouping.members[other]] * cross))
+            out[k] = signal / (interference + 1.0)
+    return out
+
+
+def slnr_loop(channel, f_groups, w_groups, power, grouping):
+    n_users = channel.shape[1]
+    out = np.zeros(n_users)
+    for g in range(grouping.group_count):
+        if w_groups[g] is None:
+            continue
+        beam = f_groups[g] @ w_groups[g]
+        outsiders = np.setdiff1d(np.arange(n_users), grouping.members[g])
+        for i, k in enumerate(grouping.members[g]):
+            signal = power[k] * np.abs(channel[:, k].conj() @ beam[:, i]) ** 2
+            leak = power[k] * float(np.sum(np.abs(channel[:, outsiders].conj().T @ beam[:, i]) ** 2))
+            out[k] = signal / (leak + 1.0)
+    return out
+
+
+def leakage_loop(channel, f_groups, w_groups, power, grouping):
+    out = np.zeros(channel.shape[1])
+    for g in range(grouping.group_count):
+        if w_groups[g] is None:
+            continue
+        beam = f_groups[g] @ w_groups[g]
+        for i, k in enumerate(grouping.members[g]):
+            cross = np.abs(channel[:, k].conj() @ beam) ** 2
+            cross[i] = 0.0
+            out[k] = float(np.sum(power[grouping.members[g]] * cross))
+    return out
+
+
+def oracle_slots():
+    """(label, channel, precoders, grouping) for every scheme on one channel
+    draw, each also with group 0 silenced (its power left nonzero)."""
+    config = SystemConfig(M=16, K=5, L=5, G=2)
+    grouping, scenario, geometry = build_context(config, seed=6)
+    h = draw_channel(scenario, geometry, seed=6, slot=0)
+    for scheme in SchemeId:
+        state = design_long_term(scheme, grouping, config)
+        precoders = build_precoders(scheme, state, h, grouping, config)
+        yield scheme.value, h, precoders, grouping
+        silenced = SlotPrecoders(
+            f_groups=precoders.f_groups,
+            w_groups=[None] + precoders.w_groups[1:],
+            power=precoders.power,
+            outage_groups=[0],
+        )
+        yield f"{scheme.value} with group 0 in outage", h, silenced, grouping
+
+
+ORACLE_PAIRS = [(sinr_per_user, sinr_loop), (slnr_per_user, slnr_loop), (intra_group_leakage, leakage_loop)]
+
+
+class TestMatchesScalarOracle:
+    @pytest.mark.parametrize("matrix_version,loop", ORACLE_PAIRS)
+    def test_every_scheme(self, matrix_version, loop):
+        # atol covers the ZF in-group leakage, which is rounding noise near 0.
+        for label, h, precoders, grouping in oracle_slots():
+            args = (h, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
+            np.testing.assert_allclose(
+                matrix_version(*args), loop(*args), rtol=1e-12, atol=1e-12, err_msg=label
+            )
+
+    def test_random_beams_with_in_group_interference(self, rng):
+        # Random (non-ZF) beams make every cross term, in-group included, large.
+        def complex_normal(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        n_ant, assignments = 6, [0, 1, 0, 2, 1]
+        grouping = make_grouping([np.eye(n_ant, dtype=complex)] * len(assignments), assignments)
+        channel = complex_normal((n_ant, 5))
+        f_groups = [complex_normal((n_ant, len(m))) for m in grouping.members]
+        w_groups = [complex_normal((len(m), len(m))) for m in grouping.members]
+        power = rng.uniform(0.2, 1.0, 5)
+        for silent in (None, 1):
+            ws = [None if g == silent else w for g, w in enumerate(w_groups)]
+            args = (channel, f_groups, ws, power, grouping)
+            for matrix_version, loop in ORACLE_PAIRS:
+                np.testing.assert_allclose(matrix_version(*args), loop(*args), rtol=1e-12, atol=0)
 
 
 class TestSinr:
@@ -249,7 +350,6 @@ class TestMonteCarlo:
         precoders = build_precoders(SchemeId.MPHP, long_state, h, grouping, config)
         slot = evaluate_slot(h, precoders, grouping)
         leak = intra_group_leakage(h, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
-        assert np.array_equal(slot.intra_group_leakage, leak)
         signal = precoders.power * np.array(
             [
                 abs(h[:, k].conj() @ (precoders.f_groups[g] @ precoders.w_groups[g])[:, i]) ** 2
