@@ -29,7 +29,7 @@ import numpy as np
 
 from .baseband import power_allocation, zf_precoder, effective_channel
 from .grouping import Grouping
-from .numerics import CONDITION_LIMIT, NearSingularError, hermitian_eig
+from .numerics import NearSingularError, check_condition, hermitian_eig
 from .rf_precoder import (
     RfPrecoder,
     grfp_assign,
@@ -141,9 +141,7 @@ def _design_frps(grouping: Grouping, config: "SystemConfig") -> np.ndarray:
     for g in range(grouping.group_count):
         _, vectors = hermitian_eig(grouping.group_correlations[g])
         for i, chain in enumerate(grouping.rf_chains[g]):
-            column = vectors[:, i]
-            indices = np.array([nearest_phase_index(v, config.B) for v in column])
-            f[:, int(chain)] = grid[indices] / np.sqrt(config.M)
+            f[:, int(chain)] = grid[nearest_phase_index(vectors[:, i], config.B)] / np.sqrt(config.M)
     return f
 
 
@@ -190,15 +188,10 @@ def _aligned_quantized_precoder(
 ) -> RfPrecoder:
     """Per-antenna phases matched to the served user's channel entry, quantized."""
     antenna_count, chain_count = channel.shape[0], chain_to_user.size
-    grid = phase_grid(bits)
+    antennas = np.arange(antenna_count)
+    phase_index = nearest_phase_index(channel[antennas, chain_to_user[antenna_to_chain]], bits)
     f = np.zeros((antenna_count, chain_count), dtype=complex)
-    phase_index = np.zeros(antenna_count, dtype=int)
-    for m in range(antenna_count):
-        chain = int(antenna_to_chain[m])
-        gain = channel[m, int(chain_to_user[chain])]
-        n_star = nearest_phase_index(gain, bits)
-        phase_index[m] = n_star
-        f[m, chain] = grid[n_star] / np.sqrt(antenna_count)
+    f[antennas, antenna_to_chain] = phase_grid(bits)[phase_index] / np.sqrt(antenna_count)
     return RfPrecoder(
         f=f,
         antenna_to_chain=antenna_to_chain.copy(),
@@ -229,9 +222,7 @@ def _greedy_instant_map(channel: np.ndarray, chain_to_user: np.ndarray) -> np.nd
 
 def _full_digital_beams(channel: np.ndarray) -> np.ndarray:
     """Unit-norm zero-forcing beams on the instantaneous channel."""
-    cond = np.linalg.cond(channel)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NearSingularError(f"channel condition number {cond:.3e}")
+    check_condition(channel, "channel condition number")
     gram = channel.conj().T @ channel
     beams = channel @ np.linalg.solve(gram, np.eye(gram.shape[0], dtype=complex))
     return beams / np.linalg.norm(beams, axis=0)[None, :]

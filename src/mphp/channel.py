@@ -109,20 +109,6 @@ def correlation_from_params(
     return corr
 
 
-def _draw_aods(params: UserChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Sample path departure angles from the truncated-Gaussian density."""
-    if params.angular_spread == 0.0:
-        return np.full(params.path_count, params.mean_aod)
-    u = rng.uniform(size=params.path_count)
-    return truncnorm.ppf(
-        u,
-        -AOD_TRUNCATION_SIGMAS,
-        AOD_TRUNCATION_SIGMAS,
-        loc=params.mean_aod,
-        scale=params.angular_spread,
-    )
-
-
 def draw_channel(
     params: Sequence[UserChannelParams],
     geometry: ArrayGeometry,
@@ -134,18 +120,34 @@ def draw_channel(
     Column k is user k's channel: sqrt(mean_power / path_count) times the
     sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Regeneration
     is bit-identical for the same (seed, user index, slot index).
+
+    Each user's generator draws its path uniforms (none at zero spread) and
+    then its gains; the uniforms of all users go through one truncated-normal
+    inverse CDF and one steering matrix.  The per-user column product stays
+    separate, so each column sums in the same order as a single-user draw.
     """
     if len(params) < 1:
         raise ValueError("need at least one user")
     if seed < 0 or slot < 0:
         raise ValueError("seed and slot must be non-negative")
-    h = np.empty((geometry.antenna_count, len(params)), dtype=complex)
+    uniforms: list[np.ndarray] = []
+    gains: list[np.ndarray] = []
     for user, p in enumerate(params):
         rng = np.random.default_rng([seed, user, slot])
-        thetas = _draw_aods(p, rng)
-        gains = (rng.standard_normal(p.path_count) + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0)
-        a = _steering_matrix(thetas, geometry)
-        h[:, user] = np.sqrt(p.mean_power / p.path_count) * (a @ gains)
+        uniforms.append(rng.uniform(size=p.path_count) if p.angular_spread > 0.0 else np.empty(0))
+        gains.append((rng.standard_normal(p.path_count) + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0))
+
+    counts = [p.path_count for p in params]
+    thetas = np.repeat([p.mean_aod for p in params], counts)
+    spreads = np.repeat([p.angular_spread for p in params], counts)
+    drawn = spreads > 0.0
+    standard = truncnorm.ppf(np.concatenate(uniforms), -AOD_TRUNCATION_SIGMAS, AOD_TRUNCATION_SIGMAS)
+    thetas[drawn] = standard * spreads[drawn] + thetas[drawn]
+    a = _steering_matrix(thetas, geometry)
+
+    h = np.empty((geometry.antenna_count, len(params)), dtype=complex)
+    for user, (p, g, end) in enumerate(zip(params, gains, np.cumsum(counts))):
+        h[:, user] = np.sqrt(p.mean_power / p.path_count) * (a[:, end - p.path_count : end] @ g)
     return h
 
 

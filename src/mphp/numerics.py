@@ -38,8 +38,11 @@ class EigenDecomposition(NamedTuple):
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
     Column i of ``eigenvectors`` pairs with ``eigenvalues[i]``.  No phase
-    canonicalization is applied to the eigenvectors; all consumers in this
-    package are invariant to a per-column unit-modulus factor.
+    canonicalization is applied to the eigenvectors, so each column carries
+    whatever unit-modulus factor LAPACK returns.  Projectors, traces and
+    magnitudes built from the columns do not depend on it, but the B-bit
+    phase quantization in ``rf_precoder.grfp_assign`` and the FRPS baseline
+    does: rounding to the nearest grid point is not phase-equivariant.
     """
 
     eigenvalues: np.ndarray
@@ -63,6 +66,21 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     )
 
 
+def check_condition(a: np.ndarray, label: str = "condition number") -> None:
+    """Raise unless the 2-norm condition number of ``a`` is finite and at most ``CONDITION_LIMIT``.
+
+    Raises:
+        NearSingularError: the estimate exceeds the limit, is not finite, or
+            the SVD behind it fails; ``label`` names the matrix in the message.
+    """
+    try:
+        cond = np.linalg.cond(a)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularError(f"condition estimate failed: {exc}") from exc
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise NearSingularError(f"{label} {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+
+
 def solve_right_inverse(a: np.ndarray) -> np.ndarray:
     """Return B with A @ B = I for square A.
 
@@ -75,12 +93,7 @@ def solve_right_inverse(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("cannot invert an empty matrix")
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingularError(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NearSingularError(f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    check_condition(a)
     try:
         return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
     except np.linalg.LinAlgError as exc:

@@ -63,16 +63,25 @@ def phase_grid(bits: int) -> np.ndarray:
     return np.exp(2j * np.pi * n / 2**bits)
 
 
-def nearest_phase_index(value: complex, bits: int) -> int:
+def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndarray:
     """Grid index minimizing chord distance to value's phase; 0 for value = 0.
 
-    Ties resolve to the lowest index.
+    A scalar gives an ``int``; an array gives an integer array of its shape,
+    quantized elementwise against one grid.  Ties resolve to the lowest index.
     """
-    mag = abs(value)
-    if mag == 0.0:
-        return 0
-    unit = value / mag
-    return int(np.argmin(np.abs(unit - phase_grid(bits))))
+    grid = phase_grid(bits)
+    # A scalar keeps the scalar abs(): the array abs can differ in the last
+    # bit, which could flip a near-tie in grfp_assign's per-antenna calls.
+    if np.ndim(value) == 0:
+        mag = abs(value)
+        if mag == 0.0:
+            return 0
+        return int(np.argmin(np.abs(value / mag - grid)))
+    values = np.asarray(value, dtype=complex)
+    mag = np.abs(values)
+    nonzero = mag != 0.0
+    unit = np.divide(values, mag, out=np.zeros_like(values), where=nonzero)
+    return np.where(nonzero, np.argmin(np.abs(unit[..., None] - grid), axis=-1), 0)
 
 
 def leakage_correlation(grouping: Grouping, g: int) -> np.ndarray:
@@ -145,11 +154,10 @@ def solve_alpha_star(
         raise ValueError(f"tol must be > 0, got {tol}")
     slope = n_users * streams / power
 
-    def objective(alpha: float) -> float:
-        _, value = relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
-        return value
+    def objective(alpha: float) -> tuple[np.ndarray, float]:
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
 
-    f0 = objective(0.0)
+    _, f0 = objective(0.0)
     if f0 <= 0:
         raise DegenerateGroupError(f"relaxed objective at alpha=0 is {f0:.3e}, expected > 0")
 
@@ -158,21 +166,19 @@ def solve_alpha_star(
         return rhs > 0 and abs(value - rhs) <= tol * rhs
 
     hi = 1.0
-    value_hi = objective(hi)
+    f_hi, value_hi = objective(hi)
     while value_hi > slope * hi:
         hi *= 2.0
-        value_hi = objective(hi)
+        f_hi, value_hi = objective(hi)
     if residual_ok(hi, value_hi):
-        f_star, _ = relaxed_step(signal_corr, leak_corr, hi, streams, objective_exponent)
-        return hi, f_star
+        return hi, f_hi
 
     lo = 0.0
     alpha = hi
     for _ in range(max_iters):
         alpha = 0.5 * (lo + hi)
-        value = objective(alpha)
+        f_star, value = objective(alpha)
         if residual_ok(alpha, value):
-            f_star, _ = relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
             return alpha, f_star
         if value > slope * alpha:
             lo = alpha

@@ -15,7 +15,8 @@ from mphp.baselines import (
 from mphp.channel import draw_channel
 from mphp.experiment import SystemConfig
 from mphp.metrics import build_context
-from mphp.rf_precoder import validate_rf_precoder
+from mphp.numerics import hermitian_eig
+from mphp.rf_precoder import RfPrecoder, nearest_phase_index, phase_grid, validate_rf_precoder
 
 from conftest import make_grouping
 
@@ -23,6 +24,72 @@ from conftest import make_grouping
 def two_user_grouping(n_ant):
     corrs = [np.eye(n_ant, dtype=complex)] * 2
     return make_grouping(corrs, [0, 1])
+
+
+def loop_aligned_quantized_precoder(channel, antenna_to_chain, chain_to_user, bits):
+    """Reference: quantize the served user's gain one antenna at a time."""
+    antenna_count = channel.shape[0]
+    grid = phase_grid(bits)
+    f = np.zeros((antenna_count, chain_to_user.size), dtype=complex)
+    phase_index = np.zeros(antenna_count, dtype=int)
+    for m in range(antenna_count):
+        chain = int(antenna_to_chain[m])
+        n_star = nearest_phase_index(channel[m, int(chain_to_user[chain])], bits)
+        phase_index[m] = n_star
+        f[m, chain] = grid[n_star] / np.sqrt(antenna_count)
+    return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain.copy(), phase_index=phase_index, bits=bits)
+
+
+def loop_frps(grouping, config):
+    """Reference: quantize each dominant-eigenvector entry on its own."""
+    grid = phase_grid(config.B)
+    f = np.zeros((config.M, sum(len(m) for m in grouping.members)), dtype=complex)
+    for g in range(grouping.group_count):
+        _, vectors = hermitian_eig(grouping.group_correlations[g])
+        for i, chain in enumerate(grouping.rf_chains[g]):
+            indices = np.array([nearest_phase_index(v, config.B) for v in vectors[:, i]])
+            f[:, int(chain)] = grid[indices] / np.sqrt(config.M)
+    return f
+
+
+class TestMatchesPerAntennaLoops:
+    """The array quantizers reproduce the per-antenna loops bit for bit."""
+
+    CONFIGS = [
+        SystemConfig(M=24, K=4, L=4, G=2, B=1),
+        SystemConfig(M=64, K=8, L=8, G=3, B=4),
+        SystemConfig(M=128, K=8, L=8, G=3, B=6),
+    ]
+
+    @staticmethod
+    def assert_same_precoder(rf, reference):
+        assert np.array_equal(rf.f, reference.f)
+        assert np.array_equal(rf.antenna_to_chain, reference.antenna_to_chain)
+        assert np.array_equal(rf.phase_index, reference.phase_index)
+        assert rf.phase_index.dtype == reference.phase_index.dtype
+        assert rf.bits == reference.bits
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"M{c.M}B{c.B}")
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_realtime_schemes_on_drawn_channels(self, config, seed):
+        grouping, scenario, geometry = build_context(config, seed=seed)
+        for slot in range(3):
+            channel = draw_channel(scenario, geometry, seed=seed, slot=slot)
+            if slot == 2:
+                channel[::5] = 0.0  # zero gains quantize to index 0
+            for build in (fixed_subarray_precoder, adaptive_instant_precoder):
+                rf = build(channel, grouping, config.B)
+                reference = loop_aligned_quantized_precoder(
+                    channel, rf.antenna_to_chain, grouping.chain_users, config.B
+                )
+                self.assert_same_precoder(rf, reference)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"M{c.M}B{c.B}")
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_frps_on_correlations(self, config, seed):
+        grouping, _, _ = build_context(config, seed=seed)
+        f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
+        assert np.array_equal(f, loop_frps(grouping, config))
 
 
 class TestSchemeTaxonomy:

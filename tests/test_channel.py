@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from mphp.channel import (
+    AOD_TRUNCATION_SIGMAS,
     ArrayGeometry,
     UserChannelParams,
     correlation_from_params,
@@ -134,6 +136,69 @@ class TestDrawChannel:
         energy = np.sum(np.abs(draws) ** 2, axis=1)
         stderr = energy.std(ddof=1) / np.sqrt(energy.size)
         assert abs(energy.mean() - 8.0) <= 3 * stderr
+
+
+def scalar_draw_channel(params, geometry, seed, slot):
+    """Reference draw: one generator, one inverse CDF and one steering matrix per user."""
+    h = np.empty((geometry.antenna_count, len(params)), dtype=complex)
+    for user, p in enumerate(params):
+        rng = np.random.default_rng([seed, user, slot])
+        if p.angular_spread == 0.0:
+            thetas = np.full(p.path_count, p.mean_aod)
+        else:
+            u = rng.uniform(size=p.path_count)
+            thetas = truncnorm.ppf(
+                u, -AOD_TRUNCATION_SIGMAS, AOD_TRUNCATION_SIGMAS, loc=p.mean_aod, scale=p.angular_spread
+            )
+        gains = (rng.standard_normal(p.path_count) + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0)
+        m = np.arange(geometry.antenna_count)[:, None]
+        a = np.exp(2j * np.pi * geometry.element_spacing * m * np.sin(thetas)[None, :])
+        h[:, user] = np.sqrt(p.mean_power / p.path_count) * (a @ gains)
+    return h
+
+
+class TestMatchesScalarDraw:
+    """The batched draw reproduces the per-user draw bit for bit."""
+
+    @staticmethod
+    def mixed_users(n_users, seed):
+        # Mixed path counts and powers; every third user has zero spread.
+        rng = np.random.default_rng([seed, 77])
+        return [
+            UserChannelParams(
+                mean_aod=float(rng.uniform(-1.4, 1.4)),
+                angular_spread=0.0 if u % 3 == 1 else float(rng.uniform(0.01, 0.3)),
+                path_count=int(rng.integers(1, 10)),
+                mean_power=float(rng.uniform(0.2, 3.0)),
+            )
+            for u in range(n_users)
+        ]
+
+    @pytest.mark.parametrize("antennas", [1, 16, 128])
+    @pytest.mark.parametrize("n_users", [1, 8])
+    @pytest.mark.parametrize("seed", [0, 3, 1234])
+    def test_mixed_users(self, antennas, n_users, seed):
+        geom = ArrayGeometry(antennas)
+        params = self.mixed_users(n_users, seed)
+        for slot in (0, 1, 17):
+            assert np.array_equal(
+                draw_channel(params, geom, seed=seed, slot=slot), scalar_draw_channel(params, geom, seed, slot)
+            )
+
+    def test_all_users_zero_spread(self):
+        geom = ArrayGeometry(16)
+        params = [UserChannelParams(0.2, 0.0, 3, 1.5), UserChannelParams(-0.7, 0.0, 1)]
+        for slot in range(3):
+            assert np.array_equal(draw_channel(params, geom, seed=5, slot=slot), scalar_draw_channel(params, geom, 5, slot))
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_clustered_scenario(self, seed):
+        geom = ArrayGeometry(64, element_spacing=0.37)
+        params = make_scenario(8, 3, seed=seed)
+        for slot in range(5):
+            assert np.array_equal(
+                draw_channel(params, geom, seed=seed, slot=slot), scalar_draw_channel(params, geom, seed, slot)
+            )
 
 
 class TestScenario:

@@ -5,6 +5,7 @@ from mphp.numerics import (
     CONDITION_LIMIT,
     EigenDecomposition,
     NearSingularError,
+    check_condition,
     hermitian_eig,
     hermitian_part,
     solve_right_inverse,
@@ -108,6 +109,19 @@ class TestSolveRightInverse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             solve_right_inverse(np.zeros((0, 0)))
+
+
+class TestCheckCondition:
+    def test_tall_well_conditioned_passes(self):
+        check_condition(np.eye(4, 2, dtype=complex))
+
+    def test_rank_deficient_names_the_matrix(self):
+        with pytest.raises(NearSingularError, match="^channel condition number .* exceeds 1e\\+12$"):
+            check_condition(np.ones((4, 2), dtype=complex), "channel condition number")
+
+    def test_failed_estimate_is_near_singular(self):
+        with pytest.raises(NearSingularError, match="condition estimate failed"):
+            check_condition(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
 
 def test_hermitian_part_is_hermitian(rng):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mphp.grouping import group_users
 from mphp.numerics import hermitian_eig
@@ -90,11 +93,12 @@ class TestRelaxedStep:
 
 class TestSolveAlphaStar:
     def test_diagonal_closed_form(self):
-        alpha, f_star = solve_alpha_star(
-            np.diag([2.0, 0.0]), np.diag([0.0, 1.0]), streams=1, n_users=2, power=1.0
-        )
+        corr, leak = np.diag([2.0, 0.0]), np.diag([0.0, 1.0])
+        alpha, f_star = solve_alpha_star(corr, leak, streams=1, n_users=2, power=1.0)
         assert alpha == pytest.approx(1.0, abs=1e-6)
         assert abs(f_star[0, 0]) == pytest.approx(1.0, abs=1e-9)
+        # alpha* = 1 is the first bracket end: the early-return branch
+        assert np.array_equal(f_star, relaxed_step(corr, leak, alpha, 1)[0])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_single_group_closed_form(self, seed):
@@ -117,10 +121,11 @@ class TestSolveAlphaStar:
         corr = random_psd(rng, 6, trace=6.0)
         leak = random_psd(rng, 6, trace=12.0)
         streams, n_users, power = 2, 4, 1.0
-        alpha, _ = solve_alpha_star(corr, leak, streams, n_users, power, tol=1e-9)
-        _, f_value = relaxed_step(corr, leak, alpha, streams)
+        alpha, f_star = solve_alpha_star(corr, leak, streams, n_users, power, tol=1e-9)
+        f_expected, f_value = relaxed_step(corr, leak, alpha, streams)
         rhs = n_users * streams / power * alpha
         assert abs(f_value - rhs) <= 1e-9 * rhs
+        assert np.array_equal(f_star, f_expected)
 
     def test_degenerate_group_rejected(self):
         with pytest.raises(DegenerateGroupError):
@@ -165,6 +170,32 @@ class TestPhaseQuantization:
 
     def test_zero_value_maps_to_index_zero(self):
         assert nearest_phase_index(0.0, 4) == 0
+
+    def test_scalar_gives_int(self):
+        assert type(nearest_phase_index(1j, 2)) is int
+        assert type(nearest_phase_index(np.complex128(-1.0), 2)) is int
+
+    # Magnitudes stay normal: below about 1e-308 the complex division by |v|
+    # overflows (1/|v| is inf), in the scalar path as in the array path.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=arrays(
+            np.complex128,
+            array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+            elements=st.just(0j) | st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300),
+        ),
+        bits=st.integers(1, 8),
+    )
+    def test_array_quantizes_elementwise(self, values, bits):
+        index = nearest_phase_index(values, bits)
+        assert index.shape == values.shape
+        assert np.all((index >= 0) & (index < 2**bits))
+        assert np.all(index[values == 0] == 0)
+        grid = phase_grid(bits)
+        for value, n in zip(values.ravel(), index.ravel()):
+            if value != 0:
+                distance = np.abs(value / abs(value) - grid)
+                assert distance[n] <= distance.min() + 1e-12
 
     def test_bits_validated(self):
         with pytest.raises(ValueError):
