@@ -4,8 +4,10 @@ Per group, the analog precoder is obtained in two stages:
 
 1. A relaxed max-min problem on the statistical signal-to-leakage-and-noise
    ratio (SSLNR), solved per group by eigendecomposition of the signal
-   correlation minus a weighted leakage correlation, with the weight found
-   by bisection on the fixed-point equation of the optimal value.
+   correlation minus a weighted leakage correlation.  The weight is the
+   bisection midpoint on the fixed-point equation of the optimal value,
+   bit-identical to plain bisection; Newton steps certify most of the
+   bisection's sign decisions, so few eigendecompositions are needed.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
@@ -23,6 +25,11 @@ from .numerics import hermitian_eig
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITERS = 200
+# Newton steps solve_alpha_star takes before it replays the bisection.
+_NEWTON_MAX_STEPS = 8
+
+_TINY = np.finfo(float).tiny
+_SUBNORMAL_SCALE = 2.0**600
 
 
 class DegenerateGroupError(ValueError):
@@ -72,14 +79,25 @@ def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndar
     grid = phase_grid(bits)
     # A scalar keeps the scalar abs(): the array abs can differ in the last
     # bit, which could flip a near-tie in grfp_assign's per-antenna calls.
+    # A subnormal magnitude is first scaled by an exact power of two, since
+    # dividing by it computes 1/|value|, which overflows; normal values keep
+    # their bits.
     if np.ndim(value) == 0:
         mag = abs(value)
         if mag == 0.0:
             return 0
+        if mag < _TINY:
+            value = value * _SUBNORMAL_SCALE
+            mag = abs(value)
         return int(np.argmin(np.abs(value / mag - grid)))
     values = np.asarray(value, dtype=complex)
     mag = np.abs(values)
     nonzero = mag != 0.0
+    subnormal = nonzero & (mag < _TINY)
+    if subnormal.any():
+        values = values.copy()
+        values[subnormal] *= _SUBNORMAL_SCALE
+        mag[subnormal] = np.abs(values[subnormal])
     unit = np.divide(values, mag, out=np.zeros_like(values), where=nonzero)
     return np.where(nonzero, np.argmin(np.abs(unit[..., None] - grid), axis=-1), 0)
 
@@ -128,6 +146,16 @@ def relaxed_step(
     return f_star, f_value
 
 
+def _objective_derivative(f_star: np.ndarray, leak_corr: np.ndarray, objective_exponent: int) -> float:
+    """df/dalpha at an evaluated point: -sum_i s_i^e u_i^H L u_i (Hellmann–Feynman).
+
+    Column i of ``f_star`` is s_i u_i with unit u_i, so each term is
+    s_i^(e-2) f_i^H L f_i.
+    """
+    quad = np.real(np.sum(f_star.conj() * (leak_corr @ f_star), axis=0))
+    return -float(np.sum(quad * np.linalg.norm(f_star, axis=0) ** (objective_exponent - 2)))
+
+
 def solve_alpha_star(
     signal_corr: np.ndarray,
     leak_corr: np.ndarray,
@@ -138,17 +166,32 @@ def solve_alpha_star(
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
 ) -> tuple[float, np.ndarray]:
-    """Solve f(alpha) = (K * S_g / P) * alpha by bisection.
+    """Solve f(alpha) = (K * S_g / P) * alpha; the answer is the bisection's.
 
     f is non-increasing (the leakage correlation is PSD) and the right-hand
-    side grows linearly, so the crossing is unique; the bracket upper end
-    doubles from 1 until the right-hand side dominates.  Returns the crossing
-    ``alpha_star`` (relative residual at most ``tol``) and the relaxed
-    precoder evaluated there.
+    side grows linearly, so the crossing is unique.  The returned weight is
+    defined by plain bisection: the bracket upper end doubles from 1 until
+    the right-hand side dominates, then [0, hi] is halved until a midpoint
+    has relative residual at most ``tol``.  Returns that midpoint
+    ``alpha_star`` and the relaxed precoder evaluated there, bit-identical
+    to plain bisection.
+
+    The bisection's sign decisions are certified instead of evaluated where
+    possible.  With g(a) = f(a) - slope * a, Newton steps on g (Dinkelbach's
+    iteration, derivative by Hellmann–Feynman) first locate the root; since f
+    is non-increasing, every evaluation at a certifies
+    |a - alpha*| <= |g(a)| / slope.  The bisection is then replayed, and a
+    point farther from the certified interval than the residual band plus a
+    floating-point allowance is decided by its sign without an
+    eigendecomposition.  Only points near the root, among them the returned
+    one, are evaluated.  If Newton gives no usable bound, every point is
+    evaluated, as in plain bisection.
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
             no energy on its dominant subspace.
+        RuntimeError: no bisection midpoint met ``tol`` in ``max_iters``
+            halvings.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -157,30 +200,69 @@ def solve_alpha_star(
     def objective(alpha: float) -> tuple[np.ndarray, float]:
         return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
 
-    _, f0 = objective(0.0)
+    f_star, f0 = objective(0.0)
     if f0 <= 0:
         raise DegenerateGroupError(f"relaxed objective at alpha=0 is {f0:.3e}, expected > 0")
 
-    def residual_ok(alpha: float, value: float) -> bool:
+    # A generous bound, in units of alpha, on the rounding in a computed
+    # g(alpha): 16 * M ulps of ||R||_F + alpha * ||L||_F for each of the S
+    # selected eigenvalues of R - alpha * L, and the rounding of slope * alpha.
+    eps = np.finfo(float).eps
+    fp_scale = 16 * signal_corr.shape[0] * streams * eps / slope
+    fp_signal = fp_scale * float(np.linalg.norm(signal_corr))
+    fp_leak = fp_scale * float(np.linalg.norm(leak_corr))
+
+    def allowance(alpha: float) -> float:
+        return fp_signal + alpha * fp_leak + 4 * eps * alpha
+
+    # alpha* lies within radius of center, from the tightest evaluation.
+    center, radius = 0.0, np.inf
+
+    def certify(alpha: float, value: float) -> None:
+        nonlocal center, radius
+        bound = abs(value - slope * alpha) / slope + allowance(alpha)
+        if bound < radius:
+            center, radius = alpha, bound
+
+    alpha, value = 0.0, f0
+    certify(alpha, value)
+    for _ in range(_NEWTON_MAX_STEPS):
+        derivative = _objective_derivative(f_star, leak_corr, objective_exponent) - slope
+        if not (np.isfinite(derivative) and derivative < 0):
+            break
+        step = alpha - (value - slope * alpha) / derivative
+        if not step > alpha:
+            break
+        alpha = step
+        f_star, value = objective(alpha)
+        certify(alpha, value)
+        if radius <= tol * alpha:  # already inside the residual band
+            break
+
+    def decide(alpha: float) -> tuple[np.ndarray | None, bool, bool]:
+        """(precoder or None, value > slope * alpha, residual_ok) at alpha."""
+        if abs(alpha - center) > radius + 4 * tol * alpha + allowance(alpha):
+            return None, alpha < center, False
+        f_alpha, value = objective(alpha)
+        certify(alpha, value)
         rhs = slope * alpha
-        return rhs > 0 and abs(value - rhs) <= tol * rhs
+        return f_alpha, value > rhs, rhs > 0 and abs(value - rhs) <= tol * rhs
 
     hi = 1.0
-    f_hi, value_hi = objective(hi)
-    while value_hi > slope * hi:
+    f_hi, above, ok = decide(hi)
+    while above:
         hi *= 2.0
-        f_hi, value_hi = objective(hi)
-    if residual_ok(hi, value_hi):
+        f_hi, above, ok = decide(hi)
+    if ok:
         return hi, f_hi
 
     lo = 0.0
-    alpha = hi
     for _ in range(max_iters):
         alpha = 0.5 * (lo + hi)
-        f_star, value = objective(alpha)
-        if residual_ok(alpha, value):
+        f_star, above, ok = decide(alpha)
+        if ok:
             return alpha, f_star
-        if value > slope * alpha:
+        if above:
             lo = alpha
         else:
             hi = alpha

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from mphp import rf_precoder
+from mphp.experiment import SystemConfig, parse_config, rows_to_csv, run_experiment
 from mphp.grouping import group_users
+from mphp.metrics import build_context
 from mphp.numerics import hermitian_eig
 from mphp.rf_precoder import (
     DegenerateGroupError,
@@ -28,6 +31,78 @@ def diagonal_grouping():
     """Two singleton groups with R_1 = diag(2,0), R_2 = diag(0,1)."""
     corrs = [np.diag([2.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     return make_grouping(corrs, [0, 1])
+
+
+def bisect_alpha_star(
+    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2
+):
+    """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the oracle that
+    solve_alpha_star must reproduce bit for bit."""
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    slope = n_users * streams / power
+
+    def objective(alpha):
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
+
+    _, f0 = objective(0.0)
+    if f0 <= 0:
+        raise DegenerateGroupError(f"relaxed objective at alpha=0 is {f0:.3e}, expected > 0")
+
+    def residual_ok(alpha, value):
+        rhs = slope * alpha
+        return rhs > 0 and abs(value - rhs) <= tol * rhs
+
+    hi = 1.0
+    f_hi, value_hi = objective(hi)
+    while value_hi > slope * hi:
+        hi *= 2.0
+        f_hi, value_hi = objective(hi)
+    if residual_ok(hi, value_hi):
+        return hi, f_hi
+
+    lo = 0.0
+    alpha = hi
+    for _ in range(max_iters):
+        alpha = 0.5 * (lo + hi)
+        f_star, value = objective(alpha)
+        if residual_ok(alpha, value):
+            return alpha, f_star
+        if value > slope * alpha:
+            lo = alpha
+        else:
+            hi = alpha
+    raise RuntimeError(
+        f"bisection did not reach relative residual {tol:g} in {max_iters} iterations"
+    )
+
+
+def random_alpha_problem(seed, m_ant, leak_scale, power=None):
+    """(signal_corr, leak_corr, streams, n_users, power) with S <= 4; P is drawn
+    log-uniformly from [1e-2, 1e3] unless given."""
+    rng = np.random.default_rng(seed)
+    streams = int(rng.integers(1, min(m_ant, 4) + 1))
+    n_users = int(rng.integers(streams, 13))
+    if power is None:
+        power = float(10 ** rng.uniform(-2, 3))
+    corr = random_psd(rng, m_ant, dof=int(rng.integers(1, m_ant + 1)), trace=float(m_ant))
+    leak = leak_scale * random_psd(rng, m_ant, dof=int(rng.integers(1, m_ant + 1)), trace=float(m_ant))
+    return corr, leak, streams, n_users, power
+
+
+def assert_matches_bisection(problem, **options):
+    """solve_alpha_star returns the oracle's alpha and f_star, or raises the
+    oracle's error; gives alpha, or None when both raised."""
+    try:
+        expected_alpha, expected_f = bisect_alpha_star(*problem, **options)
+    except (DegenerateGroupError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            solve_alpha_star(*problem, **options)
+        return None
+    alpha, f_star = solve_alpha_star(*problem, **options)
+    assert alpha == expected_alpha
+    assert np.array_equal(f_star, expected_f)
+    return alpha
 
 
 class TestLeakageCorrelation:
@@ -153,6 +228,145 @@ class TestSolveAlphaStar:
         assert np.array_equal(rf_base.antenna_to_chain, rf_scaled.antenna_to_chain)
 
 
+class TestMatchesBisection:
+    @pytest.mark.parametrize("objective_exponent", [1, 2])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("leak_scale", [0.0, 1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("m_ant", [1, 2, 8, 64, 128])
+    def test_grid(self, m_ant, leak_scale, tol, objective_exponent):
+        # Leak scale 0 is the one-group closed form; 100 drives the top
+        # eigenvalues negative near the root.  At tol = 1e-12 with strong
+        # leakage the rounding of f can keep every midpoint above the
+        # residual bound, and both solvers then raise alike.  Small arrays
+        # also run both ends of the power range; M >= 64 runs one random
+        # power, to bound the oracle's eigendecompositions.
+        for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
+            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
+            problem = random_alpha_problem(seed, m_ant, leak_scale, power)
+            alpha = assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent)
+            assert alpha is not None or tol < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_ant=st.integers(1, 12),
+        leak_scale=st.sampled_from([0.0, 1e-3, 1.0, 100.0]) | st.floats(0.0, 1e3),
+        power=st.floats(1e-2, 1e3),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 1e-2),
+        objective_exponent=st.sampled_from([1, 2]),
+    )
+    def test_random_problems(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
+        problem = random_alpha_problem(seed, m_ant, leak_scale, power)
+        assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent)
+
+    # Strong leakage at tol <= 1e-12: the rounding of the computed f is about
+    # as large as the residual band, so a sign decided without the
+    # floating-point allowance can differ from the evaluated one.  Each case
+    # below did so (wrong alpha, or a spurious or missing RuntimeError) with
+    # both allowances dropped, on the OpenBLAS build they were found with.
+    @pytest.mark.parametrize(
+        "seed, m_ant, leak_scale, power, tol, objective_exponent",
+        [
+            (3884, 2, 1e4, 2014.9, 1e-12, 2),
+            (2398, 4, 1e3, 71.8, 1e-12, 2),
+            (7055, 8, 1e4, 235.3, 1e-12, 1),
+            (652, 8, 1e3, 47.4, 1e-13, 2),
+            (1850, 2, 1e3, 6352.5, 1e-13, 1),
+            (8042, 8, 1e4, 18.9, 1e-12, 1),
+            (1197, 2, 1e4, 91.1, 1e-12, 2),
+            (2024, 8, 1e3, 4263.2, 1e-12, 1),
+        ],
+    )
+    def test_rounding_dominated_residual(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
+        problem = random_alpha_problem(seed, m_ant, leak_scale, power)
+        assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent)
+
+    @pytest.mark.parametrize("leak", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])])
+    @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0])
+    def test_early_return_at_power_of_two(self, target, leak):
+        # f = target on [0, inf): the doubling stops exactly at the root.
+        corr = np.diag([target, 0.0, 0.0])
+        alpha = assert_matches_bisection((corr, leak, 1, 1, 1.0))
+        assert alpha == target
+
+    @pytest.mark.parametrize("objective_exponent", [1, 2])
+    def test_negative_top_eigenvalues(self, objective_exponent):
+        corr = np.diag([10.0, 0.1, 0.0, 0.0]).astype(complex)
+        leak = np.eye(4, dtype=complex)
+        alpha = assert_matches_bisection((corr, leak, 2, 1, 100.0), objective_exponent=objective_exponent)
+        values, _ = hermitian_eig(corr - alpha * leak)
+        assert values[1] < 0  # the second selected column is shrunk at the root
+
+    @pytest.mark.parametrize("corr", [np.zeros((3, 3)), -np.eye(3), np.diag([0.0, -1.0, -2.0])])
+    def test_degenerate_group_raised_alike(self, corr):
+        with pytest.raises(DegenerateGroupError):
+            bisect_alpha_star(corr, np.eye(3), 1, 2, 1.0)
+        assert assert_matches_bisection((corr, np.eye(3), 1, 2, 1.0)) is None
+
+    def test_max_iters_error_raised_alike(self):
+        outcomes = []
+        for max_iters in (0, 1, 5, 10, 20, 40, 200):
+            for seed in range(4):
+                problem = random_alpha_problem([300, seed], 8, 1.0, 1.0)
+                outcomes.append(assert_matches_bisection(problem, tol=1e-12, max_iters=max_iters))
+        assert None in outcomes
+        assert any(alpha is not None for alpha in outcomes)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [64, 128])
+    def test_at_most_ten_relaxed_steps_per_group(self, monkeypatch, m_ant, seed):
+        # Plain bisection takes about 30 here; a silent fall back to it fails.
+        config = SystemConfig(M=m_ant)
+        grouping, _, _ = build_context(config, seed)
+        calls = []
+        per_group = []
+        step, solve = rf_precoder.relaxed_step, rf_precoder.solve_alpha_star
+
+        def counted_step(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            calls.clear()
+            out = solve(*args, **kwargs)
+            per_group.append(len(calls))
+            return out
+
+        monkeypatch.setattr(rf_precoder, "relaxed_step", counted_step)
+        monkeypatch.setattr(rf_precoder, "solve_alpha_star", counted_solve)
+        solve_relaxed(grouping, n_users=config.K, power=config.P)
+        assert len(per_group) == grouping.group_count
+        assert max(per_group) <= 10
+
+
+# Edge cases of the whole pipeline: M = K, G = K, B = 1, one group (no
+# leakage), and a 2-slot M = 128 point.
+PIPELINE_CONFIGS = {
+    "m4_k4_g4_b1": "M = 4\nK = 4\nG = 4\nB = 1\nn_slots = 20\nsweep.parameter = snr_db\nsweep.values = -10, 10\n",
+    "m8_k8_g8": "M = 8\nK = 8\nG = 8\nn_slots = 20\nsweep.parameter = snr_db\nsweep.values = -10, 10\n",
+    "m4_k4_g1": "M = 4\nK = 4\nG = 1\nn_slots = 20\nsweep.parameter = snr_db\nsweep.values = -10, 10\n",
+    "m128_two_slots": "M = 128\nn_slots = 2\n",
+}
+
+
+class TestPipelineMatchesBisection:
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_csv_identical(self, monkeypatch, name):
+        config = parse_config(PIPELINE_CONFIGS[name] + "schemes = MPHP\nseed = 5\n")
+        text = rows_to_csv(run_experiment(config))
+        oracle_calls = []
+
+        def oracle(*args, **kwargs):
+            oracle_calls.append(1)
+            return bisect_alpha_star(*args, **kwargs)
+
+        monkeypatch.setattr(rf_precoder, "solve_alpha_star", oracle)
+        assert rows_to_csv(run_experiment(config)) == text
+        assert oracle_calls
+
+
 class TestPhaseQuantization:
     def test_grid_values(self):
         grid = phase_grid(2)
@@ -175,14 +389,14 @@ class TestPhaseQuantization:
         assert type(nearest_phase_index(1j, 2)) is int
         assert type(nearest_phase_index(np.complex128(-1.0), 2)) is int
 
-    # Magnitudes stay normal: below about 1e-308 the complex division by |v|
-    # overflows (1/|v| is inf), in the scalar path as in the array path.
+    # Magnitudes reach the smallest subnormal.  The reference takes the phase
+    # with np.angle, which never divides by |v|.
     @settings(max_examples=300, deadline=None)
     @given(
         values=arrays(
             np.complex128,
             array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
-            elements=st.just(0j) | st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300),
+            elements=st.just(0j) | st.complex_numbers(min_magnitude=5e-324, max_magnitude=1e300),
         ),
         bits=st.integers(1, 8),
     )
@@ -194,8 +408,37 @@ class TestPhaseQuantization:
         grid = phase_grid(bits)
         for value, n in zip(values.ravel(), index.ravel()):
             if value != 0:
-                distance = np.abs(value / abs(value) - grid)
+                distance = np.abs(np.exp(1j * np.angle(value)) - grid)
                 assert distance[n] <= distance.min() + 1e-12
+
+    def test_subnormal_values(self):
+        assert nearest_phase_index(np.complex128(1e-310 + 1e-310j), 4) == 2
+        assert nearest_phase_index(5e-324j, 4) == 4
+        assert nearest_phase_index(complex(-5e-324, 0.0), 4) == 8
+        # Phases away from grid midpoints, so scalar and array abs agree.
+        phases = 2 * np.pi * (np.arange(16) + 0.3) / 16
+        for scale in (1e-320, 1e-310, 2e-308):
+            values = scale * np.exp(1j * phases)
+            scalar = [nearest_phase_index(v, 4) for v in values]
+            assert np.array_equal(nearest_phase_index(values, 4), scalar)
+            assert np.array_equal(scalar, np.arange(16))
+
+    def test_normal_entries_unchanged_beside_subnormal_ones(self, rng):
+        # Normal entries, exact grid midpoints among them, quantize as the
+        # plain divide-by-|v| formula does, bit for bit.
+        grid = phase_grid(4)
+        normal = np.concatenate(
+            [
+                rng.standard_normal(40) + 1j * rng.standard_normal(40),
+                np.exp(1j * np.pi * (2 * np.arange(16) + 1) / 16),
+                [1e-300 + 3e-300j, 2e300 - 1e300j],
+            ]
+        )
+        plain = np.argmin(np.abs((normal / np.abs(normal))[:, None] - grid), axis=-1)
+        mixed = np.concatenate([normal, [1e-310 - 1e-310j, 0j]])
+        index = nearest_phase_index(mixed, 4)
+        assert np.array_equal(index[: normal.size], plain)
+        assert list(index[normal.size :]) == [14, 0]
 
     def test_bits_validated(self):
         with pytest.raises(ValueError):
