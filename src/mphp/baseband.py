@@ -18,31 +18,34 @@ class DegenerateBeamError(ValueError):
 
 
 def effective_channel(channel_group: np.ndarray, rf_group: np.ndarray) -> np.ndarray:
-    """Reduced channel H_g^H F_g seen by the group's baseband stage."""
-    if channel_group.shape[0] != rf_group.shape[0]:
+    """Reduced channel H_g^H F_g seen by the group's baseband stage (slot axes broadcast)."""
+    if channel_group.shape[-2] != rf_group.shape[-2]:
         raise ValueError(
-            f"antenna dimensions differ: {channel_group.shape[0]} vs {rf_group.shape[0]}"
+            f"antenna dimensions differ: {channel_group.shape[-2]} vs {rf_group.shape[-2]}"
         )
-    return channel_group.conj().T @ rf_group
+    return np.swapaxes(channel_group.conj(), -1, -2) @ rf_group
 
 
 def zf_precoder(effective: np.ndarray) -> np.ndarray:
     """Zero-forcing baseband precoder with unit-norm columns.
 
     The product of the effective channel with the result is diagonal with
-    real positive entries (the inverse column norms).
+    real positive entries (the inverse column norms).  A stack (..., S, S)
+    is precoded matrix by matrix; a matrix that a single call would reject
+    gets an all-zero precoder, which marks its group as an outage there.
 
     Raises:
-        NearSingularError: effective channel condition number is beyond the
-            shared cutoff; the caller treats the group as an outage.
+        NearSingularError: a single effective channel's condition number is
+            beyond the shared cutoff; the caller treats the group as an outage.
     """
-    if effective.shape[0] != effective.shape[1]:
+    if effective.shape[-2] != effective.shape[-1]:
         raise ValueError(f"effective channel must be square, got {effective.shape}")
     w0 = solve_right_inverse(effective)
-    norms = np.linalg.norm(w0, axis=0)
-    if np.any(norms == 0):
+    norms = np.linalg.norm(w0, axis=-2, keepdims=True)
+    usable = np.all(norms != 0, axis=(-2, -1), keepdims=True)
+    if effective.ndim == 2 and not usable:
         raise NearSingularError("zero column in the unnormalized precoder")
-    return w0 / norms[None, :]
+    return np.divide(w0, norms, out=np.zeros_like(w0), where=usable)
 
 
 def power_allocation(
@@ -54,9 +57,9 @@ def power_allocation(
     """Per-user transmit powers P / (K * ||F_g w_k||^2).
 
     Summed over all K users (across groups), p_k * ||F_g w_k||^2 adds up to
-    the power budget exactly.
+    the power budget exactly.  Leading slot axes broadcast.
     """
-    beam_energy = np.sum(np.abs(rf_group @ w_group) ** 2, axis=0)
+    beam_energy = np.sum(np.abs(rf_group @ w_group) ** 2, axis=-2)
     if np.any(beam_energy == 0):
         raise DegenerateBeamError("a user beam has zero norm through the analog precoder")
     return total_power / (n_users * beam_energy)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .baseband import power_allocation, zf_precoder, effective_channel
 from .grouping import Grouping
-from .numerics import NearSingularError, check_condition, hermitian_eig
+from .numerics import check_condition, hermitian_eig  # noqa: F401  (bench/run.py traces this binding)
 from .rf_precoder import (
     RfPrecoder,
     grfp_assign,
@@ -52,7 +52,7 @@ class SchemeId(str, Enum):
 
 @dataclass
 class SlotPrecoders:
-    """Everything the metrics stage needs for one slot.
+    """Everything the metrics stage needs for one slot, or for a stack of slots.
 
     ``f_groups[g]`` holds the (M, S_g) analog columns of group g (for the
     full-digital scheme these are the digital beams and ``w_groups[g]`` is
@@ -60,12 +60,23 @@ class SlotPrecoders:
     slot; ``power`` is indexed by global user index.  Groups listed in
     ``outage_groups`` are silent: their users transmit nothing, cause no
     interference, and log zero rate.
+
+    A stack of n slots adds a leading slot axis (shared (M, S_g) analog
+    columns keep their form); there a silent group has an all-zero
+    ``w_groups[g]`` slice, and ``outage_groups`` lists (slot, group) pairs.
     """
 
     f_groups: list[np.ndarray]
     w_groups: list[np.ndarray | None]
     power: np.ndarray
-    outage_groups: list[int] = field(default_factory=list)
+    outage_groups: list = field(default_factory=list)
+
+    def slot(self, t: int) -> "SlotPrecoders":
+        """Slot ``t`` of a stack, in the single-slot form."""
+        silent = [int(g) for s, g in self.outage_groups if s == t]
+        f_groups = [f if f.ndim == 2 else f[t] for f in self.f_groups]
+        w_groups = [None if g in silent else w[t] for g, w in enumerate(self.w_groups)]
+        return SlotPrecoders(f_groups, w_groups, self.power[t], silent)
 
 
 @dataclass(frozen=True)
@@ -115,11 +126,15 @@ def build_precoders(
 ) -> SlotPrecoders:
     """Assemble the per-slot (analog, baseband, power) triple for a scheme.
 
-    Statistical schemes reuse ``long_state`` untouched; real-time schemes
-    rebuild their analog stage from the current channel.  Zero-forcing and
-    power normalization run per group; a near-singular effective channel
-    marks that group as an outage instead of aborting the slot.
+    ``channel`` is one slot (M, K), run as a stack of one, or a stack of
+    slots (n, M, K).  Statistical schemes reuse ``long_state`` untouched;
+    real-time schemes rebuild their analog stage from the current channel.
+    Zero-forcing and power normalization run per group; a near-singular
+    effective channel marks that group as an outage in that slot instead of
+    aborting it.
     """
+    if channel.ndim == 2:
+        return SCHEMES[scheme].build(long_state, channel[None], grouping, config).slot(0)
     return SCHEMES[scheme].build(long_state, channel, grouping, config)
 
 
@@ -138,8 +153,7 @@ def _design_frps(grouping: Grouping, config: "SystemConfig") -> np.ndarray:
     n_chains = sum(len(m) for m in grouping.members)
     grid = phase_grid(config.B)
     f = np.zeros((config.M, n_chains), dtype=complex)
-    for g in range(grouping.group_count):
-        _, vectors = hermitian_eig(grouping.group_correlations[g])
+    for g, (_, vectors) in enumerate(grouping.group_eigs):
         for i, chain in enumerate(grouping.rf_chains[g]):
             f[:, int(chain)] = grid[nearest_phase_index(vectors[:, i], config.B)] / np.sqrt(config.M)
     return f
@@ -168,8 +182,8 @@ def _build_adaptive_instant(
 
 
 def fixed_subarray_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
-    """Static even antenna split with instantaneous phase alignment."""
-    mapping = fixed_subarray_map(channel.shape[0], channel.shape[1])
+    """Static even antenna split with instantaneous phase alignment (slot axes allowed)."""
+    mapping = fixed_subarray_map(channel.shape[-2], channel.shape[-1])
     return _aligned_quantized_precoder(channel, mapping, grouping.chain_users, bits)
 
 
@@ -187,11 +201,11 @@ def _aligned_quantized_precoder(
     bits: int,
 ) -> RfPrecoder:
     """Per-antenna phases matched to the served user's channel entry, quantized."""
-    antenna_count, chain_count = channel.shape[0], chain_to_user.size
-    antennas = np.arange(antenna_count)
-    phase_index = nearest_phase_index(channel[antennas, chain_to_user[antenna_to_chain]], bits)
-    f = np.zeros((antenna_count, chain_count), dtype=complex)
-    f[antennas, antenna_to_chain] = phase_grid(bits)[phase_index] / np.sqrt(antenna_count)
+    antenna_count, chain_count = channel.shape[-2], chain_to_user.size
+    served = np.broadcast_to(chain_to_user[antenna_to_chain], channel.shape[:-1])
+    phase_index = nearest_phase_index(np.take_along_axis(channel, served[..., None], axis=-1)[..., 0], bits)
+    taps = phase_grid(bits)[phase_index] / np.sqrt(antenna_count)
+    f = np.where(antenna_to_chain[..., None] == np.arange(chain_count), taps[..., None], 0.0)
     return RfPrecoder(
         f=f,
         antenna_to_chain=antenna_to_chain.copy(),
@@ -207,25 +221,12 @@ def _greedy_instant_map(channel: np.ndarray, chain_to_user: np.ndarray) -> np.nd
     chain is left empty); remaining antennas then join the chain whose user
     they serve best.  Ties go to the lowest antenna or chain index.
     """
-    antenna_count = channel.shape[0]
-    chain_count = chain_to_user.size
-    gains = np.abs(channel[:, chain_to_user])  # (M, L): antenna m, chain l
-    mapping = np.full(antenna_count, -1, dtype=int)
-    for chain in range(chain_count):
-        masked = np.where(mapping == -1, gains[:, chain], -1.0)
-        mapping[int(np.argmax(masked))] = chain
-    for m in range(antenna_count):
-        if mapping[m] == -1:
-            mapping[m] = int(np.argmax(gains[m]))
-    return mapping
-
-
-def _full_digital_beams(channel: np.ndarray) -> np.ndarray:
-    """Unit-norm zero-forcing beams on the instantaneous channel."""
-    check_condition(channel, "channel condition number")
-    gram = channel.conj().T @ channel
-    beams = channel @ np.linalg.solve(gram, np.eye(gram.shape[0], dtype=complex))
-    return beams / np.linalg.norm(beams, axis=0)[None, :]
+    gains = np.abs(channel[..., chain_to_user])  # (..., M, L): antenna m, chain l
+    mapping = np.full(gains.shape[:-1], -1, dtype=int)
+    for chain in range(chain_to_user.size):
+        masked = np.where(mapping == -1, gains[..., chain], -1.0)
+        np.put_along_axis(mapping, np.argmax(masked, axis=-1)[..., None], chain, axis=-1)
+    return np.where(mapping == -1, np.argmax(gains, axis=-1), mapping)
 
 
 def _build_full_digital(
@@ -234,22 +235,17 @@ def _build_full_digital(
     grouping: Grouping,
     config: "SystemConfig",
 ) -> SlotPrecoders:
-    n_users = channel.shape[1]
-    try:
-        beams = _full_digital_beams(channel)
-    except NearSingularError:
-        return SlotPrecoders(
-            f_groups=[np.zeros((channel.shape[0], len(m)), dtype=complex) for m in grouping.members],
-            w_groups=[None] * grouping.group_count,
-            power=np.zeros(n_users),
-            outage_groups=list(range(grouping.group_count)),
-        )
-    f_groups = [beams[:, members] for members in grouping.members]
-    w_groups = [np.eye(len(members), dtype=complex) for members in grouping.members]
-    power = np.zeros(n_users)
-    for f_group, w, members in zip(f_groups, w_groups, grouping.members):
-        power[members] = power_allocation(f_group, w, config.P, config.K)
-    return SlotPrecoders(f_groups=f_groups, w_groups=w_groups, power=power)
+    """Unit-norm zero-forcing beams on the instantaneous channels; a slot
+    whose channel fails the condition test puts every group in outage."""
+    passed = check_condition(channel, "channel condition number")[:, None, None]
+    gram = np.swapaxes(channel.conj(), -1, -2) @ channel
+    eye = np.eye(gram.shape[-1], dtype=complex)
+    beams = channel @ np.linalg.solve(np.where(passed, gram, eye), eye)
+    norms = np.linalg.norm(beams, axis=-2, keepdims=True)
+    beams = np.divide(beams, norms, out=np.zeros_like(beams), where=passed)
+    f_groups = [beams[..., members] for members in grouping.members]
+    w_groups = [np.where(passed, np.eye(len(members), dtype=complex), 0.0) for members in grouping.members]
+    return _with_power(f_groups, w_groups, grouping, config)
 
 
 def _zf_all_groups(
@@ -258,21 +254,27 @@ def _zf_all_groups(
     grouping: Grouping,
     config: "SystemConfig",
 ) -> SlotPrecoders:
-    """Per-group zero-forcing and power behind the (M, L) analog stage ``f``."""
-    f_groups = [f[:, grouping.rf_chains[g]] for g in range(grouping.group_count)]
-    power = np.zeros(channel.shape[1])
-    w_groups: list[np.ndarray | None] = []
-    outage: list[int] = []
-    for g in range(grouping.group_count):
-        channel_group = channel[:, grouping.members[g]]
-        try:
-            w = zf_precoder(effective_channel(channel_group, f_groups[g]))
-            power[grouping.members[g]] = power_allocation(f_groups[g], w, config.P, config.K)
-        except NearSingularError:
-            w = None
-            outage.append(g)
-        w_groups.append(w)
-    return SlotPrecoders(f_groups=f_groups, w_groups=w_groups, power=power, outage_groups=outage)
+    """Per-group zero-forcing and power on a stack of channels (n, M, K)
+    behind the analog stage ``f``, shared (M, L) or one per slot (n, M, L)."""
+    f_groups = [f[..., chains] for chains in grouping.rf_chains]
+    w_groups = [
+        zf_precoder(effective_channel(channel[..., members], f_group))
+        for members, f_group in zip(grouping.members, f_groups)
+    ]
+    return _with_power(f_groups, w_groups, grouping, config)
+
+
+def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: "SystemConfig") -> SlotPrecoders:
+    """Per-group powers behind stacked baseband stages; a slot whose
+    ``w_groups[g]`` slice is all zero puts group g in outage there."""
+    power = np.zeros((w_groups[0].shape[0], grouping.user_count))
+    outage = []
+    for g, (f_group, w, members) in enumerate(zip(f_groups, w_groups, grouping.members)):
+        usable = w.any(axis=(-2, -1))
+        f_usable = f_group[usable] if f_group.ndim == 3 else f_group
+        power[np.ix_(usable, members)] = power_allocation(f_usable, w[usable], config.P, config.K)
+        outage += [(int(t), g) for t in np.flatnonzero(~usable)]
+    return SlotPrecoders(f_groups=f_groups, w_groups=w_groups, power=power, outage_groups=sorted(outage))
 
 
 # The one place that tells the schemes apart.  Entries reach solve_relaxed,

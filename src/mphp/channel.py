@@ -10,10 +10,10 @@ correlations by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .numerics import hermitian_eig, hermitian_part
 
@@ -22,6 +22,10 @@ AOD_TRUNCATION_SIGMAS = 2.0
 
 # Entropy tag separating scenario draws from channel draws under one seed.
 _SCENARIO_STREAM = 0x5CE
+
+_STANDARD_NORMAL = NormalDist()
+_CDF_LOW = _STANDARD_NORMAL.cdf(-AOD_TRUNCATION_SIGMAS)
+_CDF_WIDTH = _STANDARD_NORMAL.cdf(AOD_TRUNCATION_SIGMAS) - _CDF_LOW
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,14 @@ def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
 
 
 def _steering_matrix(thetas: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Stack steering vectors column-wise for a batch of angles."""
+    """Stack steering vectors column-wise over the last axis of ``thetas``."""
     m = np.arange(geometry.antenna_count)[:, None]
-    return np.exp(2j * np.pi * geometry.element_spacing * m * np.sin(np.asarray(thetas))[None, :])
+    return np.exp(2j * np.pi * geometry.element_spacing * m * np.sin(np.asarray(thetas))[..., None, :])
+
+
+def truncated_normal_ppf(uniforms: Sequence[float]) -> np.ndarray:
+    """Inverse CDF of the standard normal truncated to +-AOD_TRUNCATION_SIGMAS."""
+    return np.array([_STANDARD_NORMAL.inv_cdf(_CDF_LOW + u * _CDF_WIDTH) for u in uniforms])
 
 
 def correlation_from_params(
@@ -113,42 +122,49 @@ def draw_channel(
     params: Sequence[UserChannelParams],
     geometry: ArrayGeometry,
     seed: int,
-    slot: int = 0,
+    slot: int | Sequence[int] = 0,
 ) -> np.ndarray:
-    """Draw one block-fading channel matrix H of shape (M, K).
+    """Draw one block-fading channel matrix H of shape (M, K), or, for a
+    sequence of slot indices, one per slot stacked as (n, M, K).
 
     Column k is user k's channel: sqrt(mean_power / path_count) times the
     sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Regeneration
-    is bit-identical for the same (seed, user index, slot index).
+    is bit-identical for the same (seed, user index, slot index), alone or
+    in a stack.
 
-    Each user's generator draws its path uniforms (none at zero spread) and
-    then its gains; the uniforms of all users go through one truncated-normal
-    inverse CDF and one steering matrix.  The per-user column product stays
+    Each (user, slot) generator draws its path uniforms (none at zero spread)
+    and then its gains; all uniforms go through one truncated-normal inverse
+    CDF and one steering matrix.  The per-user column product stays
     separate, so each column sums in the same order as a single-user draw.
     """
+    slots = [slot] if np.ndim(slot) == 0 else list(slot)
     if len(params) < 1:
         raise ValueError("need at least one user")
-    if seed < 0 or slot < 0:
-        raise ValueError("seed and slot must be non-negative")
-    uniforms: list[np.ndarray] = []
+    if not slots or seed < 0 or min(slots) < 0:
+        raise ValueError("need at least one slot; seed and slot must be non-negative")
+    uniforms: list[float] = []
     gains: list[np.ndarray] = []
-    for user, p in enumerate(params):
-        rng = np.random.default_rng([seed, user, slot])
-        uniforms.append(rng.uniform(size=p.path_count) if p.angular_spread > 0.0 else np.empty(0))
-        gains.append((rng.standard_normal(p.path_count) + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0))
+    for t in slots:
+        for user, p in enumerate(params):
+            rng = np.random.default_rng([seed, user, int(t)])
+            if p.angular_spread > 0.0:
+                uniforms.extend(rng.uniform(size=p.path_count).tolist())
+            real = rng.standard_normal(p.path_count)
+            gains.append((real + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0))
 
     counts = [p.path_count for p in params]
-    thetas = np.repeat([p.mean_aod for p in params], counts)
+    thetas = np.tile(np.repeat([p.mean_aod for p in params], counts), (len(slots), 1))
     spreads = np.repeat([p.angular_spread for p in params], counts)
     drawn = spreads > 0.0
-    standard = truncnorm.ppf(np.concatenate(uniforms), -AOD_TRUNCATION_SIGMAS, AOD_TRUNCATION_SIGMAS)
-    thetas[drawn] = standard * spreads[drawn] + thetas[drawn]
+    standard = truncated_normal_ppf(uniforms)
+    thetas[:, drawn] = standard.reshape(len(slots), -1) * spreads[drawn] + thetas[:, drawn]
     a = _steering_matrix(thetas, geometry)
 
-    h = np.empty((geometry.antenna_count, len(params)), dtype=complex)
-    for user, (p, g, end) in enumerate(zip(params, gains, np.cumsum(counts))):
-        h[:, user] = np.sqrt(p.mean_power / p.path_count) * (a[:, end - p.path_count : end] @ g)
-    return h
+    h = np.empty((len(slots), geometry.antenna_count, len(params)), dtype=complex)
+    for user, (p, end) in enumerate(zip(params, np.cumsum(counts))):
+        g = np.stack(gains[user :: len(params)])[..., None]
+        h[..., user] = np.sqrt(p.mean_power / p.path_count) * (a[..., end - p.path_count : end] @ g)[..., 0]
+    return h[0] if np.ndim(slot) == 0 else h
 
 
 def make_scenario(

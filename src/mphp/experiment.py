@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .baselines import SchemeId
-from .metrics import PowerModel, RunMetrics, build_context, monte_carlo_rates
+from .metrics import PowerModel, build_context, monte_carlo_rates
 
 
 class ExperimentError(RuntimeError):
@@ -280,25 +280,10 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
                 raise ExperimentError(
                     f"scheme {scheme.value} at sweep value {sweep_values[sweep_index]!r}: {exc}"
                 ) from exc
-            rows.append(_to_row(sweep_values[sweep_index], scheme, metrics))
+            # Every column after the first two is the RunMetrics field of its name.
+            values = (getattr(metrics, column) for column in CSV_COLUMNS[2:])
+            rows.append(ResultRow(sweep_values[sweep_index], scheme, *values))
     return rows
-
-
-def _to_row(sweep_value: float, scheme: SchemeId, metrics: RunMetrics) -> ResultRow:
-    return ResultRow(
-        sweep_value=sweep_value,
-        scheme=scheme,
-        avg_rate_per_user=metrics.avg_rate_per_user,
-        avg_rate_stderr=metrics.avg_rate_stderr,
-        sum_rate=metrics.sum_rate,
-        sum_rate_stderr=metrics.sum_rate_stderr,
-        worst_user_rate=metrics.worst_user_rate,
-        jain_index=metrics.jain_index,
-        energy_efficiency=metrics.energy_efficiency,
-        feedback_total=metrics.feedback_total,
-        feedback_statistics=metrics.feedback_statistics,
-        outage_fraction=metrics.outage_fraction,
-    )
 
 
 def _format_value(value: object) -> str:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import hermitian_eig
+from .numerics import EigenDecomposition, hermitian_eig
 
 # Slack for the non-increasing clustering-cost check (float accumulation).
 _COST_SLACK = 1e-9
@@ -48,6 +49,11 @@ class Grouping:
     @property
     def user_count(self) -> int:
         return int(self.assignments.size)
+
+    @cached_property
+    def group_eigs(self) -> list[EigenDecomposition]:
+        """Eigendecomposition of each group correlation, computed once."""
+        return [hermitian_eig(corr) for corr in self.group_correlations]
 
     @property
     def chain_users(self) -> np.ndarray:

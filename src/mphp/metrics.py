@@ -15,13 +15,15 @@ import numpy as np
 from . import channel as channel_mod
 from .baselines import SCHEMES, SchemeId, SlotPrecoders, build_precoders, design_long_term
 from .grouping import Grouping, group_users
-from .numerics import hermitian_eig
+from .numerics import EigenDecomposition, hermitian_eig
 
 if TYPE_CHECKING:
     from .experiment import SystemConfig
 
 # Fraction of correlation energy the fed-back dominant eigenpairs must carry.
 STATISTICS_ENERGY_FRACTION = 0.95
+# Most slots one Monte Carlo block stacks; bounds the block's arrays.
+SLOT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,12 @@ class PowerModel:
 
 @dataclass
 class SlotMetrics:
-    """Per-slot, per-user link quality; rate is log2(1 + sinr) elementwise."""
+    """Per-slot, per-user link quality; rate is log2(1 + sinr) elementwise.
+    A stack of slots adds a leading slot axis, as in ``SlotPrecoders``."""
 
     sinr: np.ndarray
     rate: np.ndarray
-    outage_groups: list[int]
+    outage_groups: list
 
 
 @dataclass
@@ -79,9 +82,9 @@ def _received_power(
     power: np.ndarray,
     grouping: Grouping,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Received powers of one slot and the same-group mask.
+    """Received powers of one slot, or of each slot of a stack, and the same-group mask.
 
-    Entry (k, j) of the first (K, K) matrix is p_j * |h_k^H b_j|^2, the
+    Entry (k, j) of the first (..., K, K) array is p_j * |h_k^H b_j|^2, the
     power user k receives from user j's beam b_j = F_g w_j.  Beams of a
     silent (outage) group are zero.  Entry (k, j) of the boolean mask is
     True when users k and j share a group.
@@ -89,8 +92,8 @@ def _received_power(
     beams = np.zeros(channel.shape, dtype=complex)
     for g in range(grouping.group_count):
         if w_groups[g] is not None:
-            beams[:, grouping.members[g]] = f_groups[g] @ w_groups[g]
-    received = np.abs(channel.conj().T @ beams) ** 2 * power[None, :]
+            beams[..., grouping.members[g]] = f_groups[g] @ w_groups[g]
+    received = np.abs(np.swapaxes(channel.conj(), -1, -2) @ beams) ** 2 * power[..., None, :]
     same_group = grouping.assignments[:, None] == grouping.assignments[None, :]
     return received, same_group
 
@@ -109,8 +112,8 @@ def sinr_per_user(
     (outage) group score zero and contribute no interference.
     """
     received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
-    interference = np.sum(np.where(same_group, 0.0, received), axis=1)
-    return np.diag(received) / (interference + 1.0)
+    interference = np.sum(np.where(same_group, 0.0, received), axis=-1)
+    return np.diagonal(received, axis1=-2, axis2=-1) / (interference + 1.0)
 
 
 def slnr_per_user(
@@ -125,8 +128,8 @@ def slnr_per_user(
     The user's own power multiplies both the signal and the leakage terms.
     """
     received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
-    leakage = np.sum(np.where(same_group, 0.0, received), axis=0)
-    return np.diag(received) / (leakage + 1.0)
+    leakage = np.sum(np.where(same_group, 0.0, received), axis=-2)
+    return np.diagonal(received, axis1=-2, axis2=-1) / (leakage + 1.0)
 
 
 def intra_group_leakage(
@@ -139,10 +142,11 @@ def intra_group_leakage(
     """Residual in-group interference power per user (diagnostic)."""
     received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
     np.fill_diagonal(same_group, False)
-    return np.sum(np.where(same_group, received, 0.0), axis=1)
+    return np.sum(np.where(same_group, received, 0.0), axis=-1)
 
 
 def evaluate_slot(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> SlotMetrics:
+    """Per-user SINR and rate of one slot, or of each slot of a stack (see ``SlotPrecoders``)."""
     sinr = sinr_per_user(channel, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
     return SlotMetrics(sinr=sinr, rate=np.log2(1.0 + sinr), outage_groups=list(precoders.outage_groups))
 
@@ -196,16 +200,18 @@ def statistics_feedback_count(
     """Scalars needed to feed back the dominant eigenpairs of each group
     correlation: per group, the smallest rank capturing ``energy_fraction``
     of the trace, times one real eigenvalue plus one complex M-vector.
+    Entries that are already ``EigenDecomposition``s (``Grouping.group_eigs``)
+    are not decomposed again.
     """
     total = 0
     for corr in group_correlations:
-        values, _ = hermitian_eig(corr)
+        values, vectors = corr if isinstance(corr, EigenDecomposition) else hermitian_eig(corr)
         values = np.maximum(values, 0.0)
         trace = float(np.sum(values))
         cumulative = np.cumsum(values)
         rank = int(np.searchsorted(cumulative, energy_fraction * trace) + 1)
         rank = min(rank, values.size)
-        total += rank * (2 * corr.shape[0] + 1)
+        total += rank * (2 * vectors.shape[0] + 1)
     return total
 
 
@@ -266,8 +272,10 @@ def monte_carlo_rates(
     The analog stage of a statistical scheme is designed once from the
     correlations; the baseband stage is redone every slot.  Slot t draws its
     channel from entropy (seed, user, t), so runs are reproducible and slots
-    may be evaluated in any order.  ``channel_factory`` overrides the channel
-    draw (slot index -> H) for deterministic injection in tests.
+    may be evaluated in any order.  Blocks of at most ``SLOT_BLOCK`` slots
+    run through the draw, the precoder build and the SINR as one stack, with
+    the numbers of one slot at a time.  ``channel_factory`` overrides the
+    channel draw (slot index -> H) for deterministic injection in tests.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
@@ -279,16 +287,16 @@ def monte_carlo_rates(
     long_state = design_long_term(scheme, grouping, config)
     rates = np.zeros((n_slots, config.K))
     outage_slots = 0
-    for t in range(n_slots):
+    for start in range(0, n_slots, SLOT_BLOCK):
+        slots = range(start, min(start + SLOT_BLOCK, n_slots))
         if channel_factory is not None:
-            h = channel_factory(t)
+            h = np.stack([channel_factory(t) for t in slots])
         else:
-            h = channel_mod.draw_channel(scenario, geometry, seed=seed, slot=t)
+            h = channel_mod.draw_channel(scenario, geometry, seed=seed, slot=slots)
         precoders = build_precoders(scheme, long_state, h, grouping, config)
-        slot = evaluate_slot(h, precoders, grouping)
-        rates[t] = slot.rate
-        if slot.outage_groups:
-            outage_slots += 1
+        block = evaluate_slot(h, precoders, grouping)
+        rates[start : start + len(slots)] = block.rate
+        outage_slots += len({t for t, _ in block.outage_groups})
 
     per_user_rate = rates.mean(axis=0)
     per_user_stderr = rates.std(axis=0, ddof=1) / np.sqrt(n_slots) if n_slots > 1 else np.zeros(config.K)
@@ -302,9 +310,7 @@ def monte_carlo_rates(
     sum_rate = float(per_user_rate.sum())
     ee = energy_efficiency(sum_rate, config.P, config.L, config.M, model)
 
-    stats_count = (
-        statistics_feedback_count(grouping.group_correlations) if SCHEMES[scheme].statistical else 0
-    )
+    stats_count = statistics_feedback_count(grouping.group_eigs) if SCHEMES[scheme].statistical else 0
     feedback = feedback_overhead(
         scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count
     )

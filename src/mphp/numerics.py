@@ -66,35 +66,49 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     )
 
 
-def check_condition(a: np.ndarray, label: str = "condition number") -> None:
-    """Raise unless the 2-norm condition number of ``a`` is finite and at most ``CONDITION_LIMIT``.
+def check_condition(a: np.ndarray, label: str = "condition number") -> np.ndarray:
+    """Condition test of one matrix or of each matrix in a stack (..., m, n).
+
+    A matrix passes when its 2-norm condition number is finite and at most
+    ``CONDITION_LIMIT``; one with non-finite entries fails.  Returns a
+    boolean array over the leading axes.
 
     Raises:
-        NearSingularError: the estimate exceeds the limit, is not finite, or
-            the SVD behind it fails; ``label`` names the matrix in the message.
+        NearSingularError: ``a`` is a single matrix and fails (``label``
+            names it in the message), or the SVD behind the estimate fails.
     """
+    a = np.asarray(a)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if a.ndim == 2 and not finite:
+        raise NearSingularError("condition estimate failed: non-finite entries")
     try:
-        cond = np.linalg.cond(a)
+        # A zero matrix stands in for a non-finite one: its estimate is inf.
+        cond = np.linalg.cond(np.where(finite[..., None, None], a, 0.0))
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    passed = cond <= CONDITION_LIMIT
+    if a.ndim == 2 and not passed:
         raise NearSingularError(f"{label} {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    return passed
 
 
 def solve_right_inverse(a: np.ndarray) -> np.ndarray:
-    """Return B with A @ B = I for square A.
+    """Return B with A @ B = I for square A, or for each matrix of a stack
+    (..., m, m), where one that fails ``check_condition`` gets B = 0.
 
     Raises:
-        NearSingularError: condition-number estimate exceeds
-            ``CONDITION_LIMIT`` (or the factorization itself fails).
+        NearSingularError: a single matrix fails ``check_condition`` (or the
+            factorization itself fails).
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("cannot invert an empty matrix")
-    check_condition(a)
+    passed = check_condition(a)[..., None, None]
+    eye = np.eye(a.shape[-1], dtype=complex)
     try:
-        return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
+        # Failing matrices are swapped for I, so they cannot stop the solve.
+        return np.where(passed, np.linalg.solve(np.where(passed, a, eye), eye), 0.0)
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(str(exc)) from exc

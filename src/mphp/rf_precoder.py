@@ -191,7 +191,8 @@ def solve_alpha_star(
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
             no energy on its dominant subspace.
         RuntimeError: no bisection midpoint met ``tol`` in ``max_iters``
-            halvings.
+            halvings; the message names the rounding floor when the
+            residual band lies below the rounding of f.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -266,6 +267,13 @@ def solve_alpha_star(
             lo = alpha
         else:
             hi = alpha
+    # Forming R - alpha * L rounds f by about eps * (||R|| + alpha * ||L||).
+    alpha = 0.5 * (lo + hi)
+    floor = eps * (float(np.linalg.norm(signal_corr)) + alpha * float(np.linalg.norm(leak_corr)))
+    band = tol * slope * alpha
+    if band < floor:
+        raise RuntimeError(f"bisection stalled at the rounding floor: tol * slope * alpha = {band:.3e} at "
+                           f"alpha = {alpha:.6g} is below eps * (||R|| + alpha * ||L||) = {floor:.3e}; raise tol")
     raise RuntimeError(
         f"bisection did not reach relative residual {tol:g} in {max_iters} iterations"
     )

@@ -93,3 +93,41 @@ class TestPowerAllocation:
         f = np.zeros((4, 1), dtype=complex)
         with pytest.raises(DegenerateBeamError):
             power_allocation(f, np.eye(1, dtype=complex), 1.0, 2)
+
+
+def complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStacks:
+    """A stack of slots gives, slice by slice, the bits of single calls."""
+
+    def test_effective_channel_broadcasts_a_shared_analog_stage(self, rng):
+        h, f = complex_stack(rng, (5, 8, 3)), complex_stack(rng, (8, 3))
+        stacked = effective_channel(h, f)
+        assert stacked.shape == (5, 3, 3)
+        for t in range(5):
+            assert np.array_equal(stacked[t], effective_channel(h[t], f))
+
+    def test_zf_outage_slices_are_zero_and_leave_the_rest(self, rng):
+        eff = complex_stack(rng, (5, 3, 3))
+        eff[1] = np.ones((3, 3))  # rank one
+        eff[3, :, 2] = 0.0  # zero column
+        eff[4] = np.diag([1e165, 1e155, 1e155])  # well conditioned, but ||column 0||^2 underflows
+        w = zf_precoder(eff)
+        for t in range(5):
+            if t in (1, 3, 4):
+                assert not w[t].any()
+                with pytest.raises(NearSingularError):
+                    zf_precoder(eff[t])
+            else:
+                assert np.array_equal(w[t], zf_precoder(eff[t]))
+
+    def test_power_allocation_per_slice(self, rng):
+        f, w = complex_stack(rng, (4, 6, 2)), zf_precoder(complex_stack(rng, (4, 2, 2)))
+        stacked = power_allocation(f, w, 1.5, 5)
+        assert stacked.shape == (4, 2)
+        for t in range(4):
+            assert np.array_equal(stacked[t], power_allocation(f[t], w[t], 1.5, 5))
+        with pytest.raises(DegenerateBeamError):
+            power_allocation(np.zeros((6, 2)), w, 1.5, 5)

@@ -40,6 +40,19 @@ def loop_aligned_quantized_precoder(channel, antenna_to_chain, chain_to_user, bi
     return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain.copy(), phase_index=phase_index, bits=bits)
 
 
+def loop_greedy_instant_map(channel, chain_to_user):
+    """Reference: the greedy map with its second pass one antenna at a time."""
+    gains = np.abs(channel[:, chain_to_user])
+    mapping = np.full(channel.shape[0], -1, dtype=int)
+    for chain in range(chain_to_user.size):
+        masked = np.where(mapping == -1, gains[:, chain], -1.0)
+        mapping[int(np.argmax(masked))] = chain
+    for m in range(channel.shape[0]):
+        if mapping[m] == -1:
+            mapping[m] = int(np.argmax(gains[m]))
+    return mapping
+
+
 def loop_frps(grouping, config):
     """Reference: quantize each dominant-eigenvector entry on its own."""
     grid = phase_grid(config.B)
@@ -83,6 +96,23 @@ class TestMatchesPerAntennaLoops:
                     channel, rf.antenna_to_chain, grouping.chain_users, config.B
                 )
                 self.assert_same_precoder(rf, reference)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"M{c.M}B{c.B}")
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_realtime_schemes_on_channel_stacks(self, config, seed):
+        grouping, scenario, geometry = build_context(config, seed=seed)
+        channels = draw_channel(scenario, geometry, seed=seed, slot=range(5))
+        channels[2, ::5] = 0.0  # zero gains quantize to index 0
+        channels[3] = 1.0  # every gain ties
+        for build in (fixed_subarray_precoder, adaptive_instant_precoder):
+            stacked = build(channels, grouping, config.B)
+            mappings = np.broadcast_to(stacked.antenna_to_chain, stacked.phase_index.shape)
+            for t, channel in enumerate(channels):
+                single = RfPrecoder(stacked.f[t], mappings[t], stacked.phase_index[t], config.B)
+                self.assert_same_precoder(single, build(channel, grouping, config.B))
+        for channel in channels:
+            mapping = adaptive_instant_precoder(channel, grouping, config.B).antenna_to_chain
+            assert np.array_equal(mapping, loop_greedy_instant_map(channel, grouping.chain_users))
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"M{c.M}B{c.B}")
     @pytest.mark.parametrize("seed", [1, 7919])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mphp.cli import main
@@ -88,3 +93,23 @@ class TestPlotScript:
 def test_unknown_verb_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_sweep_m_independent_of_blas_threads(tmp_path):
+    # The per-slot path (every scheme at M = 16, 32, 64) must not depend on
+    # the BLAS thread count.  The MPHP design at M = 128 still does (its
+    # GRFP antenna ranking breaks near-ties by rounding), so it is left out.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mphp.cli", "sweep-m", "--slots", "5", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]

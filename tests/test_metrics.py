@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from mphp.baselines import SchemeId, SlotPrecoders, build_precoders, design_long_term
-from mphp.channel import draw_channel
+from dataclasses import fields, replace
+
+from mphp.baselines import SCHEMES, SchemeId, SlotPrecoders, build_precoders, design_long_term
+from mphp.channel import ArrayGeometry, draw_channel
 from mphp.experiment import SystemConfig
 from mphp.metrics import (
+    SLOT_BLOCK,
     PowerModel,
+    RunMetrics,
     UndefinedFairnessError,
     build_context,
     energy_efficiency,
@@ -362,3 +366,139 @@ class TestMonteCarlo:
     def test_bad_slot_count_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo_rates(SchemeId.MPHP, SystemConfig(), 0, seed=1)
+
+
+def loop_monte_carlo_rates(scheme, config, n_slots, seed, grouping, scenario, channel_factory=None):
+    """Reference engine: the per-slot loop, one draw, one precoder build and
+    one evaluation per slot.  Returns (RunMetrics, rates, per-slot outage groups)."""
+    geometry = ArrayGeometry(config.M, config.element_spacing)
+    long_state = design_long_term(scheme, grouping, config)
+    rates = np.zeros((n_slots, config.K))
+    outages = []
+    for t in range(n_slots):
+        if channel_factory is not None:
+            h = channel_factory(t)
+        else:
+            h = draw_channel(scenario, geometry, seed=seed, slot=t)
+        precoders = build_precoders(scheme, long_state, h, grouping, config)
+        slot = evaluate_slot(h, precoders, grouping)
+        rates[t] = slot.rate
+        outages.append(slot.outage_groups)
+    outage_slots = sum(1 for groups in outages if groups)
+
+    per_user_rate = rates.mean(axis=0)
+    per_user_stderr = rates.std(axis=0, ddof=1) / np.sqrt(n_slots) if n_slots > 1 else np.zeros(config.K)
+    per_slot_mean = rates.mean(axis=1)
+    per_slot_sum = rates.sum(axis=1)
+    avg_stderr = float(per_slot_mean.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
+    sum_stderr = float(per_slot_sum.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
+
+    model = replace(config.power_model(), connectivity=SCHEMES[scheme].connectivity)
+    sum_rate = float(per_user_rate.sum())
+    ee = energy_efficiency(sum_rate, config.P, config.L, config.M, model)
+    stats_count = (
+        statistics_feedback_count(grouping.group_correlations) if SCHEMES[scheme].statistical else 0
+    )
+    feedback = feedback_overhead(
+        scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count
+    )
+    run = RunMetrics(
+        per_user_rate=per_user_rate,
+        per_user_stderr=per_user_stderr,
+        avg_rate_per_user=float(per_user_rate.mean()),
+        avg_rate_stderr=avg_stderr,
+        sum_rate=sum_rate,
+        sum_rate_stderr=sum_stderr,
+        worst_user_rate=float(per_user_rate.min()),
+        jain_index=jain_fairness(per_user_rate),
+        energy_efficiency=ee,
+        feedback_total=feedback,
+        feedback_statistics=stats_count,
+        n_slots=n_slots,
+        outage_fraction=outage_slots / n_slots,
+    )
+    return run, rates, outages
+
+
+def assert_same_run(run, reference):
+    for f in fields(RunMetrics):
+        a, b = getattr(run, f.name), getattr(reference, f.name)
+        assert np.array_equal(a, b), f.name
+        assert type(a) is type(b), f.name
+
+
+def rank_deficient_factory(scenario, geometry, seed, grouping):
+    """Drawn channels, except that slot 1 zeroes user 0's column, slot 2 and
+    the third slot of the second block copy one group member onto another
+    (or zero it in a singleton group), and slot 4 makes the whole channel
+    rank one."""
+    group = grouping.members[int(np.argmax(grouping.sizes))]
+
+    def factory(t):
+        h = draw_channel(scenario, geometry, seed=seed, slot=t)
+        if t == 1:
+            h[:, 0] = 0.0
+        elif t in (2, SLOT_BLOCK + 2):
+            h[:, group[-1]] = h[:, group[0]] if len(group) > 1 else 0.0
+        elif t == 4:
+            h = h[:, :1] * np.arange(1, h.shape[1] + 1)
+        return h
+
+    return factory
+
+
+ENGINE_CASES = {
+    "one slot": (SystemConfig(M=16, K=4, L=4, G=2), 1),
+    "M = K": (SystemConfig(M=4, K=4, L=4, G=2), 7),
+    "G = K": (SystemConfig(M=16, K=4, L=4, G=4), 7),
+    "B = 1": (SystemConfig(M=16, K=4, L=4, G=2, B=1), 7),
+    "G = 1": (SystemConfig(M=32, K=8, L=8, G=1), 5),
+    "block boundary": (SystemConfig(M=16, K=4, L=4, G=2), 2 * SLOT_BLOCK + 1),
+    "defaults": (SystemConfig(), 9),
+}
+
+
+class TestEngineMatchesPerSlotLoop:
+    """The stacked Monte Carlo engine reproduces the per-slot loop bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_drawn_channels(self, case, scheme):
+        config, n_slots = ENGINE_CASES[case]
+        grouping, scenario, geometry = build_context(config, seed=11)
+        run = monte_carlo_rates(scheme, config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+        reference, rates, _ = loop_monte_carlo_rates(scheme, config, n_slots, 23, grouping, scenario)
+        assert_same_run(run, reference)
+        channels = draw_channel(scenario, geometry, seed=23, slot=range(n_slots))
+        state = design_long_term(scheme, grouping, config)
+        block = evaluate_slot(channels, build_precoders(scheme, state, channels, grouping, config), grouping)
+        assert np.array_equal(block.rate, rates)
+
+    @pytest.mark.parametrize("case", ["G = K", "G = 1", "defaults"])
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_rank_deficient_slots_hit_the_outage_path(self, case, scheme):
+        config, _ = ENGINE_CASES[case]
+        n_slots = SLOT_BLOCK + 4
+        grouping, scenario, geometry = build_context(config, seed=11)
+        factory = rank_deficient_factory(scenario, geometry, 23, grouping)
+        run = monte_carlo_rates(
+            scheme, config, n_slots, seed=23, grouping=grouping, scenario=scenario, channel_factory=factory
+        )
+        reference, rates, outages = loop_monte_carlo_rates(
+            scheme, config, n_slots, 23, grouping, scenario, channel_factory=factory
+        )
+        assert_same_run(run, reference)
+        assert any(outages[1:]) and not outages[0]
+
+        channels = np.stack([factory(t) for t in range(n_slots)])
+        state = design_long_term(scheme, grouping, config)
+        precoders = build_precoders(scheme, state, channels, grouping, config)
+        assert precoders.outage_groups == [(t, g) for t in range(n_slots) for g in outages[t]]
+        assert np.array_equal(evaluate_slot(channels, precoders, grouping).rate, rates)
+        for t in range(n_slots):
+            single = precoders.slot(t)
+            expected = build_precoders(scheme, state, channels[t], grouping, config)
+            assert single.outage_groups == expected.outage_groups
+            assert np.array_equal(single.power, expected.power)
+            for got, want in zip(single.w_groups, expected.w_groups):
+                assert (got is None and want is None) or np.array_equal(got, want)

@@ -128,3 +128,32 @@ def test_hermitian_part_is_hermitian(rng):
     x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = hermitian_part(x)
     assert np.array_equal(h, h.conj().T)
+
+
+class TestStackedConditioning:
+    def stack(self, rng):
+        a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)) + 3 * np.eye(3)
+        a[1] = np.ones((3, 3))
+        a[2, 0, 0] = np.nan
+        a[4, 1] = np.inf
+        return a
+
+    def test_check_condition_mask_without_raising(self, rng):
+        assert np.array_equal(check_condition(self.stack(rng)), [True, False, False, True, False])
+
+    def test_check_condition_leading_axes_kept(self, rng):
+        assert check_condition(self.stack(rng).reshape(5, 1, 3, 3)).shape == (5, 1)
+
+    def test_solve_right_inverse_zero_for_failing_matrices(self, rng):
+        a = self.stack(rng)
+        b = solve_right_inverse(a)
+        for t in (0, 3):
+            assert np.array_equal(b[t], solve_right_inverse(a[t]))
+        for t in (1, 2, 4):
+            assert not b[t].any()
+            with pytest.raises(NearSingularError):
+                solve_right_inverse(a[t])
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError):
+            solve_right_inverse(np.zeros((2, 2, 3)))

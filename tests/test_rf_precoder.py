@@ -303,6 +303,23 @@ class TestMatchesBisection:
             bisect_alpha_star(corr, np.eye(3), 1, 2, 1.0)
         assert assert_matches_bisection((corr, np.eye(3), 1, 2, 1.0)) is None
 
+    def test_rounding_floor_named(self):
+        # test_grid[1-100.0-1e-12-1] at P = 1e3: near the root f is the
+        # difference of two terms about 1e2 larger than it, so its rounding
+        # exceeds the residual band and every midpoint misses the band.
+        problem = random_alpha_problem([1, 100000, 12, 1], 1, 100.0, 1e3)
+        with pytest.raises(RuntimeError):
+            bisect_alpha_star(*problem, tol=1e-12, objective_exponent=1)
+        with pytest.raises(RuntimeError, match="^bisection stalled at the rounding floor: ") as stalled:
+            solve_alpha_star(*problem, tol=1e-12, objective_exponent=1)
+        assert "raise tol" in str(stalled.value)
+
+    def test_too_few_iterations_not_blamed_on_rounding(self):
+        problem = random_alpha_problem([300, 0], 8, 1.0, 1.0)
+        message = "^bisection did not reach relative residual 1e-12 in 5 iterations$"
+        with pytest.raises(RuntimeError, match=message):
+            solve_alpha_star(*problem, tol=1e-12, max_iters=5)
+
     def test_max_iters_error_raised_alike(self):
         outcomes = []
         for max_iters in (0, 1, 5, 10, 20, 40, 200):
