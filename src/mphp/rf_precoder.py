@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grouping import Grouping
-from .numerics import hermitian_eig
+from .numerics import EigenDecomposition, hermitian_eig
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITERS = 200
@@ -122,13 +122,17 @@ def relaxed_step(
     alpha: float,
     streams: int,
     objective_exponent: int = 2,
+    signal_eig: EigenDecomposition | None = None,
 ) -> tuple[np.ndarray, float]:
     """Optimal relaxed precoder and objective value at a fixed leakage weight.
 
     Eigendecomposes ``signal_corr - alpha * leak_corr`` (descending) and keeps
     the ``streams`` dominant eigenvectors; a column whose eigenvalue is
     negative is shrunk to norm 1/sqrt(M) (the lower end of the feasible
-    column-norm range), otherwise it keeps norm 1.  The returned value is the
+    column-norm range), otherwise it keeps norm 1.  ``signal_eig``, the
+    decomposition of ``signal_corr`` alone, is used instead where the
+    difference has exactly the bits of ``signal_corr`` (at ``alpha = 0``,
+    unless ``- 0.0 * leak_corr`` flips the sign of a zero entry).  The returned value is the
     weighted sum of the selected eigenvalues; ``objective_exponent`` selects
     whether the column scaling enters linearly or squared (squared is the
     trace-consistent default).
@@ -138,7 +142,11 @@ def relaxed_step(
     if objective_exponent not in (1, 2):
         raise ValueError(f"objective_exponent must be 1 or 2, got {objective_exponent}")
     m_ant = signal_corr.shape[0]
-    values, vectors = hermitian_eig(signal_corr - alpha * leak_corr)
+    shifted = signal_corr - alpha * leak_corr
+    same_bits = shifted.dtype == signal_corr.dtype and shifted.tobytes() == signal_corr.tobytes()
+    if signal_eig is None or not same_bits:
+        signal_eig = hermitian_eig(shifted)
+    values, vectors = signal_eig
     top_values = values[:streams]
     scales = np.where(top_values >= 0, 1.0, 1.0 / np.sqrt(m_ant))
     f_star = vectors[:, :streams] * scales[None, :]
@@ -165,6 +173,7 @@ def solve_alpha_star(
     tol: float = BISECTION_TOL,
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
+    signal_eig: EigenDecomposition | None = None,
 ) -> tuple[float, np.ndarray]:
     """Solve f(alpha) = (K * S_g / P) * alpha; the answer is the bisection's.
 
@@ -185,7 +194,9 @@ def solve_alpha_star(
     floating-point allowance is decided by its sign without an
     eigendecomposition.  Only points near the root, among them the returned
     one, are evaluated.  If Newton gives no usable bound, every point is
-    evaluated, as in plain bisection.
+    evaluated, as in plain bisection.  ``signal_eig``, the decomposition of
+    ``signal_corr``, spares the ``alpha = 0`` evaluation its own (see
+    ``relaxed_step``).
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
@@ -199,7 +210,7 @@ def solve_alpha_star(
     slope = n_users * streams / power
 
     def objective(alpha: float) -> tuple[np.ndarray, float]:
-        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, signal_eig)
 
     f_star, f0 = objective(0.0)
     if f0 <= 0:
@@ -300,6 +311,7 @@ def solve_relaxed(
             tol=tol,
             max_iters=max_iters,
             objective_exponent=objective_exponent,
+            signal_eig=grouping.group_eigs[g],
         )
         alphas.append(alpha)
         precoders.append(f_star)

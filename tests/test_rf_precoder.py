@@ -34,10 +34,12 @@ def diagonal_grouping():
 
 
 def bisect_alpha_star(
-    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2
+    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2,
+    signal_eig=None,
 ):
     """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the oracle that
-    solve_alpha_star must reproduce bit for bit."""
+    solve_alpha_star must reproduce bit for bit.  ``signal_eig`` is accepted
+    and ignored: the oracle decomposes every point it evaluates."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     slope = n_users * streams / power
@@ -356,6 +358,89 @@ class TestEvaluationCount:
         solve_relaxed(grouping, n_users=config.K, power=config.P)
         assert len(per_group) == grouping.group_count
         assert max(per_group) <= 10
+
+
+def signed_zero_problem():
+    """(R, L) where R - 0.0 * L differs from R only in the sign of a zero."""
+    signal = np.array([[2.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]])
+    leak = np.array([[1.0, -1 - 1j], [-1 + 1j, 1.0]])
+    return signal, leak
+
+
+def bogus_eig(m_ant):
+    """A valid-looking decomposition of no matrix in these tests."""
+    return hermitian_eig(np.diag(np.arange(m_ant, 0, -1) * 7.0))
+
+
+class TestSignalEigReuse:
+    """solve_alpha_star takes the decomposition of R for its alpha = 0 step
+    only where R - 0.0 * L has exactly the bits of R."""
+
+    def count_eigs(self, monkeypatch):
+        calls = []
+        eig = rf_precoder.hermitian_eig
+
+        def counted(a):
+            calls.append(1)
+            return eig(a)
+
+        monkeypatch.setattr(rf_precoder, "hermitian_eig", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("leak_scale", [0.0, 1.0])
+    def test_one_decomposition_fewer_and_same_answer(self, monkeypatch, seed, leak_scale):
+        problem = random_alpha_problem([700, seed], 8, leak_scale)
+        expected_alpha, expected_f = bisect_alpha_star(*problem)
+        calls = self.count_eigs(monkeypatch)
+        plain = solve_alpha_star(*problem)
+        plain_calls = len(calls)
+        calls.clear()
+        alpha, f_star = solve_alpha_star(*problem, signal_eig=hermitian_eig(problem[0]))
+        assert alpha == plain[0] == expected_alpha
+        assert np.array_equal(f_star, expected_f) and np.array_equal(plain[1], expected_f)
+        # Without leakage R - alpha * 0 is R at every alpha: nothing is decomposed.
+        assert len(calls) == (0 if leak_scale == 0.0 else plain_calls - 1)
+
+    def test_signed_zero_is_decomposed_afresh(self, monkeypatch):
+        signal, leak = signed_zero_problem()
+        shifted = signal - 0.0 * leak
+        assert np.array_equal(shifted, signal) and shifted.tobytes() != signal.tobytes()
+        calls = self.count_eigs(monkeypatch)
+        expected = relaxed_step(signal, leak, 0.0, 1)
+        assert len(calls) == 1
+        got = relaxed_step(signal, leak, 0.0, 1, signal_eig=bogus_eig(2))
+        assert len(calls) == 2
+        assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+        problem = (signal, leak, 1, 2, 1.0)
+        alpha, f_star = solve_alpha_star(*problem, signal_eig=bogus_eig(2))
+        expected_alpha, expected_f = bisect_alpha_star(*problem)
+        assert alpha == expected_alpha and np.array_equal(f_star, expected_f)
+
+    def test_used_only_where_the_bits_match(self, rng):
+        corr, leak, streams, _, _ = random_alpha_problem([701, 0], 6, 1.0)
+        for alpha in (0.0, 0.5):
+            expected = relaxed_step(corr, leak, alpha, streams)
+            got = relaxed_step(corr, leak, alpha, streams, signal_eig=bogus_eig(6))
+            assert np.array_equal(got[0], expected[0]) is (alpha != 0.0)
+        with_eig = relaxed_step(corr, leak, 0.0, streams, signal_eig=hermitian_eig(corr))
+        assert np.array_equal(with_eig[0], relaxed_step(corr, leak, 0.0, streams)[0])
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_solve_relaxed_saves_one_decomposition_per_group(self, monkeypatch, seed):
+        grouping, _, _ = build_context(SystemConfig(M=32), seed)
+        grouping.group_eigs  # decomposed before counting
+        calls = self.count_eigs(monkeypatch)
+        relaxed = solve_relaxed(grouping, n_users=8, power=1.0)
+        reused = len(calls)
+        grouping.__dict__.pop("group_eigs")
+        calls.clear()
+        monkeypatch.setattr(type(grouping), "group_eigs", property(lambda self: [None] * self.group_count))
+        baseline = solve_relaxed(grouping, n_users=8, power=1.0)
+        assert len(calls) - reused == grouping.group_count
+        assert relaxed.alpha_star == baseline.alpha_star
+        for a, b in zip(relaxed.f_star, baseline.f_star):
+            assert np.array_equal(a, b)
 
 
 # Edge cases of the whole pipeline: M = K, G = K, B = 1, one group (no
