@@ -7,9 +7,11 @@ from mphp import SchemeId, SystemConfig, monte_carlo_rates
 
 config = SystemConfig(n_slots=300)
 
+# One engine call: every scheme sees the same channel draws.
+runs = monte_carlo_rates(list(SchemeId), config, config.n_slots, seed=41)
+
 print(f"{'scheme':<18} {'jain':>7} {'worst rate':>11} {'sum rate':>9} {'feedback':>9} {'stats part':>10}")
-for scheme in SchemeId:
-    run = monte_carlo_rates(scheme, config, config.n_slots, seed=41)
+for scheme, run in zip(SchemeId, runs):
     print(
         f"{scheme.value:<18} {run.jain_index:>7.4f} {run.worst_user_rate:>11.3f} "
         f"{run.sum_rate:>9.3f} {run.feedback_total:>9d} {run.feedback_statistics:>10d}"

@@ -2,8 +2,8 @@
 
 Configs are plain-text ``key = value`` documents (``#`` starts a comment;
 scenario and power keys are dotted, e.g. ``scenario.angular_spread``).  A
-run evaluates every (sweep value, scheme) cell with derived seeds, so the
-output is a pure function of (config, seed) regardless of execution order.
+run evaluates every (sweep value, scheme) cell from two seeds derived from
+the config's seed, so each row is a pure function of (point config, seed).
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .baselines import SchemeId
-from .metrics import PowerModel, build_context, monte_carlo_rates
+from .metrics import PowerModel, SchemeFailure, build_context, context_key, monte_carlo_rates
 
 
 class ExperimentError(RuntimeError):
-    """A cell of the sweep failed; names the (scheme, sweep value) at fault."""
+    """A sweep point failed; names the failing scheme (or the point's schemes) and the sweep value."""
 
 SWEEPABLE_PARAMETERS = ("M", "K", "G", "B", "P", "snr_db", "n_slots")
 
@@ -227,26 +227,26 @@ def apply_sweep_value(config: SystemConfig, parameter: str, value: float) -> Sys
     return replace(point, **{parameter: integral})
 
 
-def _cell_seed(base_seed: int, sweep_index: int, scheme_index: int) -> int:
-    """Derived seed for one (sweep value, scheme) cell; slot seeds derive
-    from it inside the Monte Carlo loop, giving the (seed, sweep, scheme,
-    slot) chain."""
-    state = np.random.SeedSequence([base_seed, sweep_index, scheme_index]).generate_state(2)
-    return int(state[0]) << 32 | int(state[1])
-
-
-def _scenario_seed(base_seed: int, sweep_index: int) -> int:
-    state = np.random.SeedSequence([base_seed, sweep_index]).generate_state(2)
-    return int(state[0]) << 32 | int(state[1])
+def _derived_seeds(base_seed: int) -> tuple[int, int]:
+    """The scenario seed and the channel-draw seed of a run: two 64-bit
+    words of one stream of ``base_seed``.  Two seeds keep the scenario
+    stream (scenario seed, 0x5CE) apart from the draw streams (draw seed,
+    user, slot): entropy is zero-padded, so with one shared seed the
+    scenario stream would be user 1486's draw at slot 0."""
+    scenario_seed, draw_seed = np.random.SeedSequence(base_seed).generate_state(2, np.uint64)
+    return int(scenario_seed), int(draw_seed)
 
 
 def run_experiment(config: SystemConfig) -> list[ResultRow]:
     """Evaluate every (sweep value, scheme) cell of the config.
 
-    The scenario (user AoDs, correlations, grouping) is shared by all
-    schemes at a sweep value; statistical schemes then design their analog
-    stage from the grouping alone.  Cells run one after another in a fixed
-    order, each from its own derived seed.
+    Every point uses the same two seeds, derived from ``config.seed`` alone,
+    so a row is a function of (point config, seed): a sweep row equals the
+    row of a single-point run at that value.  Points that agree on the
+    fields ``metrics.context_key`` names share one scenario (user AoDs,
+    correlations, grouping), built once.  At each point one engine call runs
+    all schemes on the same channel draws; statistical schemes design their
+    analog stage from the grouping alone.
     """
     config.validate()
     if config.sweep_parameter is None:
@@ -260,29 +260,26 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
 
     scheme_rank = {scheme: i for i, scheme in enumerate(SchemeId)}
     schemes = sorted(config.schemes, key=scheme_rank.__getitem__)
+    scenario_seed, draw_seed = _derived_seeds(config.seed)
+    contexts: dict[tuple, tuple] = {}
     rows = []
-    for sweep_index, point in enumerate(points):
-        context = None
-        for scheme in schemes:
-            try:
-                if context is None:
-                    context = build_context(point, _scenario_seed(config.seed, sweep_index))
-                grouping, scenario, _ = context
-                metrics = monte_carlo_rates(
-                    scheme,
-                    point,
-                    point.n_slots,
-                    _cell_seed(config.seed, sweep_index, scheme_rank[scheme]),
-                    grouping=grouping,
-                    scenario=scenario,
-                )
-            except Exception as exc:
-                raise ExperimentError(
-                    f"scheme {scheme.value} at sweep value {sweep_values[sweep_index]!r}: {exc}"
-                ) from exc
+    for sweep_value, point in zip(sweep_values, points):
+        try:
+            key = context_key(point)
+            if key not in contexts:
+                contexts[key] = build_context(point, scenario_seed)
+            grouping, scenario, _ = contexts[key]
+            runs = monte_carlo_rates(
+                schemes, point, point.n_slots, draw_seed, grouping=grouping, scenario=scenario
+            )
+        except Exception as exc:
+            failed, cause = ([exc.scheme], exc.__cause__) if isinstance(exc, SchemeFailure) else (schemes, exc)
+            names = ", ".join(s.value for s in failed)
+            raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
+        for scheme, metrics in zip(schemes, runs):
             # Every column after the first two is the RunMetrics field of its name.
             values = (getattr(metrics, column) for column in CSV_COLUMNS[2:])
-            rows.append(ResultRow(sweep_values[sweep_index], scheme, *values))
+            rows.append(ResultRow(sweep_value, scheme, *values))
     return rows
 
 

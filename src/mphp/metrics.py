@@ -239,6 +239,21 @@ def feedback_overhead(
     return total
 
 
+class SchemeFailure(RuntimeError):
+    """One scheme's stage failed in a multi-scheme run; the original error is the cause."""
+
+    def __init__(self, scheme: SchemeId) -> None:
+        super().__init__(f"scheme {scheme.value} failed")
+        self.scheme = scheme
+
+
+def context_key(config: "SystemConfig") -> tuple:
+    """The fields of ``config`` that ``build_context`` reads: configs with
+    equal keys get the same context from the same seed."""
+    scenario = (config.angular_spread, config.path_count, config.aod_jitter, config.element_spacing)
+    return (config.M, config.K, config.G, *scenario)
+
+
 def build_context(config: "SystemConfig", seed: int) -> tuple[Grouping, list, channel_mod.ArrayGeometry]:
     """Scenario, correlations and grouping shared by all schemes at a seed."""
     geometry = channel_mod.ArrayGeometry(config.M, config.element_spacing)
@@ -256,7 +271,7 @@ def build_context(config: "SystemConfig", seed: int) -> tuple[Grouping, list, ch
 
 
 def monte_carlo_rates(
-    scheme: SchemeId,
+    schemes: SchemeId | Sequence[SchemeId],
     config: "SystemConfig",
     n_slots: int,
     seed: int,
@@ -265,39 +280,74 @@ def monte_carlo_rates(
     scenario: Sequence[channel_mod.UserChannelParams] | None = None,
     channel_factory: Callable[[int], np.ndarray] | None = None,
     power_model: PowerModel | None = None,
-) -> RunMetrics:
+) -> RunMetrics | list[RunMetrics]:
     """Average rates over independent channel draws with the long-term
     precoder held fixed.
 
-    The analog stage of a statistical scheme is designed once from the
+    ``schemes`` is one scheme, which gives its ``RunMetrics``, or a sequence
+    of schemes, which gives one ``RunMetrics`` per scheme in that order.  The
+    analog stage of a statistical scheme is designed once from the
     correlations; the baseband stage is redone every slot.  Slot t draws its
     channel from entropy (seed, user, t), so runs are reproducible and slots
     may be evaluated in any order.  Blocks of at most ``SLOT_BLOCK`` slots
-    run through the draw, the precoder build and the SINR as one stack, with
-    the numbers of one slot at a time.  ``channel_factory`` overrides the
-    channel draw (slot index -> H) for deterministic injection in tests.
+    are drawn once and then run through every scheme's precoder build and
+    SINR as one stack, so all schemes see the same channels (common random
+    numbers) and each scheme gets the numbers of a run of its own.
+    ``channel_factory`` overrides the channel draw (slot index -> H) for
+    deterministic injection in tests.  In a multi-scheme run, a failure in
+    one scheme's design, build or evaluation raises ``SchemeFailure`` naming
+    it; a single scheme raises the failure itself.
     """
+    single = isinstance(schemes, str)  # a SchemeId is a str
+    scheme_list = [schemes] if single else list(schemes)
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    if not scheme_list:
+        raise ValueError("need at least one scheme")
     if grouping is None or scenario is None:
         grouping, scenario, geometry = build_context(config, seed)
     else:
         geometry = channel_mod.ArrayGeometry(config.M, config.element_spacing)
 
-    long_state = design_long_term(scheme, grouping, config)
-    rates = np.zeros((n_slots, config.K))
-    outage_slots = 0
-    for start in range(0, n_slots, SLOT_BLOCK):
-        slots = range(start, min(start + SLOT_BLOCK, n_slots))
-        if channel_factory is not None:
-            h = np.stack([channel_factory(t) for t in slots])
-        else:
-            h = channel_mod.draw_channel(scenario, geometry, seed=seed, slot=slots)
-        precoders = build_precoders(scheme, long_state, h, grouping, config)
-        block = evaluate_slot(h, precoders, grouping)
-        rates[start : start + len(slots)] = block.rate
-        outage_slots += len({t for t, _ in block.outage_groups})
+    rates = [np.zeros((n_slots, config.K)) for _ in scheme_list]
+    outage_slots = [0] * len(scheme_list)
+    current = None  # the scheme whose stage is running, if any
+    try:
+        long_states = []
+        for current in scheme_list:
+            long_states.append(design_long_term(current, grouping, config))
+        for start in range(0, n_slots, SLOT_BLOCK):
+            current = None
+            slots = range(start, min(start + SLOT_BLOCK, n_slots))
+            if channel_factory is not None:
+                h = np.stack([channel_factory(t) for t in slots])
+            else:
+                h = channel_mod.draw_channel(scenario, geometry, seed=seed, slot=slots)
+            for i, (current, long_state) in enumerate(zip(scheme_list, long_states)):
+                precoders = build_precoders(current, long_state, h, grouping, config)
+                block = evaluate_slot(h, precoders, grouping)
+                rates[i][start : start + len(slots)] = block.rate
+                outage_slots[i] += len({t for t, _ in block.outage_groups})
+        runs = []
+        for current, scheme_rates, outages in zip(scheme_list, rates, outage_slots):
+            runs.append(_run_metrics(current, config, grouping, scheme_rates, outages, power_model))
+    except Exception as exc:
+        if single or current is None:
+            raise
+        raise SchemeFailure(current) from exc
+    return runs[0] if single else runs
 
+
+def _run_metrics(
+    scheme: SchemeId,
+    config: "SystemConfig",
+    grouping: Grouping,
+    rates: np.ndarray,
+    outage_slots: int,
+    power_model: PowerModel | None,
+) -> RunMetrics:
+    """Aggregates of one scheme's (n_slots, K) rates."""
+    n_slots = rates.shape[0]
     per_user_rate = rates.mean(axis=0)
     per_user_stderr = rates.std(axis=0, ddof=1) / np.sqrt(n_slots) if n_slots > 1 else np.zeros(config.K)
     per_slot_mean = rates.mean(axis=1)

@@ -129,13 +129,13 @@ def relaxed_step(
     Eigendecomposes ``signal_corr - alpha * leak_corr`` (descending) and keeps
     the ``streams`` dominant eigenvectors; a column whose eigenvalue is
     negative is shrunk to norm 1/sqrt(M) (the lower end of the feasible
-    column-norm range), otherwise it keeps norm 1.  ``signal_eig``, the
-    decomposition of ``signal_corr`` alone, is used instead where the
-    difference has exactly the bits of ``signal_corr`` (at ``alpha = 0``,
-    unless ``- 0.0 * leak_corr`` flips the sign of a zero entry).  The returned value is the
+    column-norm range), otherwise it keeps norm 1.  The returned value is the
     weighted sum of the selected eigenvalues; ``objective_exponent`` selects
     whether the column scaling enters linearly or squared (squared is the
-    trace-consistent default).
+    trace-consistent default).  ``signal_eig``, the decomposition of
+    ``signal_corr`` alone, stands in for the decomposition where the
+    difference has exactly the bits of ``signal_corr`` (at ``alpha = 0``,
+    unless ``- 0.0 * leak_corr`` flips the sign of a zero entry).
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")

@@ -95,10 +95,12 @@ def test_unknown_verb_exits():
         main(["frobnicate"])
 
 
-def test_sweep_m_independent_of_blas_threads(tmp_path):
-    # The per-slot path (every scheme at M = 16, 32, 64) must not depend on
-    # the BLAS thread count.  The MPHP design at M = 128 still does (its
-    # GRFP antenna ranking breaks near-ties by rounding), so it is left out.
+@pytest.mark.parametrize("preset", ["sweep-m", "sweep-snr"])
+def test_preset_independent_of_blas_threads(tmp_path, preset):
+    # The per-slot path (every scheme at M = 16, 32, 64) and the scenario
+    # shared across SNR points (M = 64) must not depend on the BLAS thread
+    # count.  The MPHP design at M = 128 still does (its GRFP antenna
+    # ranking breaks near-ties by rounding), so it is left out.
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     texts = []
@@ -107,7 +109,7 @@ def test_sweep_m_independent_of_blas_threads(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "mphp.cli", "sweep-m", "--slots", "5", "--out", str(out)],
+            [sys.executable, "-m", "mphp.cli", preset, "--slots", "5", "--out", str(out)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

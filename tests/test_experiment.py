@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import mphp.experiment as experiment_mod
+import mphp.metrics as metrics_mod
 from mphp.baselines import SchemeId
 from mphp.experiment import (
     CSV_COLUMNS,
@@ -127,6 +131,80 @@ class TestRunExperiment:
         assert first == second
 
 
+# All five schemes on a small scenario.
+SMALL = "M = 8\nK = 2\nG = 2\nn_slots = 5\nseed = 3\n"
+
+# (parameter, sweep values) for every parameter that can leave the scenario
+# alone (P, snr_db, B, n_slots) or must rebuild it (M, K).
+SWEEPS = [
+    ("P", "0.5, 2"),
+    ("snr_db", "-10, 10"),
+    ("B", "1, 3"),
+    ("n_slots", "3, 7"),
+    ("M", "8, 16"),
+    ("K", "2, 3"),
+]
+
+
+def rows_without_sweep_value(rows):
+    """CSV lines of the rows with the sweep_value column cut off."""
+    return [line.split(",", 1)[1] for line in rows_to_csv(rows).splitlines()[1:]]
+
+
+class TestRowContract:
+    """A row is a function of (point config, seed) alone."""
+
+    @pytest.mark.parametrize("parameter,values", SWEEPS, ids=[p for p, _ in SWEEPS])
+    def test_sweep_rows_equal_single_point_rows(self, parameter, values):
+        config = parse_config(SMALL + f"sweep.parameter = {parameter}\nsweep.values = {values}\n")
+        rows = run_experiment(config)
+        for value in config.sweep_values:
+            point = apply_sweep_value(config, parameter, value)
+            swept = [row for row in rows if row.sweep_value == value]
+            assert rows_without_sweep_value(swept) == rows_without_sweep_value(run_experiment(point))
+
+    def test_scheme_rows_do_not_depend_on_the_other_schemes(self):
+        config = parse_config(SMALL + "sweep.parameter = snr_db\nsweep.values = -10, 10\n")
+        rows = run_experiment(config)
+        for scheme in SchemeId:
+            alone = run_experiment(replace(config, schemes=(scheme,)))
+            assert rows_to_csv(alone) == rows_to_csv([row for row in rows if row.scheme is scheme])
+
+    @pytest.mark.parametrize(
+        "parameter,values,builds", [("snr_db", "-10, 0, 10", 1), ("M", "8, 16", 2), ("M", "8, 16, 8", 2)]
+    )
+    def test_one_context_per_distinct_scenario(self, monkeypatch, parameter, values, builds):
+        calls = []
+        build = experiment_mod.build_context
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].M)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "build_context", counted)
+        run_experiment(parse_config(SMALL + f"sweep.parameter = {parameter}\nsweep.values = {values}\n"))
+        assert len(calls) == builds
+
+    def test_one_engine_call_per_point(self, monkeypatch):
+        calls = []
+        engine = experiment_mod.monte_carlo_rates
+
+        def counted(schemes, *args, **kwargs):
+            calls.append(list(schemes))
+            return engine(schemes, *args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "monte_carlo_rates", counted)
+        config = parse_config(SMALL + "sweep.parameter = M\nsweep.values = 8, 16\n")
+        run_experiment(config)
+        assert calls == [list(SchemeId)] * 2
+
+    def test_seeds_derive_from_the_config_seed_alone(self):
+        scenario_seed, draw_seed = experiment_mod._derived_seeds(3)
+        assert scenario_seed != draw_seed
+        assert experiment_mod._derived_seeds(3) == (scenario_seed, draw_seed)
+        assert experiment_mod._derived_seeds(4) != (scenario_seed, draw_seed)
+
+
 class TestCsv:
     def test_header_and_row_count(self, tmp_path):
         rows = run_experiment(parse_config(TINY))
@@ -170,6 +248,50 @@ class TestValidation:
         monkeypatch.setattr(experiment_mod, "monte_carlo_rates", boom)
         config = parse_config(TINY + "sweep.parameter = M\nsweep.values = 8, 16\n")
         with pytest.raises(ExperimentError, match="MPHP at sweep value 8.0"):
+            run_experiment(config)
+
+    def test_failing_scheme_named_among_several(self, monkeypatch):
+        from mphp.experiment import ExperimentError
+
+        build = metrics_mod.build_precoders
+
+        def failing(scheme, *args):
+            if scheme is SchemeId.FRPS_STATISTICAL:
+                raise ArithmeticError("synthetic build failure")
+            return build(scheme, *args)
+
+        monkeypatch.setattr(metrics_mod, "build_precoders", failing)
+        config = parse_config(
+            SMALL + "schemes = MPHP, FRPS_STATISTICAL, FIXED_SUBARRAY\nsweep.parameter = M\nsweep.values = 8, 16\n"
+        )
+        with pytest.raises(ExperimentError, match="scheme FRPS_STATISTICAL at sweep value 8.0: synthetic") as info:
+            run_experiment(config)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_failing_design_named(self, monkeypatch):
+        from mphp.experiment import ExperimentError
+
+        design = metrics_mod.design_long_term
+
+        def failing(scheme, *args):
+            if scheme is SchemeId.FIXED_SUBARRAY:
+                raise ValueError("synthetic design failure")
+            return design(scheme, *args)
+
+        monkeypatch.setattr(metrics_mod, "design_long_term", failing)
+        config = parse_config(SMALL + "sweep.parameter = P\nsweep.values = 0.5, 2\n")
+        with pytest.raises(ExperimentError, match="scheme FIXED_SUBARRAY at sweep value 0.5: synthetic"):
+            run_experiment(config)
+
+    def test_shared_stage_failure_names_every_scheme(self, monkeypatch):
+        from mphp.experiment import ExperimentError
+
+        def failing(*args, **kwargs):
+            raise ArithmeticError("synthetic draw failure")
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
+        config = parse_config(SMALL + "schemes = MPHP, FIXED_SUBARRAY\n")
+        with pytest.raises(ExperimentError, match="scheme MPHP, FIXED_SUBARRAY at sweep value nan: synthetic"):
             run_experiment(config)
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 
 from dataclasses import fields, replace
 
+import mphp.metrics as metrics_mod
 from mphp.baselines import SCHEMES, SchemeId, SlotPrecoders, build_precoders, design_long_term
 from mphp.channel import ArrayGeometry, draw_channel
 from mphp.experiment import SystemConfig
@@ -10,8 +11,10 @@ from mphp.metrics import (
     SLOT_BLOCK,
     PowerModel,
     RunMetrics,
+    SchemeFailure,
     UndefinedFairnessError,
     build_context,
+    context_key,
     energy_efficiency,
     evaluate_slot,
     feedback_overhead,
@@ -502,3 +505,108 @@ class TestEngineMatchesPerSlotLoop:
             assert np.array_equal(single.power, expected.power)
             for got, want in zip(single.w_groups, expected.w_groups):
                 assert (got is None and want is None) or np.array_equal(got, want)
+
+
+class TestSharedDraws:
+    """One engine call over several schemes equals one call per scheme with
+    the same seed: every scheme sees the same channel draws."""
+
+    @pytest.mark.parametrize("case", ["one slot", "G = K", "B = 1", "block boundary"])
+    def test_multi_scheme_equals_per_scheme_calls(self, case):
+        config, n_slots = ENGINE_CASES[case]
+        grouping, scenario, _ = build_context(config, seed=11)
+        schemes = list(SchemeId)
+        runs = monte_carlo_rates(schemes, config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+        assert len(runs) == len(schemes)
+        for scheme, run in zip(schemes, runs):
+            alone = monte_carlo_rates(scheme, config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+            assert_same_run(run, alone)
+
+    @pytest.mark.parametrize("case", ["G = K", "G = 1"])
+    def test_injected_outages_shared_by_every_scheme(self, case):
+        config, _ = ENGINE_CASES[case]
+        n_slots = SLOT_BLOCK + 4
+        grouping, scenario, geometry = build_context(config, seed=11)
+        factory = rank_deficient_factory(scenario, geometry, 23, grouping)
+        kwargs = dict(grouping=grouping, scenario=scenario, channel_factory=factory)
+        schemes = list(reversed(SchemeId))
+        runs = monte_carlo_rates(schemes, config, n_slots, seed=23, **kwargs)
+        for scheme, run in zip(schemes, runs):
+            assert_same_run(run, monte_carlo_rates(scheme, config, n_slots, seed=23, **kwargs))
+        assert any(run.outage_fraction > 0 for run in runs)
+
+    def test_context_built_from_the_seed_when_not_given(self):
+        config = SystemConfig(M=8, K=2, L=2, G=2)
+        runs = monte_carlo_rates([SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF], config, 4, seed=5)
+        assert_same_run(runs[0], monte_carlo_rates(SchemeId.MPHP, config, 4, seed=5))
+        assert_same_run(runs[1], monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, config, 4, seed=5))
+
+    def test_one_draw_per_block_for_all_schemes(self, monkeypatch):
+        config, n_slots = ENGINE_CASES["block boundary"]
+        grouping, scenario, _ = build_context(config, seed=11)
+        blocks = []
+        draw = metrics_mod.channel_mod.draw_channel
+
+        def counted(*args, slot, **kwargs):
+            blocks.append(list(slot))
+            return draw(*args, slot=slot, **kwargs)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
+        monte_carlo_rates(list(SchemeId), config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+        assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
+
+    def test_one_element_sequence_gives_a_list(self):
+        config = SystemConfig(M=8, K=2, L=2, G=2)
+        single = monte_carlo_rates(SchemeId.MPHP, config, 3, seed=5)
+        (listed,) = monte_carlo_rates((SchemeId.MPHP,), config, 3, seed=5)
+        assert isinstance(single, RunMetrics)
+        assert_same_run(listed, single)
+
+    def test_no_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme"):
+            monte_carlo_rates([], SystemConfig(M=8, K=2, L=2, G=2), 3, seed=5)
+
+    def test_failing_scheme_named(self, monkeypatch):
+        config = SystemConfig(M=8, K=2, L=2, G=2)
+        build = metrics_mod.build_precoders
+
+        def failing(scheme, *args):
+            if scheme is SchemeId.FIXED_SUBARRAY:
+                raise ArithmeticError("synthetic")
+            return build(scheme, *args)
+
+        monkeypatch.setattr(metrics_mod, "build_precoders", failing)
+        with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY") as info:
+            monte_carlo_rates(list(SchemeId), config, 3, seed=5)
+        assert info.value.scheme is SchemeId.FIXED_SUBARRAY
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        # A single scheme raises the failure itself.
+        with pytest.raises(ArithmeticError, match="synthetic"):
+            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, config, 3, seed=5)
+
+
+class ReadRecorder:
+    """Stands in for a config and records which fields are read."""
+
+    def __init__(self, config):
+        self._config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+class TestContextKey:
+    def test_key_reads_exactly_the_fields_build_context_reads(self):
+        config = SystemConfig(M=8, K=2, L=2, G=2)
+        built, keyed = ReadRecorder(config), ReadRecorder(config)
+        build_context(built, seed=5)
+        context_key(keyed)
+        assert built.read == keyed.read
+
+    def test_key_follows_the_scenario(self):
+        base = SystemConfig(M=8, K=2, L=2, G=2)
+        assert context_key(replace(base, M=16)) != context_key(base)
+        assert context_key(replace(base, angular_spread=0.05)) != context_key(base)
+        assert context_key(replace(base, P=2.0, B=1, n_slots=3)) == context_key(base)
