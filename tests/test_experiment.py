@@ -8,6 +8,7 @@ import mphp.metrics as metrics_mod
 from mphp.baselines import SchemeId
 from mphp.experiment import (
     CSV_COLUMNS,
+    ExperimentError,
     SystemConfig,
     apply_sweep_value,
     parse_config,
@@ -178,7 +179,7 @@ class TestRowContract:
         build = experiment_mod.build_context
 
         def counted(*args, **kwargs):
-            calls.append(args[0].M)
+            calls.append(1)
             return build(*args, **kwargs)
 
         monkeypatch.setattr(experiment_mod, "build_context", counted)
@@ -251,8 +252,6 @@ class TestValidation:
             run_experiment(config)
 
     def test_failing_scheme_named_among_several(self, monkeypatch):
-        from mphp.experiment import ExperimentError
-
         build = metrics_mod.build_precoders
 
         def failing(scheme, *args):
@@ -269,8 +268,6 @@ class TestValidation:
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_failing_design_named(self, monkeypatch):
-        from mphp.experiment import ExperimentError
-
         design = metrics_mod.design_long_term
 
         def failing(scheme, *args):
@@ -284,8 +281,6 @@ class TestValidation:
             run_experiment(config)
 
     def test_shared_stage_failure_names_every_scheme(self, monkeypatch):
-        from mphp.experiment import ExperimentError
-
         def failing(*args, **kwargs):
             raise ArithmeticError("synthetic draw failure")
 
