@@ -52,7 +52,11 @@ class Grouping:
 
     @cached_property
     def group_eigs(self) -> list[EigenDecomposition]:
-        """Eigendecomposition of each group correlation, computed once."""
+        """Eigendecomposition of each group correlation, computed once.
+
+        ``group_users`` fills it with the decompositions its last centroid
+        update made of matrices with exactly these bytes.
+        """
         return [hermitian_eig(corr) for corr in self.group_correlations]
 
     @property
@@ -68,11 +72,15 @@ class Grouping:
         return int(users[chain])
 
 
-def _dominant_projector(corr: np.ndarray, rank: int) -> np.ndarray:
-    """Orthogonal projector onto the span of the rank dominant eigenvectors."""
-    _, vectors = hermitian_eig(corr)
+def _span_projector(vectors: np.ndarray, rank: int) -> np.ndarray:
+    """Orthogonal projector onto the span of the first rank columns."""
     u = vectors[:, :rank]
     return u @ u.conj().T
+
+
+def _dominant_projector(corr: np.ndarray, rank: int) -> np.ndarray:
+    """Orthogonal projector onto the span of the rank dominant eigenvectors."""
+    return _span_projector(hermitian_eig(corr).eigenvectors, rank)
 
 
 def chordal_distance(corr_a: np.ndarray, corr_b: np.ndarray, subspace_rank: int) -> float:
@@ -187,12 +195,15 @@ def group_users(
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        centroids = [
-            _dominant_projector(_average_correlation(correlations, assignments, g), rank)
+        eigs = [
+            hermitian_eig(_average_correlation(correlations, assignments, g))
             for g in range(group_count)
         ]
+        centroids = [_span_projector(eig.eigenvectors, rank) for eig in eigs]
 
-    return _finalize(correlations, assignments, group_count, cost_history)
+    # Both a converged and a stopped loop end with a centroid update on the
+    # returned assignment, so it decomposed the group correlations.
+    return _finalize(correlations, assignments, group_count, cost_history, eigs)
 
 
 def _average_correlation(
@@ -207,8 +218,16 @@ def _finalize(
     assignments: np.ndarray,
     group_count: int,
     cost_history: list[float],
+    eigs: list[EigenDecomposition],
 ) -> Grouping:
-    """Relabel groups by smallest member and lay out contiguous chain blocks."""
+    """Relabel groups by smallest member and lay out contiguous chain blocks.
+
+    ``eigs[g]`` decomposes the average correlation of group g under
+    ``assignments``.  Averaging the same members in the same order gives
+    the same bytes, so it becomes the relabeled group's ``group_eigs``
+    entry; averages are recomputed rather than kept through the Lloyd loop,
+    which would raise its peak memory.
+    """
     order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
     relabel = {old: new for new, old in enumerate(order)}
     new_assignments = np.array([relabel[int(g)] for g in assignments])
@@ -219,10 +238,12 @@ def _finalize(
     group_correlations = [
         _average_correlation(correlations, new_assignments, g) for g in range(group_count)
     ]
-    return Grouping(
+    grouping = Grouping(
         assignments=new_assignments,
         members=members,
         rf_chains=rf_chains,
         group_correlations=group_correlations,
         cost_history=cost_history,
     )
+    grouping.group_eigs = [eigs[old] for old in order]
+    return grouping

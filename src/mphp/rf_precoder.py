@@ -6,8 +6,10 @@ Per group, the analog precoder is obtained in two stages:
    ratio (SSLNR), solved per group by eigendecomposition of the signal
    correlation minus a weighted leakage correlation.  The weight is the
    bisection midpoint on the fixed-point equation of the optimal value,
-   bit-identical to plain bisection; Newton steps certify most of the
-   bisection's sign decisions, so few eigendecompositions are needed.
+   bit-identical to plain bisection.  Newton steps bound the root, and a
+   midpoint farther from it than the residual band plus a rounding
+   allowance is decided without an eigendecomposition; that margin is
+   exact, not padded, so only the last few midpoints are evaluated.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
@@ -187,16 +189,24 @@ def solve_alpha_star(
 
     The bisection's sign decisions are certified instead of evaluated where
     possible.  With g(a) = f(a) - slope * a, Newton steps on g (Dinkelbach's
-    iteration, derivative by Hellmann–Feynman) first locate the root; since f
-    is non-increasing, every evaluation at a certifies
-    |a - alpha*| <= |g(a)| / slope.  The bisection is then replayed, and a
-    point farther from the certified interval than the residual band plus a
-    floating-point allowance is decided by its sign without an
-    eigendecomposition.  Only points near the root, among them the returned
-    one, are evaluated.  If Newton gives no usable bound, every point is
-    evaluated, as in plain bisection.  ``signal_eig``, the decomposition of
-    ``signal_corr``, spares the ``alpha = 0`` evaluation its own (see
-    ``relaxed_step``).
+    iteration, derivative by Hellmann–Feynman) first locate the root.  Since
+    f is non-increasing, g(a) - g(alpha*) has the sign of alpha* - a and
+    |g(a)| >= slope * |a - alpha*|; so every evaluation at a certifies
+    |alpha* - a| <= |g(a)| / slope + allowance(a), where allowance(a) bounds
+    the rounding of the computed g(a) in units of alpha.  The tightest such
+    interval is kept as ``center`` +- ``radius``.
+
+    The bisection is then replayed.  A midpoint x with
+    |x - center| > radius + tol * x + allowance(x) is decided without an
+    eigendecomposition, and this margin is exact, with no slack: there
+    |x - alpha*| > tol * x + allowance(x), so the computed |g(x)| / slope
+    >= |x - alpha*| - allowance(x) > tol * x.  The midpoint therefore
+    misses the residual band |g(x)| <= tol * slope * x, and its computed
+    g(x) has the sign of the true one, that of center - x.  Only points
+    near the root, among them the returned one, are evaluated.  If Newton
+    gives no usable bound, every point is evaluated, as in plain bisection.
+    ``signal_eig``, the decomposition of ``signal_corr``, spares the
+    ``alpha = 0`` evaluation its own (see ``relaxed_step``).
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
@@ -218,7 +228,8 @@ def solve_alpha_star(
 
     # A generous bound, in units of alpha, on the rounding in a computed
     # g(alpha): 16 * M ulps of ||R||_F + alpha * ||L||_F for each of the S
-    # selected eigenvalues of R - alpha * L, and the rounding of slope * alpha.
+    # selected eigenvalues of R - alpha * L, and the rounding of slope * alpha
+    # and of the residual test.  The skip margin below is exact only with it.
     eps = np.finfo(float).eps
     fp_scale = 16 * signal_corr.shape[0] * streams * eps / slope
     fp_signal = fp_scale * float(np.linalg.norm(signal_corr))
@@ -253,7 +264,7 @@ def solve_alpha_star(
 
     def decide(alpha: float) -> tuple[np.ndarray | None, bool, bool]:
         """(precoder or None, value > slope * alpha, residual_ok) at alpha."""
-        if abs(alpha - center) > radius + 4 * tol * alpha + allowance(alpha):
+        if abs(alpha - center) > radius + tol * alpha + allowance(alpha):
             return None, alpha < center, False
         f_alpha, value = objective(alpha)
         certify(alpha, value)

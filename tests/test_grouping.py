@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from mphp.channel import ArrayGeometry, UserChannelParams, scenario_correlations
+from mphp import grouping as grouping_mod
+from mphp.channel import ArrayGeometry, UserChannelParams, make_scenario, scenario_correlations
 from mphp.grouping import (
     Grouping,
     chordal_distance,
@@ -153,3 +155,62 @@ def test_grouping_dataclass_roundtrip(rng):
     g = group_users(corrs, 2, subspace_rank=1)
     assert isinstance(g, Grouping)
     assert g.user_count == 3
+
+
+def assert_fresh_eigs(grouping):
+    """group_eigs equals a fresh decomposition of each group correlation."""
+    for corr, (values, vectors) in zip(grouping.group_correlations, grouping.group_eigs):
+        fresh = hermitian_eig(corr)
+        assert np.array_equal(values, fresh.eigenvalues)
+        assert np.array_equal(vectors, fresh.eigenvectors)
+
+
+class TestGroupEigsReuse:
+    """group_users hands the decompositions of its last centroid update,
+    made of matrices with the bytes of the group correlations, to group_eigs."""
+
+    def count_eigs(self, monkeypatch):
+        calls = []
+        eig = grouping_mod.hermitian_eig
+
+        def counted(a):
+            calls.append(1)
+            return eig(a)
+
+        monkeypatch.setattr(grouping_mod, "hermitian_eig", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_groups", [1, 3, 8])
+    @pytest.mark.parametrize("m_ant", [8, 64, 128])
+    def test_equal_to_fresh_decomposition(self, m_ant, n_groups):
+        corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
+        assert_fresh_eigs(group_users(corrs, n_groups))
+
+    @pytest.mark.parametrize("n_groups", [1, 3, 8])
+    def test_converged_run_decomposes_nothing_more(self, monkeypatch, n_groups):
+        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(64))
+        calls = self.count_eigs(monkeypatch)
+        grouping = group_users(corrs, n_groups)
+        assert len(grouping.cost_history) < 100  # converged, not stopped
+        calls.clear()
+        assert len(grouping.group_eigs) == n_groups
+        assert calls == []
+
+    def test_run_stopped_by_max_iters(self):
+        rng = np.random.default_rng(1)
+        corrs = [random_psd(rng, 8, dof=2, trace=8.0) for _ in range(8)]
+        converged = group_users(corrs, 3, subspace_rank=2)
+        stopped = group_users(corrs, 3, subspace_rank=2, max_iters=1)
+        assert len(converged.cost_history) > 1
+        assert not np.array_equal(stopped.assignments, converged.assignments)
+        for members, corr in zip(stopped.members, stopped.group_correlations):
+            assert np.array_equal(corr, sum(corrs[int(k)] for k in members) / len(members))
+        assert_fresh_eigs(stopped)
+
+    def test_grouping_built_directly_decomposes_on_first_read(self, monkeypatch):
+        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(16))
+        grouping = dataclasses.replace(group_users(corrs, 3))
+        calls = self.count_eigs(monkeypatch)
+        grouping.group_eigs
+        assert len(calls) == 3
+        assert_fresh_eigs(grouping)
