@@ -66,6 +66,15 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     )
 
 
+def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending: ``hermitian_eig``
+    without the eigenvectors, symmetrized the same way."""
+    a = hermitian_part(a)
+    if a.shape[0] == 0:
+        raise ValueError("cannot eigendecompose an empty matrix")
+    return np.ascontiguousarray(np.linalg.eigvalsh(a)[::-1])
+
+
 def check_condition(a: np.ndarray, label: str = "condition number") -> np.ndarray:
     """Condition test of one matrix or of each matrix in a stack (..., m, n).
 

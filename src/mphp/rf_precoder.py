@@ -6,10 +6,11 @@ Per group, the analog precoder is obtained in two stages:
    ratio (SSLNR), solved per group by eigendecomposition of the signal
    correlation minus a weighted leakage correlation.  The weight is the
    bisection midpoint on the fixed-point equation of the optimal value,
-   bit-identical to plain bisection.  Newton steps bound the root, and a
-   midpoint farther from it than the residual band plus a rounding
-   allowance is decided without an eigendecomposition; that margin is
-   exact, not padded, so only the last few midpoints are evaluated.
+   bit-identical to plain bisection.  Newton steps bound the root from
+   values-only eigensolves, and a midpoint farther from it than the
+   residual band plus a rounding allowance is decided without an
+   eigendecomposition; that margin is exact, not padded, so only the last
+   few midpoints get a full eigendecomposition.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grouping import Grouping
-from .numerics import EigenDecomposition, hermitian_eig
+from .numerics import EigenDecomposition, hermitian_eig, hermitian_eigvals
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITERS = 200
@@ -149,11 +150,22 @@ def relaxed_step(
     if signal_eig is None or not same_bits:
         signal_eig = hermitian_eig(shifted)
     values, vectors = signal_eig
-    top_values = values[:streams]
+    scales, f_value = _scaled_objective(values[:streams], m_ant, objective_exponent)
+    return vectors[:, :streams] * scales[None, :], f_value
+
+
+def _scaled_objective(top_values: np.ndarray, m_ant: int, objective_exponent: int) -> tuple[np.ndarray, float]:
+    """Column scales and f for the selected eigenvalues (see ``relaxed_step``)."""
     scales = np.where(top_values >= 0, 1.0, 1.0 / np.sqrt(m_ant))
-    f_star = vectors[:, :streams] * scales[None, :]
-    f_value = float(np.sum(top_values * scales**objective_exponent))
-    return f_star, f_value
+    return scales, float(np.sum(top_values * scales**objective_exponent))
+
+
+def relaxed_value(
+    signal_corr: np.ndarray, leak_corr: np.ndarray, alpha: float, streams: int, objective_exponent: int = 2
+) -> float:
+    """``relaxed_step``'s value from a values-only eigensolve; the last bits may differ."""
+    top_values = hermitian_eigvals(signal_corr - alpha * leak_corr)[:streams]
+    return _scaled_objective(top_values, signal_corr.shape[0], objective_exponent)[1]
 
 
 def _objective_derivative(f_star: np.ndarray, leak_corr: np.ndarray, objective_exponent: int) -> float:
@@ -189,12 +201,22 @@ def solve_alpha_star(
 
     The bisection's sign decisions are certified instead of evaluated where
     possible.  With g(a) = f(a) - slope * a, Newton steps on g (Dinkelbach's
-    iteration, derivative by Hellmann–Feynman) first locate the root.  Since
-    f is non-increasing, g(a) - g(alpha*) has the sign of alpha* - a and
+    iteration) first locate the root.  The first step takes f' from the
+    ``alpha = 0`` precoder (Hellmann–Feynman); later steps take the secant
+    slope of f between the last two Newton points.  Since f is
+    non-increasing, g(a) - g(alpha*) has the sign of alpha* - a and
     |g(a)| >= slope * |a - alpha*|; so every evaluation at a certifies
     |alpha* - a| <= |g(a)| / slope + allowance(a), where allowance(a) bounds
     the rounding of the computed g(a) in units of alpha.  The tightest such
     interval is kept as ``center`` +- ``radius``.
+
+    A Newton point is never returned: it only locates the root and
+    certifies an interval, and the certificate reads eigenvalues alone.  So
+    Newton points are evaluated values-only (``relaxed_value``).  Their
+    values may differ from ``relaxed_step``'s in the last bits, but
+    allowance(a) bounds the rounding of any backward-stable Hermitian
+    eigensolver (16 * M ulps of ||R|| + a * ||L|| per selected eigenvalue),
+    so the certificate holds for either.
 
     The bisection is then replayed.  A midpoint x with
     |x - center| > radius + tol * x + allowance(x) is decided without an
@@ -203,8 +225,11 @@ def solve_alpha_star(
     >= |x - alpha*| - allowance(x) > tol * x.  The midpoint therefore
     misses the residual band |g(x)| <= tol * slope * x, and its computed
     g(x) has the sign of the true one, that of center - x.  Only points
-    near the root, among them the returned one, are evaluated.  If Newton
-    gives no usable bound, every point is evaluated, as in plain bisection.
+    near the root, among them the returned one, are evaluated, each by
+    ``relaxed_step``: the returned ``alpha_star`` and precoder come from the
+    same ``hermitian_eig`` call as in plain bisection, bit for bit.  If
+    Newton gives no usable bound, every point is evaluated, as in plain
+    bisection.
     ``signal_eig``, the decomposition of ``signal_corr``, spares the
     ``alpha = 0`` evaluation its own (see ``relaxed_step``).
 
@@ -249,15 +274,16 @@ def solve_alpha_star(
 
     alpha, value = 0.0, f0
     certify(alpha, value)
+    derivative = _objective_derivative(f_star, leak_corr, objective_exponent)
     for _ in range(_NEWTON_MAX_STEPS):
-        derivative = _objective_derivative(f_star, leak_corr, objective_exponent) - slope
-        if not (np.isfinite(derivative) and derivative < 0):
+        if not (np.isfinite(derivative) and derivative < slope):
             break
-        step = alpha - (value - slope * alpha) / derivative
+        step = alpha - (value - slope * alpha) / (derivative - slope)
         if not step > alpha:
             break
-        alpha = step
-        f_star, value = objective(alpha)
+        step_value = relaxed_value(signal_corr, leak_corr, step, streams, objective_exponent)
+        derivative = (step_value - value) / (step - alpha)
+        alpha, value = step, step_value
         certify(alpha, value)
         if radius <= tol * alpha:  # already inside the residual band
             break

@@ -18,6 +18,7 @@ from mphp.rf_precoder import (
     nearest_phase_index,
     phase_grid,
     relaxed_step,
+    relaxed_value,
     solve_alpha_star,
     solve_relaxed,
     sslnr,
@@ -353,33 +354,88 @@ class TestMatchesBisection:
 class TestEvaluationCount:
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("m_ant", [16, 32, 64, 128])
-    def test_at_most_six_relaxed_steps_per_group(self, monkeypatch, m_ant, seed):
-        # Plain bisection takes about 30 here.  The replay skips every
-        # midpoint farther than the residual band from the certified root
-        # and takes at most 6 on this grid; a skip margin of 4 * tol * alpha
-        # instead of tol * alpha reaches 8.
+    def test_at_most_three_relaxed_steps_and_five_values_only_solves_per_group(self, monkeypatch, m_ant, seed):
+        # Plain bisection takes about 30 full eigendecompositions here.  The
+        # Newton steps take values-only solves, at most 5 on this grid, and
+        # the replay evaluates only midpoints within the residual band of
+        # the certified root: at most 3 relaxed_step calls, against 6 when
+        # the Newton steps were relaxed_step calls too.
         grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
-        calls = []
-        per_group = []
-        step, solve = rf_precoder.relaxed_step, rf_precoder.solve_alpha_star
+        counts = {"relaxed_step": [], "hermitian_eigvals": []}
+        per_group = {name: [] for name in counts}
 
-        def counted_step(*args, **kwargs):
-            calls.append(1)
-            return step(*args, **kwargs)
+        def counted(name):
+            inner = getattr(rf_precoder, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name].append(1)
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        solve = rf_precoder.solve_alpha_star
 
         def counted_solve(*args, **kwargs):
-            calls.clear()
+            for calls in counts.values():
+                calls.clear()
             out = solve(*args, **kwargs)
-            per_group.append(len(calls))
+            for name, calls in counts.items():
+                per_group[name].append(len(calls))
             return out
 
-        monkeypatch.setattr(rf_precoder, "relaxed_step", counted_step)
+        for name in counts:
+            monkeypatch.setattr(rf_precoder, name, counted(name))
         monkeypatch.setattr(rf_precoder, "solve_alpha_star", counted_solve)
         for power in (0.1, 1.0, 10.0):
-            per_group.clear()
+            for groups in per_group.values():
+                groups.clear()
             solve_relaxed(grouping, n_users=grouping.user_count, power=power)
-            assert len(per_group) == grouping.group_count
-            assert max(per_group) <= 6, power
+            assert len(per_group["relaxed_step"]) == grouping.group_count
+            assert max(per_group["relaxed_step"]) <= 3, power
+            assert max(per_group["hermitian_eigvals"]) <= 5, power
+
+
+class TestValuesOnlyObjective:
+    """The Newton points of solve_alpha_star are certified from
+    relaxed_value, so its difference from relaxed_step's value must stay
+    within the solver's rounding allowance (in units of f here: 16 * M ulps
+    of ||R||_F + alpha * ||L||_F per selected eigenvalue)."""
+
+    @staticmethod
+    def assert_within_allowance(corr, leak, alpha, streams, objective_exponent):
+        _, expected = relaxed_step(corr, leak, alpha, streams, objective_exponent)
+        got = relaxed_value(corr, leak, alpha, streams, objective_exponent)
+        eps = np.finfo(float).eps
+        allowance = 16 * corr.shape[0] * streams * eps * (np.linalg.norm(corr) + alpha * np.linalg.norm(leak))
+        assert abs(got - expected) <= allowance
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_ant=st.integers(1, 12),
+        leak_scale=st.sampled_from([0.0, 1e5]) | st.floats(0.0, 1e5),
+        log_alpha=st.floats(-6.0, 6.0),
+        objective_exponent=st.sampled_from([1, 2]),
+    )
+    def test_random_points(self, seed, m_ant, leak_scale, log_alpha, objective_exponent):
+        corr, leak, streams, _, _ = random_alpha_problem(seed, m_ant, leak_scale)
+        for alpha in (0.0, 10.0**log_alpha):
+            self.assert_within_allowance(corr, leak, alpha, streams, objective_exponent)
+
+    @pytest.mark.parametrize("objective_exponent", [1, 2])
+    @pytest.mark.parametrize("leak_scale", [1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("m_ant", [64, 128])
+    def test_large_arrays_near_the_root(self, m_ant, leak_scale, objective_exponent):
+        problem = random_alpha_problem([m_ant, int(1000 * leak_scale), objective_exponent], m_ant, leak_scale)
+        corr, leak, streams, _, _ = problem
+        alpha, _ = solve_alpha_star(*problem, objective_exponent=objective_exponent)
+        for point in (0.5 * alpha, alpha, 2.0 * alpha):
+            self.assert_within_allowance(corr, leak, point, streams, objective_exponent)
+
+    def test_values_only(self, monkeypatch):
+        corr, leak, streams, _, _ = random_alpha_problem([702, 0], 8, 1.0)
+        monkeypatch.setattr(rf_precoder, "hermitian_eig", None)
+        assert isinstance(relaxed_value(corr, leak, 0.5, streams), float)
 
 
 def signed_zero_problem():
