@@ -7,10 +7,12 @@ Per group, the analog precoder is obtained in two stages:
    correlation minus a weighted leakage correlation.  The weight is the
    bisection midpoint on the fixed-point equation of the optimal value,
    bit-identical to plain bisection.  Newton steps bound the root from
-   values-only eigensolves, and a midpoint farther from it than the
-   residual band plus a rounding allowance is decided without an
-   eigendecomposition; that margin is exact, not padded, so only the last
-   few midpoints get a full eigendecomposition.
+   values-only eigensolves of the pencil projected onto the groups' joint
+   dominant subspace (r x r instead of M x M), with what the projection
+   leaves out bounded exactly by Weyl's inequality.  A midpoint farther
+   from the root than the residual band plus a rounding allowance is
+   decided without an eigendecomposition; that margin is exact, not padded,
+   so only the last few midpoints get a full M x M eigendecomposition.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
@@ -20,6 +22,7 @@ Per group, the analog precoder is obtained in two stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,13 +76,21 @@ def phase_grid(bits: int) -> np.ndarray:
     return np.exp(2j * np.pi * n / 2**bits)
 
 
+@lru_cache(maxsize=None)
+def _shared_grid(bits: int) -> np.ndarray:
+    """``phase_grid(bits)``, built once per ``bits`` and read-only."""
+    grid = phase_grid(bits)
+    grid.flags.writeable = False
+    return grid
+
+
 def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndarray:
     """Grid index minimizing chord distance to value's phase; 0 for value = 0.
 
     A scalar gives an ``int``; an array gives an integer array of its shape,
     quantized elementwise against one grid.  Ties resolve to the lowest index.
     """
-    grid = phase_grid(bits)
+    grid = _shared_grid(bits)
     # A scalar keeps the scalar abs(): the array abs can differ in the last
     # bit, which could flip a near-tie in grfp_assign's per-antenna calls.
     # A subnormal magnitude is first scaled by an exact power of two, since
@@ -161,11 +172,36 @@ def _scaled_objective(top_values: np.ndarray, m_ant: int, objective_exponent: in
 
 
 def relaxed_value(
-    signal_corr: np.ndarray, leak_corr: np.ndarray, alpha: float, streams: int, objective_exponent: int = 2
+    signal_corr: np.ndarray,
+    leak_corr: np.ndarray,
+    alpha: float,
+    streams: int,
+    objective_exponent: int = 2,
+    m_ant: int | None = None,
 ) -> float:
-    """``relaxed_step``'s value from a values-only eigensolve; the last bits may differ."""
-    top_values = hermitian_eigvals(signal_corr - alpha * leak_corr)[:streams]
-    return _scaled_objective(top_values, signal_corr.shape[0], objective_exponent)[1]
+    """``relaxed_step``'s value from a values-only eigensolve; the last bits may differ.
+
+    ``m_ant``, when larger than the pencil, makes it the projection of an
+    ``m_ant``-antenna pencil: its spectrum is padded with zeros to ``m_ant``
+    values, and the negative-eigenvalue scale is ``1/sqrt(m_ant)``.
+    """
+    m_ant = signal_corr.shape[0] if m_ant is None else m_ant
+    values = hermitian_eigvals(signal_corr - alpha * leak_corr)
+    padded = np.sort(np.concatenate([values, np.zeros(m_ant - values.size)]))[::-1]
+    return _scaled_objective(padded[:streams], m_ant, objective_exponent)[1]
+
+
+def _projected_pencil(
+    basis: np.ndarray, signal_corr: np.ndarray, leak_corr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(U^H R U, U^H L U, ||R - U R^ U^H||_F, ||L - U L^ U^H||_F) for U = ``basis``."""
+
+    def project(a: np.ndarray) -> tuple[np.ndarray, float]:
+        a_hat = basis.conj().T @ a @ basis
+        return a_hat, float(np.linalg.norm(a - basis @ a_hat @ basis.conj().T))
+
+    (signal_hat, delta_signal), (leak_hat, delta_leak) = project(signal_corr), project(leak_corr)
+    return signal_hat, leak_hat, delta_signal, delta_leak
 
 
 def _objective_derivative(f_star: np.ndarray, leak_corr: np.ndarray, objective_exponent: int) -> float:
@@ -188,6 +224,7 @@ def solve_alpha_star(
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
     signal_eig: EigenDecomposition | None = None,
+    basis: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Solve f(alpha) = (K * S_g / P) * alpha; the answer is the bisection's.
 
@@ -218,6 +255,31 @@ def solve_alpha_star(
     eigensolver (16 * M ulps of ||R|| + a * ||L|| per selected eigenvalue),
     so the certificate holds for either.
 
+    With ``basis``, an (M, r) matrix U with orthonormal columns, a Newton
+    point is evaluated on the projected pencil R^ = U^H R U, L^ = U^H L U:
+    f^(a) takes the S top eigenvalues of A^ = R^ - a L^ padded with M - r
+    zeros, an r x r solve.  Those padded values are the spectrum of
+    U A^ U^H, and A = R - a L differs from it by at most
+    ||A - U A^ U^H||_2 <= d_R + a d_L, with d_R = ||R - U R^ U^H||_F and d_L
+    likewise, measured once per call.  By Weyl's inequality each eigenvalue
+    of A lies that close to its padded counterpart; each term
+    lambda * s(lambda)^e of f is non-decreasing and 1-Lipschitz in lambda,
+    since its scale s is at most 1; so |f^(a) - f(a)| <= S (d_R + a d_L),
+    and the point's certificate adds that, in units of alpha.  Correctness
+    rests on d alone: a basis that misses the dominant subspace only widens
+    the certificate, and more midpoints are then evaluated.  The rounding
+    of the computed U, A^ and d stays inside allowance(a), which is sized
+    for the backward error of an M x M solve, 16 * M ulps of
+    ||R||_F + a * ||L||_F per eigenvalue, far above the few ulps that
+    LAPACK's solvers make in practice.  The r x r solve of A^ rounds no
+    more than the M x M one did, as ||A^||_F <= ||A||_F up to U's rounding.
+    U departs from orthonormal by a few ulps (a Householder QR; 21 ulps in
+    Frobenius norm at M = 128), which moves each padded value by that
+    relative amount (Ostrowski's theorem), and the products behind A^ and
+    d have inner dimension at most M, so each rounds by O(M) ulps of the
+    same norms.  Without ``basis``, U = I and d = 0: the full pencil is
+    solved, as before.
+
     The bisection is then replayed.  A midpoint x with
     |x - center| > radius + tol * x + allowance(x) is decided without an
     eigendecomposition, and this margin is exact, with no slack: there
@@ -231,7 +293,8 @@ def solve_alpha_star(
     Newton gives no usable bound, every point is evaluated, as in plain
     bisection.
     ``signal_eig``, the decomposition of ``signal_corr``, spares the
-    ``alpha = 0`` evaluation its own (see ``relaxed_step``).
+    ``alpha = 0`` evaluation its own (see ``relaxed_step``).  Neither it nor
+    ``basis`` changes the result.
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
@@ -256,19 +319,25 @@ def solve_alpha_star(
     # selected eigenvalues of R - alpha * L, and the rounding of slope * alpha
     # and of the residual test.  The skip margin below is exact only with it.
     eps = np.finfo(float).eps
-    fp_scale = 16 * signal_corr.shape[0] * streams * eps / slope
+    m_ant = signal_corr.shape[0]
+    fp_scale = 16 * m_ant * streams * eps / slope
     fp_signal = fp_scale * float(np.linalg.norm(signal_corr))
     fp_leak = fp_scale * float(np.linalg.norm(leak_corr))
 
     def allowance(alpha: float) -> float:
         return fp_signal + alpha * fp_leak + 4 * eps * alpha
 
+    # The Newton points' pencil and what its projection leaves out (above).
+    newton_signal, newton_leak, delta_signal, delta_leak = signal_corr, leak_corr, 0.0, 0.0
+    if basis is not None:
+        newton_signal, newton_leak, delta_signal, delta_leak = _projected_pencil(basis, signal_corr, leak_corr)
+
     # alpha* lies within radius of center, from the tightest evaluation.
     center, radius = 0.0, np.inf
 
-    def certify(alpha: float, value: float) -> None:
+    def certify(alpha: float, value: float, error: float = 0.0) -> None:
         nonlocal center, radius
-        bound = abs(value - slope * alpha) / slope + allowance(alpha)
+        bound = abs(value - slope * alpha) / slope + allowance(alpha) + error
         if bound < radius:
             center, radius = alpha, bound
 
@@ -281,10 +350,10 @@ def solve_alpha_star(
         step = alpha - (value - slope * alpha) / (derivative - slope)
         if not step > alpha:
             break
-        step_value = relaxed_value(signal_corr, leak_corr, step, streams, objective_exponent)
+        step_value = relaxed_value(newton_signal, newton_leak, step, streams, objective_exponent, m_ant)
         derivative = (step_value - value) / (step - alpha)
         alpha, value = step, step_value
-        certify(alpha, value)
+        certify(alpha, value, streams * (delta_signal + alpha * delta_leak) / slope)  # Weyl
         if radius <= tol * alpha:  # already inside the residual band
             break
 
@@ -335,7 +404,11 @@ def solve_relaxed(
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
 ) -> RelaxedSolution:
-    """Run the relaxed per-group solve for every group."""
+    """Run the relaxed per-group solve for every group.
+
+    Newton points are evaluated on ``grouping.group_basis`` (see
+    ``solve_alpha_star``); the result is the same without it.
+    """
     alphas: list[float] = []
     precoders: list[np.ndarray] = []
     for g in range(grouping.group_count):
@@ -349,6 +422,7 @@ def solve_relaxed(
             max_iters=max_iters,
             objective_exponent=objective_exponent,
             signal_eig=grouping.group_eigs[g],
+            basis=grouping.group_basis,
         )
         alphas.append(alpha)
         precoders.append(f_star)
@@ -369,7 +443,9 @@ def grfp_assign(
     magnitude and fixes its shifter to the nearest grid phase.  One sweep over
     all group columns assigns one antenna per RF chain, and sweeps repeat
     round-robin until all antennas are connected, so chains accumulate
-    antennas while the sweep priority is preserved.
+    antennas while the sweep priority is preserved.  Equal magnitudes go to
+    the lowest antenna index: each column is ranked once by a stable sort,
+    and a cursor per column skips the antennas already claimed.
     """
     n_chains = sum(len(m) for m in grouping.members)
     if n_chains > antenna_count:
@@ -381,7 +457,14 @@ def grfp_assign(
 
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
     inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
-    grid = phase_grid(bits)
+    grid = _shared_grid(bits)
+    # Per group column i: the antennas by descending |f_star[:, i]| (a stable
+    # sort, so ties by index), and a cursor past the ones already claimed.
+    ranked = [
+        [np.argsort(-np.abs(f_star[:, i]), kind="stable").tolist() for i in range(f_star.shape[1])]
+        for f_star in relaxed.f_star
+    ]
+    cursors = [[0] * f_star.shape[1] for f_star in relaxed.f_star]
 
     f = np.zeros((antenna_count, n_chains), dtype=complex)
     antenna_to_chain = np.full(antenna_count, -1, dtype=int)
@@ -395,8 +478,10 @@ def grfp_assign(
             f_star = relaxed.f_star[g]
             chains = grouping.rf_chains[g]
             for i in range(len(chains)):
-                magnitudes = np.where(unassigned, np.abs(f_star[:, i]), -1.0)
-                antenna = int(np.argmax(magnitudes))
+                column, k = ranked[g][i], cursors[g][i]
+                while not unassigned[column[k]]:
+                    k += 1
+                cursors[g][i], antenna = k, column[k]
                 n_star = nearest_phase_index(f_star[antenna, i], bits)
                 chain = int(chains[i])
                 f[antenna, chain] = inv_sqrt_m * grid[n_star]

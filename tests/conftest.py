@@ -41,3 +41,17 @@ def make_grouping(correlations, assignments):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test: each call appends its positional
+    arguments to the returned list, then runs the original."""
+    inner = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

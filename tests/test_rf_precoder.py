@@ -25,7 +25,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import make_grouping, random_psd
+from conftest import count_calls, make_grouping, random_psd
 
 
 def diagonal_grouping():
@@ -36,11 +36,12 @@ def diagonal_grouping():
 
 def bisect_alpha_star(
     signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2,
-    signal_eig=None,
+    signal_eig=None, basis=None,
 ):
     """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the oracle that
-    solve_alpha_star must reproduce bit for bit.  ``signal_eig`` is accepted
-    and ignored: the oracle decomposes every point it evaluates."""
+    solve_alpha_star must reproduce bit for bit.  ``signal_eig`` and ``basis``
+    are accepted and ignored: the oracle decomposes every point it evaluates
+    in full."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     slope = n_users * streams / power
@@ -91,6 +92,18 @@ def random_alpha_problem(seed, m_ant, leak_scale, power=None):
     corr = random_psd(rng, m_ant, dof=int(rng.integers(1, m_ant + 1)), trace=float(m_ant))
     leak = leak_scale * random_psd(rng, m_ant, dof=int(rng.integers(1, m_ant + 1)), trace=float(m_ant))
     return corr, leak, streams, n_users, power
+
+
+def random_basis(seed, m_ant, rank):
+    """Orthonormal basis of a random subspace of min(rank, m_ant) dimensions."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m_ant, min(rank, m_ant))) + 1j * rng.standard_normal((m_ant, min(rank, m_ant)))
+    return np.linalg.qr(x)[0]
+
+
+def joint_basis(*matrices):
+    """Grouping.group_basis of groups with these correlations."""
+    return make_grouping(list(matrices), range(len(matrices))).group_basis
 
 
 def assert_matches_bisection(problem, **options):
@@ -231,12 +244,17 @@ class TestSolveAlphaStar:
         assert np.array_equal(rf_base.antenna_to_chain, rf_scaled.antenna_to_chain)
 
 
+def on_the_grid(test):
+    """Parametrize a test over the bisection grid: M, leakage, tol, exponent."""
+    test = pytest.mark.parametrize("m_ant", [1, 2, 8, 64, 128])(test)
+    test = pytest.mark.parametrize("leak_scale", [0.0, 1e-3, 1.0, 100.0])(test)
+    test = pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])(test)
+    return pytest.mark.parametrize("objective_exponent", [1, 2])(test)
+
+
 class TestMatchesBisection:
-    @pytest.mark.parametrize("objective_exponent", [1, 2])
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-    @pytest.mark.parametrize("leak_scale", [0.0, 1e-3, 1.0, 100.0])
-    @pytest.mark.parametrize("m_ant", [1, 2, 8, 64, 128])
-    def test_grid(self, m_ant, leak_scale, tol, objective_exponent):
+    @staticmethod
+    def check_grid_case(m_ant, leak_scale, tol, objective_exponent, poor_basis):
         # Leak scale 0 is the one-group closed form; 100 drives the top
         # eigenvalues negative near the root.  At tol = 1e-12 with strong
         # leakage the rounding of f can keep every midpoint above the
@@ -246,8 +264,21 @@ class TestMatchesBisection:
         for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
             seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
             problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-            alpha = assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent)
+            options = {"tol": tol, "objective_exponent": objective_exponent}
+            if poor_basis:
+                options["basis"] = random_basis(seed + [2], m_ant, 2)
+            alpha = assert_matches_bisection(problem, **options)
             assert alpha is not None or tol < 1e-9
+
+    @on_the_grid
+    def test_grid(self, m_ant, leak_scale, tol, objective_exponent):
+        self.check_grid_case(m_ant, leak_scale, tol, objective_exponent, poor_basis=False)
+
+    @on_the_grid
+    def test_grid_poor_basis(self, m_ant, leak_scale, tol, objective_exponent):
+        # A random 2-dimensional basis leaves most of the pencil out of the
+        # Newton points: the answer must rest on the Weyl term alone.
+        self.check_grid_case(m_ant, leak_scale, tol, objective_exponent, poor_basis=True)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -257,10 +288,17 @@ class TestMatchesBisection:
         power=st.floats(1e-2, 1e3),
         tol=st.sampled_from([1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 1e-2),
         objective_exponent=st.sampled_from([1, 2]),
+        basis=st.sampled_from([None, "joint"]) | st.integers(1, 12),
     )
-    def test_random_problems(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
+    def test_random_problems(self, seed, m_ant, leak_scale, power, tol, objective_exponent, basis):
+        # basis: none, the joint dominant basis of R and L, or a random
+        # subspace of that many dimensions.
         problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-        assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent)
+        if basis == "joint":
+            basis = joint_basis(problem[0], problem[1])
+        elif basis is not None:
+            basis = random_basis(seed, m_ant, basis)
+        assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent, basis=basis)
 
     # Strong leakage at tol <= 1e-12: the rounding of the computed f is about
     # as large as the residual band, so a sign decided without the
@@ -297,10 +335,12 @@ class TestMatchesBisection:
         log_power=st.floats(1.0, 4.0),
         log_tol=st.floats(float(np.log10(3e-15)), -9.0),
         objective_exponent=st.sampled_from([1, 2]),
+        projected=st.booleans(),
     )
-    def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol, objective_exponent):
+    def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol, objective_exponent, projected):
         problem = random_alpha_problem(seed, m_ant, 10.0**log_leak, 10.0**log_power)
-        assert_matches_bisection(problem, tol=10.0**log_tol, objective_exponent=objective_exponent)
+        basis = joint_basis(problem[0], problem[1]) if projected else None
+        assert_matches_bisection(problem, tol=10.0**log_tol, objective_exponent=objective_exponent, basis=basis)
 
     @pytest.mark.parametrize("leak", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])])
     @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0])
@@ -359,33 +399,22 @@ class TestEvaluationCount:
         # Newton steps take values-only solves, at most 5 on this grid, and
         # the replay evaluates only midpoints within the residual band of
         # the certified root: at most 3 relaxed_step calls, against 6 when
-        # the Newton steps were relaxed_step calls too.
+        # the Newton steps were relaxed_step calls too.  At M = 128 the
+        # values-only solves are smaller than M x M: they run on the groups'
+        # joint dominant subspace (56 dimensions at seed 1).
         grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
-        counts = {"relaxed_step": [], "hermitian_eigvals": []}
-        per_group = {name: [] for name in counts}
-
-        def counted(name):
-            inner = getattr(rf_precoder, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name].append(1)
-                return inner(*args, **kwargs)
-
-            return wrapper
-
+        calls = {name: count_calls(monkeypatch, rf_precoder, name) for name in ("relaxed_step", "hermitian_eigvals")}
+        per_group = {name: [] for name in calls}
         solve = rf_precoder.solve_alpha_star
 
-        def counted_solve(*args, **kwargs):
-            for calls in counts.values():
-                calls.clear()
+        def solve_one_group(*args, **kwargs):
+            before = {name: len(made) for name, made in calls.items()}
             out = solve(*args, **kwargs)
-            for name, calls in counts.items():
-                per_group[name].append(len(calls))
+            for name, made in calls.items():
+                per_group[name].append(len(made) - before[name])
             return out
 
-        for name in counts:
-            monkeypatch.setattr(rf_precoder, name, counted(name))
-        monkeypatch.setattr(rf_precoder, "solve_alpha_star", counted_solve)
+        monkeypatch.setattr(rf_precoder, "solve_alpha_star", solve_one_group)
         for power in (0.1, 1.0, 10.0):
             for groups in per_group.values():
                 groups.clear()
@@ -393,6 +422,9 @@ class TestEvaluationCount:
             assert len(per_group["relaxed_step"]) == grouping.group_count
             assert max(per_group["relaxed_step"]) <= 3, power
             assert max(per_group["hermitian_eigvals"]) <= 5, power
+        if m_ant == 128:
+            assert calls["hermitian_eigvals"]
+            assert all(a.shape[0] < m_ant for a, in calls["hermitian_eigvals"])
 
 
 class TestValuesOnlyObjective:
@@ -438,6 +470,43 @@ class TestValuesOnlyObjective:
         assert isinstance(relaxed_value(corr, leak, 0.5, streams), float)
 
 
+class TestProjectedValue:
+    """A Newton point on the pencil projected onto a basis U is certified
+    with the Weyl term S * (d_R + alpha * d_L): relaxed_value of the
+    projection, padded to M values, must lie that close to relaxed_step's f,
+    up to the solver's rounding allowance (16 * M ulps of
+    ||R||_F + alpha * ||L||_F per selected eigenvalue)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_ant=st.integers(1, 16),
+        leak_scale=st.sampled_from([0.0, 1e5]) | st.floats(0.0, 1e5),
+        log_alpha=st.floats(-6.0, 6.0),
+        objective_exponent=st.sampled_from([1, 2]),
+        random_rank=st.none() | st.integers(1, 16),
+    )
+    def test_within_weyl_bound(self, seed, m_ant, leak_scale, log_alpha, objective_exponent, random_rank):
+        # Rank-deficient user correlations in 1 to 4 groups; U is their
+        # group_basis, or a random subspace of random_rank dimensions.
+        rng = np.random.default_rng(seed)
+        n_users = int(rng.integers(1, min(m_ant, 4) + 1))
+        dof = int(rng.integers(1, max(m_ant // 2, 1) + 1))
+        corrs = [random_psd(rng, m_ant, dof=dof, trace=float(m_ant)) for _ in range(n_users)]
+        grouping = make_grouping(corrs, np.arange(n_users) % int(rng.integers(1, n_users + 1)))
+        corr = grouping.group_correlations[0]
+        leak = leak_scale * leakage_correlation(grouping, 0)
+        streams = len(grouping.members[0])
+        basis = grouping.group_basis if random_rank is None else random_basis(seed, m_ant, random_rank)
+        signal_hat, leak_hat, delta_signal, delta_leak = rf_precoder._projected_pencil(basis, corr, leak)
+        eps = np.finfo(float).eps
+        for alpha in (0.0, 10.0**log_alpha):
+            _, expected = relaxed_step(corr, leak, alpha, streams, objective_exponent)
+            got = relaxed_value(signal_hat, leak_hat, alpha, streams, objective_exponent, m_ant)
+            allowance = 16 * m_ant * streams * eps * (np.linalg.norm(corr) + alpha * np.linalg.norm(leak))
+            assert abs(got - expected) <= streams * (delta_signal + alpha * delta_leak) + allowance
+
+
 def signed_zero_problem():
     """(R, L) where R - 0.0 * L differs from R only in the sign of a zero."""
     signal = np.array([[2.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]])
@@ -454,23 +523,12 @@ class TestSignalEigReuse:
     """solve_alpha_star takes the decomposition of R for its alpha = 0 step
     only where R - 0.0 * L has exactly the bits of R."""
 
-    def count_eigs(self, monkeypatch):
-        calls = []
-        eig = rf_precoder.hermitian_eig
-
-        def counted(a):
-            calls.append(1)
-            return eig(a)
-
-        monkeypatch.setattr(rf_precoder, "hermitian_eig", counted)
-        return calls
-
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("leak_scale", [0.0, 1.0])
     def test_one_decomposition_fewer_and_same_answer(self, monkeypatch, seed, leak_scale):
         problem = random_alpha_problem([700, seed], 8, leak_scale)
         expected_alpha, expected_f = bisect_alpha_star(*problem)
-        calls = self.count_eigs(monkeypatch)
+        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
         plain = solve_alpha_star(*problem)
         plain_calls = len(calls)
         calls.clear()
@@ -484,7 +542,7 @@ class TestSignalEigReuse:
         signal, leak = signed_zero_problem()
         shifted = signal - 0.0 * leak
         assert np.array_equal(shifted, signal) and shifted.tobytes() != signal.tobytes()
-        calls = self.count_eigs(monkeypatch)
+        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
         expected = relaxed_step(signal, leak, 0.0, 1)
         assert len(calls) == 1
         got = relaxed_step(signal, leak, 0.0, 1, signal_eig=bogus_eig(2))
@@ -508,7 +566,7 @@ class TestSignalEigReuse:
     def test_solve_relaxed_saves_one_decomposition_per_group(self, monkeypatch, seed):
         grouping, _, _ = build_context(SystemConfig(M=32), seed)
         grouping.group_eigs  # decomposed before counting
-        calls = self.count_eigs(monkeypatch)
+        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
         relaxed = solve_relaxed(grouping, n_users=8, power=1.0)
         reused = len(calls)
         grouping.__dict__.pop("group_eigs")
@@ -620,6 +678,15 @@ class TestPhaseQuantization:
         assert np.array_equal(index[: normal.size], plain)
         assert list(index[normal.size :]) == [14, 0]
 
+    def test_grid_built_once_per_bits(self, monkeypatch):
+        rf_precoder._shared_grid.cache_clear()
+        calls = count_calls(monkeypatch, rf_precoder, "phase_grid")
+        assert [nearest_phase_index(1j, 5) for _ in range(3)] == [8, 8, 8]
+        assert len(calls) == 1
+        public = phase_grid(5)  # still a fresh, writable array
+        public[:] = 0.0
+        assert nearest_phase_index(1j, 5) == 8
+
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             phase_grid(0)
@@ -690,6 +757,67 @@ class TestGrfpAssign:
         rf.f[0, 0] *= 1.0 + 1e-9
         with pytest.raises(ValueError):
             validate_rf_precoder(rf)
+
+
+def grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count):
+    """grfp_assign's claim loop as it was, the oracle for the ranked one:
+    every claim rescans the column and takes argmax's first maximum among
+    the unassigned antennas."""
+    n_chains = sum(len(m) for m in grouping.members)
+    order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
+    inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
+    grid = phase_grid(bits)
+    f = np.zeros((antenna_count, n_chains), dtype=complex)
+    antenna_to_chain = np.full(antenna_count, -1, dtype=int)
+    phase_index = np.zeros(antenna_count, dtype=int)
+    unassigned = np.ones(antenna_count, dtype=bool)
+    assigned = 0
+    while assigned < antenna_count:
+        for g in order:
+            f_star = relaxed.f_star[int(g)]
+            for i, chain in enumerate(grouping.rf_chains[int(g)]):
+                if assigned == antenna_count:
+                    break
+                antenna = int(np.argmax(np.where(unassigned, np.abs(f_star[:, i]), -1.0)))
+                n_star = nearest_phase_index(f_star[antenna, i], bits)
+                f[antenna, int(chain)] = inv_sqrt_m * grid[n_star]
+                antenna_to_chain[antenna] = int(chain)
+                phase_index[antenna] = n_star
+                unassigned[antenna] = False
+                assigned += 1
+    return rf_precoder.RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
+
+
+def assert_grfp_matches_rescan(relaxed, grouping, bits, antenna_count):
+    got = grfp_assign(relaxed, grouping, bits=bits, antenna_count=antenna_count)
+    expected = grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count)
+    assert np.array_equal(got.f, expected.f)
+    assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain)
+    assert np.array_equal(got.phase_index, expected.phase_index)
+    assert got.bits == expected.bits
+
+
+class TestGrfpMatchesRescan:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [8, 64, 128])
+    def test_pipeline_designs(self, m_ant, seed):
+        grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
+        relaxed = solve_relaxed(grouping, n_users=grouping.user_count, power=1.0)
+        for bits in (1, 4, 6):
+            assert_grfp_matches_rescan(relaxed, grouping, bits, m_ant)
+
+    @pytest.mark.parametrize("m_ant", [8, 64])
+    def test_mirror_pair_ties(self, m_ant):
+        # Rows m and M - 1 - m hold conjugate values, so every magnitude is
+        # tied exactly with its mirror; every group also ties on alpha*.
+        grouping, _, _ = build_context(SystemConfig(M=m_ant), 1)
+        relaxed = solve_relaxed(grouping, n_users=grouping.user_count, power=1.0)
+        half = m_ant // 2
+        mirrored = [np.vstack([f[:half], np.conj(f[:half][::-1])]) for f in relaxed.f_star]
+        assert all(np.array_equal(np.abs(f), np.abs(f[::-1])) for f in mirrored)
+        for alphas in (relaxed.alpha_star, [1.0] * grouping.group_count):
+            for bits in (1, 4, 6):
+                assert_grfp_matches_rescan(RelaxedSolution(list(alphas), mirrored), grouping, bits, m_ant)
 
 
 class TestSslnr:
