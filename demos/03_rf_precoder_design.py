@@ -1,5 +1,5 @@
 """Long-timescale RF design walkthrough: the relaxed per-group objective,
-the bisection fixed point, and the greedy quantized projection onto the
+the Newton fixed point, and the greedy quantized projection onto the
 one-shifter-per-antenna hardware.
 """
 
@@ -34,7 +34,7 @@ for alpha in (0.0, 0.5, 1.0, 2.0, 4.0):
     print(f"alpha = {alpha:4.1f}: objective {value:8.4f}   line {slope * alpha:8.4f}")
 
 relaxed = solve_relaxed(grouping, n_users=n_users, power=power)
-print("\n=== bisection fixed points ===")
+print("\n=== fixed points (safeguarded Newton) ===")
 for g, alpha in enumerate(relaxed.alpha_star):
     print(f"group {g}: alpha* = {alpha:.6f} (columns: {relaxed.f_star[g].shape[1]})")
 

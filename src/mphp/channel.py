@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import hermitian_eig, hermitian_part
+from .numerics import hermitian_eig, hermitian_part  # noqa: F401  (unused; bench/run.py traces this binding)
 
 # Truncation of the AoD density, in standard deviations around the mean.
 AOD_TRUNCATION_SIGMAS = 2.0
@@ -86,9 +86,10 @@ def correlation_from_params(
 ) -> np.ndarray:
     """Spatial correlation matrix E[h h^H] under the truncated-Gaussian AoD density.
 
-    Midpoint quadrature over the truncated support, then symmetrization,
-    PSD projection (negative eigenvalues clamped to zero, a 1e-12-scale
-    quadrature artifact) and trace renormalization to M * mean_power.
+    Midpoint quadrature over the truncated support, then symmetrization and
+    trace renormalization to M * mean_power.  No PSD projection is needed:
+    A * diag(w) * A^H with weights w >= 0 is PSD by construction, and its
+    computed negative eigenvalues are rounding of order 1e-12.
     """
     if quadrature_points < 32:
         raise ValueError(f"quadrature_points must be >= 32, got {quadrature_points}")
@@ -107,11 +108,6 @@ def correlation_from_params(
     a = _steering_matrix(thetas, geometry)
     corr = (a * weights[None, :]) @ a.conj().T
     corr = hermitian_part(params.mean_power * corr)
-
-    values, vectors = hermitian_eig(corr)
-    clamped = np.maximum(values, 0.0)
-    corr = (vectors * clamped[None, :]) @ vectors.conj().T
-    corr = hermitian_part(corr)
     trace = float(np.real(np.trace(corr)))
     if trace > 0:
         corr *= (m_ant * params.mean_power) / trace

@@ -59,20 +59,6 @@ class Grouping:
         """
         return [hermitian_eig(corr) for corr in self.group_correlations]
 
-    @cached_property
-    def group_basis(self) -> np.ndarray:
-        """Orthonormal (M, r) basis of the groups' joint dominant subspace, r <= M.
-
-        Built from ``group_eigs`` without a new decomposition: each group
-        gives the eigenvectors whose eigenvalue exceeds its decomposition's
-        rounding level, M * eps * lambda_1, and one Householder QR
-        orthonormalises the stacked columns.
-        """
-        m_ant = self.group_correlations[0].shape[0]
-        eps = np.finfo(float).eps
-        columns = [vectors[:, values > m_ant * eps * values[0]] for values, vectors in self.group_eigs]
-        return np.linalg.qr(np.hstack(columns))[0]
-
     @property
     def chain_users(self) -> np.ndarray:
         """User index served by each RF chain (chain blocks follow group order)."""

@@ -10,8 +10,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Reconstruction error allowed for an eigendecomposition (Frobenius, relative).
-RECONSTRUCTION_TOL = 1e-10
 # Relative residual allowed for a linear solve on a well-conditioned matrix.
 SOLVE_TOL = 1e-8
 # Condition-number cutoff above which a matrix is treated as near singular.
@@ -64,15 +62,6 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
         eigenvalues=np.ascontiguousarray(values[order]),
         eigenvectors=np.ascontiguousarray(vectors[:, order]),
     )
-
-
-def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending: ``hermitian_eig``
-    without the eigenvectors, symmetrized the same way."""
-    a = hermitian_part(a)
-    if a.shape[0] == 0:
-        raise ValueError("cannot eigendecompose an empty matrix")
-    return np.ascontiguousarray(np.linalg.eigvalsh(a)[::-1])
 
 
 def check_condition(a: np.ndarray, label: str = "condition number") -> np.ndarray:

@@ -4,19 +4,15 @@ Per group, the analog precoder is obtained in two stages:
 
 1. A relaxed max-min problem on the statistical signal-to-leakage-and-noise
    ratio (SSLNR), solved per group by eigendecomposition of the signal
-   correlation minus a weighted leakage correlation.  The weight is the
-   bisection midpoint on the fixed-point equation of the optimal value,
-   bit-identical to plain bisection.  Newton steps bound the root from
-   values-only eigensolves of the pencil projected onto the groups' joint
-   dominant subspace (r x r instead of M x M), with what the projection
-   leaves out bounded exactly by Weyl's inequality.  A midpoint farther
-   from the root than the residual band plus a rounding allowance is
-   decided without an eigendecomposition; that margin is exact, not padded,
-   so only the last few midpoints get a full M x M eigendecomposition.
+   correlation minus a weighted leakage correlation.  The weight solves the
+   fixed-point equation of the optimal value: safeguarded Newton
+   (Dinkelbach) steps inside a shrinking bracket, each one eigendecomposition,
+   return the first weight within the relative residual tolerance.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
-   least one antenna.
+   least one antenna.  Equal relaxed magnitudes are ranked by a rule (the
+   smaller phase-quantisation error first), never by rounding noise.
 """
 
 from __future__ import annotations
@@ -27,12 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .grouping import Grouping
-from .numerics import EigenDecomposition, hermitian_eig, hermitian_eigvals
+from .numerics import EigenDecomposition, hermitian_eig
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITERS = 200
-# Newton steps solve_alpha_star takes before it replays the bisection.
-_NEWTON_MAX_STEPS = 8
+# GRFP ties: sorted magnitudes whose gaps are at most this share of the
+# column's largest one, and phase errors equal to this many decimals.
+_TIE_RTOL = 1e-12
+_ERROR_DECIMALS = 9
 
 _TINY = np.finfo(float).tiny
 _SUBNORMAL_SCALE = 2.0**600
@@ -91,29 +89,20 @@ def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndar
     quantized elementwise against one grid.  Ties resolve to the lowest index.
     """
     grid = _shared_grid(bits)
-    # A scalar keeps the scalar abs(): the array abs can differ in the last
-    # bit, which could flip a near-tie in grfp_assign's per-antenna calls.
+    values = np.atleast_1d(np.asarray(value, dtype=complex))
+    mag = np.abs(values)
+    nonzero = mag != 0.0
     # A subnormal magnitude is first scaled by an exact power of two, since
     # dividing by it computes 1/|value|, which overflows; normal values keep
     # their bits.
-    if np.ndim(value) == 0:
-        mag = abs(value)
-        if mag == 0.0:
-            return 0
-        if mag < _TINY:
-            value = value * _SUBNORMAL_SCALE
-            mag = abs(value)
-        return int(np.argmin(np.abs(value / mag - grid)))
-    values = np.asarray(value, dtype=complex)
-    mag = np.abs(values)
-    nonzero = mag != 0.0
     subnormal = nonzero & (mag < _TINY)
     if subnormal.any():
         values = values.copy()
         values[subnormal] *= _SUBNORMAL_SCALE
         mag[subnormal] = np.abs(values[subnormal])
     unit = np.divide(values, mag, out=np.zeros_like(values), where=nonzero)
-    return np.where(nonzero, np.argmin(np.abs(unit[..., None] - grid), axis=-1), 0)
+    index = np.where(nonzero, np.argmin(np.abs(unit[..., None] - grid), axis=-1), 0)
+    return int(index[0]) if np.ndim(value) == 0 else index
 
 
 def leakage_correlation(grouping: Grouping, g: int) -> np.ndarray:
@@ -161,47 +150,9 @@ def relaxed_step(
     if signal_eig is None or not same_bits:
         signal_eig = hermitian_eig(shifted)
     values, vectors = signal_eig
-    scales, f_value = _scaled_objective(values[:streams], m_ant, objective_exponent)
-    return vectors[:, :streams] * scales[None, :], f_value
-
-
-def _scaled_objective(top_values: np.ndarray, m_ant: int, objective_exponent: int) -> tuple[np.ndarray, float]:
-    """Column scales and f for the selected eigenvalues (see ``relaxed_step``)."""
-    scales = np.where(top_values >= 0, 1.0, 1.0 / np.sqrt(m_ant))
-    return scales, float(np.sum(top_values * scales**objective_exponent))
-
-
-def relaxed_value(
-    signal_corr: np.ndarray,
-    leak_corr: np.ndarray,
-    alpha: float,
-    streams: int,
-    objective_exponent: int = 2,
-    m_ant: int | None = None,
-) -> float:
-    """``relaxed_step``'s value from a values-only eigensolve; the last bits may differ.
-
-    ``m_ant``, when larger than the pencil, makes it the projection of an
-    ``m_ant``-antenna pencil: its spectrum is padded with zeros to ``m_ant``
-    values, and the negative-eigenvalue scale is ``1/sqrt(m_ant)``.
-    """
-    m_ant = signal_corr.shape[0] if m_ant is None else m_ant
-    values = hermitian_eigvals(signal_corr - alpha * leak_corr)
-    padded = np.sort(np.concatenate([values, np.zeros(m_ant - values.size)]))[::-1]
-    return _scaled_objective(padded[:streams], m_ant, objective_exponent)[1]
-
-
-def _projected_pencil(
-    basis: np.ndarray, signal_corr: np.ndarray, leak_corr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(U^H R U, U^H L U, ||R - U R^ U^H||_F, ||L - U L^ U^H||_F) for U = ``basis``."""
-
-    def project(a: np.ndarray) -> tuple[np.ndarray, float]:
-        a_hat = basis.conj().T @ a @ basis
-        return a_hat, float(np.linalg.norm(a - basis @ a_hat @ basis.conj().T))
-
-    (signal_hat, delta_signal), (leak_hat, delta_leak) = project(signal_corr), project(leak_corr)
-    return signal_hat, leak_hat, delta_signal, delta_leak
+    top = values[:streams]
+    scales = np.where(top >= 0, 1.0, 1.0 / np.sqrt(m_ant))
+    return vectors[:, :streams] * scales[None, :], float(np.sum(top * scales**objective_exponent))
 
 
 def _objective_derivative(f_star: np.ndarray, leak_corr: np.ndarray, objective_exponent: int) -> float:
@@ -224,84 +175,29 @@ def solve_alpha_star(
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
     signal_eig: EigenDecomposition | None = None,
-    basis: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Solve f(alpha) = (K * S_g / P) * alpha; the answer is the bisection's.
+    """Solve f(alpha) = (K * S_g / P) * alpha by safeguarded Newton steps.
 
     f is non-increasing (the leakage correlation is PSD) and the right-hand
-    side grows linearly, so the crossing is unique.  The returned weight is
-    defined by plain bisection: the bracket upper end doubles from 1 until
-    the right-hand side dominates, then [0, hi] is halved until a midpoint
-    has relative residual at most ``tol``.  Returns that midpoint
-    ``alpha_star`` and the relaxed precoder evaluated there, bit-identical
-    to plain bisection.
-
-    The bisection's sign decisions are certified instead of evaluated where
-    possible.  With g(a) = f(a) - slope * a, Newton steps on g (Dinkelbach's
-    iteration) first locate the root.  The first step takes f' from the
-    ``alpha = 0`` precoder (Hellmann–Feynman); later steps take the secant
-    slope of f between the last two Newton points.  Since f is
-    non-increasing, g(a) - g(alpha*) has the sign of alpha* - a and
-    |g(a)| >= slope * |a - alpha*|; so every evaluation at a certifies
-    |alpha* - a| <= |g(a)| / slope + allowance(a), where allowance(a) bounds
-    the rounding of the computed g(a) in units of alpha.  The tightest such
-    interval is kept as ``center`` +- ``radius``.
-
-    A Newton point is never returned: it only locates the root and
-    certifies an interval, and the certificate reads eigenvalues alone.  So
-    Newton points are evaluated values-only (``relaxed_value``).  Their
-    values may differ from ``relaxed_step``'s in the last bits, but
-    allowance(a) bounds the rounding of any backward-stable Hermitian
-    eigensolver (16 * M ulps of ||R|| + a * ||L|| per selected eigenvalue),
-    so the certificate holds for either.
-
-    With ``basis``, an (M, r) matrix U with orthonormal columns, a Newton
-    point is evaluated on the projected pencil R^ = U^H R U, L^ = U^H L U:
-    f^(a) takes the S top eigenvalues of A^ = R^ - a L^ padded with M - r
-    zeros, an r x r solve.  Those padded values are the spectrum of
-    U A^ U^H, and A = R - a L differs from it by at most
-    ||A - U A^ U^H||_2 <= d_R + a d_L, with d_R = ||R - U R^ U^H||_F and d_L
-    likewise, measured once per call.  By Weyl's inequality each eigenvalue
-    of A lies that close to its padded counterpart; each term
-    lambda * s(lambda)^e of f is non-decreasing and 1-Lipschitz in lambda,
-    since its scale s is at most 1; so |f^(a) - f(a)| <= S (d_R + a d_L),
-    and the point's certificate adds that, in units of alpha.  Correctness
-    rests on d alone: a basis that misses the dominant subspace only widens
-    the certificate, and more midpoints are then evaluated.  The rounding
-    of the computed U, A^ and d stays inside allowance(a), which is sized
-    for the backward error of an M x M solve, 16 * M ulps of
-    ||R||_F + a * ||L||_F per eigenvalue, far above the few ulps that
-    LAPACK's solvers make in practice.  The r x r solve of A^ rounds no
-    more than the M x M one did, as ||A^||_F <= ||A||_F up to U's rounding.
-    U departs from orthonormal by a few ulps (a Householder QR; 21 ulps in
-    Frobenius norm at M = 128), which moves each padded value by that
-    relative amount (Ostrowski's theorem), and the products behind A^ and
-    d have inner dimension at most M, so each rounds by O(M) ulps of the
-    same norms.  Without ``basis``, U = I and d = 0: the full pencil is
-    solved, as before.
-
-    The bisection is then replayed.  A midpoint x with
-    |x - center| > radius + tol * x + allowance(x) is decided without an
-    eigendecomposition, and this margin is exact, with no slack: there
-    |x - alpha*| > tol * x + allowance(x), so the computed |g(x)| / slope
-    >= |x - alpha*| - allowance(x) > tol * x.  The midpoint therefore
-    misses the residual band |g(x)| <= tol * slope * x, and its computed
-    g(x) has the sign of the true one, that of center - x.  Only points
-    near the root, among them the returned one, are evaluated, each by
-    ``relaxed_step``: the returned ``alpha_star`` and precoder come from the
-    same ``hermitian_eig`` call as in plain bisection, bit for bit.  If
-    Newton gives no usable bound, every point is evaluated, as in plain
-    bisection.
+    side grows linearly, so g(a) = f(a) - slope * a has one root, in the
+    bracket [0, f(0) / slope].  A Newton step on g is Dinkelbach's iteration
+    on the SSLNR fixed point; it takes f' at each evaluated point from that
+    point's precoder (Hellmann–Feynman).  Each evaluation moves the bracket
+    end on its side of the root to it, and a step that leaves the bracket is
+    replaced by the bracket's midpoint.  Returns the first evaluated
+    ``alpha_star`` with relative residual |g| / (slope * alpha) at most
+    ``tol``, and the relaxed precoder ``relaxed_step`` gives there.
     ``signal_eig``, the decomposition of ``signal_corr``, spares the
-    ``alpha = 0`` evaluation its own (see ``relaxed_step``).  Neither it nor
-    ``basis`` changes the result.
+    ``alpha = 0`` evaluation its own (see ``relaxed_step``); it does not
+    change the result.
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
             no energy on its dominant subspace.
-        RuntimeError: no bisection midpoint met ``tol`` in ``max_iters``
-            halvings; the message names the rounding floor when the
-            residual band lies below the rounding of f.
+        RuntimeError: no point met ``tol`` in ``max_iters`` evaluations after
+            ``alpha = 0``; or, naming the rounding floor, the bracket
+            stopped shrinking first (no float lies strictly inside it), as
+            the residual band lies below the rounding of f.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -310,87 +206,36 @@ def solve_alpha_star(
     def objective(alpha: float) -> tuple[np.ndarray, float]:
         return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, signal_eig)
 
-    f_star, f0 = objective(0.0)
-    if f0 <= 0:
-        raise DegenerateGroupError(f"relaxed objective at alpha=0 is {f0:.3e}, expected > 0")
+    f_star, value = objective(0.0)
+    if value <= 0:
+        raise DegenerateGroupError(f"relaxed objective at alpha=0 is {value:.3e}, expected > 0")
 
-    # A generous bound, in units of alpha, on the rounding in a computed
-    # g(alpha): 16 * M ulps of ||R||_F + alpha * ||L||_F for each of the S
-    # selected eigenvalues of R - alpha * L, and the rounding of slope * alpha
-    # and of the residual test.  The skip margin below is exact only with it.
-    eps = np.finfo(float).eps
-    m_ant = signal_corr.shape[0]
-    fp_scale = 16 * m_ant * streams * eps / slope
-    fp_signal = fp_scale * float(np.linalg.norm(signal_corr))
-    fp_leak = fp_scale * float(np.linalg.norm(leak_corr))
-
-    def allowance(alpha: float) -> float:
-        return fp_signal + alpha * fp_leak + 4 * eps * alpha
-
-    # The Newton points' pencil and what its projection leaves out (above).
-    newton_signal, newton_leak, delta_signal, delta_leak = signal_corr, leak_corr, 0.0, 0.0
-    if basis is not None:
-        newton_signal, newton_leak, delta_signal, delta_leak = _projected_pencil(basis, signal_corr, leak_corr)
-
-    # alpha* lies within radius of center, from the tightest evaluation.
-    center, radius = 0.0, np.inf
-
-    def certify(alpha: float, value: float, error: float = 0.0) -> None:
-        nonlocal center, radius
-        bound = abs(value - slope * alpha) / slope + allowance(alpha) + error
-        if bound < radius:
-            center, radius = alpha, bound
-
-    alpha, value = 0.0, f0
-    certify(alpha, value)
-    derivative = _objective_derivative(f_star, leak_corr, objective_exponent)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if not (np.isfinite(derivative) and derivative < slope):
-            break
-        step = alpha - (value - slope * alpha) / (derivative - slope)
-        if not step > alpha:
-            break
-        step_value = relaxed_value(newton_signal, newton_leak, step, streams, objective_exponent, m_ant)
-        derivative = (step_value - value) / (step - alpha)
-        alpha, value = step, step_value
-        certify(alpha, value, streams * (delta_signal + alpha * delta_leak) / slope)  # Weyl
-        if radius <= tol * alpha:  # already inside the residual band
-            break
-
-    def decide(alpha: float) -> tuple[np.ndarray | None, bool, bool]:
-        """(precoder or None, value > slope * alpha, residual_ok) at alpha."""
-        if abs(alpha - center) > radius + tol * alpha + allowance(alpha):
-            return None, alpha < center, False
-        f_alpha, value = objective(alpha)
-        certify(alpha, value)
-        rhs = slope * alpha
-        return f_alpha, value > rhs, rhs > 0 and abs(value - rhs) <= tol * rhs
-
-    hi = 1.0
-    f_hi, above, ok = decide(hi)
-    while above:
-        hi *= 2.0
-        f_hi, above, ok = decide(hi)
-    if ok:
-        return hi, f_hi
-
-    lo = 0.0
+    # g(lo) > 0, and the root lies in the open bracket (lo, hi): hi starts
+    # one float above f(0) / slope, later it is a point where g <= 0.
+    alpha, lo, hi = 0.0, 0.0, float(np.nextafter(value / slope, np.inf))
     for _ in range(max_iters):
-        alpha = 0.5 * (lo + hi)
-        f_star, above, ok = decide(alpha)
-        if ok:
-            return alpha, f_star
-        if above:
+        residual = value - slope * alpha
+        if residual > 0:
             lo = alpha
         else:
             hi = alpha
-    # Forming R - alpha * L rounds f by about eps * (||R|| + alpha * ||L||).
-    alpha = 0.5 * (lo + hi)
-    floor = eps * (float(np.linalg.norm(signal_corr)) + alpha * float(np.linalg.norm(leak_corr)))
-    band = tol * slope * alpha
-    if band < floor:
-        raise RuntimeError(f"bisection stalled at the rounding floor: tol * slope * alpha = {band:.3e} at "
-                           f"alpha = {alpha:.6g} is below eps * (||R|| + alpha * ||L||) = {floor:.3e}; raise tol")
+        step = alpha - residual / (_objective_derivative(f_star, leak_corr, objective_exponent) - slope)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                # Forming R - alpha * L rounds f by about eps * (||R|| + alpha * ||L||).
+                band = tol * slope * alpha
+                floor = np.finfo(float).eps * (
+                    float(np.linalg.norm(signal_corr)) + alpha * float(np.linalg.norm(leak_corr))
+                )
+                raise RuntimeError(
+                    f"bisection stalled at the rounding floor: tol * slope * alpha = {band:.3e} at "
+                    f"alpha = {alpha:.6g} is below eps * (||R|| + alpha * ||L||) = {floor:.3e}; raise tol"
+                )
+        alpha = step
+        f_star, value = objective(alpha)
+        if abs(value - slope * alpha) <= tol * slope * alpha:
+            return alpha, f_star
     raise RuntimeError(
         f"bisection did not reach relative residual {tol:g} in {max_iters} iterations"
     )
@@ -404,11 +249,7 @@ def solve_relaxed(
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
 ) -> RelaxedSolution:
-    """Run the relaxed per-group solve for every group.
-
-    Newton points are evaluated on ``grouping.group_basis`` (see
-    ``solve_alpha_star``); the result is the same without it.
-    """
+    """Run the relaxed per-group solve for every group."""
     alphas: list[float] = []
     precoders: list[np.ndarray] = []
     for g in range(grouping.group_count):
@@ -422,11 +263,26 @@ def solve_relaxed(
             max_iters=max_iters,
             objective_exponent=objective_exponent,
             signal_eig=grouping.group_eigs[g],
-            basis=grouping.group_basis,
         )
         alphas.append(alpha)
         precoders.append(f_star)
     return RelaxedSolution(alpha_star=alphas, f_star=precoders)
+
+
+def _claim_order(column: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Antennas in the order GRFP claims them for one relaxed column.
+
+    ``taps`` holds each antenna's grid point.  Antennas go by descending
+    magnitude; a run of sorted magnitudes whose adjacent gaps are at most
+    ``_TIE_RTOL`` times the largest is one tie block, ordered by ascending
+    phase-quantisation error |arg(f_m * conj(tap_m))|, rounded to
+    ``_ERROR_DECIMALS`` decimals, then by antenna index.
+    """
+    mag = np.abs(column)
+    by_mag = np.argsort(-mag, kind="stable")
+    block = np.concatenate([[0], np.cumsum(-np.diff(mag[by_mag]) > _TIE_RTOL * mag[by_mag[0]])])
+    error = np.round(np.abs(np.angle(column * taps.conj())), _ERROR_DECIMALS)
+    return by_mag[np.lexsort((by_mag, error[by_mag], block))]
 
 
 def grfp_assign(
@@ -443,9 +299,19 @@ def grfp_assign(
     magnitude and fixes its shifter to the nearest grid phase.  One sweep over
     all group columns assigns one antenna per RF chain, and sweeps repeat
     round-robin until all antennas are connected, so chains accumulate
-    antennas while the sweep priority is preserved.  Equal magnitudes go to
-    the lowest antenna index: each column is ranked once by a stable sort,
-    and a cursor per column skips the antennas already claimed.
+    antennas while the sweep priority is preserved.  Each column is ranked
+    once (``_claim_order``), and a cursor per column skips the antennas
+    already claimed.
+
+    Equal magnitudes are common, not accidental: ULA group correlations are
+    Hermitian Toeplitz, so their eigenvectors come in mirror pairs
+    |f_m| = |f_(M-1-m)|, equal up to rounding.  A sort alone would break
+    those ties by the last bits of the eigensolve.  Instead, magnitudes within
+    ``_TIE_RTOL`` of each other go to the antenna whose B-bit tap lies closer
+    to the relaxed phase: antenna m adds |f_m| * cos(delta_m) / sqrt(M) to the
+    real part of q^H f, where delta_m is its quantisation error, so between
+    equal magnitudes the smaller error keeps more of |q^H f|.  Errors equal to
+    ``_ERROR_DECIMALS`` decimals go to the lowest antenna index.
     """
     n_chains = sum(len(m) for m in grouping.members)
     if n_chains > antenna_count:
@@ -458,11 +324,12 @@ def grfp_assign(
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
     inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
     grid = _shared_grid(bits)
-    # Per group column i: the antennas by descending |f_star[:, i]| (a stable
-    # sort, so ties by index), and a cursor past the ones already claimed.
+    # Per group column i: each antenna's phase index, the antennas in claim
+    # order, and a cursor past the ones already claimed.
+    phases = [[nearest_phase_index(f_star[:, i], bits) for i in range(f_star.shape[1])] for f_star in relaxed.f_star]
     ranked = [
-        [np.argsort(-np.abs(f_star[:, i]), kind="stable").tolist() for i in range(f_star.shape[1])]
-        for f_star in relaxed.f_star
+        [_claim_order(f_star[:, i], grid[n]).tolist() for i, n in enumerate(columns)]
+        for f_star, columns in zip(relaxed.f_star, phases)
     ]
     cursors = [[0] * f_star.shape[1] for f_star in relaxed.f_star]
 
@@ -475,14 +342,13 @@ def grfp_assign(
     while assigned < antenna_count:
         for g in order:
             g = int(g)
-            f_star = relaxed.f_star[g]
             chains = grouping.rf_chains[g]
             for i in range(len(chains)):
                 column, k = ranked[g][i], cursors[g][i]
                 while not unassigned[column[k]]:
                     k += 1
                 cursors[g][i], antenna = k, column[k]
-                n_star = nearest_phase_index(f_star[antenna, i], bits)
+                n_star = int(phases[g][i][antenna])
                 chain = int(chains[i])
                 f[antenna, chain] = inv_sqrt_m * grid[n_star]
                 antenna_to_chain[antenna] = chain

@@ -95,12 +95,9 @@ def test_unknown_verb_exits():
         main(["frobnicate"])
 
 
-@pytest.mark.parametrize("preset", ["sweep-m", "sweep-snr"])
-def test_preset_independent_of_blas_threads(tmp_path, preset):
-    # The per-slot path (every scheme at M = 16, 32, 64) and the scenario
-    # shared across SNR points (M = 64) must not depend on the BLAS thread
-    # count.  The MPHP design at M = 128 still does (its GRFP antenna
-    # ranking breaks near-ties by rounding), so it is left out.
+def csv_under_blas_threads(tmp_path, args):
+    """CSV text of ``mphp <args> --out <file>`` run in a child process with
+    OPENBLAS_NUM_THREADS=1 and with =2, set in the child's environment only."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     texts = []
@@ -109,9 +106,28 @@ def test_preset_independent_of_blas_threads(tmp_path, preset):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "mphp.cli", preset, "--slots", "5", "--out", str(out)],
+            [sys.executable, "-m", "mphp.cli", *args, "--out", str(out)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         texts.append(out.read_text())
+    return texts
+
+
+@pytest.mark.parametrize("preset", ["sweep-m", "sweep-snr"])
+def test_preset_independent_of_blas_threads(tmp_path, preset):
+    # The per-slot path (every scheme at M = 16, 32, 64) and the scenario
+    # shared across SNR points (M = 64) must not depend on the BLAS thread
+    # count.
+    texts = csv_under_blas_threads(tmp_path, [preset, "--slots", "5"])
+    assert texts[0] == texts[1]
+
+
+def test_m128_mphp_design_independent_of_blas_threads(tmp_path):
+    # At M = 128 the relaxed MPHP columns hold mirror-pair magnitude ties
+    # that differ between thread counts in the last bits; GRFP must rank
+    # them by its tie rule, not by those bits.
+    config = tmp_path / "m128.cfg"
+    config.write_text("M = 128\nn_slots = 2\nschemes = MPHP\nseed = 1\n")
+    texts = csv_under_blas_threads(tmp_path, ["run", "--config", str(config)])
     assert texts[0] == texts[1]

@@ -6,14 +6,12 @@ import pytest
 
 from mphp import grouping as grouping_mod
 from mphp.channel import ArrayGeometry, UserChannelParams, make_scenario, scenario_correlations
-from mphp.experiment import SystemConfig
 from mphp.grouping import (
     Grouping,
     chordal_distance,
     default_subspace_rank,
     group_users,
 )
-from mphp.metrics import build_context
 from mphp.numerics import hermitian_eig
 
 from conftest import count_calls, random_psd
@@ -205,47 +203,3 @@ class TestGroupEigsReuse:
         grouping.group_eigs
         assert len(calls) == 3
         assert_fresh_eigs(grouping)
-
-
-class TestGroupBasis:
-    """group_basis: an orthonormal basis of the groups' joint dominant
-    subspace, built from group_eigs."""
-
-    @staticmethod
-    def grouping(m_ant, n_groups):
-        corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
-        return group_users(corrs, n_groups)
-
-    @staticmethod
-    def assert_orthonormal(basis):
-        m_ant, rank = basis.shape
-        assert rank <= m_ant
-        gram_error = np.linalg.norm(basis.conj().T @ basis - np.eye(rank))
-        assert gram_error <= 4 * m_ant * np.finfo(float).eps
-
-    @pytest.mark.parametrize("m_ant", [16, 64, 128])
-    def test_orthonormal(self, m_ant):
-        self.assert_orthonormal(self.grouping(m_ant, 3).group_basis)
-
-    @pytest.mark.parametrize("seed", [1, 7919])
-    @pytest.mark.parametrize("m_ant", [64, 128])
-    def test_holds_each_group_correlation(self, m_ant, seed):
-        # The default scenario: 40 columns at M = 64 and 56 at M = 128 (seed 1).
-        grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
-        basis = grouping.group_basis
-        assert basis.shape[1] < m_ant
-        for corr in grouping.group_correlations:
-            left_out = corr - basis @ (basis.conj().T @ corr @ basis) @ basis.conj().T
-            assert np.linalg.norm(left_out) <= 1e-12 * np.linalg.norm(corr)
-
-    def test_no_new_decomposition(self, monkeypatch):
-        grouping = self.grouping(64, 3)
-        calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
-        assert grouping.group_basis is grouping.group_basis
-        assert calls == []
-
-    @pytest.mark.parametrize("n_groups", [1, 8])
-    def test_at_most_m_columns_for_m_equal_k(self, n_groups):
-        # M = K with one group (no leakage) or one user per group.
-        grouping = self.grouping(8, n_groups)
-        self.assert_orthonormal(grouping.group_basis)

@@ -4,11 +4,9 @@ import pytest
 from mphp.numerics import (
     CONDITION_LIMIT,
     EigenDecomposition,
-    RECONSTRUCTION_TOL,
     NearSingularError,
     check_condition,
     hermitian_eig,
-    hermitian_eigvals,
     hermitian_part,
     solve_right_inverse,
 )
@@ -78,34 +76,6 @@ class TestHermitianEig:
 
     def test_returns_named_tuple(self):
         assert isinstance(hermitian_eig(np.eye(2)), EigenDecomposition)
-
-
-class TestHermitianEigvals:
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
-    def test_descending_and_equal_to_hermitian_eig(self, seed, dim):
-        a = random_hermitian(np.random.default_rng(seed), dim)
-        values = hermitian_eigvals(a)
-        assert values.shape == (dim,) and values.flags.c_contiguous
-        assert np.all(np.diff(values) <= 0)
-        expected = hermitian_eig(a).eigenvalues
-        assert np.max(np.abs(values - expected)) <= RECONSTRUCTION_TOL * max(np.linalg.norm(a), 1.0)
-
-    def test_non_hermitian_input_symmetrized_first(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert np.array_equal(hermitian_eigvals(a), hermitian_eigvals(hermitian_part(a)))
-        assert np.allclose(hermitian_eigvals(a), hermitian_eig(a).eigenvalues, rtol=0, atol=1e-12)
-
-    def test_diagonal(self):
-        assert np.array_equal(hermitian_eigvals(np.diag([1.0, 3.0, -2.0])), [3.0, 1.0, -2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            hermitian_eigvals(np.zeros((0, 0)))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eigvals(np.zeros((2, 3)))
 
 
 class TestSolveRightInverse:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from mphp.rf_precoder import (
     nearest_phase_index,
     phase_grid,
     relaxed_step,
-    relaxed_value,
     solve_alpha_star,
     solve_relaxed,
     sslnr,
@@ -36,12 +37,13 @@ def diagonal_grouping():
 
 def bisect_alpha_star(
     signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2,
-    signal_eig=None, basis=None,
+    signal_eig=None,
 ):
-    """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the oracle that
-    solve_alpha_star must reproduce bit for bit.  ``signal_eig`` and ``basis``
-    are accepted and ignored: the oracle decomposes every point it evaluates
-    in full."""
+    """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the reference for
+    solve_alpha_star.  The bracket upper end doubles from 1 until the
+    right-hand side dominates, then [0, hi] is halved until a midpoint has
+    relative residual at most ``tol``.  ``signal_eig`` is accepted and
+    ignored: the reference decomposes every point it evaluates in full."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     slope = n_users * streams / power
@@ -94,30 +96,46 @@ def random_alpha_problem(seed, m_ant, leak_scale, power=None):
     return corr, leak, streams, n_users, power
 
 
-def random_basis(seed, m_ant, rank):
-    """Orthonormal basis of a random subspace of min(rank, m_ant) dimensions."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((m_ant, min(rank, m_ant))) + 1j * rng.standard_normal((m_ant, min(rank, m_ant)))
-    return np.linalg.qr(x)[0]
+FLOOR_MESSAGE = "^bisection stalled at the rounding floor: "
 
 
-def joint_basis(*matrices):
-    """Grouping.group_basis of groups with these correlations."""
-    return make_grouping(list(matrices), range(len(matrices))).group_basis
+def assert_solver_contract(problem, tol=1e-9, rounding_dominated=False, **options):
+    """solve_alpha_star's contract against the bisection reference; gives
+    alpha, or None when the solve raised.
 
-
-def assert_matches_bisection(problem, **options):
-    """solve_alpha_star returns the oracle's alpha and f_star, or raises the
-    oracle's error; gives alpha, or None when both raised."""
+    A degenerate group raises as in the reference.  Otherwise the solve
+    returns a point whose residual, recomputed by relaxed_step, is within
+    ``tol``, with relaxed_step's precoder there.  For tol >= 1e-10 that
+    point lies within 2 * tol * alpha of the reference's, as both lie in the
+    residual band and |g(a)| >= slope * |a - alpha*|; except where the
+    rounding of f dominates the band (``rounding_dominated``), as there the
+    computed residual no longer locates the root.  The solve may raise only
+    where rounding may dominate (``rounding_dominated``, tol < 1e-10, or the
+    reference raised too), and then names the rounding floor.
+    """
+    signal_corr, leak_corr, streams, n_users, power = problem
+    options["tol"] = tol
+    exponent = options.get("objective_exponent", 2)
     try:
-        expected_alpha, expected_f = bisect_alpha_star(*problem, **options)
-    except (DegenerateGroupError, RuntimeError) as exc:
-        with pytest.raises(type(exc)):
+        expected, _ = bisect_alpha_star(*problem, **options)
+    except DegenerateGroupError:
+        with pytest.raises(DegenerateGroupError):
             solve_alpha_star(*problem, **options)
         return None
-    alpha, f_star = solve_alpha_star(*problem, **options)
-    assert alpha == expected_alpha
-    assert np.array_equal(f_star, expected_f)
+    except RuntimeError:
+        expected = None
+    try:
+        alpha, f_star = solve_alpha_star(*problem, **options)
+    except RuntimeError as exc:
+        assert rounding_dominated or expected is None or tol < 1e-10, exc
+        assert re.match(FLOOR_MESSAGE, str(exc)), exc
+        return None
+    f_expected, value = relaxed_step(signal_corr, leak_corr, alpha, streams, exponent)
+    rhs = n_users * streams / power * alpha
+    assert abs(value - rhs) <= tol * rhs
+    assert np.array_equal(f_star, f_expected)
+    if not rounding_dominated and expected is not None and tol >= 1e-10:
+        assert abs(alpha - expected) <= 2 * tol * alpha
     return alpha
 
 
@@ -253,32 +271,22 @@ def on_the_grid(test):
 
 
 class TestMatchesBisection:
-    @staticmethod
-    def check_grid_case(m_ant, leak_scale, tol, objective_exponent, poor_basis):
-        # Leak scale 0 is the one-group closed form; 100 drives the top
-        # eigenvalues negative near the root.  At tol = 1e-12 with strong
-        # leakage the rounding of f can keep every midpoint above the
-        # residual bound, and both solvers then raise alike.  Small arrays
-        # also run both ends of the power range; M >= 64 runs one random
-        # power, to bound the oracle's eigendecompositions.
-        for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
-            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
-            problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-            options = {"tol": tol, "objective_exponent": objective_exponent}
-            if poor_basis:
-                options["basis"] = random_basis(seed + [2], m_ant, 2)
-            alpha = assert_matches_bisection(problem, **options)
-            assert alpha is not None or tol < 1e-9
+    """solve_alpha_star keeps the contract of assert_solver_contract against
+    plain bisection: an in-band point near the bisection's, the same errors."""
 
     @on_the_grid
     def test_grid(self, m_ant, leak_scale, tol, objective_exponent):
-        self.check_grid_case(m_ant, leak_scale, tol, objective_exponent, poor_basis=False)
-
-    @on_the_grid
-    def test_grid_poor_basis(self, m_ant, leak_scale, tol, objective_exponent):
-        # A random 2-dimensional basis leaves most of the pencil out of the
-        # Newton points: the answer must rest on the Weyl term alone.
-        self.check_grid_case(m_ant, leak_scale, tol, objective_exponent, poor_basis=True)
+        # Leak scale 0 is the one-group closed form; 100 drives the top
+        # eigenvalues negative near the root.  At tol = 1e-12 with strong
+        # leakage the rounding of f can exceed the residual band, and the
+        # solve may then stop at the rounding floor.  Small arrays also run
+        # both ends of the power range; M >= 64 runs one random power, to
+        # bound the reference's eigendecompositions.
+        for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
+            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
+            problem = random_alpha_problem(seed, m_ant, leak_scale, power)
+            alpha = assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
+            assert alpha is not None or tol < 1e-9
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -288,23 +296,13 @@ class TestMatchesBisection:
         power=st.floats(1e-2, 1e3),
         tol=st.sampled_from([1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 1e-2),
         objective_exponent=st.sampled_from([1, 2]),
-        basis=st.sampled_from([None, "joint"]) | st.integers(1, 12),
     )
-    def test_random_problems(self, seed, m_ant, leak_scale, power, tol, objective_exponent, basis):
-        # basis: none, the joint dominant basis of R and L, or a random
-        # subspace of that many dimensions.
+    def test_random_problems(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
         problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-        if basis == "joint":
-            basis = joint_basis(problem[0], problem[1])
-        elif basis is not None:
-            basis = random_basis(seed, m_ant, basis)
-        assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent, basis=basis)
+        assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
 
     # Strong leakage at tol <= 1e-12: the rounding of the computed f is about
-    # as large as the residual band, so a sign decided without the
-    # floating-point allowance can differ from the evaluated one.  Each case
-    # below did so (wrong alpha, or a spurious or missing RuntimeError) with
-    # both allowances dropped, on the OpenBLAS build they were found with.
+    # as large as the residual band.
     @pytest.mark.parametrize(
         "seed, m_ant, leak_scale, power, tol, objective_exponent",
         [
@@ -320,13 +318,12 @@ class TestMatchesBisection:
     )
     def test_rounding_dominated_residual(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
         problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-        assert_matches_bisection(problem, tol=tol, objective_exponent=objective_exponent)
+        assert_solver_contract(problem, tol=tol, rounding_dominated=True, objective_exponent=objective_exponent)
 
     # The same regime drawn at random: leakage 1e2 to 1e5 times the signal,
     # P from 10 to 1e4 and tol down to 3e-15.  Rounding dominates the
-    # residual, so about half the problems raise alike and the rest keep the
-    # oracle's answer only through the floating-point allowance: without it,
-    # about 1 problem in 13 got a different alpha or error.
+    # residual, so about half the problems stop at the rounding floor; the
+    # rest must return a point inside the residual band, never one outside.
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -335,26 +332,29 @@ class TestMatchesBisection:
         log_power=st.floats(1.0, 4.0),
         log_tol=st.floats(float(np.log10(3e-15)), -9.0),
         objective_exponent=st.sampled_from([1, 2]),
-        projected=st.booleans(),
     )
-    def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol, objective_exponent, projected):
+    def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol, objective_exponent):
         problem = random_alpha_problem(seed, m_ant, 10.0**log_leak, 10.0**log_power)
-        basis = joint_basis(problem[0], problem[1]) if projected else None
-        assert_matches_bisection(problem, tol=10.0**log_tol, objective_exponent=objective_exponent, basis=basis)
+        assert_solver_contract(problem, tol=10.0**log_tol, rounding_dominated=True, objective_exponent=objective_exponent)
 
     @pytest.mark.parametrize("leak", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])])
-    @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0])
-    def test_early_return_at_power_of_two(self, target, leak):
-        # f = target on [0, inf): the doubling stops exactly at the root.
+    @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0, 0.3])
+    def test_constant_objective_solved_in_one_step(self, monkeypatch, target, leak):
+        # f = target on [0, inf) and f' = 0: the first Newton step lands on
+        # the root exactly, at the bracket's upper end f(0) / slope.
         corr = np.diag([target, 0.0, 0.0])
-        alpha = assert_matches_bisection((corr, leak, 1, 1, 1.0))
+        calls = count_calls(monkeypatch, rf_precoder, "relaxed_step")
+        alpha = assert_solver_contract((corr, leak, 1, 1, 1.0))
         assert alpha == target
+        calls.clear()
+        solve_alpha_star(corr, leak, 1, 1, 1.0)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("objective_exponent", [1, 2])
     def test_negative_top_eigenvalues(self, objective_exponent):
         corr = np.diag([10.0, 0.1, 0.0, 0.0]).astype(complex)
         leak = np.eye(4, dtype=complex)
-        alpha = assert_matches_bisection((corr, leak, 2, 1, 100.0), objective_exponent=objective_exponent)
+        alpha = assert_solver_contract((corr, leak, 2, 1, 100.0), objective_exponent=objective_exponent)
         values, _ = hermitian_eig(corr - alpha * leak)
         assert values[1] < 0  # the second selected column is shrunk at the root
 
@@ -362,149 +362,88 @@ class TestMatchesBisection:
     def test_degenerate_group_raised_alike(self, corr):
         with pytest.raises(DegenerateGroupError):
             bisect_alpha_star(corr, np.eye(3), 1, 2, 1.0)
-        assert assert_matches_bisection((corr, np.eye(3), 1, 2, 1.0)) is None
+        assert assert_solver_contract((corr, np.eye(3), 1, 2, 1.0)) is None
 
-    def test_rounding_floor_named(self):
+    def test_rounding_floor_named(self, monkeypatch):
         # test_grid[1-100.0-1e-12-1] at P = 1e3: near the root f is the
         # difference of two terms about 1e2 larger than it, so its rounding
-        # exceeds the residual band and every midpoint misses the band.
+        # exceeds the residual band and no point meets it.  The solve stops
+        # once the bracket cannot shrink, far short of max_iters.
         problem = random_alpha_problem([1, 100000, 12, 1], 1, 100.0, 1e3)
         with pytest.raises(RuntimeError):
             bisect_alpha_star(*problem, tol=1e-12, objective_exponent=1)
-        with pytest.raises(RuntimeError, match="^bisection stalled at the rounding floor: ") as stalled:
+        calls = count_calls(monkeypatch, rf_precoder, "relaxed_step")
+        with pytest.raises(RuntimeError, match=FLOOR_MESSAGE) as stalled:
             solve_alpha_star(*problem, tol=1e-12, objective_exponent=1)
         assert "raise tol" in str(stalled.value)
+        assert len(calls) < 100
 
     def test_too_few_iterations_not_blamed_on_rounding(self):
         problem = random_alpha_problem([300, 0], 8, 1.0, 1.0)
-        message = "^bisection did not reach relative residual 1e-12 in 5 iterations$"
+        message = "^bisection did not reach relative residual 1e-12 in 2 iterations$"
         with pytest.raises(RuntimeError, match=message):
-            solve_alpha_star(*problem, tol=1e-12, max_iters=5)
+            solve_alpha_star(*problem, tol=1e-12, max_iters=2)
 
-    def test_max_iters_error_raised_alike(self):
-        outcomes = []
-        for max_iters in (0, 1, 5, 10, 20, 40, 200):
-            for seed in range(4):
-                problem = random_alpha_problem([300, seed], 8, 1.0, 1.0)
-                outcomes.append(assert_matches_bisection(problem, tol=1e-12, max_iters=max_iters))
-        assert None in outcomes
-        assert any(alpha is not None for alpha in outcomes)
+    def test_max_iters_caps_the_evaluations(self, monkeypatch):
+        # Each of these problems needs 3 or 4 Newton points at tol = 1e-12.
+        calls = count_calls(monkeypatch, rf_precoder, "relaxed_step")
+        for seed in range(4):
+            problem = random_alpha_problem([300, seed], 8, 1.0, 1.0)
+            for max_iters in (0, 1, 2, 5):
+                calls.clear()
+                try:
+                    solve_alpha_star(*problem, tol=1e-12, max_iters=max_iters)
+                except RuntimeError as exc:
+                    assert str(exc).endswith(f"in {max_iters} iterations") and max_iters < 3
+                else:
+                    assert max_iters >= 3
+                assert len(calls) <= max_iters + 1
+            assert assert_solver_contract(problem, tol=1e-12) is not None
 
 
 class TestEvaluationCount:
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("m_ant", [16, 32, 64, 128])
-    def test_at_most_three_relaxed_steps_and_five_values_only_solves_per_group(self, monkeypatch, m_ant, seed):
+    def test_at_most_five_relaxed_steps_per_group(self, monkeypatch, m_ant, seed):
         # Plain bisection takes about 30 full eigendecompositions here.  The
-        # Newton steps take values-only solves, at most 5 on this grid, and
-        # the replay evaluates only midpoints within the residual band of
-        # the certified root: at most 3 relaxed_step calls, against 6 when
-        # the Newton steps were relaxed_step calls too.  At M = 128 the
-        # values-only solves are smaller than M x M: they run on the groups'
-        # joint dominant subspace (56 dimensions at seed 1).
+        # Newton solve takes 3 to 5 relaxed_step calls per group on this
+        # grid, the reused alpha = 0 one included.
         grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
-        calls = {name: count_calls(monkeypatch, rf_precoder, name) for name in ("relaxed_step", "hermitian_eigvals")}
-        per_group = {name: [] for name in calls}
+        calls = count_calls(monkeypatch, rf_precoder, "relaxed_step")
+        per_group = []
         solve = rf_precoder.solve_alpha_star
 
         def solve_one_group(*args, **kwargs):
-            before = {name: len(made) for name, made in calls.items()}
+            before = len(calls)
             out = solve(*args, **kwargs)
-            for name, made in calls.items():
-                per_group[name].append(len(made) - before[name])
+            per_group.append(len(calls) - before)
             return out
 
         monkeypatch.setattr(rf_precoder, "solve_alpha_star", solve_one_group)
         for power in (0.1, 1.0, 10.0):
-            for groups in per_group.values():
-                groups.clear()
+            per_group.clear()
             solve_relaxed(grouping, n_users=grouping.user_count, power=power)
-            assert len(per_group["relaxed_step"]) == grouping.group_count
-            assert max(per_group["relaxed_step"]) <= 3, power
-            assert max(per_group["hermitian_eigvals"]) <= 5, power
-        if m_ant == 128:
-            assert calls["hermitian_eigvals"]
-            assert all(a.shape[0] < m_ant for a, in calls["hermitian_eigvals"])
-
-
-class TestValuesOnlyObjective:
-    """The Newton points of solve_alpha_star are certified from
-    relaxed_value, so its difference from relaxed_step's value must stay
-    within the solver's rounding allowance (in units of f here: 16 * M ulps
-    of ||R||_F + alpha * ||L||_F per selected eigenvalue)."""
-
-    @staticmethod
-    def assert_within_allowance(corr, leak, alpha, streams, objective_exponent):
-        _, expected = relaxed_step(corr, leak, alpha, streams, objective_exponent)
-        got = relaxed_value(corr, leak, alpha, streams, objective_exponent)
-        eps = np.finfo(float).eps
-        allowance = 16 * corr.shape[0] * streams * eps * (np.linalg.norm(corr) + alpha * np.linalg.norm(leak))
-        assert abs(got - expected) <= allowance
+            assert len(per_group) == grouping.group_count
+            assert max(per_group) <= 5, power
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         m_ant=st.integers(1, 12),
-        leak_scale=st.sampled_from([0.0, 1e5]) | st.floats(0.0, 1e5),
-        log_alpha=st.floats(-6.0, 6.0),
+        leak_scale=st.sampled_from([0.0, 1e-3, 1.0, 100.0]) | st.floats(0.0, 1e3),
+        power=st.floats(1e-2, 1e3),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-10]) | st.floats(1e-10, 1e-2),
         objective_exponent=st.sampled_from([1, 2]),
     )
-    def test_random_points(self, seed, m_ant, leak_scale, log_alpha, objective_exponent):
-        corr, leak, streams, _, _ = random_alpha_problem(seed, m_ant, leak_scale)
-        for alpha in (0.0, 10.0**log_alpha):
-            self.assert_within_allowance(corr, leak, alpha, streams, objective_exponent)
-
-    @pytest.mark.parametrize("objective_exponent", [1, 2])
-    @pytest.mark.parametrize("leak_scale", [1e-3, 1.0, 100.0])
-    @pytest.mark.parametrize("m_ant", [64, 128])
-    def test_large_arrays_near_the_root(self, m_ant, leak_scale, objective_exponent):
-        problem = random_alpha_problem([m_ant, int(1000 * leak_scale), objective_exponent], m_ant, leak_scale)
-        corr, leak, streams, _, _ = problem
-        alpha, _ = solve_alpha_star(*problem, objective_exponent=objective_exponent)
-        for point in (0.5 * alpha, alpha, 2.0 * alpha):
-            self.assert_within_allowance(corr, leak, point, streams, objective_exponent)
-
-    def test_values_only(self, monkeypatch):
-        corr, leak, streams, _, _ = random_alpha_problem([702, 0], 8, 1.0)
-        monkeypatch.setattr(rf_precoder, "hermitian_eig", None)
-        assert isinstance(relaxed_value(corr, leak, 0.5, streams), float)
-
-
-class TestProjectedValue:
-    """A Newton point on the pencil projected onto a basis U is certified
-    with the Weyl term S * (d_R + alpha * d_L): relaxed_value of the
-    projection, padded to M values, must lie that close to relaxed_step's f,
-    up to the solver's rounding allowance (16 * M ulps of
-    ||R||_F + alpha * ||L||_F per selected eigenvalue)."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m_ant=st.integers(1, 16),
-        leak_scale=st.sampled_from([0.0, 1e5]) | st.floats(0.0, 1e5),
-        log_alpha=st.floats(-6.0, 6.0),
-        objective_exponent=st.sampled_from([1, 2]),
-        random_rank=st.none() | st.integers(1, 16),
-    )
-    def test_within_weyl_bound(self, seed, m_ant, leak_scale, log_alpha, objective_exponent, random_rank):
-        # Rank-deficient user correlations in 1 to 4 groups; U is their
-        # group_basis, or a random subspace of random_rank dimensions.
-        rng = np.random.default_rng(seed)
-        n_users = int(rng.integers(1, min(m_ant, 4) + 1))
-        dof = int(rng.integers(1, max(m_ant // 2, 1) + 1))
-        corrs = [random_psd(rng, m_ant, dof=dof, trace=float(m_ant)) for _ in range(n_users)]
-        grouping = make_grouping(corrs, np.arange(n_users) % int(rng.integers(1, n_users + 1)))
-        corr = grouping.group_correlations[0]
-        leak = leak_scale * leakage_correlation(grouping, 0)
-        streams = len(grouping.members[0])
-        basis = grouping.group_basis if random_rank is None else random_basis(seed, m_ant, random_rank)
-        signal_hat, leak_hat, delta_signal, delta_leak = rf_precoder._projected_pencil(basis, corr, leak)
-        eps = np.finfo(float).eps
-        for alpha in (0.0, 10.0**log_alpha):
-            _, expected = relaxed_step(corr, leak, alpha, streams, objective_exponent)
-            got = relaxed_value(signal_hat, leak_hat, alpha, streams, objective_exponent, m_ant)
-            allowance = 16 * m_ant * streams * eps * (np.linalg.norm(corr) + alpha * np.linalg.norm(leak))
-            assert abs(got - expected) <= streams * (delta_signal + alpha * delta_leak) + allowance
+    def test_at_most_twelve_relaxed_steps_on_random_problems(
+        self, seed, m_ant, leak_scale, power, tol, objective_exponent
+    ):
+        problem = random_alpha_problem(seed, m_ant, leak_scale, power)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, rf_precoder, "relaxed_step")
+            solve_alpha_star(*problem, tol=tol, objective_exponent=objective_exponent)
+        # 11 at most over 6,000 such problems, 2 to 6 typically.
+        assert len(calls) <= 12
 
 
 def signed_zero_problem():
@@ -527,16 +466,15 @@ class TestSignalEigReuse:
     @pytest.mark.parametrize("leak_scale", [0.0, 1.0])
     def test_one_decomposition_fewer_and_same_answer(self, monkeypatch, seed, leak_scale):
         problem = random_alpha_problem([700, seed], 8, leak_scale)
-        expected_alpha, expected_f = bisect_alpha_star(*problem)
         calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
         plain = solve_alpha_star(*problem)
         plain_calls = len(calls)
         calls.clear()
         alpha, f_star = solve_alpha_star(*problem, signal_eig=hermitian_eig(problem[0]))
-        assert alpha == plain[0] == expected_alpha
-        assert np.array_equal(f_star, expected_f) and np.array_equal(plain[1], expected_f)
         # Without leakage R - alpha * 0 is R at every alpha: nothing is decomposed.
         assert len(calls) == (0 if leak_scale == 0.0 else plain_calls - 1)
+        assert alpha == plain[0] == assert_solver_contract(problem)
+        assert np.array_equal(f_star, plain[1])
 
     def test_signed_zero_is_decomposed_afresh(self, monkeypatch):
         signal, leak = signed_zero_problem()
@@ -550,7 +488,7 @@ class TestSignalEigReuse:
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
         problem = (signal, leak, 1, 2, 1.0)
         alpha, f_star = solve_alpha_star(*problem, signal_eig=bogus_eig(2))
-        expected_alpha, expected_f = bisect_alpha_star(*problem)
+        expected_alpha, expected_f = solve_alpha_star(*problem)
         assert alpha == expected_alpha and np.array_equal(f_star, expected_f)
 
     def test_used_only_where_the_bits_match(self, rng):
@@ -589,20 +527,46 @@ PIPELINE_CONFIGS = {
 }
 
 
+def perturbed_solve(factor):
+    """solve_alpha_star with its alpha* scaled by ``factor`` and the relaxed
+    precoder evaluated at the scaled weight."""
+    solve = rf_precoder.solve_alpha_star
+
+    def perturbed(signal_corr, leak_corr, streams, n_users, power, **options):
+        alpha, _ = solve(signal_corr, leak_corr, streams, n_users, power, **options)
+        alpha *= factor
+        exponent = options.get("objective_exponent", 2)
+        return alpha, relaxed_step(signal_corr, leak_corr, alpha, streams, exponent)[0]
+
+    return perturbed
+
+
 class TestPipelineMatchesBisection:
-    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
-    def test_csv_identical(self, monkeypatch, name):
+    """The CSV does not depend on the last bits of alpha*: the bisection
+    reference's root, or alpha* moved by 1e-10 relative, gives the same text."""
+
+    @staticmethod
+    def assert_csv_unchanged(monkeypatch, name, solver):
         config = parse_config(PIPELINE_CONFIGS[name] + "schemes = MPHP\nseed = 5\n")
         text = rows_to_csv(run_experiment(config))
-        oracle_calls = []
+        calls = []
 
-        def oracle(*args, **kwargs):
-            oracle_calls.append(1)
-            return bisect_alpha_star(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
 
-        monkeypatch.setattr(rf_precoder, "solve_alpha_star", oracle)
+        monkeypatch.setattr(rf_precoder, "solve_alpha_star", counted)
         assert rows_to_csv(run_experiment(config)) == text
-        assert oracle_calls
+        assert calls
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_csv_identical(self, monkeypatch, name):
+        self.assert_csv_unchanged(monkeypatch, name, bisect_alpha_star)
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-10, 1.0 - 1e-10])
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_csv_identical_with_perturbed_alpha(self, monkeypatch, name, factor):
+        self.assert_csv_unchanged(monkeypatch, name, perturbed_solve(factor))
 
 
 class TestPhaseQuantization:
@@ -759,10 +723,27 @@ class TestGrfpAssign:
             validate_rf_precoder(rf)
 
 
+def tie_rule_key(column, bits):
+    """Per antenna, the sort key of GRFP's claim rule for one relaxed column:
+    (tie block, rounded quantisation error, index).  The tie block counts the
+    gaps above 1e-12 * max|f| in the sorted magnitudes that lie above the
+    antenna's magnitude; the error is the wrapped distance between the
+    relaxed phase and the grid phase of the antenna's tap."""
+    mag = np.abs(column)
+    ranked = np.sort(mag)[::-1]
+    breaks = ranked[1:][ranked[:-1] - ranked[1:] > 1e-12 * ranked[0]]
+    keys = []
+    for m, value in enumerate(column):
+        n = nearest_phase_index(value, bits)
+        error = abs((np.angle(value) - 2 * np.pi * n / 2**bits + np.pi) % (2 * np.pi) - np.pi)
+        keys.append((int(np.sum(breaks >= mag[m])), round(error, 9), m))
+    return keys
+
+
 def grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count):
-    """grfp_assign's claim loop as it was, the oracle for the ranked one:
-    every claim rescans the column and takes argmax's first maximum among
-    the unassigned antennas."""
+    """grfp_assign's claim loop written plainly, the oracle for the ranked
+    one: every claim rescans the column and takes the unassigned antenna
+    with the smallest tie_rule_key."""
     n_chains = sum(len(m) for m in grouping.members)
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
     inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
@@ -778,7 +759,8 @@ def grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count):
             for i, chain in enumerate(grouping.rf_chains[int(g)]):
                 if assigned == antenna_count:
                     break
-                antenna = int(np.argmax(np.where(unassigned, np.abs(f_star[:, i]), -1.0)))
+                keys = tie_rule_key(f_star[:, i], bits)
+                antenna = min((keys[m] for m in np.flatnonzero(unassigned)))[2]
                 n_star = nearest_phase_index(f_star[antenna, i], bits)
                 f[antenna, int(chain)] = inv_sqrt_m * grid[n_star]
                 antenna_to_chain[antenna] = int(chain)
@@ -795,6 +777,7 @@ def assert_grfp_matches_rescan(relaxed, grouping, bits, antenna_count):
     assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain)
     assert np.array_equal(got.phase_index, expected.phase_index)
     assert got.bits == expected.bits
+    return got
 
 
 class TestGrfpMatchesRescan:
@@ -808,16 +791,31 @@ class TestGrfpMatchesRescan:
 
     @pytest.mark.parametrize("m_ant", [8, 64])
     def test_mirror_pair_ties(self, m_ant):
-        # Rows m and M - 1 - m hold conjugate values, so every magnitude is
-        # tied exactly with its mirror; every group also ties on alpha*.
-        grouping, _, _ = build_context(SystemConfig(M=m_ant), 1)
-        relaxed = solve_relaxed(grouping, n_users=grouping.user_count, power=1.0)
+        # Two one-user groups share one column whose magnitudes tie in mirror
+        # pairs, |f_m| = |f_(M-1-m)|, as ULA eigenvectors do, and differ
+        # between pairs; the phases are random.  The chains alternate claims,
+        # so each pair splits between them, and the first chain's antenna of
+        # each pair is the one claimed first: the one with the smaller
+        # quantisation error, or the lower index where the errors tie.
+        grouping = make_grouping([np.eye(m_ant, dtype=complex)] * 2, [0, 1])
         half = m_ant // 2
-        mirrored = [np.vstack([f[:half], np.conj(f[:half][::-1])]) for f in relaxed.f_star]
-        assert all(np.array_equal(np.abs(f), np.abs(f[::-1])) for f in mirrored)
-        for alphas in (relaxed.alpha_star, [1.0] * grouping.group_count):
-            for bits in (1, 4, 6):
-                assert_grfp_matches_rescan(RelaxedSolution(list(alphas), mirrored), grouping, bits, m_ant)
+        for seed in range(4):
+            rng = np.random.default_rng([m_ant, seed])
+            magnitude = np.sort(rng.uniform(0.5, 1.0, half))[::-1]
+            magnitude = np.concatenate([magnitude, magnitude[::-1]])
+            column = magnitude * np.exp(2j * np.pi * rng.uniform(size=m_ant))
+            column[[0, -1]] = magnitude[0] * np.exp(0.25j * np.pi * np.array([1, -1]))  # errors tie
+            for alphas in ([1.0, 2.0], [1.0, 1.0]):
+                relaxed = RelaxedSolution(alphas, [column[:, None], column[:, None]])
+                for bits in (1, 4, 6):
+                    rf = assert_grfp_matches_rescan(relaxed, grouping, bits, m_ant)
+                    keys = tie_rule_key(column, bits)
+                    for m in range(half):
+                        first = min(keys[m], keys[m_ant - 1 - m])[2]
+                        assert rf.antenna_to_chain[first] == 0
+                        assert rf.antenna_to_chain[m_ant - 1 - first] == 1
+                    # The rule, not the index, decides every pair but the first.
+                    assert all(keys[m][1] != keys[m_ant - 1 - m][1] for m in range(1, half))
 
 
 class TestSslnr:
