@@ -89,6 +89,17 @@ class TestCorrelation:
         assert np.all(values >= -1e-10 * np.real(np.trace(corr)))
         assert np.real(np.trace(corr)) == pytest.approx(12 * power, rel=1e-6)
 
+    @pytest.mark.parametrize("spread", [0.02, 0.1, 0.3])
+    @pytest.mark.parametrize("m_ant", [8, 32, 64, 128])
+    def test_psd_without_projection(self, m_ant, spread):
+        # A * diag(w) * A^H is PSD by construction: with no eigenvalue clamp,
+        # the computed negative eigenvalues stay at rounding level even where
+        # almost all of the M eigenvalues are zero.
+        corr = correlation_from_params(UserChannelParams(0.3, spread, path_count=3), ArrayGeometry(m_ant))
+        assert np.array_equal(corr, corr.conj().T)
+        values, _ = hermitian_eig(corr)
+        assert values[-1] >= -64 * np.finfo(float).eps * np.real(np.trace(corr))
+
     def test_too_few_quadrature_points(self):
         with pytest.raises(ValueError):
             correlation_from_params(UserChannelParams(0.0, 0.1, 1), ArrayGeometry(4), 16)

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -94,6 +95,13 @@ def random_alpha_problem(seed, m_ant, leak_scale, power=None):
     corr = random_psd(rng, m_ant, dof=int(rng.integers(1, m_ant + 1)), trace=float(m_ant))
     leak = leak_scale * random_psd(rng, m_ant, dof=int(rng.integers(1, m_ant + 1)), trace=float(m_ant))
     return corr, leak, streams, n_users, power
+
+
+def random_basis(seed, m_ant, rank):
+    """Orthonormal basis of a random subspace of min(rank, m_ant) dimensions."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m_ant, min(rank, m_ant))) + 1j * rng.standard_normal((m_ant, min(rank, m_ant)))
+    return np.linalg.qr(x)[0]
 
 
 FLOOR_MESSAGE = "^bisection stalled at the rounding floor: "
@@ -288,6 +296,22 @@ class TestMatchesBisection:
             alpha = assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
             assert alpha is not None or tol < 1e-9
 
+    @on_the_grid
+    def test_grid_poor_basis(self, m_ant, leak_scale, tol, objective_exponent):
+        # The grid's problems with R and L confined to a random 2-dimensional
+        # subspace, as the low-rank group correlations of a large array are:
+        # all but two eigenvalues of R - alpha * L are zero up to rounding, so
+        # the selected columns past the second, and their order, are rounding
+        # noise.  The contract must hold all the same.
+        for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
+            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
+            corr, leak, streams, n_users, power = random_alpha_problem(seed, m_ant, leak_scale, power)
+            basis = random_basis(seed + [2], m_ant, 2)
+            projector = basis @ basis.conj().T
+            problem = (projector @ corr @ projector, projector @ leak @ projector, streams, n_users, power)
+            alpha = assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
+            assert alpha is not None or tol < 1e-9
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -336,6 +360,17 @@ class TestMatchesBisection:
     def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol, objective_exponent):
         problem = random_alpha_problem(seed, m_ant, 10.0**log_leak, 10.0**log_power)
         assert_solver_contract(problem, tol=10.0**log_tol, rounding_dominated=True, objective_exponent=objective_exponent)
+
+    @pytest.mark.parametrize("leak", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])])
+    @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0])
+    def test_early_return_at_power_of_two(self, target, leak):
+        # f = target on [0, inf): the bisection's doubling stops exactly at
+        # the root, and the solve returns the same point and precoder.
+        corr = np.diag([target, 0.0, 0.0])
+        expected_alpha, expected_f = bisect_alpha_star(corr, leak, 1, 1, 1.0)
+        alpha, f_star = solve_alpha_star(corr, leak, 1, 1, 1.0)
+        assert alpha == expected_alpha == target
+        assert np.array_equal(f_star, expected_f)
 
     @pytest.mark.parametrize("leak", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])])
     @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0, 0.3])
@@ -642,6 +677,22 @@ class TestPhaseQuantization:
         assert np.array_equal(index[: normal.size], plain)
         assert list(index[normal.size :]) == [14, 0]
 
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_scalar_is_the_zero_dim_case_of_the_array_path(self, bits):
+        # Grid points, grid midpoints, random phases, subnormal values and
+        # zero: a scalar quantizes as it does inside an array, as an int.
+        grid = phase_grid(bits)
+        midpoints = grid * np.exp(1j * np.pi / 2**bits)
+        rng = np.random.default_rng(bits)
+        values = np.concatenate(
+            [grid, midpoints, 0.3 * midpoints, 1e-310 * grid, rng.standard_normal(32) + 1j * rng.standard_normal(32), [0j]]
+        )
+        index = nearest_phase_index(values, bits)
+        for value, n in zip(values, index):
+            for scalar in (complex(value), value, np.asarray(value)):
+                got = nearest_phase_index(scalar, bits)
+                assert type(got) is int and got == n
+
     def test_grid_built_once_per_bits(self, monkeypatch):
         rf_precoder._shared_grid.cache_clear()
         calls = count_calls(monkeypatch, rf_precoder, "phase_grid")
@@ -780,6 +831,13 @@ def assert_grfp_matches_rescan(relaxed, grouping, bits, antenna_count):
     return got
 
 
+@functools.lru_cache(maxsize=None)
+def pipeline_relaxed(m_ant, seed):
+    """The default scenario's grouping and relaxed solution at P = 1."""
+    grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
+    return grouping, solve_relaxed(grouping, n_users=grouping.user_count, power=1.0)
+
+
 class TestGrfpMatchesRescan:
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("m_ant", [8, 64, 128])
@@ -816,6 +874,22 @@ class TestGrfpMatchesRescan:
                         assert rf.antenna_to_chain[m_ant - 1 - first] == 1
                     # The rule, not the index, decides every pair but the first.
                     assert all(keys[m][1] != keys[m_ant - 1 - m][1] for m in range(1, half))
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 6])
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
+    def test_design_unchanged_by_magnitude_rounding(self, m_ant, seed, bits):
+        # Noise of 1e-14 relative on every relaxed magnitude, more than a
+        # different BLAS thread count leaves, changes no claim: mirror-pair
+        # ties are decided by the rule, and the other gaps are far wider.
+        grouping, relaxed = pipeline_relaxed(m_ant, seed)
+        expected = grfp_assign(relaxed, grouping, bits, m_ant)
+        rng = np.random.default_rng([m_ant, seed, bits])
+        for _ in range(3):
+            noisy = [f * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, f.shape)) for f in relaxed.f_star]
+            got = grfp_assign(RelaxedSolution(relaxed.alpha_star, noisy), grouping, bits, m_ant)
+            assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain)
+            assert np.array_equal(got.phase_index, expected.phase_index)
 
 
 class TestSslnr:
