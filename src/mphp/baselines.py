@@ -32,6 +32,7 @@ from .grouping import Grouping
 from .numerics import check_condition, hermitian_eig  # noqa: F401  (bench/run.py traces this binding)
 from .rf_precoder import (
     RfPrecoder,
+    align_column_phase,
     grfp_assign,
     nearest_phase_index,
     phase_grid,
@@ -149,13 +150,14 @@ def _design_mphp(grouping: Grouping, config: "SystemConfig") -> RfPrecoder:
 
 
 def _design_frps(grouping: Grouping, config: "SystemConfig") -> np.ndarray:
-    """Fully-connected analog stage: quantized phases of dominant eigenvectors."""
+    """Fully-connected analog stage: quantized phases of aligned dominant eigenvectors."""
     n_chains = sum(len(m) for m in grouping.members)
     grid = phase_grid(config.B)
     f = np.zeros((config.M, n_chains), dtype=complex)
     for g, (_, vectors) in enumerate(grouping.group_eigs):
         for i, chain in enumerate(grouping.rf_chains[g]):
-            f[:, int(chain)] = grid[nearest_phase_index(vectors[:, i], config.B)] / np.sqrt(config.M)
+            column = align_column_phase(vectors[:, i], config.B)
+            f[:, int(chain)] = grid[nearest_phase_index(column, config.B)] / np.sqrt(config.M)
     return f
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import hermitian_eig, hermitian_part  # noqa: F401  (unused; bench/run.py traces this binding)
+from .numerics import hermitian_eig, hermitian_part  # noqa: F401  (hermitian_eig is unused; bench/run.py traces it)
 
 # Truncation of the AoD density, in standard deviations around the mean.
 AOD_TRUNCATION_SIGMAS = 2.0

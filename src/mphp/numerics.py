@@ -35,12 +35,10 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 class EigenDecomposition(NamedTuple):
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
-    Column i of ``eigenvectors`` pairs with ``eigenvalues[i]``.  No phase
-    canonicalization is applied to the eigenvectors, so each column carries
+    Column i of ``eigenvectors`` pairs with ``eigenvalues[i]`` and carries
     whatever unit-modulus factor LAPACK returns.  Projectors, traces and
-    magnitudes built from the columns do not depend on it, but the B-bit
-    phase quantization in ``rf_precoder.grfp_assign`` and the FRPS baseline
-    does: rounding to the nearest grid point is not phase-equivariant.
+    magnitudes do not depend on it, and GRFP and the FRPS baseline remove it
+    (``rf_precoder.align_column_phase``) before rounding to the phase grid.
     """
 
     eigenvalues: np.ndarray

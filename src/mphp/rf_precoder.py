@@ -4,15 +4,16 @@ Per group, the analog precoder is obtained in two stages:
 
 1. A relaxed max-min problem on the statistical signal-to-leakage-and-noise
    ratio (SSLNR), solved per group by eigendecomposition of the signal
-   correlation minus a weighted leakage correlation.  The weight solves the
-   fixed-point equation of the optimal value: safeguarded Newton
-   (Dinkelbach) steps inside a shrinking bracket, each one eigendecomposition,
-   return the first weight within the relative residual tolerance.
+   correlation minus a weighted leakage correlation, on the groups' joint
+   signal subspace.  The weight solves the fixed-point equation of the
+   optimal value: safeguarded Newton (Dinkelbach) steps inside a shrinking
+   bracket, each one eigendecomposition, return the first weight within the
+   relative residual tolerance.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
-   least one antenna.  Equal relaxed magnitudes are ranked by a rule (the
-   smaller phase-quantisation error first), never by rounding noise.
+   least one antenna.  Each column's phase and the order of equal relaxed
+   magnitudes are fixed by rules, never by the eigensolver's phase or noise.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from .grouping import Grouping
-from .numerics import EigenDecomposition, hermitian_eig
+from .numerics import hermitian_eig
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITERS = 200
-# GRFP ties: sorted magnitudes whose gaps are at most this share of the
-# column's largest one, and phase errors equal to this many decimals.
-_TIE_RTOL = 1e-12
-_ERROR_DECIMALS = 9
+# Tie band of the GRFP and column phase rules: gaps of sorted magnitudes (share of the
+# largest) or phase errors (radians), scores (share of the best), arc widths (grid steps).
+_TIE_TOL = 1e-9
 
 _TINY = np.finfo(float).tiny
 _SUBNORMAL_SCALE = 2.0**600
@@ -125,33 +125,26 @@ def relaxed_step(
     alpha: float,
     streams: int,
     objective_exponent: int = 2,
-    signal_eig: EigenDecomposition | None = None,
+    antenna_count: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Optimal relaxed precoder and objective value at a fixed leakage weight.
 
     Eigendecomposes ``signal_corr - alpha * leak_corr`` (descending) and keeps
     the ``streams`` dominant eigenvectors; a column whose eigenvalue is
     negative is shrunk to norm 1/sqrt(M) (the lower end of the feasible
-    column-norm range), otherwise it keeps norm 1.  The returned value is the
-    weighted sum of the selected eigenvalues; ``objective_exponent`` selects
-    whether the column scaling enters linearly or squared (squared is the
-    trace-consistent default).  ``signal_eig``, the decomposition of
-    ``signal_corr`` alone, stands in for the decomposition where the
-    difference has exactly the bits of ``signal_corr`` (at ``alpha = 0``,
-    unless ``- 0.0 * leak_corr`` flips the sign of a zero entry).
+    column-norm range), otherwise it keeps norm 1; M is ``antenna_count``,
+    by default the matrix size.  The returned value is the weighted sum of
+    the selected eigenvalues; ``objective_exponent`` selects whether the
+    column scaling enters linearly or squared (squared is the
+    trace-consistent default).
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if objective_exponent not in (1, 2):
         raise ValueError(f"objective_exponent must be 1 or 2, got {objective_exponent}")
-    m_ant = signal_corr.shape[0]
-    shifted = signal_corr - alpha * leak_corr
-    same_bits = shifted.dtype == signal_corr.dtype and shifted.tobytes() == signal_corr.tobytes()
-    if signal_eig is None or not same_bits:
-        signal_eig = hermitian_eig(shifted)
-    values, vectors = signal_eig
+    values, vectors = hermitian_eig(signal_corr - alpha * leak_corr)
     top = values[:streams]
-    scales = np.where(top >= 0, 1.0, 1.0 / np.sqrt(m_ant))
+    scales = np.where(top >= 0, 1.0, 1.0 / np.sqrt(antenna_count or signal_corr.shape[0]))
     return vectors[:, :streams] * scales[None, :], float(np.sum(top * scales**objective_exponent))
 
 
@@ -174,7 +167,7 @@ def solve_alpha_star(
     tol: float = BISECTION_TOL,
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
-    signal_eig: EigenDecomposition | None = None,
+    antenna_count: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Solve f(alpha) = (K * S_g / P) * alpha by safeguarded Newton steps.
 
@@ -186,10 +179,8 @@ def solve_alpha_star(
     end on its side of the root to it, and a step that leaves the bracket is
     replaced by the bracket's midpoint.  Returns the first evaluated
     ``alpha_star`` with relative residual |g| / (slope * alpha) at most
-    ``tol``, and the relaxed precoder ``relaxed_step`` gives there.
-    ``signal_eig``, the decomposition of ``signal_corr``, spares the
-    ``alpha = 0`` evaluation its own (see ``relaxed_step``); it does not
-    change the result.
+    ``tol``, and the relaxed precoder ``relaxed_step`` gives there
+    (``antenna_count`` is passed on to it).
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
@@ -204,7 +195,7 @@ def solve_alpha_star(
     slope = n_users * streams / power
 
     def objective(alpha: float) -> tuple[np.ndarray, float]:
-        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, signal_eig)
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, antenna_count)
 
     f_star, value = objective(0.0)
     if value <= 0:
@@ -241,6 +232,18 @@ def solve_alpha_star(
     )
 
 
+def joint_signal_basis(grouping: Grouping) -> np.ndarray:
+    """Orthonormal basis (M, r) of the groups' joint signal subspace: one QR
+    of each group's eigenvectors (``group_eigs``) whose eigenvalue exceeds
+    the rounding level M * eps * lambda_1, and at least one per stream."""
+    m_ant = grouping.group_correlations[0].shape[0]
+    kept = [
+        vectors[:, (values > m_ant * np.finfo(float).eps * values[0]) | (np.arange(m_ant) < len(members))]
+        for (values, vectors), members in zip(grouping.group_eigs, grouping.members)
+    ]
+    return np.linalg.qr(np.concatenate(kept, axis=1))[0]
+
+
 def solve_relaxed(
     grouping: Grouping,
     n_users: int,
@@ -249,24 +252,62 @@ def solve_relaxed(
     max_iters: int = BISECTION_MAX_ITERS,
     objective_exponent: int = 2,
 ) -> RelaxedSolution:
-    """Run the relaxed per-group solve for every group."""
-    alphas: list[float] = []
-    precoders: list[np.ndarray] = []
-    for g in range(grouping.group_count):
-        alpha, f_star = solve_alpha_star(
-            grouping.group_correlations[g],
-            leakage_correlation(grouping, g),
+    """Run the relaxed per-group solve for every group on the joint subspace.
+
+    Each group's ``solve_alpha_star`` runs on U^H R_g U and U^H L_g U, with
+    U = ``joint_signal_basis(grouping)`` (M x r), and its columns are lifted
+    by U.  The M x M pencil is zero off U, so both solves agree unless a
+    selected eigenvalue is negative with r < M, which needs linearly
+    dependent kept eigenvectors; the column then keeps its eigenvector,
+    shrunk to 1/sqrt(M), where the M x M solve takes a null vector off U.
+    """
+    basis = joint_signal_basis(grouping)
+    solved = [
+        solve_alpha_star(
+            basis.conj().T @ grouping.group_correlations[g] @ basis,
+            basis.conj().T @ leakage_correlation(grouping, g) @ basis,
             streams=len(grouping.members[g]),
             n_users=n_users,
             power=power,
             tol=tol,
             max_iters=max_iters,
             objective_exponent=objective_exponent,
-            signal_eig=grouping.group_eigs[g],
+            antenna_count=basis.shape[0],
         )
-        alphas.append(alpha)
-        precoders.append(f_star)
-    return RelaxedSolution(alpha_star=alphas, f_star=precoders)
+        for g in range(grouping.group_count)
+    ]
+    return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[basis @ f for _, f in solved])
+
+
+def align_column_phase(column: np.ndarray, bits: int) -> np.ndarray:
+    """The column rotated to the global phase its B-bit rounding rule picks.
+
+    The taps q of v * e^{j phi} change at one phase per nonzero entry within
+    a grid step; a cumulative sum scores |q^H v| on every arc between them
+    wider than ``_TIE_TOL`` of a step, and the best wins (Sohrabi & Yu, IEEE
+    JSTSP 2016).  Scores within ``_TIE_TOL`` tie, as mirror-conjugate columns
+    of Hermitian Toeplitz correlations do; the lexicographically smallest
+    tap vector wins, shifted so that the reference antenna's tap is 0: the
+    lowest index with magnitude within ``_TIE_TOL`` of the largest.  The
+    column turns to the winning arc's midpoint and back by that tap.
+    """
+    step = 2 * np.pi / 2**bits
+    values = column[column != 0]
+    shifted = np.angle(values) / step + 0.5
+    taps = np.floor(shifted)
+    # Arc j: [lower[j], upper[j]) steps of rotation, the first j taps of ``order`` moved up.
+    order = np.argsort(taps - shifted, kind="stable")
+    upper = (taps - shifted)[order] + 1.0
+    lower = np.append(upper[-1] - 1.0, upper[:-1])
+    terms = values * np.exp(-1j * step * taps)
+    score = np.abs(terms.sum() + (np.exp(-1j * step) - 1.0) * np.append(0.0, np.cumsum(terms[order])[:-1]))
+    wide = upper - lower > _TIE_TOL
+    arcs = np.flatnonzero(wide & (score >= (1.0 - _TIE_TOL) * score[wide].max()))
+    arc_taps = taps + (np.argsort(order) < arcs[:, None])
+    ref = np.argmax(np.abs(values) >= (1.0 - _TIE_TOL) * np.abs(values).max())
+    win = min(range(arcs.size), key=lambda i: ((arc_taps[i] - arc_taps[i, ref]) % 2**bits).tolist())
+    turn = 0.5 * (lower[arcs[win]] + upper[arcs[win]]) - arc_taps[win, ref]
+    return column * np.exp(1j * step * turn)
 
 
 def _claim_order(column: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -274,15 +315,18 @@ def _claim_order(column: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
     ``taps`` holds each antenna's grid point.  Antennas go by descending
     magnitude; a run of sorted magnitudes whose adjacent gaps are at most
-    ``_TIE_RTOL`` times the largest is one tie block, ordered by ascending
-    phase-quantisation error |arg(f_m * conj(tap_m))|, rounded to
-    ``_ERROR_DECIMALS`` decimals, then by antenna index.
+    ``_TIE_TOL`` times the largest is one tie block, ordered by ascending
+    phase-quantisation error |arg(f_m * conj(tap_m))|, where a run of
+    sorted errors with gaps of at most ``_TIE_TOL`` ties, then by index.
     """
     mag = np.abs(column)
     by_mag = np.argsort(-mag, kind="stable")
-    block = np.concatenate([[0], np.cumsum(-np.diff(mag[by_mag]) > _TIE_RTOL * mag[by_mag[0]])])
-    error = np.round(np.abs(np.angle(column * taps.conj())), _ERROR_DECIMALS)
-    return by_mag[np.lexsort((by_mag, error[by_mag], block))]
+    block = np.concatenate([[0], np.cumsum(-np.diff(mag[by_mag]) > _TIE_TOL * mag[by_mag[0]])])
+    error = np.abs(np.angle(column * taps.conj()))
+    order = np.lexsort((error[by_mag], block))
+    ranked = by_mag[order]
+    tie = np.cumsum(np.append(0, (np.diff(block[order]) > 0) | (np.diff(error[ranked]) > _TIE_TOL)))
+    return ranked[np.lexsort((ranked, tie))]
 
 
 def grfp_assign(
@@ -296,22 +340,20 @@ def grfp_assign(
     Groups are visited in ascending order of their leakage weight (most
     constrained group first, ties to the lowest group index); each visit to a
     group column claims the unassigned antenna with the largest relaxed
-    magnitude and fixes its shifter to the nearest grid phase.  One sweep over
-    all group columns assigns one antenna per RF chain, and sweeps repeat
-    round-robin until all antennas are connected, so chains accumulate
-    antennas while the sweep priority is preserved.  Each column is ranked
-    once (``_claim_order``), and a cursor per column skips the antennas
-    already claimed.
+    magnitude and fixes its shifter to the nearest grid phase of the column
+    as ``align_column_phase`` turns it.  One sweep over all group columns
+    assigns one antenna per RF chain, and sweeps repeat round-robin until
+    all antennas are connected, so chains accumulate antennas while the
+    sweep priority is preserved.  Each column is ranked once
+    (``_claim_order``), and a cursor per column skips the antennas already
+    claimed.
 
-    Equal magnitudes are common, not accidental: ULA group correlations are
-    Hermitian Toeplitz, so their eigenvectors come in mirror pairs
-    |f_m| = |f_(M-1-m)|, equal up to rounding.  A sort alone would break
-    those ties by the last bits of the eigensolve.  Instead, magnitudes within
-    ``_TIE_RTOL`` of each other go to the antenna whose B-bit tap lies closer
-    to the relaxed phase: antenna m adds |f_m| * cos(delta_m) / sqrt(M) to the
-    real part of q^H f, where delta_m is its quantisation error, so between
-    equal magnitudes the smaller error keeps more of |q^H f|.  Errors equal to
-    ``_ERROR_DECIMALS`` decimals go to the lowest antenna index.
+    ULA group correlations are Hermitian Toeplitz, so magnitudes tie in
+    mirror pairs |f_m| = |f_(M-1-m)| up to rounding, which a sort alone would
+    break by the last bits of the eigensolve.  A tie goes to the antenna
+    whose tap lies closer to the relaxed phase, as antenna m adds
+    |f_m| * cos(delta_m) / sqrt(M) to Re q^H f (delta_m its quantisation
+    error), then to the lower index (``_claim_order``).
     """
     n_chains = sum(len(m) for m in grouping.members)
     if n_chains > antenna_count:
@@ -324,13 +366,11 @@ def grfp_assign(
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
     inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
     grid = _shared_grid(bits)
-    # Per group column i: each antenna's phase index, the antennas in claim
-    # order, and a cursor past the ones already claimed.
-    phases = [[nearest_phase_index(f_star[:, i], bits) for i in range(f_star.shape[1])] for f_star in relaxed.f_star]
-    ranked = [
-        [_claim_order(f_star[:, i], grid[n]).tolist() for i, n in enumerate(columns)]
-        for f_star, columns in zip(relaxed.f_star, phases)
-    ]
+    # Per group column i: the column at its phase, each antenna's phase
+    # index, the antennas in claim order, and a cursor past the ones claimed.
+    aligned = [[align_column_phase(f_star[:, i], bits) for i in range(f_star.shape[1])] for f_star in relaxed.f_star]
+    phases = [[nearest_phase_index(column, bits) for column in columns] for columns in aligned]
+    ranked = [[_claim_order(column, grid[n]).tolist() for column, n in zip(*group)] for group in zip(aligned, phases)]
     cursors = [[0] * f_star.shape[1] for f_star in relaxed.f_star]
 
     f = np.zeros((antenna_count, n_chains), dtype=complex)

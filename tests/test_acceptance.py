@@ -166,9 +166,9 @@ def test_criterion_05_greedy_vs_exhaustive():
     """M=4, L=K=2, G=2, B=1: greedy min-group SSLNR against the enumerated
     optimum over all valid quantized precoders, 50 random correlation draws.
 
-    Expected to FAIL on a few draws: the printed quantizer is sensitive to
-    the arbitrary global phase of the relaxed eigenvector at B=1 (see the
-    repo notes); the ratio distribution is reported either way.
+    Expected to FAIL on a draw: each column's phase is fixed by a rule, but
+    the greedy antenna partition can differ from the enumerated optimum's
+    (see the repo notes); the ratio distribution is reported either way.
     """
     rng = np.random.default_rng(0)
     grid = phase_grid(1)

@@ -16,7 +16,7 @@ from mphp.channel import draw_channel
 from mphp.experiment import SystemConfig
 from mphp.metrics import build_context
 from mphp.numerics import hermitian_eig
-from mphp.rf_precoder import RfPrecoder, nearest_phase_index, phase_grid, validate_rf_precoder
+from mphp.rf_precoder import RfPrecoder, align_column_phase, nearest_phase_index, phase_grid, validate_rf_precoder
 
 from conftest import make_grouping
 
@@ -54,13 +54,15 @@ def loop_greedy_instant_map(channel, chain_to_user):
 
 
 def loop_frps(grouping, config):
-    """Reference: quantize each dominant-eigenvector entry on its own."""
+    """Reference: quantize each entry of each dominant eigenvector, at the
+    phase the column phase rule fixes, on its own."""
     grid = phase_grid(config.B)
     f = np.zeros((config.M, sum(len(m) for m in grouping.members)), dtype=complex)
     for g in range(grouping.group_count):
         _, vectors = hermitian_eig(grouping.group_correlations[g])
         for i, chain in enumerate(grouping.rf_chains[g]):
-            indices = np.array([nearest_phase_index(v, config.B) for v in vectors[:, i]])
+            column = align_column_phase(vectors[:, i], config.B)
+            indices = np.array([nearest_phase_index(v, config.B) for v in column])
             f[:, int(chain)] = grid[indices] / np.sqrt(config.M)
     return f
 

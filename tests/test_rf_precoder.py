@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from mphp import rf_precoder
+from mphp.baselines import SchemeId, design_long_term
 from mphp.experiment import SystemConfig, parse_config, rows_to_csv, run_experiment
 from mphp.grouping import group_users
 from mphp.metrics import build_context
-from mphp.numerics import hermitian_eig
+from mphp.numerics import EigenDecomposition, hermitian_eig
 from mphp.rf_precoder import (
     DegenerateGroupError,
     RelaxedSolution,
     ZeroColumnError,
+    align_column_phase,
     grfp_assign,
     leakage_correlation,
     nearest_phase_index,
@@ -38,19 +41,18 @@ def diagonal_grouping():
 
 def bisect_alpha_star(
     signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2,
-    signal_eig=None,
+    antenna_count=None,
 ):
     """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the reference for
     solve_alpha_star.  The bracket upper end doubles from 1 until the
     right-hand side dominates, then [0, hi] is halved until a midpoint has
-    relative residual at most ``tol``.  ``signal_eig`` is accepted and
-    ignored: the reference decomposes every point it evaluates in full."""
+    relative residual at most ``tol``."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     slope = n_users * streams / power
 
     def objective(alpha):
-        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent)
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, antenna_count)
 
     _, f0 = objective(0.0)
     if f0 <= 0:
@@ -189,6 +191,12 @@ class TestRelaxedStep:
         f_star, f_value = relaxed_step(np.eye(2), np.eye(2), 3.0, streams=1)
         assert f_value == pytest.approx(-1.0, abs=1e-12)
         assert np.linalg.norm(f_star[:, 0]) == pytest.approx(1 / np.sqrt(2.0), abs=1e-12)
+
+    def test_shrink_uses_the_antenna_count(self):
+        # A pencil projected onto a subspace keeps the floor of the array.
+        f_star, f_value = relaxed_step(np.eye(2), np.eye(2), 3.0, streams=1, antenna_count=8)
+        assert np.linalg.norm(f_star[:, 0]) == pytest.approx(1 / np.sqrt(8.0), abs=1e-12)
+        assert f_value == pytest.approx(-2.0 / 8.0, abs=1e-12)
 
     def test_linear_exponent_variant(self):
         _, f_value = relaxed_step(np.eye(2), np.eye(2), 3.0, streams=1, objective_exponent=1)
@@ -481,77 +489,6 @@ class TestEvaluationCount:
         assert len(calls) <= 12
 
 
-def signed_zero_problem():
-    """(R, L) where R - 0.0 * L differs from R only in the sign of a zero."""
-    signal = np.array([[2.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]])
-    leak = np.array([[1.0, -1 - 1j], [-1 + 1j, 1.0]])
-    return signal, leak
-
-
-def bogus_eig(m_ant):
-    """A valid-looking decomposition of no matrix in these tests."""
-    return hermitian_eig(np.diag(np.arange(m_ant, 0, -1) * 7.0))
-
-
-class TestSignalEigReuse:
-    """solve_alpha_star takes the decomposition of R for its alpha = 0 step
-    only where R - 0.0 * L has exactly the bits of R."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("leak_scale", [0.0, 1.0])
-    def test_one_decomposition_fewer_and_same_answer(self, monkeypatch, seed, leak_scale):
-        problem = random_alpha_problem([700, seed], 8, leak_scale)
-        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
-        plain = solve_alpha_star(*problem)
-        plain_calls = len(calls)
-        calls.clear()
-        alpha, f_star = solve_alpha_star(*problem, signal_eig=hermitian_eig(problem[0]))
-        # Without leakage R - alpha * 0 is R at every alpha: nothing is decomposed.
-        assert len(calls) == (0 if leak_scale == 0.0 else plain_calls - 1)
-        assert alpha == plain[0] == assert_solver_contract(problem)
-        assert np.array_equal(f_star, plain[1])
-
-    def test_signed_zero_is_decomposed_afresh(self, monkeypatch):
-        signal, leak = signed_zero_problem()
-        shifted = signal - 0.0 * leak
-        assert np.array_equal(shifted, signal) and shifted.tobytes() != signal.tobytes()
-        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
-        expected = relaxed_step(signal, leak, 0.0, 1)
-        assert len(calls) == 1
-        got = relaxed_step(signal, leak, 0.0, 1, signal_eig=bogus_eig(2))
-        assert len(calls) == 2
-        assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
-        problem = (signal, leak, 1, 2, 1.0)
-        alpha, f_star = solve_alpha_star(*problem, signal_eig=bogus_eig(2))
-        expected_alpha, expected_f = solve_alpha_star(*problem)
-        assert alpha == expected_alpha and np.array_equal(f_star, expected_f)
-
-    def test_used_only_where_the_bits_match(self, rng):
-        corr, leak, streams, _, _ = random_alpha_problem([701, 0], 6, 1.0)
-        for alpha in (0.0, 0.5):
-            expected = relaxed_step(corr, leak, alpha, streams)
-            got = relaxed_step(corr, leak, alpha, streams, signal_eig=bogus_eig(6))
-            assert np.array_equal(got[0], expected[0]) is (alpha != 0.0)
-        with_eig = relaxed_step(corr, leak, 0.0, streams, signal_eig=hermitian_eig(corr))
-        assert np.array_equal(with_eig[0], relaxed_step(corr, leak, 0.0, streams)[0])
-
-    @pytest.mark.parametrize("seed", [1, 7919])
-    def test_solve_relaxed_saves_one_decomposition_per_group(self, monkeypatch, seed):
-        grouping, _, _ = build_context(SystemConfig(M=32), seed)
-        grouping.group_eigs  # decomposed before counting
-        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
-        relaxed = solve_relaxed(grouping, n_users=8, power=1.0)
-        reused = len(calls)
-        grouping.__dict__.pop("group_eigs")
-        calls.clear()
-        monkeypatch.setattr(type(grouping), "group_eigs", property(lambda self: [None] * self.group_count))
-        baseline = solve_relaxed(grouping, n_users=8, power=1.0)
-        assert len(calls) - reused == grouping.group_count
-        assert relaxed.alpha_star == baseline.alpha_star
-        for a, b in zip(relaxed.f_star, baseline.f_star):
-            assert np.array_equal(a, b)
-
-
 # Edge cases of the whole pipeline: M = K, G = K, B = 1, one group (no
 # leakage), and a 2-slot M = 128 point.
 PIPELINE_CONFIGS = {
@@ -571,7 +508,7 @@ def perturbed_solve(factor):
         alpha, _ = solve(signal_corr, leak_corr, streams, n_users, power, **options)
         alpha *= factor
         exponent = options.get("objective_exponent", 2)
-        return alpha, relaxed_step(signal_corr, leak_corr, alpha, streams, exponent)[0]
+        return alpha, relaxed_step(signal_corr, leak_corr, alpha, streams, exponent, options.get("antenna_count"))[0]
 
     return perturbed
 
@@ -774,27 +711,50 @@ class TestGrfpAssign:
             validate_rf_precoder(rf)
 
 
+class TestClaimOrder:
+    def test_tie_bands(self):
+        # Antennas 0 and 1: magnitudes 5e-10 apart and phase errors 4e-13
+        # apart across a 9-decimal rounding boundary, so both tie and the
+        # lower index goes first; antenna 2 is weaker, antenna 3 has the
+        # same magnitude as 0 and a larger error.
+        x0 = 0.1234567895
+        column = np.array(
+            [np.exp(1j * (x0 + 2e-13)), (1 - 5e-10) * np.exp(1j * (x0 - 2e-13)), 0.5, np.exp(0.2j)]
+        )
+        assert rf_precoder._claim_order(column, np.ones(4)).tolist() == [0, 1, 3, 2]
+        assert rf_precoder._claim_order(column[[1, 0, 2, 3]], np.ones(4)).tolist() == [0, 1, 3, 2]
+
+
 def tie_rule_key(column, bits):
-    """Per antenna, the sort key of GRFP's claim rule for one relaxed column:
-    (tie block, rounded quantisation error, index).  The tie block counts the
-    gaps above 1e-12 * max|f| in the sorted magnitudes that lie above the
-    antenna's magnitude; the error is the wrapped distance between the
-    relaxed phase and the grid phase of the antenna's tap."""
+    """Per antenna, the sort key of GRFP's claim rule for one relaxed column
+    at its aligned phase: (magnitude block, error block, index).  The
+    magnitude block counts the gaps above 1e-9 * max|f| in the sorted
+    magnitudes that lie above the antenna's magnitude.  The error block
+    counts, among the antennas of that magnitude block, the gaps above 1e-9
+    in their sorted errors that lie at or below the antenna's error, where
+    the error is the wrapped distance between the relaxed phase and the
+    grid phase of the antenna's tap."""
     mag = np.abs(column)
     ranked = np.sort(mag)[::-1]
-    breaks = ranked[1:][ranked[:-1] - ranked[1:] > 1e-12 * ranked[0]]
-    keys = []
-    for m, value in enumerate(column):
+    breaks = ranked[1:][ranked[:-1] - ranked[1:] > 1e-9 * ranked[0]]
+    mag_block = [int(np.sum(breaks >= value)) for value in mag]
+    error = []
+    for value in column:
         n = nearest_phase_index(value, bits)
-        error = abs((np.angle(value) - 2 * np.pi * n / 2**bits + np.pi) % (2 * np.pi) - np.pi)
-        keys.append((int(np.sum(breaks >= mag[m])), round(error, 9), m))
+        error.append(abs((np.angle(value) - 2 * np.pi * n / 2**bits + np.pi) % (2 * np.pi) - np.pi))
+    keys = []
+    for m in range(column.size):
+        peers = sorted(error[p] for p in range(column.size) if mag_block[p] == mag_block[m])
+        gaps = [high for low, high in zip(peers, peers[1:]) if high - low > 1e-9]
+        keys.append((mag_block[m], sum(high <= error[m] for high in gaps), m))
     return keys
 
 
 def grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count):
     """grfp_assign's claim loop written plainly, the oracle for the ranked
-    one: every claim rescans the column and takes the unassigned antenna
-    with the smallest tie_rule_key."""
+    one: each column is rotated by the phase rule first, and every claim
+    rescans the column and takes the unassigned antenna with the smallest
+    tie_rule_key."""
     n_chains = sum(len(m) for m in grouping.members)
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
     inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
@@ -810,9 +770,10 @@ def grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count):
             for i, chain in enumerate(grouping.rf_chains[int(g)]):
                 if assigned == antenna_count:
                     break
-                keys = tie_rule_key(f_star[:, i], bits)
+                column = align_column_phase(f_star[:, i], bits)
+                keys = tie_rule_key(column, bits)
                 antenna = min((keys[m] for m in np.flatnonzero(unassigned)))[2]
-                n_star = nearest_phase_index(f_star[antenna, i], bits)
+                n_star = nearest_phase_index(column[antenna], bits)
                 f[antenna, int(chain)] = inv_sqrt_m * grid[n_star]
                 antenna_to_chain[antenna] = int(chain)
                 phase_index[antenna] = n_star
@@ -853,8 +814,9 @@ class TestGrfpMatchesRescan:
         # pairs, |f_m| = |f_(M-1-m)|, as ULA eigenvectors do, and differ
         # between pairs; the phases are random.  The chains alternate claims,
         # so each pair splits between them, and the first chain's antenna of
-        # each pair is the one claimed first: the one with the smaller
-        # quantisation error, or the lower index where the errors tie.
+        # each pair is the one claimed first: on the column as the phase rule
+        # rotates it, the one with the smaller quantisation error, or the
+        # lower index where the errors tie.
         grouping = make_grouping([np.eye(m_ant, dtype=complex)] * 2, [0, 1])
         half = m_ant // 2
         for seed in range(4):
@@ -862,18 +824,22 @@ class TestGrfpMatchesRescan:
             magnitude = np.sort(rng.uniform(0.5, 1.0, half))[::-1]
             magnitude = np.concatenate([magnitude, magnitude[::-1]])
             column = magnitude * np.exp(2j * np.pi * rng.uniform(size=m_ant))
-            column[[0, -1]] = magnitude[0] * np.exp(0.25j * np.pi * np.array([1, -1]))  # errors tie
+            column[-1] = column[0]  # equal entries: their errors tie at any rotation
             for alphas in ([1.0, 2.0], [1.0, 1.0]):
                 relaxed = RelaxedSolution(alphas, [column[:, None], column[:, None]])
                 for bits in (1, 4, 6):
                     rf = assert_grfp_matches_rescan(relaxed, grouping, bits, m_ant)
-                    keys = tie_rule_key(column, bits)
+                    keys = tie_rule_key(align_column_phase(column, bits), bits)
                     for m in range(half):
                         first = min(keys[m], keys[m_ant - 1 - m])[2]
                         assert rf.antenna_to_chain[first] == 0
                         assert rf.antenna_to_chain[m_ant - 1 - first] == 1
-                    # The rule, not the index, decides every pair but the first.
-                    assert all(keys[m][1] != keys[m_ant - 1 - m][1] for m in range(1, half))
+                    # The rule, not the index, decides every pair but the first
+                    # and at most one more: at the midpoint of the winning arc
+                    # the two antennas whose taps change at its ends have equal
+                    # errors, and they may form a pair.
+                    assert keys[0][:2] == keys[-1][:2]
+                    assert sum(keys[m][1] == keys[m_ant - 1 - m][1] for m in range(1, half)) <= 1
 
     @pytest.mark.parametrize("bits", [1, 2, 4, 6])
     @pytest.mark.parametrize("seed", [1, 7919])
@@ -890,6 +856,176 @@ class TestGrfpMatchesRescan:
             got = grfp_assign(RelaxedSolution(relaxed.alpha_star, noisy), grouping, bits, m_ant)
             assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain)
             assert np.array_equal(got.phase_index, expected.phase_index)
+
+
+def phase_rule_by_arcs(column, bits):
+    """The column phase rule arc by arc, the oracle for align_column_phase.
+
+    Each arc between the rotations where a tap changes (wider than 1e-9 of
+    a grid step) is scored by quantizing the column rotated to its midpoint
+    and taking |q^H v|.  Returns the taps of the best arc, shifted so that
+    the reference antenna's tap is 0 (zero entries keep tap 0), and the
+    column turned to that arc's midpoint and back by the reference's tap;
+    scores within 1e-9 of the best tie, and the smallest shifted taps of the
+    nonzero entries in lexicographic order win."""
+    step = 2 * np.pi / 2**bits
+    nonzero = np.flatnonzero(column)
+    cuts = np.sort(np.mod(step / 2 - np.angle(column[nonzero]), step))
+    ends = np.append(cuts[1:], cuts[0] + step)
+    mag = np.abs(column)
+    ref = int(np.flatnonzero(mag >= (1 - 1e-9) * mag.max())[0])
+    scored = []
+    for low, high in zip(cuts, ends):
+        if high - low > 1e-9 * step:
+            taps = nearest_phase_index(column * np.exp(0.5j * (low + high)), bits)
+            shifted = (taps - taps[ref]) % 2**bits
+            turned = column * np.exp(0.5j * (low + high)) * phase_grid(bits)[taps[ref]].conj()
+            scored.append((abs(np.vdot(phase_grid(bits)[taps], column)), tuple(shifted[nonzero]), turned))
+    best = max(score for score, _, _ in scored)
+    tied = [(key, turned) for score, key, turned in scored if score >= (1 - 1e-9) * best]
+    key, turned = min(tied, key=lambda item: item[0])
+    expected = np.zeros(column.size, dtype=int)
+    expected[nonzero] = key
+    return expected, turned
+
+
+def random_column(seed, m_ant, kind):
+    """A random column: complex, mirror-conjugate (v_(M-1-m) = c * conj(v_m),
+    as eigenvectors of Hermitian Toeplitz matrices are, so scores tie in
+    mirror pairs), real up to one phase (breakpoints coincide), or with
+    zero entries."""
+    rng = np.random.default_rng(seed)
+    column = rng.standard_normal(m_ant) + 1j * rng.standard_normal(m_ant)
+    if kind == "mirror":
+        column = column + np.exp(2j * np.pi * rng.uniform()) * column[::-1].conj()
+    elif kind == "real":
+        column = column.real * np.exp(2j * np.pi * rng.uniform())
+    elif kind == "zeros":
+        column[rng.uniform(size=m_ant) < 0.3] = 0.0
+        column[rng.integers(m_ant)] = 1.0
+    return column
+
+
+def rotated_eigs(grouping, phases):
+    """A copy of ``grouping`` whose group_eigs vectors carry the given
+    per-column phases (cycled over the columns)."""
+    copy = dataclasses.replace(grouping)
+    copy.group_eigs = [
+        EigenDecomposition(values, vectors * np.exp(1j * np.resize(phases, values.size)))
+        for values, vectors in grouping.group_eigs
+    ]
+    return copy
+
+
+class TestColumnPhaseRule:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_ant=st.integers(1, 24),
+        kind=st.sampled_from(["complex", "mirror", "real", "zeros"]),
+        bits=st.integers(1, 8),
+        turn=st.floats(-np.pi, np.pi),
+    )
+    def test_matches_arc_by_arc_oracle_at_any_phase(self, seed, m_ant, kind, bits, turn):
+        column = random_column(seed, m_ant, kind)
+        expected, turned = phase_rule_by_arcs(column, bits)
+        for start in (column, column * np.exp(1j * turn)):
+            aligned = align_column_phase(start, bits)
+            assert np.array_equal(nearest_phase_index(aligned, bits), expected)
+            assert np.allclose(aligned, turned, rtol=0, atol=1e-12 * np.abs(column).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from([(m_ant, seed) for m_ant in (8, 16, 32, 64, 128) for seed in (1, 7919)]),
+        bits=st.integers(1, 6),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=8, max_size=8),
+    )
+    def test_designs_unchanged_by_column_rotations(self, case, bits, phases):
+        # MPHP: per-column rotations of the relaxed columns; FRPS: of the
+        # group_eigs vectors.  Neither design moves.
+        m_ant, seed = case
+        grouping, relaxed = pipeline_relaxed(m_ant, seed)
+        offsets = np.cumsum([0] + [f.shape[1] for f in relaxed.f_star])
+        rotated = [f * np.exp(1j * np.array(phases[a:b])) for f, a, b in zip(relaxed.f_star, offsets, offsets[1:])]
+        expected = grfp_assign(relaxed, grouping, bits, m_ant)
+        got = grfp_assign(RelaxedSolution(relaxed.alpha_star, rotated), grouping, bits, m_ant)
+        assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain)
+        assert np.array_equal(got.phase_index, expected.phase_index)
+        config = SystemConfig(M=m_ant, B=bits)
+        frps = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
+        assert np.array_equal(design_long_term(SchemeId.FRPS_STATISTICAL, rotated_eigs(grouping, phases), config), frps)
+
+
+def full_space_relaxed(grouping, n_users, power):
+    """The relaxed solve on the full M x M correlations, the reference for
+    the joint-subspace solve."""
+    solved = [
+        solve_alpha_star(corr, leakage_correlation(grouping, g), len(members), n_users, power)
+        for g, (corr, members) in enumerate(zip(grouping.group_correlations, grouping.members))
+    ]
+    return RelaxedSolution([alpha for alpha, _ in solved], [f_star for _, f_star in solved])
+
+
+class TestJointSubspaceSolve:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
+    def test_matches_full_space_reference(self, m_ant, seed):
+        grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
+        for power in (0.1, 1.0, 10.0):
+            relaxed = solve_relaxed(grouping, n_users=grouping.user_count, power=power)
+            reference = full_space_relaxed(grouping, grouping.user_count, power)
+            for alpha, expected in zip(relaxed.alpha_star, reference.alpha_star):
+                assert abs(alpha - expected) <= 1e-12 * expected, power
+            for bits in (1, 4, 6):
+                got = grfp_assign(relaxed, grouping, bits, m_ant)
+                expected = grfp_assign(reference, grouping, bits, m_ant)
+                assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain), (power, bits)
+                assert np.array_equal(got.phase_index, expected.phase_index), (power, bits)
+
+    def test_decomposes_nothing_larger_than_the_joint_basis(self, monkeypatch):
+        grouping, _, _ = build_context(SystemConfig(M=128), 1)
+        grouping.group_eigs  # decomposed before counting
+        calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
+        for power in (0.1, 1.0, 10.0):
+            solve_relaxed(grouping, n_users=grouping.user_count, power=power)
+        assert calls
+        assert all(matrix.shape[0] == matrix.shape[1] <= 56 for matrix, in calls)
+
+    @pytest.mark.parametrize("m_ant, rank", [(16, 16), (32, 31), (64, 40), (128, 56)])
+    def test_joint_basis(self, m_ant, rank):
+        # Orthonormal, r columns at seed 1, and every group correlation lies
+        # in its span up to rounding.
+        grouping, _, _ = build_context(SystemConfig(M=m_ant), 1)
+        basis = rf_precoder.joint_signal_basis(grouping)
+        assert basis.shape == (m_ant, rank)
+        assert np.allclose(basis.conj().T @ basis, np.eye(rank), rtol=0, atol=1e-13)
+        projector = basis @ basis.conj().T
+        for corr in grouping.group_correlations:
+            residual = np.linalg.norm(corr - projector @ corr @ projector)
+            assert residual <= 1e-12 * np.linalg.norm(corr)
+
+    def test_passes_the_antenna_count(self, monkeypatch):
+        grouping, _, _ = build_context(SystemConfig(M=64), 1)
+        counts = []
+        solve = rf_precoder.solve_alpha_star
+
+        def recorded(*args, **kwargs):
+            counts.append(kwargs["antenna_count"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(rf_precoder, "solve_alpha_star", recorded)
+        solve_relaxed(grouping, n_users=grouping.user_count, power=1.0)
+        assert counts == [64] * grouping.group_count
+
+    def test_keeps_at_least_one_vector_per_stream(self):
+        # Three users with one rank-one correlation in one group: the group
+        # has one eigenvalue above rounding and three streams.
+        corr = np.zeros((6, 6), dtype=complex)
+        corr[0, 0] = 1.0
+        grouping = make_grouping([corr] * 3, [0, 0, 0])
+        assert rf_precoder.joint_signal_basis(grouping).shape == (6, 3)
+        relaxed = solve_relaxed(grouping, n_users=3, power=1.0)
+        assert relaxed.f_star[0].shape == (6, 3)
 
 
 class TestSslnr:
