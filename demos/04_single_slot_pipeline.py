@@ -8,7 +8,7 @@ import numpy as np
 from mphp import SchemeId, SystemConfig, build_precoders, design_long_term, draw_channel
 from mphp.metrics import build_context, evaluate_slot, intra_group_leakage
 
-config = SystemConfig(M=32, K=6, L=6, G=3, n_slots=1)
+config = SystemConfig(M=32, K=6, G=3, n_slots=1)
 grouping, scenario, geometry = build_context(config, seed=12)
 
 print(f"groups: {[list(m) for m in grouping.members]}")

@@ -140,12 +140,7 @@ def build_precoders(
 
 
 def _design_mphp(grouping: Grouping, config: "SystemConfig") -> RfPrecoder:
-    relaxed = solve_relaxed(
-        grouping,
-        n_users=config.K,
-        power=config.P,
-        objective_exponent=config.objective_exponent,
-    )
+    relaxed = solve_relaxed(grouping, n_users=config.K, power=config.P)
     return grfp_assign(relaxed, grouping, bits=config.B, antenna_count=config.M)
 
 

@@ -32,14 +32,12 @@ class SystemConfig:
 
     M: int = 64
     K: int = 8
-    L: int = 8
     G: int = 3
     B: int = 4
     P: float = 1.0
     n_slots: int = 1000
     seed: int = 1
     T: int = 10
-    objective_exponent: int = 2
     angular_spread: float = 0.03
     path_count: int = 6
     aod_jitter: float = 0.02
@@ -56,8 +54,6 @@ class SystemConfig:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.M:
             raise ValueError(f"K must satisfy 1 <= K <= M, got K={self.K}, M={self.M}")
-        if self.L != self.K:
-            raise ValueError(f"L must equal K, got L={self.L}, K={self.K}")
         if not 1 <= self.G <= self.K:
             raise ValueError(f"G must satisfy 1 <= G <= K, got G={self.G}, K={self.K}")
         if self.B < 1:
@@ -70,8 +66,6 @@ class SystemConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.objective_exponent not in (1, 2):
-            raise ValueError(f"objective_exponent must be 1 or 2, got {self.objective_exponent}")
         if self.angular_spread < 0:
             raise ValueError(f"scenario.angular_spread must be >= 0, got {self.angular_spread}")
         if self.path_count < 1:
@@ -92,11 +86,7 @@ class SystemConfig:
             if not self.sweep_values:
                 raise ValueError("sweep.values must be non-empty when sweep.parameter is set")
             for value in self.sweep_values:
-                apply_sweep_value(self, self.sweep_parameter, value).validate_point()
-
-    def validate_point(self) -> None:
-        """Validate everything except the sweep block (used per sweep value)."""
-        replace(self, sweep_parameter=None, sweep_values=()).validate()
+                apply_sweep_value(self, self.sweep_parameter, value).validate()
 
     def power_model(self) -> PowerModel:
         return PowerModel(
@@ -126,19 +116,33 @@ class ResultRow:
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
-# key -> (config attribute, parser)
-_INT_KEYS = ("M", "K", "L", "G", "B", "n_slots", "seed", "T", "objective_exponent")
-_FLOAT_KEYS = ("P",)
-_DOTTED_KEYS = {
-    "scenario.angular_spread": "angular_spread",
-    "scenario.path_count": "path_count",
-    "scenario.aod_jitter": "aod_jitter",
-    "scenario.element_spacing": "element_spacing",
-    "power.p_baseband": "p_baseband",
-    "power.p_rf_chain": "p_rf_chain",
-    "power.p_phase_shifter": "p_phase_shifter",
+# Document key -> SystemConfig field, in the order ``serialize_config``
+# writes them.  A value parses as the type of its field's default; a tuple
+# field takes a comma-separated list.
+_KEYS = {
+    **{name: name for name in ("M", "K", "G", "B", "P", "n_slots", "seed", "T", "schemes")},
+    **{f"scenario.{name}": name for name in ("angular_spread", "path_count", "aod_jitter", "element_spacing")},
+    **{f"power.{name}": name for name in ("p_baseband", "p_rf_chain", "p_phase_shifter")},
+    "sweep.parameter": "sweep_parameter",
+    "sweep.values": "sweep_values",
 }
-_DOTTED_INT = {"scenario.path_count"}
+_DEFAULTS = SystemConfig()
+
+
+def _parse_field(field: str, text: str) -> object:
+    default = getattr(_DEFAULTS, field)
+    if isinstance(default, tuple):
+        item = SchemeId if field == "schemes" else float
+        return tuple(item(v.strip()) for v in text.split(",") if v.strip())
+    return text if default is None else type(default)(text)
+
+
+def _format_field(value: object) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_field(v) for v in value)
+    if isinstance(value, SchemeId):
+        return value.value
+    return value if isinstance(value, str) else repr(value)
 
 
 def parse_config(text: str) -> SystemConfig:
@@ -148,7 +152,6 @@ def parse_config(text: str) -> SystemConfig:
     unknown key or invariant violation.
     """
     values: dict[str, object] = {}
-    explicit_l = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,28 +160,13 @@ def parse_config(text: str) -> SystemConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        field = _KEYS.get(key)
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-                explicit_l = explicit_l or key == "L"
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _DOTTED_KEYS:
-                attr = _DOTTED_KEYS[key]
-                values[attr] = int(value) if key in _DOTTED_INT else float(value)
-            elif key == "schemes":
-                values["schemes"] = tuple(SchemeId(s.strip()) for s in value.split(",") if s.strip())
-            elif key == "sweep.parameter":
-                values["sweep_parameter"] = value
-            elif key == "sweep.values":
-                values["sweep_values"] = tuple(float(v.strip()) for v in value.split(",") if v.strip())
-            else:
+            if field is None:
                 raise ValueError(f"unknown key {key!r}")
+            values[field] = _parse_field(field, value.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno} ({key}): {exc}") from None
-    if "K" in values and not explicit_l:
-        values["L"] = values["K"]
     config = SystemConfig(**values)  # type: ignore[arg-type]
     config.validate()
     return config
@@ -186,34 +174,16 @@ def parse_config(text: str) -> SystemConfig:
 
 def serialize_config(config: SystemConfig) -> str:
     """Emit a document that parses back to an equal config."""
-    lines = [
-        f"M = {config.M}",
-        f"K = {config.K}",
-        f"L = {config.L}",
-        f"G = {config.G}",
-        f"B = {config.B}",
-        f"P = {config.P!r}",
-        f"n_slots = {config.n_slots}",
-        f"seed = {config.seed}",
-        f"T = {config.T}",
-        f"objective_exponent = {config.objective_exponent}",
-        f"schemes = {', '.join(s.value for s in config.schemes)}",
-        f"scenario.angular_spread = {config.angular_spread!r}",
-        f"scenario.path_count = {config.path_count}",
-        f"scenario.aod_jitter = {config.aod_jitter!r}",
-        f"scenario.element_spacing = {config.element_spacing!r}",
-        f"power.p_baseband = {config.p_baseband!r}",
-        f"power.p_rf_chain = {config.p_rf_chain!r}",
-        f"power.p_phase_shifter = {config.p_phase_shifter!r}",
-    ]
-    if config.sweep_parameter is not None:
-        lines.append(f"sweep.parameter = {config.sweep_parameter}")
-        lines.append(f"sweep.values = {', '.join(repr(v) for v in config.sweep_values)}")
+    lines = []
+    for key, field in _KEYS.items():
+        value = getattr(config, field)
+        if value is not None and value != ():
+            lines.append(f"{key} = {_format_field(value)}")
     return "\n".join(lines) + "\n"
 
 
 def apply_sweep_value(config: SystemConfig, parameter: str, value: float) -> SystemConfig:
-    """Point config for one sweep value; K sweeps keep L = K, snr_db maps to P."""
+    """Point config for one sweep value; snr_db maps to P."""
     point = replace(config, sweep_parameter=None, sweep_values=())
     if parameter == "snr_db":
         return replace(point, P=float(10.0 ** (value / 10.0)))
@@ -222,8 +192,6 @@ def apply_sweep_value(config: SystemConfig, parameter: str, value: float) -> Sys
     integral = int(round(value))
     if integral != value:
         raise ValueError(f"sweep value for {parameter} must be an integer, got {value}")
-    if parameter == "K":
-        return replace(point, K=integral, L=integral)
     return replace(point, **{parameter: integral})
 
 

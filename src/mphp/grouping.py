@@ -29,7 +29,7 @@ class Grouping:
 
     ``members[g]`` lists user indices (ascending) of group g; the i-th user
     of a group pairs with the i-th chain in ``rf_chains[g]``.  Chain sets are
-    contiguous blocks in group order, so they partition range(K) for L = K.
+    contiguous blocks in group order, so they partition range(K).
     """
 
     assignments: np.ndarray  # user -> group index
@@ -63,13 +63,6 @@ class Grouping:
     def chain_users(self) -> np.ndarray:
         """User index served by each RF chain (chain blocks follow group order)."""
         return np.concatenate(self.members)
-
-    def chain_user(self, chain: int) -> int:
-        """User index served by a given RF chain."""
-        users = self.chain_users
-        if not 0 <= chain < users.size:
-            raise ValueError(f"chain {chain} not present in any group")
-        return int(users[chain])
 
 
 def _span_projector(vectors: np.ndarray, rank: int) -> np.ndarray:

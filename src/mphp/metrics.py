@@ -193,15 +193,13 @@ def energy_efficiency(
     return sum_rate / total
 
 
-def statistics_feedback_count(
-    group_correlations: Sequence[np.ndarray],
-    energy_fraction: float = STATISTICS_ENERGY_FRACTION,
-) -> int:
+def statistics_feedback_count(group_correlations: Sequence[np.ndarray]) -> int:
     """Scalars needed to feed back the dominant eigenpairs of each group
-    correlation: per group, the smallest rank capturing ``energy_fraction``
-    of the trace, times one real eigenvalue plus one complex M-vector.
-    Entries that are already ``EigenDecomposition``s (``Grouping.group_eigs``)
-    are not decomposed again.
+    correlation: per group, the smallest rank capturing
+    ``STATISTICS_ENERGY_FRACTION`` of the trace, times one real eigenvalue
+    plus one complex M-vector.  Entries that are already
+    ``EigenDecomposition``s (``Grouping.group_eigs``) are not decomposed
+    again.
     """
     total = 0
     for corr in group_correlations:
@@ -209,7 +207,7 @@ def statistics_feedback_count(
         values = np.maximum(values, 0.0)
         trace = float(np.sum(values))
         cumulative = np.cumsum(values)
-        rank = int(np.searchsorted(cumulative, energy_fraction * trace) + 1)
+        rank = int(np.searchsorted(cumulative, STATISTICS_ENERGY_FRACTION * trace) + 1)
         rank = min(rank, values.size)
         total += rank * (2 * vectors.shape[0] + 1)
     return total
@@ -279,7 +277,6 @@ def monte_carlo_rates(
     grouping: Grouping | None = None,
     scenario: Sequence[channel_mod.UserChannelParams] | None = None,
     channel_factory: Callable[[int], np.ndarray] | None = None,
-    power_model: PowerModel | None = None,
 ) -> RunMetrics | list[RunMetrics]:
     """Average rates over independent channel draws with the long-term
     precoder held fixed.
@@ -330,7 +327,7 @@ def monte_carlo_rates(
                 outage_slots[i] += len({t for t, _ in block.outage_groups})
         runs = []
         for current, scheme_rates, outages in zip(scheme_list, rates, outage_slots):
-            runs.append(_run_metrics(current, config, grouping, scheme_rates, outages, power_model))
+            runs.append(_run_metrics(current, config, grouping, scheme_rates, outages))
     except Exception as exc:
         if single or current is None:
             raise
@@ -344,7 +341,6 @@ def _run_metrics(
     grouping: Grouping,
     rates: np.ndarray,
     outage_slots: int,
-    power_model: PowerModel | None,
 ) -> RunMetrics:
     """Aggregates of one scheme's (n_slots, K) rates."""
     n_slots = rates.shape[0]
@@ -355,10 +351,9 @@ def _run_metrics(
     avg_stderr = float(per_slot_mean.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
     sum_stderr = float(per_slot_sum.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
 
-    model = power_model if power_model is not None else config.power_model()
-    model = replace(model, connectivity=SCHEMES[scheme].connectivity)
+    model = replace(config.power_model(), connectivity=SCHEMES[scheme].connectivity)
     sum_rate = float(per_user_rate.sum())
-    ee = energy_efficiency(sum_rate, config.P, config.L, config.M, model)
+    ee = energy_efficiency(sum_rate, config.P, config.K, config.M, model)
 
     stats_count = statistics_feedback_count(grouping.group_eigs) if SCHEMES[scheme].statistical else 0
     feedback = feedback_overhead(

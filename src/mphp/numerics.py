@@ -1,7 +1,9 @@
 """Complex linear-algebra contracts shared by the whole pipeline.
 
-Single numeric policy for the repo: the tolerances defined here are reused
-by every downstream module instead of being re-tuned locally.
+One numeric policy for the repo: every Hermitian eigendecomposition and
+every condition test of the pipeline goes through this module, and
+``CONDITION_LIMIT``, the one cut-off for a near-singular matrix, is defined
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Relative residual allowed for a linear solve on a well-conditioned matrix.
-SOLVE_TOL = 1e-8
 # Condition-number cutoff above which a matrix is treated as near singular.
 CONDITION_LIMIT = 1e12
 

@@ -124,7 +124,6 @@ def relaxed_step(
     leak_corr: np.ndarray,
     alpha: float,
     streams: int,
-    objective_exponent: int = 2,
     antenna_count: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Optimal relaxed precoder and objective value at a fixed leakage weight.
@@ -133,29 +132,21 @@ def relaxed_step(
     the ``streams`` dominant eigenvectors; a column whose eigenvalue is
     negative is shrunk to norm 1/sqrt(M) (the lower end of the feasible
     column-norm range), otherwise it keeps norm 1; M is ``antenna_count``,
-    by default the matrix size.  The returned value is the weighted sum of
-    the selected eigenvalues; ``objective_exponent`` selects whether the
-    column scaling enters linearly or squared (squared is the
-    trace-consistent default).
+    by default the matrix size.  The returned value is the trace of
+    F^H (R - alpha L) F: each selected eigenvalue times its column's squared
+    norm.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if objective_exponent not in (1, 2):
-        raise ValueError(f"objective_exponent must be 1 or 2, got {objective_exponent}")
     values, vectors = hermitian_eig(signal_corr - alpha * leak_corr)
     top = values[:streams]
     scales = np.where(top >= 0, 1.0, 1.0 / np.sqrt(antenna_count or signal_corr.shape[0]))
-    return vectors[:, :streams] * scales[None, :], float(np.sum(top * scales**objective_exponent))
+    return vectors[:, :streams] * scales[None, :], float(np.sum(top * scales**2))
 
 
-def _objective_derivative(f_star: np.ndarray, leak_corr: np.ndarray, objective_exponent: int) -> float:
-    """df/dalpha at an evaluated point: -sum_i s_i^e u_i^H L u_i (Hellmann–Feynman).
-
-    Column i of ``f_star`` is s_i u_i with unit u_i, so each term is
-    s_i^(e-2) f_i^H L f_i.
-    """
-    quad = np.real(np.sum(f_star.conj() * (leak_corr @ f_star), axis=0))
-    return -float(np.sum(quad * np.linalg.norm(f_star, axis=0) ** (objective_exponent - 2)))
+def _objective_derivative(f_star: np.ndarray, leak_corr: np.ndarray) -> float:
+    """df/dalpha at an evaluated point: -trace(F^H L F) (Hellmann–Feynman)."""
+    return -float(np.sum(np.real(np.sum(f_star.conj() * (leak_corr @ f_star), axis=0))))
 
 
 def solve_alpha_star(
@@ -166,7 +157,6 @@ def solve_alpha_star(
     power: float,
     tol: float = BISECTION_TOL,
     max_iters: int = BISECTION_MAX_ITERS,
-    objective_exponent: int = 2,
     antenna_count: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Solve f(alpha) = (K * S_g / P) * alpha by safeguarded Newton steps.
@@ -195,7 +185,7 @@ def solve_alpha_star(
     slope = n_users * streams / power
 
     def objective(alpha: float) -> tuple[np.ndarray, float]:
-        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, antenna_count)
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, antenna_count)
 
     f_star, value = objective(0.0)
     if value <= 0:
@@ -210,7 +200,7 @@ def solve_alpha_star(
             lo = alpha
         else:
             hi = alpha
-        step = alpha - residual / (_objective_derivative(f_star, leak_corr, objective_exponent) - slope)
+        step = alpha - residual / (_objective_derivative(f_star, leak_corr) - slope)
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
             if not lo < step < hi:
@@ -244,14 +234,7 @@ def joint_signal_basis(grouping: Grouping) -> np.ndarray:
     return np.linalg.qr(np.concatenate(kept, axis=1))[0]
 
 
-def solve_relaxed(
-    grouping: Grouping,
-    n_users: int,
-    power: float,
-    tol: float = BISECTION_TOL,
-    max_iters: int = BISECTION_MAX_ITERS,
-    objective_exponent: int = 2,
-) -> RelaxedSolution:
+def solve_relaxed(grouping: Grouping, n_users: int, power: float) -> RelaxedSolution:
     """Run the relaxed per-group solve for every group on the joint subspace.
 
     Each group's ``solve_alpha_star`` runs on U^H R_g U and U^H L_g U, with
@@ -269,9 +252,6 @@ def solve_relaxed(
             streams=len(grouping.members[g]),
             n_users=n_users,
             power=power,
-            tol=tol,
-            max_iters=max_iters,
-            objective_exponent=objective_exponent,
             antenna_count=basis.shape[0],
         )
         for g in range(grouping.group_count)

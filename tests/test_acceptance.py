@@ -78,8 +78,8 @@ def test_criterion_02_zf_nulling_and_power_conservation():
     """1000 random slots: intra-group interference ratio <= 1e-8 and total
     radiated power equals the budget within 1e-9 relative, outages excluded."""
     setups = [
-        (SystemConfig(M=16, K=4, L=4, G=2), 17),
-        (SystemConfig(M=32, K=6, L=6, G=3), 29),
+        (SystemConfig(M=16, K=4, G=2), 17),
+        (SystemConfig(M=32, K=6, G=3), 29),
     ]
     start = time.time()
     worst_ratio, worst_power, outages, slots = 0.0, 0.0, 0, 0
@@ -210,7 +210,7 @@ def test_criterion_05_greedy_vs_exhaustive():
 def test_criterion_06_sslnr_lower_bound():
     """M=16, K=4, G=2: sample mean SLNR over 1e4 slots stays above the
     statistical SSLNR minus three standard errors for every group."""
-    config = SystemConfig(M=16, K=4, L=4, G=2)
+    config = SystemConfig(M=16, K=4, G=2)
     grouping, scenario, geometry = build_context(config, seed=3)
     long_state = design_long_term(SchemeId.MPHP, grouping, config)
     n_slots = 10_000

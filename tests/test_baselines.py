@@ -71,9 +71,9 @@ class TestMatchesPerAntennaLoops:
     """The array quantizers reproduce the per-antenna loops bit for bit."""
 
     CONFIGS = [
-        SystemConfig(M=24, K=4, L=4, G=2, B=1),
-        SystemConfig(M=64, K=8, L=8, G=3, B=4),
-        SystemConfig(M=128, K=8, L=8, G=3, B=6),
+        SystemConfig(M=24, K=4, G=2, B=1),
+        SystemConfig(M=64, K=8, G=3, B=4),
+        SystemConfig(M=128, K=8, G=3, B=6),
     ]
 
     @staticmethod
@@ -216,7 +216,7 @@ class TestAdaptiveInstant:
 class TestFullDigital:
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_forcing_nulling(self, seed):
-        config = SystemConfig(M=8, K=3, L=3, G=2)
+        config = SystemConfig(M=8, K=3, G=2)
         grouping, scenario, geometry = build_context(config, seed=seed)
         channel = draw_channel(scenario, geometry, seed=seed, slot=0)
         precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel, grouping, config)
@@ -232,7 +232,7 @@ class TestFullDigital:
                     assert abs(channel[:, k].conj() @ beams[:, b]) <= 1e-8 * own
 
     def test_uniform_power_split(self):
-        config = SystemConfig(M=8, K=3, L=3, G=1, P=2.0)
+        config = SystemConfig(M=8, K=3, G=1, P=2.0)
         grouping, scenario, geometry = build_context(config, seed=0)
         channel = draw_channel(scenario, geometry, seed=0, slot=0)
         precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel, grouping, config)
@@ -241,7 +241,7 @@ class TestFullDigital:
 
 class TestMixedTimescaleContract:
     def test_statistical_analog_stage_fixed_across_slots(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         grouping, scenario, geometry = build_context(config, seed=2)
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         f_per_slot = []
@@ -253,7 +253,7 @@ class TestMixedTimescaleContract:
         assert np.array_equal(f_per_slot[1], f_per_slot[2])
 
     def test_instantaneous_analog_stage_tracks_channel(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         grouping, scenario, geometry = build_context(config, seed=2)
         long_state = design_long_term(SchemeId.ADAPTIVE_INSTANT, grouping, config)
         assert long_state is None
@@ -264,14 +264,14 @@ class TestMixedTimescaleContract:
         assert not all(np.array_equal(a, b) for a, b in zip(f0, f1))
 
     def test_frps_columns_are_quantized_phase_only(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         grouping, _, _ = build_context(config, seed=2)
         f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
         assert f.shape == (16, 4)
         assert np.allclose(np.abs(f), 1.0 / np.sqrt(16.0))
 
     def test_mphp_long_term_satisfies_hardware_constraints(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         grouping, _, _ = build_context(config, seed=2)
         rf = design_long_term(SchemeId.MPHP, grouping, config)
         validate_rf_precoder(rf)
@@ -281,7 +281,7 @@ class TestOutagePolicy:
     def test_singular_effective_channel_marks_group_silent(self):
         # Two identical users in one group make the effective channel
         # singular for any analog stage.
-        config = SystemConfig(M=4, K=2, L=2, G=1)
+        config = SystemConfig(M=4, K=2, G=1)
         corrs = [np.eye(4, dtype=complex)] * 2
         grouping = make_grouping(corrs, [0, 0])
         channel = np.ones((4, 2), dtype=complex)  # identical columns

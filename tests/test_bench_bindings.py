@@ -1,0 +1,51 @@
+"""The benchmark's traced mode still finds every binding it patches.
+
+``bench/run.py --trace 1`` wraps pipeline functions at the module names the
+pipeline calls them through (``trace_targets``), some of them imports that
+exist only for it.  Renaming or deleting such a name breaks the traced run
+without failing any other test, so this module loads the benchmark script
+by path and checks its bindings and observers on a small experiment.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from mphp.experiment import parse_config, rows_to_csv, run_experiment
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    sys.path.insert(0, str(BENCH))  # run.py imports its sibling modules spans and yardstick
+    try:
+        spec = importlib.util.spec_from_file_location("mphp_bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        # Its dataclasses resolve their annotations through sys.modules.
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop("mphp_bench_run", None)
+        sys.path.remove(str(BENCH))
+
+
+def test_every_traced_binding_exists(bench_run):
+    targets = bench_run.trace_targets()
+    missing = [f"{module.__name__}.{attribute}" for module, attribute, _ in targets if not hasattr(module, attribute)]
+    assert missing == []
+
+
+def test_traced_run_sees_valid_designs(bench_run):
+    config = parse_config("M = 8\nK = 2\nG = 2\nn_slots = 1\n")
+    untraced = rows_to_csv(run_experiment(config))
+    seen = bench_run.Observed()
+    with bench_run.spans.Tracer(bench_run.trace_targets(), bench_run.observers(seen)) as tracer:
+        traced = rows_to_csv(run_experiment(config))
+    assert seen.invalid_designs == []
+    assert seen.groups_attempted > 0
+    assert "baselines.design_long_term" in {span[0] for span in tracer.spans}
+    assert traced == untraced

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,18 +32,13 @@ schemes = MPHP
 class TestParseConfig:
     def test_empty_document_gives_reference_defaults(self):
         config = parse_config("")
-        assert (config.M, config.K, config.L, config.G, config.B) == (64, 8, 8, 3, 4)
+        assert (config.M, config.K, config.G, config.B) == (64, 8, 3, 4)
         assert config.P == 1.0
         assert config.n_slots == 1000
 
     def test_k_above_m_rejected_with_field_name(self):
         with pytest.raises(ValueError, match="K"):
             parse_config("K = 12\nM = 8\n")
-
-    def test_l_tracks_k_unless_explicit(self):
-        assert parse_config("K = 4\n").L == 4
-        with pytest.raises(ValueError, match="L"):
-            parse_config("K = 4\nL = 3\n")
 
     def test_round_trip(self):
         doc = """
@@ -53,24 +49,49 @@ class TestParseConfig:
         P = 0.5
         n_slots = 17
         seed = 9
+        T = 7
         schemes = MPHP, FIXED_SUBARRAY
         scenario.angular_spread = 0.07
+        scenario.path_count = 4
+        scenario.aod_jitter = 0.01
+        scenario.element_spacing = 0.45
+        power.p_baseband = 0.25
+        power.p_rf_chain = 0.35
         power.p_phase_shifter = 0.05
         sweep.parameter = snr_db
         sweep.values = -10, 0, 10
         """
         config = parse_config(doc)
         assert parse_config(serialize_config(config)) == config
+        # Every field takes a value other than its default.
+        default = SystemConfig()
+        assert [f.name for f in fields(config) if getattr(config, f.name) == getattr(default, f.name)] == []
         assert config.schemes == (SchemeId.MPHP, SchemeId.FIXED_SUBARRAY)
         assert config.sweep_values == (-10.0, 0.0, 10.0)
+
+    def test_default_config_round_trips_without_sweep_keys(self):
+        text = serialize_config(SystemConfig())
+        assert "sweep." not in text
+        assert parse_config(text) == SystemConfig()
+
+    def test_values_take_the_type_of_the_field_default(self):
+        config = parse_config("P = 2\nscenario.path_count = 3\nscenario.element_spacing = 1\n")
+        assert type(config.P) is float and type(config.element_spacing) is float
+        assert type(config.path_count) is int
+        for line in ("M = 16.5", "scenario.path_count = 2.0", "seed = x"):
+            key = line.split(" = ")[0]
+            with pytest.raises(ValueError, match=re.escape(f"({key}): ")):
+                parse_config(line + "\n")
 
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config("# a comment\n\nM = 16  # trailing\nK = 2\nG = 2\n")
         assert config.M == 16
 
     def test_unknown_key_named(self):
-        with pytest.raises(ValueError, match="mystery"):
-            parse_config("mystery = 1\n")
+        # L (the chain count is always K) and objective_exponent are not keys either.
+        for key, value in (("mystery", 1), ("L", 8), ("objective_exponent", 2)):
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                parse_config(f"{key} = {value}\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -94,10 +115,6 @@ class TestSweepValues:
         point = apply_sweep_value(SystemConfig(), "snr_db", 10.0)
         assert point.P == pytest.approx(10.0)
         assert apply_sweep_value(SystemConfig(), "snr_db", -10.0).P == pytest.approx(0.1)
-
-    def test_k_sweep_keeps_l_equal(self):
-        point = apply_sweep_value(SystemConfig(), "K", 4)
-        assert point.K == 4 and point.L == 4
 
     def test_non_integral_count_rejected(self):
         with pytest.raises(ValueError):
@@ -291,7 +308,7 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("G", 0), ("B", 0), ("n_slots", 0), ("T", 0), ("seed", -1), ("objective_exponent", 3)],
+        [("G", 0), ("B", 0), ("n_slots", 0), ("T", 0), ("seed", -1)],
     )
     def test_invariants_name_the_field(self, field, value):
         from dataclasses import replace

@@ -144,10 +144,10 @@ class TestGroupUsers:
     def test_chain_user_lookup(self, rng):
         corrs = [random_psd(rng, 5) for _ in range(3)]
         grouping = group_users(corrs, 2, subspace_rank=1)
-        users = sorted(grouping.chain_user(c) for c in range(3))
-        assert users == [0, 1, 2]
-        with pytest.raises(ValueError):
-            grouping.chain_user(99)
+        # Chain rf_chains[g][i] serves the i-th user of group g, and each user has one chain.
+        for members, chains in zip(grouping.members, grouping.rf_chains):
+            assert np.array_equal(grouping.chain_users[chains], members)
+        assert sorted(grouping.chain_users.tolist()) == [0, 1, 2]
 
 
 def test_grouping_dataclass_roundtrip(rng):

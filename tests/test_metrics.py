@@ -96,7 +96,7 @@ def leakage_loop(channel, f_groups, w_groups, power, grouping):
 def oracle_slots():
     """(label, channel, precoders, grouping) for every scheme on one channel
     draw, each also with group 0 silenced (its power left nonzero)."""
-    config = SystemConfig(M=16, K=5, L=5, G=2)
+    config = SystemConfig(M=16, K=5, G=2)
     grouping, scenario, geometry = build_context(config, seed=6)
     h = draw_channel(scenario, geometry, seed=6, slot=0)
     for scheme in SchemeId:
@@ -294,7 +294,7 @@ class TestFeedbackOverhead:
 
 class TestMonteCarlo:
     def test_single_slot_injected_channel_is_exact(self):
-        config = SystemConfig(M=8, K=2, L=2, G=2, n_slots=1)
+        config = SystemConfig(M=8, K=2, G=2, n_slots=1)
         grouping, scenario, geometry = build_context(config, seed=5)
         fixed = draw_channel(scenario, geometry, seed=123, slot=0)
         run = monte_carlo_rates(
@@ -309,7 +309,7 @@ class TestMonteCarlo:
         assert run.n_slots == 1
 
     def test_deterministic_given_seed(self):
-        config = SystemConfig(M=8, K=2, L=2, G=2)
+        config = SystemConfig(M=8, K=2, G=2)
         a = monte_carlo_rates(SchemeId.MPHP, config, 20, seed=3)
         b = monte_carlo_rates(SchemeId.MPHP, config, 20, seed=3)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
@@ -320,21 +320,21 @@ class TestMonteCarlo:
     def test_doubling_power_raises_median_rate(self):
         # Full-digital ZF directions are power-independent; the same channel
         # draws are reused, so scaling every p_k can only help each user.
-        base = SystemConfig(M=16, K=4, L=4, G=2)
+        base = SystemConfig(M=16, K=4, G=2)
         low = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, base, 500, seed=9)
-        high_cfg = SystemConfig(M=16, K=4, L=4, G=2, P=2.0)
+        high_cfg = SystemConfig(M=16, K=4, G=2, P=2.0)
         high = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, high_cfg, 500, seed=9)
         assert np.median(high.per_user_rate) >= np.median(low.per_user_rate)
 
     def test_stderr_shrinks_like_sqrt_slots(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         small = monte_carlo_rates(SchemeId.MPHP, config, 250, seed=4)
         large = monte_carlo_rates(SchemeId.MPHP, config, 1000, seed=4)
         ratio = large.avg_rate_stderr / small.avg_rate_stderr
         assert 0.35 <= ratio <= 0.65
 
     def test_slnr_sample_mean_respects_statistical_bound(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         grouping, scenario, geometry = build_context(config, seed=3)
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         n = 600
@@ -350,7 +350,7 @@ class TestMonteCarlo:
                 assert samples[:, k].mean() >= bound - 3 * stderr
 
     def test_intra_group_leakage_diagnostic_small_under_zf(self):
-        config = SystemConfig(M=16, K=4, L=4, G=2)
+        config = SystemConfig(M=16, K=4, G=2)
         grouping, scenario, geometry = build_context(config, seed=3)
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         h = draw_channel(scenario, geometry, seed=3, slot=0)
@@ -398,7 +398,7 @@ def loop_monte_carlo_rates(scheme, config, n_slots, seed, grouping, scenario, ch
 
     model = replace(config.power_model(), connectivity=SCHEMES[scheme].connectivity)
     sum_rate = float(per_user_rate.sum())
-    ee = energy_efficiency(sum_rate, config.P, config.L, config.M, model)
+    ee = energy_efficiency(sum_rate, config.P, config.K, config.M, model)
     stats_count = (
         statistics_feedback_count(grouping.group_correlations) if SCHEMES[scheme].statistical else 0
     )
@@ -451,12 +451,12 @@ def rank_deficient_factory(scenario, geometry, seed, grouping):
 
 
 ENGINE_CASES = {
-    "one slot": (SystemConfig(M=16, K=4, L=4, G=2), 1),
-    "M = K": (SystemConfig(M=4, K=4, L=4, G=2), 7),
-    "G = K": (SystemConfig(M=16, K=4, L=4, G=4), 7),
-    "B = 1": (SystemConfig(M=16, K=4, L=4, G=2, B=1), 7),
-    "G = 1": (SystemConfig(M=32, K=8, L=8, G=1), 5),
-    "block boundary": (SystemConfig(M=16, K=4, L=4, G=2), 2 * SLOT_BLOCK + 1),
+    "one slot": (SystemConfig(M=16, K=4, G=2), 1),
+    "M = K": (SystemConfig(M=4, K=4, G=2), 7),
+    "G = K": (SystemConfig(M=16, K=4, G=4), 7),
+    "B = 1": (SystemConfig(M=16, K=4, G=2, B=1), 7),
+    "G = 1": (SystemConfig(M=32, K=8, G=1), 5),
+    "block boundary": (SystemConfig(M=16, K=4, G=2), 2 * SLOT_BLOCK + 1),
     "defaults": (SystemConfig(), 9),
 }
 
@@ -536,7 +536,7 @@ class TestSharedDraws:
         assert any(run.outage_fraction > 0 for run in runs)
 
     def test_context_built_from_the_seed_when_not_given(self):
-        config = SystemConfig(M=8, K=2, L=2, G=2)
+        config = SystemConfig(M=8, K=2, G=2)
         runs = monte_carlo_rates([SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF], config, 4, seed=5)
         assert_same_run(runs[0], monte_carlo_rates(SchemeId.MPHP, config, 4, seed=5))
         assert_same_run(runs[1], monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, config, 4, seed=5))
@@ -556,7 +556,7 @@ class TestSharedDraws:
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
 
     def test_one_element_sequence_gives_a_list(self):
-        config = SystemConfig(M=8, K=2, L=2, G=2)
+        config = SystemConfig(M=8, K=2, G=2)
         single = monte_carlo_rates(SchemeId.MPHP, config, 3, seed=5)
         (listed,) = monte_carlo_rates((SchemeId.MPHP,), config, 3, seed=5)
         assert isinstance(single, RunMetrics)
@@ -564,10 +564,10 @@ class TestSharedDraws:
 
     def test_no_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            monte_carlo_rates([], SystemConfig(M=8, K=2, L=2, G=2), 3, seed=5)
+            monte_carlo_rates([], SystemConfig(M=8, K=2, G=2), 3, seed=5)
 
     def test_failing_scheme_named(self, monkeypatch):
-        config = SystemConfig(M=8, K=2, L=2, G=2)
+        config = SystemConfig(M=8, K=2, G=2)
         build = metrics_mod.build_precoders
 
         def failing(scheme, *args):
@@ -599,14 +599,14 @@ class ReadRecorder:
 
 class TestContextKey:
     def test_key_reads_exactly_the_fields_build_context_reads(self):
-        config = SystemConfig(M=8, K=2, L=2, G=2)
+        config = SystemConfig(M=8, K=2, G=2)
         built, keyed = ReadRecorder(config), ReadRecorder(config)
         build_context(built, seed=5)
         context_key(keyed)
         assert built.read == keyed.read
 
     def test_key_follows_the_scenario(self):
-        base = SystemConfig(M=8, K=2, L=2, G=2)
+        base = SystemConfig(M=8, K=2, G=2)
         assert context_key(replace(base, M=16)) != context_key(base)
         assert context_key(replace(base, angular_spread=0.05)) != context_key(base)
         assert context_key(replace(base, P=2.0, B=1, n_slots=3)) == context_key(base)

@@ -40,8 +40,7 @@ def diagonal_grouping():
 
 
 def bisect_alpha_star(
-    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, objective_exponent=2,
-    antenna_count=None,
+    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, antenna_count=None
 ):
     """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the reference for
     solve_alpha_star.  The bracket upper end doubles from 1 until the
@@ -52,7 +51,7 @@ def bisect_alpha_star(
     slope = n_users * streams / power
 
     def objective(alpha):
-        return relaxed_step(signal_corr, leak_corr, alpha, streams, objective_exponent, antenna_count)
+        return relaxed_step(signal_corr, leak_corr, alpha, streams, antenna_count)
 
     _, f0 = objective(0.0)
     if f0 <= 0:
@@ -125,7 +124,6 @@ def assert_solver_contract(problem, tol=1e-9, rounding_dominated=False, **option
     """
     signal_corr, leak_corr, streams, n_users, power = problem
     options["tol"] = tol
-    exponent = options.get("objective_exponent", 2)
     try:
         expected, _ = bisect_alpha_star(*problem, **options)
     except DegenerateGroupError:
@@ -140,7 +138,7 @@ def assert_solver_contract(problem, tol=1e-9, rounding_dominated=False, **option
         assert rounding_dominated or expected is None or tol < 1e-10, exc
         assert re.match(FLOOR_MESSAGE, str(exc)), exc
         return None
-    f_expected, value = relaxed_step(signal_corr, leak_corr, alpha, streams, exponent)
+    f_expected, value = relaxed_step(signal_corr, leak_corr, alpha, streams)
     rhs = n_users * streams / power * alpha
     assert abs(value - rhs) <= tol * rhs
     assert np.array_equal(f_star, f_expected)
@@ -197,10 +195,6 @@ class TestRelaxedStep:
         f_star, f_value = relaxed_step(np.eye(2), np.eye(2), 3.0, streams=1, antenna_count=8)
         assert np.linalg.norm(f_star[:, 0]) == pytest.approx(1 / np.sqrt(8.0), abs=1e-12)
         assert f_value == pytest.approx(-2.0 / 8.0, abs=1e-12)
-
-    def test_linear_exponent_variant(self):
-        _, f_value = relaxed_step(np.eye(2), np.eye(2), 3.0, streams=1, objective_exponent=1)
-        assert f_value == pytest.approx(-2.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_column_norms_follow_eigenvalue_sign(self, rng):
         corr = random_psd(rng, 5, dof=2)
@@ -279,11 +273,12 @@ class TestSolveAlphaStar:
 
 
 def on_the_grid(test):
-    """Parametrize a test over the bisection grid: M, leakage, tol, exponent."""
+    """Parametrize a test over the bisection grid: M, leakage, tol, and two
+    random problems per cell (``draw``, the last entry of the problem seed)."""
     test = pytest.mark.parametrize("m_ant", [1, 2, 8, 64, 128])(test)
     test = pytest.mark.parametrize("leak_scale", [0.0, 1e-3, 1.0, 100.0])(test)
     test = pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])(test)
-    return pytest.mark.parametrize("objective_exponent", [1, 2])(test)
+    return pytest.mark.parametrize("draw", [1, 2])(test)
 
 
 class TestMatchesBisection:
@@ -291,7 +286,7 @@ class TestMatchesBisection:
     plain bisection: an in-band point near the bisection's, the same errors."""
 
     @on_the_grid
-    def test_grid(self, m_ant, leak_scale, tol, objective_exponent):
+    def test_grid(self, m_ant, leak_scale, tol, draw):
         # Leak scale 0 is the one-group closed form; 100 drives the top
         # eigenvalues negative near the root.  At tol = 1e-12 with strong
         # leakage the rounding of f can exceed the residual band, and the
@@ -299,25 +294,25 @@ class TestMatchesBisection:
         # both ends of the power range; M >= 64 runs one random power, to
         # bound the reference's eigendecompositions.
         for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
-            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
+            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), draw]
             problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-            alpha = assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
+            alpha = assert_solver_contract(problem, tol=tol)
             assert alpha is not None or tol < 1e-9
 
     @on_the_grid
-    def test_grid_poor_basis(self, m_ant, leak_scale, tol, objective_exponent):
+    def test_grid_poor_basis(self, m_ant, leak_scale, tol, draw):
         # The grid's problems with R and L confined to a random 2-dimensional
         # subspace, as the low-rank group correlations of a large array are:
         # all but two eigenvalues of R - alpha * L are zero up to rounding, so
         # the selected columns past the second, and their order, are rounding
         # noise.  The contract must hold all the same.
         for power in (1e-2, None, 1e3) if m_ant <= 8 else (None,):
-            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), objective_exponent]
+            seed = [m_ant, int(1000 * leak_scale), int(-np.log10(tol)), draw]
             corr, leak, streams, n_users, power = random_alpha_problem(seed, m_ant, leak_scale, power)
             basis = random_basis(seed + [2], m_ant, 2)
             projector = basis @ basis.conj().T
             problem = (projector @ corr @ projector, projector @ leak @ projector, streams, n_users, power)
-            alpha = assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
+            alpha = assert_solver_contract(problem, tol=tol)
             assert alpha is not None or tol < 1e-9
 
     @settings(max_examples=200, deadline=None)
@@ -327,30 +322,29 @@ class TestMatchesBisection:
         leak_scale=st.sampled_from([0.0, 1e-3, 1.0, 100.0]) | st.floats(0.0, 1e3),
         power=st.floats(1e-2, 1e3),
         tol=st.sampled_from([1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 1e-2),
-        objective_exponent=st.sampled_from([1, 2]),
     )
-    def test_random_problems(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
+    def test_random_problems(self, seed, m_ant, leak_scale, power, tol):
         problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-        assert_solver_contract(problem, tol=tol, objective_exponent=objective_exponent)
+        assert_solver_contract(problem, tol=tol)
 
     # Strong leakage at tol <= 1e-12: the rounding of the computed f is about
     # as large as the residual band.
     @pytest.mark.parametrize(
-        "seed, m_ant, leak_scale, power, tol, objective_exponent",
+        "seed, m_ant, leak_scale, power, tol",
         [
-            (3884, 2, 1e4, 2014.9, 1e-12, 2),
-            (2398, 4, 1e3, 71.8, 1e-12, 2),
-            (7055, 8, 1e4, 235.3, 1e-12, 1),
-            (652, 8, 1e3, 47.4, 1e-13, 2),
-            (1850, 2, 1e3, 6352.5, 1e-13, 1),
-            (8042, 8, 1e4, 18.9, 1e-12, 1),
-            (1197, 2, 1e4, 91.1, 1e-12, 2),
-            (2024, 8, 1e3, 4263.2, 1e-12, 1),
+            (3884, 2, 1e4, 2014.9, 1e-12),
+            (2398, 4, 1e3, 71.8, 1e-12),
+            (7055, 8, 1e4, 235.3, 1e-12),
+            (652, 8, 1e3, 47.4, 1e-13),
+            (1850, 2, 1e3, 6352.5, 1e-13),
+            (8042, 8, 1e4, 18.9, 1e-12),
+            (1197, 2, 1e4, 91.1, 1e-12),
+            (2024, 8, 1e3, 4263.2, 1e-12),
         ],
     )
-    def test_rounding_dominated_residual(self, seed, m_ant, leak_scale, power, tol, objective_exponent):
+    def test_rounding_dominated_residual(self, seed, m_ant, leak_scale, power, tol):
         problem = random_alpha_problem(seed, m_ant, leak_scale, power)
-        assert_solver_contract(problem, tol=tol, rounding_dominated=True, objective_exponent=objective_exponent)
+        assert_solver_contract(problem, tol=tol, rounding_dominated=True)
 
     # The same regime drawn at random: leakage 1e2 to 1e5 times the signal,
     # P from 10 to 1e4 and tol down to 3e-15.  Rounding dominates the
@@ -363,11 +357,10 @@ class TestMatchesBisection:
         log_leak=st.floats(2.0, 5.0),
         log_power=st.floats(1.0, 4.0),
         log_tol=st.floats(float(np.log10(3e-15)), -9.0),
-        objective_exponent=st.sampled_from([1, 2]),
     )
-    def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol, objective_exponent):
+    def test_rounding_dominated_fuzz(self, seed, m_ant, log_leak, log_power, log_tol):
         problem = random_alpha_problem(seed, m_ant, 10.0**log_leak, 10.0**log_power)
-        assert_solver_contract(problem, tol=10.0**log_tol, rounding_dominated=True, objective_exponent=objective_exponent)
+        assert_solver_contract(problem, tol=10.0**log_tol, rounding_dominated=True)
 
     @pytest.mark.parametrize("leak", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])])
     @pytest.mark.parametrize("target", [1.0, 2.0, 4.0, 64.0])
@@ -393,11 +386,11 @@ class TestMatchesBisection:
         solve_alpha_star(corr, leak, 1, 1, 1.0)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("objective_exponent", [1, 2])
-    def test_negative_top_eigenvalues(self, objective_exponent):
+    @pytest.mark.parametrize("n_users", [1, 2])
+    def test_negative_top_eigenvalues(self, n_users):
         corr = np.diag([10.0, 0.1, 0.0, 0.0]).astype(complex)
         leak = np.eye(4, dtype=complex)
-        alpha = assert_solver_contract((corr, leak, 2, 1, 100.0), objective_exponent=objective_exponent)
+        alpha = assert_solver_contract((corr, leak, 2, n_users, 100.0))
         values, _ = hermitian_eig(corr - alpha * leak)
         assert values[1] < 0  # the second selected column is shrunk at the root
 
@@ -414,10 +407,10 @@ class TestMatchesBisection:
         # once the bracket cannot shrink, far short of max_iters.
         problem = random_alpha_problem([1, 100000, 12, 1], 1, 100.0, 1e3)
         with pytest.raises(RuntimeError):
-            bisect_alpha_star(*problem, tol=1e-12, objective_exponent=1)
+            bisect_alpha_star(*problem, tol=1e-12)
         calls = count_calls(monkeypatch, rf_precoder, "relaxed_step")
         with pytest.raises(RuntimeError, match=FLOOR_MESSAGE) as stalled:
-            solve_alpha_star(*problem, tol=1e-12, objective_exponent=1)
+            solve_alpha_star(*problem, tol=1e-12)
         assert "raise tol" in str(stalled.value)
         assert len(calls) < 100
 
@@ -476,15 +469,12 @@ class TestEvaluationCount:
         leak_scale=st.sampled_from([0.0, 1e-3, 1.0, 100.0]) | st.floats(0.0, 1e3),
         power=st.floats(1e-2, 1e3),
         tol=st.sampled_from([1e-6, 1e-9, 1e-10]) | st.floats(1e-10, 1e-2),
-        objective_exponent=st.sampled_from([1, 2]),
     )
-    def test_at_most_twelve_relaxed_steps_on_random_problems(
-        self, seed, m_ant, leak_scale, power, tol, objective_exponent
-    ):
+    def test_at_most_twelve_relaxed_steps_on_random_problems(self, seed, m_ant, leak_scale, power, tol):
         problem = random_alpha_problem(seed, m_ant, leak_scale, power)
         with pytest.MonkeyPatch.context() as patch:
             calls = count_calls(patch, rf_precoder, "relaxed_step")
-            solve_alpha_star(*problem, tol=tol, objective_exponent=objective_exponent)
+            solve_alpha_star(*problem, tol=tol)
         # 11 at most over 6,000 such problems, 2 to 6 typically.
         assert len(calls) <= 12
 
@@ -507,8 +497,7 @@ def perturbed_solve(factor):
     def perturbed(signal_corr, leak_corr, streams, n_users, power, **options):
         alpha, _ = solve(signal_corr, leak_corr, streams, n_users, power, **options)
         alpha *= factor
-        exponent = options.get("objective_exponent", 2)
-        return alpha, relaxed_step(signal_corr, leak_corr, alpha, streams, exponent, options.get("antenna_count"))[0]
+        return alpha, relaxed_step(signal_corr, leak_corr, alpha, streams, options.get("antenna_count"))[0]
 
     return perturbed
 
