@@ -85,7 +85,9 @@ class Scheme:
     """How one scheme is designed, rebuilt every slot and accounted.
 
     ``design(grouping, config)`` returns the slow-timescale state, designed
-    from the grouping (correlations) alone, or None for a real-time scheme.
+    from the grouping (correlations) alone, or None for a real-time scheme;
+    it reads no ``SystemConfig`` field but those ``design_reads`` names, so
+    configs that agree on them share one design on one grouping.
     ``build(state, channel, grouping, config)`` assembles the slot's
     precoders.  ``statistical`` schemes feed back correlation statistics
     once per period; ``connectivity`` selects how phase shifters are costed
@@ -95,6 +97,7 @@ class Scheme:
     statistical: bool
     connectivity: str
     design: Callable[[Grouping, "SystemConfig"], Any]
+    design_reads: tuple[str, ...]
     build: Callable[[Any, np.ndarray, Grouping, "SystemConfig"], SlotPrecoders]
 
 
@@ -280,9 +283,9 @@ def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: "Sys
 # FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
 # precoding with L = K chains, so it is costed as fully connected.
 SCHEMES: dict[SchemeId, Scheme] = {
-    SchemeId.MPHP: Scheme(True, "partially-connected", _design_mphp, _build_mphp),
-    SchemeId.FULL_DIGITAL_ZF: Scheme(False, "fully-connected", _no_long_term, _build_full_digital),
-    SchemeId.FRPS_STATISTICAL: Scheme(True, "fully-connected", _design_frps, _zf_all_groups),
-    SchemeId.FIXED_SUBARRAY: Scheme(False, "partially-connected", _no_long_term, _build_fixed_subarray),
-    SchemeId.ADAPTIVE_INSTANT: Scheme(False, "partially-connected", _no_long_term, _build_adaptive_instant),
+    SchemeId.MPHP: Scheme(True, "partially-connected", _design_mphp, ("M", "B", "K", "P"), _build_mphp),
+    SchemeId.FULL_DIGITAL_ZF: Scheme(False, "fully-connected", _no_long_term, (), _build_full_digital),
+    SchemeId.FRPS_STATISTICAL: Scheme(True, "fully-connected", _design_frps, ("M", "B"), _zf_all_groups),
+    SchemeId.FIXED_SUBARRAY: Scheme(False, "partially-connected", _no_long_term, (), _build_fixed_subarray),
+    SchemeId.ADAPTIVE_INSTANT: Scheme(False, "partially-connected", _no_long_term, (), _build_adaptive_instant),
 }

@@ -78,6 +78,9 @@ class SystemConfig:
             raise ValueError("power.* entries must be >= 0")
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
+        repeated = sorted({s.value for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ValueError(f"schemes must list each scheme once, got {', '.join(repeated)} more than once")
         if self.sweep_parameter is not None:
             if self.sweep_parameter not in SWEEPABLE_PARAMETERS:
                 raise ValueError(
@@ -212,9 +215,10 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     so a row is a function of (point config, seed): a sweep row equals the
     row of a single-point run at that value.  Points that agree on the
     fields ``metrics.context_key`` names share one scenario (user AoDs,
-    correlations, grouping), built once.  At each point one engine call runs
-    all schemes on the same channel draws; statistical schemes design their
-    analog stage from the grouping alone.
+    correlations, grouping), built once, and one engine call, which designs
+    each distinct long-term state once and draws each block of slots once
+    for all of their schemes; statistical schemes design their analog stage
+    from the grouping alone.
     """
     config.validate()
     if config.sweep_parameter is None:
@@ -229,22 +233,29 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     scheme_rank = {scheme: i for i, scheme in enumerate(SchemeId)}
     schemes = sorted(config.schemes, key=scheme_rank.__getitem__)
     scenario_seed, draw_seed = _derived_seeds(config.seed)
-    contexts: dict[tuple, tuple] = {}
-    rows = []
-    for sweep_value, point in zip(sweep_values, points):
+    scenarios: dict[tuple, list[int]] = {}  # context key -> indices of its points
+    for i, point in enumerate(points):
+        scenarios.setdefault(context_key(point), []).append(i)
+    runs: list = [None] * len(points)
+    for indices in scenarios.values():
+        shared = [points[i] for i in indices]
         try:
-            key = context_key(point)
-            if key not in contexts:
-                contexts[key] = build_context(point, scenario_seed)
-            grouping, scenario, _ = contexts[key]
-            runs = monte_carlo_rates(
-                schemes, point, point.n_slots, draw_seed, grouping=grouping, scenario=scenario
+            grouping, scenario, _ = build_context(shared[0], scenario_seed)
+            results = monte_carlo_rates(
+                schemes, shared, [p.n_slots for p in shared], draw_seed, grouping=grouping, scenario=scenario
             )
         except Exception as exc:
-            failed, cause = ([exc.scheme], exc.__cause__) if isinstance(exc, SchemeFailure) else (schemes, exc)
-            names = ", ".join(s.value for s in failed)
+            failed, scheme, cause = (
+                (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (0, None, exc)
+            )
+            names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
+            sweep_value = sweep_values[indices[failed]]
             raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
-        for scheme, metrics in zip(schemes, runs):
+        for i, result in zip(indices, results):
+            runs[i] = result
+    rows = []
+    for sweep_value, point_runs in zip(sweep_values, runs):
+        for scheme, metrics in zip(schemes, point_runs):
             # Every column after the first two is the RunMetrics field of its name.
             values = (getattr(metrics, column) for column in CSV_COLUMNS[2:])
             rows.append(ResultRow(sweep_value, scheme, *values))

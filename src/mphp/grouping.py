@@ -10,11 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .numerics import EigenDecomposition, hermitian_eig
+
+if TYPE_CHECKING:
+    from .rf_precoder import RelaxedProblem
 
 # Slack for the non-increasing clustering-cost check (float accumulation).
 _COST_SLACK = 1e-9
@@ -58,6 +61,15 @@ class Grouping:
         update made of matrices with exactly these bytes.
         """
         return [hermitian_eig(corr) for corr in self.group_correlations]
+
+    @cached_property
+    def relaxed_problem(self) -> RelaxedProblem:
+        """The power-independent part of the relaxed SSLNR solve (the joint
+        signal basis, the projected group and leakage correlations and each
+        group's ``alpha = 0`` evaluation), built once."""
+        from .rf_precoder import _relaxed_problem  # rf_precoder imports this module
+
+        return _relaxed_problem(self)
 
     @property
     def chain_users(self) -> np.ndarray:

@@ -8,7 +8,8 @@ the transmit power budget P is the only operating-point knob.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -238,11 +239,18 @@ def feedback_overhead(
 
 
 class SchemeFailure(RuntimeError):
-    """One scheme's stage failed in a multi-scheme run; the original error is the cause."""
+    """A stage of a multi-scheme or multi-point run failed; the original error is the cause.
 
-    def __init__(self, scheme: SchemeId) -> None:
-        super().__init__(f"scheme {scheme.value} failed")
+    ``point`` indexes the run's point configs, and ``scheme`` names the
+    scheme whose stage failed, or is None for a block's channel draw, which
+    every scheme shares (named by the first point that reads the block).
+    """
+
+    def __init__(self, scheme: SchemeId | None, point: int) -> None:
+        stage = "a shared stage" if scheme is None else f"scheme {scheme.value}"
+        super().__init__(f"{stage} failed at point {point}")
         self.scheme = scheme
+        self.point = point
 
 
 def context_key(config: "SystemConfig") -> tuple:
@@ -270,69 +278,96 @@ def build_context(config: "SystemConfig", seed: int) -> tuple[Grouping, list, ch
 
 def monte_carlo_rates(
     schemes: SchemeId | Sequence[SchemeId],
-    config: "SystemConfig",
-    n_slots: int,
+    config: "SystemConfig | Sequence[SystemConfig]",
+    n_slots: int | Sequence[int],
     seed: int,
     *,
     grouping: Grouping | None = None,
     scenario: Sequence[channel_mod.UserChannelParams] | None = None,
     channel_factory: Callable[[int], np.ndarray] | None = None,
-) -> RunMetrics | list[RunMetrics]:
+) -> RunMetrics | list:
     """Average rates over independent channel draws with the long-term
     precoder held fixed.
 
     ``schemes`` is one scheme, which gives its ``RunMetrics``, or a sequence
-    of schemes, which gives one ``RunMetrics`` per scheme in that order.  The
-    analog stage of a statistical scheme is designed once from the
-    correlations; the baseband stage is redone every slot.  Slot t draws its
-    channel from entropy (seed, user, t), so runs are reproducible and slots
-    may be evaluated in any order.  Blocks of at most ``SLOT_BLOCK`` slots
-    are drawn once and then run through every scheme's precoder build and
-    SINR as one stack, so all schemes see the same channels (common random
-    numbers) and each scheme gets the numbers of a run of its own.
-    ``channel_factory`` overrides the channel draw (slot index -> H) for
-    deterministic injection in tests.  In a multi-scheme run, a failure in
-    one scheme's design, build or evaluation raises ``SchemeFailure`` naming
-    it; a single scheme raises the failure itself.
+    of schemes, which gives one ``RunMetrics`` per scheme in that order.
+    ``config`` is one config, or a sequence of point configs with equal
+    ``context_key`` (a sweep's points on one scenario), which gives one such
+    result per point; ``n_slots`` is one count for every point or one per
+    point.  The analog stage of a statistical scheme is designed once from
+    the correlations per distinct value of the config fields its
+    ``design_reads`` names; the baseband stage is redone every slot.  Slot
+    t draws its channel from entropy (seed, user, t), so runs are
+    reproducible and slots may be evaluated in any order.  Blocks of at
+    most ``SLOT_BLOCK`` slots, up to the largest count, are drawn once and
+    then run through every (point, scheme) precoder build and SINR as one
+    stack, a point with fewer slots taking the leading ones, so all cells
+    see the same channels (common random numbers) and each gets the numbers
+    of a run of its own.  ``channel_factory`` overrides the channel draw
+    (slot index -> H) for deterministic injection in tests.  A call on one
+    scheme at one point raises a failure itself; any other call raises
+    ``SchemeFailure`` naming the point and the scheme.
     """
     single = isinstance(schemes, str)  # a SchemeId is a str
     scheme_list = [schemes] if single else list(schemes)
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    one_point = not isinstance(config, Sequence)
+    points = [config] if one_point else list(config)
+    counts = list(n_slots) if isinstance(n_slots, Sequence) else [n_slots] * len(points)
+    if not points or len({context_key(point) for point in points}) > 1:
+        raise ValueError("need one or more point configs with equal context_key")
+    if len(counts) != len(points):
+        raise ValueError(f"need one n_slots per point config, got {len(counts)} for {len(points)}")
+    if min(counts) < 1:
+        raise ValueError(f"n_slots must be >= 1, got {min(counts)}")
     if not scheme_list:
         raise ValueError("need at least one scheme")
     if grouping is None or scenario is None:
-        grouping, scenario, geometry = build_context(config, seed)
+        grouping, scenario, geometry = build_context(points[0], seed)
     else:
-        geometry = channel_mod.ArrayGeometry(config.M, config.element_spacing)
+        geometry = channel_mod.ArrayGeometry(points[0].M, points[0].element_spacing)
 
-    rates = [np.zeros((n_slots, config.K)) for _ in scheme_list]
-    outage_slots = [0] * len(scheme_list)
-    current = None  # the scheme whose stage is running, if any
+    rates = [[np.zeros((count, points[0].K)) for _ in scheme_list] for count in counts]
+    outage_slots = [[0] * len(scheme_list) for _ in points]
+    failed: tuple[int, SchemeId | None] = (0, None)  # the (point, scheme) whose stage is running
     try:
-        long_states = []
-        for current in scheme_list:
-            long_states.append(design_long_term(current, grouping, config))
-        for start in range(0, n_slots, SLOT_BLOCK):
-            current = None
-            slots = range(start, min(start + SLOT_BLOCK, n_slots))
+        designs: dict[tuple, object] = {}  # (scheme, the design_reads values) -> long-term state
+        states = []
+        for p, point in enumerate(points):
+            states.append([])
+            for current in scheme_list:
+                failed = (p, current)
+                key = (current, *(getattr(point, name) for name in SCHEMES[current].design_reads))
+                if key not in designs:
+                    designs[key] = design_long_term(current, grouping, point)
+                states[p].append(designs[key])
+        for start in range(0, max(counts), SLOT_BLOCK):
+            live = [p for p, count in enumerate(counts) if count > start]
+            failed = (live[0], None)
+            slots = range(start, min(start + SLOT_BLOCK, max(counts)))
             if channel_factory is not None:
                 h = np.stack([channel_factory(t) for t in slots])
             else:
                 h = channel_mod.draw_channel(scenario, geometry, seed=seed, slot=slots)
-            for i, (current, long_state) in enumerate(zip(scheme_list, long_states)):
-                precoders = build_precoders(current, long_state, h, grouping, config)
-                block = evaluate_slot(h, precoders, grouping)
-                rates[i][start : start + len(slots)] = block.rate
-                outage_slots[i] += len({t for t, _ in block.outage_groups})
+            for p in live:
+                point, stack = points[p], h[: counts[p] - start]
+                for i, (current, state) in enumerate(zip(scheme_list, states[p])):
+                    failed = (p, current)
+                    precoders = build_precoders(current, state, stack, grouping, point)
+                    block = evaluate_slot(stack, precoders, grouping)
+                    rates[p][i][start : start + len(stack)] = block.rate
+                    outage_slots[p][i] += len({t for t, _ in block.outage_groups})
         runs = []
-        for current, scheme_rates, outages in zip(scheme_list, rates, outage_slots):
-            runs.append(_run_metrics(current, config, grouping, scheme_rates, outages))
+        for p, point in enumerate(points):
+            cells = []
+            for current, scheme_rates, outages in zip(scheme_list, rates[p], outage_slots[p]):
+                failed = (p, current)
+                cells.append(_run_metrics(current, point, grouping, scheme_rates, outages))
+            runs.append(cells[0] if single else cells)
     except Exception as exc:
-        if single or current is None:
+        if one_point and single:
             raise
-        raise SchemeFailure(current) from exc
-    return runs[0] if single else runs
+        raise SchemeFailure(failed[1], failed[0]) from exc
+    return runs[0] if one_point else runs
 
 
 def _run_metrics(

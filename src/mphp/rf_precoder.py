@@ -158,6 +158,8 @@ def solve_alpha_star(
     tol: float = BISECTION_TOL,
     max_iters: int = BISECTION_MAX_ITERS,
     antenna_count: int | None = None,
+    *,
+    _start: tuple[np.ndarray, float] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Solve f(alpha) = (K * S_g / P) * alpha by safeguarded Newton steps.
 
@@ -170,7 +172,8 @@ def solve_alpha_star(
     replaced by the bracket's midpoint.  Returns the first evaluated
     ``alpha_star`` with relative residual |g| / (slope * alpha) at most
     ``tol``, and the relaxed precoder ``relaxed_step`` gives there
-    (``antenna_count`` is passed on to it).
+    (``antenna_count`` is passed on to it).  ``solve_relaxed`` passes the
+    ``alpha = 0`` evaluation its ``RelaxedProblem`` keeps as ``_start``.
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
@@ -187,7 +190,7 @@ def solve_alpha_star(
     def objective(alpha: float) -> tuple[np.ndarray, float]:
         return relaxed_step(signal_corr, leak_corr, alpha, streams, antenna_count)
 
-    f_star, value = objective(0.0)
+    f_star, value = objective(0.0) if _start is None else _start
     if value <= 0:
         raise DegenerateGroupError(f"relaxed objective at alpha=0 is {value:.3e}, expected > 0")
 
@@ -234,6 +237,32 @@ def joint_signal_basis(grouping: Grouping) -> np.ndarray:
     return np.linalg.qr(np.concatenate(kept, axis=1))[0]
 
 
+@dataclass(frozen=True)
+class RelaxedProblem:
+    """The part of ``solve_relaxed`` that no power changes: the joint signal
+    basis U (M x r) and, per group g, U^H R_g U, U^H L_g U and
+    ``relaxed_step`` at ``alpha = 0`` on them.  ``Grouping.relaxed_problem``
+    builds it once per grouping."""
+
+    basis: np.ndarray
+    signal: list[np.ndarray]
+    leak: list[np.ndarray]
+    start: list[tuple[np.ndarray, float]]
+
+
+def _relaxed_problem(grouping: Grouping) -> RelaxedProblem:
+    basis = joint_signal_basis(grouping)
+    signal = [basis.conj().T @ corr @ basis for corr in grouping.group_correlations]
+    leak = [basis.conj().T @ leakage_correlation(grouping, g) @ basis for g in range(grouping.group_count)]
+    start = [
+        relaxed_step(signal[g], leak[g], 0.0, len(members), basis.shape[0])
+        for g, members in enumerate(grouping.members)
+    ]
+    for array in (basis, *signal, *leak, *(f for f, _ in start)):
+        array.flags.writeable = False
+    return RelaxedProblem(basis, signal, leak, start)
+
+
 def solve_relaxed(grouping: Grouping, n_users: int, power: float) -> RelaxedSolution:
     """Run the relaxed per-group solve for every group on the joint subspace.
 
@@ -243,20 +272,24 @@ def solve_relaxed(grouping: Grouping, n_users: int, power: float) -> RelaxedSolu
     selected eigenvalue is negative with r < M, which needs linearly
     dependent kept eigenvectors; the column then keeps its eigenvector,
     shrunk to 1/sqrt(M), where the M x M solve takes a null vector off U.
+    U, the projections and each group's ``alpha = 0`` evaluation come from
+    ``grouping.relaxed_problem``, so a power sweep on one grouping builds
+    them once.
     """
-    basis = joint_signal_basis(grouping)
+    problem = grouping.relaxed_problem
     solved = [
         solve_alpha_star(
-            basis.conj().T @ grouping.group_correlations[g] @ basis,
-            basis.conj().T @ leakage_correlation(grouping, g) @ basis,
-            streams=len(grouping.members[g]),
+            signal,
+            leak,
+            streams=len(members),
             n_users=n_users,
             power=power,
-            antenna_count=basis.shape[0],
+            antenna_count=problem.basis.shape[0],
+            _start=start,
         )
-        for g in range(grouping.group_count)
+        for signal, leak, start, members in zip(problem.signal, problem.leak, problem.start, grouping.members)
     ]
-    return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[basis @ f for _, f in solved])
+    return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[problem.basis @ f for _, f in solved])
 
 
 def align_column_phase(column: np.ndarray, bits: int) -> np.ndarray:

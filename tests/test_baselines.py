@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,17 @@ from mphp.baselines import (
     fixed_subarray_precoder,
 )
 from mphp.channel import draw_channel
-from mphp.experiment import SystemConfig
+from mphp.experiment import SystemConfig, _derived_seeds
 from mphp.metrics import build_context
 from mphp.numerics import hermitian_eig
-from mphp.rf_precoder import RfPrecoder, align_column_phase, nearest_phase_index, phase_grid, validate_rf_precoder
+from mphp.rf_precoder import (
+    RfPrecoder,
+    align_column_phase,
+    nearest_phase_index,
+    phase_grid,
+    solve_relaxed,
+    validate_rf_precoder,
+)
 
 from conftest import make_grouping
 
@@ -150,6 +158,114 @@ class TestSchemeTaxonomy:
             "FIXED_SUBARRAY",
             "ADAPTIVE_INSTANT",
         }
+
+
+def design_bytes(state):
+    """The bytes of a long-term state: an ``RfPrecoder``, an array or None."""
+    if isinstance(state, RfPrecoder):
+        return (state.f.tobytes(), state.antenna_to_chain.tobytes(), state.phase_index.tobytes(), state.bits)
+    return None if state is None else (state.dtype, state.shape, state.tobytes())
+
+
+# A valid value other than the default for every SystemConfig field.
+OTHER_VALUES = {
+    "M": 24,
+    "K": 5,
+    "G": 1,
+    "B": 2,
+    "P": 3.5,
+    "n_slots": 7,
+    "seed": 99,
+    "T": 4,
+    "angular_spread": 0.09,
+    "path_count": 2,
+    "aod_jitter": 0.05,
+    "element_spacing": 0.4,
+    "p_baseband": 0.7,
+    "p_rf_chain": 0.6,
+    "p_phase_shifter": 0.09,
+    "schemes": (SchemeId.FIXED_SUBARRAY,),
+    "sweep_parameter": "P",
+    "sweep_values": (2.0, 4.0),
+}
+
+
+class TestDesignReads:
+    """A design depends on no config field but those its ``design_reads``
+    declares, so the engine may share it between the configs that agree on
+    them."""
+
+    def test_every_field_has_another_value(self):
+        assert set(OTHER_VALUES) == {f.name for f in fields(SystemConfig)}
+        assert all(OTHER_VALUES[name] != getattr(SystemConfig(), name) for name in OTHER_VALUES)
+
+    @pytest.mark.parametrize("scheme", [s for s in SchemeId if SCHEMES[s].statistical], ids=lambda s: s.value)
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_fields_left_out_do_not_move_the_design(self, scheme, seed):
+        config = SystemConfig(M=16, K=4, G=2)
+        grouping, _, _ = build_context(config, seed=seed)
+        design = design_bytes(design_long_term(scheme, grouping, config))
+        left_out = [name for name in OTHER_VALUES if name not in SCHEMES[scheme].design_reads]
+        for name in left_out:
+            changed = replace(config, **{name: OTHER_VALUES[name]})
+            assert design_bytes(design_long_term(scheme, grouping, changed)) == design, name
+        everything = replace(config, **{name: OTHER_VALUES[name] for name in left_out})
+        assert design_bytes(design_long_term(scheme, grouping, everything)) == design
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_design_reads_only_the_declared_fields(self, scheme):
+        class Recorder:
+            def __init__(self, config):
+                self.config, self.read = config, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.config, name)
+
+        config = SystemConfig(M=16, K=4, G=2)
+        grouping, _, _ = build_context(config, seed=1)
+        recorder = Recorder(config)
+        design_long_term(scheme, grouping, recorder)
+        assert recorder.read <= set(SCHEMES[scheme].design_reads)
+
+    def test_declared_design_fields(self):
+        assert set(SCHEMES[SchemeId.FRPS_STATISTICAL].design_reads) == {"M", "B"}
+        assert set(SCHEMES[SchemeId.MPHP].design_reads) == {"M", "B", "K", "P"}
+
+
+class TestSharedRelaxedProblem:
+    """``solve_relaxed`` builds its power-independent part once per grouping."""
+
+    def test_power_sweep_on_one_grouping_equals_fresh_solves(self, monkeypatch):
+        config = SystemConfig(M=128)
+        grouping, _, _ = build_context(config, seed=_derived_seeds(1)[0])
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            qr_calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        powers = [10.0 ** (snr / 10.0) for snr in (-10, -5, 0, 5, 10)]
+        shared = [solve_relaxed(grouping, config.K, power) for power in powers]
+        assert len(qr_calls) == 1
+        for power, solution in zip(powers, shared):
+            fresh = solve_relaxed(replace(grouping), config.K, power)
+            assert [a.hex() for a in solution.alpha_star] == [a.hex() for a in fresh.alpha_star]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(solution.f_star, fresh.f_star))
+        assert len(qr_calls) == 1 + len(powers)
+        assert len(set(a for solution in shared for a in solution.alpha_star)) == len(powers) * grouping.group_count
+
+    def test_cached_arrays_are_read_only(self):
+        config = SystemConfig(M=16, K=4, G=2)
+        grouping, _, _ = build_context(config, seed=1)
+        problem = grouping.relaxed_problem
+        assert grouping.relaxed_problem is problem
+        for array in (problem.basis, *problem.signal, *problem.leak, *(f for f, _ in problem.start)):
+            assert not array.flags.writeable
+        solution = solve_relaxed(grouping, config.K, config.P)
+        assert all(f.flags.writeable for f in solution.f_star)
 
 
 class TestFixedSubarray:

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields, replace
 
@@ -6,7 +7,7 @@ import pytest
 
 import mphp.experiment as experiment_mod
 import mphp.metrics as metrics_mod
-from mphp.baselines import SchemeId
+from mphp.baselines import SCHEMES, SchemeId
 from mphp.experiment import (
     CSV_COLUMNS,
     ExperimentError,
@@ -152,16 +153,19 @@ class TestRunExperiment:
 # All five schemes on a small scenario.
 SMALL = "M = 8\nK = 2\nG = 2\nn_slots = 5\nseed = 3\n"
 
-# (parameter, sweep values) for every parameter that can leave the scenario
-# alone (P, snr_db, B, n_slots) or must rebuild it (M, K).
-SWEEPS = [
-    ("P", "0.5, 2"),
-    ("snr_db", "-10, 10"),
-    ("B", "1, 3"),
-    ("n_slots", "3, 7"),
-    ("M", "8, 16"),
-    ("K", "2, 3"),
-]
+# Test id -> (parameter, sweep values) for every parameter that can leave
+# the scenario alone (P, snr_db, B, n_slots) or must rebuild it (M, K).  The
+# first n_slots case stays inside one SLOT_BLOCK block; the second spans
+# three, the last two cut short.
+SWEEPS = {
+    "P": ("P", "0.5, 2"),
+    "snr_db": ("snr_db", "-10, 10"),
+    "B": ("B", "1, 3"),
+    "n_slots": ("n_slots", "3, 7"),
+    "n_slots-across-blocks": ("n_slots", "20, 40, 70"),
+    "M": ("M", "8, 16"),
+    "K": ("K", "2, 3"),
+}
 
 
 def rows_without_sweep_value(rows):
@@ -172,7 +176,7 @@ def rows_without_sweep_value(rows):
 class TestRowContract:
     """A row is a function of (point config, seed) alone."""
 
-    @pytest.mark.parametrize("parameter,values", SWEEPS, ids=[p for p, _ in SWEEPS])
+    @pytest.mark.parametrize("parameter,values", SWEEPS.values(), ids=SWEEPS.keys())
     def test_sweep_rows_equal_single_point_rows(self, parameter, values):
         config = parse_config(SMALL + f"sweep.parameter = {parameter}\nsweep.values = {values}\n")
         rows = run_experiment(config)
@@ -203,18 +207,54 @@ class TestRowContract:
         run_experiment(parse_config(SMALL + f"sweep.parameter = {parameter}\nsweep.values = {values}\n"))
         assert len(calls) == builds
 
-    def test_one_engine_call_per_point(self, monkeypatch):
+    def test_one_engine_call_per_scenario(self, monkeypatch):
         calls = []
         engine = experiment_mod.monte_carlo_rates
 
-        def counted(schemes, *args, **kwargs):
-            calls.append(list(schemes))
-            return engine(schemes, *args, **kwargs)
+        def counted(schemes, configs, *args, **kwargs):
+            calls.append((list(schemes), [config.M for config in configs]))
+            return engine(schemes, configs, *args, **kwargs)
 
         monkeypatch.setattr(experiment_mod, "monte_carlo_rates", counted)
-        config = parse_config(SMALL + "sweep.parameter = M\nsweep.values = 8, 16\n")
+        run_experiment(parse_config(SMALL + "sweep.parameter = M\nsweep.values = 8, 16, 8\n"))
+        assert calls == [(list(SchemeId), [8, 8]), (list(SchemeId), [16])]
+        calls.clear()
+        run_experiment(parse_config(SMALL + "sweep.parameter = snr_db\nsweep.values = -10, 0, 10\n"))
+        assert calls == [(list(SchemeId), [8, 8, 8])]
+
+    @pytest.mark.parametrize(
+        "parameter,values,n_slots",
+        [("P", "0.5, 2", 40), ("snr_db", "-10, 0, 10", 40), ("B", "1, 3", 70), ("n_slots", "20, 40, 70", 5)],
+        ids=["P", "snr_db", "B", "n_slots"],
+    )
+    def test_each_block_drawn_once_per_scenario(self, monkeypatch, parameter, values, n_slots):
+        calls = []
+        draw = metrics_mod.channel_mod.draw_channel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
+        config = parse_config(SMALL + f"n_slots = {n_slots}\nsweep.parameter = {parameter}\nsweep.values = {values}\n")
         run_experiment(config)
-        assert calls == [list(SchemeId)] * 2
+        most_slots = max(apply_sweep_value(config, parameter, v).n_slots for v in config.sweep_values)
+        assert len(calls) == math.ceil(most_slots / metrics_mod.SLOT_BLOCK) > 1
+
+    def test_each_long_term_state_designed_once(self, monkeypatch):
+        calls = []
+        design = metrics_mod.design_long_term
+
+        def counted(scheme, *args):
+            calls.append(scheme)
+            return design(scheme, *args)
+
+        monkeypatch.setattr(metrics_mod, "design_long_term", counted)
+        run_experiment(parse_config(SMALL + "sweep.parameter = snr_db\nsweep.values = -10, 0, 10\n"))
+        # FRPS reads M and B, which the sweep leaves alone; MPHP also reads P.
+        assert calls.count(SchemeId.FRPS_STATISTICAL) == 1
+        assert calls.count(SchemeId.MPHP) == 3
+        assert all(calls.count(scheme) == 1 for scheme in SchemeId if not SCHEMES[scheme].statistical)
 
     def test_seeds_derive_from_the_config_seed_alone(self):
         scenario_seed, draw_seed = experiment_mod._derived_seeds(3)
@@ -305,6 +345,12 @@ class TestValidation:
         config = parse_config(SMALL + "schemes = MPHP, FIXED_SUBARRAY\n")
         with pytest.raises(ExperimentError, match="scheme MPHP, FIXED_SUBARRAY at sweep value nan: synthetic"):
             run_experiment(config)
+
+    def test_repeated_scheme_rejected(self):
+        with pytest.raises(ValueError, match="schemes must list each scheme once, got MPHP more than once"):
+            parse_config("schemes = MPHP, FIXED_SUBARRAY, MPHP\n")
+        with pytest.raises(ValueError, match="schemes"):
+            replace(SystemConfig(), schemes=(SchemeId.FULL_DIGITAL_ZF,) * 2).validate()
 
     @pytest.mark.parametrize(
         "field,value",

@@ -585,6 +585,87 @@ class TestSharedDraws:
             monte_carlo_rates(SchemeId.FIXED_SUBARRAY, config, 3, seed=5)
 
 
+class TestSweepPoints:
+    """One engine call over several point configs on one scenario equals one
+    call per point: designs and blocks are shared, the numbers are not."""
+
+    POINTS = [
+        SystemConfig(M=16, K=4, G=2, P=0.5),
+        SystemConfig(M=16, K=4, G=2, P=4.0, B=2),
+        SystemConfig(M=16, K=4, G=2),
+        SystemConfig(M=16, K=4, G=2, B=2),
+    ]
+    COUNTS = [3, SLOT_BLOCK + 5, 2 * SLOT_BLOCK + 1, SLOT_BLOCK]
+
+    def test_points_equal_single_point_calls(self):
+        grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
+        kwargs = dict(grouping=grouping, scenario=scenario)
+        runs = monte_carlo_rates(list(SchemeId), self.POINTS, self.COUNTS, seed=23, **kwargs)
+        assert len(runs) == len(self.POINTS)
+        for point, count, point_runs in zip(self.POINTS, self.COUNTS, runs):
+            for run, alone in zip(point_runs, monte_carlo_rates(list(SchemeId), point, count, seed=23, **kwargs)):
+                assert_same_run(run, alone)
+        (single,) = monte_carlo_rates(SchemeId.MPHP, self.POINTS[:1], 3, seed=23, **kwargs)
+        assert_same_run(single, runs[0][0])
+
+    def test_one_draw_per_block_and_one_design_per_distinct_state(self, monkeypatch):
+        grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
+        blocks, designs = [], []
+        draw, design = metrics_mod.channel_mod.draw_channel, metrics_mod.design_long_term
+
+        def counted_draw(*args, slot, **kwargs):
+            blocks.append(list(slot))
+            return draw(*args, slot=slot, **kwargs)
+
+        def counted_design(scheme, *args):
+            designs.append(scheme)
+            return design(scheme, *args)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted_draw)
+        monkeypatch.setattr(metrics_mod, "design_long_term", counted_design)
+        monte_carlo_rates(list(SchemeId), self.POINTS, self.COUNTS, seed=23, grouping=grouping, scenario=scenario)
+        most = max(self.COUNTS)
+        assert blocks == [list(range(s, min(s + SLOT_BLOCK, most))) for s in range(0, most, SLOT_BLOCK)]
+        # (P, B) takes 4 values and B takes 2; the real-time schemes have no design input.
+        assert [designs.count(s) for s in SchemeId] == [4, 1, 2, 1, 1]
+
+    def test_points_must_share_a_context(self):
+        points = [SystemConfig(M=8, K=2, G=2), SystemConfig(M=16, K=2, G=2)]
+        with pytest.raises(ValueError, match="context_key"):
+            monte_carlo_rates(SchemeId.MPHP, points, 3, seed=5)
+        with pytest.raises(ValueError, match="one n_slots per point"):
+            monte_carlo_rates(SchemeId.MPHP, points[:1], [3, 4], seed=5)
+        with pytest.raises(ValueError, match="n_slots"):
+            monte_carlo_rates(SchemeId.MPHP, points[:1] * 2, [3, 0], seed=5)
+
+    def test_failure_names_the_point(self, monkeypatch):
+        build = metrics_mod.build_precoders
+
+        def failing(scheme, state, channel, grouping, config):
+            if scheme is SchemeId.FIXED_SUBARRAY and config.P == 4.0:
+                raise ArithmeticError("synthetic")
+            return build(scheme, state, channel, grouping, config)
+
+        monkeypatch.setattr(metrics_mod, "build_precoders", failing)
+        with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY failed at point 1") as info:
+            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, self.POINTS, self.COUNTS, seed=23)
+        assert (info.value.scheme, info.value.point) == (SchemeId.FIXED_SUBARRAY, 1)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_shared_failure_names_the_first_point_that_needs_the_block(self, monkeypatch):
+        draw = metrics_mod.channel_mod.draw_channel
+
+        def failing(*args, slot, **kwargs):
+            if slot[0] >= SLOT_BLOCK:
+                raise ArithmeticError("synthetic draw failure")
+            return draw(*args, slot=slot, **kwargs)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
+        with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
+            monte_carlo_rates([SchemeId.MPHP], self.POINTS, self.COUNTS, seed=23)
+        assert info.value.scheme is None
+
+
 class ReadRecorder:
     """Stands in for a config and records which fields are read."""
 

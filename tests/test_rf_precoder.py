@@ -40,12 +40,13 @@ def diagonal_grouping():
 
 
 def bisect_alpha_star(
-    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, antenna_count=None
+    signal_corr, leak_corr, streams, n_users, power, tol=1e-9, max_iters=200, antenna_count=None, *, _start=None
 ):
     """Plain bisection on f(alpha) = (K * S_g / P) * alpha: the reference for
     solve_alpha_star.  The bracket upper end doubles from 1 until the
     right-hand side dominates, then [0, hi] is halved until a midpoint has
-    relative residual at most ``tol``."""
+    relative residual at most ``tol``.  It evaluates alpha = 0 itself and
+    ignores the cached ``_start`` that ``solve_relaxed`` passes."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     slope = n_users * streams / power
