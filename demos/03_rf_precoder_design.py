@@ -33,13 +33,13 @@ for alpha in (0.0, 0.5, 1.0, 2.0, 4.0):
     _, value = relaxed_step(signal_corr, leak_corr, alpha, streams)
     print(f"alpha = {alpha:4.1f}: objective {value:8.4f}   line {slope * alpha:8.4f}")
 
-relaxed = solve_relaxed(grouping, n_users=n_users, power=power)
+relaxed = solve_relaxed(grouping, power=power)
 print("\n=== fixed points (safeguarded Newton) ===")
 for g, alpha in enumerate(relaxed.alpha_star):
     print(f"group {g}: alpha* = {alpha:.6f} (columns: {relaxed.f_star[g].shape[1]})")
 
 print("\n=== greedy quantized projection ===")
-rf = grfp_assign(relaxed, grouping, bits=bits, antenna_count=m_ant)
+rf = grfp_assign(relaxed, grouping, bits=bits)
 validate_rf_precoder(rf)
 counts = np.bincount(rf.antenna_to_chain, minlength=n_users)
 print(f"antennas per chain: {counts.tolist()} (sum {counts.sum()} = M)")

@@ -8,7 +8,7 @@ from mphp import SchemeId, SystemConfig, monte_carlo_rates
 config = SystemConfig(n_slots=300)
 
 # One engine call: every scheme sees the same channel draws.
-runs = monte_carlo_rates(list(SchemeId), config, config.n_slots, seed=41)
+runs = monte_carlo_rates(list(SchemeId), config, seed=41)
 
 print(f"{'scheme':<18} {'jain':>7} {'worst rate':>11} {'sum rate':>9} {'feedback':>9} {'stats part':>10}")
 for scheme, run in zip(SchemeId, runs):

@@ -90,12 +90,12 @@ class Scheme:
     configs that agree on them share one design on one grouping.
     ``build(state, channel, grouping, config)`` assembles the slot's
     precoders.  ``statistical`` schemes feed back correlation statistics
-    once per period; ``connectivity`` selects how phase shifters are costed
-    (see ``metrics.PowerModel``).
+    once per period; ``fully_connected`` schemes are costed one phase
+    shifter per (antenna, chain) pair (see ``metrics.energy_efficiency``).
     """
 
     statistical: bool
-    connectivity: str
+    fully_connected: bool
     design: Callable[[Grouping, "SystemConfig"], Any]
     design_reads: tuple[str, ...]
     build: Callable[[Any, np.ndarray, Grouping, "SystemConfig"], SlotPrecoders]
@@ -143,19 +143,18 @@ def build_precoders(
 
 
 def _design_mphp(grouping: Grouping, config: "SystemConfig") -> RfPrecoder:
-    relaxed = solve_relaxed(grouping, n_users=config.K, power=config.P)
-    return grfp_assign(relaxed, grouping, bits=config.B, antenna_count=config.M)
+    return grfp_assign(solve_relaxed(grouping, power=config.P), grouping, bits=config.B)
 
 
 def _design_frps(grouping: Grouping, config: "SystemConfig") -> np.ndarray:
     """Fully-connected analog stage: quantized phases of aligned dominant eigenvectors."""
-    n_chains = sum(len(m) for m in grouping.members)
+    m_ant = grouping.antenna_count
     grid = phase_grid(config.B)
-    f = np.zeros((config.M, n_chains), dtype=complex)
+    f = np.zeros((m_ant, grouping.user_count), dtype=complex)
     for g, (_, vectors) in enumerate(grouping.group_eigs):
         for i, chain in enumerate(grouping.rf_chains[g]):
             column = align_column_phase(vectors[:, i], config.B)
-            f[:, int(chain)] = grid[nearest_phase_index(column, config.B)] / np.sqrt(config.M)
+            f[:, int(chain)] = grid[nearest_phase_index(column, config.B)] / np.sqrt(m_ant)
     return f
 
 
@@ -237,7 +236,7 @@ def _build_full_digital(
 ) -> SlotPrecoders:
     """Unit-norm zero-forcing beams on the instantaneous channels; a slot
     whose channel fails the condition test puts every group in outage."""
-    passed = check_condition(channel, "channel condition number")[:, None, None]
+    passed = check_condition(channel)[:, None, None]
     gram = np.swapaxes(channel.conj(), -1, -2) @ channel
     eye = np.eye(gram.shape[-1], dtype=complex)
     beams = channel @ np.linalg.solve(np.where(passed, gram, eye), eye)
@@ -283,9 +282,9 @@ def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: "Sys
 # FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
 # precoding with L = K chains, so it is costed as fully connected.
 SCHEMES: dict[SchemeId, Scheme] = {
-    SchemeId.MPHP: Scheme(True, "partially-connected", _design_mphp, ("M", "B", "K", "P"), _build_mphp),
-    SchemeId.FULL_DIGITAL_ZF: Scheme(False, "fully-connected", _no_long_term, (), _build_full_digital),
-    SchemeId.FRPS_STATISTICAL: Scheme(True, "fully-connected", _design_frps, ("M", "B"), _zf_all_groups),
-    SchemeId.FIXED_SUBARRAY: Scheme(False, "partially-connected", _no_long_term, (), _build_fixed_subarray),
-    SchemeId.ADAPTIVE_INSTANT: Scheme(False, "partially-connected", _no_long_term, (), _build_adaptive_instant),
+    SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), _build_mphp),
+    SchemeId.FULL_DIGITAL_ZF: Scheme(False, True, _no_long_term, (), _build_full_digital),
+    SchemeId.FRPS_STATISTICAL: Scheme(True, True, _design_frps, ("B",), _zf_all_groups),
+    SchemeId.FIXED_SUBARRAY: Scheme(False, False, _no_long_term, (), _build_fixed_subarray),
+    SchemeId.ADAPTIVE_INSTANT: Scheme(False, False, _no_long_term, (), _build_adaptive_instant),
 }

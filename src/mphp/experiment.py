@@ -8,12 +8,13 @@ the config's seed, so each row is a pure function of (point config, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import SchemeId
-from .metrics import PowerModel, SchemeFailure, build_context, context_key, monte_carlo_rates
+from .metrics import SchemeFailure, build_context, context_key, monte_carlo_rates
 
 
 class ExperimentError(RuntimeError):
@@ -50,6 +51,12 @@ class SystemConfig:
     sweep_values: tuple[float, ...] = ()
 
     def validate(self) -> None:
+        for key, field in _KEYS.items():
+            value = getattr(self, field)
+            if (key == "P" or key.startswith(("scenario.", "power."))) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key.startswith("power.") and value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.M:
@@ -74,8 +81,6 @@ class SystemConfig:
             raise ValueError(f"scenario.aod_jitter must be >= 0, got {self.aod_jitter}")
         if self.element_spacing <= 0:
             raise ValueError(f"scenario.element_spacing must be > 0, got {self.element_spacing}")
-        if min(self.p_baseband, self.p_rf_chain, self.p_phase_shifter) < 0:
-            raise ValueError("power.* entries must be >= 0")
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
         repeated = sorted({s.value for s in self.schemes if self.schemes.count(s) > 1})
@@ -88,15 +93,14 @@ class SystemConfig:
                 )
             if not self.sweep_values:
                 raise ValueError("sweep.values must be non-empty when sweep.parameter is set")
+            if not all(map(math.isfinite, self.sweep_values)):
+                raise ValueError(f"sweep.values must be finite, got {self.sweep_values}")
             for value in self.sweep_values:
-                apply_sweep_value(self, self.sweep_parameter, value).validate()
-
-    def power_model(self) -> PowerModel:
-        return PowerModel(
-            p_baseband=self.p_baseband,
-            p_rf_chain=self.p_rf_chain,
-            p_phase_shifter=self.p_phase_shifter,
-        )
+                try:
+                    point = apply_sweep_value(self, self.sweep_parameter, value)
+                except OverflowError:
+                    raise ValueError(f"sweep.values entry {value} overflows {self.sweep_parameter}") from None
+                point.validate()
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,9 @@ def _format_field(value: object) -> str:
 def parse_config(text: str) -> SystemConfig:
     """Parse a config document; unset keys take their defaults.
 
-    Raises ValueError with the offending key named on any malformed line,
-    unknown key or invariant violation.
+    A key set twice takes its later value.  Raises ValueError with the
+    offending key named on any malformed line, unknown key or invariant
+    violation.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,9 +246,7 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
         shared = [points[i] for i in indices]
         try:
             grouping, scenario, _ = build_context(shared[0], scenario_seed)
-            results = monte_carlo_rates(
-                schemes, shared, [p.n_slots for p in shared], draw_seed, grouping=grouping, scenario=scenario
-            )
+            results = monte_carlo_rates(schemes, shared, draw_seed, grouping=grouping, scenario=scenario)
         except Exception as exc:
             failed, scheme, cause = (
                 (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (0, None, exc)

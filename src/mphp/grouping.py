@@ -53,6 +53,10 @@ class Grouping:
     def user_count(self) -> int:
         return int(self.assignments.size)
 
+    @property
+    def antenna_count(self) -> int:
+        return self.group_correlations[0].shape[0]
+
     @cached_property
     def group_eigs(self) -> list[EigenDecomposition]:
         """Eigendecomposition of each group correlation, computed once.

@@ -7,7 +7,7 @@ the transmit power budget P is the only operating-point knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable
 
@@ -25,22 +25,6 @@ if TYPE_CHECKING:
 STATISTICS_ENERGY_FRACTION = 0.95
 # Most slots one Monte Carlo block stacks; bounds the block's arrays.
 SLOT_BLOCK = 32
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Static power draw of the transmit chain for EE accounting (watts)."""
-
-    p_baseband: float = 0.2
-    p_rf_chain: float = 0.3
-    p_phase_shifter: float = 0.04
-    connectivity: str = "partially-connected"
-
-    def __post_init__(self) -> None:
-        if min(self.p_baseband, self.p_rf_chain, self.p_phase_shifter) < 0:
-            raise ValueError("power model entries must be >= 0")
-        if self.connectivity not in ("fully-connected", "partially-connected"):
-            raise ValueError(f"unknown connectivity {self.connectivity!r}")
 
 
 @dataclass
@@ -165,30 +149,18 @@ def jain_fairness(rates: np.ndarray) -> float:
     return float(np.sum(rates)) ** 2 / denom
 
 
-def energy_efficiency(
-    sum_rate: float,
-    transmit_power: float,
-    chain_count: int,
-    antenna_count: int,
-    power_model: PowerModel,
-) -> float:
-    """Sum rate over total consumed power.
+def energy_efficiency(sum_rate: float, config: "SystemConfig", fully_connected: bool) -> float:
+    """Sum rate over total consumed power: the transmit power P plus the
+    static draw of the baseband, K RF chains and the phase shifters (watts,
+    the config's ``p_*`` fields).
 
-    The shifter count is antenna_count * chain_count for a fully-connected
-    analog stage and antenna_count otherwise.
+    The shifter count is M * K for a fully-connected analog stage and M
+    otherwise.
     """
-    if min(sum_rate, transmit_power, chain_count, antenna_count) < 0:
-        raise ValueError("inputs must be >= 0")
-    if power_model.connectivity == "fully-connected":
-        n_shifters = antenna_count * chain_count
-    else:
-        n_shifters = antenna_count
-    total = (
-        transmit_power
-        + power_model.p_baseband
-        + chain_count * power_model.p_rf_chain
-        + n_shifters * power_model.p_phase_shifter
-    )
+    if sum_rate < 0:
+        raise ValueError(f"sum_rate must be >= 0, got {sum_rate}")
+    n_shifters = config.M * config.K if fully_connected else config.M
+    total = config.P + config.p_baseband + config.K * config.p_rf_chain + n_shifters * config.p_phase_shifter
     if total == 0:
         raise ValueError("total consumed power is zero")
     return sum_rate / total
@@ -279,7 +251,6 @@ def build_context(config: "SystemConfig", seed: int) -> tuple[Grouping, list, ch
 def monte_carlo_rates(
     schemes: SchemeId | Sequence[SchemeId],
     config: "SystemConfig | Sequence[SystemConfig]",
-    n_slots: int | Sequence[int],
     seed: int,
     *,
     grouping: Grouping | None = None,
@@ -293,12 +264,12 @@ def monte_carlo_rates(
     of schemes, which gives one ``RunMetrics`` per scheme in that order.
     ``config`` is one config, or a sequence of point configs with equal
     ``context_key`` (a sweep's points on one scenario), which gives one such
-    result per point; ``n_slots`` is one count for every point or one per
-    point.  The analog stage of a statistical scheme is designed once from
-    the correlations per distinct value of the config fields its
-    ``design_reads`` names; the baseband stage is redone every slot.  Slot
-    t draws its channel from entropy (seed, user, t), so runs are
-    reproducible and slots may be evaluated in any order.  Blocks of at
+    result per point; each point runs its own ``n_slots`` slots.  The analog
+    stage of a statistical scheme is designed once from the correlations
+    per distinct value of the config fields its ``design_reads`` names; the
+    baseband stage is redone every slot.  Slot t draws its channel from
+    entropy (seed, user, t), so runs are reproducible and slots may be
+    evaluated in any order.  Blocks of at
     most ``SLOT_BLOCK`` slots, up to the largest count, are drawn once and
     then run through every (point, scheme) precoder build and SINR as one
     stack, a point with fewer slots taking the leading ones, so all cells
@@ -312,11 +283,9 @@ def monte_carlo_rates(
     scheme_list = [schemes] if single else list(schemes)
     one_point = not isinstance(config, Sequence)
     points = [config] if one_point else list(config)
-    counts = list(n_slots) if isinstance(n_slots, Sequence) else [n_slots] * len(points)
     if not points or len({context_key(point) for point in points}) > 1:
         raise ValueError("need one or more point configs with equal context_key")
-    if len(counts) != len(points):
-        raise ValueError(f"need one n_slots per point config, got {len(counts)} for {len(points)}")
+    counts = [point.n_slots for point in points]
     if min(counts) < 1:
         raise ValueError(f"n_slots must be >= 1, got {min(counts)}")
     if not scheme_list:
@@ -386,9 +355,8 @@ def _run_metrics(
     avg_stderr = float(per_slot_mean.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
     sum_stderr = float(per_slot_sum.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
 
-    model = replace(config.power_model(), connectivity=SCHEMES[scheme].connectivity)
     sum_rate = float(per_user_rate.sum())
-    ee = energy_efficiency(sum_rate, config.P, config.K, config.M, model)
+    ee = energy_efficiency(sum_rate, config, SCHEMES[scheme].fully_connected)
 
     stats_count = statistics_feedback_count(grouping.group_eigs) if SCHEMES[scheme].statistical else 0
     feedback = feedback_overhead(

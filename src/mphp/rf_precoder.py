@@ -26,8 +26,8 @@ import numpy as np
 from .grouping import Grouping
 from .numerics import hermitian_eig
 
-BISECTION_TOL = 1e-9
-BISECTION_MAX_ITERS = 200
+ALPHA_TOL = 1e-9
+ALPHA_MAX_ITERS = 200
 # Tie band of the GRFP and column phase rules: gaps of sorted magnitudes (share of the
 # largest) or phase errors (radians), scores (share of the best), arc widths (grid steps).
 _TIE_TOL = 1e-9
@@ -110,8 +110,7 @@ def leakage_correlation(grouping: Grouping, g: int) -> np.ndarray:
     if not 0 <= g < grouping.group_count:
         raise ValueError(f"group index {g} out of range")
     sizes = grouping.sizes
-    m_ant = grouping.group_correlations[0].shape[0]
-    out = np.zeros((m_ant, m_ant), dtype=complex)
+    out = np.zeros((grouping.antenna_count,) * 2, dtype=complex)
     for other in range(grouping.group_count):
         if other == g:
             continue
@@ -155,8 +154,8 @@ def solve_alpha_star(
     streams: int,
     n_users: int,
     power: float,
-    tol: float = BISECTION_TOL,
-    max_iters: int = BISECTION_MAX_ITERS,
+    tol: float = ALPHA_TOL,
+    max_iters: int = ALPHA_MAX_ITERS,
     antenna_count: int | None = None,
     *,
     _start: tuple[np.ndarray, float] | None = None,
@@ -213,7 +212,7 @@ def solve_alpha_star(
                     float(np.linalg.norm(signal_corr)) + alpha * float(np.linalg.norm(leak_corr))
                 )
                 raise RuntimeError(
-                    f"bisection stalled at the rounding floor: tol * slope * alpha = {band:.3e} at "
+                    f"alpha* solve stalled at the rounding floor: tol * slope * alpha = {band:.3e} at "
                     f"alpha = {alpha:.6g} is below eps * (||R|| + alpha * ||L||) = {floor:.3e}; raise tol"
                 )
         alpha = step
@@ -221,7 +220,7 @@ def solve_alpha_star(
         if abs(value - slope * alpha) <= tol * slope * alpha:
             return alpha, f_star
     raise RuntimeError(
-        f"bisection did not reach relative residual {tol:g} in {max_iters} iterations"
+        f"alpha* solve did not reach relative residual {tol:g} in {max_iters} iterations"
     )
 
 
@@ -229,7 +228,7 @@ def joint_signal_basis(grouping: Grouping) -> np.ndarray:
     """Orthonormal basis (M, r) of the groups' joint signal subspace: one QR
     of each group's eigenvectors (``group_eigs``) whose eigenvalue exceeds
     the rounding level M * eps * lambda_1, and at least one per stream."""
-    m_ant = grouping.group_correlations[0].shape[0]
+    m_ant = grouping.antenna_count
     kept = [
         vectors[:, (values > m_ant * np.finfo(float).eps * values[0]) | (np.arange(m_ant) < len(members))]
         for (values, vectors), members in zip(grouping.group_eigs, grouping.members)
@@ -263,7 +262,7 @@ def _relaxed_problem(grouping: Grouping) -> RelaxedProblem:
     return RelaxedProblem(basis, signal, leak, start)
 
 
-def solve_relaxed(grouping: Grouping, n_users: int, power: float) -> RelaxedSolution:
+def solve_relaxed(grouping: Grouping, power: float) -> RelaxedSolution:
     """Run the relaxed per-group solve for every group on the joint subspace.
 
     Each group's ``solve_alpha_star`` runs on U^H R_g U and U^H L_g U, with
@@ -274,7 +273,7 @@ def solve_relaxed(grouping: Grouping, n_users: int, power: float) -> RelaxedSolu
     shrunk to 1/sqrt(M), where the M x M solve takes a null vector off U.
     U, the projections and each group's ``alpha = 0`` evaluation come from
     ``grouping.relaxed_problem``, so a power sweep on one grouping builds
-    them once.
+    them once.  The noise term K * S_g / P takes K from the grouping.
     """
     problem = grouping.relaxed_problem
     solved = [
@@ -282,7 +281,7 @@ def solve_relaxed(grouping: Grouping, n_users: int, power: float) -> RelaxedSolu
             signal,
             leak,
             streams=len(members),
-            n_users=n_users,
+            n_users=grouping.user_count,
             power=power,
             antenna_count=problem.basis.shape[0],
             _start=start,
@@ -342,13 +341,9 @@ def _claim_order(column: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return ranked[np.lexsort((ranked, tie))]
 
 
-def grfp_assign(
-    relaxed: RelaxedSolution,
-    grouping: Grouping,
-    bits: int,
-    antenna_count: int,
-) -> RfPrecoder:
-    """Greedily project the relaxed solution onto the hardware constraints.
+def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPrecoder:
+    """Greedily project the relaxed solution onto the hardware constraints,
+    one antenna per row of the relaxed columns.
 
     Groups are visited in ascending order of their leakage weight (most
     constrained group first, ties to the lowest group index); each visit to a
@@ -368,7 +363,7 @@ def grfp_assign(
     |f_m| * cos(delta_m) / sqrt(M) to Re q^H f (delta_m its quantisation
     error), then to the lower index (``_claim_order``).
     """
-    n_chains = sum(len(m) for m in grouping.members)
+    antenna_count, n_chains = relaxed.f_star[0].shape[0], grouping.user_count
     if n_chains > antenna_count:
         raise ValueError(f"need at least as many antennas as chains ({n_chains})")
     for g, f_star in enumerate(relaxed.f_star):
@@ -389,29 +384,18 @@ def grfp_assign(
     f = np.zeros((antenna_count, n_chains), dtype=complex)
     antenna_to_chain = np.full(antenna_count, -1, dtype=int)
     phase_index = np.zeros(antenna_count, dtype=int)
-    unassigned = np.ones(antenna_count, dtype=bool)
-    assigned = 0
-
-    while assigned < antenna_count:
-        for g in order:
-            g = int(g)
-            chains = grouping.rf_chains[g]
-            for i in range(len(chains)):
-                column, k = ranked[g][i], cursors[g][i]
-                while not unassigned[column[k]]:
-                    k += 1
-                cursors[g][i], antenna = k, column[k]
-                n_star = int(phases[g][i][antenna])
-                chain = int(chains[i])
-                f[antenna, chain] = inv_sqrt_m * grid[n_star]
-                antenna_to_chain[antenna] = chain
-                phase_index[antenna] = n_star
-                unassigned[antenna] = False
-                assigned += 1
-                if assigned == antenna_count:
-                    break
-            if assigned == antenna_count:
-                break
+    visits = [(int(g), i) for g in order for i in range(len(grouping.rf_chains[g]))]
+    for step in range(antenna_count):
+        g, i = visits[step % len(visits)]
+        column, k = ranked[g][i], cursors[g][i]
+        while antenna_to_chain[column[k]] >= 0:
+            k += 1
+        cursors[g][i], antenna = k, column[k]
+        n_star = int(phases[g][i][antenna])
+        chain = int(grouping.rf_chains[g][i])
+        f[antenna, chain] = inv_sqrt_m * grid[n_star]
+        antenna_to_chain[antenna] = chain
+        phase_index[antenna] = n_star
 
     return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
 

@@ -60,8 +60,8 @@ def test_criterion_01_structural_constraints():
         )
         corrs = scenario_correlations(scenario, ArrayGeometry(m_ant), 128)
         grouping = group_users(corrs, n_groups)
-        relaxed = solve_relaxed(grouping, n_users=n_users, power=1.0)
-        rf = grfp_assign(relaxed, grouping, bits=bits, antenna_count=m_ant)
+        relaxed = solve_relaxed(grouping, power=1.0)
+        rf = grfp_assign(relaxed, grouping, bits=bits)
         validate_rf_precoder(rf)
         nonzero = rf.f != 0
         assert np.all(nonzero.sum(axis=1) == 1)
@@ -176,8 +176,8 @@ def test_criterion_05_greedy_vs_exhaustive():
     for _ in range(50):
         corrs = [random_trace_normalized_psd(rng, 4) for _ in range(2)]
         grouping = group_users(corrs, 2, subspace_rank=1)
-        relaxed = solve_relaxed(grouping, n_users=2, power=1.0)
-        rf = grfp_assign(relaxed, grouping, bits=1, antenna_count=4)
+        relaxed = solve_relaxed(grouping, power=1.0)
+        rf = grfp_assign(relaxed, grouping, bits=1)
         greedy = min(
             sslnr(rf.f[:, grouping.rf_chains[g]], grouping, g, 2, 1.0) for g in range(2)
         )
@@ -242,7 +242,7 @@ def test_criterion_07_rate_trend_and_ordering():
     for m_ant in (16, 32, 64):
         config = SystemConfig(M=m_ant)
         for scheme in (SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF, SchemeId.FIXED_SUBARRAY):
-            results[(m_ant, scheme)] = monte_carlo_rates(scheme, config, 1000, seed=21)
+            results[(m_ant, scheme)] = monte_carlo_rates(scheme, config, seed=21)
     trend_ok = True
     for low, high in ((16, 32), (32, 64)):
         a, b = results[(low, SchemeId.MPHP)], results[(high, SchemeId.MPHP)]
@@ -277,9 +277,9 @@ def test_criterion_08_energy_efficiency_trend():
     start = time.time()
     lines, ok = [], True
     for snr_db in (-10.0, 0.0, 10.0):
-        config = SystemConfig(P=float(10.0 ** (snr_db / 10.0)))
-        mphp = monte_carlo_rates(SchemeId.MPHP, config, 500, seed=33)
-        frps = monte_carlo_rates(SchemeId.FRPS_STATISTICAL, config, 500, seed=33)
+        config = SystemConfig(P=float(10.0 ** (snr_db / 10.0)), n_slots=500)
+        mphp = monte_carlo_rates(SchemeId.MPHP, config, seed=33)
+        frps = monte_carlo_rates(SchemeId.FRPS_STATISTICAL, config, seed=33)
         point_ok = mphp.energy_efficiency > frps.energy_efficiency
         ok = ok and point_ok
         lines.append(
@@ -297,8 +297,8 @@ def test_criterion_09_fairness():
     default scenario over 1000 slots."""
     start = time.time()
     config = SystemConfig()
-    mphp = monte_carlo_rates(SchemeId.MPHP, config, 1000, seed=41)
-    ahp = monte_carlo_rates(SchemeId.ADAPTIVE_INSTANT, config, 1000, seed=41)
+    mphp = monte_carlo_rates(SchemeId.MPHP, config, seed=41)
+    ahp = monte_carlo_rates(SchemeId.ADAPTIVE_INSTANT, config, seed=41)
     ok = mphp.jain_index > ahp.jain_index and mphp.jain_index >= 0.85
     elapsed = time.time() - start
     assert _report(

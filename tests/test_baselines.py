@@ -141,11 +141,11 @@ class TestSchemeTaxonomy:
         assert not SCHEMES[SchemeId.ADAPTIVE_INSTANT].statistical
 
     def test_connectivity(self):
-        assert SCHEMES[SchemeId.MPHP].connectivity == "partially-connected"
-        assert SCHEMES[SchemeId.FIXED_SUBARRAY].connectivity == "partially-connected"
-        assert SCHEMES[SchemeId.ADAPTIVE_INSTANT].connectivity == "partially-connected"
-        assert SCHEMES[SchemeId.FRPS_STATISTICAL].connectivity == "fully-connected"
-        assert SCHEMES[SchemeId.FULL_DIGITAL_ZF].connectivity == "fully-connected"
+        assert not SCHEMES[SchemeId.MPHP].fully_connected
+        assert not SCHEMES[SchemeId.FIXED_SUBARRAY].fully_connected
+        assert not SCHEMES[SchemeId.ADAPTIVE_INSTANT].fully_connected
+        assert SCHEMES[SchemeId.FRPS_STATISTICAL].fully_connected
+        assert SCHEMES[SchemeId.FULL_DIGITAL_ZF].fully_connected
 
     def test_one_record_per_scheme(self):
         assert list(SCHEMES) == list(SchemeId)
@@ -229,8 +229,8 @@ class TestDesignReads:
         assert recorder.read <= set(SCHEMES[scheme].design_reads)
 
     def test_declared_design_fields(self):
-        assert set(SCHEMES[SchemeId.FRPS_STATISTICAL].design_reads) == {"M", "B"}
-        assert set(SCHEMES[SchemeId.MPHP].design_reads) == {"M", "B", "K", "P"}
+        assert set(SCHEMES[SchemeId.FRPS_STATISTICAL].design_reads) == {"B"}
+        assert set(SCHEMES[SchemeId.MPHP].design_reads) == {"B", "P"}
 
 
 class TestSharedRelaxedProblem:
@@ -248,10 +248,10 @@ class TestSharedRelaxedProblem:
 
         monkeypatch.setattr(np.linalg, "qr", counted)
         powers = [10.0 ** (snr / 10.0) for snr in (-10, -5, 0, 5, 10)]
-        shared = [solve_relaxed(grouping, config.K, power) for power in powers]
+        shared = [solve_relaxed(grouping, power) for power in powers]
         assert len(qr_calls) == 1
         for power, solution in zip(powers, shared):
-            fresh = solve_relaxed(replace(grouping), config.K, power)
+            fresh = solve_relaxed(replace(grouping), power)
             assert [a.hex() for a in solution.alpha_star] == [a.hex() for a in fresh.alpha_star]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(solution.f_star, fresh.f_star))
         assert len(qr_calls) == 1 + len(powers)
@@ -264,7 +264,7 @@ class TestSharedRelaxedProblem:
         assert grouping.relaxed_problem is problem
         for array in (problem.basis, *problem.signal, *problem.leak, *(f for f, _ in problem.start)):
             assert not array.flags.writeable
-        solution = solve_relaxed(grouping, config.K, config.P)
+        solution = solve_relaxed(grouping, config.P)
         assert all(f.flags.writeable for f in solution.f_star)
 
 

@@ -33,6 +33,13 @@ class TestValidateVerb:
         assert main(["validate", "--config", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_infinite_sweep_value_named(self, tmp_path, capsys):
+        bad = tmp_path / "inf.cfg"
+        bad.write_text("sweep.parameter = M\nsweep.values = inf\n")
+        assert main(["validate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sweep.values" in err
+
 
 class TestRunVerb:
     def test_run_writes_csv(self, tiny_config, tmp_path):

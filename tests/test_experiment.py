@@ -110,6 +110,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="sweep.values"):
             parse_config("sweep.parameter = M\n")
 
+    @pytest.mark.parametrize(
+        "parameter,value", [("M", "inf"), ("M", "nan"), ("P", "inf"), ("snr_db", "-inf"), ("snr_db", "4000")]
+    )
+    def test_unusable_sweep_values_named(self, parameter, value):
+        with pytest.raises(ValueError, match="sweep.values"):
+            parse_config(f"sweep.parameter = {parameter}\nsweep.values = 16, {value}\n")
+
+    def test_later_key_overrides_an_earlier_one(self):
+        config = parse_config("n_slots = 30\nM = 16\nn_slots = 7\n")
+        assert (config.n_slots, config.M) == (7, 16)
+
 
 class TestSweepValues:
     def test_snr_maps_to_power(self):
@@ -354,7 +365,22 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("G", 0), ("B", 0), ("n_slots", 0), ("T", 0), ("seed", -1)],
+        [
+            ("G", 0),
+            ("B", 0),
+            ("n_slots", 0),
+            ("T", 0),
+            ("seed", -1),
+            ("p_baseband", -0.1),
+            ("P", float("nan")),
+            ("P", float("inf")),
+            ("angular_spread", float("nan")),
+            ("aod_jitter", float("inf")),
+            ("element_spacing", float("nan")),
+            ("p_baseband", float("nan")),
+            ("p_rf_chain", float("inf")),
+            ("p_phase_shifter", float("-inf")),
+        ],
     )
     def test_invariants_name_the_field(self, field, value):
         from dataclasses import replace

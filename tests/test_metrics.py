@@ -9,7 +9,6 @@ from mphp.channel import ArrayGeometry, draw_channel
 from mphp.experiment import SystemConfig
 from mphp.metrics import (
     SLOT_BLOCK,
-    PowerModel,
     RunMetrics,
     SchemeFailure,
     UndefinedFairnessError,
@@ -229,35 +228,25 @@ class TestJain:
 
 class TestEnergyEfficiency:
     def test_partially_connected_arithmetic(self):
-        model = PowerModel(connectivity="partially-connected")
-        value = energy_efficiency(10.0, 1.0, chain_count=8, antenna_count=64, power_model=model)
+        value = energy_efficiency(10.0, SystemConfig(M=64, K=8, P=1.0), fully_connected=False)
         assert value == pytest.approx(10.0 / (1.0 + 0.2 + 2.4 + 2.56), rel=1e-12)
         assert value == pytest.approx(1.6234, abs=1e-4)
 
     def test_fully_connected_arithmetic(self):
-        model = PowerModel(connectivity="fully-connected")
-        value = energy_efficiency(10.0, 1.0, chain_count=8, antenna_count=64, power_model=model)
+        value = energy_efficiency(10.0, SystemConfig(M=64, K=8, P=1.0), fully_connected=True)
         assert value == pytest.approx(10.0 / (1.0 + 0.2 + 2.4 + 20.48), rel=1e-12)
         assert value == pytest.approx(0.4153, abs=1e-4)
 
     def test_connectivity_irrelevant_without_shifter_power(self):
-        kwargs = dict(p_baseband=0.2, p_rf_chain=0.3, p_phase_shifter=0.0)
-        partial = energy_efficiency(5.0, 1.0, 4, 32, PowerModel(**kwargs))
-        full = energy_efficiency(
-            5.0, 1.0, 4, 32, PowerModel(connectivity="fully-connected", **kwargs)
-        )
+        config = SystemConfig(M=32, K=4, P=1.0, p_baseband=0.2, p_rf_chain=0.3, p_phase_shifter=0.0)
+        partial = energy_efficiency(5.0, config, fully_connected=False)
+        full = energy_efficiency(5.0, config, fully_connected=True)
         assert partial == full
 
     def test_zero_denominator_rejected(self):
-        model = PowerModel(p_baseband=0.0, p_rf_chain=0.0, p_phase_shifter=0.0)
+        config = SystemConfig(P=0.0, p_baseband=0.0, p_rf_chain=0.0, p_phase_shifter=0.0)
         with pytest.raises(ValueError):
-            energy_efficiency(1.0, 0.0, 0, 0, model)
-
-    def test_power_model_validation(self):
-        with pytest.raises(ValueError):
-            PowerModel(p_baseband=-0.1)
-        with pytest.raises(ValueError):
-            PowerModel(connectivity="mesh")
+            energy_efficiency(1.0, config, fully_connected=False)
 
 
 class TestFeedbackOverhead:
@@ -298,7 +287,7 @@ class TestMonteCarlo:
         grouping, scenario, geometry = build_context(config, seed=5)
         fixed = draw_channel(scenario, geometry, seed=123, slot=0)
         run = monte_carlo_rates(
-            SchemeId.MPHP, config, 1, seed=5, grouping=grouping, scenario=scenario,
+            SchemeId.MPHP, config, seed=5, grouping=grouping, scenario=scenario,
             channel_factory=lambda t: fixed,
         )
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
@@ -309,9 +298,9 @@ class TestMonteCarlo:
         assert run.n_slots == 1
 
     def test_deterministic_given_seed(self):
-        config = SystemConfig(M=8, K=2, G=2)
-        a = monte_carlo_rates(SchemeId.MPHP, config, 20, seed=3)
-        b = monte_carlo_rates(SchemeId.MPHP, config, 20, seed=3)
+        config = SystemConfig(M=8, K=2, G=2, n_slots=20)
+        a = monte_carlo_rates(SchemeId.MPHP, config, seed=3)
+        b = monte_carlo_rates(SchemeId.MPHP, config, seed=3)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
         assert a.sum_rate == b.sum_rate
         assert a.jain_index == b.jain_index
@@ -320,16 +309,16 @@ class TestMonteCarlo:
     def test_doubling_power_raises_median_rate(self):
         # Full-digital ZF directions are power-independent; the same channel
         # draws are reused, so scaling every p_k can only help each user.
-        base = SystemConfig(M=16, K=4, G=2)
-        low = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, base, 500, seed=9)
-        high_cfg = SystemConfig(M=16, K=4, G=2, P=2.0)
-        high = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, high_cfg, 500, seed=9)
+        base = SystemConfig(M=16, K=4, G=2, n_slots=500)
+        low = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, base, seed=9)
+        high_cfg = SystemConfig(M=16, K=4, G=2, P=2.0, n_slots=500)
+        high = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, high_cfg, seed=9)
         assert np.median(high.per_user_rate) >= np.median(low.per_user_rate)
 
     def test_stderr_shrinks_like_sqrt_slots(self):
         config = SystemConfig(M=16, K=4, G=2)
-        small = monte_carlo_rates(SchemeId.MPHP, config, 250, seed=4)
-        large = monte_carlo_rates(SchemeId.MPHP, config, 1000, seed=4)
+        small = monte_carlo_rates(SchemeId.MPHP, replace(config, n_slots=250), seed=4)
+        large = monte_carlo_rates(SchemeId.MPHP, replace(config, n_slots=1000), seed=4)
         ratio = large.avg_rate_stderr / small.avg_rate_stderr
         assert 0.35 <= ratio <= 0.65
 
@@ -368,12 +357,13 @@ class TestMonteCarlo:
 
     def test_bad_slot_count_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo_rates(SchemeId.MPHP, SystemConfig(), 0, seed=1)
+            monte_carlo_rates(SchemeId.MPHP, SystemConfig(n_slots=0), seed=1)
 
 
-def loop_monte_carlo_rates(scheme, config, n_slots, seed, grouping, scenario, channel_factory=None):
+def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_factory=None):
     """Reference engine: the per-slot loop, one draw, one precoder build and
     one evaluation per slot.  Returns (RunMetrics, rates, per-slot outage groups)."""
+    n_slots = config.n_slots
     geometry = ArrayGeometry(config.M, config.element_spacing)
     long_state = design_long_term(scheme, grouping, config)
     rates = np.zeros((n_slots, config.K))
@@ -396,9 +386,8 @@ def loop_monte_carlo_rates(scheme, config, n_slots, seed, grouping, scenario, ch
     avg_stderr = float(per_slot_mean.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
     sum_stderr = float(per_slot_sum.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
 
-    model = replace(config.power_model(), connectivity=SCHEMES[scheme].connectivity)
     sum_rate = float(per_user_rate.sum())
-    ee = energy_efficiency(sum_rate, config.P, config.K, config.M, model)
+    ee = energy_efficiency(sum_rate, config, SCHEMES[scheme].fully_connected)
     stats_count = (
         statistics_feedback_count(grouping.group_correlations) if SCHEMES[scheme].statistical else 0
     )
@@ -451,13 +440,13 @@ def rank_deficient_factory(scenario, geometry, seed, grouping):
 
 
 ENGINE_CASES = {
-    "one slot": (SystemConfig(M=16, K=4, G=2), 1),
-    "M = K": (SystemConfig(M=4, K=4, G=2), 7),
-    "G = K": (SystemConfig(M=16, K=4, G=4), 7),
-    "B = 1": (SystemConfig(M=16, K=4, G=2, B=1), 7),
-    "G = 1": (SystemConfig(M=32, K=8, G=1), 5),
-    "block boundary": (SystemConfig(M=16, K=4, G=2), 2 * SLOT_BLOCK + 1),
-    "defaults": (SystemConfig(), 9),
+    "one slot": SystemConfig(M=16, K=4, G=2, n_slots=1),
+    "M = K": SystemConfig(M=4, K=4, G=2, n_slots=7),
+    "G = K": SystemConfig(M=16, K=4, G=4, n_slots=7),
+    "B = 1": SystemConfig(M=16, K=4, G=2, B=1, n_slots=7),
+    "G = 1": SystemConfig(M=32, K=8, G=1, n_slots=5),
+    "block boundary": SystemConfig(M=16, K=4, G=2, n_slots=2 * SLOT_BLOCK + 1),
+    "defaults": SystemConfig(n_slots=9),
 }
 
 
@@ -467,10 +456,11 @@ class TestEngineMatchesPerSlotLoop:
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
     def test_drawn_channels(self, case, scheme):
-        config, n_slots = ENGINE_CASES[case]
+        config = ENGINE_CASES[case]
+        n_slots = config.n_slots
         grouping, scenario, geometry = build_context(config, seed=11)
-        run = monte_carlo_rates(scheme, config, n_slots, seed=23, grouping=grouping, scenario=scenario)
-        reference, rates, _ = loop_monte_carlo_rates(scheme, config, n_slots, 23, grouping, scenario)
+        run = monte_carlo_rates(scheme, config, seed=23, grouping=grouping, scenario=scenario)
+        reference, rates, _ = loop_monte_carlo_rates(scheme, config, 23, grouping, scenario)
         assert_same_run(run, reference)
         channels = draw_channel(scenario, geometry, seed=23, slot=range(n_slots))
         state = design_long_term(scheme, grouping, config)
@@ -480,15 +470,15 @@ class TestEngineMatchesPerSlotLoop:
     @pytest.mark.parametrize("case", ["G = K", "G = 1", "defaults"])
     @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
     def test_rank_deficient_slots_hit_the_outage_path(self, case, scheme):
-        config, _ = ENGINE_CASES[case]
         n_slots = SLOT_BLOCK + 4
+        config = replace(ENGINE_CASES[case], n_slots=n_slots)
         grouping, scenario, geometry = build_context(config, seed=11)
         factory = rank_deficient_factory(scenario, geometry, 23, grouping)
         run = monte_carlo_rates(
-            scheme, config, n_slots, seed=23, grouping=grouping, scenario=scenario, channel_factory=factory
+            scheme, config, seed=23, grouping=grouping, scenario=scenario, channel_factory=factory
         )
         reference, rates, outages = loop_monte_carlo_rates(
-            scheme, config, n_slots, 23, grouping, scenario, channel_factory=factory
+            scheme, config, 23, grouping, scenario, channel_factory=factory
         )
         assert_same_run(run, reference)
         assert any(outages[1:]) and not outages[0]
@@ -513,36 +503,36 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("case", ["one slot", "G = K", "B = 1", "block boundary"])
     def test_multi_scheme_equals_per_scheme_calls(self, case):
-        config, n_slots = ENGINE_CASES[case]
+        config = ENGINE_CASES[case]
         grouping, scenario, _ = build_context(config, seed=11)
         schemes = list(SchemeId)
-        runs = monte_carlo_rates(schemes, config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+        runs = monte_carlo_rates(schemes, config, seed=23, grouping=grouping, scenario=scenario)
         assert len(runs) == len(schemes)
         for scheme, run in zip(schemes, runs):
-            alone = monte_carlo_rates(scheme, config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+            alone = monte_carlo_rates(scheme, config, seed=23, grouping=grouping, scenario=scenario)
             assert_same_run(run, alone)
 
     @pytest.mark.parametrize("case", ["G = K", "G = 1"])
     def test_injected_outages_shared_by_every_scheme(self, case):
-        config, _ = ENGINE_CASES[case]
-        n_slots = SLOT_BLOCK + 4
+        config = replace(ENGINE_CASES[case], n_slots=SLOT_BLOCK + 4)
         grouping, scenario, geometry = build_context(config, seed=11)
         factory = rank_deficient_factory(scenario, geometry, 23, grouping)
         kwargs = dict(grouping=grouping, scenario=scenario, channel_factory=factory)
         schemes = list(reversed(SchemeId))
-        runs = monte_carlo_rates(schemes, config, n_slots, seed=23, **kwargs)
+        runs = monte_carlo_rates(schemes, config, seed=23, **kwargs)
         for scheme, run in zip(schemes, runs):
-            assert_same_run(run, monte_carlo_rates(scheme, config, n_slots, seed=23, **kwargs))
+            assert_same_run(run, monte_carlo_rates(scheme, config, seed=23, **kwargs))
         assert any(run.outage_fraction > 0 for run in runs)
 
     def test_context_built_from_the_seed_when_not_given(self):
-        config = SystemConfig(M=8, K=2, G=2)
-        runs = monte_carlo_rates([SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF], config, 4, seed=5)
-        assert_same_run(runs[0], monte_carlo_rates(SchemeId.MPHP, config, 4, seed=5))
-        assert_same_run(runs[1], monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, config, 4, seed=5))
+        config = SystemConfig(M=8, K=2, G=2, n_slots=4)
+        runs = monte_carlo_rates([SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF], config, seed=5)
+        assert_same_run(runs[0], monte_carlo_rates(SchemeId.MPHP, config, seed=5))
+        assert_same_run(runs[1], monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, config, seed=5))
 
     def test_one_draw_per_block_for_all_schemes(self, monkeypatch):
-        config, n_slots = ENGINE_CASES["block boundary"]
+        config = ENGINE_CASES["block boundary"]
+        n_slots = config.n_slots
         grouping, scenario, _ = build_context(config, seed=11)
         blocks = []
         draw = metrics_mod.channel_mod.draw_channel
@@ -552,22 +542,22 @@ class TestSharedDraws:
             return draw(*args, slot=slot, **kwargs)
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
-        monte_carlo_rates(list(SchemeId), config, n_slots, seed=23, grouping=grouping, scenario=scenario)
+        monte_carlo_rates(list(SchemeId), config, seed=23, grouping=grouping, scenario=scenario)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
 
     def test_one_element_sequence_gives_a_list(self):
-        config = SystemConfig(M=8, K=2, G=2)
-        single = monte_carlo_rates(SchemeId.MPHP, config, 3, seed=5)
-        (listed,) = monte_carlo_rates((SchemeId.MPHP,), config, 3, seed=5)
+        config = SystemConfig(M=8, K=2, G=2, n_slots=3)
+        single = monte_carlo_rates(SchemeId.MPHP, config, seed=5)
+        (listed,) = monte_carlo_rates((SchemeId.MPHP,), config, seed=5)
         assert isinstance(single, RunMetrics)
         assert_same_run(listed, single)
 
     def test_no_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            monte_carlo_rates([], SystemConfig(M=8, K=2, G=2), 3, seed=5)
+            monte_carlo_rates([], SystemConfig(M=8, K=2, G=2, n_slots=3), seed=5)
 
     def test_failing_scheme_named(self, monkeypatch):
-        config = SystemConfig(M=8, K=2, G=2)
+        config = SystemConfig(M=8, K=2, G=2, n_slots=3)
         build = metrics_mod.build_precoders
 
         def failing(scheme, *args):
@@ -577,12 +567,12 @@ class TestSharedDraws:
 
         monkeypatch.setattr(metrics_mod, "build_precoders", failing)
         with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY") as info:
-            monte_carlo_rates(list(SchemeId), config, 3, seed=5)
+            monte_carlo_rates(list(SchemeId), config, seed=5)
         assert info.value.scheme is SchemeId.FIXED_SUBARRAY
         assert isinstance(info.value.__cause__, ArithmeticError)
         # A single scheme raises the failure itself.
         with pytest.raises(ArithmeticError, match="synthetic"):
-            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, config, 3, seed=5)
+            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, config, seed=5)
 
 
 class TestSweepPoints:
@@ -590,22 +580,21 @@ class TestSweepPoints:
     call per point: designs and blocks are shared, the numbers are not."""
 
     POINTS = [
-        SystemConfig(M=16, K=4, G=2, P=0.5),
-        SystemConfig(M=16, K=4, G=2, P=4.0, B=2),
-        SystemConfig(M=16, K=4, G=2),
-        SystemConfig(M=16, K=4, G=2, B=2),
+        SystemConfig(M=16, K=4, G=2, P=0.5, n_slots=3),
+        SystemConfig(M=16, K=4, G=2, P=4.0, B=2, n_slots=SLOT_BLOCK + 5),
+        SystemConfig(M=16, K=4, G=2, n_slots=2 * SLOT_BLOCK + 1),
+        SystemConfig(M=16, K=4, G=2, B=2, n_slots=SLOT_BLOCK),
     ]
-    COUNTS = [3, SLOT_BLOCK + 5, 2 * SLOT_BLOCK + 1, SLOT_BLOCK]
 
     def test_points_equal_single_point_calls(self):
         grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
         kwargs = dict(grouping=grouping, scenario=scenario)
-        runs = monte_carlo_rates(list(SchemeId), self.POINTS, self.COUNTS, seed=23, **kwargs)
+        runs = monte_carlo_rates(list(SchemeId), self.POINTS, seed=23, **kwargs)
         assert len(runs) == len(self.POINTS)
-        for point, count, point_runs in zip(self.POINTS, self.COUNTS, runs):
-            for run, alone in zip(point_runs, monte_carlo_rates(list(SchemeId), point, count, seed=23, **kwargs)):
+        for point, point_runs in zip(self.POINTS, runs):
+            for run, alone in zip(point_runs, monte_carlo_rates(list(SchemeId), point, seed=23, **kwargs)):
                 assert_same_run(run, alone)
-        (single,) = monte_carlo_rates(SchemeId.MPHP, self.POINTS[:1], 3, seed=23, **kwargs)
+        (single,) = monte_carlo_rates(SchemeId.MPHP, self.POINTS[:1], seed=23, **kwargs)
         assert_same_run(single, runs[0][0])
 
     def test_one_draw_per_block_and_one_design_per_distinct_state(self, monkeypatch):
@@ -623,20 +612,18 @@ class TestSweepPoints:
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted_draw)
         monkeypatch.setattr(metrics_mod, "design_long_term", counted_design)
-        monte_carlo_rates(list(SchemeId), self.POINTS, self.COUNTS, seed=23, grouping=grouping, scenario=scenario)
-        most = max(self.COUNTS)
+        monte_carlo_rates(list(SchemeId), self.POINTS, seed=23, grouping=grouping, scenario=scenario)
+        most = max(point.n_slots for point in self.POINTS)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, most))) for s in range(0, most, SLOT_BLOCK)]
         # (P, B) takes 4 values and B takes 2; the real-time schemes have no design input.
         assert [designs.count(s) for s in SchemeId] == [4, 1, 2, 1, 1]
 
     def test_points_must_share_a_context(self):
-        points = [SystemConfig(M=8, K=2, G=2), SystemConfig(M=16, K=2, G=2)]
+        points = [SystemConfig(M=8, K=2, G=2, n_slots=3), SystemConfig(M=16, K=2, G=2, n_slots=3)]
         with pytest.raises(ValueError, match="context_key"):
-            monte_carlo_rates(SchemeId.MPHP, points, 3, seed=5)
-        with pytest.raises(ValueError, match="one n_slots per point"):
-            monte_carlo_rates(SchemeId.MPHP, points[:1], [3, 4], seed=5)
+            monte_carlo_rates(SchemeId.MPHP, points, seed=5)
         with pytest.raises(ValueError, match="n_slots"):
-            monte_carlo_rates(SchemeId.MPHP, points[:1] * 2, [3, 0], seed=5)
+            monte_carlo_rates(SchemeId.MPHP, [points[0], replace(points[0], n_slots=0)], seed=5)
 
     def test_failure_names_the_point(self, monkeypatch):
         build = metrics_mod.build_precoders
@@ -648,7 +635,7 @@ class TestSweepPoints:
 
         monkeypatch.setattr(metrics_mod, "build_precoders", failing)
         with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY failed at point 1") as info:
-            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, self.POINTS, self.COUNTS, seed=23)
+            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, self.POINTS, seed=23)
         assert (info.value.scheme, info.value.point) == (SchemeId.FIXED_SUBARRAY, 1)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
@@ -662,7 +649,7 @@ class TestSweepPoints:
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
         with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
-            monte_carlo_rates([SchemeId.MPHP], self.POINTS, self.COUNTS, seed=23)
+            monte_carlo_rates([SchemeId.MPHP], self.POINTS, seed=23)
         assert info.value.scheme is None
 
 
