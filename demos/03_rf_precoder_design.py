@@ -46,6 +46,6 @@ print(f"antennas per chain: {counts.tolist()} (sum {counts.sum()} = M)")
 print(f"phase indices in [0, {2**bits - 1}]: min {rf.phase_index.min()} max {rf.phase_index.max()}")
 print("\nper-group statistical SLNR, relaxed vs hardware-constrained:")
 for g in range(grouping.group_count):
-    loose = sslnr(relaxed.f_star[g], grouping, g, n_users, power)
-    tight = sslnr(rf.f[:, grouping.rf_chains[g]], grouping, g, n_users, power)
+    loose = sslnr(relaxed.f_star[g], grouping, g, power)
+    tight = sslnr(rf.f[:, grouping.rf_chains[g]], grouping, g, power)
     print(f"group {g}: relaxed {loose:.4f} -> quantized partial {tight:.4f}")

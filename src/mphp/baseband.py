@@ -38,8 +38,6 @@ def zf_precoder(effective: np.ndarray) -> np.ndarray:
         NearSingularError: a single effective channel's condition number is
             beyond the shared cutoff; the caller treats the group as an outage.
     """
-    if effective.shape[-2] != effective.shape[-1]:
-        raise ValueError(f"effective channel must be square, got {effective.shape}")
     w0 = solve_right_inverse(effective)
     norms = np.linalg.norm(w0, axis=-2, keepdims=True)
     usable = np.all(norms != 0, axis=(-2, -1), keepdims=True)

@@ -46,10 +46,7 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
         overrides["seed"] = args.seed
     if getattr(args, "slots", None) is not None:
         overrides["n_slots"] = args.slots
-    if overrides:
-        config = replace(config, **overrides)
-        config.validate()
-    return config
+    return replace(config, **overrides)
 
 
 def _run_and_write(config: SystemConfig, out: str) -> None:
@@ -119,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb in _PRESET_SWEEPS and args.verb != "run":
             parameter, values = _PRESET_SWEEPS[args.verb]
             config = replace(config, sweep_parameter=parameter, sweep_values=values)
-            config.validate()
         _run_and_write(config, args.out)
         return 0
     except (ValueError, OSError, RuntimeError) as exc:

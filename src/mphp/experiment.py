@@ -29,7 +29,10 @@ _ALL_SCHEMES = tuple(SchemeId)
 class SystemConfig:
     """Every scenario scalar for a run; defaults give the reference setup
     (64 antennas, 8 users on 8 chains in 3 groups, 4-bit shifters, unit
-    power budget)."""
+    power budget).  A config is checked when it is made (constructor,
+    ``replace``, ``parse_config``): every key keeps its ``_BOUNDS`` bound,
+    1 <= G <= K <= M, ``schemes`` lists each scheme once and every sweep
+    point is valid; otherwise ValueError names the offending key."""
 
     M: int = 64
     K: int = 8
@@ -50,37 +53,21 @@ class SystemConfig:
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        for key, field in _KEYS.items():
-            value = getattr(self, field)
-            if (key == "P" or key.startswith(("scenario.", "power."))) and not math.isfinite(value):
+        for key, least in _BOUNDS.items():
+            value = getattr(self, _KEYS[key])
+            if not isinstance(value, int) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-            if key.startswith("power.") and value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+            strict = key in _STRICT_BOUNDS
+            if value < least or (strict and value == least):
+                raise ValueError(f"{key} must be {'>' if strict else '>='} {least}, got {value}")
         if not 1 <= self.K <= self.M:
             raise ValueError(f"K must satisfy 1 <= K <= M, got K={self.K}, M={self.M}")
         if not 1 <= self.G <= self.K:
             raise ValueError(f"G must satisfy 1 <= G <= K, got G={self.G}, K={self.K}")
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
-        if self.P <= 0:
-            raise ValueError(f"P must be > 0, got {self.P}")
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.angular_spread < 0:
-            raise ValueError(f"scenario.angular_spread must be >= 0, got {self.angular_spread}")
-        if self.path_count < 1:
-            raise ValueError(f"scenario.path_count must be >= 1, got {self.path_count}")
-        if self.aod_jitter < 0:
-            raise ValueError(f"scenario.aod_jitter must be >= 0, got {self.aod_jitter}")
-        if self.element_spacing <= 0:
-            raise ValueError(f"scenario.element_spacing must be > 0, got {self.element_spacing}")
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
         repeated = sorted({s.value for s in self.schemes if self.schemes.count(s) > 1})
@@ -97,10 +84,9 @@ class SystemConfig:
                 raise ValueError(f"sweep.values must be finite, got {self.sweep_values}")
             for value in self.sweep_values:
                 try:
-                    point = apply_sweep_value(self, self.sweep_parameter, value)
+                    apply_sweep_value(self, self.sweep_parameter, value)
                 except OverflowError:
                     raise ValueError(f"sweep.values entry {value} overflows {self.sweep_parameter}") from None
-                point.validate()
 
 
 @dataclass(frozen=True)
@@ -133,6 +119,14 @@ _KEYS = {
     "sweep.parameter": "sweep_parameter",
     "sweep.values": "sweep_values",
 }
+# Document key -> the least value it may take; P and the element spacing
+# must lie strictly above it.  K and G are bounded by M and K in ``validate``.
+_BOUNDS = {
+    "M": 1, "B": 1, "P": 0, "n_slots": 1, "seed": 0, "T": 1,
+    "scenario.angular_spread": 0, "scenario.path_count": 1, "scenario.aod_jitter": 0, "scenario.element_spacing": 0,
+    **{f"power.{name}": 0 for name in ("p_baseband", "p_rf_chain", "p_phase_shifter")},
+}
+_STRICT_BOUNDS = {"P", "scenario.element_spacing"}
 _DEFAULTS = SystemConfig()
 
 
@@ -175,9 +169,7 @@ def parse_config(text: str) -> SystemConfig:
             values[field] = _parse_field(field, value.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno} ({key}): {exc}") from None
-    config = SystemConfig(**values)  # type: ignore[arg-type]
-    config.validate()
-    return config
+    return SystemConfig(**values)  # type: ignore[arg-type]
 
 
 def serialize_config(config: SystemConfig) -> str:
@@ -225,7 +217,6 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     for all of their schemes; statistical schemes design their analog stage
     from the grouping alone.
     """
-    config.validate()
     if config.sweep_parameter is None:
         sweep_values: tuple[float, ...] = (float("nan"),)
         points = [config]

@@ -161,8 +161,6 @@ def energy_efficiency(sum_rate: float, config: "SystemConfig", fully_connected: 
         raise ValueError(f"sum_rate must be >= 0, got {sum_rate}")
     n_shifters = config.M * config.K if fully_connected else config.M
     total = config.P + config.p_baseband + config.K * config.p_rf_chain + n_shifters * config.p_phase_shifter
-    if total == 0:
-        raise ValueError("total consumed power is zero")
     return sum_rate / total
 
 
@@ -286,8 +284,6 @@ def monte_carlo_rates(
     if not points or len({context_key(point) for point in points}) > 1:
         raise ValueError("need one or more point configs with equal context_key")
     counts = [point.n_slots for point in points]
-    if min(counts) < 1:
-        raise ValueError(f"n_slots must be >= 1, got {min(counts)}")
     if not scheme_list:
         raise ValueError("need at least one scheme")
     if grouping is None or scenario is None:

@@ -62,7 +62,7 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     )
 
 
-def check_condition(a: np.ndarray, label: str = "condition number") -> np.ndarray:
+def check_condition(a: np.ndarray) -> np.ndarray:
     """Condition test of one matrix or of each matrix in a stack (..., m, n).
 
     A matrix passes when its 2-norm condition number is finite and at most
@@ -70,8 +70,8 @@ def check_condition(a: np.ndarray, label: str = "condition number") -> np.ndarra
     boolean array over the leading axes.
 
     Raises:
-        NearSingularError: ``a`` is a single matrix and fails (``label``
-            names it in the message), or the SVD behind the estimate fails.
+        NearSingularError: ``a`` is a single matrix and fails, or the SVD
+            behind the estimate fails.
     """
     a = np.asarray(a)
     finite = np.isfinite(a).all(axis=(-2, -1))
@@ -84,7 +84,7 @@ def check_condition(a: np.ndarray, label: str = "condition number") -> np.ndarra
         raise NearSingularError(f"condition estimate failed: {exc}") from exc
     passed = cond <= CONDITION_LIMIT
     if a.ndim == 2 and not passed:
-        raise NearSingularError(f"{label} {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+        raise NearSingularError(f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     return passed
 
 

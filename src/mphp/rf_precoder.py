@@ -430,7 +430,6 @@ def sslnr(
     f_group: np.ndarray,
     grouping: Grouping,
     g: int,
-    n_users: int,
     power: float,
 ) -> float:
     """Statistical SLNR of one group for a candidate per-group precoder.
@@ -441,5 +440,5 @@ def sslnr(
     """
     signal = float(np.real(np.trace(f_group.conj().T @ grouping.group_correlations[g] @ f_group)))
     leakage = float(np.real(np.trace(f_group.conj().T @ leakage_correlation(grouping, g) @ f_group)))
-    noise = n_users * grouping.sizes[g] / power
+    noise = grouping.user_count * grouping.sizes[g] / power
     return signal / (leakage + noise)

@@ -179,7 +179,7 @@ def test_criterion_05_greedy_vs_exhaustive():
         relaxed = solve_relaxed(grouping, power=1.0)
         rf = grfp_assign(relaxed, grouping, bits=1)
         greedy = min(
-            sslnr(rf.f[:, grouping.rf_chains[g]], grouping, g, 2, 1.0) for g in range(2)
+            sslnr(rf.f[:, grouping.rf_chains[g]], grouping, g, 1.0) for g in range(2)
         )
         best = -np.inf
         for combo in itertools.product(range(4), repeat=4):
@@ -191,7 +191,7 @@ def test_criterion_05_greedy_vs_exhaustive():
                 continue
             best = max(
                 best,
-                min(sslnr(f[:, grouping.rf_chains[g]], grouping, g, 2, 1.0) for g in range(2)),
+                min(sslnr(f[:, grouping.rf_chains[g]], grouping, g, 1.0) for g in range(2)),
             )
         ratios.append(greedy / best)
     ratios = np.array(ratios)
@@ -222,7 +222,7 @@ def test_criterion_06_sslnr_lower_bound():
         samples[t] = slnr_per_user(h, sp.f_groups, sp.w_groups, sp.power, grouping)
     ok, margins = True, []
     for g in range(grouping.group_count):
-        bound = sslnr(long_state.f[:, grouping.rf_chains[g]], grouping, g, config.K, config.P)
+        bound = sslnr(long_state.f[:, grouping.rf_chains[g]], grouping, g, config.P)
         for k in grouping.members[g]:
             stderr = samples[:, k].std(ddof=1) / np.sqrt(n_slots)
             margins.append(samples[:, k].mean() - (bound - 3 * stderr))

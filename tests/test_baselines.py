@@ -207,7 +207,9 @@ class TestDesignReads:
         design = design_bytes(design_long_term(scheme, grouping, config))
         left_out = [name for name in OTHER_VALUES if name not in SCHEMES[scheme].design_reads]
         for name in left_out:
-            changed = replace(config, **{name: OTHER_VALUES[name]})
+            # A sweep parameter is valid only together with its values.
+            names = ("sweep_parameter", "sweep_values") if name == "sweep_parameter" else (name,)
+            changed = replace(config, **{n: OTHER_VALUES[n] for n in names})
             assert design_bytes(design_long_term(scheme, grouping, changed)) == design, name
         everything = replace(config, **{name: OTHER_VALUES[name] for name in left_out})
         assert design_bytes(design_long_term(scheme, grouping, everything)) == design

@@ -380,11 +380,50 @@ class TestValidation:
             ("p_baseband", float("nan")),
             ("p_rf_chain", float("inf")),
             ("p_phase_shifter", float("-inf")),
+            ("P", 0.0),
         ],
     )
     def test_invariants_name_the_field(self, field, value):
-        from dataclasses import replace
-
-        config = replace(SystemConfig(), **{field: value})
         with pytest.raises(ValueError, match=field):
-            config.validate()
+            replace(SystemConfig(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("M", 0, "M must be >= 1, got 0"),
+            ("B", 0, "B must be >= 1, got 0"),
+            ("P", 0.0, "P must be > 0, got 0.0"),
+            ("n_slots", 0, "n_slots must be >= 1, got 0"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("T", 0, "T must be >= 1, got 0"),
+            ("angular_spread", -0.1, "scenario.angular_spread must be >= 0, got -0.1"),
+            ("path_count", 0, "scenario.path_count must be >= 1, got 0"),
+            ("aod_jitter", -0.1, "scenario.aod_jitter must be >= 0, got -0.1"),
+            ("element_spacing", 0.0, "scenario.element_spacing must be > 0, got 0.0"),
+            ("p_baseband", -0.1, "power.p_baseband must be >= 0, got -0.1"),
+            ("p_rf_chain", -0.1, "power.p_rf_chain must be >= 0, got -0.1"),
+            ("p_phase_shifter", -0.1, "power.p_phase_shifter must be >= 0, got -0.1"),
+            ("P", float("nan"), "P must be finite, got nan"),
+            ("element_spacing", float("inf"), "scenario.element_spacing must be finite, got inf"),
+        ],
+    )
+    def test_bound_messages(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SystemConfig(**{field: value})
+
+    def test_bounds_admit_their_least_values(self):
+        config = SystemConfig(
+            M=1, K=1, G=1, B=1, n_slots=1, seed=0, T=1, angular_spread=0.0, path_count=1, aod_jitter=0.0,
+            p_baseband=0.0, p_rf_chain=0.0, p_phase_shifter=0.0,
+        )
+        assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(("field", "value", "key"), [("P", -1.0, "P"), ("p_rf_chain", -5.0, "power.p_rf_chain")])
+    def test_replace_is_checked_before_any_engine_call(self, monkeypatch, field, value, key):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran on an invalid config")
+
+        monkeypatch.setattr(metrics_mod, "build_context", engine)
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
+            config = replace(SystemConfig(M=16, n_slots=4), **{field: value})
+            metrics_mod.monte_carlo_rates(SchemeId.MPHP, config, seed=1)

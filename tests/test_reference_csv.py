@@ -1,11 +1,11 @@
 """The reference CSVs keep their bytes.
 
 Each case runs a benchmark workload config (read from
-``bench/workloads.json``, with the benchmark's ``seed = <n>`` line appended)
-or the ``sweep-snr`` CLI preset at its default 1,000 slots, and pins the
-sha256 of the CSV text.  A change that is meant to keep the numbers bit for
-bit must keep these hashes; a change that moves them on purpose updates them
-here and says why.
+``bench/workloads.json``, with the benchmark's ``seed = <n>`` line appended),
+the ``sweep-snr`` CLI preset at its default 1,000 slots, or the ``sweep-m`` and
+``fairness`` CLI presets at ``--slots 100``, and pins the sha256 of the CSV
+text.  A change that is meant to keep the numbers bit for bit must keep these
+hashes; a change that moves them on purpose updates them here and says why.
 """
 
 import hashlib
@@ -26,6 +26,10 @@ REFERENCE = {
     ("design_m128", 7919): "6e86b6a1cdf93d2fabb0614d03f60b5771986bf6c4925126d84991b13534cf3e",
 }
 SWEEP_SNR_PRESET = "2e16fe35ea374ea19a01a6d9dad2852f881d52b2b1f9c0a337e7f1a0bd3a5373"
+PRESETS_AT_100_SLOTS = {
+    "sweep-m": "c979d8e7d886f45ccfa77c21f29941566fa9b14d45b14a248020d62c7b8da4a2",
+    "fairness": "e0d4eff1142a7929cd8328b692302dde24c689cc770d3e8a99f08fab2efeafac",
+}
 
 
 def _sha256(text: str | bytes) -> str:
@@ -42,3 +46,10 @@ def test_sweep_snr_preset_csv(tmp_path, capsys):
     out = tmp_path / "snr.csv"
     assert main(["sweep-snr", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == SWEEP_SNR_PRESET
+
+
+@pytest.mark.parametrize("verb", list(PRESETS_AT_100_SLOTS))
+def test_preset_csv_at_100_slots(verb, tmp_path, capsys):
+    out = tmp_path / f"{verb}.csv"
+    assert main([verb, "--slots", "100", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == PRESETS_AT_100_SLOTS[verb]

@@ -1022,12 +1022,12 @@ class TestSslnr:
     def test_diagonal_hand_case(self):
         grouping = diagonal_grouping()
         f_group = np.array([[1.0], [0.0]], dtype=complex)
-        assert sslnr(f_group, grouping, 0, n_users=2, power=1.0) == pytest.approx(1.0, abs=1e-12)
+        assert sslnr(f_group, grouping, 0, power=1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_precoder_scores_zero(self):
         grouping = diagonal_grouping()
         f_group = np.array([[0.0], [1.0]], dtype=complex)  # orthogonal to R_1's range
-        assert sslnr(f_group, grouping, 0, n_users=2, power=1.0) == pytest.approx(0.0, abs=1e-12)
+        assert sslnr(f_group, grouping, 0, power=1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_trace_formula(self, rng):
         corrs = [random_psd(rng, 5, trace=5.0) for _ in range(3)]
@@ -1038,5 +1038,5 @@ class TestSslnr:
         leak = sizes[0] * sizes[1] * np.real(
             np.trace(f_group.conj().T @ grouping.group_correlations[1] @ f_group)
         )
-        expected = signal / (leak + 4 * sizes[0] / 2.0)
-        assert sslnr(f_group, grouping, 0, n_users=4, power=2.0) == pytest.approx(expected, rel=1e-12)
+        expected = signal / (leak + 3 * sizes[0] / 2.0)
+        assert sslnr(f_group, grouping, 0, power=2.0) == pytest.approx(expected, rel=1e-12)
