@@ -114,26 +114,21 @@ def correlation_from_params(
     return corr
 
 
-def draw_channel(
-    params: Sequence[UserChannelParams],
-    geometry: ArrayGeometry,
-    seed: int,
-    slot: int | Sequence[int] = 0,
-) -> np.ndarray:
-    """Draw one block-fading channel matrix H of shape (M, K), or, for a
-    sequence of slot indices, one per slot stacked as (n, M, K).
+@dataclass(frozen=True)
+class ChannelPaths:
+    """The array-independent part of a stack of slot draws (see ``draw_paths``)."""
 
-    Column k is user k's channel: sqrt(mean_power / path_count) times the
-    sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Regeneration
-    is bit-identical for the same (seed, user index, slot index), alone or
-    in a stack.
+    aods: np.ndarray  # (n_slots, total path count): each user's path AoDs, users in order
+    gains: tuple[np.ndarray, ...]  # per user, (n_slots, path_count) complex CN(0, 1) path gains
 
-    Each (user, slot) generator draws its path uniforms (none at zero spread)
-    and then its gains; all uniforms go through one truncated-normal inverse
-    CDF and one steering matrix.  The per-user column product stays
-    separate, so each column sums in the same order as a single-user draw.
+
+def draw_paths(params: Sequence[UserChannelParams], seed: int, slots: Sequence[int]) -> ChannelPaths:
+    """Each slot's path AoDs and gains, for any array.
+
+    Each (user, slot) generator, seeded with entropy (seed, user, slot),
+    draws its path uniforms (none at zero spread) and then its gains; all
+    uniforms go through one truncated-normal inverse CDF.
     """
-    slots = [slot] if np.ndim(slot) == 0 else list(slot)
     if len(params) < 1:
         raise ValueError("need at least one user")
     if not slots or seed < 0 or min(slots) < 0:
@@ -149,17 +144,49 @@ def draw_channel(
             gains.append((real + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0))
 
     counts = [p.path_count for p in params]
-    thetas = np.tile(np.repeat([p.mean_aod for p in params], counts), (len(slots), 1))
+    aods = np.tile(np.repeat([p.mean_aod for p in params], counts), (len(slots), 1))
     spreads = np.repeat([p.angular_spread for p in params], counts)
     drawn = spreads > 0.0
     standard = truncated_normal_ppf(uniforms)
-    thetas[:, drawn] = standard.reshape(len(slots), -1) * spreads[drawn] + thetas[:, drawn]
-    a = _steering_matrix(thetas, geometry)
+    aods[:, drawn] = standard.reshape(len(slots), -1) * spreads[drawn] + aods[:, drawn]
+    return ChannelPaths(aods, tuple(np.stack(gains[user :: len(params)]) for user in range(len(params))))
 
-    h = np.empty((len(slots), geometry.antenna_count, len(params)), dtype=complex)
-    for user, (p, end) in enumerate(zip(params, np.cumsum(counts))):
-        g = np.stack(gains[user :: len(params)])[..., None]
-        h[..., user] = np.sqrt(p.mean_power / p.path_count) * (a[..., end - p.path_count : end] @ g)[..., 0]
+
+def channel_from_paths(
+    paths: ChannelPaths, params: Sequence[UserChannelParams], geometry: ArrayGeometry
+) -> np.ndarray:
+    """The (n_slots, M, K) channels of ``paths`` on ``geometry``.
+
+    One steering matrix covers every path of every slot; the per-user
+    column product stays separate, so each column sums in the same order
+    as a single-user draw.
+    """
+    a = _steering_matrix(paths.aods, geometry)
+    h = np.empty((len(paths.aods), geometry.antenna_count, len(params)), dtype=complex)
+    end = 0
+    for user, (p, g) in enumerate(zip(params, paths.gains)):
+        end += p.path_count
+        h[..., user] = np.sqrt(p.mean_power / p.path_count) * (a[..., end - p.path_count : end] @ g[..., None])[..., 0]
+    return h
+
+
+def draw_channel(
+    params: Sequence[UserChannelParams],
+    geometry: ArrayGeometry,
+    seed: int,
+    slot: int | Sequence[int] = 0,
+) -> np.ndarray:
+    """Draw one block-fading channel matrix H of shape (M, K), or, for a
+    sequence of slot indices, one per slot stacked as (n, M, K).
+
+    Column k is user k's channel: sqrt(mean_power / path_count) times the
+    sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Regeneration
+    is bit-identical for the same (seed, user index, slot index), alone or
+    in a stack.  This is ``channel_from_paths(draw_paths(...))``; the path
+    draw reads no array, so one draw can serve several arrays.
+    """
+    slots = [slot] if np.ndim(slot) == 0 else list(slot)
+    h = channel_from_paths(draw_paths(params, seed, slots), params, geometry)
     return h[0] if np.ndim(slot) == 0 else h
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .baselines import SchemeId
-from .metrics import SchemeFailure, build_context, context_key, monte_carlo_rates
+from .metrics import SchemeFailure, build_context, context_key, monte_carlo_rates, scenario_key
 
 
 class ExperimentError(RuntimeError):
@@ -30,7 +30,7 @@ class SystemConfig:
     """Every scenario scalar for a run; defaults give the reference setup
     (64 antennas, 8 users on 8 chains in 3 groups, 4-bit shifters, unit
     power budget).  A config is checked when it is made (constructor,
-    ``replace``, ``parse_config``): every key keeps its ``_BOUNDS`` bound,
+    ``replace``, ``parse_config``): every key keeps its ``_BOUNDS`` bounds,
     1 <= G <= K <= M, ``schemes`` lists each scheme once and every sweep
     point is valid; otherwise ValueError names the offending key."""
 
@@ -57,13 +57,15 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
-        for key, least in _BOUNDS.items():
+        for key, (least, most) in _BOUNDS.items():
             value = getattr(self, _KEYS[key])
             if not isinstance(value, int) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
             strict = key in _STRICT_BOUNDS
             if value < least or (strict and value == least):
                 raise ValueError(f"{key} must be {'>' if strict else '>='} {least}, got {value}")
+            if most is not None and value > most:
+                raise ValueError(f"{key} must be <= {most}, got {value}")
         if not 1 <= self.K <= self.M:
             raise ValueError(f"K must satisfy 1 <= K <= M, got K={self.K}, M={self.M}")
         if not 1 <= self.G <= self.K:
@@ -87,6 +89,8 @@ class SystemConfig:
                     apply_sweep_value(self, self.sweep_parameter, value)
                 except OverflowError:
                     raise ValueError(f"sweep.values entry {value} overflows {self.sweep_parameter}") from None
+                except ValueError as exc:
+                    raise ValueError(f"sweep.values entry {value}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,22 @@ _KEYS = {
     "sweep.parameter": "sweep_parameter",
     "sweep.values": "sweep_values",
 }
-# Document key -> the least value it may take; P and the element spacing
-# must lie strictly above it.  K and G are bounded by M and K in ``validate``.
+# Document key -> (the least value it may take, the most or None); P and
+# the element spacing must lie strictly above the least.  K and G are
+# bounded by M and K in ``validate``.  The caps keep a key that sizes an
+# allocation from asking for more than a run can hold.
 _BOUNDS = {
-    "M": 1, "B": 1, "P": 0, "n_slots": 1, "seed": 0, "T": 1,
-    "scenario.angular_spread": 0, "scenario.path_count": 1, "scenario.aod_jitter": 0, "scenario.element_spacing": 0,
-    **{f"power.{name}": 0 for name in ("p_baseband", "p_rf_chain", "p_phase_shifter")},
+    "M": (1, 1024),  # each user's M x M correlation (16 MiB at the cap), eigensolved in O(M^3)
+    "B": (1, 10),  # the phase quantiser compares every tap with all 2**B grid points
+    "P": (0, None),
+    "n_slots": (1, 1_000_000),  # a run keeps every cell's per-slot rates, and an M sweep its path draws
+    "seed": (0, None),
+    "T": (1, None),
+    "scenario.angular_spread": (0, None),
+    "scenario.path_count": (1, 100),  # a slot block's steering matrix is SLOT_BLOCK x M x (K * path_count)
+    "scenario.aod_jitter": (0, None),
+    "scenario.element_spacing": (0, None),
+    **{f"power.{name}": (0, None) for name in ("p_baseband", "p_rf_chain", "p_phase_shifter")},
 }
 _STRICT_BOUNDS = {"P", "scenario.element_spacing"}
 _DEFAULTS = SystemConfig()
@@ -211,11 +225,14 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     Every point uses the same two seeds, derived from ``config.seed`` alone,
     so a row is a function of (point config, seed): a sweep row equals the
     row of a single-point run at that value.  Points that agree on the
-    fields ``metrics.context_key`` names share one scenario (user AoDs,
+    fields ``metrics.context_key`` names share one context (user AoDs,
     correlations, grouping), built once, and one engine call, which designs
     each distinct long-term state once and draws each block of slots once
     for all of their schemes; statistical schemes design their analog stage
-    from the grouping alone.
+    from the grouping alone.  Contexts that agree on
+    ``metrics.scenario_key`` (an M sweep's) differ only in the array: they
+    share one set of user AoDs and one path draw per block, which this call
+    keeps until the scenario's last context has run.
     """
     if config.sweep_parameter is None:
         sweep_values: tuple[float, ...] = (float("nan"),)
@@ -229,24 +246,30 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     scheme_rank = {scheme: i for i, scheme in enumerate(SchemeId)}
     schemes = sorted(config.schemes, key=scheme_rank.__getitem__)
     scenario_seed, draw_seed = _derived_seeds(config.seed)
-    scenarios: dict[tuple, list[int]] = {}  # context key -> indices of its points
+    scenarios: dict[tuple, dict[tuple, list[int]]] = {}  # scenario key -> context key -> point indices
     for i, point in enumerate(points):
-        scenarios.setdefault(context_key(point), []).append(i)
+        scenarios.setdefault(scenario_key(point), {}).setdefault(context_key(point), []).append(i)
     runs: list = [None] * len(points)
-    for indices in scenarios.values():
-        shared = [points[i] for i in indices]
-        try:
-            grouping, scenario, _ = build_context(shared[0], scenario_seed)
-            results = monte_carlo_rates(schemes, shared, draw_seed, grouping=grouping, scenario=scenario)
-        except Exception as exc:
-            failed, scheme, cause = (
-                (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (0, None, exc)
-            )
-            names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
-            sweep_value = sweep_values[indices[failed]]
-            raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
-        for i, result in zip(indices, results):
-            runs[i] = result
+    for contexts in scenarios.values():
+        # Path draws grow with the slot count, so only a scenario with more
+        # than one array size keeps them, and only until its last one has run.
+        scenario, paths = None, ({} if len(contexts) > 1 else None)
+        for indices in contexts.values():
+            shared = [points[i] for i in indices]
+            try:
+                grouping, scenario, _ = build_context(shared[0], scenario_seed, scenario)
+                results = monte_carlo_rates(
+                    schemes, shared, draw_seed, grouping=grouping, scenario=scenario, paths=paths
+                )
+            except Exception as exc:
+                failed, scheme, cause = (
+                    (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (0, None, exc)
+                )
+                names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
+                sweep_value = sweep_values[indices[failed]]
+                raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
+            for i, result in zip(indices, results):
+                runs[i] = result
     rows = []
     for sweep_value, point_runs in zip(sweep_values, runs):
         for scheme, metrics in zip(schemes, point_runs):

@@ -223,24 +223,37 @@ class SchemeFailure(RuntimeError):
         self.point = point
 
 
+def scenario_key(config: "SystemConfig") -> tuple:
+    """The fields of ``config`` that ``make_scenario`` reads: configs with
+    equal keys get the same user params, and so the same path draws, from
+    the same seeds, whatever their arrays."""
+    return (config.K, config.G, config.angular_spread, config.path_count, config.aod_jitter)
+
+
 def context_key(config: "SystemConfig") -> tuple:
     """The fields of ``config`` that ``build_context`` reads: configs with
     equal keys get the same context from the same seed."""
-    scenario = (config.angular_spread, config.path_count, config.aod_jitter, config.element_spacing)
-    return (config.M, config.K, config.G, *scenario)
+    return (config.M, config.element_spacing, *scenario_key(config))
 
 
-def build_context(config: "SystemConfig", seed: int) -> tuple[Grouping, list, channel_mod.ArrayGeometry]:
-    """Scenario, correlations and grouping shared by all schemes at a seed."""
+def build_context(
+    config: "SystemConfig", seed: int, scenario: list[channel_mod.UserChannelParams] | None = None
+) -> tuple[Grouping, list, channel_mod.ArrayGeometry]:
+    """Scenario, correlations and grouping shared by all schemes at a seed.
+
+    ``scenario``, when given, is the ``make_scenario`` result of a config
+    with this ``scenario_key`` at this seed, and is used as is.
+    """
     geometry = channel_mod.ArrayGeometry(config.M, config.element_spacing)
-    scenario = channel_mod.make_scenario(
-        config.K,
-        config.G,
-        angular_spread=config.angular_spread,
-        path_count=config.path_count,
-        aod_jitter=config.aod_jitter,
-        seed=seed,
-    )
+    if scenario is None:
+        scenario = channel_mod.make_scenario(
+            config.K,
+            config.G,
+            angular_spread=config.angular_spread,
+            path_count=config.path_count,
+            aod_jitter=config.aod_jitter,
+            seed=seed,
+        )
     correlations = channel_mod.scenario_correlations(scenario, geometry)
     grouping = group_users(correlations, config.G)
     return grouping, scenario, geometry
@@ -254,6 +267,7 @@ def monte_carlo_rates(
     grouping: Grouping | None = None,
     scenario: Sequence[channel_mod.UserChannelParams] | None = None,
     channel_factory: Callable[[int], np.ndarray] | None = None,
+    paths: dict[range, channel_mod.ChannelPaths] | None = None,
 ) -> RunMetrics | list:
     """Average rates over independent channel draws with the long-term
     precoder held fixed.
@@ -272,7 +286,13 @@ def monte_carlo_rates(
     then run through every (point, scheme) precoder build and SINR as one
     stack, a point with fewer slots taking the leading ones, so all cells
     see the same channels (common random numbers) and each gets the numbers
-    of a run of its own.  ``channel_factory`` overrides the channel draw
+    of a run of its own.  A block's draw is ``channel.draw_paths`` and then
+    ``channel.channel_from_paths`` on the points' array.  ``paths``, when
+    given, maps slot ranges to path draws of this scenario and seed: a block
+    found there is not drawn again, and a block drawn is stored, so calls on
+    the array sizes of one scenario share one path draw per block; the
+    caller owns it and its memory, which grows with the slot count.
+    ``channel_factory`` overrides the channel draw
     (slot index -> H) for deterministic injection in tests.  A call on one
     scheme at one point raises a failure itself; any other call raises
     ``SchemeFailure`` naming the point and the scheme.
@@ -312,7 +332,10 @@ def monte_carlo_rates(
             if channel_factory is not None:
                 h = np.stack([channel_factory(t) for t in slots])
             else:
-                h = channel_mod.draw_channel(scenario, geometry, seed=seed, slot=slots)
+                drawn = {} if paths is None else paths
+                if slots not in drawn:
+                    drawn[slots] = channel_mod.draw_paths(scenario, seed, slots)
+                h = channel_mod.channel_from_paths(drawn[slots], scenario, geometry)
             for p in live:
                 point, stack = points[p], h[: counts[p] - start]
                 for i, (current, state) in enumerate(zip(scheme_list, states[p])):

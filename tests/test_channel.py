@@ -7,8 +7,10 @@ from mphp.channel import (
     AOD_TRUNCATION_SIGMAS,
     ArrayGeometry,
     UserChannelParams,
+    channel_from_paths,
     correlation_from_params,
     draw_channel,
+    draw_paths,
     make_scenario,
     scenario_correlations,
     steering_vector,
@@ -272,6 +274,29 @@ class TestMatchesScalarDraw:
                 draw_channel(params, geom, seed=seed, slot=slot), scalar_draw_channel(params, geom, seed, slot)
             )
             assert np.array_equal(stacked[slot], scalar_draw_channel(params, geom, seed, slot))
+
+
+class TestPathSplit:
+    """The path draw and the per-array product compose to the channel draw."""
+
+    @pytest.mark.parametrize("antennas", [1, 16, 64])
+    @pytest.mark.parametrize("spread", ["mixed", "zero"])
+    def test_composition_is_the_channel_draw(self, antennas, spread):
+        geom = ArrayGeometry(antennas)
+        params = TestMatchesScalarDraw.mixed_users(8, 3)
+        if spread == "zero":
+            params = [UserChannelParams(p.mean_aod, 0.0, p.path_count, p.mean_power) for p in params]
+        slots = [17, 0, 5, 1]
+        h = channel_from_paths(draw_paths(params, 3, slots), params, geom)
+        assert np.array_equal(h, draw_channel(params, geom, seed=3, slot=slots))
+        assert np.array_equal(h, np.stack([scalar_draw_channel(params, geom, 3, slot) for slot in slots]))
+
+    def test_one_path_draw_serves_two_arrays(self):
+        params = make_scenario(8, 3, seed=7)
+        paths = draw_paths(params, 7, range(4))
+        for geom in (ArrayGeometry(16), ArrayGeometry(64, element_spacing=0.37)):
+            expected = np.stack([scalar_draw_channel(params, geom, 7, slot) for slot in range(4)])
+            assert np.array_equal(channel_from_paths(paths, params, geom), expected)
 
 
 class TestScenario:

@@ -240,17 +240,46 @@ class TestRowContract:
     )
     def test_each_block_drawn_once_per_scenario(self, monkeypatch, parameter, values, n_slots):
         calls = []
-        draw = metrics_mod.channel_mod.draw_channel
+        draw = metrics_mod.channel_mod.draw_paths
 
         def counted(*args, **kwargs):
             calls.append(1)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
         config = parse_config(SMALL + f"n_slots = {n_slots}\nsweep.parameter = {parameter}\nsweep.values = {values}\n")
         run_experiment(config)
         most_slots = max(apply_sweep_value(config, parameter, v).n_slots for v in config.sweep_values)
         assert len(calls) == math.ceil(most_slots / metrics_mod.SLOT_BLOCK) > 1
+
+    @pytest.mark.parametrize(
+        "parameter,values,draws", [("M", "8, 16, 32", 1), ("K", "2, 3", 2)], ids=["M", "K"]
+    )
+    def test_paths_drawn_once_per_block_per_user_scenario(self, monkeypatch, parameter, values, draws):
+        # M leaves the users alone, so every array size reads the same users and path draws; K changes them.
+        blocks, scenarios = [], []
+        draw, make = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.make_scenario
+
+        def counted(params, seed, slots):
+            blocks.append(list(slots))
+            return draw(params, seed, slots)
+
+        def counted_make(*args, **kwargs):
+            scenarios.append(1)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
+        monkeypatch.setattr(metrics_mod.channel_mod, "make_scenario", counted_make)
+        config = parse_config(SMALL + f"n_slots = 70\nsweep.parameter = {parameter}\nsweep.values = {values}\n")
+        block = metrics_mod.SLOT_BLOCK
+        expected = sorted(draws * [list(range(s, min(s + block, 70))) for s in range(0, 70, block)])
+        assert len(expected) == draws * math.ceil(70 / block)
+        run_experiment(config)
+        assert sorted(blocks) == expected
+        assert len(scenarios) == draws
+        blocks.clear()
+        run_experiment(config)
+        assert sorted(blocks) == expected  # the second run draws its own: no draw outlives a run
 
     def test_each_long_term_state_designed_once(self, monkeypatch):
         calls = []
@@ -352,7 +381,7 @@ class TestValidation:
         def failing(*args, **kwargs):
             raise ArithmeticError("synthetic draw failure")
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", failing)
         config = parse_config(SMALL + "schemes = MPHP, FIXED_SUBARRAY\n")
         with pytest.raises(ExperimentError, match="scheme MPHP, FIXED_SUBARRAY at sweep value nan: synthetic"):
             run_experiment(config)
@@ -405,6 +434,10 @@ class TestValidation:
             ("p_phase_shifter", -0.1, "power.p_phase_shifter must be >= 0, got -0.1"),
             ("P", float("nan"), "P must be finite, got nan"),
             ("element_spacing", float("inf"), "scenario.element_spacing must be finite, got inf"),
+            ("M", 1025, "M must be <= 1024, got 1025"),
+            ("B", 11, "B must be <= 10, got 11"),
+            ("n_slots", 1_000_001, "n_slots must be <= 1000000, got 1000001"),
+            ("path_count", 101, "scenario.path_count must be <= 100, got 101"),
         ],
     )
     def test_bound_messages(self, field, value, message):
@@ -417,6 +450,25 @@ class TestValidation:
             p_baseband=0.0, p_rf_chain=0.0, p_phase_shifter=0.0,
         )
         assert parse_config(serialize_config(config)) == config
+
+    def test_bounds_admit_their_caps(self):
+        config = SystemConfig(M=1024, B=10, n_slots=1_000_000, path_count=100)
+        assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ("M = 100000000000", "M must be <= 1024"),
+            ("B = 64", "B must be <= 10"),
+            ("scenario.path_count = 10000000000", "scenario.path_count must be <= 100"),
+            ("n_slots = 10000000", "n_slots must be <= 1000000"),
+            ("sweep.parameter = M\nsweep.values = 16, 1e300", "sweep.values entry 1e+300: M must be <= 1024"),
+            ("sweep.parameter = B\nsweep.values = 4, 64", "sweep.values entry 64.0: B must be <= 10"),
+        ],
+    )
+    def test_sizes_beyond_their_caps_named(self, document, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got"):
+            parse_config(document + "\n")
 
     @pytest.mark.parametrize(("field", "value", "key"), [("P", -1.0, "P"), ("p_rf_chain", -5.0, "power.p_rf_chain")])
     def test_replace_is_checked_before_any_engine_call(self, monkeypatch, field, value, key):

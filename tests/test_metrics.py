@@ -20,6 +20,7 @@ from mphp.metrics import (
     intra_group_leakage,
     jain_fairness,
     monte_carlo_rates,
+    scenario_key,
     sinr_per_user,
     slnr_per_user,
     statistics_feedback_count,
@@ -530,13 +531,13 @@ class TestSharedDraws:
         n_slots = config.n_slots
         grouping, scenario, _ = build_context(config, seed=11)
         blocks = []
-        draw = metrics_mod.channel_mod.draw_channel
+        draw = metrics_mod.channel_mod.draw_paths
 
-        def counted(*args, slot, **kwargs):
-            blocks.append(list(slot))
-            return draw(*args, slot=slot, **kwargs)
+        def counted(params, seed, slots):
+            blocks.append(list(slots))
+            return draw(params, seed, slots)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
         monte_carlo_rates(list(SchemeId), config, seed=23, grouping=grouping, scenario=scenario)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
 
@@ -595,17 +596,17 @@ class TestSweepPoints:
     def test_one_draw_per_block_and_one_design_per_distinct_state(self, monkeypatch):
         grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
         blocks, designs = [], []
-        draw, design = metrics_mod.channel_mod.draw_channel, metrics_mod.design_long_term
+        draw, design = metrics_mod.channel_mod.draw_paths, metrics_mod.design_long_term
 
-        def counted_draw(*args, slot, **kwargs):
-            blocks.append(list(slot))
-            return draw(*args, slot=slot, **kwargs)
+        def counted_draw(params, seed, slots):
+            blocks.append(list(slots))
+            return draw(params, seed, slots)
 
         def counted_design(scheme, *args):
             designs.append(scheme)
             return design(scheme, *args)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted_draw)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted_draw)
         monkeypatch.setattr(metrics_mod, "design_long_term", counted_design)
         monte_carlo_rates(list(SchemeId), self.POINTS, seed=23, grouping=grouping, scenario=scenario)
         most = max(point.n_slots for point in self.POINTS)
@@ -635,14 +636,14 @@ class TestSweepPoints:
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_shared_failure_names_the_first_point_that_needs_the_block(self, monkeypatch):
-        draw = metrics_mod.channel_mod.draw_channel
+        draw = metrics_mod.channel_mod.draw_paths
 
-        def failing(*args, slot, **kwargs):
-            if slot[0] >= SLOT_BLOCK:
+        def failing(params, seed, slots):
+            if slots[0] >= SLOT_BLOCK:
                 raise ArithmeticError("synthetic draw failure")
-            return draw(*args, slot=slot, **kwargs)
+            return draw(params, seed, slots)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", failing)
         with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
             monte_carlo_rates([SchemeId.MPHP], self.POINTS, seed=23)
         assert info.value.scheme is None
@@ -667,6 +668,15 @@ class TestContextKey:
         build_context(built, seed=5)
         context_key(keyed)
         assert built.read == keyed.read
+
+    def test_scenario_key_is_the_context_key_without_the_array(self):
+        base = SystemConfig(M=8, K=2, G=2)
+        scenario, context = ReadRecorder(base), ReadRecorder(base)
+        scenario_key(scenario)
+        context_key(context)
+        assert scenario.read == context.read - {"M", "element_spacing"}
+        assert scenario_key(replace(base, M=16, element_spacing=0.4)) == scenario_key(base)
+        assert scenario_key(replace(base, K=3)) != scenario_key(base)
 
     def test_key_follows_the_scenario(self):
         base = SystemConfig(M=8, K=2, G=2)

@@ -2,9 +2,10 @@
 
 Each case runs a benchmark workload config (read from
 ``bench/workloads.json``, with the benchmark's ``seed = <n>`` line appended),
-the ``sweep-snr`` CLI preset at its default 1,000 slots, or the ``sweep-m`` and
-``fairness`` CLI presets at ``--slots 100``, and pins the sha256 of the CSV
-text.  A change that is meant to keep the numbers bit for bit must keep these
+the ``sweep-snr`` CLI preset at its default 1,000 slots, the ``sweep-m`` and
+``fairness`` CLI presets at ``--slots 100``, or one of two M sweeps (one out
+of order at zero angular spread, one over several slot blocks), and pins the
+sha256 of the CSV text.  A change that is meant to keep the numbers bit for bit must keep these
 hashes; a change that moves them on purpose updates them here and says why.
 """
 
@@ -31,6 +32,16 @@ PRESETS_AT_100_SLOTS = {
     "fairness": "e0d4eff1142a7929cd8328b692302dde24c689cc770d3e8a99f08fab2efeafac",
 }
 
+# Config document -> sha256 of its CSV.
+M_SWEEPS = {
+    "n_slots = 40\nscenario.angular_spread = 0\nsweep.parameter = M\nsweep.values = 16, 8, 32\nseed = 3\n": (
+        "501a51036110d4488ae4e134ea50fde5fa732cd6566abd10a09664ad702495fc"
+    ),
+    "n_slots = 70\nK = 4\nG = 2\nsweep.parameter = M\nsweep.values = 8, 16, 32\n": (
+        "ec1b9f1a00b92fc3970751c5d99871559d7ee63df0701468307b83ad7b77e417"
+    ),
+}
+
 
 def _sha256(text: str | bytes) -> str:
     return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
@@ -53,3 +64,8 @@ def test_preset_csv_at_100_slots(verb, tmp_path, capsys):
     out = tmp_path / f"{verb}.csv"
     assert main([verb, "--slots", "100", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == PRESETS_AT_100_SLOTS[verb]
+
+
+@pytest.mark.parametrize("document", list(M_SWEEPS), ids=["zero-spread-out-of-order", "several-blocks"])
+def test_m_sweep_csv(document):
+    assert _sha256(rows_to_csv(run_experiment(parse_config(document)))) == M_SWEEPS[document]
