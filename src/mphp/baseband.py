@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import NearSingularError, solve_right_inverse
+from .numerics import solve_right_inverse
 
 
 class DegenerateBeamError(ValueError):
@@ -27,22 +27,17 @@ def effective_channel(channel_group: np.ndarray, rf_group: np.ndarray) -> np.nda
 
 
 def zf_precoder(effective: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseband precoder with unit-norm columns.
+    """Zero-forcing baseband precoder with unit-norm columns, for each
+    effective channel of a stack (..., S, S).
 
-    The product of the effective channel with the result is diagonal with
-    real positive entries (the inverse column norms).  A stack (..., S, S)
-    is precoded matrix by matrix; a matrix that a single call would reject
+    The product of an effective channel with its precoder is diagonal with
+    real positive entries (the inverse column norms).  A matrix that fails
+    ``check_condition``, or whose unnormalized precoder has a zero column,
     gets an all-zero precoder, which marks its group as an outage there.
-
-    Raises:
-        NearSingularError: a single effective channel's condition number is
-            beyond the shared cutoff; the caller treats the group as an outage.
     """
     w0 = solve_right_inverse(effective)
     norms = np.linalg.norm(w0, axis=-2, keepdims=True)
     usable = np.all(norms != 0, axis=(-2, -1), keepdims=True)
-    if effective.ndim == 2 and not usable:
-        raise NearSingularError("zero column in the unnormalized precoder")
     return np.divide(w0, norms, out=np.zeros_like(w0), where=usable)
 
 

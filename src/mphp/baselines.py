@@ -21,7 +21,7 @@ share the per-group zero-forcing baseband stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -53,31 +53,21 @@ class SchemeId(str, Enum):
 
 @dataclass
 class SlotPrecoders:
-    """Everything the metrics stage needs for one slot, or for a stack of slots.
+    """Everything the metrics stage needs for a stack of n slots.
 
-    ``f_groups[g]`` holds the (M, S_g) analog columns of group g (for the
-    full-digital scheme these are the digital beams and ``w_groups[g]`` is
-    the identity).  ``w_groups[g]`` is None when group g is in outage this
-    slot; ``power`` is indexed by global user index.  Groups listed in
-    ``outage_groups`` are silent: their users transmit nothing, cause no
-    interference, and log zero rate.
-
-    A stack of n slots adds a leading slot axis (shared (M, S_g) analog
-    columns keep their form); there a silent group has an all-zero
-    ``w_groups[g]`` slice, and ``outage_groups`` lists (slot, group) pairs.
+    ``f_groups[g]`` holds the analog columns of group g, shared (M, S_g) or
+    one set per slot (n, M, S_g); for the full-digital scheme these are the
+    digital beams and ``w_groups[g]`` is the identity.  ``w_groups[g]`` is
+    (n, S_g, S_g) and ``power`` (n, K), indexed by global user index.
+    ``outage_groups`` lists the (slot, group) pairs in outage: that group's
+    ``w_groups[g]`` slice is all zero there, so its users transmit nothing,
+    cause no interference, and log zero rate.
     """
 
     f_groups: list[np.ndarray]
-    w_groups: list[np.ndarray | None]
+    w_groups: list[np.ndarray]
     power: np.ndarray
-    outage_groups: list = field(default_factory=list)
-
-    def slot(self, t: int) -> "SlotPrecoders":
-        """Slot ``t`` of a stack, in the single-slot form."""
-        silent = [int(g) for s, g in self.outage_groups if s == t]
-        f_groups = [f if f.ndim == 2 else f[t] for f in self.f_groups]
-        w_groups = [None if g in silent else w[t] for g, w in enumerate(self.w_groups)]
-        return SlotPrecoders(f_groups, w_groups, self.power[t], silent)
+    outage_groups: list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -88,8 +78,8 @@ class Scheme:
     from the grouping (correlations) alone, or None for a real-time scheme;
     it reads no ``SystemConfig`` field but those ``design_reads`` names, so
     configs that agree on them share one design on one grouping.
-    ``build(state, channel, grouping, config)`` assembles the slot's
-    precoders.  ``statistical`` schemes feed back correlation statistics
+    ``build(state, channel, grouping, config)`` assembles the precoders of
+    a stack of slots.  ``statistical`` schemes feed back correlation statistics
     once per period; ``fully_connected`` schemes are costed one phase
     shifter per (antenna, chain) pair (see ``metrics.energy_efficiency``).
     """
@@ -128,17 +118,14 @@ def build_precoders(
     grouping: Grouping,
     config: "SystemConfig",
 ) -> SlotPrecoders:
-    """Assemble the per-slot (analog, baseband, power) triple for a scheme.
+    """Assemble the per-slot (analog, baseband, power) triple of a scheme
+    for a stack of slots (n, M, K); a single slot is a stack of one.
 
-    ``channel`` is one slot (M, K), run as a stack of one, or a stack of
-    slots (n, M, K).  Statistical schemes reuse ``long_state`` untouched;
-    real-time schemes rebuild their analog stage from the current channel.
-    Zero-forcing and power normalization run per group; a near-singular
-    effective channel marks that group as an outage in that slot instead of
-    aborting it.
+    Statistical schemes reuse ``long_state`` untouched; real-time schemes
+    rebuild their analog stage from the current channels.  Zero-forcing and
+    power normalization run per group; a near-singular effective channel
+    marks that group as an outage in that slot instead of aborting it.
     """
-    if channel.ndim == 2:
-        return SCHEMES[scheme].build(long_state, channel[None], grouping, config).slot(0)
     return SCHEMES[scheme].build(long_state, channel, grouping, config)
 
 
@@ -181,13 +168,13 @@ def _build_adaptive_instant(
 
 
 def fixed_subarray_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
-    """Static even antenna split with instantaneous phase alignment (slot axes allowed)."""
+    """Static even antenna split with instantaneous phase alignment, per slot of a stack."""
     mapping = fixed_subarray_map(channel.shape[-2], channel.shape[-1])
     return _aligned_quantized_precoder(channel, mapping, grouping.chain_users, bits)
 
 
 def adaptive_instant_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
-    """Greedy instantaneous antenna selection with aligned quantized phases."""
+    """Greedy instantaneous antenna selection with aligned quantized phases, per slot of a stack."""
     chain_to_user = grouping.chain_users
     mapping = _greedy_instant_map(channel, chain_to_user)
     return _aligned_quantized_precoder(channel, mapping, chain_to_user, bits)

@@ -203,6 +203,9 @@ def apply_sweep_value(config: SystemConfig, parameter: str, value: float) -> Sys
         return replace(point, P=float(10.0 ** (value / 10.0)))
     if parameter == "P":
         return replace(point, P=float(value))
+    most = _BOUNDS.get(parameter, (None, None))[1]
+    if most is not None and value > most:  # before rounding, so the message shows the value as given
+        raise ValueError(f"{parameter} must be <= {most}, got {value}")
     integral = int(round(value))
     if integral != value:
         raise ValueError(f"sweep value for {parameter} must be an integer, got {value}")

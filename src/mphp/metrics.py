@@ -28,16 +28,6 @@ SLOT_BLOCK = 32
 
 
 @dataclass
-class SlotMetrics:
-    """Per-slot, per-user link quality; rate is log2(1 + sinr) elementwise.
-    A stack of slots adds a leading slot axis, as in ``SlotPrecoders``."""
-
-    sinr: np.ndarray
-    rate: np.ndarray
-    outage_groups: list
-
-
-@dataclass
 class RunMetrics:
     """Aggregates of a Monte Carlo run of one scheme at one operating point."""
 
@@ -56,28 +46,24 @@ class RunMetrics:
     outage_fraction: float
 
 
-class UndefinedFairnessError(ValueError):
-    """Jain's index is undefined when every rate is zero."""
-
-
 def _received_power(
     channel: np.ndarray,
     f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray | None],
+    w_groups: Sequence[np.ndarray],
     power: np.ndarray,
     grouping: Grouping,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Received powers of one slot, or of each slot of a stack, and the same-group mask.
+    """Received powers of each slot of a stack (leading axes broadcast, as
+    in ``SlotPrecoders``) and the same-group mask.
 
     Entry (k, j) of the first (..., K, K) array is p_j * |h_k^H b_j|^2, the
     power user k receives from user j's beam b_j = F_g w_j.  Beams of a
-    silent (outage) group are zero.  Entry (k, j) of the boolean mask is
-    True when users k and j share a group.
+    silent (outage) group are zero, since its ``w_groups`` slice is.  Entry
+    (k, j) of the boolean mask is True when users k and j share a group.
     """
     beams = np.zeros(channel.shape, dtype=complex)
     for g in range(grouping.group_count):
-        if w_groups[g] is not None:
-            beams[..., grouping.members[g]] = f_groups[g] @ w_groups[g]
+        beams[..., grouping.members[g]] = f_groups[g] @ w_groups[g]
     received = np.abs(np.swapaxes(channel.conj(), -1, -2) @ beams) ** 2 * power[..., None, :]
     same_group = grouping.assignments[:, None] == grouping.assignments[None, :]
     return received, same_group
@@ -86,7 +72,7 @@ def _received_power(
 def sinr_per_user(
     channel: np.ndarray,
     f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray | None],
+    w_groups: Sequence[np.ndarray],
     power: np.ndarray,
     grouping: Grouping,
 ) -> np.ndarray:
@@ -104,7 +90,7 @@ def sinr_per_user(
 def slnr_per_user(
     channel: np.ndarray,
     f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray | None],
+    w_groups: Sequence[np.ndarray],
     power: np.ndarray,
     grouping: Grouping,
 ) -> np.ndarray:
@@ -120,7 +106,7 @@ def slnr_per_user(
 def intra_group_leakage(
     channel: np.ndarray,
     f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray | None],
+    w_groups: Sequence[np.ndarray],
     power: np.ndarray,
     grouping: Grouping,
 ) -> np.ndarray:
@@ -130,14 +116,14 @@ def intra_group_leakage(
     return np.sum(np.where(same_group, received, 0.0), axis=-1)
 
 
-def evaluate_slot(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> SlotMetrics:
-    """Per-user SINR and rate of one slot, or of each slot of a stack (see ``SlotPrecoders``)."""
-    sinr = sinr_per_user(channel, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
-    return SlotMetrics(sinr=sinr, rate=np.log2(1.0 + sinr), outage_groups=list(precoders.outage_groups))
+def evaluate_slot(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> np.ndarray:
+    """Per-user rates log2(1 + SINR), (n, K), of a stack of slots (see ``SlotPrecoders``)."""
+    return np.log2(1.0 + sinr_per_user(channel, precoders.f_groups, precoders.w_groups, precoders.power, grouping))
 
 
 def jain_fairness(rates: np.ndarray) -> float:
-    """Jain's fairness index (sum r)^2 / (K sum r^2), in [1/K, 1]."""
+    """Jain's fairness index (sum r)^2 / (K sum r^2), in [1/K, 1]; NaN,
+    which the CSV writes as an empty cell, when every rate is zero."""
     rates = np.asarray(rates, dtype=float)
     if rates.size < 1:
         raise ValueError("need at least one rate")
@@ -145,7 +131,7 @@ def jain_fairness(rates: np.ndarray) -> float:
         raise ValueError("rates must be >= 0")
     denom = rates.size * float(np.sum(rates**2))
     if denom == 0:
-        raise UndefinedFairnessError("all rates are zero")
+        return float("nan")
     return float(np.sum(rates)) ** 2 / denom
 
 
@@ -341,9 +327,8 @@ def monte_carlo_rates(
                 for i, (current, state) in enumerate(zip(scheme_list, states[p])):
                     failed = (p, current)
                     precoders = build_precoders(current, state, stack, grouping, point)
-                    block = evaluate_slot(stack, precoders, grouping)
-                    rates[p][i][start : start + len(stack)] = block.rate
-                    outage_slots[p][i] += len({t for t, _ in block.outage_groups})
+                    rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, grouping)
+                    outage_slots[p][i] += len({t for t, _ in precoders.outage_groups})
         runs = []
         for p, point in enumerate(points):
             cells = []

@@ -17,10 +17,12 @@ CONDITION_LIMIT = 1e12
 
 
 class NearSingularError(ArithmeticError):
-    """Matrix is too ill-conditioned to invert reliably.
+    """LAPACK failed inside a condition estimate or a solve.
 
-    Callers in the per-slot pipeline treat this as an outage: the affected
-    group logs zero rate for the slot and the slot still counts in averages.
+    Raised only where a ``LinAlgError`` from the SVD or the solve is wrapped.
+    A matrix that is merely near singular is not an error: it fails
+    ``check_condition`` and its group is an outage in that slot.  The
+    pipeline never catches this, so a run that raises it stops.
     """
 
 
@@ -63,38 +65,31 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
 
 
 def check_condition(a: np.ndarray) -> np.ndarray:
-    """Condition test of one matrix or of each matrix in a stack (..., m, n).
+    """Condition test of each matrix in a stack (..., m, n).
 
     A matrix passes when its 2-norm condition number is finite and at most
     ``CONDITION_LIMIT``; one with non-finite entries fails.  Returns a
-    boolean array over the leading axes.
+    boolean array over the leading axes (a numpy bool for a single matrix).
 
     Raises:
-        NearSingularError: ``a`` is a single matrix and fails, or the SVD
-            behind the estimate fails.
+        NearSingularError: the SVD behind the estimate fails.
     """
     a = np.asarray(a)
     finite = np.isfinite(a).all(axis=(-2, -1))
-    if a.ndim == 2 and not finite:
-        raise NearSingularError("condition estimate failed: non-finite entries")
     try:
         # A zero matrix stands in for a non-finite one: its estimate is inf.
         cond = np.linalg.cond(np.where(finite[..., None, None], a, 0.0))
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"condition estimate failed: {exc}") from exc
-    passed = cond <= CONDITION_LIMIT
-    if a.ndim == 2 and not passed:
-        raise NearSingularError(f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return passed
+    return cond <= CONDITION_LIMIT
 
 
 def solve_right_inverse(a: np.ndarray) -> np.ndarray:
-    """Return B with A @ B = I for square A, or for each matrix of a stack
-    (..., m, m), where one that fails ``check_condition`` gets B = 0.
+    """Return B with A @ B = I for each square matrix A of a stack
+    (..., m, m); a matrix that fails ``check_condition`` gets B = 0.
 
     Raises:
-        NearSingularError: a single matrix fails ``check_condition`` (or the
-            factorization itself fails).
+        NearSingularError: the condition estimate or the solve fails.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:

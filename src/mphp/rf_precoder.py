@@ -49,12 +49,16 @@ class RfPrecoder:
     """Structured analog precoder: one phase-shifter tap per antenna.
 
     Row m of ``f`` has its single nonzero in column ``antenna_to_chain[m]``,
-    with value (1/sqrt(M)) * exp(2j*pi*phase_index[m] / 2**bits).
+    with value (1/sqrt(M)) * exp(2j*pi*phase_index[m] / 2**bits).  The
+    real-time baselines built on a stack of n slots
+    (``baselines.fixed_subarray_precoder``, ``adaptive_instant_precoder``)
+    add a leading slot axis to ``f`` and ``phase_index``, and the adaptive
+    one to ``antenna_to_chain`` too; the fixed map is shared (M,).
     """
 
-    f: np.ndarray  # (M, L) complex
-    antenna_to_chain: np.ndarray  # (M,) int
-    phase_index: np.ndarray  # (M,) int
+    f: np.ndarray  # (M, L) complex, or (n, M, L) on a stack
+    antenna_to_chain: np.ndarray  # (M,) int, or (n, M) from adaptive_instant_precoder on a stack
+    phase_index: np.ndarray  # (M,) int, or (n, M) on a stack
     bits: int
 
 

@@ -38,6 +38,12 @@ def make_grouping(correlations, assignments):
     )
 
 
+# Co-located users (zero angular spread, zero AoD jitter) in one group: the
+# effective channel is rank one in every slot, so every scheme is in outage
+# in every slot.
+CO_LOCATED = "M = 8\nK = 2\nG = 1\nn_slots = 5\nscenario.angular_spread = 0\nscenario.aod_jitter = 0\n"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -89,16 +89,16 @@ def test_criterion_02_zf_nulling_and_power_conservation():
         for t in range(500):
             slots += 1
             h = draw_channel(scenario, geometry, seed=seed, slot=t)
-            sp = build_precoders(SchemeId.MPHP, long_state, h, grouping, config)
+            sp = build_precoders(SchemeId.MPHP, long_state, h[None], grouping, config)
             if sp.outage_groups:
                 outages += 1
                 continue
             radiated, active = 0.0, 0
             for g in range(grouping.group_count):
-                beam = sp.f_groups[g] @ sp.w_groups[g]
+                beam = sp.f_groups[g] @ sp.w_groups[g][0]
                 members = grouping.members[g]
                 active += len(members)
-                radiated += float(np.sum(sp.power[members] * np.sum(np.abs(beam) ** 2, axis=0)))
+                radiated += float(np.sum(sp.power[0, members] * np.sum(np.abs(beam) ** 2, axis=0)))
                 for i, k in enumerate(members):
                     own = abs(h[:, k].conj() @ beam[:, i])
                     cross = np.abs(h[:, k].conj() @ beam)
@@ -217,9 +217,9 @@ def test_criterion_06_sslnr_lower_bound():
     start = time.time()
     samples = np.zeros((n_slots, config.K))
     for t in range(n_slots):
-        h = draw_channel(scenario, geometry, seed=3, slot=t)
+        h = draw_channel(scenario, geometry, seed=3, slot=[t])
         sp = build_precoders(SchemeId.MPHP, long_state, h, grouping, config)
-        samples[t] = slnr_per_user(h, sp.f_groups, sp.w_groups, sp.power, grouping)
+        samples[t] = slnr_per_user(h, sp.f_groups, sp.w_groups, sp.power, grouping)[0]
     ok, margins = True, []
     for g in range(grouping.group_count):
         bound = sslnr(long_state.f[:, grouping.rf_chains[g]], grouping, g, config.P)

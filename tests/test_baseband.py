@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mphp.baseband import DegenerateBeamError, effective_channel, power_allocation, zf_precoder
-from mphp.numerics import NearSingularError
 
 
 class TestEffectiveChannel:
@@ -59,8 +58,7 @@ class TestZfPrecoder:
         assert np.all(np.abs(np.angle(diag)) <= 1e-8)
 
     def test_near_singular_is_outage(self):
-        with pytest.raises(NearSingularError):
-            zf_precoder(np.ones((2, 2), dtype=complex))
+        assert not zf_precoder(np.ones((2, 2), dtype=complex)).any()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -116,12 +114,9 @@ class TestStacks:
         eff[4] = np.diag([1e165, 1e155, 1e155])  # well conditioned, but ||column 0||^2 underflows
         w = zf_precoder(eff)
         for t in range(5):
-            if t in (1, 3, 4):
-                assert not w[t].any()
-                with pytest.raises(NearSingularError):
-                    zf_precoder(eff[t])
-            else:
-                assert np.array_equal(w[t], zf_precoder(eff[t]))
+            assert np.array_equal(w[t], zf_precoder(eff[t]))
+        for t in (1, 3, 4):
+            assert not w[t].any()
 
     def test_power_allocation_per_slice(self, rng):
         f, w = complex_stack(rng, (4, 6, 2)), zf_precoder(complex_stack(rng, (4, 2, 2)))

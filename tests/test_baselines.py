@@ -337,9 +337,9 @@ class TestFullDigital:
         config = SystemConfig(M=8, K=3, G=2)
         grouping, scenario, geometry = build_context(config, seed=seed)
         channel = draw_channel(scenario, geometry, seed=seed, slot=0)
-        precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel, grouping, config)
+        precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel[None], grouping, config)
         beams = np.concatenate(
-            [precoders.f_groups[g] @ precoders.w_groups[g] for g in range(grouping.group_count)],
+            [(precoders.f_groups[g] @ precoders.w_groups[g])[0] for g in range(grouping.group_count)],
             axis=1,
         )
         order = np.concatenate(grouping.members)
@@ -353,7 +353,7 @@ class TestFullDigital:
         config = SystemConfig(M=8, K=3, G=1, P=2.0)
         grouping, scenario, geometry = build_context(config, seed=0)
         channel = draw_channel(scenario, geometry, seed=0, slot=0)
-        precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel, grouping, config)
+        precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel[None], grouping, config)
         assert np.allclose(precoders.power, 2.0 / 3.0)
 
 
@@ -364,7 +364,7 @@ class TestMixedTimescaleContract:
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         f_per_slot = []
         for t in range(3):
-            channel = draw_channel(scenario, geometry, seed=2, slot=t)
+            channel = draw_channel(scenario, geometry, seed=2, slot=[t])
             precoders = build_precoders(SchemeId.MPHP, long_state, channel, grouping, config)
             f_per_slot.append(np.concatenate([f.ravel() for f in precoders.f_groups]))
         assert np.array_equal(f_per_slot[0], f_per_slot[1])
@@ -375,8 +375,8 @@ class TestMixedTimescaleContract:
         grouping, scenario, geometry = build_context(config, seed=2)
         long_state = design_long_term(SchemeId.ADAPTIVE_INSTANT, grouping, config)
         assert long_state is None
-        h0 = draw_channel(scenario, geometry, seed=2, slot=0)
-        h1 = draw_channel(scenario, geometry, seed=2, slot=1)
+        h0 = draw_channel(scenario, geometry, seed=2, slot=[0])
+        h1 = draw_channel(scenario, geometry, seed=2, slot=[1])
         f0 = build_precoders(SchemeId.ADAPTIVE_INSTANT, None, h0, grouping, config).f_groups
         f1 = build_precoders(SchemeId.ADAPTIVE_INSTANT, None, h1, grouping, config).f_groups
         assert not all(np.array_equal(a, b) for a, b in zip(f0, f1))
@@ -402,9 +402,9 @@ class TestOutagePolicy:
         config = SystemConfig(M=4, K=2, G=1)
         corrs = [np.eye(4, dtype=complex)] * 2
         grouping = make_grouping(corrs, [0, 0])
-        channel = np.ones((4, 2), dtype=complex)  # identical columns
+        channel = np.ones((1, 4, 2), dtype=complex)  # one slot, identical columns
         long_state = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
         precoders = build_precoders(SchemeId.FRPS_STATISTICAL, long_state, channel, grouping, config)
-        assert precoders.outage_groups == [0]
-        assert precoders.w_groups[0] is None
-        assert np.array_equal(precoders.power, np.zeros(2))
+        assert precoders.outage_groups == [(0, 0)]
+        assert np.array_equal(precoders.w_groups[0], np.zeros((1, 2, 2)))
+        assert np.array_equal(precoders.power, np.zeros((1, 2)))

@@ -15,6 +15,8 @@ import pytest
 
 from mphp.experiment import parse_config, rows_to_csv, run_experiment
 
+from conftest import CO_LOCATED
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -48,4 +50,14 @@ def test_traced_run_sees_valid_designs(bench_run):
     assert seen.invalid_designs == []
     assert seen.groups_attempted > 0
     assert "baselines.design_long_term" in {span[0] for span in tracer.spans}
+    assert traced == untraced
+
+
+def test_traced_run_counts_outages(bench_run):
+    config = parse_config(CO_LOCATED)
+    untraced = rows_to_csv(run_experiment(config))
+    seen = bench_run.Observed()
+    with bench_run.spans.Tracer(bench_run.trace_targets(), bench_run.observers(seen)):
+        traced = rows_to_csv(run_experiment(config))
+    assert seen.outage_groups > 0
     assert traced == untraced

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 
 from mphp.cli import main
 from mphp.experiment import CSV_COLUMNS
+
+from conftest import CO_LOCATED
 
 TINY = "M = 8\nK = 2\nG = 2\nn_slots = 4\nseed = 3\nschemes = MPHP\n"
 
@@ -54,6 +57,15 @@ class TestRunVerb:
         main(["run", "--config", tiny_config, "--out", str(a)])
         main(["run", "--config", tiny_config, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_every_slot_in_outage(self, tmp_path):
+        config, out = tmp_path / "co_located.cfg", tmp_path / "rows.csv"
+        config.write_text(CO_LOCATED)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 5
+        for row in rows:
+            assert (row["sum_rate"], row["jain_index"], row["outage_fraction"]) == ("0", "", "1")
 
     def test_slot_and_seed_overrides(self, tiny_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

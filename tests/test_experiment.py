@@ -20,6 +20,8 @@ from mphp.experiment import (
     write_csv,
 )
 
+from conftest import CO_LOCATED
+
 TINY = """
 M = 8
 K = 2
@@ -153,6 +155,16 @@ class TestRunExperiment:
     def test_single_slot_runs(self):
         rows = run_experiment(parse_config(TINY.replace("n_slots = 5", "n_slots = 1")))
         assert len(rows) == 1
+
+    def test_every_slot_in_outage(self):
+        rows = run_experiment(parse_config(CO_LOCATED))
+        assert [r.scheme for r in rows] == list(SchemeId)
+        for row in rows:
+            assert row.avg_rate_per_user == row.sum_rate == row.worst_user_rate == 0.0
+            assert math.isnan(row.jain_index)
+            assert row.outage_fraction == 1.0
+        jain = CSV_COLUMNS.index("jain_index")
+        assert [line.split(",")[jain] for line in rows_to_csv(rows).splitlines()[1:]] == [""] * len(rows)
 
     def test_byte_identical_reruns(self):
         config = parse_config(TINY + "sweep.parameter = P\nsweep.values = 0.5, 1\n")
@@ -458,16 +470,24 @@ class TestValidation:
     @pytest.mark.parametrize(
         "document,message",
         [
-            ("M = 100000000000", "M must be <= 1024"),
-            ("B = 64", "B must be <= 10"),
-            ("scenario.path_count = 10000000000", "scenario.path_count must be <= 100"),
-            ("n_slots = 10000000", "n_slots must be <= 1000000"),
-            ("sweep.parameter = M\nsweep.values = 16, 1e300", "sweep.values entry 1e+300: M must be <= 1024"),
-            ("sweep.parameter = B\nsweep.values = 4, 64", "sweep.values entry 64.0: B must be <= 10"),
+            ("M = 100000000000", "M must be <= 1024, got 100000000000"),
+            ("B = 64", "B must be <= 10, got 64"),
+            ("scenario.path_count = 10000000000", "scenario.path_count must be <= 100, got 10000000000"),
+            ("n_slots = 10000000", "n_slots must be <= 1000000, got 10000000"),
+            (
+                "sweep.parameter = M\nsweep.values = 16, 1e300",
+                "sweep.values entry 1e+300: M must be <= 1024, got 1e+300",
+            ),
+            ("sweep.parameter = B\nsweep.values = 4, 64", "sweep.values entry 64.0: B must be <= 10, got 64.0"),
+            (
+                "sweep.parameter = n_slots\nsweep.values = 1e7",
+                "sweep.values entry 10000000.0: n_slots must be <= 1000000, got 10000000.0",
+            ),
         ],
+        ids=lambda text: text.partition(", got")[0],  # the document and the bound
     )
     def test_sizes_beyond_their_caps_named(self, document, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(document + "\n")
 
     @pytest.mark.parametrize(("field", "value", "key"), [("P", -1.0, "P"), ("p_rf_chain", -5.0, "power.p_rf_chain")])

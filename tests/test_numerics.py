@@ -96,15 +96,21 @@ class TestSolveRightInverse:
         b = solve_right_inverse(a)
         assert np.linalg.norm(a @ b - np.eye(6)) <= 1e-8 * np.linalg.norm(a)
 
-    def test_near_singular_raises(self):
+    def test_near_singular_gives_zero(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
         assert np.linalg.cond(a) > CONDITION_LIMIT
-        with pytest.raises(NearSingularError):
-            solve_right_inverse(a)
+        assert not solve_right_inverse(a).any()
 
-    def test_exactly_singular_raises(self):
-        with pytest.raises(NearSingularError):
-            solve_right_inverse(np.ones((2, 2)))
+    def test_exactly_singular_gives_zero(self):
+        assert not solve_right_inverse(np.ones((2, 2))).any()
+
+    def test_failed_solve_is_near_singular(self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(NearSingularError, match="^Singular matrix$"):
+            solve_right_inverse(np.eye(2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -113,15 +119,21 @@ class TestSolveRightInverse:
 
 class TestCheckCondition:
     def test_tall_well_conditioned_passes(self):
-        check_condition(np.eye(4, 2, dtype=complex))
+        assert check_condition(np.eye(4, 2, dtype=complex))
 
-    def test_rank_deficient_names_the_matrix(self):
-        with pytest.raises(NearSingularError, match="^condition number .* exceeds 1e\\+12$"):
-            check_condition(np.ones((4, 2), dtype=complex))
+    def test_rank_deficient_fails(self):
+        assert not check_condition(np.ones((4, 2), dtype=complex))
 
-    def test_failed_estimate_is_near_singular(self):
-        with pytest.raises(NearSingularError, match="condition estimate failed"):
-            check_condition(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+    def test_non_finite_fails(self):
+        assert not check_condition(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+
+    def test_failed_estimate_is_near_singular(self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "cond", failing)
+        with pytest.raises(NearSingularError, match="^condition estimate failed: SVD did not converge$"):
+            check_condition(np.eye(2))
 
 
 def test_hermitian_part_is_hermitian(rng):
@@ -147,12 +159,10 @@ class TestStackedConditioning:
     def test_solve_right_inverse_zero_for_failing_matrices(self, rng):
         a = self.stack(rng)
         b = solve_right_inverse(a)
-        for t in (0, 3):
+        for t in range(5):
             assert np.array_equal(b[t], solve_right_inverse(a[t]))
         for t in (1, 2, 4):
             assert not b[t].any()
-            with pytest.raises(NearSingularError):
-                solve_right_inverse(a[t])
 
     def test_non_square_stack_rejected(self):
         with pytest.raises(ValueError):
