@@ -66,9 +66,9 @@ class SystemConfig:
                 raise ValueError(f"{key} must be {'>' if strict else '>='} {least}, got {value}")
             if most is not None and value > most:
                 raise ValueError(f"{key} must be <= {most}, got {value}")
-        if not 1 <= self.K <= self.M:
+        if self.K > self.M:
             raise ValueError(f"K must satisfy 1 <= K <= M, got K={self.K}, M={self.M}")
-        if not 1 <= self.G <= self.K:
+        if self.G > self.K:
             raise ValueError(f"G must satisfy 1 <= G <= K, got G={self.G}, K={self.K}")
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
@@ -124,11 +124,14 @@ _KEYS = {
     "sweep.values": "sweep_values",
 }
 # Document key -> (the least value it may take, the most or None); P and
-# the element spacing must lie strictly above the least.  K and G are
-# bounded by M and K in ``validate``.  The caps keep a key that sizes an
-# allocation from asking for more than a run can hold.
+# the element spacing must lie strictly above the least.  The caps keep a
+# key that sizes an allocation from asking for more than a run can hold.
 _BOUNDS = {
     "M": (1, 1024),  # each user's M x M correlation (16 MiB at the cap), eigensolved in O(M^3)
+    # K <= M <= 1024 and G <= K (checked in ``validate``); the caps let a
+    # sweep value be checked before it is rounded, so its message stays short.
+    "K": (1, 1024),
+    "G": (1, 1024),
     "B": (1, 10),  # the phase quantiser compares every tap with all 2**B grid points
     "P": (0, None),
     "n_slots": (1, 1_000_000),  # a run keeps every cell's per-slot rates, and an M sweep its path draws

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import EigenDecomposition, hermitian_eig
+from .numerics import EigenDecomposition, above_rounding, hermitian_eig
 
 if TYPE_CHECKING:
     from .rf_precoder import RelaxedProblem
@@ -59,11 +59,9 @@ class Grouping:
 
     @cached_property
     def group_eigs(self) -> list[EigenDecomposition]:
-        """Eigendecomposition of each group correlation, computed once.
-
-        ``group_users`` fills it with the decompositions its last centroid
-        update made of matrices with exactly these bytes.
-        """
+        """Full M x M eigendecomposition of each group correlation, made on
+        first read and kept (the joint signal basis, FRPS and the feedback
+        count read it; ``group_users`` decomposes no group correlation)."""
         return [hermitian_eig(corr) for corr in self.group_correlations]
 
     @cached_property
@@ -81,23 +79,27 @@ class Grouping:
         return np.concatenate(self.members)
 
 
-def _span_projector(vectors: np.ndarray, rank: int) -> np.ndarray:
-    """Orthogonal projector onto the span of the first rank columns."""
-    u = vectors[:, :rank]
+def _dominant_projector(corr: np.ndarray, rank: int, antenna_count: int) -> np.ndarray:
+    """Orthogonal projector onto the span of the dominant eigenvectors of
+    ``corr``: at most ``rank`` of them, and none at or below the rounding
+    level (``numerics.above_rounding``), which no channel decides."""
+    values, vectors = hermitian_eig(corr)
+    u = vectors[:, : min(rank, np.count_nonzero(above_rounding(values, antenna_count)))]
     return u @ u.conj().T
 
 
-def _dominant_projector(corr: np.ndarray, rank: int) -> np.ndarray:
-    """Orthogonal projector onto the span of the rank dominant eigenvectors."""
-    return _span_projector(hermitian_eig(corr).eigenvectors, rank)
-
-
 def chordal_distance(corr_a: np.ndarray, corr_b: np.ndarray, subspace_rank: int) -> float:
-    """Chordal distance between the dominant subspaces of two correlations."""
-    if subspace_rank < 1 or subspace_rank > corr_a.shape[0]:
-        raise ValueError(f"subspace_rank must be in [1, {corr_a.shape[0]}], got {subspace_rank}")
-    diff = _dominant_projector(corr_a, subspace_rank) - _dominant_projector(corr_b, subspace_rank)
-    return float(np.linalg.norm(diff))
+    """Chordal distance ||P_a - P_b||_F between the dominant subspaces of
+    two correlations.  ``subspace_rank`` is an upper bound: each subspace
+    has at most that many dimensions and no more than its correlation's
+    numerical rank, so two rank-1 correlations are compared as rank 1 at
+    any ``subspace_rank``."""
+    m_ant = corr_a.shape[0]
+    if subspace_rank < 1 or subspace_rank > m_ant:
+        raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {subspace_rank}")
+    return _projector_distance(
+        _dominant_projector(corr_a, subspace_rank, m_ant), _dominant_projector(corr_b, subspace_rank, m_ant)
+    )
 
 
 def default_subspace_rank(antenna_count: int) -> int:
@@ -156,6 +158,14 @@ def group_users(
     the group-average correlation) alternate until the assignment is stable
     or ``max_iters`` is hit.  Groups are finally relabeled by their smallest
     member so chain blocks follow user order.
+
+    ``subspace_rank`` (default ``ceil(M / 8)``) is an upper bound on each
+    subspace's dimension, which is also capped at the numerical rank of its
+    matrix, as in ``chordal_distance``.  The loop runs in the span of the
+    correlations: one M x M eigendecomposition of their sum gives a basis U
+    (M x r) of it, and every user and centroid matrix is decomposed as
+    U^H R U, at size r x r.  Each capped subspace lies in span(U), so the
+    distances are the full-space ones up to rounding.
     """
     n_users = len(correlations)
     if group_count > n_users:
@@ -169,7 +179,12 @@ def group_users(
     if rank < 1 or rank > m_ant:
         raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {rank}")
 
-    user_projectors = [_dominant_projector(r, rank) for r in correlations]
+    values, vectors = hermitian_eig(sum(correlations))
+    basis = vectors[:, above_rounding(values, m_ant)]
+    if basis.shape[1] == 0:
+        raise ValueError("every correlation is zero")
+    reduced = basis.conj().T @ np.stack(correlations) @ basis
+    user_projectors = [_dominant_projector(r, rank, m_ant) for r in reduced]
 
     # Farthest-point seeding from user 0.
     seeds = [0]
@@ -204,15 +219,12 @@ def group_users(
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        eigs = [
-            hermitian_eig(_average_correlation(correlations, assignments, g))
+        centroids = [
+            _dominant_projector(_average_correlation(reduced, assignments, g), rank, m_ant)
             for g in range(group_count)
         ]
-        centroids = [_span_projector(eig.eigenvectors, rank) for eig in eigs]
 
-    # Both a converged and a stopped loop end with a centroid update on the
-    # returned assignment, so it decomposed the group correlations.
-    return _finalize(correlations, assignments, group_count, cost_history, eigs)
+    return _finalize(correlations, assignments, group_count, cost_history)
 
 
 def _average_correlation(
@@ -227,16 +239,9 @@ def _finalize(
     assignments: np.ndarray,
     group_count: int,
     cost_history: list[float],
-    eigs: list[EigenDecomposition],
 ) -> Grouping:
-    """Relabel groups by smallest member and lay out contiguous chain blocks.
-
-    ``eigs[g]`` decomposes the average correlation of group g under
-    ``assignments``.  Averaging the same members in the same order gives
-    the same bytes, so it becomes the relabeled group's ``group_eigs``
-    entry; averages are recomputed rather than kept through the Lloyd loop,
-    which would raise its peak memory.
-    """
+    """Relabel groups by smallest member, lay out contiguous chain blocks and
+    average each group's full M x M correlations."""
     order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
     relabel = {old: new for new, old in enumerate(order)}
     new_assignments = np.array([relabel[int(g)] for g in assignments])
@@ -247,12 +252,10 @@ def _finalize(
     group_correlations = [
         _average_correlation(correlations, new_assignments, g) for g in range(group_count)
     ]
-    grouping = Grouping(
+    return Grouping(
         assignments=new_assignments,
         members=members,
         rf_chains=rf_chains,
         group_correlations=group_correlations,
         cost_history=cost_history,
     )
-    grouping.group_eigs = [eigs[old] for old in order]
-    return grouping

@@ -64,6 +64,15 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     )
 
 
+def above_rounding(eigenvalues: np.ndarray, antenna_count: int) -> np.ndarray:
+    """Mask of the descending ``eigenvalues`` that exceed the rounding level
+    ``antenna_count * eps * eigenvalues[0]`` of an M x M Hermitian
+    eigensolve (M = ``antenna_count``).  A matrix projected from an M x M
+    correlation keeps M here: it carries that matrix's rounding.  Its count
+    is the matrix's numerical rank; a zero matrix has none."""
+    return eigenvalues > antenna_count * np.finfo(float).eps * eigenvalues[0]
+
+
 def check_condition(a: np.ndarray) -> np.ndarray:
     """Condition test of each matrix in a stack (..., m, n).
 

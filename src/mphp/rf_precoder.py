@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grouping import Grouping
-from .numerics import hermitian_eig
+from .numerics import above_rounding, hermitian_eig
 
 ALPHA_TOL = 1e-9
 ALPHA_MAX_ITERS = 200
@@ -234,7 +234,7 @@ def joint_signal_basis(grouping: Grouping) -> np.ndarray:
     the rounding level M * eps * lambda_1, and at least one per stream."""
     m_ant = grouping.antenna_count
     kept = [
-        vectors[:, (values > m_ant * np.finfo(float).eps * values[0]) | (np.arange(m_ant) < len(members))]
+        vectors[:, above_rounding(values, m_ant) | (np.arange(m_ant) < len(members))]
         for (values, vectors), members in zip(grouping.group_eigs, grouping.members)
     ]
     return np.linalg.qr(np.concatenate(kept, axis=1))[0]

@@ -150,3 +150,13 @@ def test_m128_mphp_design_independent_of_blas_threads(tmp_path):
     config.write_text("M = 128\nn_slots = 2\nschemes = MPHP\nseed = 1\n")
     texts = csv_under_blas_threads(tmp_path, ["run", "--config", str(config)])
     assert texts[0] == texts[1]
+
+
+def test_m128_zero_spread_grouping_independent_of_blas_threads(tmp_path):
+    # At zero angular spread every user correlation is rank one, so the
+    # grouping must read only its signal directions, never a null-space
+    # basis that the eigensolver picks.
+    config = tmp_path / "m128_zero_spread.cfg"
+    config.write_text("M = 128\nn_slots = 2\nscenario.angular_spread = 0\nseed = 1\n")
+    texts = csv_under_blas_threads(tmp_path, ["run", "--config", str(config)])
+    assert texts[0] == texts[1]

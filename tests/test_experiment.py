@@ -479,6 +479,8 @@ class TestValidation:
                 "sweep.values entry 1e+300: M must be <= 1024, got 1e+300",
             ),
             ("sweep.parameter = B\nsweep.values = 4, 64", "sweep.values entry 64.0: B must be <= 10, got 64.0"),
+            ("sweep.parameter = K\nsweep.values = 1e300", "sweep.values entry 1e+300: K must be <= 1024, got 1e+300"),
+            ("sweep.parameter = G\nsweep.values = 1e300", "sweep.values entry 1e+300: G must be <= 1024, got 1e+300"),
             (
                 "sweep.parameter = n_slots\nsweep.values = 1e7",
                 "sweep.values entry 10000000.0: n_slots must be <= 1000000, got 10000000.0",

@@ -44,6 +44,14 @@ class TestChordalDistance:
         r_b = rotated @ np.diag([2.5, 1.5]) @ rotated.conj().T + 0.01 * np.eye(5)
         assert chordal_distance(r_a, r_b, 2) <= 1e-10
 
+    def test_rank_capped_at_numerical_rank(self):
+        # Rank-1 correlations have one signal direction: at rank 4 the other
+        # three would be whatever null-space basis LAPACK returns.
+        steering = np.exp(1j * np.pi * np.outer(np.arange(8), np.sin([0.3, -0.4])))
+        r_a, r_b = (np.outer(a, a.conj()) for a in steering.T)
+        assert chordal_distance(r_a, r_b, 4) == chordal_distance(r_a, r_b, 1)
+        assert 0.0 < chordal_distance(r_a, r_b, 4) <= np.sqrt(2.0)
+
     def test_invalid_rank(self, rng):
         r = random_psd(rng, 4)
         with pytest.raises(ValueError):
@@ -131,6 +139,18 @@ class TestGroupUsers:
         assert np.array_equal(a.assignments, b.assignments)
         assert a.cost_history == b.cost_history
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("m_ant", [32, 64, 128, 256])
+    def test_zero_spread_splits_the_clusters(self, m_ant, seed):
+        # Each user's correlation is rank one, so a projector of rank
+        # ceil(M / 8) > 1 would be mostly LAPACK's null-space basis.
+        corrs = scenario_correlations(make_scenario(8, 3, angular_spread=0.0, seed=seed), ArrayGeometry(m_ant))
+        assert "".join(map(str, group_users(corrs, 3).assignments)) == "01201201"
+
+    def test_all_zero_correlations_rejected(self):
+        with pytest.raises(ValueError, match="every correlation is zero"):
+            group_users([np.zeros((4, 4), dtype=complex)] * 3, 2)
+
     def test_too_many_groups_rejected(self, rng):
         corrs = [random_psd(rng, 4) for _ in range(2)]
         with pytest.raises(ValueError):
@@ -165,9 +185,70 @@ def assert_fresh_eigs(grouping):
         assert np.array_equal(vectors, fresh.eigenvectors)
 
 
+def full_space_lloyd(correlations, group_count, rank, max_iters=100):
+    """The Lloyd loop as it ran in C^M, before group_users moved to the span
+    of the correlations: every user and centroid projector is built from
+    exactly ``rank`` eigenvectors of an M x M decomposition.  Returns the
+    assignments relabeled by smallest member."""
+
+    def projector(matrix):
+        u = hermitian_eig(matrix).eigenvectors[:, :rank]
+        return u @ u.conj().T
+
+    def dist(a, b):
+        return np.linalg.norm(a - b)
+
+    users = [projector(r) for r in correlations]
+    seeds = [0]
+    while len(seeds) < group_count:
+        min_dist = np.array([min(dist(p, users[s]) for s in seeds) for p in users])
+        min_dist[seeds] = -1.0
+        seeds.append(int(np.argmax(min_dist)))
+    centroids = [users[s] for s in seeds]
+    assignments = None
+    for _ in range(max_iters):
+        new = np.array([int(np.argmax(d <= d.min() + 1e-12)) for d in (np.array([dist(p, c) for c in centroids]) for p in users)])
+        for g in range(group_count):  # move the farthest movable user into an empty group
+            while not np.any(new == g):
+                sizes = np.bincount(new, minlength=group_count)
+                movable = [k for k in range(len(users)) if sizes[new[k]] >= 2]
+                d = np.array([dist(users[k], centroids[new[k]]) for k in movable])
+                new[movable[int(np.argmax(d >= d.max() - 1e-12))]] = g
+        if assignments is not None and np.array_equal(new, assignments):
+            break
+        assignments = new
+        centroids = [
+            projector(sum(correlations[k] for k in np.flatnonzero(assignments == g)) / np.count_nonzero(assignments == g))
+            for g in range(group_count)
+        ]
+    order = sorted(range(group_count), key=lambda g: np.flatnonzero(assignments == g)[0])
+    return np.argsort(order)[assignments]
+
+
+ORACLE_SPREADS = (0.01, 0.03, 0.1, 0.3)
+ORACLE_SIZES = ((8, 3), (4, 2), (16, 4), (12, 3), (8, 1), (8, 8))
+
+
+class TestMatchesFullSpaceOracle:
+    """At nonzero spread every capped subspace lies in the span of the
+    correlations, so the reduced loop assigns as the full-space one did."""
+
+    @pytest.mark.parametrize("m_ant", [8, 32, 64, 128, 256])
+    def test_grid(self, m_ant):
+        for i, spread in enumerate(ORACLE_SPREADS):
+            n_users, n_groups = ORACLE_SIZES[(i + m_ant) % len(ORACLE_SIZES)]
+            if n_users > m_ant:
+                continue
+            corrs = scenario_correlations(
+                make_scenario(n_users, n_groups, angular_spread=spread, seed=i), ArrayGeometry(m_ant), 64
+            )
+            expected = full_space_lloyd(corrs, n_groups, default_subspace_rank(m_ant))
+            assert np.array_equal(group_users(corrs, n_groups).assignments, expected), (spread, n_users, n_groups)
+
+
 class TestGroupEigsReuse:
-    """group_users hands the decompositions of its last centroid update,
-    made of matrices with the bytes of the group correlations, to group_eigs."""
+    """group_eigs is the full decomposition of each group correlation, made
+    on first read; group_users itself decomposes one M x M matrix."""
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     @pytest.mark.parametrize("m_ant", [8, 64, 128])
@@ -176,14 +257,21 @@ class TestGroupEigsReuse:
         assert_fresh_eigs(group_users(corrs, n_groups))
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
-    def test_converged_run_decomposes_nothing_more(self, monkeypatch, n_groups):
-        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(64))
+    def test_full_size_decompositions(self, monkeypatch, n_groups):
+        m_ant = 64
+        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(m_ant))
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
+
+        def full_size():
+            return sum(args[0].shape == (m_ant, m_ant) for args in calls)
+
         grouping = group_users(corrs, n_groups)
-        assert len(grouping.cost_history) < 100  # converged, not stopped
-        calls.clear()
+        assert full_size() == 1  # the sum of the correlations; users and centroids are r x r
+        assert all(args[0].shape[0] < m_ant for args in calls[1:])
         assert len(grouping.group_eigs) == n_groups
-        assert calls == []
+        assert full_size() == 1 + n_groups
+        grouping.group_eigs
+        assert full_size() == 1 + n_groups
 
     def test_run_stopped_by_max_iters(self):
         rng = np.random.default_rng(1)
