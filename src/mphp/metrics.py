@@ -188,14 +188,11 @@ def feedback_overhead(
         raise ValueError(f"stats_period must be >= 1, got {stats_period}")
     if not SCHEMES[scheme].statistical:
         return antenna_count * n_users * stats_period
-    short_term = stats_period * int(sum(s**2 for s in group_sizes))
-    total = short_term + statistics_count
-    assert statistics_count <= n_users * antenna_count**2, "statistics feedback exceeds full-matrix bound"
-    return total
+    return stats_period * int(sum(s**2 for s in group_sizes)) + statistics_count
 
 
 class SchemeFailure(RuntimeError):
-    """A stage of a multi-scheme or multi-point run failed; the original error is the cause.
+    """A stage of a Monte Carlo run failed; the original error is the cause.
 
     ``point`` indexes the run's point configs, and ``scheme`` names the
     scheme whose stage failed, or is None for a block's channel draw, which
@@ -246,28 +243,27 @@ def build_context(
 
 
 def monte_carlo_rates(
-    schemes: SchemeId | Sequence[SchemeId],
-    config: "SystemConfig | Sequence[SystemConfig]",
+    schemes: Sequence[SchemeId],
+    points: Sequence["SystemConfig"],
     seed: int,
     *,
-    grouping: Grouping | None = None,
-    scenario: Sequence[channel_mod.UserChannelParams] | None = None,
-    channel_factory: Callable[[int], np.ndarray] | None = None,
+    grouping: Grouping,
+    scenario: Sequence[channel_mod.UserChannelParams],
     paths: dict[range, channel_mod.ChannelPaths] | None = None,
-) -> RunMetrics | list:
+    channel_factory: Callable[[int], np.ndarray] | None = None,
+) -> list[list[RunMetrics]]:
     """Average rates over independent channel draws with the long-term
-    precoder held fixed.
+    precoder held fixed: one list per point config, holding one
+    ``RunMetrics`` per scheme in the order of ``schemes``.
 
-    ``schemes`` is one scheme, which gives its ``RunMetrics``, or a sequence
-    of schemes, which gives one ``RunMetrics`` per scheme in that order.
-    ``config`` is one config, or a sequence of point configs with equal
-    ``context_key`` (a sweep's points on one scenario), which gives one such
-    result per point; each point runs its own ``n_slots`` slots.  The analog
-    stage of a statistical scheme is designed once from the correlations
-    per distinct value of the config fields its ``design_reads`` names; the
-    baseband stage is redone every slot.  Slot t draws its channel from
-    entropy (seed, user, t), so runs are reproducible and slots may be
-    evaluated in any order.  Blocks of at
+    ``points`` share one ``context_key`` (a sweep's points on one
+    scenario), and ``grouping`` and ``scenario`` are their context
+    (``build_context``); each point runs its own ``n_slots`` slots.  The
+    analog stage of a statistical scheme is designed once from the
+    correlations per distinct value of the config fields its
+    ``design_reads`` names; the baseband stage is redone every slot.  Slot
+    t draws its channel from entropy (seed, user, t), so runs are
+    reproducible and slots may be evaluated in any order.  Blocks of at
     most ``SLOT_BLOCK`` slots, up to the largest count, are drawn once and
     then run through every (point, scheme) precoder build and SINR as one
     stack, a point with fewer slots taking the leading ones, so all cells
@@ -278,34 +274,26 @@ def monte_carlo_rates(
     found there is not drawn again, and a block drawn is stored, so calls on
     the array sizes of one scenario share one path draw per block; the
     caller owns it and its memory, which grows with the slot count.
-    ``channel_factory`` overrides the channel draw
-    (slot index -> H) for deterministic injection in tests.  A call on one
-    scheme at one point raises a failure itself; any other call raises
+    ``channel_factory`` overrides the channel draw (slot index -> H) for
+    deterministic injection in tests.  A failing stage raises
     ``SchemeFailure`` naming the point and the scheme.
     """
-    single = isinstance(schemes, str)  # a SchemeId is a str
-    scheme_list = [schemes] if single else list(schemes)
-    one_point = not isinstance(config, Sequence)
-    points = [config] if one_point else list(config)
     if not points or len({context_key(point) for point in points}) > 1:
         raise ValueError("need one or more point configs with equal context_key")
-    counts = [point.n_slots for point in points]
-    if not scheme_list:
+    if not schemes:
         raise ValueError("need at least one scheme")
-    if grouping is None or scenario is None:
-        grouping, scenario, geometry = build_context(points[0], seed)
-    else:
-        geometry = channel_mod.ArrayGeometry(points[0].M, points[0].element_spacing)
+    counts = [point.n_slots for point in points]
+    geometry = channel_mod.ArrayGeometry(points[0].M, points[0].element_spacing)
 
-    rates = [[np.zeros((count, points[0].K)) for _ in scheme_list] for count in counts]
-    outage_slots = [[0] * len(scheme_list) for _ in points]
+    rates = [[np.zeros((count, points[0].K)) for _ in schemes] for count in counts]
+    outage_slots = [[0] * len(schemes) for _ in points]
     failed: tuple[int, SchemeId | None] = (0, None)  # the (point, scheme) whose stage is running
     try:
         designs: dict[tuple, object] = {}  # (scheme, the design_reads values) -> long-term state
         states = []
         for p, point in enumerate(points):
             states.append([])
-            for current in scheme_list:
+            for current in schemes:
                 failed = (p, current)
                 key = (current, *(getattr(point, name) for name in SCHEMES[current].design_reads))
                 if key not in designs:
@@ -324,23 +312,20 @@ def monte_carlo_rates(
                 h = channel_mod.channel_from_paths(drawn[slots], scenario, geometry)
             for p in live:
                 point, stack = points[p], h[: counts[p] - start]
-                for i, (current, state) in enumerate(zip(scheme_list, states[p])):
+                for i, (current, state) in enumerate(zip(schemes, states[p])):
                     failed = (p, current)
                     precoders = build_precoders(current, state, stack, grouping, point)
                     rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, grouping)
                     outage_slots[p][i] += len({t for t, _ in precoders.outage_groups})
         runs = []
         for p, point in enumerate(points):
-            cells = []
-            for current, scheme_rates, outages in zip(scheme_list, rates[p], outage_slots[p]):
+            runs.append([])
+            for current, scheme_rates, outages in zip(schemes, rates[p], outage_slots[p]):
                 failed = (p, current)
-                cells.append(_run_metrics(current, point, grouping, scheme_rates, outages))
-            runs.append(cells[0] if single else cells)
+                runs[p].append(_run_metrics(current, point, grouping, scheme_rates, outages))
     except Exception as exc:
-        if one_point and single:
-            raise
         raise SchemeFailure(failed[1], failed[0]) from exc
-    return runs[0] if one_point else runs
+    return runs
 
 
 def _run_metrics(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mphp.grouping import Grouping
+from mphp.metrics import build_context, monte_carlo_rates
 from mphp.numerics import hermitian_part
 
 
@@ -36,6 +37,13 @@ def make_grouping(correlations, assignments):
         rf_chains=rf_chains,
         group_correlations=group_correlations,
     )
+
+
+def run_at_seed(schemes, points, seed, **kwargs):
+    """The Monte Carlo engine on the context ``build_context`` makes from
+    the first point at ``seed``, the seed its draws use too."""
+    grouping, scenario, _ = build_context(points[0], seed)
+    return monte_carlo_rates(schemes, points, seed, grouping=grouping, scenario=scenario, **kwargs)
 
 
 # Co-located users (zero angular spread, zero AoD jitter) in one group: the

@@ -17,7 +17,6 @@ from mphp.experiment import SystemConfig
 from mphp.grouping import group_users
 from mphp.metrics import (
     build_context,
-    monte_carlo_rates,
     slnr_per_user,
     statistics_feedback_count,
     feedback_overhead,
@@ -32,6 +31,8 @@ from mphp.rf_precoder import (
     sslnr,
     validate_rf_precoder,
 )
+
+from conftest import run_at_seed
 
 
 def _report(number, ok, detail):
@@ -239,10 +240,12 @@ def test_criterion_07_rate_trend_and_ordering():
     errors, and FULL_DIGITAL_ZF >= MPHP >= FIXED_SUBARRAY in mean sum rate."""
     start = time.time()
     results = {}
+    schemes = (SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF, SchemeId.FIXED_SUBARRAY)
     for m_ant in (16, 32, 64):
-        config = SystemConfig(M=m_ant)
-        for scheme in (SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF, SchemeId.FIXED_SUBARRAY):
-            results[(m_ant, scheme)] = monte_carlo_rates(scheme, config, seed=21)
+        # One call per M: every scheme at this M sees the same draws.
+        (runs,) = run_at_seed(schemes, [SystemConfig(M=m_ant)], 21)
+        for scheme, run in zip(schemes, runs):
+            results[(m_ant, scheme)] = run
     trend_ok = True
     for low, high in ((16, 32), (32, 64)):
         a, b = results[(low, SchemeId.MPHP)], results[(high, SchemeId.MPHP)]
@@ -276,10 +279,10 @@ def test_criterion_08_energy_efficiency_trend():
     """
     start = time.time()
     lines, ok = [], True
-    for snr_db in (-10.0, 0.0, 10.0):
-        config = SystemConfig(P=float(10.0 ** (snr_db / 10.0)), n_slots=500)
-        mphp = monte_carlo_rates(SchemeId.MPHP, config, seed=33)
-        frps = monte_carlo_rates(SchemeId.FRPS_STATISTICAL, config, seed=33)
+    snrs_db = (-10.0, 0.0, 10.0)
+    points = [SystemConfig(P=float(10.0 ** (snr_db / 10.0)), n_slots=500) for snr_db in snrs_db]
+    runs = run_at_seed([SchemeId.MPHP, SchemeId.FRPS_STATISTICAL], points, 33)
+    for snr_db, (mphp, frps) in zip(snrs_db, runs):
         point_ok = mphp.energy_efficiency > frps.energy_efficiency
         ok = ok and point_ok
         lines.append(
@@ -297,8 +300,7 @@ def test_criterion_09_fairness():
     default scenario over 1000 slots."""
     start = time.time()
     config = SystemConfig()
-    mphp = monte_carlo_rates(SchemeId.MPHP, config, seed=41)
-    ahp = monte_carlo_rates(SchemeId.ADAPTIVE_INSTANT, config, seed=41)
+    [[mphp, ahp]] = run_at_seed([SchemeId.MPHP, SchemeId.ADAPTIVE_INSTANT], [config], 41)
     ok = mphp.jain_index > ahp.jain_index and mphp.jain_index >= 0.85
     elapsed = time.time() - start
     assert _report(

@@ -497,7 +497,9 @@ class TestValidation:
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran on an invalid config")
 
-        monkeypatch.setattr(metrics_mod, "build_context", engine)
+        valid = SystemConfig(M=16, n_slots=4)
+        grouping, scenario, _ = metrics_mod.build_context(valid, 1)
+        monkeypatch.setattr(metrics_mod, "design_long_term", engine)
         with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
-            config = replace(SystemConfig(M=16, n_slots=4), **{field: value})
-            metrics_mod.monte_carlo_rates(SchemeId.MPHP, config, seed=1)
+            config = replace(valid, **{field: value})
+            metrics_mod.monte_carlo_rates([SchemeId.MPHP], [config], 1, grouping=grouping, scenario=scenario)

@@ -28,7 +28,7 @@ from mphp.metrics import (
 )
 from mphp.rf_precoder import sslnr
 
-from conftest import make_grouping
+from conftest import make_grouping, run_at_seed
 
 
 def orthogonal_slot():
@@ -275,8 +275,8 @@ class TestMonteCarlo:
         config = SystemConfig(M=8, K=2, G=2, n_slots=1)
         grouping, scenario, geometry = build_context(config, seed=5)
         fixed = draw_channel(scenario, geometry, seed=123, slot=[0])
-        run = monte_carlo_rates(
-            SchemeId.MPHP, config, seed=5, grouping=grouping, scenario=scenario,
+        [[run]] = monte_carlo_rates(
+            [SchemeId.MPHP], [config], 5, grouping=grouping, scenario=scenario,
             channel_factory=lambda t: fixed[0],
         )
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
@@ -289,8 +289,8 @@ class TestMonteCarlo:
 
     def test_deterministic_given_seed(self):
         config = SystemConfig(M=8, K=2, G=2, n_slots=20)
-        a = monte_carlo_rates(SchemeId.MPHP, config, seed=3)
-        b = monte_carlo_rates(SchemeId.MPHP, config, seed=3)
+        [[a]] = run_at_seed([SchemeId.MPHP], [config], 3)
+        [[b]] = run_at_seed([SchemeId.MPHP], [config], 3)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
         assert a.sum_rate == b.sum_rate
         assert a.jain_index == b.jain_index
@@ -300,15 +300,15 @@ class TestMonteCarlo:
         # Full-digital ZF directions are power-independent; the same channel
         # draws are reused, so scaling every p_k can only help each user.
         base = SystemConfig(M=16, K=4, G=2, n_slots=500)
-        low = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, base, seed=9)
+        [[low]] = run_at_seed([SchemeId.FULL_DIGITAL_ZF], [base], 9)
         high_cfg = SystemConfig(M=16, K=4, G=2, P=2.0, n_slots=500)
-        high = monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, high_cfg, seed=9)
+        [[high]] = run_at_seed([SchemeId.FULL_DIGITAL_ZF], [high_cfg], 9)
         assert np.median(high.per_user_rate) >= np.median(low.per_user_rate)
 
     def test_stderr_shrinks_like_sqrt_slots(self):
         config = SystemConfig(M=16, K=4, G=2)
-        small = monte_carlo_rates(SchemeId.MPHP, replace(config, n_slots=250), seed=4)
-        large = monte_carlo_rates(SchemeId.MPHP, replace(config, n_slots=1000), seed=4)
+        [[small]] = run_at_seed([SchemeId.MPHP], [replace(config, n_slots=250)], 4)
+        [[large]] = run_at_seed([SchemeId.MPHP], [replace(config, n_slots=1000)], 4)
         ratio = large.avg_rate_stderr / small.avg_rate_stderr
         assert 0.35 <= ratio <= 0.65
 
@@ -347,7 +347,7 @@ class TestMonteCarlo:
 
     def test_bad_slot_count_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo_rates(SchemeId.MPHP, SystemConfig(n_slots=0), seed=1)
+            run_at_seed([SchemeId.MPHP], [SystemConfig(n_slots=0)], 1)
 
 
 def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_factory=None):
@@ -437,6 +437,7 @@ ENGINE_CASES = {
     "G = 1": SystemConfig(M=32, K=8, G=1, n_slots=5),
     "block boundary": SystemConfig(M=16, K=4, G=2, n_slots=2 * SLOT_BLOCK + 1),
     "defaults": SystemConfig(n_slots=9),
+    "M = K = G = 1": SystemConfig(M=1, K=1, G=1, n_slots=3),
 }
 
 
@@ -449,7 +450,7 @@ class TestEngineMatchesPerSlotLoop:
         config = ENGINE_CASES[case]
         n_slots = config.n_slots
         grouping, scenario, geometry = build_context(config, seed=11)
-        run = monte_carlo_rates(scheme, config, seed=23, grouping=grouping, scenario=scenario)
+        [[run]] = monte_carlo_rates([scheme], [config], 23, grouping=grouping, scenario=scenario)
         reference, rates, _ = loop_monte_carlo_rates(scheme, config, 23, grouping, scenario)
         assert_same_run(run, reference)
         channels = draw_channel(scenario, geometry, seed=23, slot=range(n_slots))
@@ -464,8 +465,8 @@ class TestEngineMatchesPerSlotLoop:
         config = replace(ENGINE_CASES[case], n_slots=n_slots)
         grouping, scenario, geometry = build_context(config, seed=11)
         factory = rank_deficient_factory(scenario, geometry, 23, grouping)
-        run = monte_carlo_rates(
-            scheme, config, seed=23, grouping=grouping, scenario=scenario, channel_factory=factory
+        [[run]] = monte_carlo_rates(
+            [scheme], [config], 23, grouping=grouping, scenario=scenario, channel_factory=factory
         )
         reference, rates, outages = loop_monte_carlo_rates(
             scheme, config, 23, grouping, scenario, channel_factory=factory
@@ -494,10 +495,10 @@ class TestSharedDraws:
         config = ENGINE_CASES[case]
         grouping, scenario, _ = build_context(config, seed=11)
         schemes = list(SchemeId)
-        runs = monte_carlo_rates(schemes, config, seed=23, grouping=grouping, scenario=scenario)
+        (runs,) = monte_carlo_rates(schemes, [config], 23, grouping=grouping, scenario=scenario)
         assert len(runs) == len(schemes)
         for scheme, run in zip(schemes, runs):
-            alone = monte_carlo_rates(scheme, config, seed=23, grouping=grouping, scenario=scenario)
+            [[alone]] = monte_carlo_rates([scheme], [config], 23, grouping=grouping, scenario=scenario)
             assert_same_run(run, alone)
 
     @pytest.mark.parametrize("case", ["G = K", "G = 1"])
@@ -507,16 +508,11 @@ class TestSharedDraws:
         factory = rank_deficient_factory(scenario, geometry, 23, grouping)
         kwargs = dict(grouping=grouping, scenario=scenario, channel_factory=factory)
         schemes = list(reversed(SchemeId))
-        runs = monte_carlo_rates(schemes, config, seed=23, **kwargs)
+        (runs,) = monte_carlo_rates(schemes, [config], 23, **kwargs)
         for scheme, run in zip(schemes, runs):
-            assert_same_run(run, monte_carlo_rates(scheme, config, seed=23, **kwargs))
+            [[alone]] = monte_carlo_rates([scheme], [config], 23, **kwargs)
+            assert_same_run(run, alone)
         assert any(run.outage_fraction > 0 for run in runs)
-
-    def test_context_built_from_the_seed_when_not_given(self):
-        config = SystemConfig(M=8, K=2, G=2, n_slots=4)
-        runs = monte_carlo_rates([SchemeId.MPHP, SchemeId.FULL_DIGITAL_ZF], config, seed=5)
-        assert_same_run(runs[0], monte_carlo_rates(SchemeId.MPHP, config, seed=5))
-        assert_same_run(runs[1], monte_carlo_rates(SchemeId.FULL_DIGITAL_ZF, config, seed=5))
 
     def test_one_draw_per_block_for_all_schemes(self, monkeypatch):
         config = ENGINE_CASES["block boundary"]
@@ -530,19 +526,12 @@ class TestSharedDraws:
             return draw(params, seed, slots)
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
-        monte_carlo_rates(list(SchemeId), config, seed=23, grouping=grouping, scenario=scenario)
+        monte_carlo_rates(list(SchemeId), [config], 23, grouping=grouping, scenario=scenario)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
-
-    def test_one_element_sequence_gives_a_list(self):
-        config = SystemConfig(M=8, K=2, G=2, n_slots=3)
-        single = monte_carlo_rates(SchemeId.MPHP, config, seed=5)
-        (listed,) = monte_carlo_rates((SchemeId.MPHP,), config, seed=5)
-        assert isinstance(single, RunMetrics)
-        assert_same_run(listed, single)
 
     def test_no_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            monte_carlo_rates([], SystemConfig(M=8, K=2, G=2, n_slots=3), seed=5)
+            run_at_seed([], [SystemConfig(M=8, K=2, G=2, n_slots=3)], 5)
 
     def test_failing_scheme_named(self, monkeypatch):
         config = SystemConfig(M=8, K=2, G=2, n_slots=3)
@@ -554,13 +543,12 @@ class TestSharedDraws:
             return build(scheme, *args)
 
         monkeypatch.setattr(metrics_mod, "build_precoders", failing)
-        with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY") as info:
-            monte_carlo_rates(list(SchemeId), config, seed=5)
-        assert info.value.scheme is SchemeId.FIXED_SUBARRAY
-        assert isinstance(info.value.__cause__, ArithmeticError)
-        # A single scheme raises the failure itself.
-        with pytest.raises(ArithmeticError, match="synthetic"):
-            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, config, seed=5)
+        # One scheme at one point fails the same way as several.
+        for schemes in (list(SchemeId), [SchemeId.FIXED_SUBARRAY]):
+            with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY failed at point 0") as info:
+                run_at_seed(schemes, [config], 5)
+            assert (info.value.scheme, info.value.point) == (SchemeId.FIXED_SUBARRAY, 0)
+            assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 class TestSweepPoints:
@@ -577,12 +565,13 @@ class TestSweepPoints:
     def test_points_equal_single_point_calls(self):
         grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
         kwargs = dict(grouping=grouping, scenario=scenario)
-        runs = monte_carlo_rates(list(SchemeId), self.POINTS, seed=23, **kwargs)
+        runs = monte_carlo_rates(list(SchemeId), self.POINTS, 23, **kwargs)
         assert len(runs) == len(self.POINTS)
         for point, point_runs in zip(self.POINTS, runs):
-            for run, alone in zip(point_runs, monte_carlo_rates(list(SchemeId), point, seed=23, **kwargs)):
-                assert_same_run(run, alone)
-        (single,) = monte_carlo_rates(SchemeId.MPHP, self.POINTS[:1], seed=23, **kwargs)
+            (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, **kwargs)
+            for run, cell in zip(point_runs, alone):
+                assert_same_run(run, cell)
+        [[single]] = monte_carlo_rates([SchemeId.MPHP], self.POINTS[:1], 23, **kwargs)
         assert_same_run(single, runs[0][0])
 
     def test_one_draw_per_block_and_one_design_per_distinct_state(self, monkeypatch):
@@ -600,7 +589,7 @@ class TestSweepPoints:
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted_draw)
         monkeypatch.setattr(metrics_mod, "design_long_term", counted_design)
-        monte_carlo_rates(list(SchemeId), self.POINTS, seed=23, grouping=grouping, scenario=scenario)
+        monte_carlo_rates(list(SchemeId), self.POINTS, 23, grouping=grouping, scenario=scenario)
         most = max(point.n_slots for point in self.POINTS)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, most))) for s in range(0, most, SLOT_BLOCK)]
         # (P, B) takes 4 values and B takes 2; the real-time schemes have no design input.
@@ -609,9 +598,9 @@ class TestSweepPoints:
     def test_points_must_share_a_context(self):
         points = [SystemConfig(M=8, K=2, G=2, n_slots=3), SystemConfig(M=16, K=2, G=2, n_slots=3)]
         with pytest.raises(ValueError, match="context_key"):
-            monte_carlo_rates(SchemeId.MPHP, points, seed=5)
+            run_at_seed([SchemeId.MPHP], points, 5)
         with pytest.raises(ValueError, match="n_slots"):
-            monte_carlo_rates(SchemeId.MPHP, [points[0], replace(points[0], n_slots=0)], seed=5)
+            run_at_seed([SchemeId.MPHP], [points[0], replace(points[0], n_slots=0)], 5)
 
     def test_failure_names_the_point(self, monkeypatch):
         build = metrics_mod.build_precoders
@@ -623,7 +612,7 @@ class TestSweepPoints:
 
         monkeypatch.setattr(metrics_mod, "build_precoders", failing)
         with pytest.raises(SchemeFailure, match="FIXED_SUBARRAY failed at point 1") as info:
-            monte_carlo_rates(SchemeId.FIXED_SUBARRAY, self.POINTS, seed=23)
+            run_at_seed([SchemeId.FIXED_SUBARRAY], self.POINTS, 23)
         assert (info.value.scheme, info.value.point) == (SchemeId.FIXED_SUBARRAY, 1)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
@@ -637,7 +626,7 @@ class TestSweepPoints:
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", failing)
         with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
-            monte_carlo_rates([SchemeId.MPHP], self.POINTS, seed=23)
+            run_at_seed([SchemeId.MPHP], self.POINTS, 23)
         assert info.value.scheme is None
 
 
