@@ -7,10 +7,10 @@ from mphp import SchemeId, SystemConfig, monte_carlo_rates
 from mphp.metrics import build_context
 
 config = SystemConfig(n_slots=300)
-grouping, scenario, _ = build_context(config, seed=41)
+context = build_context(config, seed=41)
 
 # One engine call at one point: every scheme sees the same channel draws.
-(runs,) = monte_carlo_rates(list(SchemeId), [config], 41, grouping=grouping, scenario=scenario)
+(runs,) = monte_carlo_rates(list(SchemeId), [config], 41, contexts=[context])
 
 print(f"{'scheme':<18} {'jain':>7} {'worst rate':>11} {'sum rate':>9} {'feedback':>9} {'stats part':>10}")
 for scheme, run in zip(SchemeId, runs):

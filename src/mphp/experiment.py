@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .baselines import SchemeId
-from .metrics import SchemeFailure, build_context, context_key, monte_carlo_rates, scenario_key
+from .metrics import Context, SchemeFailure, build_context, context_key, monte_carlo_rates, scenario_key
 
 
 class ExperimentError(RuntimeError):
@@ -134,7 +134,7 @@ _BOUNDS = {
     "G": (1, 1024),
     "B": (1, 10),  # the phase quantiser compares every tap with all 2**B grid points
     "P": (0, None),
-    "n_slots": (1, 1_000_000),  # a run keeps every cell's per-slot rates, and an M sweep its path draws
+    "n_slots": (1, 1_000_000),  # a run keeps every cell's per-slot rates
     "seed": (0, None),
     "T": (1, None),
     "scenario.angular_spread": (0, None),
@@ -232,13 +232,11 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     so a row is a function of (point config, seed): a sweep row equals the
     row of a single-point run at that value.  Points that agree on the
     fields ``metrics.context_key`` names share one context (user AoDs,
-    correlations, grouping), built once, and one engine call, which designs
-    each distinct long-term state once and draws each block of slots once
-    for all of their schemes; statistical schemes design their analog stage
-    from the grouping alone.  Contexts that agree on
-    ``metrics.scenario_key`` (an M sweep's) differ only in the array: they
-    share one set of user AoDs and one path draw per block, which this call
-    keeps until the scenario's last context has run.
+    correlations, grouping), built once; statistical schemes design their
+    analog stage from the grouping alone.  Points that agree on
+    ``metrics.scenario_key`` (an M sweep's too) share one set of users and
+    one engine call, which designs each distinct long-term state once and
+    draws each block of slots once for all of their arrays and schemes.
     """
     if config.sweep_parameter is None:
         sweep_values: tuple[float, ...] = (float("nan"),)
@@ -252,30 +250,30 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     scheme_rank = {scheme: i for i, scheme in enumerate(SchemeId)}
     schemes = sorted(config.schemes, key=scheme_rank.__getitem__)
     scenario_seed, draw_seed = _derived_seeds(config.seed)
-    scenarios: dict[tuple, dict[tuple, list[int]]] = {}  # scenario key -> context key -> point indices
+    scenarios: dict[tuple, list[int]] = {}  # scenario key -> point indices
     for i, point in enumerate(points):
-        scenarios.setdefault(scenario_key(point), {}).setdefault(context_key(point), []).append(i)
+        scenarios.setdefault(scenario_key(point), []).append(i)
     runs: list = [None] * len(points)
-    for contexts in scenarios.values():
-        # Path draws grow with the slot count, so only a scenario with more
-        # than one array size keeps them, and only until its last one has run.
-        scenario, paths = None, ({} if len(contexts) > 1 else None)
-        for indices in contexts.values():
-            shared = [points[i] for i in indices]
-            try:
-                grouping, scenario, _ = build_context(shared[0], scenario_seed, scenario)
-                results = monte_carlo_rates(
-                    schemes, shared, draw_seed, grouping=grouping, scenario=scenario, paths=paths
-                )
-            except Exception as exc:
-                failed, scheme, cause = (
-                    (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (0, None, exc)
-                )
-                names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
-                sweep_value = sweep_values[indices[failed]]
-                raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
-            for i, result in zip(indices, results):
-                runs[i] = result
+    for indices in scenarios.values():
+        shared = [points[i] for i in indices]
+        contexts: dict[tuple, Context] = {}  # context key -> the context of its points
+        try:
+            for failed, point in enumerate(shared):  # a failing build names its point
+                if context_key(point) not in contexts:
+                    contexts[context_key(point)] = build_context(point, scenario_seed)
+            failed = 0  # a failing engine call names its own point
+            results = monte_carlo_rates(
+                schemes, shared, draw_seed, contexts=[contexts[context_key(point)] for point in shared]
+            )
+        except Exception as exc:
+            failed, scheme, cause = (
+                (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (failed, None, exc)
+            )
+            names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
+            sweep_value = sweep_values[indices[failed]]
+            raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
+        for i, result in zip(indices, results):
+            runs[i] = result
     rows = []
     for sweep_value, point_runs in zip(sweep_values, runs):
         for scheme, metrics in zip(schemes, point_runs):

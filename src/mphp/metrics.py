@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import channel as channel_mod
 from .baselines import SCHEMES, SchemeId, SlotPrecoders, build_precoders, design_long_term
 from .grouping import Grouping, group_users
-from .numerics import EigenDecomposition, hermitian_eig
+from .numerics import hermitian_eig  # noqa: F401  (unused; bench/run.py traces it)
 
 if TYPE_CHECKING:
     from .experiment import SystemConfig
@@ -150,17 +150,14 @@ def energy_efficiency(sum_rate: float, config: "SystemConfig", fully_connected: 
     return sum_rate / total
 
 
-def statistics_feedback_count(group_correlations: Sequence[np.ndarray]) -> int:
+def statistics_feedback_count(group_eigs: Sequence[tuple[np.ndarray, np.ndarray]]) -> int:
     """Scalars needed to feed back the dominant eigenpairs of each group
-    correlation: per group, the smallest rank capturing
-    ``STATISTICS_ENERGY_FRACTION`` of the trace, times one real eigenvalue
-    plus one complex M-vector.  Entries that are already
-    ``EigenDecomposition``s (``Grouping.group_eigs``) are not decomposed
-    again.
+    correlation, given as its eigendecomposition (``Grouping.group_eigs``):
+    per group, the smallest rank capturing ``STATISTICS_ENERGY_FRACTION``
+    of the trace, times one real eigenvalue plus one complex M-vector.
     """
     total = 0
-    for corr in group_correlations:
-        values, vectors = corr if isinstance(corr, EigenDecomposition) else hermitian_eig(corr)
+    for values, vectors in group_eigs:
         values = np.maximum(values, 0.0)
         trace = float(np.sum(values))
         cumulative = np.cumsum(values)
@@ -195,8 +192,9 @@ class SchemeFailure(RuntimeError):
     """A stage of a Monte Carlo run failed; the original error is the cause.
 
     ``point`` indexes the run's point configs, and ``scheme`` names the
-    scheme whose stage failed, or is None for a block's channel draw, which
-    every scheme shares (named by the first point that reads the block).
+    scheme whose stage failed, or is None for a shared stage: a block's
+    path draw, named by the block's first live point, or its channels on
+    one array, named by that array's first live point.
     """
 
     def __init__(self, scheme: SchemeId | None, point: int) -> None:
@@ -219,27 +217,27 @@ def context_key(config: "SystemConfig") -> tuple:
     return (config.M, config.element_spacing, *scenario_key(config))
 
 
-def build_context(
-    config: "SystemConfig", seed: int, scenario: list[channel_mod.UserChannelParams] | None = None
-) -> tuple[Grouping, list, channel_mod.ArrayGeometry]:
-    """Scenario, correlations and grouping shared by all schemes at a seed.
+class Context(NamedTuple):
+    """What every scheme at the points of one ``context_key`` shares."""
 
-    ``scenario``, when given, is the ``make_scenario`` result of a config
-    with this ``scenario_key`` at this seed, and is used as is.
-    """
+    grouping: Grouping
+    scenario: list[channel_mod.UserChannelParams]
+    geometry: channel_mod.ArrayGeometry
+
+
+def build_context(config: "SystemConfig", seed: int) -> Context:
+    """Scenario, correlations and grouping shared by all schemes at a seed."""
     geometry = channel_mod.ArrayGeometry(config.M, config.element_spacing)
-    if scenario is None:
-        scenario = channel_mod.make_scenario(
-            config.K,
-            config.G,
-            angular_spread=config.angular_spread,
-            path_count=config.path_count,
-            aod_jitter=config.aod_jitter,
-            seed=seed,
-        )
+    scenario = channel_mod.make_scenario(
+        config.K,
+        config.G,
+        angular_spread=config.angular_spread,
+        path_count=config.path_count,
+        aod_jitter=config.aod_jitter,
+        seed=seed,
+    )
     correlations = channel_mod.scenario_correlations(scenario, geometry)
-    grouping = group_users(correlations, config.G)
-    return grouping, scenario, geometry
+    return Context(group_users(correlations, config.G), scenario, geometry)
 
 
 def monte_carlo_rates(
@@ -247,82 +245,75 @@ def monte_carlo_rates(
     points: Sequence["SystemConfig"],
     seed: int,
     *,
-    grouping: Grouping,
-    scenario: Sequence[channel_mod.UserChannelParams],
-    paths: dict[range, channel_mod.ChannelPaths] | None = None,
-    channel_factory: Callable[[int], np.ndarray] | None = None,
+    contexts: Sequence[Context],
 ) -> list[list[RunMetrics]]:
     """Average rates over independent channel draws with the long-term
     precoder held fixed: one list per point config, holding one
     ``RunMetrics`` per scheme in the order of ``schemes``.
 
-    ``points`` share one ``context_key`` (a sweep's points on one
-    scenario), and ``grouping`` and ``scenario`` are their context
-    (``build_context``); each point runs its own ``n_slots`` slots.  The
-    analog stage of a statistical scheme is designed once from the
-    correlations per distinct value of the config fields its
-    ``design_reads`` names; the baseband stage is redone every slot.  Slot
-    t draws its channel from entropy (seed, user, t), so runs are
-    reproducible and slots may be evaluated in any order.  Blocks of at
-    most ``SLOT_BLOCK`` slots, up to the largest count, are drawn once and
-    then run through every (point, scheme) precoder build and SINR as one
-    stack, a point with fewer slots taking the leading ones, so all cells
-    see the same channels (common random numbers) and each gets the numbers
-    of a run of its own.  A block's draw is ``channel.draw_paths`` and then
-    ``channel.channel_from_paths`` on the points' array.  ``paths``, when
-    given, maps slot ranges to path draws of this scenario and seed: a block
-    found there is not drawn again, and a block drawn is stored, so calls on
-    the array sizes of one scenario share one path draw per block; the
-    caller owns it and its memory, which grows with the slot count.
-    ``channel_factory`` overrides the channel draw (slot index -> H) for
-    deterministic injection in tests.  A failing stage raises
-    ``SchemeFailure`` naming the point and the scheme.
+    ``contexts[p]`` is point p's context (``build_context``), and every
+    context holds one scenario, so the points are a sweep's points on one
+    set of users, over any arrays; each point runs its own ``n_slots``
+    slots.  The analog stage of a statistical scheme is designed once from
+    the correlations per ``context_key`` and distinct value of the config
+    fields its ``design_reads`` names; the baseband stage is redone every
+    slot.  Slot t draws its channel from entropy (seed, user, t), so runs
+    are reproducible and slots may be evaluated in any order.  Blocks of at
+    most ``SLOT_BLOCK`` slots, up to the largest count, have their paths
+    drawn once (``channel.draw_paths``) and their channels built once per
+    ``context_key`` (``channel.channel_from_paths``), then run through
+    every (point, scheme) precoder build and SINR as one stack, a point
+    with fewer slots taking the leading ones, so all cells see the same
+    channels (common random numbers) and each gets the numbers of a run of
+    its own.  A block's draw is dropped once the block is done.  A failing
+    stage raises ``SchemeFailure`` naming the point and the scheme.
     """
-    if not points or len({context_key(point) for point in points}) > 1:
-        raise ValueError("need one or more point configs with equal context_key")
+    if not points or len(contexts) != len(points):
+        raise ValueError(f"need points and one context per point, got {len(points)} points, {len(contexts)} contexts")
+    scenario = contexts[0].scenario
+    if any(context.scenario != scenario for context in contexts):
+        raise ValueError("the points' contexts must share one scenario")
     if not schemes:
         raise ValueError("need at least one scheme")
     counts = [point.n_slots for point in points]
-    geometry = channel_mod.ArrayGeometry(points[0].M, points[0].element_spacing)
+    keys = [context_key(point) for point in points]
 
     rates = [[np.zeros((count, points[0].K)) for _ in schemes] for count in counts]
     outage_slots = [[0] * len(schemes) for _ in points]
     failed: tuple[int, SchemeId | None] = (0, None)  # the (point, scheme) whose stage is running
     try:
-        designs: dict[tuple, object] = {}  # (scheme, the design_reads values) -> long-term state
+        designs: dict[tuple, object] = {}  # (context key, scheme, the design_reads values) -> long-term state
         states = []
-        for p, point in enumerate(points):
+        for p, (point, context) in enumerate(zip(points, contexts)):
             states.append([])
             for current in schemes:
                 failed = (p, current)
-                key = (current, *(getattr(point, name) for name in SCHEMES[current].design_reads))
+                key = (keys[p], current, *(getattr(point, name) for name in SCHEMES[current].design_reads))
                 if key not in designs:
-                    designs[key] = design_long_term(current, grouping, point)
+                    designs[key] = design_long_term(current, context.grouping, point)
                 states[p].append(designs[key])
         for start in range(0, max(counts), SLOT_BLOCK):
             live = [p for p, count in enumerate(counts) if count > start]
             failed = (live[0], None)
-            slots = range(start, min(start + SLOT_BLOCK, max(counts)))
-            if channel_factory is not None:
-                h = np.stack([channel_factory(t) for t in slots])
-            else:
-                drawn = {} if paths is None else paths
-                if slots not in drawn:
-                    drawn[slots] = channel_mod.draw_paths(scenario, seed, slots)
-                h = channel_mod.channel_from_paths(drawn[slots], scenario, geometry)
+            paths = channel_mod.draw_paths(scenario, seed, range(start, min(start + SLOT_BLOCK, max(counts))))
+            channels: dict[tuple, np.ndarray] = {}  # context key -> this block's channels on its array
             for p in live:
-                point, stack = points[p], h[: counts[p] - start]
+                point, context = points[p], contexts[p]
+                if keys[p] not in channels:
+                    failed = (p, None)
+                    channels[keys[p]] = channel_mod.channel_from_paths(paths, scenario, context.geometry)
+                stack = channels[keys[p]][: counts[p] - start]
                 for i, (current, state) in enumerate(zip(schemes, states[p])):
                     failed = (p, current)
-                    precoders = build_precoders(current, state, stack, grouping, point)
-                    rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, grouping)
+                    precoders = build_precoders(current, state, stack, context.grouping, point)
+                    rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, context.grouping)
                     outage_slots[p][i] += len({t for t, _ in precoders.outage_groups})
         runs = []
-        for p, point in enumerate(points):
+        for p, (point, context) in enumerate(zip(points, contexts)):
             runs.append([])
             for current, scheme_rates, outages in zip(schemes, rates[p], outage_slots[p]):
                 failed = (p, current)
-                runs[p].append(_run_metrics(current, point, grouping, scheme_rates, outages))
+                runs[p].append(_run_metrics(current, point, context.grouping, scheme_rates, outages))
     except Exception as exc:
         raise SchemeFailure(failed[1], failed[0]) from exc
     return runs

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import mphp.metrics as metrics_mod
 from mphp.grouping import Grouping
-from mphp.metrics import build_context, monte_carlo_rates
+from mphp.metrics import build_context, context_key, monte_carlo_rates
 from mphp.numerics import hermitian_part
 
 
@@ -39,11 +40,34 @@ def make_grouping(correlations, assignments):
     )
 
 
-def run_at_seed(schemes, points, seed, **kwargs):
-    """The Monte Carlo engine on the context ``build_context`` makes from
-    the first point at ``seed``, the seed its draws use too."""
-    grouping, scenario, _ = build_context(points[0], seed)
-    return monte_carlo_rates(schemes, points, seed, grouping=grouping, scenario=scenario, **kwargs)
+def contexts_at_seed(points, seed):
+    """Each point's context, built by ``build_context`` at ``seed`` once per
+    distinct ``context_key``."""
+    built = {}
+    for point in points:
+        if context_key(point) not in built:
+            built[context_key(point)] = build_context(point, seed)
+    return [built[context_key(point)] for point in points]
+
+
+def run_at_seed(schemes, points, seed):
+    """The Monte Carlo engine on the contexts ``contexts_at_seed`` makes
+    from the points at ``seed``, the seed its draws use too."""
+    return monte_carlo_rates(schemes, points, seed, contexts=contexts_at_seed(points, seed))
+
+
+def inject_channels(monkeypatch, factory):
+    """Make the engine's block draws give channel ``factory(t)`` at slot t:
+    ``draw_paths`` returns the block's slot range, and
+    ``channel_from_paths`` stacks the factory's channels over it.  Both are
+    the ``channel`` module's own names, so ``draw_channel`` is patched too:
+    a factory must not call it."""
+
+    def channel_from_paths(slots, params, geometry):
+        return np.stack([factory(t) for t in slots])
+
+    monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", lambda params, seed, slots: slots)
+    monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", channel_from_paths)
 
 
 # Co-located users (zero angular spread, zero AoD jitter) in one group: the

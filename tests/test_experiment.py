@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -240,7 +242,7 @@ class TestRowContract:
 
         monkeypatch.setattr(experiment_mod, "monte_carlo_rates", counted)
         run_experiment(parse_config(SMALL + "sweep.parameter = M\nsweep.values = 8, 16, 8\n"))
-        assert calls == [(list(SchemeId), [8, 8]), (list(SchemeId), [16])]
+        assert calls == [(list(SchemeId), [8, 16, 8])]
         calls.clear()
         run_experiment(parse_config(SMALL + "sweep.parameter = snr_db\nsweep.values = -10, 0, 10\n"))
         assert calls == [(list(SchemeId), [8, 8, 8])]
@@ -265,10 +267,11 @@ class TestRowContract:
         assert len(calls) == math.ceil(most_slots / metrics_mod.SLOT_BLOCK) > 1
 
     @pytest.mark.parametrize(
-        "parameter,values,draws", [("M", "8, 16, 32", 1), ("K", "2, 3", 2)], ids=["M", "K"]
+        "parameter,values,draws,builds", [("M", "8, 16, 32", 1, 3), ("K", "2, 3", 2, 2)], ids=["M", "K"]
     )
-    def test_paths_drawn_once_per_block_per_user_scenario(self, monkeypatch, parameter, values, draws):
+    def test_paths_drawn_once_per_block_per_user_scenario(self, monkeypatch, parameter, values, draws, builds):
         # M leaves the users alone, so every array size reads the same users and path draws; K changes them.
+        # Each context makes its own scenario.
         blocks, scenarios = [], []
         draw, make = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.make_scenario
 
@@ -288,10 +291,26 @@ class TestRowContract:
         assert len(expected) == draws * math.ceil(70 / block)
         run_experiment(config)
         assert sorted(blocks) == expected
-        assert len(scenarios) == draws
+        assert len(scenarios) == builds
         blocks.clear()
         run_experiment(config)
         assert sorted(blocks) == expected  # the second run draws its own: no draw outlives a run
+
+    def test_no_path_draw_outlives_the_next_block(self, monkeypatch):
+        refs, alive = [], []
+        draw = metrics_mod.channel_mod.draw_paths
+
+        def watched(params, seed, slots):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            paths = draw(params, seed, slots)
+            refs.append(weakref.ref(paths))
+            return paths
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", watched)
+        run_experiment(parse_config(SMALL + "n_slots = 70\nsweep.parameter = M\nsweep.values = 8, 16, 32\n"))
+        assert len(alive) == math.ceil(70 / metrics_mod.SLOT_BLOCK) >= 3
+        assert max(alive) <= 1
 
     def test_each_long_term_state_designed_once(self, monkeypatch):
         calls = []
@@ -388,6 +407,20 @@ class TestValidation:
         config = parse_config(SMALL + "sweep.parameter = P\nsweep.values = 0.5, 2\n")
         with pytest.raises(ExperimentError, match="scheme FIXED_SUBARRAY at sweep value 0.5: synthetic"):
             run_experiment(config)
+
+    def test_context_failure_names_its_sweep_value(self, monkeypatch):
+        group = metrics_mod.group_users
+
+        def failing(correlations, *args):
+            if correlations[0].shape[0] == 16:
+                raise ArithmeticError("synthetic grouping failure")
+            return group(correlations, *args)
+
+        monkeypatch.setattr(metrics_mod, "group_users", failing)
+        config = parse_config(SMALL + "schemes = MPHP, FIXED_SUBARRAY\nsweep.parameter = M\nsweep.values = 8, 16\n")
+        with pytest.raises(ExperimentError, match="scheme MPHP, FIXED_SUBARRAY at sweep value 16.0: synthetic") as info:
+            run_experiment(config)
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_shared_stage_failure_names_every_scheme(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -498,8 +531,8 @@ class TestValidation:
             raise AssertionError("the engine ran on an invalid config")
 
         valid = SystemConfig(M=16, n_slots=4)
-        grouping, scenario, _ = metrics_mod.build_context(valid, 1)
+        context = metrics_mod.build_context(valid, 1)
         monkeypatch.setattr(metrics_mod, "design_long_term", engine)
         with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
             config = replace(valid, **{field: value})
-            metrics_mod.monte_carlo_rates([SchemeId.MPHP], [config], 1, grouping=grouping, scenario=scenario)
+            metrics_mod.monte_carlo_rates([SchemeId.MPHP], [config], 1, contexts=[context])

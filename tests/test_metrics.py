@@ -26,9 +26,10 @@ from mphp.metrics import (
     slnr_per_user,
     statistics_feedback_count,
 )
+from mphp.numerics import hermitian_eig
 from mphp.rf_precoder import sslnr
 
-from conftest import make_grouping, run_at_seed
+from conftest import contexts_at_seed, inject_channels, make_grouping, run_at_seed
 
 
 def orthogonal_slot():
@@ -260,10 +261,10 @@ class TestFeedbackOverhead:
     def test_statistics_count_rank_rule(self):
         # eigenvalues (10, 0.4, 0.1): rank 1 already holds 95% of the trace
         corr = np.diag([10.0, 0.4, 0.1]).astype(complex)
-        assert statistics_feedback_count([corr]) == 1 * (2 * 3 + 1)
+        assert statistics_feedback_count([hermitian_eig(corr)]) == 1 * (2 * 3 + 1)
         # flat spectrum needs almost every eigenpair
         flat = np.eye(4, dtype=complex)
-        assert statistics_feedback_count([flat]) == 4 * (2 * 4 + 1)
+        assert statistics_feedback_count([hermitian_eig(flat)]) == 4 * (2 * 4 + 1)
 
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
@@ -271,14 +272,13 @@ class TestFeedbackOverhead:
 
 
 class TestMonteCarlo:
-    def test_single_slot_injected_channel_is_exact(self):
+    def test_single_slot_injected_channel_is_exact(self, monkeypatch):
         config = SystemConfig(M=8, K=2, G=2, n_slots=1)
-        grouping, scenario, geometry = build_context(config, seed=5)
+        context = build_context(config, seed=5)
+        grouping, scenario, geometry = context
         fixed = draw_channel(scenario, geometry, seed=123, slot=[0])
-        [[run]] = monte_carlo_rates(
-            [SchemeId.MPHP], [config], 5, grouping=grouping, scenario=scenario,
-            channel_factory=lambda t: fixed[0],
-        )
+        inject_channels(monkeypatch, lambda t: fixed[0])
+        [[run]] = monte_carlo_rates([SchemeId.MPHP], [config], 5, contexts=[context])
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         precoders = build_precoders(SchemeId.MPHP, long_state, fixed, grouping, config)
         rate = evaluate_slot(fixed, precoders, grouping)
@@ -379,7 +379,7 @@ def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_fac
     sum_rate = float(per_user_rate.sum())
     ee = energy_efficiency(sum_rate, config, SCHEMES[scheme].fully_connected)
     stats_count = (
-        statistics_feedback_count(grouping.group_correlations) if SCHEMES[scheme].statistical else 0
+        statistics_feedback_count(grouping.group_eigs) if SCHEMES[scheme].statistical else 0
     )
     feedback = feedback_overhead(
         scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count
@@ -409,24 +409,19 @@ def assert_same_run(run, reference):
         assert type(a) is type(b), f.name
 
 
-def rank_deficient_factory(scenario, geometry, seed, grouping):
-    """Drawn channels, except that slot 1 zeroes user 0's column, slot 2 and
-    the third slot of the second block copy one group member onto another
-    (or zero it in a singleton group), and slot 4 makes the whole channel
-    rank one."""
+def rank_deficient_factory(scenario, geometry, seed, grouping, n_slots):
+    """Drawn channels of the first ``n_slots`` slots, except that slot 1
+    zeroes user 0's column, slot 2 and the third slot of the second block
+    copy one group member onto another (or zero it in a singleton group),
+    and slot 4 makes the whole channel rank one.  The slots are drawn here,
+    so the factory draws nothing (see ``inject_channels``)."""
     group = grouping.members[int(np.argmax(grouping.sizes))]
-
-    def factory(t):
-        h = draw_channel(scenario, geometry, seed=seed, slot=t)
-        if t == 1:
-            h[:, 0] = 0.0
-        elif t in (2, SLOT_BLOCK + 2):
-            h[:, group[-1]] = h[:, group[0]] if len(group) > 1 else 0.0
-        elif t == 4:
-            h = h[:, :1] * np.arange(1, h.shape[1] + 1)
-        return h
-
-    return factory
+    channels = draw_channel(scenario, geometry, seed=seed, slot=range(n_slots))
+    channels[1][:, 0] = 0.0
+    for t in (2, SLOT_BLOCK + 2):
+        channels[t][:, group[-1]] = channels[t][:, group[0]] if len(group) > 1 else 0.0
+    channels[4] = channels[4][:, :1] * np.arange(1, channels.shape[2] + 1)
+    return lambda t: channels[t].copy()
 
 
 ENGINE_CASES = {
@@ -449,8 +444,9 @@ class TestEngineMatchesPerSlotLoop:
     def test_drawn_channels(self, case, scheme):
         config = ENGINE_CASES[case]
         n_slots = config.n_slots
-        grouping, scenario, geometry = build_context(config, seed=11)
-        [[run]] = monte_carlo_rates([scheme], [config], 23, grouping=grouping, scenario=scenario)
+        context = build_context(config, seed=11)
+        grouping, scenario, geometry = context
+        [[run]] = monte_carlo_rates([scheme], [config], 23, contexts=[context])
         reference, rates, _ = loop_monte_carlo_rates(scheme, config, 23, grouping, scenario)
         assert_same_run(run, reference)
         channels = draw_channel(scenario, geometry, seed=23, slot=range(n_slots))
@@ -460,14 +456,14 @@ class TestEngineMatchesPerSlotLoop:
 
     @pytest.mark.parametrize("case", ["G = K", "G = 1", "defaults"])
     @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
-    def test_rank_deficient_slots_hit_the_outage_path(self, case, scheme):
+    def test_rank_deficient_slots_hit_the_outage_path(self, monkeypatch, case, scheme):
         n_slots = SLOT_BLOCK + 4
         config = replace(ENGINE_CASES[case], n_slots=n_slots)
-        grouping, scenario, geometry = build_context(config, seed=11)
-        factory = rank_deficient_factory(scenario, geometry, 23, grouping)
-        [[run]] = monte_carlo_rates(
-            [scheme], [config], 23, grouping=grouping, scenario=scenario, channel_factory=factory
-        )
+        context = build_context(config, seed=11)
+        grouping, scenario, geometry = context
+        factory = rank_deficient_factory(scenario, geometry, 23, grouping, n_slots)
+        inject_channels(monkeypatch, factory)
+        [[run]] = monte_carlo_rates([scheme], [config], 23, contexts=[context])
         reference, rates, outages = loop_monte_carlo_rates(
             scheme, config, 23, grouping, scenario, channel_factory=factory
         )
@@ -493,31 +489,31 @@ class TestSharedDraws:
     @pytest.mark.parametrize("case", ["one slot", "G = K", "B = 1", "block boundary"])
     def test_multi_scheme_equals_per_scheme_calls(self, case):
         config = ENGINE_CASES[case]
-        grouping, scenario, _ = build_context(config, seed=11)
+        context = build_context(config, seed=11)
         schemes = list(SchemeId)
-        (runs,) = monte_carlo_rates(schemes, [config], 23, grouping=grouping, scenario=scenario)
+        (runs,) = monte_carlo_rates(schemes, [config], 23, contexts=[context])
         assert len(runs) == len(schemes)
         for scheme, run in zip(schemes, runs):
-            [[alone]] = monte_carlo_rates([scheme], [config], 23, grouping=grouping, scenario=scenario)
+            [[alone]] = monte_carlo_rates([scheme], [config], 23, contexts=[context])
             assert_same_run(run, alone)
 
     @pytest.mark.parametrize("case", ["G = K", "G = 1"])
-    def test_injected_outages_shared_by_every_scheme(self, case):
+    def test_injected_outages_shared_by_every_scheme(self, monkeypatch, case):
         config = replace(ENGINE_CASES[case], n_slots=SLOT_BLOCK + 4)
-        grouping, scenario, geometry = build_context(config, seed=11)
-        factory = rank_deficient_factory(scenario, geometry, 23, grouping)
-        kwargs = dict(grouping=grouping, scenario=scenario, channel_factory=factory)
+        context = build_context(config, seed=11)
+        grouping, scenario, geometry = context
+        inject_channels(monkeypatch, rank_deficient_factory(scenario, geometry, 23, grouping, config.n_slots))
         schemes = list(reversed(SchemeId))
-        (runs,) = monte_carlo_rates(schemes, [config], 23, **kwargs)
+        (runs,) = monte_carlo_rates(schemes, [config], 23, contexts=[context])
         for scheme, run in zip(schemes, runs):
-            [[alone]] = monte_carlo_rates([scheme], [config], 23, **kwargs)
+            [[alone]] = monte_carlo_rates([scheme], [config], 23, contexts=[context])
             assert_same_run(run, alone)
         assert any(run.outage_fraction > 0 for run in runs)
 
     def test_one_draw_per_block_for_all_schemes(self, monkeypatch):
         config = ENGINE_CASES["block boundary"]
         n_slots = config.n_slots
-        grouping, scenario, _ = build_context(config, seed=11)
+        context = build_context(config, seed=11)
         blocks = []
         draw = metrics_mod.channel_mod.draw_paths
 
@@ -526,7 +522,7 @@ class TestSharedDraws:
             return draw(params, seed, slots)
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
-        monte_carlo_rates(list(SchemeId), [config], 23, grouping=grouping, scenario=scenario)
+        monte_carlo_rates(list(SchemeId), [config], 23, contexts=[context])
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
 
     def test_no_scheme_rejected(self):
@@ -552,53 +548,77 @@ class TestSharedDraws:
 
 
 class TestSweepPoints:
-    """One engine call over several point configs on one scenario equals one
-    call per point: designs and blocks are shared, the numbers are not."""
+    """One engine call over several point configs on one scenario, over two
+    arrays, equals one call per point and one per array: designs and blocks
+    are shared, the numbers are not."""
 
     POINTS = [
         SystemConfig(M=16, K=4, G=2, P=0.5, n_slots=3),
         SystemConfig(M=16, K=4, G=2, P=4.0, B=2, n_slots=SLOT_BLOCK + 5),
         SystemConfig(M=16, K=4, G=2, n_slots=2 * SLOT_BLOCK + 1),
         SystemConfig(M=16, K=4, G=2, B=2, n_slots=SLOT_BLOCK),
+        SystemConfig(M=8, K=4, G=2, P=4.0, B=2, n_slots=SLOT_BLOCK + 5),
+        SystemConfig(M=8, K=4, G=2, n_slots=3),
+        SystemConfig(M=16, K=4, G=2, P=0.5, n_slots=7),
     ]
 
     def test_points_equal_single_point_calls(self):
-        grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
-        kwargs = dict(grouping=grouping, scenario=scenario)
-        runs = monte_carlo_rates(list(SchemeId), self.POINTS, 23, **kwargs)
+        contexts = contexts_at_seed(self.POINTS, 11)
+        runs = monte_carlo_rates(list(SchemeId), self.POINTS, 23, contexts=contexts)
         assert len(runs) == len(self.POINTS)
-        for point, point_runs in zip(self.POINTS, runs):
-            (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, **kwargs)
+        for point, context, point_runs in zip(self.POINTS, contexts, runs):
+            (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, contexts=[context])
             for run, cell in zip(point_runs, alone):
                 assert_same_run(run, cell)
-        [[single]] = monte_carlo_rates([SchemeId.MPHP], self.POINTS[:1], 23, **kwargs)
+        for m in (16, 8):
+            indices = [p for p, point in enumerate(self.POINTS) if point.M == m]
+            points, shared = [self.POINTS[p] for p in indices], [contexts[p] for p in indices]
+            for p, point_runs in zip(indices, monte_carlo_rates(list(SchemeId), points, 23, contexts=shared)):
+                for run, cell in zip(runs[p], point_runs):
+                    assert_same_run(run, cell)
+        [[single]] = monte_carlo_rates([SchemeId.MPHP], self.POINTS[:1], 23, contexts=contexts[:1])
         assert_same_run(single, runs[0][0])
 
     def test_one_draw_per_block_and_one_design_per_distinct_state(self, monkeypatch):
-        grouping, scenario, _ = build_context(self.POINTS[0], seed=11)
-        blocks, designs = [], []
-        draw, design = metrics_mod.channel_mod.draw_paths, metrics_mod.design_long_term
+        contexts = contexts_at_seed(self.POINTS, 11)
+        blocks, arrays, designs = [], [], []
+        draw, build = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.channel_from_paths
+        design = metrics_mod.design_long_term
 
         def counted_draw(params, seed, slots):
             blocks.append(list(slots))
             return draw(params, seed, slots)
 
-        def counted_design(scheme, *args):
-            designs.append(scheme)
-            return design(scheme, *args)
+        def counted_build(paths, params, geometry):
+            arrays.append((len(blocks) - 1, geometry.antenna_count))
+            return build(paths, params, geometry)
+
+        def counted_design(scheme, grouping, config):
+            designs.append((config.M, scheme))
+            return design(scheme, grouping, config)
 
         monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted_draw)
+        monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", counted_build)
         monkeypatch.setattr(metrics_mod, "design_long_term", counted_design)
-        monte_carlo_rates(list(SchemeId), self.POINTS, 23, grouping=grouping, scenario=scenario)
+        monte_carlo_rates(list(SchemeId), self.POINTS, 23, contexts=contexts)
         most = max(point.n_slots for point in self.POINTS)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, most))) for s in range(0, most, SLOT_BLOCK)]
-        # (P, B) takes 4 values and B takes 2; the real-time schemes have no design input.
-        assert [designs.count(s) for s in SchemeId] == [4, 1, 2, 1, 1]
+        # Each block's channels are built once per array that a live point reads.
+        assert arrays == [(0, 16), (0, 8), (1, 16), (1, 8), (2, 16)]
+        # Per array, (P, B) takes 4 or 2 values and B takes 2; the real-time schemes have no design input.
+        assert [designs.count((16, s)) for s in SchemeId] == [4, 1, 2, 1, 1]
+        assert [designs.count((8, s)) for s in SchemeId] == [2, 1, 2, 1, 1]
 
     def test_points_must_share_a_context(self):
         points = [SystemConfig(M=8, K=2, G=2, n_slots=3), SystemConfig(M=16, K=2, G=2, n_slots=3)]
-        with pytest.raises(ValueError, match="context_key"):
-            run_at_seed([SchemeId.MPHP], points, 5)
+        contexts = contexts_at_seed(points, 5)
+        with pytest.raises(ValueError, match="one context per point, got 2 points, 1 contexts"):
+            monte_carlo_rates([SchemeId.MPHP], points, 5, contexts=contexts[:1])
+        with pytest.raises(ValueError, match="need points and one context per point, got 0 points, 0 contexts"):
+            monte_carlo_rates([SchemeId.MPHP], [], 5, contexts=[])
+        # Another scenario seed places the users elsewhere.
+        with pytest.raises(ValueError, match="contexts must share one scenario"):
+            monte_carlo_rates([SchemeId.MPHP], points, 5, contexts=[contexts[0], build_context(points[1], 6)])
         with pytest.raises(ValueError, match="n_slots"):
             run_at_seed([SchemeId.MPHP], [points[0], replace(points[0], n_slots=0)], 5)
 
@@ -628,6 +648,20 @@ class TestSweepPoints:
         with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
             run_at_seed([SchemeId.MPHP], self.POINTS, 23)
         assert info.value.scheme is None
+
+    def test_array_failure_names_the_first_point_on_that_array(self, monkeypatch):
+        build = metrics_mod.channel_mod.channel_from_paths
+
+        def failing(paths, params, geometry):
+            if geometry.antenna_count == 8:
+                raise ArithmeticError("synthetic array failure")
+            return build(paths, params, geometry)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", failing)
+        with pytest.raises(SchemeFailure, match="a shared stage failed at point 4") as info:
+            run_at_seed([SchemeId.MPHP], self.POINTS, 23)
+        assert info.value.scheme is None
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 class ReadRecorder:
