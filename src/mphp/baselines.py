@@ -134,14 +134,12 @@ def _design_mphp(grouping: Grouping, config: "SystemConfig") -> RfPrecoder:
 
 
 def _design_frps(grouping: Grouping, config: "SystemConfig") -> np.ndarray:
-    """Fully-connected analog stage: quantized phases of aligned dominant eigenvectors."""
+    """Fully-connected analog stage: quantized phases of aligned dominant eigenvectors, in one stack."""
     m_ant = grouping.antenna_count
-    grid = phase_grid(config.B)
+    columns = [vectors[:, : len(chains)].T for (_, vectors), chains in zip(grouping.group_eigs, grouping.rf_chains)]
+    phases = nearest_phase_index(align_column_phase(np.concatenate(columns), config.B), config.B)
     f = np.zeros((m_ant, grouping.user_count), dtype=complex)
-    for g, (_, vectors) in enumerate(grouping.group_eigs):
-        for i, chain in enumerate(grouping.rf_chains[g]):
-            column = align_column_phase(vectors[:, i], config.B)
-            f[:, int(chain)] = grid[nearest_phase_index(column, config.B)] / np.sqrt(m_ant)
+    f[:, np.concatenate(grouping.rf_chains)] = (phase_grid(config.B)[phases] / np.sqrt(m_ant)).T
     return f
 
 
@@ -149,22 +147,16 @@ def _no_long_term(grouping: Grouping, config: "SystemConfig") -> None:
     return None
 
 
-def _build_mphp(
-    rf: RfPrecoder, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
-) -> SlotPrecoders:
-    return _zf_all_groups(rf.f, channel, grouping, config)
-
-
 def _build_fixed_subarray(
     _: None, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
 ) -> SlotPrecoders:
-    return _zf_all_groups(fixed_subarray_precoder(channel, grouping, config.B).f, channel, grouping, config)
+    return _zf_all_groups(fixed_subarray_precoder(channel, grouping, config.B), channel, grouping, config)
 
 
 def _build_adaptive_instant(
     _: None, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
 ) -> SlotPrecoders:
-    return _zf_all_groups(adaptive_instant_precoder(channel, grouping, config.B).f, channel, grouping, config)
+    return _zf_all_groups(adaptive_instant_precoder(channel, grouping, config.B), channel, grouping, config)
 
 
 def fixed_subarray_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
@@ -235,13 +227,12 @@ def _build_full_digital(
 
 
 def _zf_all_groups(
-    f: np.ndarray,
-    channel: np.ndarray,
-    grouping: Grouping,
-    config: "SystemConfig",
+    analog: RfPrecoder | np.ndarray, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
 ) -> SlotPrecoders:
     """Per-group zero-forcing and power on a stack of channels (n, M, K)
-    behind the analog stage ``f``, shared (M, L) or one per slot (n, M, L)."""
+    behind an analog stage: an ``RfPrecoder`` or a fully-connected matrix,
+    shared (M, L) or one per slot (n, M, L)."""
+    f = analog.f if isinstance(analog, RfPrecoder) else analog
     f_groups = [f[..., chains] for chains in grouping.rf_chains]
     w_groups = [
         zf_precoder(effective_channel(channel[..., members], f_group))
@@ -269,7 +260,7 @@ def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: "Sys
 # FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
 # precoding with L = K chains, so it is costed as fully connected.
 SCHEMES: dict[SchemeId, Scheme] = {
-    SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), _build_mphp),
+    SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), _zf_all_groups),
     SchemeId.FULL_DIGITAL_ZF: Scheme(False, True, _no_long_term, (), _build_full_digital),
     SchemeId.FRPS_STATISTICAL: Scheme(True, True, _design_frps, ("B",), _zf_all_groups),
     SchemeId.FIXED_SUBARRAY: Scheme(False, False, _no_long_term, (), _build_fixed_subarray),

@@ -295,39 +295,57 @@ def solve_relaxed(grouping: Grouping, power: float) -> RelaxedSolution:
     return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[problem.basis @ f for _, f in solved])
 
 
-def align_column_phase(column: np.ndarray, bits: int) -> np.ndarray:
-    """The column rotated to the global phase its B-bit rounding rule picks.
+def align_column_phase(columns: np.ndarray, bits: int) -> np.ndarray:
+    """Each column of a stack (n, M) rotated to the global phase its B-bit
+    rounding rule picks; a single column (M,) is a stack of one.
 
     The taps q of v * e^{j phi} change at one phase per nonzero entry within
     a grid step; a cumulative sum scores |q^H v| on every arc between them
     wider than ``_TIE_TOL`` of a step, and the best wins (Sohrabi & Yu, IEEE
-    JSTSP 2016).  Scores within ``_TIE_TOL`` tie, as mirror-conjugate columns
-    of Hermitian Toeplitz correlations do; the lexicographically smallest
-    tap vector wins, shifted so that the reference antenna's tap is 0: the
-    lowest index with magnitude within ``_TIE_TOL`` of the largest.  The
-    column turns to the winning arc's midpoint and back by that tap.
+    JSTSP 2016).  Zero entries bound no arc and add nothing to a score.
+    Scores within ``_TIE_TOL`` tie, as mirror-conjugate columns of Hermitian
+    Toeplitz correlations do; the lexicographically smallest tap vector of
+    the nonzero entries wins, shifted so that the reference antenna's tap is
+    0: the lowest index with magnitude within ``_TIE_TOL`` of the largest.
+    The column turns to the winning arc's midpoint and back by that tap.
     """
+    stack = np.atleast_2d(columns)
+    rows, width = np.indices(stack.shape)
     step = 2 * np.pi / 2**bits
-    values = column[column != 0]
-    shifted = np.angle(values) / step + 0.5
+    nonzero = stack != 0
+    shifted = np.angle(stack) / step + 0.5
     taps = np.floor(shifted)
-    # Arc j: [lower[j], upper[j]) steps of rotation, the first j taps of ``order`` moved up.
-    order = np.argsort(taps - shifted, kind="stable")
-    upper = (taps - shifted)[order] + 1.0
-    lower = np.append(upper[-1] - 1.0, upper[:-1])
-    terms = values * np.exp(-1j * step * taps)
-    score = np.abs(terms.sum() + (np.exp(-1j * step) - 1.0) * np.append(0.0, np.cumsum(terms[order])[:-1]))
-    wide = upper - lower > _TIE_TOL
-    arcs = np.flatnonzero(wide & (score >= (1.0 - _TIE_TOL) * score[wide].max()))
-    arc_taps = taps + (np.argsort(order) < arcs[:, None])
-    ref = np.argmax(np.abs(values) >= (1.0 - _TIE_TOL) * np.abs(values).max())
-    win = min(range(arcs.size), key=lambda i: ((arc_taps[i] - arc_taps[i, ref]) % 2**bits).tolist())
-    turn = 0.5 * (lower[arcs[win]] + upper[arcs[win]]) - arc_taps[win, ref]
-    return column * np.exp(1j * step * turn)
+    # Arc j of a row: [lower[j], upper[j]) steps of rotation, the first j taps
+    # of ``order`` moved up; zero entries sort last and close no arc.
+    order = np.argsort(np.where(nonzero, taps - shifted, np.inf), axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)
+    count = nonzero.sum(axis=-1)
+    has_arc = width < count[:, None]
+    upper = np.where(has_arc, (taps - shifted)[rows, order] + 1.0, 0.0)
+    lower = np.concatenate([upper[rows[:, 0], count - 1][:, None] - 1.0, upper[:, :-1]], axis=-1)
+    terms = np.where(nonzero, stack * np.exp(-1j * step * taps), 0.0)
+    before = np.concatenate([np.zeros_like(terms[:, :1]), np.cumsum(terms[rows, order], axis=-1)[:, :-1]], axis=-1)
+    score = np.abs(terms.sum(axis=-1, keepdims=True) + (np.exp(-1j * step) - 1.0) * before)
+    wide = has_arc & (upper - lower > _TIE_TOL)
+    best = np.where(wide, score, 0.0).max(axis=-1, keepdims=True)
+    row, arcs = np.nonzero(wide & (score >= (1.0 - _TIE_TOL) * best))
+    mag = np.abs(stack)
+    ref = np.argmax(mag >= (1.0 - _TIE_TOL) * mag.max(axis=-1, keepdims=True), axis=-1)[row]
+    # Per candidate arc, the taps of the nonzero entries shifted by the
+    # reference's; a stable sort by row, then taps, puts each row's winner first.
+    arc_taps = taps[row] + (rank[row] < arcs[:, None])
+    keys = np.where(nonzero[row], (arc_taps - np.take_along_axis(arc_taps, ref[:, None], -1)) % 2**bits, 0.0)
+    ranked = np.lexsort(np.vstack([keys.T[::-1], row]))
+    win = ranked[np.flatnonzero(np.diff(row[ranked], prepend=-1))]
+    row, arcs, ref = row[win], arcs[win], ref[win]
+    turn = 0.5 * (lower[row, arcs] + upper[row, arcs]) - arc_taps[win, ref]
+    aligned = stack * np.exp(1j * step * turn)[:, None]
+    return aligned if np.ndim(columns) == 2 else aligned[0]
 
 
-def _claim_order(column: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Antennas in the order GRFP claims them for one relaxed column.
+def _claim_order(columns: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Antennas in the order GRFP claims them, per relaxed column of a stack
+    (n, M); a single column (M,) is a stack of one.
 
     ``taps`` holds each antenna's grid point.  Antennas go by descending
     magnitude; a run of sorted magnitudes whose adjacent gaps are at most
@@ -335,14 +353,21 @@ def _claim_order(column: np.ndarray, taps: np.ndarray) -> np.ndarray:
     phase-quantisation error |arg(f_m * conj(tap_m))|, where a run of
     sorted errors with gaps of at most ``_TIE_TOL`` ties, then by index.
     """
-    mag = np.abs(column)
-    by_mag = np.argsort(-mag, kind="stable")
-    block = np.concatenate([[0], np.cumsum(-np.diff(mag[by_mag]) > _TIE_TOL * mag[by_mag[0]])])
-    error = np.abs(np.angle(column * taps.conj()))
-    order = np.lexsort((error[by_mag], block))
-    ranked = by_mag[order]
-    tie = np.cumsum(np.append(0, (np.diff(block[order]) > 0) | (np.diff(error[ranked]) > _TIE_TOL)))
-    return ranked[np.lexsort((ranked, tie))]
+    stack = np.atleast_2d(columns)
+    rows = np.indices(stack.shape)[0]
+    first = np.zeros_like(rows[:, :1])
+    mag = np.abs(stack)
+    by_mag = np.argsort(-mag, axis=-1, kind="stable")
+    sorted_mag = mag[rows, by_mag]
+    gaps = -np.diff(sorted_mag, axis=-1) > _TIE_TOL * sorted_mag[:, :1]
+    block = np.concatenate([first, np.cumsum(gaps, axis=-1)], axis=-1)
+    error = np.abs(np.angle(stack * np.conj(taps)))
+    order = np.lexsort((error[rows, by_mag], block))
+    ranked = by_mag[rows, order]
+    breaks = (np.diff(block[rows, order], axis=-1) > 0) | (np.diff(error[rows, ranked], axis=-1) > _TIE_TOL)
+    tie = np.concatenate([first, np.cumsum(breaks, axis=-1)], axis=-1)
+    claims = ranked[rows, np.lexsort((ranked, tie))]
+    return claims if np.ndim(columns) == 2 else claims[0]
 
 
 def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPrecoder:
@@ -356,9 +381,8 @@ def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPr
     as ``align_column_phase`` turns it.  One sweep over all group columns
     assigns one antenna per RF chain, and sweeps repeat round-robin until
     all antennas are connected, so chains accumulate antennas while the
-    sweep priority is preserved.  Each column is ranked once
-    (``_claim_order``), and a cursor per column skips the antennas already
-    claimed.
+    sweep priority is preserved.  All group columns are aligned, quantised
+    and ranked (``_claim_order``) in one stack.
 
     ULA group correlations are Hermitian Toeplitz, so magnitudes tie in
     mirror pairs |f_m| = |f_(M-1-m)| up to rounding, which a sort alone would
@@ -375,32 +399,26 @@ def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPr
         if zero_cols.size:
             raise ZeroColumnError(f"group {g} relaxed column {zero_cols[0]} is identically zero")
 
-    order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
-    inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
     grid = _shared_grid(bits)
-    # Per group column i: the column at its phase, each antenna's phase
-    # index, the antennas in claim order, and a cursor past the ones claimed.
-    aligned = [[align_column_phase(f_star[:, i], bits) for i in range(f_star.shape[1])] for f_star in relaxed.f_star]
-    phases = [[nearest_phase_index(column, bits) for column in columns] for columns in aligned]
-    ranked = [[_claim_order(column, grid[n]).tolist() for column, n in zip(*group)] for group in zip(aligned, phases)]
-    cursors = [[0] * f_star.shape[1] for f_star in relaxed.f_star]
-
-    f = np.zeros((antenna_count, n_chains), dtype=complex)
-    antenna_to_chain = np.full(antenna_count, -1, dtype=int)
-    phase_index = np.zeros(antenna_count, dtype=int)
-    visits = [(int(g), i) for g in order for i in range(len(grouping.rf_chains[g]))]
+    # One row per group column, groups in index order: the column at its
+    # phase, each antenna's phase index, and an iterator over its antennas in
+    # claim order, which a visit advances past the antennas already claimed.
+    aligned = align_column_phase(np.concatenate([f_star.T for f_star in relaxed.f_star]), bits)
+    phases = nearest_phase_index(aligned, bits)
+    claims = [iter(column) for column in _claim_order(aligned, grid[phases]).tolist()]
+    first = np.cumsum([0] + [f_star.shape[1] for f_star in relaxed.f_star])
+    order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
+    visits = [(int(first[g] + i), int(chain)) for g in order for i, chain in enumerate(grouping.rf_chains[g])]
+    chain_of, row_of = [-1] * antenna_count, [0] * antenna_count
     for step in range(antenna_count):
-        g, i = visits[step % len(visits)]
-        column, k = ranked[g][i], cursors[g][i]
-        while antenna_to_chain[column[k]] >= 0:
-            k += 1
-        cursors[g][i], antenna = k, column[k]
-        n_star = int(phases[g][i][antenna])
-        chain = int(grouping.rf_chains[g][i])
-        f[antenna, chain] = inv_sqrt_m * grid[n_star]
-        antenna_to_chain[antenna] = chain
-        phase_index[antenna] = n_star
+        row, chain = visits[step % len(visits)]
+        antenna = next(m for m in claims[row] if chain_of[m] < 0)
+        chain_of[antenna], row_of[antenna] = chain, row
 
+    antenna_to_chain = np.array(chain_of)
+    phase_index = phases[row_of, np.arange(antenna_count)]
+    f = np.zeros((antenna_count, n_chains), dtype=complex)
+    f[np.arange(antenna_count), antenna_to_chain] = (1.0 / np.sqrt(antenna_count)) * grid[phase_index]
     return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
 
 

@@ -132,6 +132,35 @@ class TestMatchesPerAntennaLoops:
         assert np.array_equal(f, loop_frps(grouping, config))
 
 
+class TestFrpsMatchesColumnLoop:
+    """FRPS aligns and quantizes every group's columns in one stack; the
+    design is the one column at a time loop's (``loop_frps``) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
+    def test_pipeline_designs(self, m_ant, seed):
+        grouping, _, _ = build_context(SystemConfig(M=m_ant), seed=seed)
+        for bits in range(1, 7):
+            config = SystemConfig(M=m_ant, B=bits)
+            f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
+            assert np.array_equal(f, loop_frps(grouping, config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SystemConfig(M=8, K=8, G=3, B=1),
+            SystemConfig(M=16, K=8, G=8, B=1),
+            SystemConfig(M=1, K=1, G=1, B=1),
+            SystemConfig(M=32, B=1, angular_spread=0.0),
+        ],
+        ids=lambda c: f"M{c.M}-K{c.K}-G{c.G}-spread{c.angular_spread}",
+    )
+    def test_edge_configs(self, config):
+        grouping, _, _ = build_context(config, seed=1)
+        f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
+        assert np.array_equal(f, loop_frps(grouping, config))
+
+
 class TestSchemeTaxonomy:
     def test_statistical_schemes(self):
         assert SCHEMES[SchemeId.MPHP].statistical

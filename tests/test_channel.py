@@ -6,6 +6,7 @@ import pytest
 from mphp.channel import (
     AOD_TRUNCATION_SIGMAS,
     ArrayGeometry,
+    _steering_matrix,
     UserChannelParams,
     channel_from_paths,
     correlation_from_params,
@@ -16,7 +17,7 @@ from mphp.channel import (
     steering_vector,
     truncated_normal_ppf,
 )
-from mphp.numerics import hermitian_eig
+from mphp.numerics import hermitian_eig, hermitian_part
 
 
 class TestSteeringVector:
@@ -105,6 +106,48 @@ class TestCorrelation:
     def test_too_few_quadrature_points(self):
         with pytest.raises(ValueError):
             correlation_from_params(UserChannelParams(0.0, 0.1, 1), ArrayGeometry(4), 16)
+
+
+def steering_product_correlation(params, geometry, quadrature_points=256):
+    """The correlation as the steering product A diag(w) A^H over the same
+    midpoint quadrature, symmetrized and trace-renormalized: the oracle for
+    the lag-sum Toeplitz construction."""
+    half_width = AOD_TRUNCATION_SIGMAS * params.angular_spread
+    step = 2.0 * half_width / quadrature_points
+    thetas = params.mean_aod - half_width + (np.arange(quadrature_points) + 0.5) * step
+    weights = np.exp(-0.5 * ((thetas - params.mean_aod) / params.angular_spread) ** 2)
+    weights /= weights.sum()
+    a = _steering_matrix(thetas, geometry)
+    corr = hermitian_part(params.mean_power * ((a * weights[None, :]) @ a.conj().T))
+    return corr * (geometry.antenna_count * params.mean_power) / float(np.real(np.trace(corr)))
+
+
+class TestToeplitzCorrelation:
+    @pytest.mark.parametrize("power", [1.0, 2.5])
+    @pytest.mark.parametrize("spread", [0.01, 0.03, 0.5])
+    @pytest.mark.parametrize("m_ant", [1, 2, 8, 128, 1024])
+    def test_matches_steering_product(self, m_ant, spread, power):
+        for mean_aod, spacing in ((0.7, 0.5), (-1.3, 0.37)):
+            geom = ArrayGeometry(m_ant, element_spacing=spacing)
+            params = UserChannelParams(mean_aod, spread, path_count=3, mean_power=power)
+            corr = correlation_from_params(params, geom)
+            oracle = steering_product_correlation(params, geom)
+            assert np.linalg.norm(corr - oracle) <= 1e-12 * np.linalg.norm(oracle)
+            assert np.array_equal(corr, corr.conj().T)
+            assert corr.flags.writeable and corr.flags.c_contiguous
+
+    def test_is_a_fresh_array(self):
+        params = UserChannelParams(0.2, 0.05, path_count=3)
+        first = correlation_from_params(params, ArrayGeometry(16))
+        second = correlation_from_params(params, ArrayGeometry(16))
+        first[3, 5] = 7.0
+        assert not np.shares_memory(first, second)
+        assert first[5, 3] != 7.0 and second[3, 5] != 7.0
+
+    def test_is_toeplitz(self):
+        corr = correlation_from_params(UserChannelParams(-0.4, 0.1, path_count=3), ArrayGeometry(12))
+        for lag in range(-11, 12):
+            assert np.all(np.diagonal(corr, lag) == np.diagonal(corr, lag)[0])
 
 
 @pytest.fixture(scope="module")

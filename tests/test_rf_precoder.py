@@ -946,6 +946,121 @@ class TestColumnPhaseRule:
         assert np.array_equal(design_long_term(SchemeId.FRPS_STATISTICAL, rotated_eigs(grouping, phases), config), frps)
 
 
+class TestStackedPhaseRule:
+    """The phase rule and the claim order take a stack of columns; each row
+    comes out bit for bit as one call on that column alone, which stays 1-D."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_ant=st.integers(1, 40),
+        kinds=st.lists(st.sampled_from(["complex", "mirror", "real", "zeros"]), min_size=1, max_size=8),
+        bits=st.integers(1, 8),
+    )
+    def test_rows_match_one_call_per_column(self, seed, m_ant, kinds, bits):
+        # Rows of scales 1e-12 to 1e12: every tie band is relative to its own row.
+        scales = 10.0 ** np.random.default_rng(seed).integers(-12, 13, len(kinds))
+        stack = np.stack(
+            [scale * random_column([seed, row], m_ant, kind) for row, (scale, kind) in enumerate(zip(scales, kinds))]
+        )
+        aligned = align_column_phase(stack, bits)
+        taps = phase_grid(bits)[nearest_phase_index(aligned, bits)]
+        claims = rf_precoder._claim_order(aligned, taps)
+        assert aligned.shape == stack.shape and claims.shape == stack.shape
+        for row, column in enumerate(stack):
+            assert np.array_equal(aligned[row], align_column_phase(column, bits))
+            assert np.array_equal(claims[row], rf_precoder._claim_order(aligned[row], taps[row]))
+
+
+def grfp_assign_by_columns(relaxed, grouping, bits):
+    """grfp_assign with the phase rule, the quantiser and the claim order run
+    one column at a time and each claim written to f at once, the oracle for
+    the stacked form."""
+    antenna_count = relaxed.f_star[0].shape[0]
+    order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
+    inv_sqrt_m = 1.0 / np.sqrt(antenna_count)
+    grid = phase_grid(bits)
+    aligned = [[align_column_phase(f_star[:, i], bits) for i in range(f_star.shape[1])] for f_star in relaxed.f_star]
+    phases = [[nearest_phase_index(column, bits) for column in columns] for columns in aligned]
+    ranked = [
+        [rf_precoder._claim_order(column, grid[n]).tolist() for column, n in zip(*group)]
+        for group in zip(aligned, phases)
+    ]
+    cursors = [[0] * f_star.shape[1] for f_star in relaxed.f_star]
+    f = np.zeros((antenna_count, grouping.user_count), dtype=complex)
+    antenna_to_chain = np.full(antenna_count, -1, dtype=int)
+    phase_index = np.zeros(antenna_count, dtype=int)
+    visits = [(int(g), i) for g in order for i in range(len(grouping.rf_chains[g]))]
+    for step in range(antenna_count):
+        g, i = visits[step % len(visits)]
+        column, k = ranked[g][i], cursors[g][i]
+        while antenna_to_chain[column[k]] >= 0:
+            k += 1
+        cursors[g][i], antenna = k, column[k]
+        n_star = int(phases[g][i][antenna])
+        chain = int(grouping.rf_chains[g][i])
+        f[antenna, chain] = inv_sqrt_m * grid[n_star]
+        antenna_to_chain[antenna] = chain
+        phase_index[antenna] = n_star
+    return rf_precoder.RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
+
+
+def assert_grfp_matches_columns(relaxed, grouping, bits):
+    got = grfp_assign(relaxed, grouping, bits)
+    expected = grfp_assign_by_columns(relaxed, grouping, bits)
+    assert np.array_equal(got.f, expected.f)
+    assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain)
+    assert np.array_equal(got.phase_index, expected.phase_index)
+    validate_rf_precoder(got)
+
+
+# Edge configurations: one antenna per chain (M = K), one user per group
+# (G = K), one antenna, and co-located clusters at zero angular spread.
+EDGE_CONFIGS = [
+    SystemConfig(M=8, K=8, G=3),
+    SystemConfig(M=16, K=8, G=8),
+    SystemConfig(M=8, K=8, G=8),
+    SystemConfig(M=1, K=1, G=1),
+    SystemConfig(M=16, K=4, G=2, angular_spread=0.0),
+    SystemConfig(M=32, angular_spread=0.0),
+]
+
+
+class TestGrfpMatchesColumnLoop:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
+    def test_pipeline_designs(self, m_ant, seed):
+        grouping, _ = pipeline_relaxed(m_ant, seed)
+        for power in (0.1, 1.0, 10.0):
+            relaxed = solve_relaxed(grouping, power=power)
+            for bits in range(1, 7):
+                assert_grfp_matches_columns(relaxed, grouping, bits)
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS, ids=lambda c: f"M{c.M}-K{c.K}-G{c.G}-spread{c.angular_spread}")
+    def test_edge_configs(self, config):
+        grouping, _, _ = build_context(config, 1)
+        relaxed = solve_relaxed(grouping, power=1.0)
+        for bits in (1, 2, 4):
+            assert_grfp_matches_columns(relaxed, grouping, bits)
+
+    @pytest.mark.parametrize("m_ant", [8, 64])
+    def test_mirror_pair_ties(self, m_ant):
+        # Mirror-conjugate columns, whose arcs and magnitudes tie in pairs,
+        # shared by every group column, at the most ties (B = 1) and beyond.
+        grouping = make_grouping([np.eye(m_ant, dtype=complex)] * 4, [0, 0, 1, 2])
+        columns = np.stack([random_column([m_ant, seed], m_ant, "mirror") for seed in range(4)], axis=1)
+        relaxed = RelaxedSolution([1.0, 1.0, 2.0], [columns[:, :2], columns[:, 2:3], columns[:, 3:]])
+        for bits in (1, 2, 6):
+            assert_grfp_matches_columns(relaxed, grouping, bits)
+
+    def test_zero_column_in_a_stack_rejected(self):
+        # The second column of group 1 is all zero; the others are not.
+        grouping = make_grouping([np.eye(4, dtype=complex)] * 3, [0, 1, 1])
+        f_star = [np.ones((4, 1), dtype=complex), np.array([[1.0, 0.0]] * 4, dtype=complex)]
+        with pytest.raises(ZeroColumnError, match="group 1 relaxed column 1"):
+            grfp_assign(RelaxedSolution([1.0, 2.0], f_star), grouping, bits=2)
+
+
 def full_space_relaxed(grouping, n_users, power):
     """The relaxed solve on the full M x M correlations, the reference for
     the joint-subspace solve."""
