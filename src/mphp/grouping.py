@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +24,18 @@ _COST_SLACK = 1e-9
 # Distances closer than this are ties; ties resolve to the lowest index so
 # symmetric inputs (e.g. all users identical) stay deterministic and stable.
 _TIE_TOL = 1e-12
+
+
+class JointSubspace(NamedTuple):
+    """The users' joint signal subspace, where the long-term stage runs.
+    ``eig`` decomposes the sum of the user correlations (M x M); ``basis``
+    (M x b) is its leading eigenvectors, those above rounding
+    (``numerics.above_rounding``) and at least ``max_g S_g`` of them; and
+    ``reduced[g]`` is basis^H R_g basis."""
+
+    eig: EigenDecomposition
+    basis: np.ndarray
+    reduced: list[np.ndarray]
 
 
 @dataclass
@@ -40,6 +52,10 @@ class Grouping:
     rf_chains: list[np.ndarray]
     group_correlations: list[np.ndarray]
     cost_history: list[float] = field(default_factory=list)
+    # group_users passes its decomposition of the sum of the user correlations
+    # and each group's member average of the users' U^H R_k U.
+    _sum_eig: EigenDecomposition | None = field(default=None, repr=False)
+    _on_span: list[np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def group_count(self) -> int:
@@ -58,17 +74,47 @@ class Grouping:
         return self.group_correlations[0].shape[0]
 
     @cached_property
+    def joint(self) -> JointSubspace:
+        """The joint subspace, made on first read.  A grouping built without
+        ``_sum_eig`` decomposes sum_g |g| R_g; without ``_on_span``, or when
+        the basis needs more columns than U has, each group correlation is
+        projected on the basis.  ``dataclasses.replace`` carries both."""
+        eig = self._sum_eig
+        if eig is None:
+            eig = hermitian_eig(sum(size * corr for size, corr in zip(self.sizes, self.group_correlations)))
+        above = int(np.count_nonzero(above_rounding(eig.eigenvalues, eig.eigenvalues.size)))
+        basis = eig.eigenvectors[:, : max(above, *self.sizes)]
+        reduced = self._on_span
+        if reduced is None or basis.shape[1] > above:
+            reduced = [basis.conj().T @ corr @ basis for corr in self.group_correlations]
+        return JointSubspace(eig, basis, reduced)
+
+    @cached_property
+    def reduced_eigs(self) -> list[EigenDecomposition]:
+        """Eigendecomposition (b x b) of each ``joint.reduced[g]``, made on first read."""
+        return [hermitian_eig(corr) for corr in self.joint.reduced]
+
+    @cached_property
     def group_eigs(self) -> list[EigenDecomposition]:
-        """Full M x M eigendecomposition of each group correlation, made on
-        first read and kept (the joint signal basis, FRPS and the feedback
-        count read it; ``group_users`` decomposes no group correlation)."""
-        return [hermitian_eig(corr) for corr in self.group_correlations]
+        """Eigendecomposition (M x M, descending) of each group correlation,
+        made on first read from ``reduced_eigs[g]``: its vectors lifted by the
+        basis, and the sum's other eigenvectors at eigenvalue 0, placed
+        before any negative (rounding-level) eigenvalue.  So the sum is the
+        one M x M eigensolve of the long-term stage; FRPS and the feedback
+        count read this."""
+        basis, rest = self.joint.basis, self.joint.eig.eigenvectors[:, self.joint.basis.shape[1] :]
+        out = []
+        for values, vectors in self.reduced_eigs:
+            cut, lifted = int(np.count_nonzero(values >= 0)), basis @ vectors
+            values = np.concatenate([values[:cut], np.zeros(rest.shape[1]), values[cut:]])
+            out.append(EigenDecomposition(values, np.concatenate([lifted[:, :cut], rest, lifted[:, cut:]], axis=1)))
+        return out
 
     @cached_property
     def relaxed_problem(self) -> RelaxedProblem:
         """The power-independent part of the relaxed SSLNR solve (the joint
-        signal basis, the projected group and leakage correlations and each
-        group's ``alpha = 0`` evaluation), built once."""
+        basis, the reduced group and leakage correlations and each group's
+        ``alpha = 0`` evaluation), built once."""
         from .rf_precoder import _relaxed_problem  # rf_precoder imports this module
 
         return _relaxed_problem(self)
@@ -165,7 +211,10 @@ def group_users(
     correlations: one M x M eigendecomposition of their sum gives a basis U
     (M x r) of it, and every user and centroid matrix is decomposed as
     U^H R U, at size r x r.  Each capped subspace lies in span(U), so the
-    distances are the full-space ones up to rounding.
+    distances are the full-space ones up to rounding.  The grouping keeps
+    that decomposition and each group's member average of the users'
+    U^H R_k U for its ``joint`` subspace, so the long-term stage makes no
+    other M x M eigendecomposition.
     """
     n_users = len(correlations)
     if group_count > n_users:
@@ -179,8 +228,8 @@ def group_users(
     if rank < 1 or rank > m_ant:
         raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {rank}")
 
-    values, vectors = hermitian_eig(sum(correlations))
-    basis = vectors[:, above_rounding(values, m_ant)]
+    eig = hermitian_eig(sum(correlations))
+    basis = eig.eigenvectors[:, above_rounding(eig.eigenvalues, m_ant)]
     if basis.shape[1] == 0:
         raise ValueError("every correlation is zero")
     reduced = basis.conj().T @ np.stack(correlations) @ basis
@@ -224,7 +273,7 @@ def group_users(
             for g in range(group_count)
         ]
 
-    return _finalize(correlations, assignments, group_count, cost_history)
+    return _finalize(correlations, reduced, eig, assignments, group_count, cost_history)
 
 
 def _average_correlation(
@@ -236,12 +285,15 @@ def _average_correlation(
 
 def _finalize(
     correlations: Sequence[np.ndarray],
+    reduced: np.ndarray,
+    eig: EigenDecomposition,
     assignments: np.ndarray,
     group_count: int,
     cost_history: list[float],
 ) -> Grouping:
-    """Relabel groups by smallest member, lay out contiguous chain blocks and
-    average each group's full M x M correlations."""
+    """Relabel groups by smallest member, lay out contiguous chain blocks,
+    average each group's full M x M correlations and hand over the sum's
+    decomposition ``eig`` with each group's average of the ``reduced`` stack."""
     order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
     relabel = {old: new for new, old in enumerate(order)}
     new_assignments = np.array([relabel[int(g)] for g in assignments])
@@ -258,4 +310,6 @@ def _finalize(
         rf_chains=rf_chains,
         group_correlations=group_correlations,
         cost_history=cost_history,
+        _sum_eig=eig,
+        _on_span=[_average_correlation(reduced, new_assignments, g) for g in range(group_count)],
     )

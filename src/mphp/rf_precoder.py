@@ -4,8 +4,11 @@ Per group, the analog precoder is obtained in two stages:
 
 1. A relaxed max-min problem on the statistical signal-to-leakage-and-noise
    ratio (SSLNR), solved per group by eigendecomposition of the signal
-   correlation minus a weighted leakage correlation, on the groups' joint
-   signal subspace.  The weight solves the fixed-point equation of the
+   correlation minus a weighted leakage correlation, on the users' joint
+   signal subspace (``Grouping.joint``), whose reduced group correlations
+   the grouping already holds; the grouping's decomposition of the sum of
+   the user correlations is the one M x M eigensolve of the long-term
+   stage.  The weight solves the fixed-point equation of the
    optimal value: safeguarded Newton (Dinkelbach) steps inside a shrinking
    bracket, each one eigendecomposition, return the first weight within the
    relative residual tolerance.
@@ -24,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grouping import Grouping
-from .numerics import above_rounding, hermitian_eig
+from .numerics import EigenDecomposition, hermitian_eig
 
 ALPHA_TOL = 1e-9
 ALPHA_MAX_ITERS = 200
@@ -113,12 +116,15 @@ def leakage_correlation(grouping: Grouping, g: int) -> np.ndarray:
     """Size-weighted sum of the other groups' average correlations."""
     if not 0 <= g < grouping.group_count:
         raise ValueError(f"group index {g} out of range")
-    sizes = grouping.sizes
-    out = np.zeros((grouping.antenna_count,) * 2, dtype=complex)
-    for other in range(grouping.group_count):
-        if other == g:
-            continue
-        out += sizes[g] * sizes[other] * grouping.group_correlations[other]
+    return _leakage(grouping.group_correlations, grouping.sizes, g)
+
+
+def _leakage(correlations: list[np.ndarray], sizes: np.ndarray, g: int) -> np.ndarray:
+    """sum over o != g of S_g * S_o * ``correlations[o]``."""
+    out = np.zeros_like(correlations[g])
+    for other, corr in enumerate(correlations):
+        if other != g:
+            out += sizes[g] * sizes[other] * corr
     return out
 
 
@@ -132,18 +138,24 @@ def relaxed_step(
     """Optimal relaxed precoder and objective value at a fixed leakage weight.
 
     Eigendecomposes ``signal_corr - alpha * leak_corr`` (descending) and keeps
-    the ``streams`` dominant eigenvectors; a column whose eigenvalue is
-    negative is shrunk to norm 1/sqrt(M) (the lower end of the feasible
-    column-norm range), otherwise it keeps norm 1; M is ``antenna_count``,
-    by default the matrix size.  The returned value is the trace of
-    F^H (R - alpha L) F: each selected eigenvalue times its column's squared
-    norm.
+    the ``streams`` dominant eigenvectors (``_dominant_columns``); M is
+    ``antenna_count``, by default the matrix size.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    values, vectors = hermitian_eig(signal_corr - alpha * leak_corr)
+    eig = hermitian_eig(signal_corr - alpha * leak_corr)
+    return _dominant_columns(eig, streams, antenna_count or signal_corr.shape[0])
+
+
+def _dominant_columns(eig: EigenDecomposition, streams: int, antenna_count: int) -> tuple[np.ndarray, float]:
+    """The ``streams`` leading eigenvectors of a descending decomposition; a
+    column whose eigenvalue is negative is shrunk to norm 1/sqrt(M) (the
+    lower end of the feasible column-norm range), otherwise it keeps norm 1.
+    The value is the trace of F^H (R - alpha L) F: each selected eigenvalue
+    times its column's squared norm."""
+    values, vectors = eig
     top = values[:streams]
-    scales = np.where(top >= 0, 1.0, 1.0 / np.sqrt(antenna_count or signal_corr.shape[0]))
+    scales = np.where(top >= 0, 1.0, 1.0 / np.sqrt(antenna_count))
     return vectors[:, :streams] * scales[None, :], float(np.sum(top * scales**2))
 
 
@@ -228,24 +240,13 @@ def solve_alpha_star(
     )
 
 
-def joint_signal_basis(grouping: Grouping) -> np.ndarray:
-    """Orthonormal basis (M, r) of the groups' joint signal subspace: one QR
-    of each group's eigenvectors (``group_eigs``) whose eigenvalue exceeds
-    the rounding level M * eps * lambda_1, and at least one per stream."""
-    m_ant = grouping.antenna_count
-    kept = [
-        vectors[:, above_rounding(values, m_ant) | (np.arange(m_ant) < len(members))]
-        for (values, vectors), members in zip(grouping.group_eigs, grouping.members)
-    ]
-    return np.linalg.qr(np.concatenate(kept, axis=1))[0]
-
-
 @dataclass(frozen=True)
 class RelaxedProblem:
-    """The part of ``solve_relaxed`` that no power changes: the joint signal
-    basis U (M x r) and, per group g, U^H R_g U, U^H L_g U and
-    ``relaxed_step`` at ``alpha = 0`` on them.  ``Grouping.relaxed_problem``
-    builds it once per grouping."""
+    """The part of ``solve_relaxed`` that no power changes: the joint basis
+    B (M x b, ``Grouping.joint``) and, per group g, B^H R_g B, B^H L_g B and
+    ``relaxed_step`` at ``alpha = 0`` on them, read off the decomposition
+    ``Grouping.reduced_eigs`` already holds.  No step is M x M.
+    ``Grouping.relaxed_problem`` builds it once per grouping."""
 
     basis: np.ndarray
     signal: list[np.ndarray]
@@ -254,12 +255,12 @@ class RelaxedProblem:
 
 
 def _relaxed_problem(grouping: Grouping) -> RelaxedProblem:
-    basis = joint_signal_basis(grouping)
-    signal = [basis.conj().T @ corr @ basis for corr in grouping.group_correlations]
-    leak = [basis.conj().T @ leakage_correlation(grouping, g) @ basis for g in range(grouping.group_count)]
+    basis, signal = grouping.joint.basis, grouping.joint.reduced
+    leak = [_leakage(signal, grouping.sizes, g) for g in range(grouping.group_count)]
+    # relaxed_step at alpha = 0 decomposes signal - 0.0 * leak, which is signal.
     start = [
-        relaxed_step(signal[g], leak[g], 0.0, len(members), basis.shape[0])
-        for g, members in enumerate(grouping.members)
+        _dominant_columns(eig, len(members), basis.shape[0])
+        for eig, members in zip(grouping.reduced_eigs, grouping.members)
     ]
     for array in (basis, *signal, *leak, *(f for f, _ in start)):
         array.flags.writeable = False
@@ -269,15 +270,15 @@ def _relaxed_problem(grouping: Grouping) -> RelaxedProblem:
 def solve_relaxed(grouping: Grouping, power: float) -> RelaxedSolution:
     """Run the relaxed per-group solve for every group on the joint subspace.
 
-    Each group's ``solve_alpha_star`` runs on U^H R_g U and U^H L_g U, with
-    U = ``joint_signal_basis(grouping)`` (M x r), and its columns are lifted
-    by U.  The M x M pencil is zero off U, so both solves agree unless a
-    selected eigenvalue is negative with r < M, which needs linearly
-    dependent kept eigenvectors; the column then keeps its eigenvector,
-    shrunk to 1/sqrt(M), where the M x M solve takes a null vector off U.
-    U, the projections and each group's ``alpha = 0`` evaluation come from
-    ``grouping.relaxed_problem``, so a power sweep on one grouping builds
-    them once.  The noise term K * S_g / P takes K from the grouping.
+    Each group's ``solve_alpha_star`` runs on B^H R_g B and B^H L_g B, with
+    B = ``grouping.joint.basis`` (M x b), and its columns are lifted by B.
+    R_g and L_g vanish off B up to rounding, so both solves agree unless a
+    selected eigenvalue is negative with b < M; the column then keeps its
+    eigenvector, shrunk to 1/sqrt(M), where the M x M solve takes a null
+    vector off B.  B, the reduced correlations and each group's
+    ``alpha = 0`` evaluation come from ``grouping.relaxed_problem``, so a
+    power sweep on one grouping builds them once, and no step of the solve
+    is M x M.  The noise term K * S_g / P takes K from the grouping.
     """
     problem = grouping.relaxed_problem
     solved = [

@@ -26,7 +26,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import make_grouping
+from conftest import count_calls, make_grouping
 
 
 def two_user_grouping(n_ant):
@@ -264,28 +264,39 @@ class TestDesignReads:
         assert set(SCHEMES[SchemeId.MPHP].design_reads) == {"B", "P"}
 
 
+class Unread(list):
+    """Stands in for the M x M group correlations; any read of an item fails."""
+
+    def __getitem__(self, index):
+        raise AssertionError("an M x M group correlation was read")
+
+    def __iter__(self):
+        raise AssertionError("an M x M group correlation was read")
+
+
 class TestSharedRelaxedProblem:
     """``solve_relaxed`` builds its power-independent part once per grouping."""
 
     def test_power_sweep_on_one_grouping_equals_fresh_solves(self, monkeypatch):
+        # Neither the sweep nor the fresh solves on copies make a QR or read
+        # an M x M matrix: the group correlations fail on any read, group_eigs
+        # is never made, and every eigensolve is as wide as the joint basis.
         config = SystemConfig(M=128)
         grouping, _, _ = build_context(config, seed=_derived_seeds(1)[0])
-        qr_calls = []
-        qr = np.linalg.qr
-
-        def counted(*args, **kwargs):
-            qr_calls.append(1)
-            return qr(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(grouping, "group_correlations", Unread())
+        qr_calls = count_calls(monkeypatch, np.linalg, "qr")
+        eig_calls = count_calls(monkeypatch, np.linalg, "eigh")
         powers = [10.0 ** (snr / 10.0) for snr in (-10, -5, 0, 5, 10)]
         shared = [solve_relaxed(grouping, power) for power in powers]
-        assert len(qr_calls) == 1
         for power, solution in zip(powers, shared):
             fresh = solve_relaxed(replace(grouping), power)
             assert [a.hex() for a in solution.alpha_star] == [a.hex() for a in fresh.alpha_star]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(solution.f_star, fresh.f_star))
-        assert len(qr_calls) == 1 + len(powers)
+        assert qr_calls == []
+        width = grouping.joint.basis.shape[1]
+        assert width < config.M
+        assert eig_calls and all(matrix.shape == (width, width) for matrix, *_ in eig_calls)
+        assert "group_eigs" not in vars(grouping)
         assert len(set(a for solution in shared for a in solution.alpha_star)) == len(powers) * grouping.group_count
 
     def test_cached_arrays_are_read_only(self):

@@ -12,7 +12,7 @@ from mphp.grouping import (
     default_subspace_rank,
     group_users,
 )
-from mphp.numerics import hermitian_eig
+from mphp.numerics import above_rounding, hermitian_eig
 
 from conftest import count_calls, random_psd
 
@@ -177,12 +177,62 @@ def test_grouping_dataclass_roundtrip(rng):
     assert g.user_count == 3
 
 
-def assert_fresh_eigs(grouping):
-    """group_eigs equals a fresh decomposition of each group correlation."""
-    for corr, (values, vectors) in zip(grouping.group_correlations, grouping.group_eigs):
-        fresh = hermitian_eig(corr)
-        assert np.array_equal(values, fresh.eigenvalues)
-        assert np.array_equal(vectors, fresh.eigenvectors)
+def lifted_by_hand(grouping):
+    """group_eigs built by hand: hermitian_eig of each reduced correlation
+    B^H R_g B, its vectors lifted by B, completed by the sum's other
+    eigenvectors at eigenvalue 0, and sorted descending (stably, so the
+    completion goes before the negative rounding-level eigenvalues)."""
+    basis = grouping.joint.basis
+    rest = grouping.joint.eig.eigenvectors[:, basis.shape[1] :]
+    out = []
+    for reduced in grouping.joint.reduced:
+        values, vectors = hermitian_eig(reduced)
+        values = np.concatenate([values, np.zeros(rest.shape[1])])
+        vectors = np.concatenate([basis @ vectors, rest], axis=1)
+        order = np.argsort(-values, kind="stable")
+        out.append((values[order], vectors[:, order]))
+    return out
+
+
+def assert_lifted_eigs(grouping):
+    """group_eigs is bit for bit the lift by hand, and it agrees with a fresh
+    M x M decomposition of each group correlation up to rounding: the
+    eigenvalues within M * eps * lambda_1, the projector onto the S_g
+    leading eigenvectors (the ones FRPS reads) within 1e-10, and at every
+    cut k up to the eigenvalues above rounding, the projector onto the k
+    leading eigenvectors within the Davis-Kahan bound of the two
+    decompositions' residuals over the gap lambda_k - lambda_(k+1).  No
+    flat bound holds near the rounding level, where the gaps are about
+    M * eps * lambda_1 themselves."""
+    m_ant = grouping.antenna_count
+    eps = np.finfo(float).eps
+    for (values, vectors), (hand_values, hand_vectors) in zip(grouping.group_eigs, lifted_by_hand(grouping)):
+        assert np.array_equal(values, hand_values)
+        assert np.array_equal(vectors, hand_vectors)
+    for corr, members, (values, vectors) in zip(grouping.group_correlations, grouping.members, grouping.group_eigs):
+        fresh_values, fresh_vectors = hermitian_eig(corr)
+        assert values.shape == (m_ant,) and vectors.shape == (m_ant, m_ant)
+        assert np.all(np.diff(values) <= 0)
+        assert np.allclose(vectors.conj().T @ vectors, np.eye(m_ant), rtol=0, atol=1e-13)
+        assert np.abs(values - fresh_values).max() <= m_ant * eps * fresh_values[0]
+
+        def projector(v, k):
+            return v[:, :k] @ v[:, :k].conj().T
+
+        def residual(w, v):
+            return np.linalg.norm(corr - (v * w) @ v.conj().T, 2)
+
+        streams = len(members)
+        assert np.abs(projector(vectors, streams) - projector(fresh_vectors, streams)).max() <= 1e-10
+        # Each decomposition is exact for corr plus its residual.
+        # Measured up to 2.7e-9 * lambda_1 (M = 128, one user per group).
+        noise = residual(values, vectors) + residual(fresh_values, fresh_vectors)
+        assert noise <= 1e-8 * fresh_values[0]
+        for k in range(1, min(int(np.count_nonzero(above_rounding(fresh_values, m_ant))), m_ant - 1) + 1):
+            gap = fresh_values[k - 1] - fresh_values[k] - noise
+            if gap > noise:
+                moved = np.linalg.norm(projector(vectors, k) - projector(fresh_vectors, k), 2)
+                assert moved <= noise / gap, (k, moved, noise / gap)
 
 
 def full_space_lloyd(correlations, group_count, rank, max_iters=100):
@@ -247,14 +297,31 @@ class TestMatchesFullSpaceOracle:
 
 
 class TestGroupEigsReuse:
-    """group_eigs is the full decomposition of each group correlation, made
-    on first read; group_users itself decomposes one M x M matrix."""
+    """group_eigs is made in the joint subspace, on first read; the sum of
+    the correlations is the only M x M decomposition of a grouping."""
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     @pytest.mark.parametrize("m_ant", [8, 64, 128])
     def test_equal_to_fresh_decomposition(self, m_ant, n_groups):
         corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
-        assert_fresh_eigs(group_users(corrs, n_groups))
+        assert_lifted_eigs(group_users(corrs, n_groups))
+
+    @pytest.mark.parametrize("n_groups", [1, 3, 8])
+    @pytest.mark.parametrize("m_ant", [8, 64, 128])
+    def test_reduced_correlations(self, m_ant, n_groups):
+        # On U (the eigenvectors above rounding) each reduced correlation is
+        # the member average of the users' U^H R_k U, which group_users
+        # already forms; it is B^H R_g B up to rounding.
+        corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
+        grouping = group_users(corrs, n_groups)
+        values, vectors = grouping.joint.eig
+        basis = grouping.joint.basis
+        assert np.array_equal(basis, vectors[:, : np.count_nonzero(above_rounding(values, m_ant))])
+        users = basis.conj().T @ np.stack(corrs) @ basis
+        for members, corr, reduced in zip(grouping.members, grouping.group_correlations, grouping.joint.reduced):
+            assert np.array_equal(reduced, sum(users[k] for k in members) / len(members))
+            projected = basis.conj().T @ corr @ basis
+            assert np.allclose(reduced, projected, rtol=0, atol=1e-13 * np.linalg.norm(corr))
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     def test_full_size_decompositions(self, monkeypatch, n_groups):
@@ -268,10 +335,14 @@ class TestGroupEigsReuse:
         grouping = group_users(corrs, n_groups)
         assert full_size() == 1  # the sum of the correlations; users and centroids are r x r
         assert all(args[0].shape[0] < m_ant for args in calls[1:])
+        before = len(calls)
         assert len(grouping.group_eigs) == n_groups
-        assert full_size() == 1 + n_groups
+        assert full_size() == 1
+        width = grouping.joint.basis.shape[1]
+        assert [args[0].shape for args in calls[before:]] == [(width, width)] * n_groups
         grouping.group_eigs
-        assert full_size() == 1 + n_groups
+        grouping.relaxed_problem
+        assert len(calls) == before + n_groups
 
     def test_run_stopped_by_max_iters(self):
         rng = np.random.default_rng(1)
@@ -282,12 +353,30 @@ class TestGroupEigsReuse:
         assert not np.array_equal(stopped.assignments, converged.assignments)
         for members, corr in zip(stopped.members, stopped.group_correlations):
             assert np.array_equal(corr, sum(corrs[int(k)] for k in members) / len(members))
-        assert_fresh_eigs(stopped)
+        assert_lifted_eigs(stopped)
 
     def test_grouping_built_directly_decomposes_on_first_read(self, monkeypatch):
-        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(16))
-        grouping = dataclasses.replace(group_users(corrs, 3))
+        # A grouping built without a joint subspace decomposes sum_g |g| R_g
+        # (M x M) on first read, then each reduced correlation; a copy made
+        # by dataclasses.replace carries the subspace and decomposes only the
+        # reduced correlations, bit for bit as the original does.
+        m_ant = 64
+        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(m_ant))
+        grouped = group_users(corrs, 3)
+        direct = Grouping(grouped.assignments, grouped.members, grouped.rf_chains, grouped.group_correlations)
+        copy = dataclasses.replace(grouped)
+        assert copy.joint.eig is grouped.joint.eig and copy.joint.reduced is grouped.joint.reduced
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
-        grouping.group_eigs
-        assert len(calls) == 3
-        assert_fresh_eigs(grouping)
+        direct.group_eigs
+        width = direct.joint.basis.shape[1]
+        assert width < m_ant
+        assert [args[0].shape for args in calls] == [(m_ant, m_ant)] + [(width, width)] * 3
+        total = sum(len(m) * corr for m, corr in zip(direct.members, direct.group_correlations))
+        assert np.array_equal(calls[0][0], total)
+        assert_lifted_eigs(direct)
+        del calls[:]
+        for (values, vectors), (own_values, own_vectors) in zip(copy.group_eigs, grouped.group_eigs):
+            assert np.array_equal(values, own_values) and np.array_equal(vectors, own_vectors)
+        # Three for the copy and three for the original, all reduced.
+        width = grouped.joint.basis.shape[1]
+        assert [args[0].shape for args in calls] == [(width, width)] * 6

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import re
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from mphp import metrics as metrics_mod
 from mphp import rf_precoder
 from mphp.baselines import SchemeId, design_long_term
 from mphp.experiment import SystemConfig, parse_config, rows_to_csv, run_experiment
 from mphp.grouping import group_users
 from mphp.metrics import build_context
-from mphp.numerics import EigenDecomposition, hermitian_eig
+from mphp.numerics import EigenDecomposition, above_rounding, hermitian_eig
 from mphp.rf_precoder import (
     DegenerateGroupError,
     RelaxedSolution,
@@ -30,7 +32,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import count_calls, make_grouping, random_psd
+from conftest import CO_LOCATED, count_calls, make_grouping, random_psd
 
 
 def diagonal_grouping():
@@ -1094,14 +1096,17 @@ class TestJointSubspaceSolve:
         for power in (0.1, 1.0, 10.0):
             solve_relaxed(grouping, power=power)
         assert calls
-        assert all(matrix.shape[0] == matrix.shape[1] <= 56 for matrix, in calls)
+        width = grouping.joint.basis.shape[1]
+        assert width <= 56
+        assert all(matrix.shape[0] == matrix.shape[1] <= width for matrix, in calls)
 
-    @pytest.mark.parametrize("m_ant, rank", [(16, 16), (32, 31), (64, 40), (128, 56)])
+    @pytest.mark.parametrize("m_ant, rank", [(16, 16), (32, 28), (64, 39), (128, 56)])
     def test_joint_basis(self, m_ant, rank):
-        # Orthonormal, r columns at seed 1, and every group correlation lies
-        # in its span up to rounding.
+        # Orthonormal, r columns at seed 1 (the eigenvectors of the sum of
+        # the user correlations above rounding), and every group correlation
+        # lies in its span up to rounding.
         grouping, _, _ = build_context(SystemConfig(M=m_ant), 1)
-        basis = rf_precoder.joint_signal_basis(grouping)
+        basis = grouping.joint.basis
         assert basis.shape == (m_ant, rank)
         assert np.allclose(basis.conj().T @ basis, np.eye(rank), rtol=0, atol=1e-13)
         projector = basis @ basis.conj().T
@@ -1127,10 +1132,139 @@ class TestJointSubspaceSolve:
         # has one eigenvalue above rounding and three streams.
         corr = np.zeros((6, 6), dtype=complex)
         corr[0, 0] = 1.0
-        grouping = make_grouping([corr] * 3, [0, 0, 0])
-        assert rf_precoder.joint_signal_basis(grouping).shape == (6, 3)
-        relaxed = solve_relaxed(grouping, power=1.0)
-        assert relaxed.f_star[0].shape == (6, 3)
+        assert_basis_per_stream(make_grouping([corr] * 3, [0, 0, 0]), rank=1)
+
+    def test_co_located_users(self):
+        # Two co-located users in one group through group_users: r = 1 < S_g = 2.
+        config = parse_config(CO_LOCATED)
+        grouping, _, _ = build_context(config, 1)
+        assert_basis_per_stream(grouping, rank=1)
+        csv_text = rows_to_csv(run_experiment(config))
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == CO_LOCATED_CSV
+
+
+# sha256 of CO_LOCATED's CSV: every scheme in outage in every slot, zero
+# rates and MPHP's and FRPS's statistics feedback count 17.
+CO_LOCATED_CSV = "cf9b6fadddb962dae9ac862e49968fdc1f8963ebafc6f52144cdfe67b78af5b3"
+
+
+def assert_basis_per_stream(grouping, rank):
+    """The joint basis has max(r, max_g S_g) orthonormal columns, where r
+    (``rank``) counts the sum's eigenvalues above rounding, and each group's
+    relaxed columns are (M, S_g)."""
+    m_ant = grouping.antenna_count
+    values = grouping.joint.eig.eigenvalues
+    assert np.count_nonzero(above_rounding(values, m_ant)) == rank
+    width = max(rank, max(grouping.sizes))
+    basis = grouping.joint.basis
+    assert basis.shape == (m_ant, width)
+    assert np.allclose(basis.conj().T @ basis, np.eye(width), rtol=0, atol=1e-13)
+    assert all(reduced.shape == (width, width) for reduced in grouping.joint.reduced)
+    relaxed = solve_relaxed(grouping, power=1.0)
+    assert [f.shape for f in relaxed.f_star] == [(m_ant, len(members)) for members in grouping.members]
+    validate_rf_precoder(grfp_assign(relaxed, grouping, bits=2))
+
+
+def qr_basis_oracle(grouping):
+    """The long-term stage as it ran before the joint subspace: each group
+    correlation decomposed at M x M, and the basis one QR of each group's
+    eigenvectors above rounding, at least one per stream.  Returns the
+    decompositions and the basis."""
+    m_ant = grouping.antenna_count
+    eigs = [hermitian_eig(corr) for corr in grouping.group_correlations]
+    kept = [
+        vectors[:, above_rounding(values, m_ant) | (np.arange(m_ant) < len(members))]
+        for (values, vectors), members in zip(eigs, grouping.members)
+    ]
+    return eigs, np.linalg.qr(np.concatenate(kept, axis=1))[0]
+
+
+def qr_basis_relaxed(grouping, basis, power):
+    """The relaxed solve on the QR basis, with the group and leakage
+    correlations projected from M x M."""
+    sizes, corrs = grouping.sizes, grouping.group_correlations
+    leaks = [
+        sum((sizes[g] * sizes[o] * corrs[o] for o in range(len(corrs)) if o != g), np.zeros_like(corrs[g]))
+        for g in range(len(corrs))
+    ]
+    solved = [
+        solve_alpha_star(
+            basis.conj().T @ corr @ basis,
+            basis.conj().T @ leak @ basis,
+            len(members),
+            grouping.user_count,
+            power,
+            antenna_count=grouping.antenna_count,
+        )
+        for corr, leak, members in zip(corrs, leaks, grouping.members)
+    ]
+    return RelaxedSolution([alpha for alpha, _ in solved], [basis @ f for _, f in solved])
+
+
+def assert_designs_match_qr_oracle(grouping, config, powers=(0.1, 1.0, 10.0), bits_range=range(1, 7)):
+    """MPHP's map and phases and FRPS's phase matrix equal the QR-basis
+    oracle's, and alpha* agrees within 1e-9 relative."""
+    eigs, basis = qr_basis_oracle(grouping)
+    oracle = dataclasses.replace(grouping)
+    oracle.group_eigs = eigs
+    for power in powers:
+        relaxed = solve_relaxed(grouping, power=power)
+        reference = qr_basis_relaxed(grouping, basis, power)
+        for alpha, expected in zip(relaxed.alpha_star, reference.alpha_star):
+            assert abs(alpha - expected) <= 1e-9 * expected, power
+        for bits in bits_range:
+            got = grfp_assign(relaxed, grouping, bits)
+            expected = grfp_assign(reference, grouping, bits)
+            assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain), (power, bits)
+            assert np.array_equal(got.phase_index, expected.phase_index), (power, bits)
+    for bits in bits_range:
+        point = dataclasses.replace(config, B=bits)
+        frps = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, point)
+        assert np.array_equal(frps, design_long_term(SchemeId.FRPS_STATISTICAL, oracle, point)), bits
+
+
+class TestMatchesQrBasisOracle:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
+    def test_pipeline_designs(self, m_ant, seed):
+        config = SystemConfig(M=m_ant)
+        grouping, _, _ = build_context(config, seed)
+        assert_designs_match_qr_oracle(grouping, config)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize(
+        "config",
+        [*EDGE_CONFIGS, parse_config(CO_LOCATED)],
+        ids=lambda c: f"M{c.M}-K{c.K}-G{c.G}-spread{c.angular_spread}",
+    )
+    def test_edge_configs(self, config, seed):
+        grouping, _, _ = build_context(config, seed)
+        assert_designs_match_qr_oracle(grouping, config)
+
+
+class TestOneFullSizeEigensolve:
+    @pytest.mark.parametrize("m_ant", [64, 128])
+    def test_per_grouping(self, monkeypatch, m_ant):
+        # A run with MPHP at three powers, FRPS and the statistics feedback
+        # count of each row decomposes one M x M matrix per grouping.
+        config = parse_config(
+            f"M = {m_ant}\nn_slots = 2\nschemes = MPHP, FRPS_STATISTICAL\n"
+            "sweep.parameter = snr_db\nsweep.values = -10, 0, 10\n"
+        )
+        groupings = count_calls(monkeypatch, metrics_mod, "group_users")
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        rows = run_experiment(config)
+        assert len(rows) == 6 and all(row.feedback_statistics > 0 for row in rows)
+        assert len(groupings) == 1
+        assert shapes.count((m_ant, m_ant)) == len(groupings)
+        assert all(shape[0] < m_ant for shape in shapes if shape != (m_ant, m_ant))
 
 
 class TestSslnr:
