@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import EigenDecomposition, above_rounding, hermitian_eig
+from .numerics import EigenDecomposition, above_rounding, hermitian_eig, real_frame
 
 if TYPE_CHECKING:
     from .rf_precoder import RelaxedProblem
@@ -31,7 +31,9 @@ class JointSubspace(NamedTuple):
     ``eig`` decomposes the sum of the user correlations (M x M); ``basis``
     (M x b) is its leading eigenvectors, those above rounding
     (``numerics.above_rounding``) and at least ``max_g S_g`` of them; and
-    ``reduced[g]`` is basis^H R_g basis."""
+    ``reduced[g]`` is basis^H R_g basis.  ``group_users`` makes them in the
+    ``numerics.real_frame`` of the correlations: for a ULA's (nonzero
+    spread) ``reduced`` is real and the vectors are Q times real vectors."""
 
     eig: EigenDecomposition
     basis: np.ndarray
@@ -52,8 +54,8 @@ class Grouping:
     rf_chains: list[np.ndarray]
     group_correlations: list[np.ndarray]
     cost_history: list[float] = field(default_factory=list)
-    # group_users passes its decomposition of the sum of the user correlations
-    # and each group's member average of the users' U^H R_k U.
+    # group_users passes its decomposition of the sum of the user correlations,
+    # lifted to antenna coordinates, and each group's reduced correlation.
     _sum_eig: EigenDecomposition | None = field(default=None, repr=False)
     _on_span: list[np.ndarray] | None = field(default=None, repr=False)
 
@@ -76,16 +78,16 @@ class Grouping:
     @cached_property
     def joint(self) -> JointSubspace:
         """The joint subspace, made on first read.  A grouping built without
-        ``_sum_eig`` decomposes sum_g |g| R_g; without ``_on_span``, or when
-        the basis needs more columns than U has, each group correlation is
-        projected on the basis.  ``dataclasses.replace`` carries both."""
+        ``_sum_eig`` decomposes sum_g |g| R_g, and without ``_on_span`` each
+        group correlation is projected on the basis, in antenna coordinates.
+        ``dataclasses.replace`` carries both."""
         eig = self._sum_eig
         if eig is None:
             eig = hermitian_eig(sum(size * corr for size, corr in zip(self.sizes, self.group_correlations)))
         above = int(np.count_nonzero(above_rounding(eig.eigenvalues, eig.eigenvalues.size)))
         basis = eig.eigenvectors[:, : max(above, *self.sizes)]
         reduced = self._on_span
-        if reduced is None or basis.shape[1] > above:
+        if reduced is None:
             reduced = [basis.conj().T @ corr @ basis for corr in self.group_correlations]
         return JointSubspace(eig, basis, reduced)
 
@@ -123,6 +125,18 @@ class Grouping:
     def chain_users(self) -> np.ndarray:
         """User index served by each RF chain (chain blocks follow group order)."""
         return np.concatenate(self.members)
+
+
+def _frame_eig(matrix: np.ndarray) -> EigenDecomposition:
+    """``hermitian_eig`` of a matrix in ``numerics.real_frame``.  A real
+    one's vectors V take one Newton-Schulz step, V (3I - V^T V) / 2: the
+    real solver leaves them orthonormal to about 2e-15, the complex one to
+    1e-15, and the reduced eigenvalues carry that error."""
+    eig = hermitian_eig(matrix)
+    if np.iscomplexobj(matrix):
+        return eig
+    vectors = eig.eigenvectors
+    return eig._replace(eigenvectors=vectors @ (1.5 * np.eye(vectors.shape[1]) - 0.5 * (vectors.T @ vectors)))
 
 
 def _dominant_projector(corr: np.ndarray, rank: int, antenna_count: int) -> np.ndarray:
@@ -214,7 +228,9 @@ def group_users(
     distances are the full-space ones up to rounding.  The grouping keeps
     that decomposition and each group's member average of the users'
     U^H R_k U for its ``joint`` subspace, so the long-term stage makes no
-    other M x M eigendecomposition.
+    other M x M eigendecomposition.  All of it runs in the
+    ``numerics.real_frame`` of the correlations, in real arithmetic when
+    they are centro-Hermitian; only the sum's eigenvectors are lifted.
     """
     n_users = len(correlations)
     if group_count > n_users:
@@ -228,11 +244,12 @@ def group_users(
     if rank < 1 or rank > m_ant:
         raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {rank}")
 
-    eig = hermitian_eig(sum(correlations))
+    frame, lift = real_frame(np.stack(correlations))
+    eig = _frame_eig(sum(frame))
     basis = eig.eigenvectors[:, above_rounding(eig.eigenvalues, m_ant)]
     if basis.shape[1] == 0:
         raise ValueError("every correlation is zero")
-    reduced = basis.conj().T @ np.stack(correlations) @ basis
+    reduced = basis.conj().T @ frame @ basis
     user_projectors = [_dominant_projector(r, rank, m_ant) for r in reduced]
 
     # Farthest-point seeding from user 0.
@@ -273,7 +290,7 @@ def group_users(
             for g in range(group_count)
         ]
 
-    return _finalize(correlations, reduced, eig, assignments, group_count, cost_history)
+    return _finalize(correlations, frame, lift, reduced, eig, assignments, group_count, cost_history)
 
 
 def _average_correlation(
@@ -285,6 +302,8 @@ def _average_correlation(
 
 def _finalize(
     correlations: Sequence[np.ndarray],
+    frame: np.ndarray,
+    lift: Callable[[np.ndarray], np.ndarray],
     reduced: np.ndarray,
     eig: EigenDecomposition,
     assignments: np.ndarray,
@@ -293,7 +312,10 @@ def _finalize(
 ) -> Grouping:
     """Relabel groups by smallest member, lay out contiguous chain blocks,
     average each group's full M x M correlations and hand over the sum's
-    decomposition ``eig`` with each group's average of the ``reduced`` stack."""
+    decomposition ``eig``, lifted, with each group's reduced correlation in
+    the ``frame``: its average of the ``reduced`` stack, or, when the basis
+    needs more columns than U has (co-located users, r < S_g), its average
+    correlation projected on them."""
     order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
     relabel = {old: new for new, old in enumerate(order)}
     new_assignments = np.array([relabel[int(g)] for g in assignments])
@@ -304,12 +326,16 @@ def _finalize(
     group_correlations = [
         _average_correlation(correlations, new_assignments, g) for g in range(group_count)
     ]
+    span = eig.eigenvectors[:, : max(reduced.shape[-1], *(len(m) for m in members))]
+    on_span = [_average_correlation(reduced, new_assignments, g) for g in range(group_count)]
+    if span.shape[1] > reduced.shape[-1]:
+        on_span = [span.conj().T @ _average_correlation(frame, new_assignments, g) @ span for g in range(group_count)]
     return Grouping(
         assignments=new_assignments,
         members=members,
         rf_chains=rf_chains,
         group_correlations=group_correlations,
         cost_history=cost_history,
-        _sum_eig=eig,
-        _on_span=[_average_correlation(reduced, new_assignments, g) for g in range(group_count)],
+        _sum_eig=eig._replace(eigenvectors=lift(eig.eigenvectors)),
+        _on_span=on_span,
     )

@@ -3,12 +3,13 @@
 One numeric policy for the repo: every Hermitian eigendecomposition and
 every condition test of the pipeline goes through this module, and
 ``CONDITION_LIMIT``, the one cut-off for a near-singular matrix, is defined
-here and nowhere else.
+here and nowhere else, as is ``real_frame``, which makes a ULA's
+correlations real.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,9 @@ class NearSingularError(ArithmeticError):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian subspace: (A + A^H) / 2."""
-    a = np.asarray(a, dtype=complex)
+    """Project onto the Hermitian subspace: (A + A^H) / 2.  A real input
+    stays real: its Hermitian part is its symmetric part."""
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.conj().T)
@@ -38,8 +40,11 @@ class EigenDecomposition(NamedTuple):
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
     Column i of ``eigenvectors`` pairs with ``eigenvalues[i]`` and carries
-    whatever unit-modulus factor LAPACK returns.  Projectors, traces and
-    magnitudes do not depend on it, and GRFP and the FRPS baseline remove it
+    whatever unit-modulus factor LAPACK returns: a sign for a real input.
+    The long-term stage decomposes centro-Hermitian matrices in
+    ``real_frame``, so its vectors are Q times real vectors.  Projectors,
+    traces and magnitudes do not depend on the factor, and GRFP and the
+    FRPS baseline remove it
     (``rf_precoder.align_column_phase``) before rounding to the phase grid.
     """
 
@@ -62,6 +67,49 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
         eigenvalues=np.ascontiguousarray(values[order]),
         eigenvectors=np.ascontiguousarray(vectors[:, order]),
     )
+
+
+def real_frame(a: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """A stack (..., M, M) in the frame where the long-term stage runs, and
+    the lift of frame vectors (M, c) to antenna coordinates.  An exactly
+    centro-Hermitian stack (J A J = conj(A), J the exchange matrix), as
+    every Hermitian Toeplitz ULA correlation is, goes to the real symmetric
+    Q^H A Q, with Q = (1/sqrt(2)) [[I, iI], [J, -iJ]] (a middle row and
+    column e_n for odd M) the real-valued transform of unitary ESPRIT
+    (Haardt & Nossek, IEEE TSP 1995), and the lift is V -> Q V.  With
+    A = X + iY in n x n blocks, Q^H A Q = [[X11 + X12 J, Y12 J - Y11],
+    [Y11 + Y12 J, X11 - X12 J]]: O(M^2) slices.  Any other stack stays as
+    it is, with the identity lift."""
+    a = np.asarray(a)
+    n, hi = a.shape[-1] // 2, (a.shape[-1] + 1) // 2
+    # Rows hi: mirror rows :n, so comparing rows :hi covers every entry.
+    if not np.array_equal(a[..., ::-1, ::-1][..., :hi, :], a[..., :hi, :].conj()):
+        return a, lambda vectors: vectors
+    x, y = a.real, a.imag
+    x11, y11 = x[..., :n, :n], y[..., :n, :n]
+    x12j, y12j = x[..., :n, ::-1][..., :n], y[..., :n, ::-1][..., :n]
+    out = np.empty(a.shape)
+    np.add(x11, x12j, out=out[..., :n, :n])
+    np.subtract(y12j, y11, out=out[..., :n, hi:])
+    np.add(y11, y12j, out=out[..., hi:, :n])
+    np.subtract(x11, x12j, out=out[..., hi:, hi:])
+    if hi > n:
+        out[..., n, n] = x[..., n, n]
+        out[..., :n, n] = out[..., n, :n] = np.sqrt(2.0) * x[..., :n, n]
+        out[..., hi:, n] = out[..., n, hi:] = np.sqrt(2.0) * y[..., :n, n]
+    return out, _lift
+
+
+def _lift(vectors: np.ndarray) -> np.ndarray:
+    """Q V: rows (V1 + i V2) / sqrt(2), V's middle row for odd M, then the
+    first rows' conjugates in reverse order."""
+    n, hi = vectors.shape[0] // 2, (vectors.shape[0] + 1) // 2
+    out = np.empty(vectors.shape, dtype=complex)
+    out.real[:n], out.imag[:n] = vectors[:n], vectors[hi:]
+    out[:n] *= np.sqrt(0.5)
+    out[n:hi] = vectors[n:hi]
+    out[hi:] = out[:n][::-1].conj()
+    return out
 
 
 def above_rounding(eigenvalues: np.ndarray, antenna_count: int) -> np.ndarray:

@@ -8,10 +8,11 @@ Per group, the analog precoder is obtained in two stages:
    signal subspace (``Grouping.joint``), whose reduced group correlations
    the grouping already holds; the grouping's decomposition of the sum of
    the user correlations is the one M x M eigensolve of the long-term
-   stage.  The weight solves the fixed-point equation of the
-   optimal value: safeguarded Newton (Dinkelbach) steps inside a shrinking
-   bracket, each one eigendecomposition, return the first weight within the
-   relative residual tolerance.
+   stage, and all of it runs in real arithmetic for a ULA's correlations
+   (``numerics.real_frame``).  The weight solves the fixed-point equation
+   of the optimal value: safeguarded Newton (Dinkelbach) steps inside a
+   shrinking bracket, each one eigendecomposition, return the first weight
+   within the relative residual tolerance.
 2. A greedy projection (GRFP) of the relaxed solution onto the hardware
    constraint set: each antenna connects to exactly one RF chain through one
    phase shifter whose phase lives on a B-bit grid, and every chain keeps at
@@ -245,7 +246,9 @@ class RelaxedProblem:
     """The part of ``solve_relaxed`` that no power changes: the joint basis
     B (M x b, ``Grouping.joint``) and, per group g, B^H R_g B, B^H L_g B and
     ``relaxed_step`` at ``alpha = 0`` on them, read off the decomposition
-    ``Grouping.reduced_eigs`` already holds.  No step is M x M.
+    ``Grouping.reduced_eigs`` already holds.  No step is M x M, and for a
+    ULA's correlations (``numerics.real_frame``) every matrix but B is
+    real, so each Newton eigensolve is too; B lifts the columns.
     ``Grouping.relaxed_problem`` builds it once per grouping."""
 
     basis: np.ndarray

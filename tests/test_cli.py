@@ -160,3 +160,21 @@ def test_m128_zero_spread_grouping_independent_of_blas_threads(tmp_path):
     config.write_text("M = 128\nn_slots = 2\nscenario.angular_spread = 0\nseed = 1\n")
     texts = csv_under_blas_threads(tmp_path, ["run", "--config", str(config)])
     assert texts[0] == texts[1]
+
+
+def test_experiment_imports_no_scipy(tmp_path):
+    # pyproject.toml declares numpy alone, so a run must not import scipy,
+    # even where it is installed.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    script = (
+        "import sys\n"
+        "from mphp.experiment import parse_config, rows_to_csv, run_experiment\n"
+        f"rows_to_csv(run_experiment(parse_config({TINY!r})))\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from mphp.grouping import (
     default_subspace_rank,
     group_users,
 )
-from mphp.numerics import above_rounding, hermitian_eig
+from mphp.numerics import above_rounding, hermitian_eig, real_frame
 
 from conftest import count_calls, random_psd
 
@@ -309,19 +309,26 @@ class TestGroupEigsReuse:
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     @pytest.mark.parametrize("m_ant", [8, 64, 128])
     def test_reduced_correlations(self, m_ant, n_groups):
-        # On U (the eigenvectors above rounding) each reduced correlation is
-        # the member average of the users' U^H R_k U, which group_users
-        # already forms; it is B^H R_g B up to rounding.
+        # The stage runs in the real frame of the correlations: the basis
+        # (the eigenvectors above rounding) is Q U with U real, each reduced
+        # correlation is real and the member average of the users' U^T T_k U
+        # (T_k = Q^H R_k Q), and it is B^H R_g B up to rounding.
         corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
         grouping = group_users(corrs, n_groups)
         values, vectors = grouping.joint.eig
         basis = grouping.joint.basis
         assert np.array_equal(basis, vectors[:, : np.count_nonzero(above_rounding(values, m_ant))])
-        users = basis.conj().T @ np.stack(corrs) @ basis
+        frame, lift = real_frame(np.stack(corrs))
+        assert frame.dtype == np.float64
+        q = lift(np.eye(m_ant))
+        span = q.conj().T @ basis
+        assert np.abs(span.imag).max() <= 1e-15
+        users = span.real.T @ frame @ span.real
         for members, corr, reduced in zip(grouping.members, grouping.group_correlations, grouping.joint.reduced):
-            assert np.array_equal(reduced, sum(users[k] for k in members) / len(members))
-            projected = basis.conj().T @ corr @ basis
-            assert np.allclose(reduced, projected, rtol=0, atol=1e-13 * np.linalg.norm(corr))
+            assert reduced.dtype == np.float64
+            tol = 1e-13 * np.linalg.norm(corr)
+            assert np.allclose(reduced, sum(users[k] for k in members) / len(members), rtol=0, atol=tol)
+            assert np.allclose(reduced, basis.conj().T @ corr @ basis, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     def test_full_size_decompositions(self, monkeypatch, n_groups):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mphp.channel import ArrayGeometry, UserChannelParams, correlation_from_params
 from mphp.numerics import (
     CONDITION_LIMIT,
     EigenDecomposition,
@@ -8,6 +9,7 @@ from mphp.numerics import (
     check_condition,
     hermitian_eig,
     hermitian_part,
+    real_frame,
     solve_right_inverse,
 )
 
@@ -140,6 +142,101 @@ def test_hermitian_part_is_hermitian(rng):
     x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = hermitian_part(x)
     assert np.array_equal(h, h.conj().T)
+
+
+def test_hermitian_part_keeps_a_real_matrix_real():
+    h = hermitian_part(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    assert h.dtype == np.float64
+    assert np.array_equal(h, [[1.0, 1.0], [1.0, 3.0]])
+
+
+EPS = np.finfo(float).eps
+
+
+def dense_q(m_ant):
+    """Q = (1/sqrt(2)) [[I, iI], [J, -iJ]] of unitary ESPRIT, with a middle
+    row and column e_n for odd M, written out entry by entry."""
+    n = m_ant // 2
+    top, right, bottom = np.arange(n), m_ant - n + np.arange(n), m_ant - 1 - np.arange(n)
+    q = np.zeros((m_ant, m_ant), dtype=complex)
+    q[top, top] = q[bottom, top] = 1.0
+    q[top, right] = 1j
+    q[bottom, right] = -1j
+    q /= np.sqrt(2.0)
+    if m_ant % 2:
+        q[n, n] = 1.0
+    return q
+
+
+def ula_correlation(m_ant, spread, mean_aod=0.4):
+    params = UserChannelParams(mean_aod=mean_aod, angular_spread=spread, path_count=4, mean_power=2.5)
+    return correlation_from_params(params, ArrayGeometry(m_ant, element_spacing=0.37))
+
+
+FRAME_SPREADS = (0.01, 0.03, 0.5)
+
+
+class TestRealFrame:
+    @pytest.mark.parametrize("m_ant", [1, 2, 3, 8, 9, 128])
+    def test_lift_is_the_unitary_q(self, m_ant):
+        _, lift = real_frame(ula_correlation(m_ant, 0.1))
+        q = lift(np.eye(m_ant))
+        assert np.abs(q - dense_q(m_ant)).max() <= EPS
+        assert np.abs(q.conj().T @ q - np.eye(m_ant)).max() <= 2 * EPS
+        v = np.random.default_rng(m_ant).standard_normal((m_ant, 3))
+        assert np.allclose(lift(v), dense_q(m_ant) @ v, rtol=0, atol=4 * EPS)
+
+    @pytest.mark.parametrize("spread", FRAME_SPREADS)
+    def test_ula_correlations_are_centro_hermitian(self, spread):
+        # J R J = conj(R) holds exactly, so the whole stage runs in the frame.
+        for m_ant in (*range(1, 66), *range(66, 1024, 29), 127, 128, 255, 256, 511, 512, 1023, 1024):
+            corr = ula_correlation(m_ant, spread)
+            assert np.array_equal(corr[::-1, ::-1], corr.conj()), m_ant
+            assert real_frame(corr)[0].dtype == np.float64, m_ant
+
+    @pytest.mark.parametrize("spread", FRAME_SPREADS)
+    @pytest.mark.parametrize("m_ant", [1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 127, 128, 255, 256, 1023, 1024])
+    def test_frame_matches_the_dense_product(self, m_ant, spread):
+        corr = ula_correlation(m_ant, spread)
+        frame, _ = real_frame(corr)
+        q = dense_q(m_ant)
+        assert np.array_equal(frame, frame.T)
+        assert np.linalg.norm(frame - q.conj().T @ corr @ q) <= 1e-15 * np.linalg.norm(corr)
+
+    def test_stack_is_transformed_matrix_by_matrix(self):
+        corrs = np.stack([ula_correlation(9, spread, mean_aod) for spread, mean_aod in ((0.01, -0.7), (0.5, 0.2))])
+        frame, _ = real_frame(corrs)
+        for corr, own in zip(corrs, frame):
+            assert np.array_equal(own, real_frame(corr)[0])
+
+    def test_other_matrices_keep_the_complex_path(self, rng):
+        # A zero-spread outer product, a random PSD matrix, and a stack with
+        # one of them, come back as they are, with the identity lift.
+        outer = ula_correlation(16, 0.0)
+        psd = random_psd(rng, 16)
+        v = rng.standard_normal((16, 2))
+        for a in (outer, psd, np.stack([ula_correlation(16, 0.03), outer])):
+            frame, lift = real_frame(a)
+            assert frame is a
+            assert lift(v) is v
+
+    @pytest.mark.parametrize("m_ant", [1, 2, 7, 8, 64])
+    def test_hermitian_eig_on_both_paths(self, m_ant):
+        # The contract holds on the complex correlation and on its real
+        # frame, whose eigenvalues agree and whose lifted vectors are the
+        # correlation's eigenvectors.
+        corr = ula_correlation(m_ant, 0.1)
+        frame, lift = real_frame(corr)
+        for a in (corr, frame):
+            values, vectors = hermitian_eig(a)
+            assert vectors.dtype == a.dtype
+            assert np.all(np.diff(values) <= 0)
+            assert np.abs(vectors.conj().T @ vectors - np.eye(m_ant)).max() <= 1e-13
+            assert np.linalg.norm(a @ vectors - vectors * values) <= 1e-13 * np.linalg.norm(a)
+        values, vectors = hermitian_eig(frame)
+        assert np.abs(values - hermitian_eig(corr).eigenvalues).max() <= m_ant * EPS * values[0]
+        lifted = lift(vectors)
+        assert np.linalg.norm(corr @ lifted - lifted * values) <= 1e-13 * np.linalg.norm(corr)
 
 
 class TestStackedConditioning:

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from mphp import grouping as grouping_mod
 from mphp import metrics as metrics_mod
 from mphp import rf_precoder
 from mphp.baselines import SchemeId, design_long_term
 from mphp.experiment import SystemConfig, parse_config, rows_to_csv, run_experiment
 from mphp.grouping import group_users
 from mphp.metrics import build_context
-from mphp.numerics import EigenDecomposition, above_rounding, hermitian_eig
+from mphp.numerics import EigenDecomposition, above_rounding, hermitian_eig, real_frame
 from mphp.rf_precoder import (
     DegenerateGroupError,
     RelaxedSolution,
@@ -1168,10 +1169,17 @@ def assert_basis_per_stream(grouping, rank):
 def qr_basis_oracle(grouping):
     """The long-term stage as it ran before the joint subspace: each group
     correlation decomposed at M x M, and the basis one QR of each group's
-    eigenvectors above rounding, at least one per stream.  Returns the
+    eigenvectors above rounding, at least one per stream.  Each M x M
+    decomposition is the one group_users makes of the sum (in the real
+    frame, then lifted), so where a design reads the sum's null space
+    (co-located users, r = 1 < S_g) both sides see one basis.  Returns the
     decompositions and the basis."""
     m_ant = grouping.antenna_count
-    eigs = [hermitian_eig(corr) for corr in grouping.group_correlations]
+    eigs = []
+    for corr in grouping.group_correlations:
+        frame, lift = real_frame(corr)
+        values, vectors = grouping_mod._frame_eig(frame)
+        eigs.append(EigenDecomposition(values, lift(vectors)))
     kept = [
         vectors[:, above_rounding(values, m_ant) | (np.arange(m_ant) < len(members))]
         for (values, vectors), members in zip(eigs, grouping.members)
@@ -1242,21 +1250,57 @@ class TestMatchesQrBasisOracle:
         assert_designs_match_qr_oracle(grouping, config)
 
 
+def complex_frame(a):
+    """``numerics.real_frame`` as it applies to a matrix that is not
+    centro-Hermitian: the input and the identity lift."""
+    return np.asarray(a), lambda vectors: vectors
+
+
+class TestMatchesComplexPathOracle:
+    """The real frame moves no design: groupings, MPHP's map and phases and
+    FRPS's matrix equal, bit for bit, those of the long-term stage run in
+    complex antenna coordinates, as it ran before the frame (``real_frame``
+    forced to the identity lift)."""
+
+    @pytest.mark.parametrize("m_ant", [16, 64, 128])
+    def test_designs(self, monkeypatch, m_ant):
+        config = SystemConfig(M=m_ant)
+        for seed in range(1, 11):
+            grouping = build_context(config, seed).grouping
+            with monkeypatch.context() as patched:
+                patched.setattr(grouping_mod, "real_frame", complex_frame)
+                oracle = build_context(config, seed).grouping
+            assert grouping.joint.reduced[0].dtype == np.float64 and oracle.joint.reduced[0].dtype == complex
+            assert np.array_equal(grouping.assignments, oracle.assignments), seed
+            for power in (0.1, 1.0, 10.0):
+                relaxed, reference = solve_relaxed(grouping, power), solve_relaxed(oracle, power)
+                for bits in (1, 2, 4, 6):
+                    got, expected = grfp_assign(relaxed, grouping, bits), grfp_assign(reference, oracle, bits)
+                    assert np.array_equal(got.antenna_to_chain, expected.antenna_to_chain), (seed, power, bits)
+                    assert np.array_equal(got.phase_index, expected.phase_index), (seed, power, bits)
+            for bits in (1, 2, 4, 6):
+                point = dataclasses.replace(config, B=bits)
+                frps = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, point)
+                assert np.array_equal(frps, design_long_term(SchemeId.FRPS_STATISTICAL, oracle, point)), (seed, bits)
+
+
 class TestOneFullSizeEigensolve:
     @pytest.mark.parametrize("m_ant", [64, 128])
     def test_per_grouping(self, monkeypatch, m_ant):
         # A run with MPHP at three powers, FRPS and the statistics feedback
-        # count of each row decomposes one M x M matrix per grouping.
+        # count of each row decomposes one M x M matrix per grouping, and
+        # every long-term eigensolve is real: it runs in the real frame.
         config = parse_config(
             f"M = {m_ant}\nn_slots = 2\nschemes = MPHP, FRPS_STATISTICAL\n"
             "sweep.parameter = snr_db\nsweep.values = -10, 0, 10\n"
         )
         groupings = count_calls(monkeypatch, metrics_mod, "group_users")
-        shapes = []
+        shapes, dtypes = [], []
         eigh = np.linalg.eigh
 
         def recorded(matrix, *args, **kwargs):
             shapes.append(matrix.shape)
+            dtypes.append(matrix.dtype)
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recorded)
@@ -1265,6 +1309,7 @@ class TestOneFullSizeEigensolve:
         assert len(groupings) == 1
         assert shapes.count((m_ant, m_ant)) == len(groupings)
         assert all(shape[0] < m_ant for shape in shapes if shape != (m_ant, m_ant))
+        assert set(dtypes) == {np.dtype(np.float64)}
 
 
 class TestSslnr:
