@@ -8,7 +8,7 @@ Monte Carlo evaluation, and energy-efficiency / feedback accounting.
 """
 
 from .baseband import DegenerateBeamError
-from .baselines import SchemeId, build_precoders, design_long_term
+from .baselines import build_precoders, design_long_term
 from .channel import (
     ArrayGeometry,
     UserChannelParams,
@@ -18,7 +18,8 @@ from .channel import (
     scenario_correlations,
     steering_vector,
 )
-from .experiment import SystemConfig, run_experiment, write_csv
+from .config import SchemeId, SystemConfig
+from .experiment import run_experiment, write_csv
 from .grouping import chordal_distance, group_users
 from .metrics import monte_carlo_rates
 from .numerics import NearSingularError, hermitian_eig

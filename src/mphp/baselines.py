@@ -22,12 +22,12 @@ share the per-group zero-forcing baseband stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .baseband import power_allocation, zf_precoder, effective_channel
+from .config import SchemeId, SystemConfig
 from .grouping import Grouping
 from .numerics import check_condition, hermitian_eig  # noqa: F401  (bench/run.py traces this binding)
 from .rf_precoder import (
@@ -38,17 +38,6 @@ from .rf_precoder import (
     phase_grid,
     solve_relaxed,
 )
-
-if TYPE_CHECKING:
-    from .experiment import SystemConfig
-
-
-class SchemeId(str, Enum):
-    MPHP = "MPHP"
-    FULL_DIGITAL_ZF = "FULL_DIGITAL_ZF"
-    FRPS_STATISTICAL = "FRPS_STATISTICAL"
-    FIXED_SUBARRAY = "FIXED_SUBARRAY"
-    ADAPTIVE_INSTANT = "ADAPTIVE_INSTANT"
 
 
 @dataclass
@@ -86,9 +75,9 @@ class Scheme:
 
     statistical: bool
     fully_connected: bool
-    design: Callable[[Grouping, "SystemConfig"], Any]
+    design: Callable[[Grouping, SystemConfig], Any]
     design_reads: tuple[str, ...]
-    build: Callable[[Any, np.ndarray, Grouping, "SystemConfig"], SlotPrecoders]
+    build: Callable[[Any, np.ndarray, Grouping, SystemConfig], SlotPrecoders]
 
 
 def fixed_subarray_map(antenna_count: int, chain_count: int) -> np.ndarray:
@@ -101,7 +90,7 @@ def fixed_subarray_map(antenna_count: int, chain_count: int) -> np.ndarray:
     return (m * chain_count - 1) // antenna_count
 
 
-def design_long_term(scheme: SchemeId, grouping: Grouping, config: "SystemConfig") -> Any:
+def design_long_term(scheme: SchemeId, grouping: Grouping, config: SystemConfig) -> Any:
     """Design the slow-timescale part of a scheme.
 
     Statistical schemes see only the grouping (correlations); there is no
@@ -116,7 +105,7 @@ def build_precoders(
     long_state: Any,
     channel: np.ndarray,
     grouping: Grouping,
-    config: "SystemConfig",
+    config: SystemConfig,
 ) -> SlotPrecoders:
     """Assemble the per-slot (analog, baseband, power) triple of a scheme
     for a stack of slots (n, M, K); a single slot is a stack of one.
@@ -129,32 +118,31 @@ def build_precoders(
     return SCHEMES[scheme].build(long_state, channel, grouping, config)
 
 
-def _design_mphp(grouping: Grouping, config: "SystemConfig") -> RfPrecoder:
+def _design_mphp(grouping: Grouping, config: SystemConfig) -> RfPrecoder:
     return grfp_assign(solve_relaxed(grouping, power=config.P), grouping, bits=config.B)
 
 
-def _design_frps(grouping: Grouping, config: "SystemConfig") -> np.ndarray:
+def _design_frps(grouping: Grouping, config: SystemConfig) -> np.ndarray:
     """Fully-connected analog stage: quantized phases of aligned dominant eigenvectors, in one stack."""
     m_ant = grouping.antenna_count
     columns = [vectors[:, : len(chains)].T for (_, vectors), chains in zip(grouping.group_eigs, grouping.rf_chains)]
     phases = nearest_phase_index(align_column_phase(np.concatenate(columns), config.B), config.B)
-    f = np.zeros((m_ant, grouping.user_count), dtype=complex)
-    f[:, np.concatenate(grouping.rf_chains)] = (phase_grid(config.B)[phases] / np.sqrt(m_ant)).T
-    return f
+    # Chain blocks follow group order, so row l of the stack is chain l's column.
+    return np.ascontiguousarray((phase_grid(config.B)[phases] / np.sqrt(m_ant)).T)
 
 
-def _no_long_term(grouping: Grouping, config: "SystemConfig") -> None:
+def _no_long_term(grouping: Grouping, config: SystemConfig) -> None:
     return None
 
 
 def _build_fixed_subarray(
-    _: None, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
+    _: None, channel: np.ndarray, grouping: Grouping, config: SystemConfig
 ) -> SlotPrecoders:
     return _zf_all_groups(fixed_subarray_precoder(channel, grouping, config.B), channel, grouping, config)
 
 
 def _build_adaptive_instant(
-    _: None, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
+    _: None, channel: np.ndarray, grouping: Grouping, config: SystemConfig
 ) -> SlotPrecoders:
     return _zf_all_groups(adaptive_instant_precoder(channel, grouping, config.B), channel, grouping, config)
 
@@ -211,7 +199,7 @@ def _build_full_digital(
     _: None,
     channel: np.ndarray,
     grouping: Grouping,
-    config: "SystemConfig",
+    config: SystemConfig,
 ) -> SlotPrecoders:
     """Unit-norm zero-forcing beams on the instantaneous channels; a slot
     whose channel fails the condition test puts every group in outage."""
@@ -227,7 +215,7 @@ def _build_full_digital(
 
 
 def _zf_all_groups(
-    analog: RfPrecoder | np.ndarray, channel: np.ndarray, grouping: Grouping, config: "SystemConfig"
+    analog: RfPrecoder | np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig
 ) -> SlotPrecoders:
     """Per-group zero-forcing and power on a stack of channels (n, M, K)
     behind an analog stage: an ``RfPrecoder`` or a fully-connected matrix,
@@ -241,7 +229,7 @@ def _zf_all_groups(
     return _with_power(f_groups, w_groups, grouping, config)
 
 
-def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: "SystemConfig") -> SlotPrecoders:
+def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
     """Per-group powers behind stacked baseband stages; a slot whose
     ``w_groups[g]`` slice is all zero puts group g in outage there."""
     power = np.zeros((w_groups[0].shape[0], grouping.user_count))

@@ -10,14 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .numerics import EigenDecomposition, above_rounding, hermitian_eig, real_frame
-
-if TYPE_CHECKING:
-    from .rf_precoder import RelaxedProblem
 
 # Slack for the non-increasing clustering-cost check (float accumulation).
 _COST_SLACK = 1e-9
@@ -46,18 +43,24 @@ class Grouping:
 
     ``members[g]`` lists user indices (ascending) of group g; the i-th user
     of a group pairs with the i-th chain in ``rf_chains[g]``.  Chain sets are
-    contiguous blocks in group order, so they partition range(K).
+    contiguous blocks in group order, so they partition range(K).  Both are
+    made from ``assignments`` on first read.
     """
 
     assignments: np.ndarray  # user -> group index
-    members: list[np.ndarray]
-    rf_chains: list[np.ndarray]
     group_correlations: list[np.ndarray]
     cost_history: list[float] = field(default_factory=list)
-    # group_users passes its decomposition of the sum of the user correlations,
-    # lifted to antenna coordinates, and each group's reduced correlation.
-    _sum_eig: EigenDecomposition | None = field(default=None, repr=False)
-    _on_span: list[np.ndarray] | None = field(default=None, repr=False)
+    # group_users passes its joint subspace, lifted to antenna coordinates.
+    _joint: JointSubspace | None = field(default=None, repr=False)
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        return [np.flatnonzero(self.assignments == g) for g in range(int(self.assignments.max()) + 1)]
+
+    @cached_property
+    def rf_chains(self) -> list[np.ndarray]:
+        ends = np.cumsum(self.sizes)
+        return [np.arange(end - size, end) for size, end in zip(self.sizes, ends)]
 
     @property
     def group_count(self) -> int:
@@ -77,19 +80,19 @@ class Grouping:
 
     @cached_property
     def joint(self) -> JointSubspace:
-        """The joint subspace, made on first read.  A grouping built without
-        ``_sum_eig`` decomposes sum_g |g| R_g, and without ``_on_span`` each
-        group correlation is projected on the basis, in antenna coordinates.
-        ``dataclasses.replace`` carries both."""
-        eig = self._sum_eig
-        if eig is None:
+        """The joint subspace, made on first read, with ``basis`` and
+        ``reduced`` read-only.  A grouping built without ``_joint``
+        decomposes sum_g |g| R_g and projects each group correlation on the
+        basis, in antenna coordinates.  ``dataclasses.replace`` carries it."""
+        joint = self._joint
+        if joint is None:
             eig = hermitian_eig(sum(size * corr for size, corr in zip(self.sizes, self.group_correlations)))
-        above = int(np.count_nonzero(above_rounding(eig.eigenvalues, eig.eigenvalues.size)))
-        basis = eig.eigenvectors[:, : max(above, *self.sizes)]
-        reduced = self._on_span
-        if reduced is None:
-            reduced = [basis.conj().T @ corr @ basis for corr in self.group_correlations]
-        return JointSubspace(eig, basis, reduced)
+            above = int(np.count_nonzero(above_rounding(eig.eigenvalues, eig.eigenvalues.size)))
+            basis = eig.eigenvectors[:, : max(above, *self.sizes)]
+            joint = JointSubspace(eig, basis, [basis.conj().T @ corr @ basis for corr in self.group_correlations])
+        for array in (joint.basis, *joint.reduced):
+            array.flags.writeable = False
+        return joint
 
     @cached_property
     def reduced_eigs(self) -> list[EigenDecomposition]:
@@ -103,7 +106,11 @@ class Grouping:
         basis, and the sum's other eigenvectors at eigenvalue 0, placed
         before any negative (rounding-level) eigenvalue.  So the sum is the
         one M x M eigensolve of the long-term stage; FRPS and the feedback
-        count read this."""
+        count read this.  The basis drops the sum's directions below the
+        rounding level, so the pairs rebuild R_g only to about 1e-9
+        lambda_1 (7e-9 seen at M = 128, one user per group); only the
+        projectors onto the S_g leading eigenvectors match a fresh M x M
+        solve's, to about 1e-11."""
         basis, rest = self.joint.basis, self.joint.eig.eigenvectors[:, self.joint.basis.shape[1] :]
         out = []
         for values, vectors in self.reduced_eigs:
@@ -111,15 +118,6 @@ class Grouping:
             values = np.concatenate([values[:cut], np.zeros(rest.shape[1]), values[cut:]])
             out.append(EigenDecomposition(values, np.concatenate([lifted[:, :cut], rest, lifted[:, cut:]], axis=1)))
         return out
-
-    @cached_property
-    def relaxed_problem(self) -> RelaxedProblem:
-        """The power-independent part of the relaxed SSLNR solve (the joint
-        basis, the reduced group and leakage correlations and each group's
-        ``alpha = 0`` evaluation), built once."""
-        from .rf_precoder import _relaxed_problem  # rf_precoder imports this module
-
-        return _relaxed_problem(self)
 
     @property
     def chain_users(self) -> np.ndarray:
@@ -310,32 +308,27 @@ def _finalize(
     group_count: int,
     cost_history: list[float],
 ) -> Grouping:
-    """Relabel groups by smallest member, lay out contiguous chain blocks,
-    average each group's full M x M correlations and hand over the sum's
-    decomposition ``eig``, lifted, with each group's reduced correlation in
-    the ``frame``: its average of the ``reduced`` stack, or, when the basis
-    needs more columns than U has (co-located users, r < S_g), its average
-    correlation projected on them."""
+    """Relabel groups by smallest member, average each group's full M x M
+    correlations and hand over the joint subspace: the sum's decomposition
+    ``eig``, lifted, and each group's reduced correlation in the ``frame``:
+    its average of the ``reduced`` stack, or, when the basis needs more
+    columns than U has (co-located users, r < S_g), its average correlation
+    projected on them."""
     order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
     relabel = {old: new for new, old in enumerate(order)}
     new_assignments = np.array([relabel[int(g)] for g in assignments])
 
-    members = [np.where(new_assignments == g)[0] for g in range(group_count)]
-    offsets = np.concatenate([[0], np.cumsum([len(m) for m in members])])
-    rf_chains = [np.arange(offsets[g], offsets[g + 1]) for g in range(group_count)]
     group_correlations = [
         _average_correlation(correlations, new_assignments, g) for g in range(group_count)
     ]
-    span = eig.eigenvectors[:, : max(reduced.shape[-1], *(len(m) for m in members))]
+    span = eig.eigenvectors[:, : max(reduced.shape[-1], *np.bincount(new_assignments))]
     on_span = [_average_correlation(reduced, new_assignments, g) for g in range(group_count)]
     if span.shape[1] > reduced.shape[-1]:
         on_span = [span.conj().T @ _average_correlation(frame, new_assignments, g) @ span for g in range(group_count)]
+    lifted = eig._replace(eigenvectors=lift(eig.eigenvectors))
     return Grouping(
         assignments=new_assignments,
-        members=members,
-        rf_chains=rf_chains,
         group_correlations=group_correlations,
         cost_history=cost_history,
-        _sum_eig=eig._replace(eigenvectors=lift(eig.eigenvectors)),
-        _on_span=on_span,
+        _joint=JointSubspace(lifted, lifted.eigenvectors[:, : span.shape[1]], on_span),
     )

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel as channel_mod
-from .baselines import SCHEMES, SchemeId, SlotPrecoders, build_precoders, design_long_term
+from .baselines import SCHEMES, SlotPrecoders, build_precoders, design_long_term
+from .config import SchemeId, SystemConfig
 from .grouping import Grouping, group_users
 from .numerics import hermitian_eig  # noqa: F401  (unused; bench/run.py traces it)
-
-if TYPE_CHECKING:
-    from .experiment import SystemConfig
 
 # Fraction of correlation energy the fed-back dominant eigenpairs must carry.
 STATISTICS_ENERGY_FRACTION = 0.95
@@ -135,7 +133,7 @@ def jain_fairness(rates: np.ndarray) -> float:
     return float(np.sum(rates)) ** 2 / denom
 
 
-def energy_efficiency(sum_rate: float, config: "SystemConfig", fully_connected: bool) -> float:
+def energy_efficiency(sum_rate: float, config: SystemConfig, fully_connected: bool) -> float:
     """Sum rate over total consumed power: the transmit power P plus the
     static draw of the baseband, K RF chains and the phase shifters (watts,
     the config's ``p_*`` fields).
@@ -204,14 +202,14 @@ class SchemeFailure(RuntimeError):
         self.point = point
 
 
-def scenario_key(config: "SystemConfig") -> tuple:
+def scenario_key(config: SystemConfig) -> tuple:
     """The fields of ``config`` that ``make_scenario`` reads: configs with
     equal keys get the same user params, and so the same path draws, from
     the same seeds, whatever their arrays."""
     return (config.K, config.G, config.angular_spread, config.path_count, config.aod_jitter)
 
 
-def context_key(config: "SystemConfig") -> tuple:
+def context_key(config: SystemConfig) -> tuple:
     """The fields of ``config`` that ``build_context`` reads: configs with
     equal keys get the same context from the same seed."""
     return (config.M, config.element_spacing, *scenario_key(config))
@@ -225,7 +223,7 @@ class Context(NamedTuple):
     geometry: channel_mod.ArrayGeometry
 
 
-def build_context(config: "SystemConfig", seed: int) -> Context:
+def build_context(config: SystemConfig, seed: int) -> Context:
     """Scenario, correlations and grouping shared by all schemes at a seed."""
     geometry = channel_mod.ArrayGeometry(config.M, config.element_spacing)
     scenario = channel_mod.make_scenario(
@@ -242,7 +240,7 @@ def build_context(config: "SystemConfig", seed: int) -> Context:
 
 def monte_carlo_rates(
     schemes: Sequence[SchemeId],
-    points: Sequence["SystemConfig"],
+    points: Sequence[SystemConfig],
     seed: int,
     *,
     contexts: Sequence[Context],
@@ -321,7 +319,7 @@ def monte_carlo_rates(
 
 def _run_metrics(
     scheme: SchemeId,
-    config: "SystemConfig",
+    config: SystemConfig,
     grouping: Grouping,
     rates: np.ndarray,
     outage_slots: int,

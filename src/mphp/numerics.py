@@ -1,4 +1,5 @@
-"""Complex linear-algebra contracts shared by the whole pipeline.
+"""Linear-algebra contracts shared by the whole pipeline, for complex
+matrices and, in the long-term stage, real ones.
 
 One numeric policy for the repo: every Hermitian eigendecomposition and
 every condition test of the pipeline goes through this module, and

@@ -188,8 +188,8 @@ def solve_alpha_star(
     replaced by the bracket's midpoint.  Returns the first evaluated
     ``alpha_star`` with relative residual |g| / (slope * alpha) at most
     ``tol``, and the relaxed precoder ``relaxed_step`` gives there
-    (``antenna_count`` is passed on to it).  ``solve_relaxed`` passes the
-    ``alpha = 0`` evaluation its ``RelaxedProblem`` keeps as ``_start``.
+    (``antenna_count`` is passed on to it).  ``solve_relaxed`` passes as
+    ``_start`` the ``alpha = 0`` evaluation, from ``Grouping.reduced_eigs``.
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
@@ -241,35 +241,6 @@ def solve_alpha_star(
     )
 
 
-@dataclass(frozen=True)
-class RelaxedProblem:
-    """The part of ``solve_relaxed`` that no power changes: the joint basis
-    B (M x b, ``Grouping.joint``) and, per group g, B^H R_g B, B^H L_g B and
-    ``relaxed_step`` at ``alpha = 0`` on them, read off the decomposition
-    ``Grouping.reduced_eigs`` already holds.  No step is M x M, and for a
-    ULA's correlations (``numerics.real_frame``) every matrix but B is
-    real, so each Newton eigensolve is too; B lifts the columns.
-    ``Grouping.relaxed_problem`` builds it once per grouping."""
-
-    basis: np.ndarray
-    signal: list[np.ndarray]
-    leak: list[np.ndarray]
-    start: list[tuple[np.ndarray, float]]
-
-
-def _relaxed_problem(grouping: Grouping) -> RelaxedProblem:
-    basis, signal = grouping.joint.basis, grouping.joint.reduced
-    leak = [_leakage(signal, grouping.sizes, g) for g in range(grouping.group_count)]
-    # relaxed_step at alpha = 0 decomposes signal - 0.0 * leak, which is signal.
-    start = [
-        _dominant_columns(eig, len(members), basis.shape[0])
-        for eig, members in zip(grouping.reduced_eigs, grouping.members)
-    ]
-    for array in (basis, *signal, *leak, *(f for f, _ in start)):
-        array.flags.writeable = False
-    return RelaxedProblem(basis, signal, leak, start)
-
-
 def solve_relaxed(grouping: Grouping, power: float) -> RelaxedSolution:
     """Run the relaxed per-group solve for every group on the joint subspace.
 
@@ -278,25 +249,26 @@ def solve_relaxed(grouping: Grouping, power: float) -> RelaxedSolution:
     R_g and L_g vanish off B up to rounding, so both solves agree unless a
     selected eigenvalue is negative with b < M; the column then keeps its
     eigenvector, shrunk to 1/sqrt(M), where the M x M solve takes a null
-    vector off B.  B, the reduced correlations and each group's
-    ``alpha = 0`` evaluation come from ``grouping.relaxed_problem``, so a
-    power sweep on one grouping builds them once, and no step of the solve
-    is M x M.  The noise term K * S_g / P takes K from the grouping.
+    vector off B.  The ``alpha = 0`` start is read off
+    ``grouping.reduced_eigs``, so no step is M x M, and for a ULA's
+    correlations (``numerics.real_frame``) each Newton eigensolve is real.
+    The noise term K * S_g / P takes K from the grouping.
     """
-    problem = grouping.relaxed_problem
+    basis, signal = grouping.joint.basis, grouping.joint.reduced
+    # relaxed_step at alpha = 0 decomposes signal - 0.0 * leak, which is signal.
     solved = [
         solve_alpha_star(
-            signal,
-            leak,
+            signal[g],
+            _leakage(signal, grouping.sizes, g),
             streams=len(members),
             n_users=grouping.user_count,
             power=power,
-            antenna_count=problem.basis.shape[0],
-            _start=start,
+            antenna_count=basis.shape[0],
+            _start=_dominant_columns(eig, len(members), basis.shape[0]),
         )
-        for signal, leak, start, members in zip(problem.signal, problem.leak, problem.start, grouping.members)
+        for g, (eig, members) in enumerate(zip(grouping.reduced_eigs, grouping.members))
     ]
-    return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[problem.basis @ f for _, f in solved])
+    return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[basis @ f for _, f in solved])
 
 
 def align_column_phase(columns: np.ndarray, bits: int) -> np.ndarray:
@@ -404,23 +376,23 @@ def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPr
             raise ZeroColumnError(f"group {g} relaxed column {zero_cols[0]} is identically zero")
 
     grid = _shared_grid(bits)
-    # One row per group column, groups in index order: the column at its
-    # phase, each antenna's phase index, and an iterator over its antennas in
-    # claim order, which a visit advances past the antennas already claimed.
+    # One row per group column, groups in index order, so row l is what
+    # chain l carries: the column at its phase, each antenna's phase index,
+    # and an iterator over its antennas in claim order, which a visit
+    # advances past the antennas already claimed.
     aligned = align_column_phase(np.concatenate([f_star.T for f_star in relaxed.f_star]), bits)
     phases = nearest_phase_index(aligned, bits)
     claims = [iter(column) for column in _claim_order(aligned, grid[phases]).tolist()]
-    first = np.cumsum([0] + [f_star.shape[1] for f_star in relaxed.f_star])
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
-    visits = [(int(first[g] + i), int(chain)) for g in order for i, chain in enumerate(grouping.rf_chains[g])]
-    chain_of, row_of = [-1] * antenna_count, [0] * antenna_count
+    visits = np.concatenate([grouping.rf_chains[g] for g in order]).tolist()
+    chain_of = [-1] * antenna_count
     for step in range(antenna_count):
-        row, chain = visits[step % len(visits)]
-        antenna = next(m for m in claims[row] if chain_of[m] < 0)
-        chain_of[antenna], row_of[antenna] = chain, row
+        chain = visits[step % len(visits)]
+        antenna = next(m for m in claims[chain] if chain_of[m] < 0)
+        chain_of[antenna] = chain
 
     antenna_to_chain = np.array(chain_of)
-    phase_index = phases[row_of, np.arange(antenna_count)]
+    phase_index = phases[antenna_to_chain, np.arange(antenna_count)]
     f = np.zeros((antenna_count, n_chains), dtype=complex)
     f[np.arange(antenna_count), antenna_to_chain] = (1.0 / np.sqrt(antenna_count)) * grid[phase_index]
     return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)

@@ -25,19 +25,9 @@ def random_hermitian(rng, dim):
 def make_grouping(correlations, assignments):
     """Build a Grouping directly from per-user correlations and group labels."""
     assignments = np.asarray(assignments, dtype=int)
-    n_groups = int(assignments.max()) + 1
-    members = [np.where(assignments == g)[0] for g in range(n_groups)]
-    offsets = np.concatenate([[0], np.cumsum([len(m) for m in members])])
-    rf_chains = [np.arange(offsets[g], offsets[g + 1]) for g in range(n_groups)]
-    group_correlations = [
-        sum(correlations[int(k)] for k in members[g]) / len(members[g]) for g in range(n_groups)
-    ]
-    return Grouping(
-        assignments=assignments,
-        members=members,
-        rf_chains=rf_chains,
-        group_correlations=group_correlations,
-    )
+    members = [np.where(assignments == g)[0] for g in range(int(assignments.max()) + 1)]
+    group_correlations = [sum(correlations[int(k)] for k in m) / len(m) for m in members]
+    return Grouping(assignments=assignments, group_correlations=group_correlations)
 
 
 def contexts_at_seed(points, seed):

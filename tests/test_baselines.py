@@ -275,7 +275,8 @@ class Unread(list):
 
 
 class TestSharedRelaxedProblem:
-    """``solve_relaxed`` builds its power-independent part once per grouping."""
+    """``solve_relaxed`` reads its power-independent part from the grouping,
+    which decomposes it once."""
 
     def test_power_sweep_on_one_grouping_equals_fresh_solves(self, monkeypatch):
         # Neither the sweep nor the fresh solves on copies make a QR or read
@@ -302,11 +303,9 @@ class TestSharedRelaxedProblem:
     def test_cached_arrays_are_read_only(self):
         config = SystemConfig(M=16, K=4, G=2)
         grouping, _, _ = build_context(config, seed=1)
-        problem = grouping.relaxed_problem
-        assert grouping.relaxed_problem is problem
-        for array in (problem.basis, *problem.signal, *problem.leak, *(f for f, _ in problem.start)):
-            assert not array.flags.writeable
         solution = solve_relaxed(grouping, config.P)
+        for array in (grouping.joint.basis, *grouping.joint.reduced):
+            assert not array.flags.writeable
         assert all(f.flags.writeable for f in solution.f_star)
 
 

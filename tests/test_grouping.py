@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mphp import grouping as grouping_mod
+from mphp import rf_precoder as rf_precoder_mod
 from mphp.channel import ArrayGeometry, UserChannelParams, make_scenario, scenario_correlations
 from mphp.grouping import (
     Grouping,
@@ -13,6 +14,7 @@ from mphp.grouping import (
     group_users,
 )
 from mphp.numerics import above_rounding, hermitian_eig, real_frame
+from mphp.rf_precoder import solve_relaxed
 
 from conftest import count_calls, random_psd
 
@@ -348,8 +350,12 @@ class TestGroupEigsReuse:
         width = grouping.joint.basis.shape[1]
         assert [args[0].shape for args in calls[before:]] == [(width, width)] * n_groups
         grouping.group_eigs
-        grouping.relaxed_problem
+        # The relaxed solve reads the joint subspace and its b x b
+        # decompositions: its own eigensolves (the Newton steps) are b x b.
+        relaxed_calls = count_calls(monkeypatch, rf_precoder_mod, "hermitian_eig")
+        solve_relaxed(grouping, 1.0)
         assert len(calls) == before + n_groups
+        assert relaxed_calls and all(args[0].shape == (width, width) for args in relaxed_calls)
 
     def test_run_stopped_by_max_iters(self):
         rng = np.random.default_rng(1)
@@ -370,7 +376,7 @@ class TestGroupEigsReuse:
         m_ant = 64
         corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(m_ant))
         grouped = group_users(corrs, 3)
-        direct = Grouping(grouped.assignments, grouped.members, grouped.rf_chains, grouped.group_correlations)
+        direct = Grouping(grouped.assignments, grouped.group_correlations)
         copy = dataclasses.replace(grouped)
         assert copy.joint.eig is grouped.joint.eig and copy.joint.reduced is grouped.joint.reduced
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
