@@ -24,13 +24,15 @@ scenario = make_scenario(n_users, n_groups, seed=2)
 grouping = group_users(scenario_correlations(scenario, geometry), n_groups)
 
 print("=== relaxed objective along the leakage weight ===")
+# The group's correlation and leakage, reduced to the users' joint subspace
+# (b x b); the column-norm floor still takes M.
 g = 0
-signal_corr = grouping.group_correlations[g]
+signal_corr = grouping.joint.reduced[g]
 leak_corr = leakage_correlation(grouping, g)
 streams = len(grouping.members[g])
 slope = n_users * streams / power
 for alpha in (0.0, 0.5, 1.0, 2.0, 4.0):
-    _, value = relaxed_step(signal_corr, leak_corr, alpha, streams)
+    _, value = relaxed_step(signal_corr, leak_corr, alpha, streams, antenna_count=m_ant)
     print(f"alpha = {alpha:4.1f}: objective {value:8.4f}   line {slope * alpha:8.4f}")
 
 relaxed = solve_relaxed(grouping, power=power)

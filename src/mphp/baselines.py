@@ -123,9 +123,11 @@ def _design_mphp(grouping: Grouping, config: SystemConfig) -> RfPrecoder:
 
 
 def _design_frps(grouping: Grouping, config: SystemConfig) -> np.ndarray:
-    """Fully-connected analog stage: quantized phases of aligned dominant eigenvectors, in one stack."""
-    m_ant = grouping.antenna_count
-    columns = [vectors[:, : len(chains)].T for (_, vectors), chains in zip(grouping.group_eigs, grouping.rf_chains)]
+    """Fully-connected analog stage: quantized phases of aligned dominant
+    eigenvectors of each group correlation, B @ the leading S_g vectors of
+    ``grouping.reduced_eigs[g]``, in one stack."""
+    basis, m_ant = grouping.joint.basis, grouping.antenna_count
+    columns = [(basis @ vectors[:, : len(chains)]).T for (_, vectors), chains in zip(grouping.reduced_eigs, grouping.rf_chains)]
     phases = nearest_phase_index(align_column_phase(np.concatenate(columns), config.B), config.B)
     # Chain blocks follow group order, so row l of the stack is chain l's column.
     return np.ascontiguousarray((phase_grid(config.B)[phases] / np.sqrt(m_ant)).T)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import hermitian_eig, hermitian_part  # noqa: F401  (hermitian_eig is unused; bench/run.py traces it)
+from .numerics import hermitian_eig  # noqa: F401  (unused; bench/run.py traces it)
 
 # Truncation of the AoD density, in standard deviations around the mean.
 AOD_TRUNCATION_SIGMAS = 2.0
@@ -87,7 +87,8 @@ def correlation_from_params(
     """Spatial correlation matrix E[h h^H] under the truncated-Gaussian AoD density.
 
     Midpoint quadrature over the truncated support, renormalized to trace
-    M * mean_power.  A ULA correlation is Hermitian Toeplitz, R[m, n] =
+    M * mean_power; at zero spread the one point ``mean_aod`` with weight 1,
+    the outer product mean_power * a a^H as a Toeplitz matrix.  A ULA correlation is Hermitian Toeplitz, R[m, n] =
     c[m - n] with c[-d] = conj(c[d]), so only the M lags c[d] = sum_i w_i
     exp(j phi_i d), phi_i = 2 pi spacing sin(theta_i), are summed, in a new,
     exactly Hermitian array.  They match the steering product A diag(w) A^H
@@ -99,15 +100,14 @@ def correlation_from_params(
         raise ValueError(f"quadrature_points must be >= 32, got {quadrature_points}")
     m_ant = geometry.antenna_count
     if params.angular_spread == 0.0:
-        a = steering_vector(params.mean_aod, geometry)
-        return hermitian_part(params.mean_power * np.outer(a, a.conj()))
-
-    half_width = AOD_TRUNCATION_SIGMAS * params.angular_spread
-    lo = params.mean_aod - half_width
-    step = 2.0 * half_width / quadrature_points
-    thetas = lo + (np.arange(quadrature_points) + 0.5) * step
-    weights = np.exp(-0.5 * ((thetas - params.mean_aod) / params.angular_spread) ** 2)
-    weights /= weights.sum()
+        thetas, weights = np.array([params.mean_aod]), np.array([1.0])
+    else:
+        half_width = AOD_TRUNCATION_SIGMAS * params.angular_spread
+        lo = params.mean_aod - half_width
+        step = 2.0 * half_width / quadrature_points
+        thetas = lo + (np.arange(quadrature_points) + 0.5) * step
+        weights = np.exp(-0.5 * ((thetas - params.mean_aod) / params.angular_spread) ** 2)
+        weights /= weights.sum()
 
     # Lag d = b q + r, b = ceil(sqrt(M)): exp(j phi d) is a coarse (b q) times a fine (r) table entry.
     phi = 2.0 * np.pi * geometry.element_spacing * np.sin(thetas)

@@ -2,7 +2,8 @@
 
 Users whose dominant correlation subspaces are close (in chordal distance)
 are clustered into groups; each group is later served by a contiguous block
-of RF chains and designed against its average correlation matrix.
+of RF chains and designed against its average correlation matrix, which the
+grouping keeps in the users' joint signal subspace.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ _TIE_TOL = 1e-12
 
 class JointSubspace(NamedTuple):
     """The users' joint signal subspace, where the long-term stage runs.
-    ``eig`` decomposes the sum of the user correlations (M x M); ``basis``
-    (M x b) is its leading eigenvectors, those above rounding
-    (``numerics.above_rounding``) and at least ``max_g S_g`` of them; and
-    ``reduced[g]`` is basis^H R_g basis.  ``group_users`` makes them in the
-    ``numerics.real_frame`` of the correlations: for a ULA's (nonzero
-    spread) ``reduced`` is real and the vectors are Q times real vectors."""
+    ``eig`` decomposes the sum of the user correlations (M x M), lifted to
+    antenna coordinates; ``basis`` (M x b) is its leading eigenvectors,
+    those above rounding (``numerics.above_rounding``) and at least
+    ``max_g S_g`` of them; and ``reduced[g]`` is basis^H R_g basis, R_g the
+    member average of group g's correlations.  They are made in the
+    ``numerics.real_frame`` of the correlations: for a ULA's ``reduced`` is
+    real and the vectors are Q times real vectors.  Every array is
+    read-only."""
 
     eig: EigenDecomposition
     basis: np.ndarray
@@ -39,19 +42,21 @@ class JointSubspace(NamedTuple):
 
 @dataclass
 class Grouping:
-    """Partition of users into groups plus per-group chain sets and statistics.
+    """Partition of users into groups and each group's statistics.
 
     ``members[g]`` lists user indices (ascending) of group g; the i-th user
     of a group pairs with the i-th chain in ``rf_chains[g]``.  Chain sets are
     contiguous blocks in group order, so they partition range(K).  Both are
-    made from ``assignments`` on first read.
+    made from ``assignments`` on first read.  The group correlations are
+    held once, reduced to the joint subspace (``joint``); R_g vanishes off
+    its basis up to rounding, so basis @ reduced[g] @ basis^H gives R_g
+    back up to rounding.
+    ``group_users`` and ``grouping_from_labels`` build it.
     """
 
     assignments: np.ndarray  # user -> group index
-    group_correlations: list[np.ndarray]
+    joint: JointSubspace
     cost_history: list[float] = field(default_factory=list)
-    # group_users passes its joint subspace, lifted to antenna coordinates.
-    _joint: JointSubspace | None = field(default=None, repr=False)
 
     @cached_property
     def members(self) -> list[np.ndarray]:
@@ -76,48 +81,13 @@ class Grouping:
 
     @property
     def antenna_count(self) -> int:
-        return self.group_correlations[0].shape[0]
-
-    @cached_property
-    def joint(self) -> JointSubspace:
-        """The joint subspace, made on first read, with ``basis`` and
-        ``reduced`` read-only.  A grouping built without ``_joint``
-        decomposes sum_g |g| R_g and projects each group correlation on the
-        basis, in antenna coordinates.  ``dataclasses.replace`` carries it."""
-        joint = self._joint
-        if joint is None:
-            eig = hermitian_eig(sum(size * corr for size, corr in zip(self.sizes, self.group_correlations)))
-            above = int(np.count_nonzero(above_rounding(eig.eigenvalues, eig.eigenvalues.size)))
-            basis = eig.eigenvectors[:, : max(above, *self.sizes)]
-            joint = JointSubspace(eig, basis, [basis.conj().T @ corr @ basis for corr in self.group_correlations])
-        for array in (joint.basis, *joint.reduced):
-            array.flags.writeable = False
-        return joint
+        return self.joint.basis.shape[0]
 
     @cached_property
     def reduced_eigs(self) -> list[EigenDecomposition]:
-        """Eigendecomposition (b x b) of each ``joint.reduced[g]``, made on first read."""
+        """Eigendecomposition (b x b) of each ``joint.reduced[g]``, made on
+        first read; B @ its vectors are R_g's leading eigenvectors."""
         return [hermitian_eig(corr) for corr in self.joint.reduced]
-
-    @cached_property
-    def group_eigs(self) -> list[EigenDecomposition]:
-        """Eigendecomposition (M x M, descending) of each group correlation,
-        made on first read from ``reduced_eigs[g]``: its vectors lifted by the
-        basis, and the sum's other eigenvectors at eigenvalue 0, placed
-        before any negative (rounding-level) eigenvalue.  So the sum is the
-        one M x M eigensolve of the long-term stage; FRPS and the feedback
-        count read this.  The basis drops the sum's directions below the
-        rounding level, so the pairs rebuild R_g only to about 1e-9
-        lambda_1 (7e-9 seen at M = 128, one user per group); only the
-        projectors onto the S_g leading eigenvectors match a fresh M x M
-        solve's, to about 1e-11."""
-        basis, rest = self.joint.basis, self.joint.eig.eigenvectors[:, self.joint.basis.shape[1] :]
-        out = []
-        for values, vectors in self.reduced_eigs:
-            cut, lifted = int(np.count_nonzero(values >= 0)), basis @ vectors
-            values = np.concatenate([values[:cut], np.zeros(rest.shape[1]), values[cut:]])
-            out.append(EigenDecomposition(values, np.concatenate([lifted[:, :cut], rest, lifted[:, cut:]], axis=1)))
-        return out
 
     @property
     def chain_users(self) -> np.ndarray:
@@ -242,12 +212,8 @@ def group_users(
     if rank < 1 or rank > m_ant:
         raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {rank}")
 
-    frame, lift = real_frame(np.stack(correlations))
-    eig = _frame_eig(sum(frame))
-    basis = eig.eigenvectors[:, above_rounding(eig.eigenvalues, m_ant)]
-    if basis.shape[1] == 0:
-        raise ValueError("every correlation is zero")
-    reduced = basis.conj().T @ frame @ basis
+    span = _span(correlations)
+    reduced = span.reduced
     user_projectors = [_dominant_projector(r, rank, m_ant) for r in reduced]
 
     # Farthest-point seeding from user 0.
@@ -288,47 +254,65 @@ def group_users(
             for g in range(group_count)
         ]
 
-    return _finalize(correlations, frame, lift, reduced, eig, assignments, group_count, cost_history)
+    order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
+    relabel = {old: new for new, old in enumerate(order)}
+    new_assignments = np.array([relabel[int(g)] for g in assignments])
+    return Grouping(new_assignments, _joint(span, new_assignments), cost_history)
 
 
-def _average_correlation(
-    correlations: Sequence[np.ndarray], assignments: np.ndarray, g: int
-) -> np.ndarray:
+def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequence[int]) -> Grouping:
+    """The grouping with the given labels (``assignments[k]`` is user k's
+    group) and its joint subspace made from ``correlations`` as
+    ``group_users`` makes it.  The labels are kept as given: one integer
+    per correlation, using every group 0..G-1."""
+    labels = np.array(assignments)
+    if labels.ndim != 1 or labels.size == 0 or labels.size != len(correlations):
+        raise ValueError(f"expected one label per correlation ({len(correlations)}), got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0 or not np.bincount(labels).all():
+        raise ValueError(f"labels must be integers using every group 0..G-1, got {labels.tolist()}")
+    return Grouping(labels, _joint(_span(correlations), labels))
+
+
+class _Span(NamedTuple):
+    """The user correlations in their ``numerics.real_frame`` (K x M x M)
+    with its lift, the decomposition of their sum there, and each user's
+    U^H T_k U (K x r x r), U the sum's r eigenvectors above rounding."""
+
+    frame: np.ndarray
+    lift: Callable[[np.ndarray], np.ndarray]
+    eig: EigenDecomposition
+    reduced: np.ndarray
+
+
+def _span(correlations: Sequence[np.ndarray]) -> _Span:
+    frame, lift = real_frame(np.stack(correlations))
+    eig = _frame_eig(sum(frame))
+    basis = eig.eigenvectors[:, above_rounding(eig.eigenvalues, frame.shape[-1])]
+    if basis.shape[1] == 0:
+        raise ValueError("every correlation is zero")
+    return _Span(frame, lift, eig, basis.conj().T @ frame @ basis)
+
+
+def _average_correlation(correlations: Sequence[np.ndarray], assignments: np.ndarray, g: int) -> np.ndarray:
     members = np.where(assignments == g)[0]
     return sum(correlations[int(k)] for k in members) / len(members)
 
 
-def _finalize(
-    correlations: Sequence[np.ndarray],
-    frame: np.ndarray,
-    lift: Callable[[np.ndarray], np.ndarray],
-    reduced: np.ndarray,
-    eig: EigenDecomposition,
-    assignments: np.ndarray,
-    group_count: int,
-    cost_history: list[float],
-) -> Grouping:
-    """Relabel groups by smallest member, average each group's full M x M
-    correlations and hand over the joint subspace: the sum's decomposition
-    ``eig``, lifted, and each group's reduced correlation in the ``frame``:
-    its average of the ``reduced`` stack, or, when the basis needs more
-    columns than U has (co-located users, r < S_g), its average correlation
-    projected on them."""
-    order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
-    relabel = {old: new for new, old in enumerate(order)}
-    new_assignments = np.array([relabel[int(g)] for g in assignments])
-
-    group_correlations = [
-        _average_correlation(correlations, new_assignments, g) for g in range(group_count)
-    ]
-    span = eig.eigenvectors[:, : max(reduced.shape[-1], *np.bincount(new_assignments))]
-    on_span = [_average_correlation(reduced, new_assignments, g) for g in range(group_count)]
-    if span.shape[1] > reduced.shape[-1]:
-        on_span = [span.conj().T @ _average_correlation(frame, new_assignments, g) @ span for g in range(group_count)]
-    lifted = eig._replace(eigenvectors=lift(eig.eigenvectors))
-    return Grouping(
-        assignments=new_assignments,
-        group_correlations=group_correlations,
-        cost_history=cost_history,
-        _joint=JointSubspace(lifted, lifted.eigenvectors[:, : span.shape[1]], on_span),
-    )
+def _joint(span: _Span, assignments: np.ndarray) -> JointSubspace:
+    """The joint subspace of the labels ``assignments``: the sum's
+    decomposition, lifted, and each group's reduced correlation in the
+    frame: its member average of ``span.reduced``, or, when the basis needs
+    more columns than U has (co-located users, r < S_g), its member average
+    of ``span.frame`` projected on them."""
+    group_count, eig, rank = int(assignments.max()) + 1, span.eig, span.reduced.shape[-1]
+    width = max(rank, *np.bincount(assignments))
+    if width > rank:
+        wide = eig.eigenvectors[:, :width]
+        reduced = [wide.conj().T @ _average_correlation(span.frame, assignments, g) @ wide for g in range(group_count)]
+    else:
+        reduced = [_average_correlation(span.reduced, assignments, g) for g in range(group_count)]
+    lifted = eig._replace(eigenvectors=span.lift(eig.eigenvectors))
+    joint = JointSubspace(lifted, lifted.eigenvectors[:, :width], reduced)
+    for array in (*lifted, joint.basis, *reduced):
+        array.flags.writeable = False
+    return joint

@@ -148,20 +148,21 @@ def energy_efficiency(sum_rate: float, config: SystemConfig, fully_connected: bo
     return sum_rate / total
 
 
-def statistics_feedback_count(group_eigs: Sequence[tuple[np.ndarray, np.ndarray]]) -> int:
+def statistics_feedback_count(group_eigenvalues: Sequence[np.ndarray], antenna_count: int) -> int:
     """Scalars needed to feed back the dominant eigenpairs of each group
-    correlation, given as its eigendecomposition (``Grouping.group_eigs``):
-    per group, the smallest rank capturing ``STATISTICS_ENERGY_FRACTION``
-    of the trace, times one real eigenvalue plus one complex M-vector.
+    correlation, given its eigenvalues (descending; the reduced ones of
+    ``Grouping.reduced_eigs`` carry every nonzero one): per group, the
+    smallest rank capturing ``STATISTICS_ENERGY_FRACTION`` of the trace,
+    times one real eigenvalue plus one complex ``antenna_count``-vector.
     """
     total = 0
-    for values, vectors in group_eigs:
+    for values in group_eigenvalues:
         values = np.maximum(values, 0.0)
         trace = float(np.sum(values))
         cumulative = np.cumsum(values)
         rank = int(np.searchsorted(cumulative, STATISTICS_ENERGY_FRACTION * trace) + 1)
         rank = min(rank, values.size)
-        total += rank * (2 * vectors.shape[0] + 1)
+        total += rank * (2 * antenna_count + 1)
     return total
 
 
@@ -336,7 +337,8 @@ def _run_metrics(
     sum_rate = float(per_user_rate.sum())
     ee = energy_efficiency(sum_rate, config, SCHEMES[scheme].fully_connected)
 
-    stats_count = statistics_feedback_count(grouping.group_eigs) if SCHEMES[scheme].statistical else 0
+    eigenvalues = [values for values, _ in grouping.reduced_eigs] if SCHEMES[scheme].statistical else []
+    stats_count = statistics_feedback_count(eigenvalues, config.M)
     feedback = feedback_overhead(
         scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count
     )

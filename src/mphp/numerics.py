@@ -42,10 +42,11 @@ class EigenDecomposition(NamedTuple):
 
     Column i of ``eigenvectors`` pairs with ``eigenvalues[i]`` and carries
     whatever unit-modulus factor LAPACK returns: a sign for a real input.
-    The long-term stage decomposes centro-Hermitian matrices in
-    ``real_frame``, so its vectors are Q times real vectors.  Projectors,
-    traces and magnitudes do not depend on the factor, and GRFP and the
-    FRPS baseline remove it
+    The long-term stage decomposes the sum of the user correlations in
+    ``real_frame`` and each group's reduced correlation in the joint basis
+    (``grouping.JointSubspace``), so for a ULA every vector it lifts to the
+    antennas is Q times a real vector.  Projectors, traces and magnitudes
+    do not depend on the factor, and GRFP and the FRPS baseline remove it
     (``rf_precoder.align_column_phase``) before rounding to the phase grid.
     """
 

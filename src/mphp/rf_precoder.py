@@ -114,16 +114,15 @@ def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndar
 
 
 def leakage_correlation(grouping: Grouping, g: int) -> np.ndarray:
-    """Size-weighted sum of the other groups' average correlations."""
+    """Group g's leakage correlation in the joint subspace (b x b): the sum
+    over o != g of S_g * S_o * ``grouping.joint.reduced[o]``, which is
+    B^H L_g B for the size-weighted sum L_g of the other groups' average
+    correlations, B = ``grouping.joint.basis``."""
     if not 0 <= g < grouping.group_count:
         raise ValueError(f"group index {g} out of range")
-    return _leakage(grouping.group_correlations, grouping.sizes, g)
-
-
-def _leakage(correlations: list[np.ndarray], sizes: np.ndarray, g: int) -> np.ndarray:
-    """sum over o != g of S_g * S_o * ``correlations[o]``."""
-    out = np.zeros_like(correlations[g])
-    for other, corr in enumerate(correlations):
+    sizes, reduced = grouping.sizes, grouping.joint.reduced
+    out = np.zeros_like(reduced[g])
+    for other, corr in enumerate(reduced):
         if other != g:
             out += sizes[g] * sizes[other] * corr
     return out
@@ -244,29 +243,30 @@ def solve_alpha_star(
 def solve_relaxed(grouping: Grouping, power: float) -> RelaxedSolution:
     """Run the relaxed per-group solve for every group on the joint subspace.
 
-    Each group's ``solve_alpha_star`` runs on B^H R_g B and B^H L_g B, with
-    B = ``grouping.joint.basis`` (M x b), and its columns are lifted by B.
-    R_g and L_g vanish off B up to rounding, so both solves agree unless a
-    selected eigenvalue is negative with b < M; the column then keeps its
-    eigenvector, shrunk to 1/sqrt(M), where the M x M solve takes a null
-    vector off B.  The ``alpha = 0`` start is read off
-    ``grouping.reduced_eigs``, so no step is M x M, and for a ULA's
+    Each group's ``solve_alpha_star`` runs on the grouping's reduced
+    B^H R_g B (``grouping.joint.reduced[g]``) and ``leakage_correlation``,
+    with B = ``grouping.joint.basis`` (M x b), and its columns are lifted by
+    B.  R_g and L_g vanish off B up to rounding, so both solves agree with
+    the M x M ones unless a selected eigenvalue is negative with b < M; the
+    column then keeps its eigenvector, shrunk to 1/sqrt(M), where the
+    M x M solve takes a null vector off B.  The ``alpha = 0`` start is read
+    off ``grouping.reduced_eigs``, so no step is M x M, and for a ULA's
     correlations (``numerics.real_frame``) each Newton eigensolve is real.
     The noise term K * S_g / P takes K from the grouping.
     """
-    basis, signal = grouping.joint.basis, grouping.joint.reduced
+    basis = grouping.joint.basis
     # relaxed_step at alpha = 0 decomposes signal - 0.0 * leak, which is signal.
     solved = [
         solve_alpha_star(
-            signal[g],
-            _leakage(signal, grouping.sizes, g),
+            signal,
+            leakage_correlation(grouping, g),
             streams=len(members),
             n_users=grouping.user_count,
             power=power,
             antenna_count=basis.shape[0],
             _start=_dominant_columns(eig, len(members), basis.shape[0]),
         )
-        for g, (eig, members) in enumerate(zip(grouping.reduced_eigs, grouping.members))
+        for g, (signal, eig, members) in enumerate(zip(grouping.joint.reduced, grouping.reduced_eigs, grouping.members))
     ]
     return RelaxedSolution(alpha_star=[alpha for alpha, _ in solved], f_star=[basis @ f for _, f in solved])
 
@@ -430,13 +430,17 @@ def sslnr(
     g: int,
     power: float,
 ) -> float:
-    """Statistical SLNR of one group for a candidate per-group precoder.
+    """Statistical SLNR of one group for a candidate per-group precoder
+    (M x S_g).
 
     Signal energy on the group's average correlation over size-weighted
     leakage into the other groups' correlations plus the noise term
-    K * S_g / P.
+    K * S_g / P, both evaluated in the joint subspace: with C = B^H F,
+    tr(F^H R_g F) is tr(C^H (B^H R_g B) C), as R_g vanishes off B up to
+    rounding.
     """
-    signal = float(np.real(np.trace(f_group.conj().T @ grouping.group_correlations[g] @ f_group)))
-    leakage = float(np.real(np.trace(f_group.conj().T @ leakage_correlation(grouping, g) @ f_group)))
+    c = grouping.joint.basis.conj().T @ f_group
+    signal = float(np.real(np.trace(c.conj().T @ grouping.joint.reduced[g] @ c)))
+    leakage = float(np.real(np.trace(c.conj().T @ leakage_correlation(grouping, g) @ c)))
     noise = grouping.user_count * grouping.sizes[g] / power
     return signal / (leakage + noise)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mphp.metrics as metrics_mod
-from mphp.grouping import Grouping
+from mphp.channel import scenario_correlations
+from mphp.grouping import grouping_from_labels
 from mphp.metrics import build_context, context_key, monte_carlo_rates
 from mphp.numerics import hermitian_part
 
@@ -23,11 +24,22 @@ def random_hermitian(rng, dim):
 
 
 def make_grouping(correlations, assignments):
-    """Build a Grouping directly from per-user correlations and group labels."""
-    assignments = np.asarray(assignments, dtype=int)
-    members = [np.where(assignments == g)[0] for g in range(int(assignments.max()) + 1)]
-    group_correlations = [sum(correlations[int(k)] for k in m) / len(m) for m in members]
-    return Grouping(assignments=assignments, group_correlations=group_correlations)
+    """Build a Grouping from per-user correlations and group labels."""
+    return grouping_from_labels(correlations, assignments)
+
+
+def group_averages(correlations, grouping):
+    """Each group's average of the user ``correlations`` (M x M), formed
+    here rather than read from the grouping, which keeps only their
+    reduction to its joint subspace."""
+    return [sum(correlations[int(k)] for k in members) / len(members) for members in grouping.members]
+
+
+def grouped_context(config, seed):
+    """``build_context``'s grouping at ``seed`` and its group averages of
+    the scenario's user correlations (``group_averages``)."""
+    grouping, scenario, geometry = build_context(config, seed)
+    return grouping, group_averages(scenario_correlations(scenario, geometry), grouping)
 
 
 def contexts_at_seed(points, seed):

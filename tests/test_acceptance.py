@@ -317,7 +317,7 @@ def test_criterion_10_feedback_accounting():
     real_time = feedback_overhead(SchemeId.ADAPTIVE_INSTANT, 64, 8, 10, [3, 3, 2], 0)
     config = SystemConfig()
     grouping, _, _ = build_context(config, seed=1)
-    stats = statistics_feedback_count(grouping.group_eigs)
+    stats = statistics_feedback_count([values for values, _ in grouping.reduced_eigs], config.M)
     mixed = feedback_overhead(SchemeId.MPHP, 64, 8, 10, [3, 3, 2], stats)
     short_term = mixed - stats
     bound_ok = stats <= 8 * 64**2

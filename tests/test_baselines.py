@@ -26,7 +26,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import count_calls, make_grouping
+from conftest import count_calls, grouped_context, make_grouping
 
 
 def two_user_grouping(n_ant):
@@ -61,13 +61,14 @@ def loop_greedy_instant_map(channel, chain_to_user):
     return mapping
 
 
-def loop_frps(grouping, config):
-    """Reference: quantize each entry of each dominant eigenvector, at the
-    phase the column phase rule fixes, on its own."""
+def loop_frps(grouping, group_corrs, config):
+    """Reference: quantize each entry of each dominant eigenvector of a
+    fresh M x M decomposition of each group correlation, at the phase the
+    column phase rule fixes, on its own."""
     grid = phase_grid(config.B)
     f = np.zeros((config.M, sum(len(m) for m in grouping.members)), dtype=complex)
     for g in range(grouping.group_count):
-        _, vectors = hermitian_eig(grouping.group_correlations[g])
+        _, vectors = hermitian_eig(group_corrs[g])
         for i, chain in enumerate(grouping.rf_chains[g]):
             column = align_column_phase(vectors[:, i], config.B)
             indices = np.array([nearest_phase_index(v, config.B) for v in column])
@@ -127,9 +128,9 @@ class TestMatchesPerAntennaLoops:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"M{c.M}B{c.B}")
     @pytest.mark.parametrize("seed", [1, 7919])
     def test_frps_on_correlations(self, config, seed):
-        grouping, _, _ = build_context(config, seed=seed)
+        grouping, group_corrs = grouped_context(config, seed)
         f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
-        assert np.array_equal(f, loop_frps(grouping, config))
+        assert np.array_equal(f, loop_frps(grouping, group_corrs, config))
 
 
 class TestFrpsMatchesColumnLoop:
@@ -139,11 +140,11 @@ class TestFrpsMatchesColumnLoop:
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
     def test_pipeline_designs(self, m_ant, seed):
-        grouping, _, _ = build_context(SystemConfig(M=m_ant), seed=seed)
+        grouping, group_corrs = grouped_context(SystemConfig(M=m_ant), seed)
         for bits in range(1, 7):
             config = SystemConfig(M=m_ant, B=bits)
             f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
-            assert np.array_equal(f, loop_frps(grouping, config))
+            assert np.array_equal(f, loop_frps(grouping, group_corrs, config))
 
     @pytest.mark.parametrize(
         "config",
@@ -156,9 +157,9 @@ class TestFrpsMatchesColumnLoop:
         ids=lambda c: f"M{c.M}-K{c.K}-G{c.G}-spread{c.angular_spread}",
     )
     def test_edge_configs(self, config):
-        grouping, _, _ = build_context(config, seed=1)
+        grouping, group_corrs = grouped_context(config, 1)
         f = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
-        assert np.array_equal(f, loop_frps(grouping, config))
+        assert np.array_equal(f, loop_frps(grouping, group_corrs, config))
 
 
 class TestSchemeTaxonomy:
@@ -264,27 +265,15 @@ class TestDesignReads:
         assert set(SCHEMES[SchemeId.MPHP].design_reads) == {"B", "P"}
 
 
-class Unread(list):
-    """Stands in for the M x M group correlations; any read of an item fails."""
-
-    def __getitem__(self, index):
-        raise AssertionError("an M x M group correlation was read")
-
-    def __iter__(self):
-        raise AssertionError("an M x M group correlation was read")
-
-
 class TestSharedRelaxedProblem:
     """``solve_relaxed`` reads its power-independent part from the grouping,
     which decomposes it once."""
 
     def test_power_sweep_on_one_grouping_equals_fresh_solves(self, monkeypatch):
-        # Neither the sweep nor the fresh solves on copies make a QR or read
-        # an M x M matrix: the group correlations fail on any read, group_eigs
-        # is never made, and every eigensolve is as wide as the joint basis.
+        # Neither the sweep nor the fresh solves on copies make a QR or an
+        # M x M eigensolve: every eigensolve is as wide as the joint basis.
         config = SystemConfig(M=128)
         grouping, _, _ = build_context(config, seed=_derived_seeds(1)[0])
-        monkeypatch.setattr(grouping, "group_correlations", Unread())
         qr_calls = count_calls(monkeypatch, np.linalg, "qr")
         eig_calls = count_calls(monkeypatch, np.linalg, "eigh")
         powers = [10.0 ** (snr / 10.0) for snr in (-10, -5, 0, 5, 10)]
@@ -297,7 +286,6 @@ class TestSharedRelaxedProblem:
         width = grouping.joint.basis.shape[1]
         assert width < config.M
         assert eig_calls and all(matrix.shape == (width, width) for matrix, *_ in eig_calls)
-        assert "group_eigs" not in vars(grouping)
         assert len(set(a for solution in shared for a in solution.alpha_star)) == len(powers) * grouping.group_count
 
     def test_cached_arrays_are_read_only(self):

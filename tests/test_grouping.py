@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -7,16 +6,21 @@ import pytest
 from mphp import grouping as grouping_mod
 from mphp import rf_precoder as rf_precoder_mod
 from mphp.channel import ArrayGeometry, UserChannelParams, make_scenario, scenario_correlations
+from mphp.baselines import SchemeId, design_long_term
+from mphp.config import SystemConfig
+from mphp.experiment import parse_config
 from mphp.grouping import (
     Grouping,
     chordal_distance,
     default_subspace_rank,
     group_users,
+    grouping_from_labels,
 )
+from mphp.metrics import build_context, statistics_feedback_count
 from mphp.numerics import above_rounding, hermitian_eig, real_frame
 from mphp.rf_precoder import solve_relaxed
 
-from conftest import count_calls, random_psd
+from conftest import CO_LOCATED, count_calls, group_averages, random_psd
 
 
 def cluster_correlations(aods, spread, m_ant, quadrature=64):
@@ -68,7 +72,8 @@ class TestGroupUsers:
         grouping = group_users(corrs, 1, subspace_rank=2)
         assert grouping.group_count == 1
         assert np.array_equal(grouping.assignments, np.zeros(4, dtype=int))
-        assert np.allclose(grouping.group_correlations[0], sum(corrs) / 4)
+        basis, (reduced,) = grouping.joint.basis, grouping.joint.reduced
+        assert np.allclose(basis @ reduced @ basis.conj().T, sum(corrs) / 4)
 
     def test_matches_brute_force_on_separated_clusters(self):
         # 4 users in two clusters at +-0.5 rad, spread 0.01; oracle enumerates
@@ -123,12 +128,12 @@ class TestGroupUsers:
         # contiguous chain blocks in group order
         flat_chains = np.concatenate(grouping.rf_chains)
         assert np.array_equal(flat_chains, np.arange(n_users))
+        basis = grouping.joint.basis
         for g in range(n_groups):
             assert len(grouping.rf_chains[g]) == sizes[g]
             expected = sum(corrs[int(k)] for k in grouping.members[g]) / sizes[g]
-            assert np.linalg.norm(grouping.group_correlations[g] - expected) <= 1e-12 * max(
-                np.linalg.norm(expected), 1.0
-            )
+            got = basis @ grouping.joint.reduced[g] @ basis.conj().T
+            assert np.linalg.norm(got - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
         # groups relabeled by smallest member: first members strictly increasing
         first_members = [int(m[0]) for m in grouping.members]
         assert first_members == sorted(first_members)
@@ -177,64 +182,6 @@ def test_grouping_dataclass_roundtrip(rng):
     g = group_users(corrs, 2, subspace_rank=1)
     assert isinstance(g, Grouping)
     assert g.user_count == 3
-
-
-def lifted_by_hand(grouping):
-    """group_eigs built by hand: hermitian_eig of each reduced correlation
-    B^H R_g B, its vectors lifted by B, completed by the sum's other
-    eigenvectors at eigenvalue 0, and sorted descending (stably, so the
-    completion goes before the negative rounding-level eigenvalues)."""
-    basis = grouping.joint.basis
-    rest = grouping.joint.eig.eigenvectors[:, basis.shape[1] :]
-    out = []
-    for reduced in grouping.joint.reduced:
-        values, vectors = hermitian_eig(reduced)
-        values = np.concatenate([values, np.zeros(rest.shape[1])])
-        vectors = np.concatenate([basis @ vectors, rest], axis=1)
-        order = np.argsort(-values, kind="stable")
-        out.append((values[order], vectors[:, order]))
-    return out
-
-
-def assert_lifted_eigs(grouping):
-    """group_eigs is bit for bit the lift by hand, and it agrees with a fresh
-    M x M decomposition of each group correlation up to rounding: the
-    eigenvalues within M * eps * lambda_1, the projector onto the S_g
-    leading eigenvectors (the ones FRPS reads) within 1e-10, and at every
-    cut k up to the eigenvalues above rounding, the projector onto the k
-    leading eigenvectors within the Davis-Kahan bound of the two
-    decompositions' residuals over the gap lambda_k - lambda_(k+1).  No
-    flat bound holds near the rounding level, where the gaps are about
-    M * eps * lambda_1 themselves."""
-    m_ant = grouping.antenna_count
-    eps = np.finfo(float).eps
-    for (values, vectors), (hand_values, hand_vectors) in zip(grouping.group_eigs, lifted_by_hand(grouping)):
-        assert np.array_equal(values, hand_values)
-        assert np.array_equal(vectors, hand_vectors)
-    for corr, members, (values, vectors) in zip(grouping.group_correlations, grouping.members, grouping.group_eigs):
-        fresh_values, fresh_vectors = hermitian_eig(corr)
-        assert values.shape == (m_ant,) and vectors.shape == (m_ant, m_ant)
-        assert np.all(np.diff(values) <= 0)
-        assert np.allclose(vectors.conj().T @ vectors, np.eye(m_ant), rtol=0, atol=1e-13)
-        assert np.abs(values - fresh_values).max() <= m_ant * eps * fresh_values[0]
-
-        def projector(v, k):
-            return v[:, :k] @ v[:, :k].conj().T
-
-        def residual(w, v):
-            return np.linalg.norm(corr - (v * w) @ v.conj().T, 2)
-
-        streams = len(members)
-        assert np.abs(projector(vectors, streams) - projector(fresh_vectors, streams)).max() <= 1e-10
-        # Each decomposition is exact for corr plus its residual.
-        # Measured up to 2.7e-9 * lambda_1 (M = 128, one user per group).
-        noise = residual(values, vectors) + residual(fresh_values, fresh_vectors)
-        assert noise <= 1e-8 * fresh_values[0]
-        for k in range(1, min(int(np.count_nonzero(above_rounding(fresh_values, m_ant))), m_ant - 1) + 1):
-            gap = fresh_values[k - 1] - fresh_values[k] - noise
-            if gap > noise:
-                moved = np.linalg.norm(projector(vectors, k) - projector(fresh_vectors, k), 2)
-                assert moved <= noise / gap, (k, moved, noise / gap)
 
 
 def full_space_lloyd(correlations, group_count, rank, max_iters=100):
@@ -298,15 +245,37 @@ class TestMatchesFullSpaceOracle:
             assert np.array_equal(group_users(corrs, n_groups).assignments, expected), (spread, n_users, n_groups)
 
 
+def assert_reduced_eigs_match_fresh(grouping, group_corrs):
+    """Each group's b x b decomposition agrees with a fresh M x M one of its
+    average correlation: the leading b eigenvalues within M * eps *
+    lambda_1, and the projector onto the S_g leading eigenvectors, B times
+    the reduced ones (what FRPS reads), within 1e-10."""
+    m_ant = grouping.antenna_count
+    eps = np.finfo(float).eps
+    basis = grouping.joint.basis
+    for corr, members, (values, vectors) in zip(group_corrs, grouping.members, grouping.reduced_eigs):
+        fresh_values, fresh_vectors = hermitian_eig(corr)
+        width = basis.shape[1]
+        assert values.shape == (width,) and vectors.shape == (width, width)
+        assert np.all(np.diff(values) <= 0)
+        assert np.abs(values - fresh_values[:width]).max() <= m_ant * eps * fresh_values[0]
+        streams = len(members)
+        lifted, fresh = basis @ vectors[:, :streams], fresh_vectors[:, :streams]
+        assert np.allclose(lifted.conj().T @ lifted, np.eye(streams), rtol=0, atol=1e-13)
+        assert np.abs(lifted @ lifted.conj().T - fresh @ fresh.conj().T).max() <= 1e-10
+
+
 class TestGroupEigsReuse:
-    """group_eigs is made in the joint subspace, on first read; the sum of
-    the correlations is the only M x M decomposition of a grouping."""
+    """Each group's statistics are held once, reduced to the joint subspace,
+    and decomposed there (``reduced_eigs``) for every reader; the sum of the
+    correlations is the only M x M decomposition of a grouping."""
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     @pytest.mark.parametrize("m_ant", [8, 64, 128])
     def test_equal_to_fresh_decomposition(self, m_ant, n_groups):
         corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
-        assert_lifted_eigs(group_users(corrs, n_groups))
+        grouping = group_users(corrs, n_groups)
+        assert_reduced_eigs_match_fresh(grouping, group_averages(corrs, grouping))
 
     @pytest.mark.parametrize("n_groups", [1, 3, 8])
     @pytest.mark.parametrize("m_ant", [8, 64, 128])
@@ -326,7 +295,7 @@ class TestGroupEigsReuse:
         span = q.conj().T @ basis
         assert np.abs(span.imag).max() <= 1e-15
         users = span.real.T @ frame @ span.real
-        for members, corr, reduced in zip(grouping.members, grouping.group_correlations, grouping.joint.reduced):
+        for members, corr, reduced in zip(grouping.members, group_averages(corrs, grouping), grouping.joint.reduced):
             assert reduced.dtype == np.float64
             tol = 1e-13 * np.linalg.norm(corr)
             assert np.allclose(reduced, sum(users[k] for k in members) / len(members), rtol=0, atol=tol)
@@ -345,15 +314,18 @@ class TestGroupEigsReuse:
         assert full_size() == 1  # the sum of the correlations; users and centroids are r x r
         assert all(args[0].shape[0] < m_ant for args in calls[1:])
         before = len(calls)
-        assert len(grouping.group_eigs) == n_groups
+        assert len(grouping.reduced_eigs) == n_groups
         assert full_size() == 1
         width = grouping.joint.basis.shape[1]
         assert [args[0].shape for args in calls[before:]] == [(width, width)] * n_groups
-        grouping.group_eigs
-        # The relaxed solve reads the joint subspace and its b x b
-        # decompositions: its own eigensolves (the Newton steps) are b x b.
+        # The relaxed solve, FRPS and the feedback count read the joint
+        # subspace and its b x b decompositions: the relaxed solve's own
+        # eigensolves (the Newton steps) are b x b, and nothing more is
+        # decomposed here.
         relaxed_calls = count_calls(monkeypatch, rf_precoder_mod, "hermitian_eig")
         solve_relaxed(grouping, 1.0)
+        design_long_term(SchemeId.FRPS_STATISTICAL, grouping, SystemConfig(M=m_ant, K=8, G=n_groups))
+        statistics_feedback_count([values for values, _ in grouping.reduced_eigs], m_ant)
         assert len(calls) == before + n_groups
         assert relaxed_calls and all(args[0].shape == (width, width) for args in relaxed_calls)
 
@@ -364,32 +336,67 @@ class TestGroupEigsReuse:
         stopped = group_users(corrs, 3, subspace_rank=2, max_iters=1)
         assert len(converged.cost_history) > 1
         assert not np.array_equal(stopped.assignments, converged.assignments)
-        for members, corr in zip(stopped.members, stopped.group_correlations):
-            assert np.array_equal(corr, sum(corrs[int(k)] for k in members) / len(members))
-        assert_lifted_eigs(stopped)
+        assert_same_joint(grouping_from_labels(corrs, stopped.assignments).joint, stopped.joint)
+        assert_reduced_eigs_match_fresh(stopped, group_averages(corrs, stopped))
 
-    def test_grouping_built_directly_decomposes_on_first_read(self, monkeypatch):
-        # A grouping built without a joint subspace decomposes sum_g |g| R_g
-        # (M x M) on first read, then each reduced correlation; a copy made
-        # by dataclasses.replace carries the subspace and decomposes only the
-        # reduced correlations, bit for bit as the original does.
-        m_ant = 64
-        corrs = scenario_correlations(make_scenario(8, 3, seed=5), ArrayGeometry(m_ant))
-        grouped = group_users(corrs, 3)
-        direct = Grouping(grouped.assignments, grouped.group_correlations)
-        copy = dataclasses.replace(grouped)
-        assert copy.joint.eig is grouped.joint.eig and copy.joint.reduced is grouped.joint.reduced
+
+def assert_same_joint(got, expected):
+    for array, own in zip((*got.eig, got.basis, *got.reduced), (*expected.eig, expected.basis, *expected.reduced)):
+        assert array.dtype == own.dtype and np.array_equal(array, own)
+    assert len(got.reduced) == len(expected.reduced)
+
+
+class TestGroupingFromLabels:
+    """The labels-in constructor builds the joint subspace by the path
+    ``group_users`` takes, and keeps the labels it is given."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig(M=8, K=8, G=3), SystemConfig(angular_spread=0.0), parse_config(CO_LOCATED)],
+        ids=["default", "M=K", "zero-spread", "co-located"],
+    )
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_group_users_labels_give_its_joint(self, config, seed):
+        grouping, scenario, geometry = build_context(config, seed)
+        corrs = scenario_correlations(scenario, geometry)
+        rebuilt = grouping_from_labels(corrs, grouping.assignments)
+        assert np.array_equal(rebuilt.assignments, grouping.assignments)
+        assert_same_joint(rebuilt.joint, grouping.joint)
+
+    def test_arrays_read_only_from_construction(self, rng):
+        corrs = [random_psd(rng, 6, dof=2) for _ in range(4)]
+        for grouping in (group_users(corrs, 2, subspace_rank=1), grouping_from_labels(corrs, [0, 1, 1, 0])):
+            joint = grouping.joint
+            for array in (*joint.eig, joint.basis, *joint.reduced):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1.0
+
+    def test_keeps_the_labels(self, rng):
+        # Group 0 need not hold user 0: the blocks follow the labels.
+        corrs = [random_psd(rng, 5) for _ in range(3)]
+        grouping = grouping_from_labels(corrs, [1, 0, 1])
+        assert grouping.assignments.tolist() == [1, 0, 1]
+        assert [m.tolist() for m in grouping.members] == [[1], [0, 2]]
+        assert [c.tolist() for c in grouping.rf_chains] == [[0], [1, 2]]
+        basis = grouping.joint.basis
+        for expected, reduced in zip(group_averages(corrs, grouping), grouping.joint.reduced):
+            assert np.allclose(basis @ reduced @ basis.conj().T, expected, rtol=0, atol=1e-12)
+
+    def test_one_full_size_decomposition(self, monkeypatch, rng):
+        corrs = [random_psd(rng, 6, dof=1) for _ in range(4)]
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
-        direct.group_eigs
-        width = direct.joint.basis.shape[1]
-        assert width < m_ant
-        assert [args[0].shape for args in calls] == [(m_ant, m_ant)] + [(width, width)] * 3
-        total = sum(len(m) * corr for m, corr in zip(direct.members, direct.group_correlations))
-        assert np.array_equal(calls[0][0], total)
-        assert_lifted_eigs(direct)
-        del calls[:]
-        for (values, vectors), (own_values, own_vectors) in zip(copy.group_eigs, grouped.group_eigs):
-            assert np.array_equal(values, own_values) and np.array_equal(vectors, own_vectors)
-        # Three for the copy and three for the original, all reduced.
-        width = grouped.joint.basis.shape[1]
-        assert [args[0].shape for args in calls] == [(width, width)] * 6
+        grouping = grouping_from_labels(corrs, [0, 0, 1, 2])
+        assert [args[0].shape for args in calls] == [(6, 6)]
+        width = grouping.joint.basis.shape[1]
+        grouping.reduced_eigs
+        assert [args[0].shape for args in calls[1:]] == [(width, width)] * 3
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1], [0, 1, 1, 0], [[0, 1, 1]], [0, 2, 2], [-1, 0, 0], [0.0, 1.0, 1.0], [True, False, True]],
+    )
+    def test_bad_labels_rejected(self, rng, labels):
+        corrs = [random_psd(rng, 4) for _ in range(3)]
+        with pytest.raises(ValueError):
+            grouping_from_labels(corrs, labels)

@@ -261,10 +261,12 @@ class TestFeedbackOverhead:
     def test_statistics_count_rank_rule(self):
         # eigenvalues (10, 0.4, 0.1): rank 1 already holds 95% of the trace
         corr = np.diag([10.0, 0.4, 0.1]).astype(complex)
-        assert statistics_feedback_count([hermitian_eig(corr)]) == 1 * (2 * 3 + 1)
+        assert statistics_feedback_count([hermitian_eig(corr).eigenvalues], 3) == 1 * (2 * 3 + 1)
         # flat spectrum needs almost every eigenpair
         flat = np.eye(4, dtype=complex)
-        assert statistics_feedback_count([hermitian_eig(flat)]) == 4 * (2 * 4 + 1)
+        assert statistics_feedback_count([hermitian_eig(flat).eigenvalues], 4) == 4 * (2 * 4 + 1)
+        # each pair costs one M-vector, whatever size the eigenvalues came from
+        assert statistics_feedback_count([np.array([10.0, 0.4, 0.1])], 64) == 1 * (2 * 64 + 1)
 
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
@@ -379,7 +381,9 @@ def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_fac
     sum_rate = float(per_user_rate.sum())
     ee = energy_efficiency(sum_rate, config, SCHEMES[scheme].fully_connected)
     stats_count = (
-        statistics_feedback_count(grouping.group_eigs) if SCHEMES[scheme].statistical else 0
+        statistics_feedback_count([values for values, _ in grouping.reduced_eigs], config.M)
+        if SCHEMES[scheme].statistical
+        else 0
     )
     feedback = feedback_overhead(
         scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count

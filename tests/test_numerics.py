@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mphp.channel import ArrayGeometry, UserChannelParams, correlation_from_params
+from mphp.channel import ArrayGeometry, UserChannelParams, correlation_from_params, steering_vector
 from mphp.numerics import (
     CONDITION_LIMIT,
     EigenDecomposition,
@@ -173,7 +173,7 @@ def ula_correlation(m_ant, spread, mean_aod=0.4):
     return correlation_from_params(params, ArrayGeometry(m_ant, element_spacing=0.37))
 
 
-FRAME_SPREADS = (0.01, 0.03, 0.5)
+FRAME_SPREADS = (0.0, 0.01, 0.03, 0.5)
 
 
 class TestRealFrame:
@@ -210,9 +210,12 @@ class TestRealFrame:
             assert np.array_equal(own, real_frame(corr)[0])
 
     def test_other_matrices_keep_the_complex_path(self, rng):
-        # A zero-spread outer product, a random PSD matrix, and a stack with
-        # one of them, come back as they are, with the identity lift.
-        outer = ula_correlation(16, 0.0)
+        # A steering vector's outer product a a^H, formed entry by entry (so
+        # not exactly Toeplitz off broadside), a random PSD matrix, and a
+        # stack with one of them, come back as they are, with the identity
+        # lift.
+        steering = steering_vector(0.4, ArrayGeometry(16, element_spacing=0.37))
+        outer = hermitian_part(2.5 * np.outer(steering, steering.conj()))
         psd = random_psd(rng, 16)
         v = rng.standard_normal((16, 2))
         for a in (outer, psd, np.stack([ula_correlation(16, 0.03), outer])):

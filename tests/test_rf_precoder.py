@@ -33,7 +33,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import CO_LOCATED, count_calls, make_grouping, random_psd
+from conftest import CO_LOCATED, count_calls, group_averages, grouped_context, make_grouping, random_psd
 
 
 def diagonal_grouping():
@@ -151,21 +151,35 @@ def assert_solver_contract(problem, tol=1e-9, rounding_dominated=False, **option
     return alpha
 
 
+def full_space_leakage(group_corrs, sizes, g):
+    """sum over o != g of S_g * S_o * R_o, at M x M."""
+    return sum((sizes[g] * sizes[o] * corr for o, corr in enumerate(group_corrs) if o != g), np.zeros_like(group_corrs[g]))
+
+
+def lifted(grouping, reduced):
+    """B @ reduced @ B^H: a joint-subspace matrix in antenna coordinates."""
+    basis = grouping.joint.basis
+    return basis @ reduced @ basis.conj().T
+
+
 class TestLeakageCorrelation:
     def test_single_group_is_zero(self, rng):
         grouping = make_grouping([random_psd(rng, 4) for _ in range(3)], [0, 0, 0])
-        assert np.array_equal(leakage_correlation(grouping, 0), np.zeros((4, 4)))
+        leak = leakage_correlation(grouping, 0)
+        width = grouping.joint.basis.shape[1]
+        assert leak.shape == (width, width) and not leak.any()
 
     def test_two_singleton_groups(self):
         grouping = diagonal_grouping()
-        assert np.allclose(leakage_correlation(grouping, 0), np.diag([0.0, 1.0]))
-        assert np.allclose(leakage_correlation(grouping, 1), np.diag([2.0, 0.0]))
+        assert np.allclose(lifted(grouping, leakage_correlation(grouping, 0)), np.diag([0.0, 1.0]))
+        assert np.allclose(lifted(grouping, leakage_correlation(grouping, 1)), np.diag([2.0, 0.0]))
 
     def test_size_weighting(self, rng):
         corrs = [random_psd(rng, 4) for _ in range(4)]
         grouping = make_grouping(corrs, [0, 0, 1, 2])  # sizes (2, 1, 1)
-        expected = 2 * 1 * grouping.group_correlations[1] + 2 * 1 * grouping.group_correlations[2]
-        assert np.allclose(leakage_correlation(grouping, 0), expected)
+        averages = group_averages(corrs, grouping)
+        expected = 2 * 1 * averages[1] + 2 * 1 * averages[2]
+        assert np.allclose(lifted(grouping, leakage_correlation(grouping, 0)), expected)
 
     def test_invalid_group_index(self):
         with pytest.raises(ValueError):
@@ -900,12 +914,12 @@ def random_column(seed, m_ant, kind):
 
 
 def rotated_eigs(grouping, phases):
-    """A copy of ``grouping`` whose group_eigs vectors carry the given
+    """A copy of ``grouping`` whose reduced_eigs vectors carry the given
     per-column phases (cycled over the columns)."""
     copy = dataclasses.replace(grouping)
-    copy.group_eigs = [
+    copy.reduced_eigs = [
         EigenDecomposition(values, vectors * np.exp(1j * np.resize(phases, values.size)))
-        for values, vectors in grouping.group_eigs
+        for values, vectors in grouping.reduced_eigs
     ]
     return copy
 
@@ -935,7 +949,7 @@ class TestColumnPhaseRule:
     )
     def test_designs_unchanged_by_column_rotations(self, case, bits, phases):
         # MPHP: per-column rotations of the relaxed columns; FRPS: of the
-        # group_eigs vectors.  Neither design moves.
+        # reduced_eigs vectors.  Neither design moves.
         m_ant, seed = case
         grouping, relaxed = pipeline_relaxed(m_ant, seed)
         offsets = np.cumsum([0] + [f.shape[1] for f in relaxed.f_star])
@@ -1064,12 +1078,14 @@ class TestGrfpMatchesColumnLoop:
             grfp_assign(RelaxedSolution([1.0, 2.0], f_star), grouping, bits=2)
 
 
-def full_space_relaxed(grouping, n_users, power):
-    """The relaxed solve on the full M x M correlations, the reference for
-    the joint-subspace solve."""
+def full_space_relaxed(grouping, group_corrs, power):
+    """The relaxed solve on the full M x M group correlations, the
+    reference for the joint-subspace solve."""
     solved = [
-        solve_alpha_star(corr, leakage_correlation(grouping, g), len(members), n_users, power)
-        for g, (corr, members) in enumerate(zip(grouping.group_correlations, grouping.members))
+        solve_alpha_star(
+            corr, full_space_leakage(group_corrs, grouping.sizes, g), len(members), grouping.user_count, power
+        )
+        for g, (corr, members) in enumerate(zip(group_corrs, grouping.members))
     ]
     return RelaxedSolution([alpha for alpha, _ in solved], [f_star for _, f_star in solved])
 
@@ -1078,10 +1094,10 @@ class TestJointSubspaceSolve:
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
     def test_matches_full_space_reference(self, m_ant, seed):
-        grouping, _, _ = build_context(SystemConfig(M=m_ant), seed)
+        grouping, group_corrs = grouped_context(SystemConfig(M=m_ant), seed)
         for power in (0.1, 1.0, 10.0):
             relaxed = solve_relaxed(grouping, power=power)
-            reference = full_space_relaxed(grouping, grouping.user_count, power)
+            reference = full_space_relaxed(grouping, group_corrs, power)
             for alpha, expected in zip(relaxed.alpha_star, reference.alpha_star):
                 assert abs(alpha - expected) <= 1e-12 * expected, power
             for bits in (1, 4, 6):
@@ -1092,7 +1108,7 @@ class TestJointSubspaceSolve:
 
     def test_decomposes_nothing_larger_than_the_joint_basis(self, monkeypatch):
         grouping, _, _ = build_context(SystemConfig(M=128), 1)
-        grouping.group_eigs  # decomposed before counting
+        grouping.reduced_eigs  # decomposed before counting
         calls = count_calls(monkeypatch, rf_precoder, "hermitian_eig")
         for power in (0.1, 1.0, 10.0):
             solve_relaxed(grouping, power=power)
@@ -1106,12 +1122,12 @@ class TestJointSubspaceSolve:
         # Orthonormal, r columns at seed 1 (the eigenvectors of the sum of
         # the user correlations above rounding), and every group correlation
         # lies in its span up to rounding.
-        grouping, _, _ = build_context(SystemConfig(M=m_ant), 1)
+        grouping, group_corrs = grouped_context(SystemConfig(M=m_ant), 1)
         basis = grouping.joint.basis
         assert basis.shape == (m_ant, rank)
         assert np.allclose(basis.conj().T @ basis, np.eye(rank), rtol=0, atol=1e-13)
         projector = basis @ basis.conj().T
-        for corr in grouping.group_correlations:
+        for corr in group_corrs:
             residual = np.linalg.norm(corr - projector @ corr @ projector)
             assert residual <= 1e-12 * np.linalg.norm(corr)
 
@@ -1166,7 +1182,7 @@ def assert_basis_per_stream(grouping, rank):
     validate_rf_precoder(grfp_assign(relaxed, grouping, bits=2))
 
 
-def qr_basis_oracle(grouping):
+def qr_basis_oracle(grouping, group_corrs):
     """The long-term stage as it ran before the joint subspace: each group
     correlation decomposed at M x M, and the basis one QR of each group's
     eigenvectors above rounding, at least one per stream.  Each M x M
@@ -1176,7 +1192,7 @@ def qr_basis_oracle(grouping):
     decompositions and the basis."""
     m_ant = grouping.antenna_count
     eigs = []
-    for corr in grouping.group_correlations:
+    for corr in group_corrs:
         frame, lift = real_frame(corr)
         values, vectors = grouping_mod._frame_eig(frame)
         eigs.append(EigenDecomposition(values, lift(vectors)))
@@ -1187,14 +1203,10 @@ def qr_basis_oracle(grouping):
     return eigs, np.linalg.qr(np.concatenate(kept, axis=1))[0]
 
 
-def qr_basis_relaxed(grouping, basis, power):
+def qr_basis_relaxed(grouping, corrs, basis, power):
     """The relaxed solve on the QR basis, with the group and leakage
     correlations projected from M x M."""
-    sizes, corrs = grouping.sizes, grouping.group_correlations
-    leaks = [
-        sum((sizes[g] * sizes[o] * corrs[o] for o in range(len(corrs)) if o != g), np.zeros_like(corrs[g]))
-        for g in range(len(corrs))
-    ]
+    leaks = [full_space_leakage(corrs, grouping.sizes, g) for g in range(len(corrs))]
     solved = [
         solve_alpha_star(
             basis.conj().T @ corr @ basis,
@@ -1209,15 +1221,17 @@ def qr_basis_relaxed(grouping, basis, power):
     return RelaxedSolution([alpha for alpha, _ in solved], [basis @ f for _, f in solved])
 
 
-def assert_designs_match_qr_oracle(grouping, config, powers=(0.1, 1.0, 10.0), bits_range=range(1, 7)):
+def assert_designs_match_qr_oracle(grouping, group_corrs, config, powers=(0.1, 1.0, 10.0), bits_range=range(1, 7)):
     """MPHP's map and phases and FRPS's phase matrix equal the QR-basis
-    oracle's, and alpha* agrees within 1e-9 relative."""
-    eigs, basis = qr_basis_oracle(grouping)
-    oracle = dataclasses.replace(grouping)
-    oracle.group_eigs = eigs
+    oracle's, and alpha* agrees within 1e-9 relative.  FRPS reads the
+    oracle's M x M decompositions through a copy of the grouping whose
+    basis is the identity, so B @ its leading vectors are theirs."""
+    eigs, basis = qr_basis_oracle(grouping, group_corrs)
+    oracle = dataclasses.replace(grouping, joint=grouping.joint._replace(basis=np.eye(grouping.antenna_count)))
+    oracle.reduced_eigs = eigs
     for power in powers:
         relaxed = solve_relaxed(grouping, power=power)
-        reference = qr_basis_relaxed(grouping, basis, power)
+        reference = qr_basis_relaxed(grouping, group_corrs, basis, power)
         for alpha, expected in zip(relaxed.alpha_star, reference.alpha_star):
             assert abs(alpha - expected) <= 1e-9 * expected, power
         for bits in bits_range:
@@ -1236,8 +1250,7 @@ class TestMatchesQrBasisOracle:
     @pytest.mark.parametrize("m_ant", [8, 16, 32, 64, 128])
     def test_pipeline_designs(self, m_ant, seed):
         config = SystemConfig(M=m_ant)
-        grouping, _, _ = build_context(config, seed)
-        assert_designs_match_qr_oracle(grouping, config)
+        assert_designs_match_qr_oracle(*grouped_context(config, seed), config)
 
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize(
@@ -1246,8 +1259,7 @@ class TestMatchesQrBasisOracle:
         ids=lambda c: f"M{c.M}-K{c.K}-G{c.G}-spread{c.angular_spread}",
     )
     def test_edge_configs(self, config, seed):
-        grouping, _, _ = build_context(config, seed)
-        assert_designs_match_qr_oracle(grouping, config)
+        assert_designs_match_qr_oracle(*grouped_context(config, seed), config)
 
 
 def complex_frame(a):
@@ -1312,6 +1324,41 @@ class TestOneFullSizeEigensolve:
         assert set(dtypes) == {np.dtype(np.float64)}
 
 
+# Relative tolerance of the joint-subspace statistics against the M x M
+# formulas.  The basis drops the sum's directions at or below M * eps *
+# lambda_1, where a PSD R_g's entries reach sqrt(M * eps) * lambda_1, so no
+# bound near eps holds in general; these configs measure at most 7e-14
+# (6e-12 at M = 128, G = 8).
+FULL_SPACE_RTOL = 1e-10
+
+
+class TestMatchesFullSpaceFormulas:
+    """``leakage_correlation`` and ``sslnr`` read only the joint subspace;
+    lifted by the basis they are the M x M formulas on the group averages
+    of the user correlations, formed here."""
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig(angular_spread=0.0), parse_config(CO_LOCATED), SystemConfig(M=8, K=8, G=3)],
+        ids=["default", "zero-spread", "co-located", "M=K"],
+    )
+    def test_leakage_and_sslnr(self, config, seed):
+        grouping, group_corrs = grouped_context(config, seed)
+        sizes, power = grouping.sizes, 1.0
+        relaxed = solve_relaxed(grouping, power)
+        rf = grfp_assign(relaxed, grouping, bits=2)
+        for g, corr in enumerate(group_corrs):
+            leak = full_space_leakage(group_corrs, sizes, g)
+            scale = max(np.linalg.norm(corr), np.linalg.norm(leak))
+            assert np.linalg.norm(lifted(grouping, leakage_correlation(grouping, g)) - leak) <= FULL_SPACE_RTOL * scale
+            for f_group in (relaxed.f_star[g], rf.f[:, grouping.rf_chains[g]]):
+                signal = np.real(np.trace(f_group.conj().T @ corr @ f_group))
+                leakage = np.real(np.trace(f_group.conj().T @ leak @ f_group))
+                expected = signal / (leakage + grouping.user_count * sizes[g] / power)
+                assert sslnr(f_group, grouping, g, power) == pytest.approx(expected, rel=FULL_SPACE_RTOL, abs=1e-300)
+
+
 class TestSslnr:
     def test_diagonal_hand_case(self):
         grouping = diagonal_grouping()
@@ -1327,10 +1374,8 @@ class TestSslnr:
         corrs = [random_psd(rng, 5, trace=5.0) for _ in range(3)]
         grouping = make_grouping(corrs, [0, 0, 1])
         f_group = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        sizes = grouping.sizes
-        signal = np.real(np.trace(f_group.conj().T @ grouping.group_correlations[0] @ f_group))
-        leak = sizes[0] * sizes[1] * np.real(
-            np.trace(f_group.conj().T @ grouping.group_correlations[1] @ f_group)
-        )
+        sizes, averages = grouping.sizes, group_averages(corrs, grouping)
+        signal = np.real(np.trace(f_group.conj().T @ averages[0] @ f_group))
+        leak = sizes[0] * sizes[1] * np.real(np.trace(f_group.conj().T @ averages[1] @ f_group))
         expected = signal / (leak + 3 * sizes[0] / 2.0)
         assert sslnr(f_group, grouping, 0, power=2.0) == pytest.approx(expected, rel=1e-12)
