@@ -26,16 +26,14 @@ _TIE_TOL = 1e-12
 
 class JointSubspace(NamedTuple):
     """The users' joint signal subspace, where the long-term stage runs.
-    ``eig`` decomposes the sum of the user correlations (M x M), lifted to
-    antenna coordinates; ``basis`` (M x b) is its leading eigenvectors,
-    those above rounding (``numerics.above_rounding``) and at least
-    ``max_g S_g`` of them; and ``reduced[g]`` is basis^H R_g basis, R_g the
-    member average of group g's correlations.  They are made in the
-    ``numerics.real_frame`` of the correlations: for a ULA's ``reduced`` is
-    real and the vectors are Q times real vectors.  Every array is
-    read-only."""
+    ``basis`` (M x b) is the leading eigenvectors of the sum of the user
+    correlations, lifted to antenna coordinates: those above rounding
+    (``numerics.above_rounding``) and at least ``max_g S_g`` of them; and
+    ``reduced[g]`` is basis^H R_g basis, R_g the member average of group
+    g's correlations.  They are made in the ``numerics.real_frame`` of the
+    correlations: for a ULA's ``reduced`` is real and the basis is Q times
+    real vectors.  Every array is read-only."""
 
-    eig: EigenDecomposition
     basis: np.ndarray
     reduced: list[np.ndarray]
 
@@ -138,38 +136,27 @@ def _projector_distance(proj_a: np.ndarray, proj_b: np.ndarray) -> float:
     return float(np.linalg.norm(proj_a - proj_b))
 
 
-def _assign(user_projectors: list[np.ndarray], centroids: list[np.ndarray]) -> np.ndarray:
-    """Nearest-centroid assignment; ties resolved toward the lowest group index."""
-    n_users = len(user_projectors)
-    out = np.zeros(n_users, dtype=int)
-    for k in range(n_users):
-        dists = np.array([_projector_distance(user_projectors[k], c) for c in centroids])
-        out[k] = int(np.argmax(dists <= dists.min() + _TIE_TOL))
-    return out
-
-
-def _repair_empty(
-    assignments: np.ndarray,
-    user_projectors: list[np.ndarray],
-    centroids: list[np.ndarray],
-    n_groups: int,
-) -> np.ndarray:
+def _repair_empty(labels: np.ndarray, dist: np.ndarray, n_groups: int) -> np.ndarray:
     """Move the user farthest from its centroid into each empty group.
 
-    Only users from groups of size >= 2 are movable; ties go to the lowest
-    user index via stable argmax on negated distance.
+    ``dist[k, g]`` is user k's distance to centroid g.  Only users from
+    groups of size >= 2 are movable; ties go to the lowest user index via
+    stable argmax on negated distance.
     """
-    assignments = assignments.copy()
+    labels = labels.copy()
     for g in range(n_groups):
-        while np.count_nonzero(assignments == g) == 0:
-            sizes = np.bincount(assignments, minlength=n_groups)
-            movable = [k for k in range(assignments.size) if sizes[assignments[k]] >= 2]
-            dists = np.array(
-                [_projector_distance(user_projectors[k], centroids[assignments[k]]) for k in movable]
-            )
-            chosen = movable[int(np.argmax(dists >= dists.max() - _TIE_TOL))]
-            assignments[chosen] = g
-    return assignments
+        while np.count_nonzero(labels == g) == 0:
+            sizes = np.bincount(labels, minlength=n_groups)
+            movable = np.flatnonzero(sizes[labels] >= 2)
+            dists = dist[movable, labels[movable]]
+            labels[movable[np.argmax(dists >= dists.max() - _TIE_TOL)]] = g
+    return labels
+
+
+def _total_cost(dist: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of each user's distance to its group's centroid, added as Python
+    floats in user order."""
+    return sum(dist[np.arange(labels.size), labels].tolist())
 
 
 def group_users(
@@ -193,12 +180,13 @@ def group_users(
     correlations: one M x M eigendecomposition of their sum gives a basis U
     (M x r) of it, and every user and centroid matrix is decomposed as
     U^H R U, at size r x r.  Each capped subspace lies in span(U), so the
-    distances are the full-space ones up to rounding.  The grouping keeps
-    that decomposition and each group's member average of the users'
-    U^H R_k U for its ``joint`` subspace, so the long-term stage makes no
-    other M x M eigendecomposition.  All of it runs in the
-    ``numerics.real_frame`` of the correlations, in real arithmetic when
-    they are centro-Hermitian; only the sum's eigenvectors are lifted.
+    distances are the full-space ones up to rounding, and each Lloyd step
+    computes every (user, centroid) distance once, into one K x G table.
+    The grouping keeps the sum's leading eigenvectors and each group's
+    member average of the users' U^H R_k U for its ``joint`` subspace, so
+    the long-term stage makes no other M x M eigendecomposition.  All of
+    it runs in the ``numerics.real_frame`` of the correlations, in real
+    arithmetic when they are centro-Hermitian; only the basis is lifted.
     """
     n_users = len(correlations)
     if group_count > n_users:
@@ -216,48 +204,42 @@ def group_users(
     reduced = span.reduced
     user_projectors = [_dominant_projector(r, rank, m_ant) for r in reduced]
 
-    # Farthest-point seeding from user 0.
+    # Farthest-point seeding from user 0: ``nearest[k]`` is user k's
+    # distance to its nearest seed, and each new seed adds one column.
     seeds = [0]
+    nearest = np.full(n_users, np.inf)
     while len(seeds) < group_count:
-        min_dist = np.array(
-            [min(_projector_distance(user_projectors[k], user_projectors[s]) for s in seeds)
-             for k in range(n_users)]
-        )
-        min_dist[seeds] = -1.0
-        seeds.append(int(np.argmax(min_dist)))
+        newest = user_projectors[seeds[-1]]
+        nearest = np.minimum(nearest, [_projector_distance(p, newest) for p in user_projectors])
+        nearest[seeds] = -1.0
+        seeds.append(int(np.argmax(nearest)))
     centroids = [user_projectors[s].copy() for s in seeds]
 
-    def total_cost(assignment: np.ndarray) -> float:
-        return sum(
-            _projector_distance(user_projectors[k], centroids[assignment[k]])
-            for k in range(n_users)
-        )
-
-    assignments = None
+    labels = None
     cost_history: list[float] = []
     for _ in range(max_iters):
-        new_assignments = _assign(user_projectors, centroids)
-        if assignments is not None:
+        dist = np.array([[_projector_distance(p, c) for c in centroids] for p in user_projectors])
+        new_labels = np.argmax(dist <= dist.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
+        if labels is not None:
             # Reassignment under fixed centroids never increases the cost;
             # the subsequent centroid update carries no such guarantee.
-            assert total_cost(new_assignments) <= total_cost(assignments) + _COST_SLACK, (
+            assert _total_cost(dist, new_labels) <= _total_cost(dist, labels) + _COST_SLACK, (
                 "reassignment increased the clustering cost"
             )
-        new_assignments = _repair_empty(new_assignments, user_projectors, centroids, group_count)
-        cost_history.append(total_cost(new_assignments))
+        new_labels = _repair_empty(new_labels, dist, group_count)
+        cost_history.append(_total_cost(dist, new_labels))
 
-        if assignments is not None and np.array_equal(new_assignments, assignments):
+        if labels is not None and np.array_equal(new_labels, labels):
             break
-        assignments = new_assignments
+        labels = new_labels
         centroids = [
-            _dominant_projector(_average_correlation(reduced, assignments, g), rank, m_ant)
+            _dominant_projector(_average_correlation(reduced, labels, g), rank, m_ant)
             for g in range(group_count)
         ]
 
-    order = sorted(range(group_count), key=lambda g: int(np.where(assignments == g)[0][0]))
-    relabel = {old: new for new, old in enumerate(order)}
-    new_assignments = np.array([relabel[int(g)] for g in assignments])
-    return Grouping(new_assignments, _joint(span, new_assignments), cost_history)
+    order = sorted(range(group_count), key=lambda g: np.flatnonzero(labels == g)[0])
+    labels = np.argsort(order)[labels]
+    return Grouping(labels, _joint(span, labels), cost_history)
 
 
 def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequence[int]) -> Grouping:
@@ -275,22 +257,23 @@ def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequen
 
 class _Span(NamedTuple):
     """The user correlations in their ``numerics.real_frame`` (K x M x M)
-    with its lift, the decomposition of their sum there, and each user's
-    U^H T_k U (K x r x r), U the sum's r eigenvectors above rounding."""
+    with its lift, the eigenvectors of their sum there (descending), and
+    each user's U^H T_k U (K x r x r), U the sum's r eigenvectors above
+    rounding."""
 
     frame: np.ndarray
     lift: Callable[[np.ndarray], np.ndarray]
-    eig: EigenDecomposition
+    vectors: np.ndarray
     reduced: np.ndarray
 
 
 def _span(correlations: Sequence[np.ndarray]) -> _Span:
     frame, lift = real_frame(np.stack(correlations))
-    eig = _frame_eig(sum(frame))
-    basis = eig.eigenvectors[:, above_rounding(eig.eigenvalues, frame.shape[-1])]
+    values, vectors = _frame_eig(sum(frame))
+    basis = vectors[:, above_rounding(values, frame.shape[-1])]
     if basis.shape[1] == 0:
         raise ValueError("every correlation is zero")
-    return _Span(frame, lift, eig, basis.conj().T @ frame @ basis)
+    return _Span(frame, lift, vectors, basis.conj().T @ frame @ basis)
 
 
 def _average_correlation(correlations: Sequence[np.ndarray], assignments: np.ndarray, g: int) -> np.ndarray:
@@ -299,20 +282,19 @@ def _average_correlation(correlations: Sequence[np.ndarray], assignments: np.nda
 
 
 def _joint(span: _Span, assignments: np.ndarray) -> JointSubspace:
-    """The joint subspace of the labels ``assignments``: the sum's
-    decomposition, lifted, and each group's reduced correlation in the
+    """The joint subspace of the labels ``assignments``: the sum's leading
+    eigenvectors, lifted, and each group's reduced correlation in the
     frame: its member average of ``span.reduced``, or, when the basis needs
     more columns than U has (co-located users, r < S_g), its member average
     of ``span.frame`` projected on them."""
-    group_count, eig, rank = int(assignments.max()) + 1, span.eig, span.reduced.shape[-1]
+    group_count, rank = int(assignments.max()) + 1, span.reduced.shape[-1]
     width = max(rank, *np.bincount(assignments))
+    wide = span.vectors[:, :width]
     if width > rank:
-        wide = eig.eigenvectors[:, :width]
         reduced = [wide.conj().T @ _average_correlation(span.frame, assignments, g) @ wide for g in range(group_count)]
     else:
         reduced = [_average_correlation(span.reduced, assignments, g) for g in range(group_count)]
-    lifted = eig._replace(eigenvectors=span.lift(eig.eigenvectors))
-    joint = JointSubspace(lifted, lifted.eigenvectors[:, :width], reduced)
-    for array in (*lifted, joint.basis, *reduced):
+    joint = JointSubspace(span.lift(wide), reduced)
+    for array in (joint.basis, *reduced):
         array.flags.writeable = False
     return joint

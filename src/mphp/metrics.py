@@ -30,7 +30,6 @@ class RunMetrics:
     """Aggregates of a Monte Carlo run of one scheme at one operating point."""
 
     per_user_rate: np.ndarray
-    per_user_stderr: np.ndarray
     avg_rate_per_user: float
     avg_rate_stderr: float
     sum_rate: float
@@ -328,7 +327,6 @@ def _run_metrics(
     """Aggregates of one scheme's (n_slots, K) rates."""
     n_slots = rates.shape[0]
     per_user_rate = rates.mean(axis=0)
-    per_user_stderr = rates.std(axis=0, ddof=1) / np.sqrt(n_slots) if n_slots > 1 else np.zeros(config.K)
     per_slot_mean = rates.mean(axis=1)
     per_slot_sum = rates.sum(axis=1)
     avg_stderr = float(per_slot_mean.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
@@ -345,7 +343,6 @@ def _run_metrics(
 
     return RunMetrics(
         per_user_rate=per_user_rate,
-        per_user_stderr=per_user_stderr,
         avg_rate_per_user=float(per_user_rate.mean()),
         avg_rate_stderr=avg_stderr,
         sum_rate=sum_rate,

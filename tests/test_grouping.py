@@ -177,6 +177,31 @@ class TestGroupUsers:
         assert sorted(grouping.chain_users.tolist()) == [0, 1, 2]
 
 
+class TestDistanceCalls:
+    """Each (user, centroid) distance is computed once: seeding adds one
+    column of K distances per new seed, and each Lloyd step one K x G table
+    that the assignment, the cost check, ``cost_history`` and the
+    empty-group repair all read."""
+
+    def test_default_config(self, monkeypatch):
+        config = SystemConfig()
+        calls = count_calls(monkeypatch, grouping_mod, "_projector_distance")
+        grouping, _, _ = build_context(config, 1)
+        assert len(grouping.cost_history) > 1
+        assert len(calls) == config.K * (config.G - 1) + config.K * config.G * len(grouping.cost_history)
+
+    def test_empty_group_repaired(self, monkeypatch):
+        # Identical users tie at every distance, so the assignment sends all
+        # four to group 0 and the repair moves one into group 1.
+        corr = random_psd(np.random.default_rng(0), 6, trace=6.0)
+        calls = count_calls(monkeypatch, grouping_mod, "_projector_distance")
+        repairs = count_calls(monkeypatch, grouping_mod, "_repair_empty")
+        grouping = group_users([corr.copy() for _ in range(4)], 2, subspace_rank=2)
+        assert np.bincount(repairs[0][0], minlength=2).tolist() == [4, 0]
+        assert sorted(grouping.sizes) == [1, 3]
+        assert len(calls) == 4 * 1 + 4 * 2 * len(grouping.cost_history)
+
+
 def test_grouping_dataclass_roundtrip(rng):
     corrs = [random_psd(rng, 4) for _ in range(3)]
     g = group_users(corrs, 2, subspace_rank=1)
@@ -286,11 +311,11 @@ class TestGroupEigsReuse:
         # (T_k = Q^H R_k Q), and it is B^H R_g B up to rounding.
         corrs = scenario_correlations(make_scenario(8, 3, seed=m_ant), ArrayGeometry(m_ant))
         grouping = group_users(corrs, n_groups)
-        values, vectors = grouping.joint.eig
-        basis = grouping.joint.basis
-        assert np.array_equal(basis, vectors[:, : np.count_nonzero(above_rounding(values, m_ant))])
         frame, lift = real_frame(np.stack(corrs))
         assert frame.dtype == np.float64
+        values, vectors = grouping_mod._frame_eig(sum(frame))
+        basis = grouping.joint.basis
+        assert np.array_equal(basis, lift(vectors[:, : np.count_nonzero(above_rounding(values, m_ant))]))
         q = lift(np.eye(m_ant))
         span = q.conj().T @ basis
         assert np.abs(span.imag).max() <= 1e-15
@@ -341,7 +366,7 @@ class TestGroupEigsReuse:
 
 
 def assert_same_joint(got, expected):
-    for array, own in zip((*got.eig, got.basis, *got.reduced), (*expected.eig, expected.basis, *expected.reduced)):
+    for array, own in zip((got.basis, *got.reduced), (expected.basis, *expected.reduced)):
         assert array.dtype == own.dtype and np.array_equal(array, own)
     assert len(got.reduced) == len(expected.reduced)
 
@@ -367,7 +392,7 @@ class TestGroupingFromLabels:
         corrs = [random_psd(rng, 6, dof=2) for _ in range(4)]
         for grouping in (group_users(corrs, 2, subspace_rank=1), grouping_from_labels(corrs, [0, 1, 1, 0])):
             joint = grouping.joint
-            for array in (*joint.eig, joint.basis, *joint.reduced):
+            for array in (joint.basis, *joint.reduced):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[(0,) * array.ndim] = 1.0

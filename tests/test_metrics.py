@@ -372,7 +372,6 @@ def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_fac
     outage_slots = sum(1 for groups in outages if groups)
 
     per_user_rate = rates.mean(axis=0)
-    per_user_stderr = rates.std(axis=0, ddof=1) / np.sqrt(n_slots) if n_slots > 1 else np.zeros(config.K)
     per_slot_mean = rates.mean(axis=1)
     per_slot_sum = rates.sum(axis=1)
     avg_stderr = float(per_slot_mean.std(ddof=1) / np.sqrt(n_slots)) if n_slots > 1 else 0.0
@@ -390,7 +389,6 @@ def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_fac
     )
     run = RunMetrics(
         per_user_rate=per_user_rate,
-        per_user_stderr=per_user_stderr,
         avg_rate_per_user=float(per_user_rate.mean()),
         avg_rate_stderr=avg_stderr,
         sum_rate=sum_rate,

@@ -13,6 +13,7 @@ from mphp import grouping as grouping_mod
 from mphp import metrics as metrics_mod
 from mphp import rf_precoder
 from mphp.baselines import SchemeId, design_long_term
+from mphp.channel import scenario_correlations
 from mphp.experiment import SystemConfig, parse_config, rows_to_csv, run_experiment
 from mphp.grouping import group_users
 from mphp.metrics import build_context
@@ -1149,13 +1150,13 @@ class TestJointSubspaceSolve:
         # has one eigenvalue above rounding and three streams.
         corr = np.zeros((6, 6), dtype=complex)
         corr[0, 0] = 1.0
-        assert_basis_per_stream(make_grouping([corr] * 3, [0, 0, 0]), rank=1)
+        assert_basis_per_stream(make_grouping([corr] * 3, [0, 0, 0]), [corr] * 3, rank=1)
 
     def test_co_located_users(self):
         # Two co-located users in one group through group_users: r = 1 < S_g = 2.
         config = parse_config(CO_LOCATED)
-        grouping, _, _ = build_context(config, 1)
-        assert_basis_per_stream(grouping, rank=1)
+        grouping, scenario, geometry = build_context(config, 1)
+        assert_basis_per_stream(grouping, scenario_correlations(scenario, geometry), rank=1)
         csv_text = rows_to_csv(run_experiment(config))
         assert hashlib.sha256(csv_text.encode()).hexdigest() == CO_LOCATED_CSV
 
@@ -1165,12 +1166,13 @@ class TestJointSubspaceSolve:
 CO_LOCATED_CSV = "cf9b6fadddb962dae9ac862e49968fdc1f8963ebafc6f52144cdfe67b78af5b3"
 
 
-def assert_basis_per_stream(grouping, rank):
+def assert_basis_per_stream(grouping, correlations, rank):
     """The joint basis has max(r, max_g S_g) orthonormal columns, where r
-    (``rank``) counts the sum's eigenvalues above rounding, and each group's
+    (``rank``) counts the eigenvalues above rounding of the sum of
+    ``correlations``, decomposed in their real frame, and each group's
     relaxed columns are (M, S_g)."""
     m_ant = grouping.antenna_count
-    values = grouping.joint.eig.eigenvalues
+    values = grouping_mod._frame_eig(sum(real_frame(np.stack(correlations))[0])).eigenvalues
     assert np.count_nonzero(above_rounding(values, m_ant)) == rank
     width = max(rank, max(grouping.sizes))
     basis = grouping.joint.basis
