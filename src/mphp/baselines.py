@@ -22,6 +22,7 @@ share the per-group zero-forcing baseband stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -137,16 +138,13 @@ def _no_long_term(grouping: Grouping, config: SystemConfig) -> None:
     return None
 
 
-def _build_fixed_subarray(
-    _: None, channel: np.ndarray, grouping: Grouping, config: SystemConfig
+def _build_real_time(
+    precoder: str, _: None, channel: np.ndarray, grouping: Grouping, config: SystemConfig
 ) -> SlotPrecoders:
-    return _zf_all_groups(fixed_subarray_precoder(channel, grouping, config.B), channel, grouping, config)
-
-
-def _build_adaptive_instant(
-    _: None, channel: np.ndarray, grouping: Grouping, config: SystemConfig
-) -> SlotPrecoders:
-    return _zf_all_groups(adaptive_instant_precoder(channel, grouping, config.B), channel, grouping, config)
+    """A real-time scheme's slots: the analog stage of this module's function
+    named ``precoder``, looked up at call time, then per-group zero-forcing."""
+    analog = globals()[precoder](channel, grouping, config.B)
+    return _zf_all_groups(analog.f, channel, grouping, config)
 
 
 def fixed_subarray_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
@@ -169,17 +167,9 @@ def _aligned_quantized_precoder(
     bits: int,
 ) -> RfPrecoder:
     """Per-antenna phases matched to the served user's channel entry, quantized."""
-    antenna_count, chain_count = channel.shape[-2], chain_to_user.size
     served = np.broadcast_to(chain_to_user[antenna_to_chain], channel.shape[:-1])
     phase_index = nearest_phase_index(np.take_along_axis(channel, served[..., None], axis=-1)[..., 0], bits)
-    taps = phase_grid(bits)[phase_index] / np.sqrt(antenna_count)
-    f = np.where(antenna_to_chain[..., None] == np.arange(chain_count), taps[..., None], 0.0)
-    return RfPrecoder(
-        f=f,
-        antenna_to_chain=antenna_to_chain.copy(),
-        phase_index=phase_index,
-        bits=bits,
-    )
+    return RfPrecoder(antenna_to_chain, phase_index, bits, chain_to_user.size)
 
 
 def _greedy_instant_map(channel: np.ndarray, chain_to_user: np.ndarray) -> np.ndarray:
@@ -216,13 +206,9 @@ def _build_full_digital(
     return _with_power(f_groups, w_groups, grouping, config)
 
 
-def _zf_all_groups(
-    analog: RfPrecoder | np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig
-) -> SlotPrecoders:
+def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
     """Per-group zero-forcing and power on a stack of channels (n, M, K)
-    behind an analog stage: an ``RfPrecoder`` or a fully-connected matrix,
-    shared (M, L) or one per slot (n, M, L)."""
-    f = analog.f if isinstance(analog, RfPrecoder) else analog
+    behind an analog matrix, shared (M, L) or one per slot (n, M, L)."""
     f_groups = [f[..., chains] for chains in grouping.rf_chains]
     w_groups = [
         zf_precoder(effective_channel(channel[..., members], f_group))
@@ -245,14 +231,15 @@ def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: Syst
 
 
 # The one place that tells the schemes apart.  Entries reach solve_relaxed,
-# zf_precoder and the other stages through this module's names at call time,
-# so a name patched on the module (as bench/run.py's traced run does) is seen.
+# zf_precoder, the real-time precoders and the other stages through this module's
+# names at call time, so a name patched on the module (as bench/run.py's traced
+# run does) is seen.  MPHP's slots read its ``RfPrecoder``'s matrix ``f``.
 # FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
 # precoding with L = K chains, so it is costed as fully connected.
 SCHEMES: dict[SchemeId, Scheme] = {
-    SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), _zf_all_groups),
+    SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), lambda state, *slots: _zf_all_groups(state.f, *slots)),
     SchemeId.FULL_DIGITAL_ZF: Scheme(False, True, _no_long_term, (), _build_full_digital),
     SchemeId.FRPS_STATISTICAL: Scheme(True, True, _design_frps, ("B",), _zf_all_groups),
-    SchemeId.FIXED_SUBARRAY: Scheme(False, False, _no_long_term, (), _build_fixed_subarray),
-    SchemeId.ADAPTIVE_INSTANT: Scheme(False, False, _no_long_term, (), _build_adaptive_instant),
+    SchemeId.FIXED_SUBARRAY: Scheme(False, False, _no_long_term, (), partial(_build_real_time, "fixed_subarray_precoder")),
+    SchemeId.ADAPTIVE_INSTANT: Scheme(False, False, _no_long_term, (), partial(_build_real_time, "adaptive_instant_precoder")),
 }

@@ -23,7 +23,7 @@ Per group, the analog precoder is obtained in two stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,22 +48,33 @@ class ZeroColumnError(ValueError):
     """A relaxed precoder column is identically zero; antennas cannot be ranked."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RfPrecoder:
-    """Structured analog precoder: one phase-shifter tap per antenna.
+    """Analog precoder as the hardware sets it: per antenna, the RF chain the
+    connection network gives it and its shifter's B-bit grid phase; ``chains``
+    is the chain count L.  On a stack of n slots the real-time baselines
+    (``baselines.fixed_subarray_precoder``, ``adaptive_instant_precoder``) add
+    a slot axis to ``phase_index``, the adaptive one to ``antenna_to_chain``
+    too; the fixed map is shared (M,).  Both arrays are made read-only, as
+    ``f`` is derived from them once."""
 
-    Row m of ``f`` has its single nonzero in column ``antenna_to_chain[m]``,
-    with value (1/sqrt(M)) * exp(2j*pi*phase_index[m] / 2**bits).  The
-    real-time baselines built on a stack of n slots
-    (``baselines.fixed_subarray_precoder``, ``adaptive_instant_precoder``)
-    add a leading slot axis to ``f`` and ``phase_index``, and the adaptive
-    one to ``antenna_to_chain`` too; the fixed map is shared (M,).
-    """
-
-    f: np.ndarray  # (M, L) complex, or (n, M, L) on a stack
     antenna_to_chain: np.ndarray  # (M,) int, or (n, M) from adaptive_instant_precoder on a stack
     phase_index: np.ndarray  # (M,) int, or (n, M) on a stack
     bits: int
+    chains: int
+
+    def __post_init__(self) -> None:
+        self.antenna_to_chain.flags.writeable = False
+        self.phase_index.flags.writeable = False
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """The read-only analog matrix (M, L), or (n, M, L) on a stack: row m is
+        grid[phase_index[m]] / sqrt(M) in column ``antenna_to_chain[m]``, else 0."""
+        taps = phase_grid(self.bits)[self.phase_index] / np.sqrt(self.phase_index.shape[-1])
+        f = np.where(self.antenna_to_chain[..., None] == np.arange(self.chains), taps[..., None], 0.0)
+        f.flags.writeable = False
+        return f
 
 
 @dataclass
@@ -74,18 +85,13 @@ class RelaxedSolution:
     f_star: list[np.ndarray]  # per group, (M, S_g) scaled eigenvector columns
 
 
+@lru_cache(maxsize=None)
 def phase_grid(bits: int) -> np.ndarray:
-    """The 2**bits feasible phase-shifter values on the unit circle."""
+    """The 2**bits feasible phase-shifter values on the unit circle, once per ``bits``, read-only."""
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     n = np.arange(2**bits)
-    return np.exp(2j * np.pi * n / 2**bits)
-
-
-@lru_cache(maxsize=None)
-def _shared_grid(bits: int) -> np.ndarray:
-    """``phase_grid(bits)``, built once per ``bits`` and read-only."""
-    grid = phase_grid(bits)
+    grid = np.exp(2j * np.pi * n / 2**bits)
     grid.flags.writeable = False
     return grid
 
@@ -96,7 +102,7 @@ def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndar
     A scalar gives an ``int``; an array gives an integer array of its shape,
     quantized elementwise against one grid.  Ties resolve to the lowest index.
     """
-    grid = _shared_grid(bits)
+    grid = phase_grid(bits)
     values = np.atleast_1d(np.asarray(value, dtype=complex))
     mag = np.abs(values)
     nonzero = mag != 0.0
@@ -375,14 +381,13 @@ def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPr
         if zero_cols.size:
             raise ZeroColumnError(f"group {g} relaxed column {zero_cols[0]} is identically zero")
 
-    grid = _shared_grid(bits)
     # One row per group column, groups in index order, so row l is what
     # chain l carries: the column at its phase, each antenna's phase index,
     # and an iterator over its antennas in claim order, which a visit
     # advances past the antennas already claimed.
     aligned = align_column_phase(np.concatenate([f_star.T for f_star in relaxed.f_star]), bits)
     phases = nearest_phase_index(aligned, bits)
-    claims = [iter(column) for column in _claim_order(aligned, grid[phases]).tolist()]
+    claims = [iter(column) for column in _claim_order(aligned, phase_grid(bits)[phases]).tolist()]
     order = np.argsort(np.asarray(relaxed.alpha_star), kind="stable")
     visits = np.concatenate([grouping.rf_chains[g] for g in order]).tolist()
     chain_of = [-1] * antenna_count
@@ -392,36 +397,23 @@ def grfp_assign(relaxed: RelaxedSolution, grouping: Grouping, bits: int) -> RfPr
         chain_of[antenna] = chain
 
     antenna_to_chain = np.array(chain_of)
-    phase_index = phases[antenna_to_chain, np.arange(antenna_count)]
-    f = np.zeros((antenna_count, n_chains), dtype=complex)
-    f[np.arange(antenna_count), antenna_to_chain] = (1.0 / np.sqrt(antenna_count)) * grid[phase_index]
-    return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
+    return RfPrecoder(antenna_to_chain, phases[antenna_to_chain, np.arange(antenna_count)], bits, n_chains)
 
 
 def validate_rf_precoder(precoder: RfPrecoder) -> None:
-    """Check the hardware constraints exactly; raise ValueError on violation.
-
-    Exactness means each stored nonzero must equal the value reconstructed
-    from its phase index, not merely match in magnitude.
-    """
-    f = precoder.f
-    m_ant, n_chains = f.shape
-    nonzero = f != 0
-    rows_bad = np.where(nonzero.sum(axis=1) != 1)[0]
-    if rows_bad.size:
-        raise ValueError(f"antenna {rows_bad[0]} must connect to exactly one chain")
-    cols_empty = np.where(nonzero.sum(axis=0) == 0)[0]
-    if cols_empty.size:
-        raise ValueError(f"chain {cols_empty[0]} has no antenna connected")
-    grid = phase_grid(precoder.bits)
-    expected_cols = np.argmax(nonzero, axis=1)
-    if not np.array_equal(expected_cols, precoder.antenna_to_chain):
-        raise ValueError("antenna_to_chain map disagrees with the nonzero pattern")
-    reconstructed = grid[precoder.phase_index] / np.sqrt(m_ant)
-    stored = f[np.arange(m_ant), precoder.antenna_to_chain]
-    mismatch = np.where(stored != reconstructed)[0]
-    if mismatch.size:
-        raise ValueError(f"antenna {mismatch[0]} entry is off the quantized grid")
+    """Check one design (M,) against the hardware; raise ValueError if an antenna's
+    chain lies outside [0, L), a chain has no antenna, or a phase index is off the
+    2**B grid.  One tap per antenna, on the grid, holds by construction of ``f``."""
+    chain_of, phases, chains = precoder.antenna_to_chain, precoder.phase_index, precoder.chains
+    outside = np.flatnonzero((chain_of < 0) | (chain_of >= chains))
+    if outside.size:
+        raise ValueError(f"antenna {outside[0]} connects to chain {chain_of[outside[0]]}, outside [0, {chains})")
+    empty = np.flatnonzero(np.bincount(chain_of, minlength=chains) == 0)
+    if empty.size:
+        raise ValueError(f"chain {empty[0]} has no antenna connected")
+    off_grid = np.flatnonzero((phases < 0) | (phases >= 2**precoder.bits))
+    if off_grid.size:
+        raise ValueError(f"antenna {off_grid[0]} phase index {phases[off_grid[0]]} is off the {precoder.bits}-bit grid")
 
 
 def sslnr(

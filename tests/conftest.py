@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,17 @@ def random_psd(rng, dim, dof=None, trace=None):
 def random_hermitian(rng, dim):
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitian_part(x)
+
+
+class LoopPrecoder(NamedTuple):
+    """An oracle's analog precoder: the fields ``RfPrecoder`` exposes, with
+    the oracle's own loop-built matrix ``f``, so that a design's ``f`` is
+    compared with a matrix built apart from ``RfPrecoder.f``."""
+
+    f: np.ndarray
+    antenna_to_chain: np.ndarray
+    phase_index: np.ndarray
+    bits: int
 
 
 def make_grouping(correlations, assignments):

@@ -26,7 +26,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import count_calls, grouped_context, make_grouping
+from conftest import LoopPrecoder, count_calls, grouped_context, make_grouping
 
 
 def two_user_grouping(n_ant):
@@ -45,7 +45,7 @@ def loop_aligned_quantized_precoder(channel, antenna_to_chain, chain_to_user, bi
         n_star = nearest_phase_index(channel[m, int(chain_to_user[chain])], bits)
         phase_index[m] = n_star
         f[m, chain] = grid[n_star] / np.sqrt(antenna_count)
-    return RfPrecoder(f=f, antenna_to_chain=antenna_to_chain.copy(), phase_index=phase_index, bits=bits)
+    return LoopPrecoder(f, antenna_to_chain.copy(), phase_index, bits)
 
 
 def loop_greedy_instant_map(channel, chain_to_user):
@@ -119,7 +119,7 @@ class TestMatchesPerAntennaLoops:
             stacked = build(channels, grouping, config.B)
             mappings = np.broadcast_to(stacked.antenna_to_chain, stacked.phase_index.shape)
             for t, channel in enumerate(channels):
-                single = RfPrecoder(stacked.f[t], mappings[t], stacked.phase_index[t], config.B)
+                single = LoopPrecoder(stacked.f[t], mappings[t], stacked.phase_index[t], config.B)
                 self.assert_same_precoder(single, build(channel, grouping, config.B))
         for channel in channels:
             mapping = adaptive_instant_precoder(channel, grouping, config.B).antenna_to_chain

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from mphp import metrics as metrics_mod
 from mphp import rf_precoder
 from mphp.baselines import SchemeId, design_long_term
 from mphp.channel import scenario_correlations
-from mphp.experiment import SystemConfig, parse_config, rows_to_csv, run_experiment
+from mphp.config import apply_sweep_value
+from mphp.experiment import SystemConfig, _derived_seeds, parse_config, rows_to_csv, run_experiment
 from mphp.grouping import group_users
 from mphp.metrics import build_context
 from mphp.numerics import EigenDecomposition, above_rounding, hermitian_eig, real_frame
@@ -34,7 +37,19 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import CO_LOCATED, count_calls, group_averages, grouped_context, make_grouping, random_psd
+from conftest import (
+    CO_LOCATED,
+    LoopPrecoder,
+    contexts_at_seed,
+    count_calls,
+    group_averages,
+    grouped_context,
+    make_grouping,
+    random_psd,
+)
+
+
+BENCH_WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text())
 
 
 def diagonal_grouping():
@@ -638,13 +653,15 @@ class TestPhaseQuantization:
                 got = nearest_phase_index(scalar, bits)
                 assert type(got) is int and got == n
 
-    def test_grid_built_once_per_bits(self, monkeypatch):
-        rf_precoder._shared_grid.cache_clear()
-        calls = count_calls(monkeypatch, rf_precoder, "phase_grid")
+    def test_grid_built_once_per_bits(self):
+        phase_grid.cache_clear()
         assert [nearest_phase_index(1j, 5) for _ in range(3)] == [8, 8, 8]
-        assert len(calls) == 1
-        public = phase_grid(5)  # still a fresh, writable array
-        public[:] = 0.0
+        grid = phase_grid(5)
+        assert phase_grid.cache_info().misses == 1
+        assert phase_grid(5) is grid and phase_grid(4) is not grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
         assert nearest_phase_index(1j, 5) == 8
 
     def test_bits_validated(self):
@@ -707,16 +724,83 @@ class TestGrfpAssign:
         with pytest.raises(ValueError):
             grfp_assign(relaxed, grouping, bits=1)
 
-    def test_validator_catches_bad_magnitude(self):
-        grouping = diagonal_grouping()
-        relaxed = RelaxedSolution(
-            alpha_star=[0.5, 1.0],
-            f_star=[np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)],
-        )
-        rf = grfp_assign(relaxed, grouping, bits=1)
-        rf.f[0, 0] *= 1.0 + 1e-9
+
+class TestValidateRfPrecoder:
+    """Each check of ``validate_rf_precoder`` that a design can still fail."""
+
+    @staticmethod
+    def design(antenna_to_chain, phase_index, bits=2, chains=2):
+        return rf_precoder.RfPrecoder(np.array(antenna_to_chain), np.array(phase_index), bits, chains)
+
+    def test_valid_design_passes(self):
+        validate_rf_precoder(self.design([0, 1, 1], [0, 3, 2]))
+
+    @pytest.mark.parametrize("chain", [-1, 2])
+    def test_chain_out_of_range(self, chain):
+        with pytest.raises(ValueError, match=f"antenna 1 connects to chain {chain}, outside"):
+            validate_rf_precoder(self.design([0, chain, 1], [0, 0, 0]))
+
+    def test_empty_chain(self):
+        with pytest.raises(ValueError, match="chain 1 has no antenna connected"):
+            validate_rf_precoder(self.design([0, 0, 2], [0, 0, 0], chains=3))
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_phase_index_off_the_grid(self, index):
+        with pytest.raises(ValueError, match=f"antenna 2 phase index {index} is off the 2-bit grid"):
+            validate_rf_precoder(self.design([0, 1, 1], [0, 3, index]))
+
+    @pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS["workloads"]))
+    @pytest.mark.parametrize("seed", [BENCH_WORKLOADS["default_seed"], BENCH_WORKLOADS["held_out_seed"]])
+    def test_benchmark_designs_pass(self, workload, seed):
+        # Each point's MPHP design, on the context the benchmark's run builds
+        # at that seed; no slots are drawn.
+        config = parse_config("\n".join([*BENCH_WORKLOADS["workloads"][workload]["config"], f"seed = {seed}"]))
+        points = [apply_sweep_value(config, config.sweep_parameter, value) for value in config.sweep_values]
+        for point, (grouping, _, _) in zip(points, contexts_at_seed(points, _derived_seeds(seed)[0])):
+            validate_rf_precoder(design_long_term(SchemeId.MPHP, grouping, point))
+
+
+def loop_built_f(antenna_to_chain, phase_index, bits, chains):
+    """The analog matrix of a map and phase indices, one antenna of one
+    slot at a time; a shared map (M,) serves every slot of a stack (n, M)."""
+    stack = np.atleast_2d(phase_index)
+    mappings = np.broadcast_to(antenna_to_chain, stack.shape)
+    m_ant = stack.shape[-1]
+    f = np.zeros((*stack.shape, chains), dtype=complex)
+    for t in range(stack.shape[0]):
+        for m in range(m_ant):
+            f[t, m, mappings[t, m]] = np.exp(2j * np.pi * stack[t, m] / 2**bits) / np.sqrt(m_ant)
+    return f if np.ndim(phase_index) == 2 else f[0]
+
+
+class TestRfPrecoderMatrix:
+    """``RfPrecoder.f``, the one place that builds an analog matrix from a
+    map and phase indices, for a single design, a shared map over a stack of
+    phases, and a map per slot."""
+
+    @pytest.mark.parametrize("case", ["single", "shared map", "map per slot"])
+    def test_matches_loop_and_is_read_only(self, case):
+        rng = np.random.default_rng(3)
+        bits, chains, m_ant, slots = 3, 4, 10, 5
+        mapping = np.concatenate([np.arange(chains), rng.integers(0, chains, m_ant - chains)])
+        phases = rng.integers(0, 2**bits, (slots, m_ant))
+        if case == "single":
+            phases = phases[0]
+        elif case == "map per slot":
+            mapping = np.stack([rng.permutation(mapping) for _ in range(slots)])
+        rf = rf_precoder.RfPrecoder(mapping, phases, bits, chains)
+        expected = loop_built_f(mapping, phases, bits, chains)
+        assert rf.f.shape == expected.shape
+        assert np.allclose(rf.f, expected, rtol=0, atol=1e-15)
+        assert np.array_equal(rf.f != 0, expected != 0)
+        assert rf.f is rf.f  # built once
+        assert not rf.f.flags.writeable
         with pytest.raises(ValueError):
-            validate_rf_precoder(rf)
+            rf.f[0] = 0.0
+        with pytest.raises(ValueError):
+            rf.phase_index[..., 0] = 1  # the matrix could no longer follow
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rf.bits = 1
 
 
 class TestClaimOrder:
@@ -787,7 +871,7 @@ def grfp_assign_by_rescan(relaxed, grouping, bits, antenna_count):
                 phase_index[antenna] = n_star
                 unassigned[antenna] = False
                 assigned += 1
-    return rf_precoder.RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
+    return LoopPrecoder(f, antenna_to_chain, phase_index, bits)
 
 
 def assert_grfp_matches_rescan(relaxed, grouping, bits, antenna_count):
@@ -1020,7 +1104,7 @@ def grfp_assign_by_columns(relaxed, grouping, bits):
         f[antenna, chain] = inv_sqrt_m * grid[n_star]
         antenna_to_chain[antenna] = chain
         phase_index[antenna] = n_star
-    return rf_precoder.RfPrecoder(f=f, antenna_to_chain=antenna_to_chain, phase_index=phase_index, bits=bits)
+    return LoopPrecoder(f, antenna_to_chain, phase_index, bits)
 
 
 def assert_grfp_matches_columns(relaxed, grouping, bits):
