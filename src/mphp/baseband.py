@@ -41,18 +41,14 @@ def zf_precoder(effective: np.ndarray) -> np.ndarray:
     return np.divide(w0, norms, out=np.zeros_like(w0), where=usable)
 
 
-def power_allocation(
-    rf_group: np.ndarray,
-    w_group: np.ndarray,
-    total_power: float,
-    n_users: int,
-) -> np.ndarray:
-    """Per-user transmit powers P / (K * ||F_g w_k||^2).
+def power_allocation(beams: np.ndarray, total_power: float, n_users: int) -> np.ndarray:
+    """Per-user transmit powers P / (K * ||b_k||^2) of the beams b_k = F_g w_k,
+    the columns of ``beams`` (..., M, S).
 
-    Summed over all K users (across groups), p_k * ||F_g w_k||^2 adds up to
-    the power budget exactly.  Leading slot axes broadcast.
+    Summed over all K users (across groups), p_k * ||b_k||^2 adds up to the
+    power budget exactly.  Leading slot axes broadcast.
     """
-    beam_energy = np.sum(np.abs(rf_group @ w_group) ** 2, axis=-2)
+    beam_energy = np.sum(np.abs(beams) ** 2, axis=-2)
     if np.any(beam_energy == 0):
         raise DegenerateBeamError("a user beam has zero norm through the analog precoder")
     return total_power / (n_users * beam_energy)

@@ -22,7 +22,6 @@ share the per-group zero-forcing baseband stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -45,17 +44,16 @@ from .rf_precoder import (
 class SlotPrecoders:
     """Everything the metrics stage needs for a stack of n slots.
 
-    ``f_groups[g]`` holds the analog columns of group g, shared (M, S_g) or
-    one set per slot (n, M, S_g); for the full-digital scheme these are the
-    digital beams and ``w_groups[g]`` is the identity.  ``w_groups[g]`` is
-    (n, S_g, S_g) and ``power`` (n, K), indexed by global user index.
-    ``outage_groups`` lists the (slot, group) pairs in outage: that group's
-    ``w_groups[g]`` slice is all zero there, so its users transmit nothing,
-    cause no interference, and log zero rate.
+    Column k of ``beams`` (n, M, K) is user k's beam b_k = F_g w_k, its
+    group's analog columns times its zero-forcing column (for the
+    full-digital scheme, its unit-norm ZF beam), and ``power`` (n, K) its
+    transmit power; both are indexed by global user index.  The beams do not
+    depend on P; only ``power`` does.  ``outage_groups`` lists the (slot,
+    group) pairs in outage: that group's beams are zero there, so its users
+    transmit nothing, cause no interference, and log zero rate.
     """
 
-    f_groups: list[np.ndarray]
-    w_groups: list[np.ndarray]
+    beams: np.ndarray
     power: np.ndarray
     outage_groups: list[tuple[int, int]]
 
@@ -108,8 +106,8 @@ def build_precoders(
     grouping: Grouping,
     config: SystemConfig,
 ) -> SlotPrecoders:
-    """Assemble the per-slot (analog, baseband, power) triple of a scheme
-    for a stack of slots (n, M, K); a single slot is a stack of one.
+    """Assemble the per-slot beams and powers of a scheme for a stack of
+    slots (n, M, K); a single slot is a stack of one.
 
     Statistical schemes reuse ``long_state`` untouched; real-time schemes
     rebuild their analog stage from the current channels.  Zero-forcing and
@@ -136,15 +134,6 @@ def _design_frps(grouping: Grouping, config: SystemConfig) -> np.ndarray:
 
 def _no_long_term(grouping: Grouping, config: SystemConfig) -> None:
     return None
-
-
-def _build_real_time(
-    precoder: str, _: None, channel: np.ndarray, grouping: Grouping, config: SystemConfig
-) -> SlotPrecoders:
-    """A real-time scheme's slots: the analog stage of this module's function
-    named ``precoder``, looked up at call time, then per-group zero-forcing."""
-    analog = globals()[precoder](channel, grouping, config.B)
-    return _zf_all_groups(analog.f, channel, grouping, config)
 
 
 def fixed_subarray_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
@@ -201,45 +190,52 @@ def _build_full_digital(
     beams = channel @ np.linalg.solve(np.where(passed, gram, eye), eye)
     norms = np.linalg.norm(beams, axis=-2, keepdims=True)
     beams = np.divide(beams, norms, out=np.zeros_like(beams), where=passed)
-    f_groups = [beams[..., members] for members in grouping.members]
-    w_groups = [np.where(passed, np.eye(len(members), dtype=complex), 0.0) for members in grouping.members]
-    return _with_power(f_groups, w_groups, grouping, config)
+    usable = np.broadcast_to(passed[:, 0], (len(beams), grouping.group_count))
+    return _with_power(beams, usable, grouping, config)
 
 
 def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
     """Per-group zero-forcing and power on a stack of channels (n, M, K)
-    behind an analog matrix, shared (M, L) or one per slot (n, M, L)."""
-    f_groups = [f[..., chains] for chains in grouping.rf_chains]
-    w_groups = [
-        zf_precoder(effective_channel(channel[..., members], f_group))
-        for members, f_group in zip(grouping.members, f_groups)
-    ]
-    return _with_power(f_groups, w_groups, grouping, config)
+    behind an analog matrix, shared (M, L) or one per slot (n, M, L): user
+    k's beam is its group's analog columns F_g times its ZF column w_k."""
+    beams = np.zeros(channel.shape, dtype=complex)
+    usable = np.zeros((len(channel), grouping.group_count), dtype=bool)
+    for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
+        f_group = f[..., chains]
+        w = zf_precoder(effective_channel(channel[..., members], f_group))
+        beams[..., members] = f_group @ w
+        usable[:, g] = w.any(axis=(-2, -1))
+    return _with_power(beams, usable, grouping, config)
 
 
-def _with_power(f_groups: list, w_groups: list, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
-    """Per-group powers behind stacked baseband stages; a slot whose
-    ``w_groups[g]`` slice is all zero puts group g in outage there."""
-    power = np.zeros((w_groups[0].shape[0], grouping.user_count))
-    outage = []
-    for g, (f_group, w, members) in enumerate(zip(f_groups, w_groups, grouping.members)):
-        usable = w.any(axis=(-2, -1))
-        f_usable = f_group[usable] if f_group.ndim == 3 else f_group
-        power[np.ix_(usable, members)] = power_allocation(f_usable, w[usable], config.P, config.K)
-        outage += [(int(t), g) for t in np.flatnonzero(~usable)]
-    return SlotPrecoders(f_groups=f_groups, w_groups=w_groups, power=power, outage_groups=sorted(outage))
+def _with_power(beams: np.ndarray, usable: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
+    """Powers of a stack of beams (n, M, K); ``usable[t, g]`` False puts
+    group g in outage in slot t, where its beams are zero."""
+    power = np.zeros((len(beams), grouping.user_count))
+    for g, members in enumerate(grouping.members):
+        slots = usable[:, g]
+        power[np.ix_(slots, members)] = power_allocation(beams[..., members][slots], config.P, config.K)
+    outage = [(int(t), int(g)) for t, g in np.argwhere(~usable)]
+    return SlotPrecoders(beams=beams, power=power, outage_groups=outage)
 
 
-# The one place that tells the schemes apart.  Entries reach solve_relaxed,
-# zf_precoder, the real-time precoders and the other stages through this module's
-# names at call time, so a name patched on the module (as bench/run.py's traced
-# run does) is seen.  MPHP's slots read its ``RfPrecoder``'s matrix ``f``.
+# The one place that tells the schemes apart.  The entries, and the builders
+# they call, name solve_relaxed, zf_precoder, power_allocation and the other
+# stages in their bodies, so each is looked up on this module at call time and
+# a name patched on it (as bench/run.py's traced run does) is seen.  MPHP and
+# the real-time schemes zero-force behind an ``RfPrecoder``'s matrix ``f``.
 # FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
 # precoding with L = K chains, so it is costed as fully connected.
 SCHEMES: dict[SchemeId, Scheme] = {
     SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), lambda state, *slots: _zf_all_groups(state.f, *slots)),
     SchemeId.FULL_DIGITAL_ZF: Scheme(False, True, _no_long_term, (), _build_full_digital),
     SchemeId.FRPS_STATISTICAL: Scheme(True, True, _design_frps, ("B",), _zf_all_groups),
-    SchemeId.FIXED_SUBARRAY: Scheme(False, False, _no_long_term, (), partial(_build_real_time, "fixed_subarray_precoder")),
-    SchemeId.ADAPTIVE_INSTANT: Scheme(False, False, _no_long_term, (), partial(_build_real_time, "adaptive_instant_precoder")),
+    SchemeId.FIXED_SUBARRAY: Scheme(
+        False, False, _no_long_term, (),
+        lambda _, h, grouping, config: _zf_all_groups(fixed_subarray_precoder(h, grouping, config.B).f, h, grouping, config),
+    ),
+    SchemeId.ADAPTIVE_INSTANT: Scheme(
+        False, False, _no_long_term, (),
+        lambda _, h, grouping, config: _zf_all_groups(adaptive_instant_precoder(h, grouping, config.B).f, h, grouping, config),
+    ),
 }

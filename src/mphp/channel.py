@@ -64,8 +64,7 @@ class UserChannelParams:
 
 def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     """Array response for departure angle ``theta``; entries unit modulus."""
-    m = np.arange(geometry.antenna_count)
-    return np.exp(2j * np.pi * geometry.element_spacing * m * np.sin(theta))
+    return _steering_matrix(np.array([theta]), geometry)[:, 0]
 
 
 def _steering_matrix(thetas: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:

@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote gnuplot script to {args.out}")
             return 0
         config = _load_config(args)
-        if args.verb in _PRESET_SWEEPS and args.verb != "run":
+        if args.verb in _PRESET_SWEEPS:
             parameter, values = _PRESET_SWEEPS[args.verb]
             config = replace(config, sweep_parameter=parameter, sweep_values=values)
         _run_and_write(config, args.out)

@@ -43,79 +43,52 @@ class RunMetrics:
     outage_fraction: float
 
 
-def _received_power(
-    channel: np.ndarray,
-    f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray],
-    power: np.ndarray,
-    grouping: Grouping,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Received powers of each slot of a stack (leading axes broadcast, as
-    in ``SlotPrecoders``) and the same-group mask.
+def _received_power(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
+    """Received powers of each slot of a stack (leading axes broadcast) and
+    the same-group mask.
 
     Entry (k, j) of the first (..., K, K) array is p_j * |h_k^H b_j|^2, the
-    power user k receives from user j's beam b_j = F_g w_j.  Beams of a
-    silent (outage) group are zero, since its ``w_groups`` slice is.  Entry
-    (k, j) of the boolean mask is True when users k and j share a group.
+    power user k receives from user j's beam b_j (see ``SlotPrecoders``);
+    beams of a silent (outage) group are zero.  Entry (k, j) of the boolean
+    mask is True when users k and j share a group.
     """
-    beams = np.zeros(channel.shape, dtype=complex)
-    for g in range(grouping.group_count):
-        beams[..., grouping.members[g]] = f_groups[g] @ w_groups[g]
-    received = np.abs(np.swapaxes(channel.conj(), -1, -2) @ beams) ** 2 * power[..., None, :]
+    received = np.abs(np.swapaxes(channel.conj(), -1, -2) @ precoders.beams) ** 2 * precoders.power[..., None, :]
     same_group = grouping.assignments[:, None] == grouping.assignments[None, :]
     return received, same_group
 
 
-def sinr_per_user(
-    channel: np.ndarray,
-    f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray],
-    power: np.ndarray,
-    grouping: Grouping,
-) -> np.ndarray:
+def sinr_per_user(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> np.ndarray:
     """Per-user SINR with unit noise.
 
     Intra-group terms are excluded by construction (zero-forcing removes
     them; see ``intra_group_leakage`` for the residual).  Users of a silent
     (outage) group score zero and contribute no interference.
     """
-    received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
+    received, same_group = _received_power(channel, precoders, grouping)
     interference = np.sum(np.where(same_group, 0.0, received), axis=-1)
     return np.diagonal(received, axis1=-2, axis2=-1) / (interference + 1.0)
 
 
-def slnr_per_user(
-    channel: np.ndarray,
-    f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray],
-    power: np.ndarray,
-    grouping: Grouping,
-) -> np.ndarray:
+def slnr_per_user(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> np.ndarray:
     """Per-user SLNR: own signal over leakage into out-of-group users plus noise.
 
     The user's own power multiplies both the signal and the leakage terms.
     """
-    received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
+    received, same_group = _received_power(channel, precoders, grouping)
     leakage = np.sum(np.where(same_group, 0.0, received), axis=-2)
     return np.diagonal(received, axis1=-2, axis2=-1) / (leakage + 1.0)
 
 
-def intra_group_leakage(
-    channel: np.ndarray,
-    f_groups: Sequence[np.ndarray],
-    w_groups: Sequence[np.ndarray],
-    power: np.ndarray,
-    grouping: Grouping,
-) -> np.ndarray:
+def intra_group_leakage(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> np.ndarray:
     """Residual in-group interference power per user (diagnostic)."""
-    received, same_group = _received_power(channel, f_groups, w_groups, power, grouping)
+    received, same_group = _received_power(channel, precoders, grouping)
     np.fill_diagonal(same_group, False)
     return np.sum(np.where(same_group, received, 0.0), axis=-1)
 
 
 def evaluate_slot(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> np.ndarray:
     """Per-user rates log2(1 + SINR), (n, K), of a stack of slots (see ``SlotPrecoders``)."""
-    return np.log2(1.0 + sinr_per_user(channel, precoders.f_groups, precoders.w_groups, precoders.power, grouping))
+    return np.log2(1.0 + sinr_per_user(channel, precoders, grouping))
 
 
 def jain_fairness(rates: np.ndarray) -> float:

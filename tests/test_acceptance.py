@@ -96,8 +96,8 @@ def test_criterion_02_zf_nulling_and_power_conservation():
                 continue
             radiated, active = 0.0, 0
             for g in range(grouping.group_count):
-                beam = sp.f_groups[g] @ sp.w_groups[g][0]
                 members = grouping.members[g]
+                beam = sp.beams[0][:, members]
                 active += len(members)
                 radiated += float(np.sum(sp.power[0, members] * np.sum(np.abs(beam) ** 2, axis=0)))
                 for i, k in enumerate(members):
@@ -220,7 +220,7 @@ def test_criterion_06_sslnr_lower_bound():
     for t in range(n_slots):
         h = draw_channel(scenario, geometry, seed=3, slot=[t])
         sp = build_precoders(SchemeId.MPHP, long_state, h, grouping, config)
-        samples[t] = slnr_per_user(h, sp.f_groups, sp.w_groups, sp.power, grouping)[0]
+        samples[t] = slnr_per_user(h, sp, grouping)[0]
     ok, margins = True, []
     for g in range(grouping.group_count):
         bound = sslnr(long_state.f[:, grouping.rf_chains[g]], grouping, g, config.P)

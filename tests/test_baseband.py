@@ -67,14 +67,13 @@ class TestZfPrecoder:
 
 class TestPowerAllocation:
     def test_direct_formula(self):
-        # ||F w||^2 = 0.5 with P = 1, K = 2 gives p = 1
-        f = np.array([[1.0 / np.sqrt(2.0)], [0.0]], dtype=complex)
-        p = power_allocation(f, np.eye(1, dtype=complex), total_power=1.0, n_users=2)
+        # ||b||^2 = 0.5 with P = 1, K = 2 gives p = 1
+        beams = np.array([[1.0 / np.sqrt(2.0)], [0.0]], dtype=complex)
+        p = power_allocation(beams, total_power=1.0, n_users=2)
         assert p[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_when_beams_unit_norm(self):
-        f = np.eye(3, dtype=complex)
-        p = power_allocation(f, np.eye(3, dtype=complex), total_power=2.0, n_users=3)
+        p = power_allocation(np.eye(3, dtype=complex), total_power=2.0, n_users=3)
         assert np.allclose(p, 2.0 / 3.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -83,14 +82,14 @@ class TestPowerAllocation:
         f = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         w = zf_precoder(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         total_power, n_users = 1.7, 3
-        p = power_allocation(f, w, total_power, n_users)
-        radiated = float(np.sum(p * np.sum(np.abs(f @ w) ** 2, axis=0)))
+        beams = f @ w
+        p = power_allocation(beams, total_power, n_users)
+        radiated = float(np.sum(p * np.sum(np.abs(beams) ** 2, axis=0)))
         assert radiated == pytest.approx(total_power * 3 / n_users, rel=1e-9)
 
     def test_zero_beam_rejected(self):
-        f = np.zeros((4, 1), dtype=complex)
         with pytest.raises(DegenerateBeamError):
-            power_allocation(f, np.eye(1, dtype=complex), 1.0, 2)
+            power_allocation(np.zeros((4, 1), dtype=complex), 1.0, 2)
 
 
 def complex_stack(rng, shape):
@@ -119,10 +118,11 @@ class TestStacks:
             assert not w[t].any()
 
     def test_power_allocation_per_slice(self, rng):
-        f, w = complex_stack(rng, (4, 6, 2)), zf_precoder(complex_stack(rng, (4, 2, 2)))
-        stacked = power_allocation(f, w, 1.5, 5)
+        beams = complex_stack(rng, (4, 6, 2)) @ zf_precoder(complex_stack(rng, (4, 2, 2)))
+        stacked = power_allocation(beams, 1.5, 5)
         assert stacked.shape == (4, 2)
         for t in range(4):
-            assert np.array_equal(stacked[t], power_allocation(f[t], w[t], 1.5, 5))
+            assert np.array_equal(stacked[t], power_allocation(beams[t], 1.5, 5))
+        beams[2, :, 1] = 0.0
         with pytest.raises(DegenerateBeamError):
-            power_allocation(np.zeros((6, 2)), w, 1.5, 5)
+            power_allocation(beams, 1.5, 5)

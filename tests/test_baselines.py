@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from mphp.baseband import effective_channel, zf_precoder
 from mphp.baselines import (
     SCHEMES,
     SchemeId,
@@ -365,16 +366,12 @@ class TestFullDigital:
         grouping, scenario, geometry = build_context(config, seed=seed)
         channel = draw_channel(scenario, geometry, seed=seed, slot=0)
         precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channel[None], grouping, config)
-        beams = np.concatenate(
-            [(precoders.f_groups[g] @ precoders.w_groups[g])[0] for g in range(grouping.group_count)],
-            axis=1,
-        )
-        order = np.concatenate(grouping.members)
-        for a, k in enumerate(order):
-            own = abs(channel[:, k].conj() @ beams[:, a])
-            for b, i in enumerate(order):
+        beams = precoders.beams[0]
+        for k in range(config.K):
+            own = abs(channel[:, k].conj() @ beams[:, k])
+            for i in range(config.K):
                 if i != k:
-                    assert abs(channel[:, k].conj() @ beams[:, b]) <= 1e-8 * own
+                    assert abs(channel[:, k].conj() @ beams[:, i]) <= 1e-8 * own
 
     def test_uniform_power_split(self):
         config = SystemConfig(M=8, K=3, G=1, P=2.0)
@@ -389,13 +386,14 @@ class TestMixedTimescaleContract:
         config = SystemConfig(M=16, K=4, G=2)
         grouping, scenario, geometry = build_context(config, seed=2)
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
-        f_per_slot = []
+        f = long_state.f.copy()
         for t in range(3):
             channel = draw_channel(scenario, geometry, seed=2, slot=[t])
             precoders = build_precoders(SchemeId.MPHP, long_state, channel, grouping, config)
-            f_per_slot.append(np.concatenate([f.ravel() for f in precoders.f_groups]))
-        assert np.array_equal(f_per_slot[0], f_per_slot[1])
-        assert np.array_equal(f_per_slot[1], f_per_slot[2])
+            for chains, members in zip(grouping.rf_chains, grouping.members):
+                w = zf_precoder(effective_channel(channel[..., members], f[:, chains]))
+                assert np.array_equal(precoders.beams[..., members], f[:, chains] @ w)
+        assert np.array_equal(long_state.f, f)
 
     def test_instantaneous_analog_stage_tracks_channel(self):
         config = SystemConfig(M=16, K=4, G=2)
@@ -404,9 +402,13 @@ class TestMixedTimescaleContract:
         assert long_state is None
         h0 = draw_channel(scenario, geometry, seed=2, slot=[0])
         h1 = draw_channel(scenario, geometry, seed=2, slot=[1])
-        f0 = build_precoders(SchemeId.ADAPTIVE_INSTANT, None, h0, grouping, config).f_groups
-        f1 = build_precoders(SchemeId.ADAPTIVE_INSTANT, None, h1, grouping, config).f_groups
-        assert not all(np.array_equal(a, b) for a, b in zip(f0, f1))
+        f0 = adaptive_instant_precoder(h0, grouping, config.B).f
+        f1 = adaptive_instant_precoder(h1, grouping, config.B).f
+        assert not np.array_equal(f0, f1)
+        beams = build_precoders(SchemeId.ADAPTIVE_INSTANT, None, h1, grouping, config).beams
+        for chains, members in zip(grouping.rf_chains, grouping.members):
+            w = zf_precoder(effective_channel(h1[..., members], f1[..., chains]))
+            assert np.array_equal(beams[..., members], f1[..., chains] @ w)
 
     def test_frps_columns_are_quantized_phase_only(self):
         config = SystemConfig(M=16, K=4, G=2)
@@ -433,5 +435,86 @@ class TestOutagePolicy:
         long_state = design_long_term(SchemeId.FRPS_STATISTICAL, grouping, config)
         precoders = build_precoders(SchemeId.FRPS_STATISTICAL, long_state, channel, grouping, config)
         assert precoders.outage_groups == [(0, 0)]
-        assert np.array_equal(precoders.w_groups[0], np.zeros((1, 2, 2)))
+        assert np.array_equal(precoders.beams, np.zeros((1, 4, 2)))
         assert np.array_equal(precoders.power, np.zeros((1, 2)))
+
+
+def stack_with_outages(config, seed):
+    """Five drawn slots of ``build_context``'s scenario at ``seed``, except
+    that slot 1 zeroes user 0's column, slot 2 copies one member of the
+    largest group onto another (or zeroes it in a singleton group), and
+    slot 3 makes the whole channel rank one."""
+    grouping, scenario, geometry = build_context(config, seed)
+    channels = draw_channel(scenario, geometry, seed=seed, slot=range(5))
+    group = grouping.members[int(np.argmax(grouping.sizes))]
+    channels[1][:, 0] = 0.0
+    channels[2][:, group[-1]] = channels[2][:, group[0]] if len(group) > 1 else 0.0
+    channels[3] = channels[3][:, :1] * np.arange(1, config.K + 1)
+    return grouping, channels
+
+
+def analog_stage(scheme, state, channels, grouping, config):
+    """The analog matrix a hybrid scheme zero-forces behind, from its public parts."""
+    if scheme is SchemeId.MPHP:
+        return state.f
+    if scheme is SchemeId.FRPS_STATISTICAL:
+        return state
+    if scheme is SchemeId.FIXED_SUBARRAY:
+        return fixed_subarray_precoder(channels, grouping, config.B).f
+    return adaptive_instant_precoder(channels, grouping, config.B).f
+
+
+BEAM_CASES = {
+    "defaults": SystemConfig(M=16, K=4, G=2),
+    "G = K": SystemConfig(M=16, K=4, G=4),
+    "G = 1": SystemConfig(M=32, K=8, G=1),
+}
+HYBRID = [scheme for scheme in SchemeId if scheme is not SchemeId.FULL_DIGITAL_ZF]
+
+
+class TestSlotBeams:
+    """``SlotPrecoders.beams`` holds each user's beam F_g w_k, zero in outage."""
+
+    @pytest.mark.parametrize("case", sorted(BEAM_CASES))
+    @pytest.mark.parametrize("scheme", HYBRID, ids=lambda s: s.value)
+    def test_hybrid_beams_are_analog_columns_times_zf(self, case, scheme):
+        config = BEAM_CASES[case]
+        grouping, channels = stack_with_outages(config, seed=5)
+        state = design_long_term(scheme, grouping, config)
+        precoders = build_precoders(scheme, state, channels, grouping, config)
+        f = analog_stage(scheme, state, channels, grouping, config)
+        silent = set()
+        for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
+            w = zf_precoder(effective_channel(channels[..., members], f[..., chains]))
+            assert np.array_equal(precoders.beams[..., members], f[..., chains] @ w)
+            silent |= {(t, g) for t in range(len(channels)) if not precoders.beams[t][:, members].any()}
+        assert silent and precoders.outage_groups == sorted(silent)
+        for t, g in precoders.outage_groups:
+            assert not precoders.power[t, grouping.members[g]].any()
+
+    @pytest.mark.parametrize("case", sorted(BEAM_CASES))
+    def test_full_digital_beams_are_normalised_zf(self, case):
+        config = BEAM_CASES[case]
+        grouping, channels = stack_with_outages(config, seed=5)
+        precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channels, grouping, config)
+        silent_slots = [t for t in range(len(channels)) if not precoders.beams[t].any()]
+        assert silent_slots == [1, 2, 3]
+        assert precoders.outage_groups == [(t, g) for t in silent_slots for g in range(grouping.group_count)]
+        for t in sorted(set(range(len(channels))) - set(silent_slots)):
+            # The pseudo-inverse is an independent ZF oracle; the scheme's Gram
+            # solve loses about cond(H)^2 * eps, so that bounds the difference.
+            zf = np.linalg.pinv(channels[t].conj().T)
+            bound = 1e-15 * np.linalg.cond(channels[t]) ** 2
+            np.testing.assert_allclose(precoders.beams[t], zf / np.linalg.norm(zf, axis=0), rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_beams_do_not_depend_on_power(self, scheme):
+        config = BEAM_CASES["defaults"]
+        grouping, channels = stack_with_outages(config, seed=5)
+        state = design_long_term(scheme, grouping, config)
+        low = build_precoders(scheme, state, channels, grouping, config)
+        high = build_precoders(scheme, state, channels, grouping, replace(config, P=10.0))
+        assert np.array_equal(low.beams, high.beams)
+        assert low.outage_groups == high.outage_groups
+        assert not np.array_equal(low.power, high.power)
+        np.testing.assert_allclose(high.power, 10.0 * low.power, rtol=1e-14, atol=0)

@@ -34,51 +34,48 @@ from conftest import contexts_at_seed, inject_channels, make_grouping, run_at_se
 
 def orthogonal_slot():
     """Hand case: M = 2, two singleton groups, h_1 = e1, h_2 = e2,
-    F_1 = e1, F_2 = e2, scalar baseband, P = 1, K = 2 -> p = 0.5 each."""
+    b_1 = e1, b_2 = e2, P = 1, K = 2 -> p = 0.5 each."""
     corrs = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     grouping = make_grouping(corrs, [0, 1])
     channel = np.eye(2, dtype=complex)
-    f_groups = [np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)]
-    w_groups = [np.eye(1, dtype=complex), np.eye(1, dtype=complex)]
-    power = np.array([0.5, 0.5])
-    return channel, f_groups, w_groups, power, grouping
+    precoders = SlotPrecoders(beams=np.eye(2, dtype=complex), power=np.array([0.5, 0.5]), outage_groups=[])
+    return channel, precoders, grouping
 
 
-# Scalar reference loops: the definitions the matrix versions must reproduce.
-def sinr_loop(channel, f_groups, w_groups, power, grouping):
+# Scalar reference loops over one slot's beams (M, K) and powers (K,): the
+# definitions the matrix versions must reproduce.
+def sinr_loop(channel, beams, power, grouping):
     out = np.zeros(channel.shape[1])
-    beams = [f_groups[g] @ w_groups[g] for g in range(grouping.group_count)]
     for g in range(grouping.group_count):
-        for i, k in enumerate(grouping.members[g]):
+        for k in grouping.members[g]:
             h_k = channel[:, k]
-            signal = power[k] * np.abs(h_k.conj() @ beams[g][:, i]) ** 2
+            signal = power[k] * np.abs(h_k.conj() @ beams[:, k]) ** 2
             interference = 0.0
             for other in range(grouping.group_count):
                 if other == g:
                     continue
-                cross = np.abs(h_k.conj() @ beams[other]) ** 2
+                cross = np.abs(h_k.conj() @ beams[:, grouping.members[other]]) ** 2
                 interference += float(np.sum(power[grouping.members[other]] * cross))
             out[k] = signal / (interference + 1.0)
     return out
 
 
-def slnr_loop(channel, f_groups, w_groups, power, grouping):
+def slnr_loop(channel, beams, power, grouping):
     n_users = channel.shape[1]
     out = np.zeros(n_users)
     for g in range(grouping.group_count):
-        beam = f_groups[g] @ w_groups[g]
         outsiders = np.setdiff1d(np.arange(n_users), grouping.members[g])
-        for i, k in enumerate(grouping.members[g]):
-            signal = power[k] * np.abs(channel[:, k].conj() @ beam[:, i]) ** 2
-            leak = power[k] * float(np.sum(np.abs(channel[:, outsiders].conj().T @ beam[:, i]) ** 2))
+        for k in grouping.members[g]:
+            signal = power[k] * np.abs(channel[:, k].conj() @ beams[:, k]) ** 2
+            leak = power[k] * float(np.sum(np.abs(channel[:, outsiders].conj().T @ beams[:, k]) ** 2))
             out[k] = signal / (leak + 1.0)
     return out
 
 
-def leakage_loop(channel, f_groups, w_groups, power, grouping):
+def leakage_loop(channel, beams, power, grouping):
     out = np.zeros(channel.shape[1])
     for g in range(grouping.group_count):
-        beam = f_groups[g] @ w_groups[g]
+        beam = beams[:, grouping.members[g]]
         for i, k in enumerate(grouping.members[g]):
             cross = np.abs(channel[:, k].conj() @ beam) ** 2
             cross[i] = 0.0
@@ -88,7 +85,8 @@ def leakage_loop(channel, f_groups, w_groups, power, grouping):
 
 def oracle_slots():
     """(label, channel, precoders, grouping) for every scheme on a stack of
-    one channel draw, each also with group 0 silenced (its power left nonzero)."""
+    one channel draw, each also with group 0's beams zeroed (its power left
+    nonzero)."""
     config = SystemConfig(M=16, K=5, G=2)
     grouping, scenario, geometry = build_context(config, seed=6)
     h = draw_channel(scenario, geometry, seed=6, slot=[0])
@@ -96,12 +94,9 @@ def oracle_slots():
         state = design_long_term(scheme, grouping, config)
         precoders = build_precoders(scheme, state, h, grouping, config)
         yield scheme.value, h, precoders, grouping
-        silenced = SlotPrecoders(
-            f_groups=precoders.f_groups,
-            w_groups=[np.zeros_like(precoders.w_groups[0])] + precoders.w_groups[1:],
-            power=precoders.power,
-            outage_groups=[(0, 0)],
-        )
+        beams = precoders.beams.copy()
+        beams[..., grouping.members[0]] = 0.0
+        silenced = SlotPrecoders(beams=beams, power=precoders.power, outage_groups=[(0, 0)])
         yield f"{scheme.value} with group 0 in outage", h, silenced, grouping
 
 
@@ -113,11 +108,9 @@ class TestMatchesScalarOracle:
     def test_every_scheme(self, matrix_version, loop):
         # atol covers the ZF in-group leakage, which is rounding noise near 0.
         for label, h, precoders, grouping in oracle_slots():
-            args = (h, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
-            f_groups = [f if f.ndim == 2 else f[0] for f in precoders.f_groups]
-            slot = (h[0], f_groups, [w[0] for w in precoders.w_groups], precoders.power[0], grouping)
+            slot = (h[0], precoders.beams[0], precoders.power[0], grouping)
             np.testing.assert_allclose(
-                matrix_version(*args)[0], loop(*slot), rtol=1e-12, atol=1e-12, err_msg=label
+                matrix_version(h, precoders, grouping)[0], loop(*slot), rtol=1e-12, atol=1e-12, err_msg=label
             )
 
     def test_random_beams_with_in_group_interference(self, rng):
@@ -128,45 +121,47 @@ class TestMatchesScalarOracle:
         n_ant, assignments = 6, [0, 1, 0, 2, 1]
         grouping = make_grouping([np.eye(n_ant, dtype=complex)] * len(assignments), assignments)
         channel = complex_normal((n_ant, 5))
-        f_groups = [complex_normal((n_ant, len(m))) for m in grouping.members]
-        w_groups = [complex_normal((len(m), len(m))) for m in grouping.members]
+        beams = complex_normal((n_ant, 5))
         power = rng.uniform(0.2, 1.0, 5)
         for silent in (None, 1):
-            ws = [np.zeros_like(w) if g == silent else w for g, w in enumerate(w_groups)]
-            args = (channel, f_groups, ws, power, grouping)
+            if silent is not None:
+                beams[:, grouping.members[silent]] = 0.0
+            precoders = SlotPrecoders(beams=beams, power=power, outage_groups=[])
             for matrix_version, loop in ORACLE_PAIRS:
-                np.testing.assert_allclose(matrix_version(*args), loop(*args), rtol=1e-12, atol=0)
+                np.testing.assert_allclose(
+                    matrix_version(channel, precoders, grouping), loop(channel, beams, power, grouping), rtol=1e-12, atol=0
+                )
 
 
 class TestSinr:
     def test_zero_channel_scores_zero(self):
-        channel, f_groups, w_groups, power, grouping = orthogonal_slot()
+        channel, precoders, grouping = orthogonal_slot()
         channel = np.zeros_like(channel)
-        assert np.array_equal(sinr_per_user(channel, f_groups, w_groups, power, grouping), [0, 0])
+        assert np.array_equal(sinr_per_user(channel, precoders, grouping), [0, 0])
 
     def test_orthogonal_hand_case(self):
-        channel, f_groups, w_groups, power, grouping = orthogonal_slot()
-        sinr = sinr_per_user(channel, f_groups, w_groups, power, grouping)
+        channel, precoders, grouping = orthogonal_slot()
+        sinr = sinr_per_user(channel, precoders, grouping)
         assert np.allclose(sinr, [0.5, 0.5])
 
     def test_interference_drops_sinr(self):
-        channel, f_groups, w_groups, power, grouping = orthogonal_slot()
-        f_groups[1] = np.array([[1.0], [0.0]], dtype=complex)  # group 2 now fires at e1
-        sinr = sinr_per_user(channel, f_groups, w_groups, power, grouping)
+        channel, precoders, grouping = orthogonal_slot()
+        precoders.beams[:, 1] = [1.0, 0.0]  # group 2 now fires at e1
+        sinr = sinr_per_user(channel, precoders, grouping)
         assert sinr[0] == pytest.approx(0.5 / 1.5, rel=1e-12)
 
     def test_outage_group_silent(self):
-        channel, f_groups, w_groups, power, grouping = orthogonal_slot()
-        w_groups[1] = np.zeros((1, 1), dtype=complex)
-        sinr = sinr_per_user(channel, f_groups, w_groups, power, grouping)
+        channel, precoders, grouping = orthogonal_slot()
+        precoders.beams[:, 1] = 0.0
+        sinr = sinr_per_user(channel, precoders, grouping)
         assert sinr[1] == 0.0
         assert sinr[0] == pytest.approx(0.5, rel=1e-12)
 
 
 class TestSlnr:
     def test_orthogonal_hand_case_zero_leakage(self):
-        channel, f_groups, w_groups, power, grouping = orthogonal_slot()
-        slnr = slnr_per_user(channel, f_groups, w_groups, power, grouping)
+        channel, precoders, grouping = orthogonal_slot()
+        slnr = slnr_per_user(channel, precoders, grouping)
         assert np.allclose(slnr, [0.5, 0.5])
 
     def test_matches_definition_by_direct_loop(self, rng):
@@ -174,18 +169,14 @@ class TestSlnr:
         corrs = [np.eye(n_ant, dtype=complex) for _ in range(n_users)]
         grouping = make_grouping(corrs, [0, 0, 1, 1])
         channel = rng.standard_normal((n_ant, n_users)) + 1j * rng.standard_normal((n_ant, n_users))
-        f_groups = [
-            rng.standard_normal((n_ant, 2)) + 1j * rng.standard_normal((n_ant, 2)) for _ in range(2)
-        ]
-        w_groups = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        beams = rng.standard_normal((n_ant, n_users)) + 1j * rng.standard_normal((n_ant, n_users))
         power = rng.uniform(0.2, 1.0, n_users)
-        slnr = slnr_per_user(channel, f_groups, w_groups, power, grouping)
+        slnr = slnr_per_user(channel, SlotPrecoders(beams=beams, power=power, outage_groups=[]), grouping)
         for g in range(2):
-            beam = f_groups[g] @ w_groups[g]
-            for i, k in enumerate(grouping.members[g]):
-                signal = power[k] * abs(channel[:, k].conj() @ beam[:, i]) ** 2
+            for k in grouping.members[g]:
+                signal = power[k] * abs(channel[:, k].conj() @ beams[:, k]) ** 2
                 leak = sum(
-                    power[k] * abs(channel[:, j].conj() @ beam[:, i]) ** 2
+                    power[k] * abs(channel[:, j].conj() @ beams[:, k]) ** 2
                     for j in range(n_users)
                     if j not in grouping.members[g]
                 )
@@ -195,12 +186,11 @@ class TestSlnr:
         corrs = [np.eye(3, dtype=complex)] * 2
         grouping = make_grouping(corrs, [0, 0])
         channel = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        f = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        w = np.eye(2, dtype=complex)
+        beams = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         power = np.array([0.3, 0.6])
-        slnr = slnr_per_user(channel, [f], [w], power, grouping)
-        for i, k in enumerate([0, 1]):
-            expected = power[k] * abs(channel[:, k].conj() @ f[:, i]) ** 2
+        slnr = slnr_per_user(channel, SlotPrecoders(beams=beams, power=power, outage_groups=[]), grouping)
+        for k in [0, 1]:
+            expected = power[k] * abs(channel[:, k].conj() @ beams[:, k]) ** 2
             assert slnr[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -284,7 +274,7 @@ class TestMonteCarlo:
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         precoders = build_precoders(SchemeId.MPHP, long_state, fixed, grouping, config)
         rate = evaluate_slot(fixed, precoders, grouping)
-        sinr = sinr_per_user(fixed, precoders.f_groups, precoders.w_groups, precoders.power, grouping)
+        sinr = sinr_per_user(fixed, precoders, grouping)
         assert np.array_equal(run.per_user_rate, rate[0])
         assert np.array_equal(rate, np.log2(1.0 + sinr))
         assert run.n_slots == 1
@@ -323,7 +313,7 @@ class TestMonteCarlo:
         for t in range(n):
             h = draw_channel(scenario, geometry, seed=3, slot=[t])
             precoders = build_precoders(SchemeId.MPHP, long_state, h, grouping, config)
-            samples[t] = slnr_per_user(h, precoders.f_groups, precoders.w_groups, precoders.power, grouping)[0]
+            samples[t] = slnr_per_user(h, precoders, grouping)[0]
         for g in range(grouping.group_count):
             bound = sslnr(long_state.f[:, grouping.rf_chains[g]], grouping, g, config.P)
             for k in grouping.members[g]:
@@ -336,15 +326,9 @@ class TestMonteCarlo:
         long_state = design_long_term(SchemeId.MPHP, grouping, config)
         stack = draw_channel(scenario, geometry, seed=3, slot=[0])
         precoders = build_precoders(SchemeId.MPHP, long_state, stack, grouping, config)
-        leak = intra_group_leakage(stack, precoders.f_groups, precoders.w_groups, precoders.power, grouping)[0]
-        h, w_groups = stack[0], [w[0] for w in precoders.w_groups]
-        signal = precoders.power[0] * np.array(
-            [
-                abs(h[:, k].conj() @ (precoders.f_groups[g] @ w_groups[g])[:, i]) ** 2
-                for g in range(grouping.group_count)
-                for i, k in enumerate(grouping.members[g])
-            ]
-        )[np.argsort(np.concatenate(grouping.members))]
+        leak = intra_group_leakage(stack, precoders, grouping)[0]
+        h, beams = stack[0], precoders.beams[0]
+        signal = precoders.power[0] * np.array([abs(h[:, k].conj() @ beams[:, k]) ** 2 for k in range(config.K)])
         assert np.all(leak <= 1e-16 * np.maximum(signal, 1e-300) + 1e-20)
 
     def test_bad_slot_count_rejected(self):
@@ -480,8 +464,7 @@ class TestEngineMatchesPerSlotLoop:
         for t in range(n_slots):
             expected = build_precoders(scheme, state, channels[t : t + 1], grouping, config)
             assert np.array_equal(precoders.power[t], expected.power[0])
-            for got, want in zip(precoders.w_groups, expected.w_groups):
-                assert np.array_equal(got[t], want[0])
+            assert np.array_equal(precoders.beams[t], expected.beams[0])
 
 
 class TestSharedDraws:
