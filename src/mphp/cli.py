@@ -9,6 +9,7 @@ anything, and ``plot-script`` emits a gnuplot script for a produced CSV.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from dataclasses import replace
 
@@ -57,6 +58,9 @@ def _run_and_write(config: SystemConfig, out: str) -> None:
 
 def _gnuplot_script(csv_path: str, metric: str) -> str:
     column = CSV_COLUMNS.index(metric) + 1
+    # Quote the path for the shell inside a gnuplot "..." string, and for a gnuplot '...' string ('' is one ').
+    shell_path = shlex.quote(csv_path).replace("\\", "\\\\").replace('"', '\\"')
+    gnuplot_path = csv_path.replace("'", "''")
     return "\n".join(
         [
             "set datafile separator ','",
@@ -65,8 +69,8 @@ def _gnuplot_script(csv_path: str, metric: str) -> str:
             "set key outside",
             "set grid",
             (
-                f"plot for [scheme in system(\"tail -n +2 {csv_path} | cut -d, -f2 | sort -u\")] "
-                f"'{csv_path}' using 1:(strcol(2) eq scheme ? ${column} : NaN) "
+                f"plot for [scheme in system(\"tail -n +2 {shell_path} | cut -d, -f2 | sort -u\")] "
+                f"'{gnuplot_path}' using 1:(strcol(2) eq scheme ? ${column} : NaN) "
                 "with linespoints title scheme"
             ),
         ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import _KEYS, SchemeId, SystemConfig, apply_sweep_value
-from .metrics import Context, SchemeFailure, build_context, context_key, monte_carlo_rates, scenario_key
+from .metrics import Context, SchemeFailure, build_context, context_key, monte_carlo_rates
 
 
 class ExperimentError(RuntimeError):
@@ -113,10 +113,9 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     row of a single-point run at that value.  Points that agree on the
     fields ``metrics.context_key`` names share one context (user AoDs,
     correlations, grouping), built once; statistical schemes design their
-    analog stage from the grouping alone.  Points that agree on
-    ``metrics.scenario_key`` (an M sweep's too) share one set of users and
-    one engine call, which designs each distinct long-term state once and
-    draws each block of slots once for all of their arrays and schemes.
+    analog stage from the grouping alone.  One engine call then runs every
+    point, drawing each block of slots once per set of users and sharing it
+    across their arrays and schemes.
     """
     if config.sweep_parameter is None:
         sweep_values: tuple[float, ...] = (float("nan"),)
@@ -127,33 +126,21 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
             apply_sweep_value(config, config.sweep_parameter, v) for v in sweep_values
         ]
 
-    scheme_rank = {scheme: i for i, scheme in enumerate(SchemeId)}
-    schemes = sorted(config.schemes, key=scheme_rank.__getitem__)
+    schemes = [s for s in SchemeId if s in config.schemes]
     scenario_seed, draw_seed = _derived_seeds(config.seed)
-    scenarios: dict[tuple, list[int]] = {}  # scenario key -> point indices
-    for i, point in enumerate(points):
-        scenarios.setdefault(scenario_key(point), []).append(i)
-    runs: list = [None] * len(points)
-    for indices in scenarios.values():
-        shared = [points[i] for i in indices]
-        contexts: dict[tuple, Context] = {}  # context key -> the context of its points
-        try:
-            for failed, point in enumerate(shared):  # a failing build names its point
-                if context_key(point) not in contexts:
-                    contexts[context_key(point)] = build_context(point, scenario_seed)
-            failed = 0  # a failing engine call names its own point
-            results = monte_carlo_rates(
-                schemes, shared, draw_seed, contexts=[contexts[context_key(point)] for point in shared]
-            )
-        except Exception as exc:
-            failed, scheme, cause = (
-                (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (failed, None, exc)
-            )
-            names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
-            sweep_value = sweep_values[indices[failed]]
-            raise ExperimentError(f"scheme {names} at sweep value {sweep_value!r}: {cause}") from cause
-        for i, result in zip(indices, results):
-            runs[i] = result
+    contexts: dict[tuple, Context] = {}  # context key -> the context of its points
+    try:
+        for failed, point in enumerate(points):  # a failing build names its point
+            if context_key(point) not in contexts:
+                contexts[context_key(point)] = build_context(point, scenario_seed)
+        failed = 0  # a failing engine call names its own point
+        runs = monte_carlo_rates(schemes, points, draw_seed, contexts=[contexts[context_key(point)] for point in points])
+    except Exception as exc:
+        failed, scheme, cause = (
+            (exc.point, exc.scheme, exc.__cause__) if isinstance(exc, SchemeFailure) else (failed, None, exc)
+        )
+        names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
+        raise ExperimentError(f"scheme {names} at sweep value {sweep_values[failed]!r}: {cause}") from cause
     rows = []
     for sweep_value, point_runs in zip(sweep_values, runs):
         for scheme, metrics in zip(schemes, point_runs):

@@ -22,6 +22,8 @@ _COST_SLACK = 1e-9
 # Distances closer than this are ties; ties resolve to the lowest index so
 # symmetric inputs (e.g. all users identical) stay deterministic and stable.
 _TIE_TOL = 1e-12
+# Most Lloyd steps ``group_users`` takes before it stops unconverged.
+MAX_ITERS = 100
 
 
 class JointSubspace(NamedTuple):
@@ -163,7 +165,6 @@ def group_users(
     correlations: Sequence[np.ndarray],
     group_count: int,
     subspace_rank: int | None = None,
-    max_iters: int = 100,
 ) -> Grouping:
     """Cluster users into ``group_count`` groups by chordal distance.
 
@@ -171,7 +172,7 @@ def group_users(
     a farthest-point sample of users (always including user 0), then
     assignment (nearest centroid) and centroid update (dominant subspace of
     the group-average correlation) alternate until the assignment is stable
-    or ``max_iters`` is hit.  Groups are finally relabeled by their smallest
+    or ``MAX_ITERS`` is hit.  Groups are finally relabeled by their smallest
     member so chain blocks follow user order.
 
     ``subspace_rank`` (default ``ceil(M / 8)``) is an upper bound on each
@@ -193,8 +194,6 @@ def group_users(
         raise ValueError(f"group_count {group_count} exceeds user count {n_users}")
     if group_count < 1:
         raise ValueError("group_count must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     m_ant = correlations[0].shape[0]
     rank = default_subspace_rank(m_ant) if subspace_rank is None else subspace_rank
     if rank < 1 or rank > m_ant:
@@ -217,7 +216,7 @@ def group_users(
 
     labels = None
     cost_history: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         dist = np.array([[_projector_distance(p, c) for c in centroids] for p in user_projectors])
         new_labels = np.argmax(dist <= dist.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
         if labels is not None:

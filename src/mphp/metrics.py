@@ -164,8 +164,8 @@ class SchemeFailure(RuntimeError):
 
     ``point`` indexes the run's point configs, and ``scheme`` names the
     scheme whose stage failed, or is None for a shared stage: a block's
-    path draw, named by the block's first live point, or its channels on
-    one array, named by that array's first live point.
+    path draw for one set of users or its channels on one array, named by
+    the first point that needs it.
     """
 
     def __init__(self, scheme: SchemeId | None, point: int) -> None:
@@ -175,17 +175,10 @@ class SchemeFailure(RuntimeError):
         self.point = point
 
 
-def scenario_key(config: SystemConfig) -> tuple:
-    """The fields of ``config`` that ``make_scenario`` reads: configs with
-    equal keys get the same user params, and so the same path draws, from
-    the same seeds, whatever their arrays."""
-    return (config.K, config.G, config.angular_spread, config.path_count, config.aod_jitter)
-
-
 def context_key(config: SystemConfig) -> tuple:
     """The fields of ``config`` that ``build_context`` reads: configs with
     equal keys get the same context from the same seed."""
-    return (config.M, config.element_spacing, *scenario_key(config))
+    return (config.M, config.element_spacing, config.K, config.G, config.angular_spread, config.path_count, config.aod_jitter)
 
 
 class Context(NamedTuple):
@@ -222,61 +215,55 @@ def monte_carlo_rates(
     precoder held fixed: one list per point config, holding one
     ``RunMetrics`` per scheme in the order of ``schemes``.
 
-    ``contexts[p]`` is point p's context (``build_context``), and every
-    context holds one scenario, so the points are a sweep's points on one
-    set of users, over any arrays; each point runs its own ``n_slots``
-    slots.  The analog stage of a statistical scheme is designed once from
-    the correlations per ``context_key`` and distinct value of the config
+    ``contexts[p]`` is point p's context (``build_context``); the points
+    may be any sweep's, on any users and arrays, and each point runs its
+    own ``n_slots`` slots.  Each stage is shared by the points that agree
+    on what it is made from.  The analog stage of a statistical scheme is
+    designed once per grouping object and distinct value of the config
     fields its ``design_reads`` names; the baseband stage is redone every
     slot.  Slot t draws its channel from entropy (seed, user, t), so runs
     are reproducible and slots may be evaluated in any order.  Blocks of at
     most ``SLOT_BLOCK`` slots, up to the largest count, have their paths
-    drawn once (``channel.draw_paths``) and their channels built once per
-    ``context_key`` (``channel.channel_from_paths``), then run through
-    every (point, scheme) precoder build and SINR as one stack, a point
-    with fewer slots taking the leading ones, so all cells see the same
-    channels (common random numbers) and each gets the numbers of a run of
-    its own.  A block's draw is dropped once the block is done.  A failing
-    stage raises ``SchemeFailure`` naming the point and the scheme.
+    drawn once per set of users (``channel.draw_paths``) and their channels
+    built once per set of users and array (``channel.channel_from_paths``),
+    then run through every (point, scheme) precoder build and SINR as one
+    stack, a point with fewer slots taking the leading ones, so all cells
+    see the same channels (common random numbers) and each gets the
+    numbers of a run of its own.  A block's draws are dropped once the
+    block is done.  A failing stage raises ``SchemeFailure`` naming the
+    point and the scheme.
     """
     if not points or len(contexts) != len(points):
         raise ValueError(f"need points and one context per point, got {len(points)} points, {len(contexts)} contexts")
-    scenario = contexts[0].scenario
-    if any(context.scenario != scenario for context in contexts):
-        raise ValueError("the points' contexts must share one scenario")
     if not schemes:
         raise ValueError("need at least one scheme")
     counts = [point.n_slots for point in points]
-    keys = [context_key(point) for point in points]
 
-    rates = [[np.zeros((count, points[0].K)) for _ in schemes] for count in counts]
+    rates = [[np.zeros((point.n_slots, point.K)) for _ in schemes] for point in points]
     outage_slots = [[0] * len(schemes) for _ in points]
     failed: tuple[int, SchemeId | None] = (0, None)  # the (point, scheme) whose stage is running
+    designs: dict[tuple, object] = {}  # (grouping id, scheme, the design_reads values) -> long-term state
     try:
-        designs: dict[tuple, object] = {}  # (context key, scheme, the design_reads values) -> long-term state
-        states = []
-        for p, (point, context) in enumerate(zip(points, contexts)):
-            states.append([])
-            for current in schemes:
-                failed = (p, current)
-                key = (keys[p], current, *(getattr(point, name) for name in SCHEMES[current].design_reads))
-                if key not in designs:
-                    designs[key] = design_long_term(current, context.grouping, point)
-                states[p].append(designs[key])
         for start in range(0, max(counts), SLOT_BLOCK):
-            live = [p for p, count in enumerate(counts) if count > start]
-            failed = (live[0], None)
-            paths = channel_mod.draw_paths(scenario, seed, range(start, min(start + SLOT_BLOCK, max(counts))))
-            channels: dict[tuple, np.ndarray] = {}  # context key -> this block's channels on its array
-            for p in live:
-                point, context = points[p], contexts[p]
-                if keys[p] not in channels:
-                    failed = (p, None)
-                    channels[keys[p]] = channel_mod.channel_from_paths(paths, scenario, context.geometry)
-                stack = channels[keys[p]][: counts[p] - start]
-                for i, (current, state) in enumerate(zip(schemes, states[p])):
+            slots = range(start, min(start + SLOT_BLOCK, max(counts)))
+            paths: dict[tuple, object] = {}  # users -> this block's path draw
+            channels: dict[tuple, np.ndarray] = {}  # (users, array) -> this block's channels
+            for p, (point, context) in enumerate(zip(points, contexts)):
+                if counts[p] <= start:
+                    continue
+                users, failed = tuple(context.scenario), (p, None)
+                array = (users, context.geometry)
+                if users not in paths:
+                    paths[users] = channel_mod.draw_paths(context.scenario, seed, slots)
+                if array not in channels:
+                    channels[array] = channel_mod.channel_from_paths(paths[users], context.scenario, context.geometry)
+                stack = channels[array][: counts[p] - start]
+                for i, current in enumerate(schemes):
                     failed = (p, current)
-                    precoders = build_precoders(current, state, stack, context.grouping, point)
+                    key = (id(context.grouping), current, *(getattr(point, f) for f in SCHEMES[current].design_reads))
+                    if key not in designs:
+                        designs[key] = design_long_term(current, context.grouping, point)
+                    precoders = build_precoders(current, designs[key], stack, context.grouping, point)
                     rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, context.grouping)
                     outage_slots[p][i] += len({t for t, _ in precoders.outage_groups})
         runs = []

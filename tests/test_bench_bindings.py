@@ -7,12 +7,16 @@ without failing any other test, so this module loads the benchmark script
 by path and checks its bindings and observers on a small experiment.
 """
 
+import ast
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import mphp
 from mphp.experiment import parse_config, rows_to_csv, run_experiment
 
 from conftest import CO_LOCATED
@@ -61,3 +65,35 @@ def test_traced_run_counts_outages(bench_run):
         traced = rows_to_csv(run_experiment(config))
     assert seen.outage_groups > 0
     assert traced == untraced
+
+
+
+def unread_imports(source):
+    """Names a module's source imports but never reads (``__all__`` counts as a read)."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_unread_import_is_a_traced_binding(bench_run):
+    """A module may import a name it never reads only for the benchmark to
+    patch (today the ``hermitian_eig`` imports of ``baselines``, ``channel``
+    and ``metrics``), so a leftover import, or one kept after the benchmark
+    stops tracing it, fails here."""
+    assert unread_imports("import os.path\nfrom a import b as c, d\n__all__ = ['d']\nos.sep\n") == {"c"}
+    traced = {}
+    for module, attribute, _ in bench_run.trace_targets():
+        traced.setdefault(module.__name__, set()).add(attribute)
+    modules = [mphp, *(importlib.import_module(info.name) for info in pkgutil.iter_modules(mphp.__path__, "mphp."))]
+    for module in modules:
+        unread = unread_imports(Path(module.__file__).read_text(encoding="utf-8"))
+        assert unread <= traced.get(module.__name__, set()), module.__name__

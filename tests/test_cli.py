@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,20 @@ class TestPlotScript:
         assert code == 0
         text = script.read_text()
         assert "sum_rate" in text and str(csv) in text
+
+    def test_path_with_space_and_quote(self, tmp_path):
+        csv_path = tmp_path / "it's my results.csv"
+        csv_path.write_text("sweep_value,scheme\n1,MPHP\n1,FRPS_STATISTICAL\n2,MPHP\n")
+        script = tmp_path / "plot.gp"
+        assert main(["plot-script", "--csv", str(csv_path), "--out", str(script)]) == 0
+        text = script.read_text()
+        # gnuplot reads \x in a "..." string as x, and '' in a '...' string as '.
+        quoted = re.search(r'system\("((?:[^"\\]|\\.)*)"\)', text).group(1)
+        command = re.sub(r"\\(.)", r"\1", quoted)
+        listed = subprocess.run(["sh", "-c", command], capture_output=True, text=True, check=True).stdout
+        assert listed.split() == ["FRPS_STATISTICAL", "MPHP"]
+        data = re.search(r"\] '((?:[^']|'')*)' using", text).group(1)
+        assert data.replace("''", "'") == str(csv_path)
 
     def test_unknown_metric_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -232,20 +232,23 @@ class TestRowContract:
         run_experiment(parse_config(SMALL + f"sweep.parameter = {parameter}\nsweep.values = {values}\n"))
         assert len(calls) == builds
 
-    def test_one_engine_call_per_scenario(self, monkeypatch):
+    def test_one_engine_call_per_run(self, monkeypatch):
         calls = []
         engine = experiment_mod.monte_carlo_rates
 
         def counted(schemes, configs, *args, **kwargs):
-            calls.append((list(schemes), [config.M for config in configs]))
+            calls.append((list(schemes), [(config.M, config.K) for config in configs]))
             return engine(schemes, configs, *args, **kwargs)
 
         monkeypatch.setattr(experiment_mod, "monte_carlo_rates", counted)
         run_experiment(parse_config(SMALL + "sweep.parameter = M\nsweep.values = 8, 16, 8\n"))
-        assert calls == [(list(SchemeId), [8, 16, 8])]
+        assert calls == [(list(SchemeId), [(8, 2), (16, 2), (8, 2)])]
         calls.clear()
         run_experiment(parse_config(SMALL + "sweep.parameter = snr_db\nsweep.values = -10, 0, 10\n"))
-        assert calls == [(list(SchemeId), [8, 8, 8])]
+        assert calls == [(list(SchemeId), [(8, 2), (8, 2), (8, 2)])]
+        calls.clear()
+        run_experiment(parse_config(SMALL + "sweep.parameter = K\nsweep.values = 2, 3, 2\n"))
+        assert calls == [(list(SchemeId), [(8, 2), (8, 3), (8, 2)])]
 
     @pytest.mark.parametrize(
         "parameter,values,n_slots",

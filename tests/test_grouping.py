@@ -354,11 +354,12 @@ class TestGroupEigsReuse:
         assert len(calls) == before + n_groups
         assert relaxed_calls and all(args[0].shape == (width, width) for args in relaxed_calls)
 
-    def test_run_stopped_by_max_iters(self):
+    def test_run_stopped_by_max_iters(self, monkeypatch):
         rng = np.random.default_rng(1)
         corrs = [random_psd(rng, 8, dof=2, trace=8.0) for _ in range(8)]
         converged = group_users(corrs, 3, subspace_rank=2)
-        stopped = group_users(corrs, 3, subspace_rank=2, max_iters=1)
+        monkeypatch.setattr(grouping_mod, "MAX_ITERS", 1)
+        stopped = group_users(corrs, 3, subspace_rank=2)
         assert len(converged.cost_history) > 1
         assert not np.array_equal(stopped.assignments, converged.assignments)
         assert_same_joint(grouping_from_labels(corrs, stopped.assignments).joint, stopped.joint)

@@ -21,7 +21,6 @@ from mphp.metrics import (
     intra_group_leakage,
     jain_fairness,
     monte_carlo_rates,
-    scenario_key,
     sinr_per_user,
     slnr_per_user,
     statistics_feedback_count,
@@ -533,9 +532,9 @@ class TestSharedDraws:
 
 
 class TestSweepPoints:
-    """One engine call over several point configs on one scenario, over two
-    arrays, equals one call per point and one per array: designs and blocks
-    are shared, the numbers are not."""
+    """One engine call over several point configs, over two arrays and two
+    sets of users, equals one call per point and one per array: designs and
+    blocks are shared, the numbers are not."""
 
     POINTS = [
         SystemConfig(M=16, K=4, G=2, P=0.5, n_slots=3),
@@ -594,16 +593,58 @@ class TestSweepPoints:
         assert [designs.count((16, s)) for s in SchemeId] == [4, 1, 2, 1, 1]
         assert [designs.count((8, s)) for s in SchemeId] == [2, 1, 2, 1, 1]
 
-    def test_points_must_share_a_context(self):
+    def test_user_sets_and_arrays_in_one_call(self, monkeypatch):
+        # A K sweep (two sets of users) crossed with an M sweep (two arrays).
+        points = [
+            SystemConfig(M=16, K=4, G=2, n_slots=SLOT_BLOCK + 3),
+            SystemConfig(M=16, K=3, G=2, n_slots=5),
+            SystemConfig(M=8, K=4, G=2, P=2.0, n_slots=SLOT_BLOCK + 3),
+            SystemConfig(M=8, K=3, G=2, B=2, n_slots=SLOT_BLOCK + 1),
+        ]
+        contexts = contexts_at_seed(points, 11)
+        draws, builds = [], []
+        draw, build = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.channel_from_paths
+
+        def counted_draw(params, seed, slots):
+            draws.append((len(params), list(slots)))
+            return draw(params, seed, slots)
+
+        def counted_build(paths, params, geometry):
+            builds.append((len(params), geometry.antenna_count))
+            return build(paths, params, geometry)
+
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted_draw)
+        monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", counted_build)
+        runs = monte_carlo_rates(list(SchemeId), points, 23, contexts=contexts)
+        first, second = list(range(SLOT_BLOCK)), list(range(SLOT_BLOCK, SLOT_BLOCK + 3))
+        # Paths are drawn once per block per set of users, and channels built once per set and array.
+        assert draws == [(4, first), (3, first), (4, second), (3, second)]
+        assert builds == [(4, 16), (3, 16), (4, 8), (3, 8), (4, 16), (4, 8), (3, 8)]
+        for point, context, point_runs in zip(points, contexts, runs):
+            assert [run.per_user_rate.shape for run in point_runs] == [(point.K,)] * len(SchemeId)
+            (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, contexts=[context])
+            for run, cell in zip(point_runs, alone):
+                assert_same_run(run, cell)
+
+    def test_equal_keys_on_other_users_get_their_own_runs(self):
+        # Equal context keys, but the contexts come from scenario seeds 5 and 6.
+        point = SystemConfig(M=8, K=3, G=2, n_slots=SLOT_BLOCK + 2)
+        contexts = [build_context(point, 5), build_context(point, 6)]
+        assert contexts[0].scenario != contexts[1].scenario
+        runs = monte_carlo_rates(list(SchemeId), [point, point], 23, contexts=contexts)
+        for context, point_runs in zip(contexts, runs):
+            (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, contexts=[context])
+            for run, cell in zip(point_runs, alone):
+                assert_same_run(run, cell)
+        assert not np.array_equal(runs[0][0].per_user_rate, runs[1][0].per_user_rate)
+
+    def test_one_context_per_point(self):
         points = [SystemConfig(M=8, K=2, G=2, n_slots=3), SystemConfig(M=16, K=2, G=2, n_slots=3)]
         contexts = contexts_at_seed(points, 5)
         with pytest.raises(ValueError, match="one context per point, got 2 points, 1 contexts"):
             monte_carlo_rates([SchemeId.MPHP], points, 5, contexts=contexts[:1])
         with pytest.raises(ValueError, match="need points and one context per point, got 0 points, 0 contexts"):
             monte_carlo_rates([SchemeId.MPHP], [], 5, contexts=[])
-        # Another scenario seed places the users elsewhere.
-        with pytest.raises(ValueError, match="contexts must share one scenario"):
-            monte_carlo_rates([SchemeId.MPHP], points, 5, contexts=[contexts[0], build_context(points[1], 6)])
         with pytest.raises(ValueError, match="n_slots"):
             run_at_seed([SchemeId.MPHP], [points[0], replace(points[0], n_slots=0)], 5)
 
@@ -668,15 +709,6 @@ class TestContextKey:
         build_context(built, seed=5)
         context_key(keyed)
         assert built.read == keyed.read
-
-    def test_scenario_key_is_the_context_key_without_the_array(self):
-        base = SystemConfig(M=8, K=2, G=2)
-        scenario, context = ReadRecorder(base), ReadRecorder(base)
-        scenario_key(scenario)
-        context_key(context)
-        assert scenario.read == context.read - {"M", "element_spacing"}
-        assert scenario_key(replace(base, M=16, element_spacing=0.4)) == scenario_key(base)
-        assert scenario_key(replace(base, K=3)) != scenario_key(base)
 
     def test_key_follows_the_scenario(self):
         base = SystemConfig(M=8, K=2, G=2)
