@@ -211,10 +211,11 @@ def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, confi
 def _with_power(beams: np.ndarray, usable: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
     """Powers of a stack of beams (n, M, K); ``usable[t, g]`` False puts
     group g in outage in slot t, where its beams are zero."""
-    power = np.zeros((len(beams), grouping.user_count))
-    for g, members in enumerate(grouping.members):
-        slots = usable[:, g]
-        power[np.ix_(slots, members)] = power_allocation(beams[..., members][slots], config.P, config.K)
+    live = usable[:, grouping.assignments]
+    power = np.zeros(live.shape)
+    # The live beams as the columns of one (M, N) view with M contiguous,
+    # so each energy sums over M in the order of a single group's.
+    power[live] = power_allocation(np.swapaxes(beams, -1, -2)[live].T, config.P, config.K)
     outage = [(int(t), int(g)) for t, g in np.argwhere(~usable)]
     return SlotPrecoders(beams=beams, power=power, outage_groups=outage)
 

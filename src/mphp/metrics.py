@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel as channel_mod
+from . import baselines, channel as channel_mod
 from .baselines import SCHEMES, SlotPrecoders, build_precoders, design_long_term
 from .config import SchemeId, SystemConfig
 from .grouping import Grouping, group_users
@@ -246,24 +246,36 @@ def monte_carlo_rates(
     try:
         for start in range(0, max(counts), SLOT_BLOCK):
             slots = range(start, min(start + SLOT_BLOCK, max(counts)))
+            live = [p for p in range(len(points)) if counts[p] > start]
+            widest: dict[tuple, int] = {}  # (users, element spacing) -> the widest live array on them
+            for p in live:
+                spaced = (tuple(contexts[p].scenario), contexts[p].geometry.element_spacing)
+                widest[spaced] = max(widest.get(spaced, 0), contexts[p].geometry.antenna_count)
             paths: dict[tuple, object] = {}  # users -> this block's path draw
-            channels: dict[tuple, np.ndarray] = {}  # (users, array) -> this block's channels
-            for p, (point, context) in enumerate(zip(points, contexts)):
-                if counts[p] <= start:
-                    continue
+            channels: dict[tuple, np.ndarray] = {}  # (users, element spacing) -> channels on the widest array
+            built: dict[tuple, tuple] = {}  # what a build reads but P -> its (beams, usable groups)
+            for p in live:
+                point, context = points[p], contexts[p]
                 users, failed = tuple(context.scenario), (p, None)
-                array = (users, context.geometry)
+                spaced = (users, context.geometry.element_spacing)
                 if users not in paths:
                     paths[users] = channel_mod.draw_paths(context.scenario, seed, slots)
-                if array not in channels:
-                    channels[array] = channel_mod.channel_from_paths(paths[users], context.scenario, context.geometry)
-                stack = channels[array][: counts[p] - start]
+                if spaced not in channels:
+                    geometry = channel_mod.ArrayGeometry(widest[spaced], spaced[1])
+                    channels[spaced] = channel_mod.channel_from_paths(paths[users], context.scenario, geometry)
+                # Row m of a channel does not depend on the array size, so a narrower array takes the leading rows.
+                stack = channels[spaced][: counts[p] - start, : context.geometry.antenna_count]
                 for i, current in enumerate(schemes):
                     failed = (p, current)
                     key = (id(context.grouping), current, *(getattr(point, f) for f in SCHEMES[current].design_reads))
                     if key not in designs:
                         designs[key] = design_long_term(current, context.grouping, point)
-                    precoders = build_precoders(current, designs[key], stack, context.grouping, point)
+                    reads = (users, context.geometry, len(stack), key, point.B)
+                    if reads in built:
+                        precoders = baselines._with_power(*built[reads], context.grouping, point)
+                    else:
+                        precoders = build_precoders(current, designs[key], stack, context.grouping, point)
+                        built[reads] = (precoders.beams, _usable(precoders, len(stack), context.grouping.group_count))
                     rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, context.grouping)
                     outage_slots[p][i] += len({t for t, _ in precoders.outage_groups})
         runs = []
@@ -275,6 +287,14 @@ def monte_carlo_rates(
     except Exception as exc:
         raise SchemeFailure(failed[1], failed[0]) from exc
     return runs
+
+
+def _usable(precoders: SlotPrecoders, n_slots: int, group_count: int) -> np.ndarray:
+    """The (n_slots, group_count) mask of the groups not in outage."""
+    usable = np.ones((n_slots, group_count), dtype=bool)
+    for t, g in precoders.outage_groups:
+        usable[t, g] = False
+    return usable
 
 
 def _run_metrics(

@@ -4,10 +4,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mphp.baseband import effective_channel, zf_precoder
+from mphp.baseband import DegenerateBeamError, effective_channel, zf_precoder
 from mphp.baselines import (
     SCHEMES,
     SchemeId,
+    _with_power,
     adaptive_instant_precoder,
     build_precoders,
     design_long_term,
@@ -518,3 +519,45 @@ class TestSlotBeams:
         assert low.outage_groups == high.outage_groups
         assert not np.array_equal(low.power, high.power)
         np.testing.assert_allclose(high.power, 10.0 * low.power, rtol=1e-14, atol=0)
+
+
+class TestWithPower:
+    """The power step: P / (K ||b_k||^2) for each user of a usable group, 0 in outage."""
+
+    @staticmethod
+    def beams_and_grouping(seed):
+        config = SystemConfig(M=16, K=5, G=2)
+        grouping, _, _ = build_context(config, seed)
+        rng = np.random.default_rng(seed)
+        beams = rng.standard_normal((4, config.M, config.K)) + 1j * rng.standard_normal((4, config.M, config.K))
+        return config, grouping, beams
+
+    def test_usable_groups_share_the_budget(self):
+        config, grouping, beams = self.beams_and_grouping(3)
+        usable = np.ones((len(beams), grouping.group_count), dtype=bool)
+        precoders = _with_power(beams, usable, grouping, replace(config, P=2.5))
+        energy = np.sum(np.abs(beams) ** 2, axis=-2)
+        np.testing.assert_allclose(precoders.power, 2.5 / (config.K * energy), rtol=1e-14, atol=0)
+        assert precoders.outage_groups == []
+
+    def test_outage_users_get_zero_power(self):
+        config, grouping, beams = self.beams_and_grouping(4)
+        usable = np.ones((len(beams), grouping.group_count), dtype=bool)
+        usable[1, 0] = usable[3, 1] = False
+        for t, g in ((1, 0), (3, 1)):
+            beams[t][:, grouping.members[g]] = 0.0
+        precoders = _with_power(beams, usable, grouping, config)
+        assert precoders.outage_groups == [(1, 0), (3, 1)]
+        for t, g in np.ndindex(usable.shape):
+            power = precoders.power[t, grouping.members[g]]
+            assert (power > 0).all() if usable[t, g] else not power.any()
+
+    def test_zero_beam_in_a_usable_group_raises(self):
+        config, grouping, beams = self.beams_and_grouping(5)
+        usable = np.ones((len(beams), grouping.group_count), dtype=bool)
+        beams[2][:, grouping.members[1][0]] = 0.0
+        with pytest.raises(DegenerateBeamError):
+            _with_power(beams, usable, grouping, config)
+        usable[2, 1] = False
+        beams[2][:, grouping.members[1]] = 0.0
+        assert not _with_power(beams, usable, grouping, config).power[2, grouping.members[1]].any()

@@ -28,7 +28,7 @@ from mphp.metrics import (
 from mphp.numerics import hermitian_eig
 from mphp.rf_precoder import sslnr
 
-from conftest import contexts_at_seed, inject_channels, make_grouping, run_at_seed
+from conftest import contexts_at_seed, count_calls, inject_channels, make_grouping, run_at_seed
 
 
 def orthogonal_slot():
@@ -587,8 +587,8 @@ class TestSweepPoints:
         monte_carlo_rates(list(SchemeId), self.POINTS, 23, contexts=contexts)
         most = max(point.n_slots for point in self.POINTS)
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, most))) for s in range(0, most, SLOT_BLOCK)]
-        # Each block's channels are built once per array that a live point reads.
-        assert arrays == [(0, 16), (0, 8), (1, 16), (1, 8), (2, 16)]
+        # Each block's channels are built once, on the widest array that a live point reads.
+        assert arrays == [(0, 16), (1, 16), (2, 16)]
         # Per array, (P, B) takes 4 or 2 values and B takes 2; the real-time schemes have no design input.
         assert [designs.count((16, s)) for s in SchemeId] == [4, 1, 2, 1, 1]
         assert [designs.count((8, s)) for s in SchemeId] == [2, 1, 2, 1, 1]
@@ -617,9 +617,10 @@ class TestSweepPoints:
         monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", counted_build)
         runs = monte_carlo_rates(list(SchemeId), points, 23, contexts=contexts)
         first, second = list(range(SLOT_BLOCK)), list(range(SLOT_BLOCK, SLOT_BLOCK + 3))
-        # Paths are drawn once per block per set of users, and channels built once per set and array.
+        # Paths are drawn once per block per set of users, and channels built
+        # once per set on the widest array that a live point on it reads.
         assert draws == [(4, first), (3, first), (4, second), (3, second)]
-        assert builds == [(4, 16), (3, 16), (4, 8), (3, 8), (4, 16), (4, 8), (3, 8)]
+        assert builds == [(4, 16), (3, 16), (4, 16), (3, 8)]
         for point, context, point_runs in zip(points, contexts, runs):
             assert [run.per_user_rate.shape for run in point_runs] == [(point.K,)] * len(SchemeId)
             (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, contexts=[context])
@@ -676,18 +677,38 @@ class TestSweepPoints:
         assert info.value.scheme is None
 
     def test_array_failure_names_the_first_point_on_that_array(self, monkeypatch):
-        build = metrics_mod.channel_mod.channel_from_paths
+        # One build per element spacing, on its widest array (M = 32), named by its first point (M = 16).
+        points = [
+            SystemConfig(M=8, K=4, G=2, n_slots=3),
+            SystemConfig(M=16, K=4, G=2, element_spacing=0.37, n_slots=3),
+            SystemConfig(M=32, K=4, G=2, element_spacing=0.37, n_slots=3),
+        ]
+        build, builds = metrics_mod.channel_mod.channel_from_paths, []
 
         def failing(paths, params, geometry):
-            if geometry.antenna_count == 8:
+            builds.append((geometry.antenna_count, geometry.element_spacing))
+            if geometry.element_spacing == 0.37:
                 raise ArithmeticError("synthetic array failure")
             return build(paths, params, geometry)
 
         monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", failing)
-        with pytest.raises(SchemeFailure, match="a shared stage failed at point 4") as info:
-            run_at_seed([SchemeId.MPHP], self.POINTS, 23)
+        with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
+            run_at_seed([SchemeId.MPHP], points, 23)
+        assert builds == [(8, 0.5), (32, 0.37)]
         assert info.value.scheme is None
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+    def test_power_sweep_builds_the_beams_once(self, monkeypatch):
+        # Beams do not read P: on one block a P sweep builds each scheme once,
+        # except MPHP, whose design reads P, and each point gets its own powers.
+        points = [SystemConfig(M=16, K=4, G=2, P=p, n_slots=5) for p in (0.5, 1.0, 4.0)]
+        calls = count_calls(monkeypatch, metrics_mod, "build_precoders")
+        runs = run_at_seed(list(SchemeId), points, 23)
+        assert [sum(args[0] is s for args in calls) for s in SchemeId] == [3, 1, 1, 1, 1]
+        for point, point_runs in zip(points, runs):
+            for run, cell in zip(point_runs, run_at_seed(list(SchemeId), [point], 23)[0]):
+                assert_same_run(run, cell)
 
 
 class ReadRecorder:
@@ -715,3 +736,17 @@ class TestContextKey:
         assert context_key(replace(base, M=16)) != context_key(base)
         assert context_key(replace(base, angular_spread=0.05)) != context_key(base)
         assert context_key(replace(base, P=2.0, B=1, n_slots=3)) == context_key(base)
+
+
+class TestBuildReads:
+    """The engine reuses a build across points that differ only in P, so a
+    build may read no config field but B, P and K (the users)."""
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_build_reads_only_b_p_and_k(self, scheme):
+        config = SystemConfig(M=16, K=4, G=2)
+        grouping, scenario, geometry = build_context(config, seed=5)
+        state = design_long_term(scheme, grouping, config)
+        recorder = ReadRecorder(config)
+        build_precoders(scheme, state, draw_channel(scenario, geometry, seed=5, slot=range(3)), grouping, recorder)
+        assert "P" in recorder.read and recorder.read <= {"B", "P", "K"}
