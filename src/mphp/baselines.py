@@ -29,7 +29,7 @@ import numpy as np
 from .baseband import power_allocation, zf_precoder, effective_channel
 from .config import SchemeId, SystemConfig
 from .grouping import Grouping
-from .numerics import check_condition, hermitian_eig  # noqa: F401  (bench/run.py traces this binding)
+from .numerics import hermitian_eig, zero_forcing_beams  # noqa: F401  (bench/run.py traces hermitian_eig)
 from .rf_precoder import (
     RfPrecoder,
     align_column_phase,
@@ -184,13 +184,8 @@ def _build_full_digital(
 ) -> SlotPrecoders:
     """Unit-norm zero-forcing beams on the instantaneous channels; a slot
     whose channel fails the condition test puts every group in outage."""
-    passed = check_condition(channel)[:, None, None]
-    gram = np.swapaxes(channel.conj(), -1, -2) @ channel
-    eye = np.eye(gram.shape[-1], dtype=complex)
-    beams = channel @ np.linalg.solve(np.where(passed, gram, eye), eye)
-    norms = np.linalg.norm(beams, axis=-2, keepdims=True)
-    beams = np.divide(beams, norms, out=np.zeros_like(beams), where=passed)
-    usable = np.broadcast_to(passed[:, 0], (len(beams), grouping.group_count))
+    passed, beams = zero_forcing_beams(channel)
+    usable = np.broadcast_to(passed[:, None], (len(beams), grouping.group_count))
     return _with_power(beams, usable, grouping, config)
 
 

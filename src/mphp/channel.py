@@ -22,6 +22,8 @@ AOD_TRUNCATION_SIGMAS = 2.0
 
 # Entropy tag separating scenario draws from channel draws under one seed.
 _SCENARIO_STREAM = 0x5CE
+# Rows of the fine steering table; fixed, so a steering row does not depend on the array size.
+STEERING_FINE = 8
 
 _STANDARD_NORMAL = NormalDist()
 _CDF_LOW = _STANDARD_NORMAL.cdf(-AOD_TRUNCATION_SIGMAS)
@@ -68,9 +70,22 @@ def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
 
 
 def _steering_matrix(thetas: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Stack steering vectors column-wise over the last axis of ``thetas``."""
-    m = np.arange(geometry.antenna_count)[:, None]
-    return np.exp(2j * np.pi * geometry.element_spacing * m * np.sin(np.asarray(thetas))[..., None, :])
+    """Stack steering vectors column-wise over the last axis of ``thetas``.
+
+    Entry m = 8 q + r (8 = ``STEERING_FINE``) is the coarse exp(j c 8q sin
+    theta) times the fine exp(j c r sin theta), c = 2 pi spacing: M / 8 + 8
+    exponentials per angle instead of M, within about 1e-12 of
+    exp(j c m sin theta) at M = 1024.  The fine width is fixed, so entry m
+    does not depend on the array size.
+    """
+    sines = np.sin(np.asarray(thetas))[..., None, :]
+    coarse_rows = STEERING_FINE * np.arange(-(-geometry.antenna_count // STEERING_FINE))
+    coarse, fine = (
+        np.exp(1j * (2.0 * np.pi * geometry.element_spacing * rows[:, None] * sines))
+        for rows in (coarse_rows, np.arange(STEERING_FINE))
+    )
+    table = coarse[..., :, None, :] * fine[..., None, :, :]
+    return table.reshape(*table.shape[:-3], -1, table.shape[-1])[..., : geometry.antenna_count, :]
 
 
 def truncated_normal_ppf(uniforms: Sequence[float]) -> np.ndarray:
@@ -125,37 +140,39 @@ class ChannelPaths:
     """The array-independent part of a stack of slot draws (see ``draw_paths``)."""
 
     aods: np.ndarray  # (n_slots, total path count): each user's path AoDs, users in order
-    gains: tuple[np.ndarray, ...]  # per user, (n_slots, path_count) complex CN(0, 1) path gains
+    gains: np.ndarray  # (n_slots, total path count): the paths' complex CN(0, 1) gains, in the same order
 
 
 def draw_paths(params: Sequence[UserChannelParams], seed: int, slots: Sequence[int]) -> ChannelPaths:
     """Each slot's path AoDs and gains, for any array.
 
-    Each (user, slot) generator, seeded with entropy (seed, user, slot),
-    draws its path uniforms (none at zero spread) and then its gains; all
-    uniforms go through one truncated-normal inverse CDF.
+    Slot t's one generator, seeded with entropy (seed, t), draws 3 p
+    uniforms per user of p paths, users in order: p for the AoDs (drawn at
+    zero spread too), then p moduli u1 and p phases u2 of the gains
+    sqrt(-ln(1 - u1)) exp(2j pi u2), which are exactly CN(0, 1).  So a
+    user's numbers sit at an offset fixed by the path counts of the users
+    before it: slot t depends on (seed, t) alone, and a user draws the same
+    paths whatever users follow it.  The drawn AoD uniforms go through one
+    truncated-normal inverse CDF.
     """
     if len(params) < 1:
         raise ValueError("need at least one user")
     if not slots or seed < 0 or min(slots) < 0:
         raise ValueError("need at least one slot; seed and slot must be non-negative")
-    uniforms: list[float] = []
-    gains: list[np.ndarray] = []
-    for t in slots:
-        for user, p in enumerate(params):
-            rng = np.random.default_rng([seed, user, int(t)])
-            if p.angular_spread > 0.0:
-                uniforms.extend(rng.uniform(size=p.path_count).tolist())
-            real = rng.standard_normal(p.path_count)
-            gains.append((real + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0))
+    counts = np.array([p.path_count for p in params])
+    total, per_user = int(counts.sum()), np.repeat(counts, counts)
+    # A user after o paths starts at 3 o: its path i's AoD is at 3 o + i, the modulus p later, the phase 2 p later.
+    aod_at = 2 * np.repeat(np.cumsum(counts) - counts, counts) + np.arange(total)
+    uniforms = np.stack([np.random.default_rng([seed, int(t)]).random(3 * total) for t in slots])
+    moduli, phases = (np.take(uniforms, aod_at + k * per_user, axis=1) for k in (1, 2))
+    gains = np.sqrt(-np.log1p(-moduli)) * np.exp(2j * np.pi * phases)
 
-    counts = [p.path_count for p in params]
     aods = np.tile(np.repeat([p.mean_aod for p in params], counts), (len(slots), 1))
     spreads = np.repeat([p.angular_spread for p in params], counts)
     drawn = spreads > 0.0
-    standard = truncated_normal_ppf(uniforms)
+    standard = truncated_normal_ppf(uniforms[:, aod_at[drawn]].ravel().tolist())
     aods[:, drawn] = standard.reshape(len(slots), -1) * spreads[drawn] + aods[:, drawn]
-    return ChannelPaths(aods, tuple(np.stack(gains[user :: len(params)]) for user in range(len(params))))
+    return ChannelPaths(aods, gains)
 
 
 def channel_from_paths(
@@ -163,16 +180,19 @@ def channel_from_paths(
 ) -> np.ndarray:
     """The (n_slots, M, K) channels of ``paths`` on ``geometry``.
 
-    One steering matrix covers every path of every slot; the per-user
-    column product stays separate, so each column sums in the same order
-    as a single-user draw.
+    Column k is user k's sum of its paths' steering vectors, each times its
+    gain and sqrt(mean_power / path_count), added path by path in order.
+    Every step is elementwise, so row m does not depend on the array size:
+    a narrower array's channels are the leading rows of a wider one's.
     """
-    a = _steering_matrix(paths.aods, geometry)
-    h = np.empty((len(paths.aods), geometry.antenna_count, len(params)), dtype=complex)
-    end = 0
-    for user, (p, g) in enumerate(zip(params, paths.gains)):
-        end += p.path_count
-        h[..., user] = np.sqrt(p.mean_power / p.path_count) * (a[..., end - p.path_count : end] @ g[..., None])[..., 0]
+    counts = np.array([p.path_count for p in params])
+    scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], counts)
+    terms = _steering_matrix(paths.aods, geometry) * (scale * paths.gains)[..., None, :]
+    h = np.zeros((len(paths.aods), geometry.antenna_count, len(params)), dtype=complex)
+    first = np.cumsum(counts) - counts
+    for i in range(counts.max()):
+        users = np.flatnonzero(counts > i)
+        h[..., users] += terms[..., first[users] + i]
     return h
 
 
@@ -186,10 +206,11 @@ def draw_channel(
     sequence of slot indices, one per slot stacked as (n, M, K).
 
     Column k is user k's channel: sqrt(mean_power / path_count) times the
-    sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Regeneration
-    is bit-identical for the same (seed, user index, slot index), alone or
-    in a stack.  This is ``channel_from_paths(draw_paths(...))``; the path
-    draw reads no array, so one draw can serve several arrays.
+    sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Slot t is
+    drawn from entropy (seed, t), so it regenerates bit for bit alone or in
+    a stack, and user k's column is the same whatever users follow it.
+    This is ``channel_from_paths(draw_paths(...))``; the path draw reads no
+    array, so one draw can serve several arrays.
     """
     slots = [slot] if np.ndim(slot) == 0 else list(slot)
     h = channel_from_paths(draw_paths(params, seed, slots), params, geometry)

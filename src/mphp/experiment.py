@@ -99,8 +99,8 @@ def _derived_seeds(base_seed: int) -> tuple[int, int]:
     """The scenario seed and the channel-draw seed of a run: two 64-bit
     words of one stream of ``base_seed``.  Two seeds keep the scenario
     stream (scenario seed, 0x5CE) apart from the draw streams (draw seed,
-    user, slot): entropy is zero-padded, so with one shared seed the
-    scenario stream would be user 1486's draw at slot 0."""
+    slot): with one shared seed the scenario stream would be the draw of
+    slot 1486."""
     scenario_seed, draw_seed = np.random.SeedSequence(base_seed).generate_state(2, np.uint64)
     return int(scenario_seed), int(draw_seed)
 

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import baselines, channel as channel_mod
-from .baselines import SCHEMES, SlotPrecoders, build_precoders, design_long_term
+from . import channel as channel_mod
+from .baselines import SCHEMES, SlotPrecoders, _with_power, build_precoders, design_long_term
 from .config import SchemeId, SystemConfig
 from .grouping import Grouping, group_users
 from .numerics import hermitian_eig  # noqa: F401  (unused; bench/run.py traces it)
@@ -164,8 +164,8 @@ class SchemeFailure(RuntimeError):
 
     ``point`` indexes the run's point configs, and ``scheme`` names the
     scheme whose stage failed, or is None for a shared stage: a block's
-    path draw for one set of users or its channels on one array, named by
-    the first point that needs it.
+    path draw for one set of users or its channels on one element spacing,
+    named by the first point that needs it.
     """
 
     def __init__(self, scheme: SchemeId | None, point: int) -> None:
@@ -221,17 +221,20 @@ def monte_carlo_rates(
     on what it is made from.  The analog stage of a statistical scheme is
     designed once per grouping object and distinct value of the config
     fields its ``design_reads`` names; the baseband stage is redone every
-    slot.  Slot t draws its channel from entropy (seed, user, t), so runs
-    are reproducible and slots may be evaluated in any order.  Blocks of at
+    slot.  Slot t draws its channels from entropy (seed, t), so runs are
+    reproducible and slots may be evaluated in any order.  Blocks of at
     most ``SLOT_BLOCK`` slots, up to the largest count, have their paths
     drawn once per set of users (``channel.draw_paths``) and their channels
-    built once per set of users and array (``channel.channel_from_paths``),
-    then run through every (point, scheme) precoder build and SINR as one
-    stack, a point with fewer slots taking the leading ones, so all cells
-    see the same channels (common random numbers) and each gets the
-    numbers of a run of its own.  A block's draws are dropped once the
-    block is done.  A failing stage raises ``SchemeFailure`` naming the
-    point and the scheme.
+    built once per set of users and element spacing, on the widest array a
+    live point on them reads (``channel.channel_from_paths``; a narrower
+    array takes the leading rows).  Then every (point, scheme) precoder
+    build and SINR runs on the block as one stack, a point with fewer slots
+    taking the leading ones, so all cells see the same channels (common
+    random numbers) and each gets the numbers of a run of its own.  Points
+    that differ only in P share one build's beams and outage groups, and
+    each gets its own powers (``baselines._with_power``).  A block's draws
+    are dropped once the block is done.  A failing stage raises
+    ``SchemeFailure`` naming the point and the scheme.
     """
     if not points or len(contexts) != len(points):
         raise ValueError(f"need points and one context per point, got {len(points)} points, {len(contexts)} contexts")
@@ -272,7 +275,7 @@ def monte_carlo_rates(
                         designs[key] = design_long_term(current, context.grouping, point)
                     reads = (users, context.geometry, len(stack), key, point.B)
                     if reads in built:
-                        precoders = baselines._with_power(*built[reads], context.grouping, point)
+                        precoders = _with_power(*built[reads], context.grouping, point)
                     else:
                         precoders = build_precoders(current, designs[key], stack, context.grouping, point)
                         built[reads] = (precoders.beams, _usable(precoders, len(stack), context.grouping.group_count))

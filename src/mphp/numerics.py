@@ -123,6 +123,13 @@ def above_rounding(eigenvalues: np.ndarray, antenna_count: int) -> np.ndarray:
     return eigenvalues > antenna_count * np.finfo(float).eps * eigenvalues[0]
 
 
+def _finite_or_zero(a: np.ndarray) -> np.ndarray:
+    """``a`` with each matrix of the stack that holds a non-finite entry
+    swapped for a zero matrix, whose condition number is inf."""
+    a = np.asarray(a)
+    return np.where(np.isfinite(a).all(axis=(-2, -1))[..., None, None], a, 0.0)
+
+
 def check_condition(a: np.ndarray) -> np.ndarray:
     """Condition test of each matrix in a stack (..., m, n).
 
@@ -133,14 +140,35 @@ def check_condition(a: np.ndarray) -> np.ndarray:
     Raises:
         NearSingularError: the SVD behind the estimate fails.
     """
-    a = np.asarray(a)
-    finite = np.isfinite(a).all(axis=(-2, -1))
     try:
-        # A zero matrix stands in for a non-finite one: its estimate is inf.
-        cond = np.linalg.cond(np.where(finite[..., None, None], a, 0.0))
+        cond = np.linalg.cond(_finite_or_zero(a))
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"condition estimate failed: {exc}") from exc
     return cond <= CONDITION_LIMIT
+
+
+def zero_forcing_beams(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The condition test of each channel of a stack (..., M, K), M >= K,
+    and its unit-norm zero-forcing beams: the normalised columns of
+    (H^H)^+ = U diag(1/s) V^H of one thin SVD H = U diag(s) V^H, which
+    null the other users to about eps * cond(H).  The test is
+    ``check_condition``'s on the same singular values; a failing channel
+    gets zero beams.
+
+    Raises:
+        NearSingularError: the SVD fails.
+    """
+    try:
+        u, s, vh = np.linalg.svd(_finite_or_zero(h), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularError(f"SVD failed: {exc}") from exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        passed = s[..., 0] / s[..., -1] <= CONDITION_LIMIT
+    # Failing channels keep no inverse singular value, so a zero one is never divided by.
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=passed[..., None])
+    beams = (u * inverse[..., None, :]) @ vh
+    norms = np.linalg.norm(beams, axis=-2, keepdims=True)
+    return passed, np.divide(beams, norms, out=np.zeros_like(beams), where=passed[..., None, None])
 
 
 def solve_right_inverse(a: np.ndarray) -> np.ndarray:

@@ -502,11 +502,26 @@ class TestSlotBeams:
         assert silent_slots == [1, 2, 3]
         assert precoders.outage_groups == [(t, g) for t in silent_slots for g in range(grouping.group_count)]
         for t in sorted(set(range(len(channels))) - set(silent_slots)):
-            # The pseudo-inverse is an independent ZF oracle; the scheme's Gram
-            # solve loses about cond(H)^2 * eps, so that bounds the difference.
+            # The pseudo-inverse is an independent ZF oracle; both lose about
+            # eps * cond(H), so that bounds the difference.
             zf = np.linalg.pinv(channels[t].conj().T)
-            bound = 1e-15 * np.linalg.cond(channels[t]) ** 2
+            bound = 64 * np.finfo(float).eps * np.linalg.cond(channels[t])
             np.testing.assert_allclose(precoders.beams[t], zf / np.linalg.norm(zf, axis=0), rtol=0, atol=bound)
+
+    def test_full_digital_leakage_is_first_order_in_the_condition(self):
+        # G = 1 puts all 8 users on 32 antennas in one cluster, so cond(H) is
+        # about 1e5: beams through the normal equations H (H^H H)^-1 leaked
+        # about 1e4 * eps * cond(H) here, the SVD's stay near eps * cond(H).
+        config = BEAM_CASES["G = 1"]
+        grouping, channels = stack_with_outages(config, seed=5)
+        precoders = build_precoders(SchemeId.FULL_DIGITAL_ZF, None, channels, grouping, config)
+        conds = []
+        for t in (0, 4):
+            gains = np.abs(channels[t].conj().T @ precoders.beams[t])
+            leakage = np.max(gains[~np.eye(config.K, dtype=bool)]) / np.min(np.diag(gains))
+            conds.append(np.linalg.cond(channels[t]))
+            assert leakage <= 8 * np.finfo(float).eps * conds[-1]
+        assert max(conds) > 1e5
 
     @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
     def test_beams_do_not_depend_on_power(self, scheme):

@@ -5,6 +5,7 @@ import pytest
 
 from mphp.channel import (
     AOD_TRUNCATION_SIGMAS,
+    STEERING_FINE,
     ArrayGeometry,
     _steering_matrix,
     UserChannelParams,
@@ -204,19 +205,26 @@ def scalar_truncated_normal_ppf(u):
 
 
 def scalar_draw_channel(params, geometry, seed, slot):
-    """Reference draw: one generator, one inverse CDF and one steering matrix per user."""
+    """Reference draw: one generator per slot, whose 3 p uniforms per user
+    (AoDs, gain moduli, gain phases) are read user by user, and per user one
+    inverse CDF, one coarse-times-fine steering matrix and a path-by-path sum."""
     h = np.empty((geometry.antenna_count, len(params)), dtype=complex)
+    uniforms = np.random.default_rng([seed, slot]).random(3 * sum(p.path_count for p in params))
+    m = np.arange(geometry.antenna_count)[:, None]
+    c = 2.0 * np.pi * geometry.element_spacing
+    offset = 0
     for user, p in enumerate(params):
-        rng = np.random.default_rng([seed, user, slot])
+        u, offset = uniforms[offset : offset + 3 * p.path_count].reshape(3, p.path_count), offset + 3 * p.path_count
         if p.angular_spread == 0.0:
             thetas = np.full(p.path_count, p.mean_aod)
         else:
-            u = rng.uniform(size=p.path_count)
-            thetas = scalar_truncated_normal_ppf(u) * p.angular_spread + p.mean_aod
-        gains = (rng.standard_normal(p.path_count) + 1j * rng.standard_normal(p.path_count)) / np.sqrt(2.0)
-        m = np.arange(geometry.antenna_count)[:, None]
-        a = np.exp(2j * np.pi * geometry.element_spacing * m * np.sin(thetas)[None, :])
-        h[:, user] = np.sqrt(p.mean_power / p.path_count) * (a @ gains)
+            thetas = scalar_truncated_normal_ppf(u[0]) * p.angular_spread + p.mean_aod
+        gains = np.sqrt(-np.log1p(-u[1])) * np.exp(2j * np.pi * u[2])
+        sines = np.sin(thetas)[None, :]
+        coarse = np.exp(1j * (c * (STEERING_FINE * (m // STEERING_FINE)) * sines))
+        fine = np.exp(1j * (c * (m % STEERING_FINE) * sines))
+        terms = (coarse * fine) * (np.sqrt(p.mean_power / p.path_count) * gains)[None, :]
+        h[:, user] = sum(terms[:, i] for i in range(p.path_count))
     return h
 
 
@@ -340,6 +348,57 @@ class TestPathSplit:
         for geom in (ArrayGeometry(16), ArrayGeometry(64, element_spacing=0.37)):
             expected = np.stack([scalar_draw_channel(params, geom, 7, slot) for slot in range(4)])
             assert np.array_equal(channel_from_paths(paths, params, geom), expected)
+
+
+class TestDrawContract:
+    """Slot t's draw depends on (seed, t) alone, each user's numbers sit at
+    an offset fixed by the users before it, and a steering row does not
+    depend on the array size."""
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_users_keep_their_channels_when_users_are_added(self, seed):
+        few, many = make_scenario(3, 2, seed=seed), make_scenario(8, 2, seed=seed)
+        assert many[:3] == few
+        geom = ArrayGeometry(32)
+        for slot in (0, 5, 40):
+            assert np.array_equal(
+                draw_channel(many, geom, seed=seed, slot=slot)[:, :3], draw_channel(few, geom, seed=seed, slot=slot)
+            )
+
+    def test_zero_spread_users_keep_the_offsets(self):
+        # A zero-spread user still takes its AoD uniforms, so the user after it draws the same paths.
+        spread = TestMatchesScalarDraw.mixed_users(4, 9)
+        still = [UserChannelParams(p.mean_aod, 0.0, p.path_count, p.mean_power) if u == 1 else p for u, p in enumerate(spread)]
+        first, second = draw_paths(spread, 9, range(3)), draw_paths(still, 9, range(3))
+        assert np.array_equal(first.gains, second.gains)
+        cut = sum(p.path_count for p in spread[:1])
+        after = cut + spread[1].path_count
+        assert np.array_equal(first.aods[:, after:], second.aods[:, after:])
+        assert np.all(second.aods[:, cut:after] == spread[1].mean_aod)
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.37])
+    def test_narrower_arrays_are_the_leading_rows(self, spacing):
+        params = TestMatchesScalarDraw.mixed_users(6, 4)
+        paths = draw_paths(params, 4, range(5))
+        wide = channel_from_paths(paths, params, ArrayGeometry(256, spacing))
+        for m_ant in (1, 4, 7, 16, 33, 64, 255):
+            assert np.array_equal(channel_from_paths(paths, params, ArrayGeometry(m_ant, spacing)), wide[:, :m_ant])
+        other = channel_from_paths(paths, params, ArrayGeometry(64, 0.5 if spacing != 0.5 else 0.37))
+        assert not np.allclose(other, wide[:, :64])
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.37])
+    def test_table_steering_matches_the_exponential(self, spacing):
+        thetas = np.linspace(-1.5, 1.5, 301)
+        geom = ArrayGeometry(1024, spacing)
+        exact = np.exp(2j * np.pi * spacing * np.arange(1024)[:, None] * np.sin(thetas)[None, :])
+        assert np.max(np.abs(_steering_matrix(thetas, geom) - exact)) <= 1e-12
+
+    def test_gains_are_unit_power(self):
+        gains = draw_paths([UserChannelParams(0.0, 0.1, path_count=50)], 3, range(400)).gains
+        assert gains.shape == (400, 50)
+        # |g|^2 is Exp(1): mean 1 with standard deviation 1 / sqrt(20000).
+        assert abs(np.mean(np.abs(gains) ** 2) - 1.0) <= 4 / np.sqrt(gains.size)
+        assert abs(np.mean(gains)) <= 4 / np.sqrt(gains.size)
 
 
 class TestScenario:

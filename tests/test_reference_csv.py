@@ -21,24 +21,24 @@ from mphp.experiment import parse_config, rows_to_csv, run_experiment
 WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text())["workloads"]
 
 REFERENCE = {
-    ("sweep_m", 1): "a15077c1f4a2744348d53adad06ced481a8f80853a3ebae1874d609b29337d09",
-    ("sweep_m", 7919): "43a7ea86e9dd0c3a410158f0b8e24260649a93c97314095d666604551e7457b4",
-    ("design_m128", 1): "82db456c4e8c2fc2df82d81e3544344d85d9fd7dad098500cb6dc13f5047573e",
-    ("design_m128", 7919): "6e86b6a1cdf93d2fabb0614d03f60b5771986bf6c4925126d84991b13534cf3e",
+    ("sweep_m", 1): "1cf13e60291b8b074ff0d7f4fd7e7048cf3f9fc92ea52cc2f3e498bcf710447d",
+    ("sweep_m", 7919): "b26400fcaa44873d8a3ac8c5a3e9ec146d43085598945e8a675bd3500a78dcef",
+    ("design_m128", 1): "0aeb0542117e48e93ff5f4da25420b023e437e13eabec692a72fdad235a0d594",
+    ("design_m128", 7919): "e39a01e97297440df9b2f2a70d837c4e8c5697b839ba608c80f7007867fb1dd2",
 }
-SWEEP_SNR_PRESET = "2e16fe35ea374ea19a01a6d9dad2852f881d52b2b1f9c0a337e7f1a0bd3a5373"
+SWEEP_SNR_PRESET = "23fd3b02d4fdcebcd046c72afc0a7e48f78689b9fb07ecbd02bec5ed5458c1b5"
 PRESETS_AT_100_SLOTS = {
-    "sweep-m": "c979d8e7d886f45ccfa77c21f29941566fa9b14d45b14a248020d62c7b8da4a2",
-    "fairness": "e0d4eff1142a7929cd8328b692302dde24c689cc770d3e8a99f08fab2efeafac",
+    "sweep-m": "38f8c0d64ad8345ec1338b671becb3995e099827f8117fcc12660bfa051939cf",
+    "fairness": "55085aa64aac5e120c924a48b8723dabe32c6f0146f09f61f2cdf80daa470c30",
 }
 
 # Config document -> sha256 of its CSV.
 M_SWEEPS = {
     "n_slots = 40\nscenario.angular_spread = 0\nsweep.parameter = M\nsweep.values = 16, 8, 32\nseed = 3\n": (
-        "501a51036110d4488ae4e134ea50fde5fa732cd6566abd10a09664ad702495fc"
+        "e1c406bf50436bbeba8f9948201bb6f095b1b68bf731fdb828e22c6479b5b415"
     ),
     "n_slots = 70\nK = 4\nG = 2\nsweep.parameter = M\nsweep.values = 8, 16, 32\n": (
-        "ec1b9f1a00b92fc3970751c5d99871559d7ee63df0701468307b83ad7b77e417"
+        "7c320fa6a24ba429d5a400ec8d3030675fc75ecee75fc3a81aae6b8953c683e8"
     ),
 }
 
