@@ -27,13 +27,16 @@ def effective_channel(channel_group: np.ndarray, rf_group: np.ndarray) -> np.nda
 
 
 def zf_precoder(effective: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseband precoder with unit-norm columns, for each
-    effective channel of a stack (..., S, S).
+    """Zero-forcing precoder with unit-norm columns for each channel of a
+    stack (..., S, n), S <= n users on n inputs: a group's effective
+    channel (n = S) or, for full digital, a whole slot's H^H (n = M).
 
-    The product of an effective channel with its precoder is diagonal with
-    real positive entries (the inverse column norms).  A matrix that fails
-    ``check_condition``, or whose unnormalized precoder has a zero column,
-    gets an all-zero precoder, which marks its group as an outage there.
+    Its columns are those of ``solve_right_inverse``'s pseudo-inverse,
+    normalised, so the product of the channel with its precoder is diagonal
+    with real positive entries (the inverse column norms).  A matrix that
+    fails the condition test, or whose unnormalized precoder has a zero
+    column, gets an all-zero precoder, which marks its group as an outage
+    there.
     """
     w0 = solve_right_inverse(effective)
     norms = np.linalg.norm(w0, axis=-2, keepdims=True)

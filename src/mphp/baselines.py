@@ -29,7 +29,7 @@ import numpy as np
 from .baseband import power_allocation, zf_precoder, effective_channel
 from .config import SchemeId, SystemConfig
 from .grouping import Grouping
-from .numerics import hermitian_eig, zero_forcing_beams  # noqa: F401  (bench/run.py traces hermitian_eig)
+from .numerics import hermitian_eig  # noqa: F401  (unused; bench/run.py traces it)
 from .rf_precoder import (
     RfPrecoder,
     align_column_phase,
@@ -66,17 +66,19 @@ class Scheme:
     from the grouping (correlations) alone, or None for a real-time scheme;
     it reads no ``SystemConfig`` field but those ``design_reads`` names, so
     configs that agree on them share one design on one grouping.
-    ``build(state, channel, grouping, config)`` assembles the precoders of
-    a stack of slots.  ``statistical`` schemes feed back correlation statistics
-    once per period; ``fully_connected`` schemes are costed one phase
-    shifter per (antenna, chain) pair (see ``metrics.energy_efficiency``).
+    ``build(state, channel, grouping, config)`` returns the beams (n, M, K)
+    of a stack of slots and the (n, G) mask of the groups not in outage;
+    ``build_precoders`` sets the powers.  ``statistical`` schemes feed back
+    correlation statistics once per period; ``fully_connected`` schemes are
+    costed one phase shifter per (antenna, chain) pair (see
+    ``metrics.energy_efficiency``).
     """
 
     statistical: bool
     fully_connected: bool
     design: Callable[[Grouping, SystemConfig], Any]
     design_reads: tuple[str, ...]
-    build: Callable[[Any, np.ndarray, Grouping, SystemConfig], SlotPrecoders]
+    build: Callable[[Any, np.ndarray, Grouping, SystemConfig], tuple[np.ndarray, np.ndarray]]
 
 
 def fixed_subarray_map(antenna_count: int, chain_count: int) -> np.ndarray:
@@ -110,11 +112,13 @@ def build_precoders(
     slots (n, M, K); a single slot is a stack of one.
 
     Statistical schemes reuse ``long_state`` untouched; real-time schemes
-    rebuild their analog stage from the current channels.  Zero-forcing and
-    power normalization run per group; a near-singular effective channel
-    marks that group as an outage in that slot instead of aborting it.
+    rebuild their analog stage from the current channels.  The scheme's
+    build zero-forces (``zf_precoder``: per group, or once on H^H for full
+    digital), and a near-singular channel marks its group as an outage in
+    that slot instead of aborting it; then ``_with_power`` sets every power
+    in one step.
     """
-    return SCHEMES[scheme].build(long_state, channel, grouping, config)
+    return _with_power(*SCHEMES[scheme].build(long_state, channel, grouping, config), grouping, config)
 
 
 def _design_mphp(grouping: Grouping, config: SystemConfig) -> RfPrecoder:
@@ -181,18 +185,19 @@ def _build_full_digital(
     channel: np.ndarray,
     grouping: Grouping,
     config: SystemConfig,
-) -> SlotPrecoders:
-    """Unit-norm zero-forcing beams on the instantaneous channels; a slot
-    whose channel fails the condition test puts every group in outage."""
-    passed, beams = zero_forcing_beams(channel)
-    usable = np.broadcast_to(passed[:, None], (len(beams), grouping.group_count))
-    return _with_power(beams, usable, grouping, config)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm zero-forcing beams on the instantaneous channels, from one
+    ``zf_precoder`` call on the stack of H^H; a slot whose channel fails the
+    condition test puts every group in outage."""
+    beams = zf_precoder(np.swapaxes(channel.conj(), -1, -2))
+    usable = np.broadcast_to(beams.any(axis=(-2, -1))[:, None], (len(beams), grouping.group_count))
+    return beams, usable
 
 
-def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
-    """Per-group zero-forcing and power on a stack of channels (n, M, K)
-    behind an analog matrix, shared (M, L) or one per slot (n, M, L): user
-    k's beam is its group's analog columns F_g times its ZF column w_k."""
+def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group zero-forcing on a stack of channels (n, M, K) behind an
+    analog matrix, shared (M, L) or one per slot (n, M, L): user k's beam is
+    its group's analog columns F_g times its ZF column w_k."""
     beams = np.zeros(channel.shape, dtype=complex)
     usable = np.zeros((len(channel), grouping.group_count), dtype=bool)
     for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
@@ -200,7 +205,7 @@ def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, confi
         w = zf_precoder(effective_channel(channel[..., members], f_group))
         beams[..., members] = f_group @ w
         usable[:, g] = w.any(axis=(-2, -1))
-    return _with_power(beams, usable, grouping, config)
+    return beams, usable
 
 
 def _with_power(beams: np.ndarray, usable: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:
@@ -216,11 +221,12 @@ def _with_power(beams: np.ndarray, usable: np.ndarray, grouping: Grouping, confi
 
 
 # The one place that tells the schemes apart.  The entries, and the builders
-# they call, name solve_relaxed, zf_precoder, power_allocation and the other
-# stages in their bodies, so each is looked up on this module at call time and
-# a name patched on it (as bench/run.py's traced run does) is seen.  MPHP and
-# the real-time schemes zero-force behind an ``RfPrecoder``'s matrix ``f``.
-# FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
+# they call, name solve_relaxed, zf_precoder and the other stages in their
+# bodies, so each is looked up on this module at call time and a name patched
+# on it (as bench/run.py's traced run does) is seen.  Every build zero-forces
+# through ``zf_precoder`` and returns (beams, usable); none sets a power.
+# MPHP and the real-time schemes zero-force behind an ``RfPrecoder``'s matrix
+# ``f``.  FULL_DIGITAL_ZF stands in for conventional fully-connected hybrid
 # precoding with L = K chains, so it is costed as fully connected.
 SCHEMES: dict[SchemeId, Scheme] = {
     SchemeId.MPHP: Scheme(True, False, _design_mphp, ("B", "P"), lambda state, *slots: _zf_all_groups(state.f, *slots)),

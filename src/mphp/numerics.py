@@ -2,10 +2,10 @@
 matrices and, in the long-term stage, real ones.
 
 One numeric policy for the repo: every Hermitian eigendecomposition and
-every condition test of the pipeline goes through this module, and
-``CONDITION_LIMIT``, the one cut-off for a near-singular matrix, is defined
-here and nowhere else, as is ``real_frame``, which makes a ULA's
-correlations real.
+every zero-forcing inverse of the pipeline, with its condition test, goes
+through this module, and ``CONDITION_LIMIT``, the one cut-off for a
+near-singular matrix, is defined here and nowhere else, as is
+``real_frame``, which makes a ULA's correlations real.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ CONDITION_LIMIT = 1e12
 
 
 class NearSingularError(ArithmeticError):
-    """LAPACK failed inside a condition estimate or a solve.
+    """LAPACK failed inside the SVD of ``solve_right_inverse``.
 
-    Raised only where a ``LinAlgError`` from the SVD or the solve is wrapped.
-    A matrix that is merely near singular is not an error: it fails
-    ``check_condition`` and its group is an outage in that slot.  The
+    Raised only where a ``LinAlgError`` from the SVD is wrapped.  A matrix
+    that is merely near singular is not an error: it fails the condition
+    test, gets a zero inverse, and its group is an outage in that slot.  The
     pipeline never catches this, so a run that raises it stops.
     """
 
@@ -123,70 +123,32 @@ def above_rounding(eigenvalues: np.ndarray, antenna_count: int) -> np.ndarray:
     return eigenvalues > antenna_count * np.finfo(float).eps * eigenvalues[0]
 
 
-def _finite_or_zero(a: np.ndarray) -> np.ndarray:
-    """``a`` with each matrix of the stack that holds a non-finite entry
-    swapped for a zero matrix, whose condition number is inf."""
-    a = np.asarray(a)
-    return np.where(np.isfinite(a).all(axis=(-2, -1))[..., None, None], a, 0.0)
-
-
-def check_condition(a: np.ndarray) -> np.ndarray:
-    """Condition test of each matrix in a stack (..., m, n).
-
-    A matrix passes when its 2-norm condition number is finite and at most
-    ``CONDITION_LIMIT``; one with non-finite entries fails.  Returns a
-    boolean array over the leading axes (a numpy bool for a single matrix).
+def solve_right_inverse(a: np.ndarray) -> np.ndarray:
+    """The minimum-norm right inverse B (A @ B = I) of each matrix of a
+    stack (..., m, n), m <= n: B = U diag(1/s) V^H from one thin SVD
+    A^H = U diag(s) V^H, the pseudo-inverse that zero-forcing takes
+    (Spencer, Swindlehurst & Haardt, IEEE TSP 2004).  A matrix passes the
+    condition test when its least singular value is positive and its
+    condition number s[0] / s[-1] is at most ``CONDITION_LIMIT``, tested
+    without dividing; one with non-finite entries fails.  A failing matrix
+    gets B = 0.
 
     Raises:
-        NearSingularError: the SVD behind the estimate fails.
-    """
-    try:
-        cond = np.linalg.cond(_finite_or_zero(a))
-    except np.linalg.LinAlgError as exc:
-        raise NearSingularError(f"condition estimate failed: {exc}") from exc
-    return cond <= CONDITION_LIMIT
-
-
-def zero_forcing_beams(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The condition test of each channel of a stack (..., M, K), M >= K,
-    and its unit-norm zero-forcing beams: the normalised columns of
-    (H^H)^+ = U diag(1/s) V^H of one thin SVD H = U diag(s) V^H, which
-    null the other users to about eps * cond(H).  The test is
-    ``check_condition``'s on the same singular values; a failing channel
-    gets zero beams.
-
-    Raises:
+        ValueError: the stack is empty or tall (m > n).
         NearSingularError: the SVD fails.
     """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
+        raise ValueError(f"expected a square or wide matrix, got shape {a.shape}")
+    if a.shape[-2] == 0:
+        raise ValueError("cannot invert an empty matrix")
+    # A matrix with a non-finite entry is swapped for a zero one, which fails the test.
+    finite = np.isfinite(a).all(axis=(-2, -1))[..., None, None]
     try:
-        u, s, vh = np.linalg.svd(_finite_or_zero(h), full_matrices=False)
+        u, s, vh = np.linalg.svd(np.where(finite, np.swapaxes(a, -1, -2).conj(), 0.0), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"SVD failed: {exc}") from exc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        passed = s[..., 0] / s[..., -1] <= CONDITION_LIMIT
-    # Failing channels keep no inverse singular value, so a zero one is never divided by.
+    passed = (s[..., -1] > 0) & (s[..., 0] <= CONDITION_LIMIT * s[..., -1])
+    # Failing matrices keep no inverse singular value, so a zero one is never divided by.
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=passed[..., None])
-    beams = (u * inverse[..., None, :]) @ vh
-    norms = np.linalg.norm(beams, axis=-2, keepdims=True)
-    return passed, np.divide(beams, norms, out=np.zeros_like(beams), where=passed[..., None, None])
-
-
-def solve_right_inverse(a: np.ndarray) -> np.ndarray:
-    """Return B with A @ B = I for each square matrix A of a stack
-    (..., m, m); a matrix that fails ``check_condition`` gets B = 0.
-
-    Raises:
-        NearSingularError: the condition estimate or the solve fails.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[-1] == 0:
-        raise ValueError("cannot invert an empty matrix")
-    passed = check_condition(a)[..., None, None]
-    eye = np.eye(a.shape[-1], dtype=complex)
-    try:
-        # Failing matrices are swapped for I, so they cannot stop the solve.
-        return np.where(passed, np.linalg.solve(np.where(passed, a, eye), eye), 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingularError(str(exc)) from exc
+    return (u * inverse[..., None, :]) @ vh

@@ -60,9 +60,15 @@ class TestZfPrecoder:
     def test_near_singular_is_outage(self):
         assert not zf_precoder(np.ones((2, 2), dtype=complex)).any()
 
-    def test_non_square_rejected(self):
+    def test_tall_rejected_wide_gives_right_inverse(self, rng):
         with pytest.raises(ValueError):
-            zf_precoder(np.zeros((2, 3)))
+            zf_precoder(np.zeros((3, 2)))
+        a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        w = zf_precoder(a)
+        assert np.allclose(np.linalg.norm(w, axis=0), 1.0, rtol=0, atol=1e-15)
+        # A @ W = I up to the inverse column norms.
+        product = (a @ w) * np.linalg.norm(np.linalg.pinv(a), axis=0)
+        assert np.abs(product - np.eye(2)).max() <= 1e-14
 
 
 class TestPowerAllocation:

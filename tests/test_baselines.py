@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from mphp.baselines import (
 from mphp.channel import draw_channel
 from mphp.experiment import SystemConfig, _derived_seeds
 from mphp.metrics import build_context
-from mphp.numerics import hermitian_eig
+from mphp.numerics import CONDITION_LIMIT, hermitian_eig
 from mphp.rf_precoder import (
     RfPrecoder,
     align_column_phase,
@@ -576,3 +577,77 @@ class TestWithPower:
         usable[2, 1] = False
         beams[2][:, grouping.members[1]] = 0.0
         assert not _with_power(beams, usable, grouping, config).power[2, grouping.members[1]].any()
+
+
+class TestOneZeroForcingPath:
+    """Every scheme zero-forces through ``zf_precoder`` (one SVD per matrix,
+    ``numerics.solve_right_inverse``), and ``build_precoders`` sets the
+    powers of every scheme's beams in one place."""
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_one_zf_call_per_group_or_per_full_digital_build(self, monkeypatch, scheme):
+        import mphp.baselines as baselines
+
+        config = BEAM_CASES["defaults"]
+        grouping, channels = stack_with_outages(config, seed=5)
+        state = design_long_term(scheme, grouping, config)
+        calls = count_calls(monkeypatch, baselines, "zf_precoder")
+        build_precoders(scheme, state, channels, grouping, config)
+        assert len(calls) == (1 if scheme is SchemeId.FULL_DIGITAL_ZF else grouping.group_count)
+        assert all(len(args[0]) == len(channels) for args in calls)
+
+    def test_no_builder_solves_or_estimates_a_condition_number(self, monkeypatch):
+        config = BEAM_CASES["defaults"]
+        grouping, channels = stack_with_outages(config, seed=5)
+        states = {scheme: design_long_term(scheme, grouping, config) for scheme in SchemeId}
+
+        def failing(*args, **kwargs):
+            raise AssertionError("the zero-forcing path calls np.linalg.solve or np.linalg.cond")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        monkeypatch.setattr(np.linalg, "cond", failing)
+        for scheme in SchemeId:
+            assert build_precoders(scheme, states[scheme], channels, grouping, config).outage_groups
+
+    @pytest.mark.parametrize("case", sorted(BEAM_CASES))
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_build_precoders_is_the_scheme_build_then_power(self, case, scheme):
+        config = BEAM_CASES[case]
+        grouping, channels = stack_with_outages(config, seed=5)
+        state = design_long_term(scheme, grouping, config)
+        built = build_precoders(scheme, state, channels, grouping, config)
+        beams, usable = SCHEMES[scheme].build(state, channels, grouping, config)
+        assert usable.shape == (len(channels), grouping.group_count)
+        expected = _with_power(beams, usable, grouping, config)
+        assert np.array_equal(built.beams, expected.beams)
+        assert np.array_equal(built.power, expected.power)
+        assert built.outage_groups == expected.outage_groups
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_signed_zero_singular_value_is_an_outage(self, monkeypatch, scheme):
+        # LAPACK may return an exactly singular matrix's last singular value
+        # as -0.0.  A ratio test s[0] / s[-1] <= limit passes -inf, so the
+        # pass test must not divide.  Every singular value below the limit's
+        # reach is made -0.0 here: the same groups go silent, bit for bit.
+        config = BEAM_CASES["defaults"]
+        grouping, channels = stack_with_outages(config, seed=5)
+        state = design_long_term(scheme, grouping, config)
+        clean = build_precoders(scheme, state, channels, grouping, config)
+        svd = np.linalg.svd
+
+        def signed_zero(a, **kwargs):
+            u, s, vh = svd(a, **kwargs)
+            s[..., -1] = np.where(s[..., -1] < s[..., 0] / CONDITION_LIMIT, -0.0, s[..., -1])
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", signed_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            precoders = build_precoders(scheme, state, channels, grouping, config)
+        assert precoders.outage_groups == clean.outage_groups
+        for t, g in precoders.outage_groups:
+            assert not precoders.beams[t][:, grouping.members[g]].any()
+        assert np.array_equal(precoders.beams, clean.beams)
+        assert np.array_equal(precoders.power, clean.power)
+        if scheme is SchemeId.FULL_DIGITAL_ZF:
+            assert [t for t, g in precoders.outage_groups if g == 0] == [1, 2, 3]

@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "01_channel_statistics.py": "98772203e9d7d217f6abd0ace67fbecb71877cb33da85d322a719578a20477ce",
     "02_user_grouping.py": "1a1e0fa8159c72ec0f134d590349789359f02ecb1a37be8b61c4d75b8bce70ae",
     "03_rf_precoder_design.py": "bf41059e9bd85cc4853f3439354da7afe100457e38f5f874576005dc377f0146",
-    "04_single_slot_pipeline.py": "b18206204a53f9404754315d49ce621c09e0dd8a0ade79c55e3f41fc5de301e3",
+    "04_single_slot_pipeline.py": "021d2bfae85f0b21a61def6e3f972a66a727d146b908b2493dfbbe5a04f244f9",
     "05_rate_vs_antennas.py": "eb0b5677ba0a4ed7dc1a9076e4ded464801dede6ed932beec94b2850c29b06e8",
     "06_energy_efficiency.py": "ad4b8427e84add09c8b4ddf1a3133307455b93b25fe2ce4c06d099f30e7dc113",
     "07_fairness_and_feedback.py": "ba596c79871543e6d00ba9011c329daa8db1d33ff5a5a9a6181735b447f3b9a1",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from mphp.numerics import (
     CONDITION_LIMIT,
     EigenDecomposition,
     NearSingularError,
-    check_condition,
     hermitian_eig,
     hermitian_part,
     real_frame,
@@ -107,12 +108,28 @@ class TestSolveRightInverse:
         assert not solve_right_inverse(np.ones((2, 2))).any()
 
     def test_failed_solve_is_near_singular(self, monkeypatch):
-        def failing(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "solve", failing)
-        with pytest.raises(NearSingularError, match="^Singular matrix$"):
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NearSingularError, match="^SVD failed: SVD did not converge$"):
             solve_right_inverse(np.eye(2))
+
+    def test_signed_zero_singular_value_gives_zero(self, monkeypatch):
+        # LAPACK may return an exactly singular matrix's last singular value
+        # as -0.0; s[0] / s[-1] is then -inf, which a ratio test would pass.
+        svd = np.linalg.svd
+
+        def signed_zero(a, **kwargs):
+            u, s, vh = svd(a, **kwargs)
+            s[..., -1] = -0.0
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", signed_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            b = solve_right_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert not b.any()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -120,22 +137,18 @@ class TestSolveRightInverse:
 
 
 class TestCheckCondition:
-    def test_tall_well_conditioned_passes(self):
-        assert check_condition(np.eye(4, 2, dtype=complex))
+    """The condition test inside ``solve_right_inverse``: a failing matrix
+    gets B = 0."""
+
+    def test_wide_well_conditioned_passes(self):
+        a = np.eye(2, 4, dtype=complex)
+        assert np.array_equal(a @ solve_right_inverse(a), np.eye(2))
 
     def test_rank_deficient_fails(self):
-        assert not check_condition(np.ones((4, 2), dtype=complex))
+        assert not solve_right_inverse(np.ones((2, 4), dtype=complex)).any()
 
     def test_non_finite_fails(self):
-        assert not check_condition(np.array([[np.nan, 1.0], [1.0, 1.0]]))
-
-    def test_failed_estimate_is_near_singular(self, monkeypatch):
-        def failing(*args):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "cond", failing)
-        with pytest.raises(NearSingularError, match="^condition estimate failed: SVD did not converge$"):
-            check_condition(np.eye(2))
+        assert not solve_right_inverse(np.array([[np.nan, 1.0], [1.0, 1.0]])).any()
 
 
 def test_hermitian_part_is_hermitian(rng):
@@ -251,10 +264,14 @@ class TestStackedConditioning:
         return a
 
     def test_check_condition_mask_without_raising(self, rng):
-        assert np.array_equal(check_condition(self.stack(rng)), [True, False, False, True, False])
+        passed = solve_right_inverse(self.stack(rng)).any(axis=(-2, -1))
+        assert np.array_equal(passed, [True, False, False, True, False])
 
     def test_check_condition_leading_axes_kept(self, rng):
-        assert check_condition(self.stack(rng).reshape(5, 1, 3, 3)).shape == (5, 1)
+        a = self.stack(rng)
+        b = solve_right_inverse(a.reshape(5, 1, 3, 3))
+        assert b.shape == (5, 1, 3, 3)
+        assert np.array_equal(b[:, 0], solve_right_inverse(a))
 
     def test_solve_right_inverse_zero_for_failing_matrices(self, rng):
         a = self.stack(rng)
@@ -264,6 +281,12 @@ class TestStackedConditioning:
         for t in (1, 2, 4):
             assert not b[t].any()
 
-    def test_non_square_stack_rejected(self):
+    def test_tall_stack_rejected_wide_stack_inverted(self, rng):
         with pytest.raises(ValueError):
-            solve_right_inverse(np.zeros((2, 2, 3)))
+            solve_right_inverse(np.zeros((2, 3, 2)))
+        a = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
+        b = solve_right_inverse(a)
+        assert b.shape == (4, 5, 2)
+        assert np.abs(a @ b - np.eye(2)).max() <= 1e-14
+        # The minimum-norm right inverse: B's columns lie in A's row space.
+        assert np.allclose(b, np.linalg.pinv(a), rtol=0, atol=1e-14)
