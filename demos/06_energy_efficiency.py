@@ -18,7 +18,10 @@ print("wrote energy_efficiency.csv")
 
 print(f"\n{'SNR dB':>7} {'scheme':<18} {'sum rate':>9} {'EE':>8}")
 for row in rows:
-    print(f"{row.sweep_value:>7.0f} {row.scheme.value:<18} {row.sum_rate:>9.3f} {row.energy_efficiency:>8.3f}")
+    print(
+        f"{row.sweep_value:>7.0f} {row.scheme.value:<18} "
+        f"{row.metrics.sum_rate:>9.3f} {row.metrics.energy_efficiency:>8.3f}"
+    )
 print("\nShifter counts behind the EE denominators: M = 64 for the partially-")
 print("connected schemes, M * L = 512 for the fully-connected ones; the gap")
 print("narrows as the transmit power term starts to dominate at high SNR.")

@@ -48,14 +48,19 @@ class SlotPrecoders:
     group's analog columns times its zero-forcing column (for the
     full-digital scheme, its unit-norm ZF beam), and ``power`` (n, K) its
     transmit power; both are indexed by global user index.  The beams do not
-    depend on P; only ``power`` does.  ``outage_groups`` lists the (slot,
-    group) pairs in outage: that group's beams are zero there, so its users
-    transmit nothing, cause no interference, and log zero rate.
+    depend on P; only ``power`` does.  ``usable`` (n, G) is False where a
+    group is in outage in a slot: that group's beams are zero there, so its
+    users transmit nothing, cause no interference, and log zero rate.
     """
 
     beams: np.ndarray
     power: np.ndarray
-    outage_groups: list[tuple[int, int]]
+    usable: np.ndarray
+
+    @property
+    def outage_groups(self) -> list[tuple[int, int]]:
+        """The (slot, group) pairs in outage, in order, read off ``usable``."""
+        return [(int(t), int(g)) for t, g in np.argwhere(~self.usable)]
 
 
 @dataclass(frozen=True)
@@ -216,8 +221,7 @@ def _with_power(beams: np.ndarray, usable: np.ndarray, grouping: Grouping, confi
     # The live beams as the columns of one (M, N) view with M contiguous,
     # so each energy sums over M in the order of a single group's.
     power[live] = power_allocation(np.swapaxes(beams, -1, -2)[live].T, config.P, config.K)
-    outage = [(int(t), int(g)) for t, g in np.argwhere(~usable)]
-    return SlotPrecoders(beams=beams, power=power, outage_groups=outage)
+    return SlotPrecoders(beams=beams, power=power, usable=usable)
 
 
 # The one place that tells the schemes apart.  The entries, and the builders

@@ -8,37 +8,29 @@ the config's seed, so each row is a pure function of (point config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import _KEYS, SchemeId, SystemConfig, apply_sweep_value
-from .metrics import Context, SchemeFailure, build_context, context_key, monte_carlo_rates
+from .metrics import Context, RunMetrics, SchemeFailure, build_context, context_key, monte_carlo_rates
 
 
 class ExperimentError(RuntimeError):
     """A sweep point failed; names the failing scheme (or the point's schemes) and the sweep value."""
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One CSV line: a scheme evaluated at one sweep value."""
+class ResultRow(NamedTuple):
+    """One CSV line: a scheme's ``RunMetrics`` at one sweep value (NaN for a
+    single-point run), whose scalar fields are the columns after the first two."""
 
     sweep_value: float
     scheme: SchemeId
-    avg_rate_per_user: float
-    avg_rate_stderr: float
-    sum_rate: float
-    sum_rate_stderr: float
-    worst_user_rate: float
-    jain_index: float
-    energy_efficiency: float
-    feedback_total: int
-    feedback_statistics: int
-    outage_fraction: float
+    metrics: RunMetrics
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CSV_COLUMNS = ("sweep_value", "scheme", *(f.name for f in fields(RunMetrics)[:-1]))
 
 _DEFAULTS = SystemConfig()
 
@@ -115,7 +107,7 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
     correlations, grouping), built once; statistical schemes design their
     analog stage from the grouping alone.  One engine call then runs every
     point, drawing each block of slots once per set of users and sharing it
-    across their arrays and schemes.
+    across their arrays and schemes.  A row holds its cell's ``RunMetrics``.
     """
     if config.sweep_parameter is None:
         sweep_values: tuple[float, ...] = (float("nan"),)
@@ -141,13 +133,11 @@ def run_experiment(config: SystemConfig) -> list[ResultRow]:
         )
         names = ", ".join(s.value for s in ([scheme] if scheme is not None else schemes))
         raise ExperimentError(f"scheme {names} at sweep value {sweep_values[failed]!r}: {cause}") from cause
-    rows = []
-    for sweep_value, point_runs in zip(sweep_values, runs):
-        for scheme, metrics in zip(schemes, point_runs):
-            # Every column after the first two is the RunMetrics field of its name.
-            values = (getattr(metrics, column) for column in CSV_COLUMNS[2:])
-            rows.append(ResultRow(sweep_value, scheme, *values))
-    return rows
+    return [
+        ResultRow(sweep_value, scheme, metrics)
+        for sweep_value, point_runs in zip(sweep_values, runs)
+        for scheme, metrics in zip(schemes, point_runs)
+    ]
 
 
 def _format_value(value: object) -> str:
@@ -166,8 +156,9 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     if not rows:
         raise ValueError("no rows to write")
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, c)) for c in CSV_COLUMNS))
+    for sweep_value, scheme, metrics in rows:
+        values = (sweep_value, scheme, *(getattr(metrics, c) for c in CSV_COLUMNS[2:]))
+        lines.append(",".join(map(_format_value, values)))
     return "\n".join(lines) + "\n"
 
 

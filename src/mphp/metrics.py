@@ -27,9 +27,9 @@ SLOT_BLOCK = 32
 
 @dataclass
 class RunMetrics:
-    """Aggregates of a Monte Carlo run of one scheme at one operating point."""
+    """Aggregates of a Monte Carlo run of one scheme at one operating point:
+    the CSV's metric columns in column order, then ``per_user_rate`` (K,)."""
 
-    per_user_rate: np.ndarray
     avg_rate_per_user: float
     avg_rate_stderr: float
     sum_rate: float
@@ -39,8 +39,8 @@ class RunMetrics:
     energy_efficiency: float
     feedback_total: int
     feedback_statistics: int
-    n_slots: int
     outage_fraction: float
+    per_user_rate: np.ndarray
 
 
 def _received_power(channel: np.ndarray, precoders: SlotPrecoders, grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +231,7 @@ def monte_carlo_rates(
     build and SINR runs on the block as one stack, a point with fewer slots
     taking the leading ones, so all cells see the same channels (common
     random numbers) and each gets the numbers of a run of its own.  Points
-    that differ only in P share one build's beams and outage groups, and
+    that differ only in P share one build's beams and ``usable`` mask, and
     each gets its own powers (``baselines._with_power``).  A block's draws
     are dropped once the block is done.  A failing stage raises
     ``SchemeFailure`` naming the point and the scheme.
@@ -256,7 +256,7 @@ def monte_carlo_rates(
                 widest[spaced] = max(widest.get(spaced, 0), contexts[p].geometry.antenna_count)
             paths: dict[tuple, object] = {}  # users -> this block's path draw
             channels: dict[tuple, np.ndarray] = {}  # (users, element spacing) -> channels on the widest array
-            built: dict[tuple, tuple] = {}  # what a build reads but P -> its (beams, usable groups)
+            built: dict[tuple, SlotPrecoders] = {}  # what a build reads but P -> that build
             for p in live:
                 point, context = points[p], contexts[p]
                 users, failed = tuple(context.scenario), (p, None)
@@ -275,12 +275,11 @@ def monte_carlo_rates(
                         designs[key] = design_long_term(current, context.grouping, point)
                     reads = (users, context.geometry, len(stack), key, point.B)
                     if reads in built:
-                        precoders = _with_power(*built[reads], context.grouping, point)
+                        precoders = _with_power(built[reads].beams, built[reads].usable, context.grouping, point)
                     else:
-                        precoders = build_precoders(current, designs[key], stack, context.grouping, point)
-                        built[reads] = (precoders.beams, _usable(precoders, len(stack), context.grouping.group_count))
+                        precoders = built[reads] = build_precoders(current, designs[key], stack, context.grouping, point)
                     rates[p][i][start : start + len(stack)] = evaluate_slot(stack, precoders, context.grouping)
-                    outage_slots[p][i] += len({t for t, _ in precoders.outage_groups})
+                    outage_slots[p][i] += int(np.count_nonzero(~precoders.usable.all(axis=1)))
         runs = []
         for p, (point, context) in enumerate(zip(points, contexts)):
             runs.append([])
@@ -290,14 +289,6 @@ def monte_carlo_rates(
     except Exception as exc:
         raise SchemeFailure(failed[1], failed[0]) from exc
     return runs
-
-
-def _usable(precoders: SlotPrecoders, n_slots: int, group_count: int) -> np.ndarray:
-    """The (n_slots, group_count) mask of the groups not in outage."""
-    usable = np.ones((n_slots, group_count), dtype=bool)
-    for t, g in precoders.outage_groups:
-        usable[t, g] = False
-    return usable
 
 
 def _run_metrics(
@@ -325,7 +316,6 @@ def _run_metrics(
     )
 
     return RunMetrics(
-        per_user_rate=per_user_rate,
         avg_rate_per_user=float(per_user_rate.mean()),
         avg_rate_stderr=avg_stderr,
         sum_rate=sum_rate,
@@ -335,6 +325,6 @@ def _run_metrics(
         energy_efficiency=ee,
         feedback_total=feedback,
         feedback_statistics=stats_count,
-        n_slots=n_slots,
         outage_fraction=outage_slots / n_slots,
+        per_user_rate=per_user_rate,
     )

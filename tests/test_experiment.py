@@ -162,9 +162,9 @@ class TestRunExperiment:
         rows = run_experiment(parse_config(CO_LOCATED))
         assert [r.scheme for r in rows] == list(SchemeId)
         for row in rows:
-            assert row.avg_rate_per_user == row.sum_rate == row.worst_user_rate == 0.0
-            assert math.isnan(row.jain_index)
-            assert row.outage_fraction == 1.0
+            assert row.metrics.avg_rate_per_user == row.metrics.sum_rate == row.metrics.worst_user_rate == 0.0
+            assert math.isnan(row.metrics.jain_index)
+            assert row.metrics.outage_fraction == 1.0
         jain = CSV_COLUMNS.index("jain_index")
         assert [line.split(",")[jain] for line in rows_to_csv(rows).splitlines()[1:]] == [""] * len(rows)
 

@@ -37,7 +37,7 @@ def orthogonal_slot():
     corrs = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     grouping = make_grouping(corrs, [0, 1])
     channel = np.eye(2, dtype=complex)
-    precoders = SlotPrecoders(beams=np.eye(2, dtype=complex), power=np.array([0.5, 0.5]), outage_groups=[])
+    precoders = SlotPrecoders(beams=np.eye(2, dtype=complex), power=np.array([0.5, 0.5]), usable=np.ones((1, 2), dtype=bool))
     return channel, precoders, grouping
 
 
@@ -95,7 +95,8 @@ def oracle_slots():
         yield scheme.value, h, precoders, grouping
         beams = precoders.beams.copy()
         beams[..., grouping.members[0]] = 0.0
-        silenced = SlotPrecoders(beams=beams, power=precoders.power, outage_groups=[(0, 0)])
+        usable = np.arange(grouping.group_count)[None] != 0
+        silenced = SlotPrecoders(beams=beams, power=precoders.power, usable=usable)
         yield f"{scheme.value} with group 0 in outage", h, silenced, grouping
 
 
@@ -125,7 +126,8 @@ class TestMatchesScalarOracle:
         for silent in (None, 1):
             if silent is not None:
                 beams[:, grouping.members[silent]] = 0.0
-            precoders = SlotPrecoders(beams=beams, power=power, outage_groups=[])
+            usable = np.array([[g != silent for g in range(grouping.group_count)]])
+            precoders = SlotPrecoders(beams=beams, power=power, usable=usable)
             for matrix_version, loop in ORACLE_PAIRS:
                 np.testing.assert_allclose(
                     matrix_version(channel, precoders, grouping), loop(channel, beams, power, grouping), rtol=1e-12, atol=0
@@ -170,7 +172,7 @@ class TestSlnr:
         channel = rng.standard_normal((n_ant, n_users)) + 1j * rng.standard_normal((n_ant, n_users))
         beams = rng.standard_normal((n_ant, n_users)) + 1j * rng.standard_normal((n_ant, n_users))
         power = rng.uniform(0.2, 1.0, n_users)
-        slnr = slnr_per_user(channel, SlotPrecoders(beams=beams, power=power, outage_groups=[]), grouping)
+        slnr = slnr_per_user(channel, SlotPrecoders(beams=beams, power=power, usable=np.ones((1, 2), dtype=bool)), grouping)
         for g in range(2):
             for k in grouping.members[g]:
                 signal = power[k] * abs(channel[:, k].conj() @ beams[:, k]) ** 2
@@ -187,7 +189,7 @@ class TestSlnr:
         channel = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         beams = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         power = np.array([0.3, 0.6])
-        slnr = slnr_per_user(channel, SlotPrecoders(beams=beams, power=power, outage_groups=[]), grouping)
+        slnr = slnr_per_user(channel, SlotPrecoders(beams=beams, power=power, usable=np.ones((1, 1), dtype=bool)), grouping)
         for k in [0, 1]:
             expected = power[k] * abs(channel[:, k].conj() @ beams[:, k]) ** 2
             assert slnr[k] == pytest.approx(expected, rel=1e-12)
@@ -276,7 +278,6 @@ class TestMonteCarlo:
         sinr = sinr_per_user(fixed, precoders, grouping)
         assert np.array_equal(run.per_user_rate, rate[0])
         assert np.array_equal(rate, np.log2(1.0 + sinr))
-        assert run.n_slots == 1
 
     def test_deterministic_given_seed(self):
         config = SystemConfig(M=8, K=2, G=2, n_slots=20)
@@ -371,7 +372,6 @@ def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_fac
         scheme, config.M, config.K, config.T, [len(m) for m in grouping.members], stats_count
     )
     run = RunMetrics(
-        per_user_rate=per_user_rate,
         avg_rate_per_user=float(per_user_rate.mean()),
         avg_rate_stderr=avg_stderr,
         sum_rate=sum_rate,
@@ -381,8 +381,8 @@ def loop_monte_carlo_rates(scheme, config, seed, grouping, scenario, channel_fac
         energy_efficiency=ee,
         feedback_total=feedback,
         feedback_statistics=stats_count,
-        n_slots=n_slots,
         outage_fraction=outage_slots / n_slots,
+        per_user_rate=per_user_rate,
     )
     return run, rates, outages
 
@@ -709,6 +709,23 @@ class TestSweepPoints:
         for point, point_runs in zip(points, runs):
             for run, cell in zip(point_runs, run_at_seed(list(SchemeId), [point], 23)[0]):
                 assert_same_run(run, cell)
+
+    def test_power_sweep_reuses_the_outage_mask(self, monkeypatch):
+        # Rank-deficient slots put groups in outage; a point that differs from
+        # a built one only in P takes that build's beams and usable mask.
+        points = [SystemConfig(M=16, K=4, G=4, P=p, n_slots=SLOT_BLOCK + 4) for p in (0.5, 1.0, 4.0)]
+        context = build_context(points[0], seed=11)
+        grouping, scenario, geometry = context
+        inject_channels(monkeypatch, rank_deficient_factory(scenario, geometry, 23, grouping, points[0].n_slots))
+        calls = count_calls(monkeypatch, metrics_mod, "build_precoders")
+        runs = monte_carlo_rates(list(SchemeId), points, 23, contexts=[context] * len(points))
+        # Two blocks; MPHP's design reads P, so it builds once per point.
+        assert [sum(args[0] is s for args in calls) for s in SchemeId] == [6, 2, 2, 2, 2]
+        for point, point_runs in zip(points, runs):
+            (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, contexts=[context])
+            for run, cell in zip(point_runs, alone):
+                assert_same_run(run, cell)
+                assert run.outage_fraction > 0
 
 
 class ReadRecorder:
