@@ -30,7 +30,7 @@ class ResultRow(NamedTuple):
     metrics: RunMetrics
 
 
-CSV_COLUMNS = ("sweep_value", "scheme", *(f.name for f in fields(RunMetrics)[:-1]))
+CSV_COLUMNS = ("sweep_value", "scheme", *(f.name for f in fields(RunMetrics) if f.name != "per_user_rate"))
 
 _DEFAULTS = SystemConfig()
 

@@ -28,7 +28,7 @@ SLOT_BLOCK = 32
 @dataclass
 class RunMetrics:
     """Aggregates of a Monte Carlo run of one scheme at one operating point:
-    the CSV's metric columns in column order, then ``per_user_rate`` (K,)."""
+    the CSV's metric columns in column order, and ``per_user_rate`` (K,)."""
 
     avg_rate_per_user: float
     avg_rate_stderr: float

@@ -513,8 +513,10 @@ class TestEvaluationCount:
             try:
                 alpha, _ = solve_alpha_star(*problem, tol=tol)
             except RuntimeError as exc:
-                # The solver stops only where the band has fallen below the floor.
-                assert re.match(FLOOR_MESSAGE, str(exc)), exc
+                # A stall passes only where the band it reports lies below the
+                # floor it reports; above the floor the bound of 12 stands.
+                stalled = re.match(FLOOR_MESSAGE + r"tol \* slope \* alpha = (\S+) at .* = (\S+); raise tol$", str(exc))
+                assert stalled and float(stalled[1]) <= float(stalled[2]), exc
                 return
         slope = n_users * streams / power
         assert abs(relaxed_step(signal_corr, leak_corr, alpha, streams)[1] - slope * alpha) <= tol * slope * alpha
