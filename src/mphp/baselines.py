@@ -14,9 +14,10 @@ points, not reproductions of any specific published algorithm:
   gains under the same one-shifter-per-antenna constraints as the proposed
   scheme.
 
-All schemes share the B-bit phase grid and nearest-point quantization rule
-so differences reflect the connection strategy, not the quantizer, and all
-share the per-group zero-forcing baseband stage.
+All schemes share the B-bit phase grid and one nearest-point quantization
+rule (``rf_precoder.nearest_phase_index``: floor(angle / step + 1/2), which
+also decides half steps), so differences reflect the connection strategy,
+not the quantizer, and all share the per-group zero-forcing baseband stage.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ _BOUNDS = {
     # sweep value be checked before it is rounded, so its message stays short.
     "K": (1, 1024),
     "G": (1, 1024),
-    "B": (1, 10),  # the phase quantiser compares every tap with all 2**B grid points
+    "B": (1, 10),  # phase_grid tabulates 2**B points, which RfPrecoder.f and FRPS index
     "P": (0, None),
     "n_slots": (1, 1_000_000),  # a run keeps every cell's per-slot rates
     "seed": (0, None),

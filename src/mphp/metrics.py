@@ -164,8 +164,8 @@ class SchemeFailure(RuntimeError):
 
     ``point`` indexes the run's point configs, and ``scheme`` names the
     scheme whose stage failed, or is None for a shared stage: a block's
-    path draw for one set of users or its channels on one element spacing,
-    named by the first point that needs it.
+    channels for one set of users and element spacing, drawn and built
+    once, named by the first point that needs them.
     """
 
     def __init__(self, scheme: SchemeId | None, point: int) -> None:
@@ -224,13 +224,13 @@ def monte_carlo_rates(
     slot.  Slot t draws its channels from entropy (seed, t), so runs are
     reproducible and slots may be evaluated in any order.  Blocks of at
     most ``SLOT_BLOCK`` slots, up to the largest count, have their paths
-    drawn once per set of users (``channel.draw_paths``) and their channels
-    built once per set of users and element spacing, on the widest array a
-    live point on them reads (``channel.channel_from_paths``; a narrower
-    array takes the leading rows).  Then every (point, scheme) precoder
-    build and SINR runs on the block as one stack, a point with fewer slots
-    taking the leading ones, so all cells see the same channels (common
-    random numbers) and each gets the numbers of a run of its own.  Points
+    drawn (``channel.draw_paths``) and their channels built once per set
+    of users and element spacing, on the widest array a live point on them
+    reads (``channel.channel_from_paths``; a narrower array takes the
+    leading rows).  Then every (point, scheme) precoder build and SINR runs
+    on the block as one stack, a point with fewer slots taking the leading
+    ones, so all cells see the same channels (common random numbers) and
+    each gets the numbers of a run of its own.  Points
     that differ only in P share one build's beams and ``usable`` mask, and
     each gets its own powers (``baselines._with_power``).  A block's draws
     are dropped once the block is done.  A failing stage raises
@@ -254,18 +254,16 @@ def monte_carlo_rates(
             for p in live:
                 spaced = (tuple(contexts[p].scenario), contexts[p].geometry.element_spacing)
                 widest[spaced] = max(widest.get(spaced, 0), contexts[p].geometry.antenna_count)
-            paths: dict[tuple, object] = {}  # users -> this block's path draw
             channels: dict[tuple, np.ndarray] = {}  # (users, element spacing) -> channels on the widest array
             built: dict[tuple, SlotPrecoders] = {}  # what a build reads but P -> that build
             for p in live:
                 point, context = points[p], contexts[p]
                 users, failed = tuple(context.scenario), (p, None)
                 spaced = (users, context.geometry.element_spacing)
-                if users not in paths:
-                    paths[users] = channel_mod.draw_paths(context.scenario, seed, slots)
                 if spaced not in channels:
+                    paths = channel_mod.draw_paths(context.scenario, seed, slots)
                     geometry = channel_mod.ArrayGeometry(widest[spaced], spaced[1])
-                    channels[spaced] = channel_mod.channel_from_paths(paths[users], context.scenario, geometry)
+                    channels[spaced] = channel_mod.channel_from_paths(paths, context.scenario, geometry)
                 # Row m of a channel does not depend on the array size, so a narrower array takes the leading rows.
                 stack = channels[spaced][: counts[p] - start, : context.geometry.antenna_count]
                 for i, current in enumerate(schemes):

@@ -36,9 +36,6 @@ ALPHA_MAX_ITERS = 200
 # largest) or phase errors (radians), scores (share of the best), arc widths (grid steps).
 _TIE_TOL = 1e-9
 
-_TINY = np.finfo(float).tiny
-_SUBNORMAL_SCALE = 2.0**600
-
 
 class DegenerateGroupError(ValueError):
     """Group correlation has no usable signal subspace (zero dominant energy)."""
@@ -96,27 +93,22 @@ def phase_grid(bits: int) -> np.ndarray:
     return grid
 
 
+def _grid_position(values: np.ndarray, bits: int) -> np.ndarray:
+    """Each value's phase in B-bit grid steps plus one half: its floor is the
+    nearest grid point's index (mod 2**bits), so a half step rounds up."""
+    return np.angle(values) / (2 * np.pi / 2**bits) + 0.5
+
+
 def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndarray:
-    """Grid index minimizing chord distance to value's phase; 0 for value = 0.
+    """Index of the grid point nearest value's phase, floor(arg / step + 1/2)
+    mod 2**bits, the rounding ``align_column_phase`` applies; 0 for value = 0.
 
     A scalar gives an ``int``; an array gives an integer array of its shape,
-    quantized elementwise against one grid.  Ties resolve to the lowest index.
+    quantized elementwise against one grid.
     """
-    grid = phase_grid(bits)
-    values = np.atleast_1d(np.asarray(value, dtype=complex))
-    mag = np.abs(values)
-    nonzero = mag != 0.0
-    # A subnormal magnitude is first scaled by an exact power of two, since
-    # dividing by it computes 1/|value|, which overflows; normal values keep
-    # their bits.
-    subnormal = nonzero & (mag < _TINY)
-    if subnormal.any():
-        values = values.copy()
-        values[subnormal] *= _SUBNORMAL_SCALE
-        mag[subnormal] = np.abs(values[subnormal])
-    unit = np.divide(values, mag, out=np.zeros_like(values), where=nonzero)
-    index = np.where(nonzero, np.argmin(np.abs(unit[..., None] - grid), axis=-1), 0)
-    return int(index[0]) if np.ndim(value) == 0 else index
+    values = np.asarray(value, dtype=complex)
+    index = np.where(values != 0, np.floor(_grid_position(values, bits)).astype(int) % 2**bits, 0)
+    return int(index) if index.ndim == 0 else index
 
 
 def leakage_correlation(grouping: Grouping, g: int) -> np.ndarray:
@@ -295,7 +287,7 @@ def align_column_phase(columns: np.ndarray, bits: int) -> np.ndarray:
     rows, width = np.indices(stack.shape)
     step = 2 * np.pi / 2**bits
     nonzero = stack != 0
-    shifted = np.angle(stack) / step + 0.5
+    shifted = _grid_position(stack, bits)
     taps = np.floor(shifted)
     # Arc j of a row: [lower[j], upper[j]) steps of rotation, the first j taps
     # of ``order`` moved up; zero entries sort last and close no arc.

@@ -3,9 +3,9 @@
 Each case runs a benchmark workload config (read from
 ``bench/workloads.json``, with the benchmark's ``seed = <n>`` line appended),
 the ``sweep-snr`` CLI preset at its default 1,000 slots, the ``sweep-m`` and
-``fairness`` CLI presets at ``--slots 100``, or one of two M sweeps (one out
-of order at zero angular spread, one over several slot blocks), and pins the
-sha256 of the CSV text.  A change that is meant to keep the numbers bit for bit must keep these
+``fairness`` CLI presets at ``--slots 100``, one of two M sweeps (one out
+of order at zero angular spread, one over several slot blocks), or a B sweep
+over 1, 2, 3, 5, 8 and 10 bits at M = 32, and pins the sha256 of the CSV text.  A change that is meant to keep the numbers bit for bit must keep these
 hashes; a change that moves them on purpose updates them here and says why.
 """
 
@@ -41,6 +41,8 @@ M_SWEEPS = {
         "7c320fa6a24ba429d5a400ec8d3030675fc75ecee75fc3a81aae6b8953c683e8"
     ),
 }
+B_SWEEP = "M = 32\nn_slots = 40\nsweep.parameter = B\nsweep.values = 1, 2, 3, 5, 8, 10\n"
+B_SWEEP_CSV = "25b72e2dcc1aec1a4f8e43c9f3d56a073c3ed7fef25e3ea66f72d79375f81bdb"
 
 
 def _sha256(text: str | bytes) -> str:
@@ -69,3 +71,7 @@ def test_preset_csv_at_100_slots(verb, tmp_path, capsys):
 @pytest.mark.parametrize("document", list(M_SWEEPS), ids=["zero-spread-out-of-order", "several-blocks"])
 def test_m_sweep_csv(document):
     assert _sha256(rows_to_csv(run_experiment(parse_config(document)))) == M_SWEEPS[document]
+
+
+def test_b_sweep_csv():
+    assert _sha256(rows_to_csv(run_experiment(parse_config(B_SWEEP)))) == B_SWEEP_CSV

@@ -637,9 +637,8 @@ class TestPhaseQuantization:
             assert np.array_equal(scalar, np.arange(16))
 
     def test_normal_entries_unchanged_beside_subnormal_ones(self, rng):
-        # Normal entries, exact grid midpoints among them, quantize as the
-        # plain divide-by-|v| formula does, bit for bit.
-        grid = phase_grid(4)
+        # Normal entries, exact grid midpoints among them, quantize by the
+        # rounding align_column_phase applies, bit for bit.
         normal = np.concatenate(
             [
                 rng.standard_normal(40) + 1j * rng.standard_normal(40),
@@ -647,7 +646,7 @@ class TestPhaseQuantization:
                 [1e-300 + 3e-300j, 2e300 - 1e300j],
             ]
         )
-        plain = np.argmin(np.abs((normal / np.abs(normal))[:, None] - grid), axis=-1)
+        plain = np.floor(np.angle(normal) / (2 * np.pi / 16) + 0.5) % 16
         mixed = np.concatenate([normal, [1e-310 - 1e-310j, 0j]])
         index = nearest_phase_index(mixed, 4)
         assert np.array_equal(index[: normal.size], plain)
