@@ -98,41 +98,9 @@ def correlation_from_params(
     geometry: ArrayGeometry,
     quadrature_points: int = 256,
 ) -> np.ndarray:
-    """Spatial correlation matrix E[h h^H] under the truncated-Gaussian AoD density.
-
-    Midpoint quadrature over the truncated support, renormalized to trace
-    M * mean_power; at zero spread the one point ``mean_aod`` with weight 1,
-    the outer product mean_power * a a^H as a Toeplitz matrix.  A ULA correlation is Hermitian Toeplitz, R[m, n] =
-    c[m - n] with c[-d] = conj(c[d]), so only the M lags c[d] = sum_i w_i
-    exp(j phi_i d), phi_i = 2 pi spacing sin(theta_i), are summed, in a new,
-    exactly Hermitian array.  They match the steering product A diag(w) A^H
-    to about 1e-14 relative (Frobenius) at M = 128 and 1e-13 at M = 1024,
-    the rounding of the phase argument phi_i d in either form.  That product
-    is PSD, so no projection is needed: negative eigenvalues are rounding.
-    """
-    if quadrature_points < 32:
-        raise ValueError(f"quadrature_points must be >= 32, got {quadrature_points}")
-    m_ant = geometry.antenna_count
-    if params.angular_spread == 0.0:
-        thetas, weights = np.array([params.mean_aod]), np.array([1.0])
-    else:
-        half_width = AOD_TRUNCATION_SIGMAS * params.angular_spread
-        lo = params.mean_aod - half_width
-        step = 2.0 * half_width / quadrature_points
-        thetas = lo + (np.arange(quadrature_points) + 0.5) * step
-        weights = np.exp(-0.5 * ((thetas - params.mean_aod) / params.angular_spread) ** 2)
-        weights /= weights.sum()
-
-    # Lag d = b q + r, b = ceil(sqrt(M)): exp(j phi d) is a coarse (b q) times a fine (r) table entry.
-    phi = 2.0 * np.pi * geometry.element_spacing * np.sin(thetas)
-    b = int(np.ceil(np.sqrt(m_ant)))
-    coarse = np.exp(1j * np.outer(b * np.arange(-(-m_ant // b)), phi)) * weights
-    lags = (coarse @ np.exp(1j * np.outer(np.arange(b), phi)).T).ravel()[:m_ant]
-    # Lag 0 sums the weights times exp(0), so it is real, and R is exactly Hermitian.
-    lags *= params.mean_power / lags[0].real
-    # Row m of R is the reversed window m of [conj(c[M-1]), ..., conj(c[1]), c[0], ..., c[M-1]].
-    both = np.append(lags[:0:-1].conj(), lags)
-    return np.array(np.lib.stride_tricks.sliding_window_view(both, m_ant)[:, ::-1], order="C")
+    """Spatial correlation matrix E[h h^H] under the truncated-Gaussian AoD
+    density: the one-user case of ``scenario_correlations``."""
+    return scenario_correlations([params], geometry, quadrature_points)[0]
 
 
 @dataclass(frozen=True)
@@ -182,17 +150,26 @@ def channel_from_paths(
 
     Column k is user k's sum of its paths' steering vectors, each times its
     gain and sqrt(mean_power / path_count), added path by path in order.
-    Every step is elementwise, so row m does not depend on the array size:
-    a narrower array's channels are the leading rows of a wider one's.
+    A user with fewer paths than the most is padded with zero-gain paths,
+    which add exact zeros; with equal counts the (n, M, K, paths) view of
+    the scaled steering table allocates nothing.  Every step is
+    elementwise, so row m does not depend on the array size: a narrower
+    array's channels are the leading rows of a wider one's.
     """
-    counts = np.array([p.path_count for p in params])
-    scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], counts)
-    terms = _steering_matrix(paths.aods, geometry) * (scale * paths.gains)[..., None, :]
-    h = np.zeros((len(paths.aods), geometry.antenna_count, len(params)), dtype=complex)
-    first = np.cumsum(counts) - counts
-    for i in range(counts.max()):
-        users = np.flatnonzero(counts > i)
-        h[..., users] += terms[..., first[users] + i]
+    counts = [p.path_count for p in params]
+    width = max(counts)
+    drawn = (np.arange(width) < np.array(counts)[:, None]).ravel()
+    aods, gains = paths.aods, paths.gains
+    if not drawn.all():
+        aods, gains = np.zeros((len(aods), drawn.size)), np.zeros((len(aods), drawn.size), dtype=complex)
+        aods[:, drawn], gains[:, drawn] = paths.aods, paths.gains
+    scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], width)
+    terms = _steering_matrix(aods, geometry)
+    terms *= (scale * gains)[..., None, :]
+    by_path = terms.reshape(*terms.shape[:-1], len(params), width)
+    h = np.zeros(by_path.shape[:-1], dtype=complex)
+    for i in range(width):
+        h += by_path[..., i]
     return h
 
 
@@ -256,5 +233,55 @@ def scenario_correlations(
     geometry: ArrayGeometry,
     quadrature_points: int = 256,
 ) -> list[np.ndarray]:
-    """Per-user correlation matrices for a scenario."""
-    return [correlation_from_params(p, geometry, quadrature_points) for p in params]
+    """Per-user spatial correlation matrices E[h h^H] under the
+    truncated-Gaussian AoD density, all users in one pass.
+
+    Midpoint quadrature over the truncated support, renormalized to trace
+    M * mean_power; at zero spread the one point ``mean_aod`` with weight 1,
+    the outer product mean_power * a a^H as a Toeplitz matrix.  A ULA
+    correlation is Hermitian Toeplitz, R[m, n] = c[m - n] with
+    c[-d] = conj(c[d]), so only the M lags c[d] = sum_i w_i exp(j phi_i d),
+    phi_i = 2 pi spacing sin(theta_i), are summed, in a new, exactly
+    Hermitian array.  They match the steering product A diag(w) A^H to
+    about 1e-14 relative (Frobenius) at M = 128 and 1e-13 at M = 1024, the
+    rounding of the phase argument phi_i d in either form.  That product is
+    PSD, so no projection is needed: negative eigenvalues are rounding.
+    Users with the same number of quadrature points share one batched lag
+    sum, which multiplies each user's tables as that user's own product
+    would, so a user's matrix does not depend on the users beside it.
+    """
+    if quadrature_points < 32:
+        raise ValueError(f"quadrature_points must be >= 32, got {quadrature_points}")
+    m_ant = geometry.antenna_count
+    means = np.array([[p.mean_aod] for p in params])
+    spreads = np.array([[p.angular_spread] for p in params])
+    lags = np.empty((len(params), m_ant), dtype=complex)
+    zero = spreads[:, 0] == 0.0
+    if zero.any():
+        lags[zero] = _lag_sums(means[zero], np.ones((np.count_nonzero(zero), 1)), geometry)
+    if not zero.all():
+        mean, spread = means[~zero], spreads[~zero]
+        half_width = AOD_TRUNCATION_SIGMAS * spread
+        step = 2.0 * half_width / quadrature_points
+        thetas = (mean - half_width) + (np.arange(quadrature_points) + 0.5) * step
+        weights = np.exp(-0.5 * ((thetas - mean) / spread) ** 2)
+        weights /= weights.sum(axis=1, keepdims=True)
+        lags[~zero] = _lag_sums(thetas, weights, geometry)
+    # Lag 0 sums the weights times exp(0), so it is real, and R is exactly Hermitian.
+    lags *= np.array([p.mean_power for p in params])[:, None] / lags[:, :1].real
+    # Row m of R is the reversed window m of [conj(c[M-1]), ..., conj(c[1]), c[0], ..., c[M-1]].
+    both = np.concatenate([lags[:, :0:-1].conj(), lags], axis=1)
+    return list(np.array(np.lib.stride_tricks.sliding_window_view(both, m_ant, axis=1)[..., ::-1], order="C"))
+
+
+def _lag_sums(thetas: np.ndarray, weights: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """The unnormalized lags c[d] = sum_i w_i exp(j phi_i d), d < M, of each
+    row of ``thetas`` and ``weights`` (n, Q).  Lag d = b q + r,
+    b = ceil(sqrt(M)): exp(j phi d) is a coarse (b q) times a fine (r)
+    table entry, so the sum is one (M / b x Q) @ (Q x b) product per row."""
+    m_ant = geometry.antenna_count
+    phi = (2.0 * np.pi * geometry.element_spacing * np.sin(thetas))[:, None, :]
+    b = int(np.ceil(np.sqrt(m_ant)))
+    coarse = np.exp(1j * ((b * np.arange(-(-m_ant // b)))[:, None] * phi)) * weights[:, None, :]
+    fine = np.exp(1j * (np.arange(b)[:, None] * phi))
+    return (coarse @ np.swapaxes(fine, -1, -2)).reshape(len(thetas), -1)[:, :m_ant]

@@ -85,8 +85,14 @@ class Grouping:
 
     @cached_property
     def reduced_eigs(self) -> list[EigenDecomposition]:
-        """Eigendecomposition (b x b) of each ``joint.reduced[g]``, made on
-        first read; B @ its vectors are R_g's leading eigenvectors."""
+        """Eigendecomposition (b x b) of each ``joint.reduced[g]``; B @ its
+        vectors are R_g's leading eigenvectors.  ``group_users`` and
+        ``grouping_from_labels`` set them when they build the grouping:
+        ``group_users`` reuses its last Lloyd step's centroid
+        decompositions, which are of these matrices, and a widened basis
+        or given labels take one stacked decomposition.  A grouping made
+        another way (a ``dataclasses.replace`` copy) decomposes each matrix
+        on first read."""
         return [hermitian_eig(corr) for corr in self.joint.reduced]
 
     @property
@@ -107,13 +113,16 @@ def _frame_eig(matrix: np.ndarray) -> EigenDecomposition:
     return eig._replace(eigenvectors=vectors @ (1.5 * np.eye(vectors.shape[1]) - 0.5 * (vectors.T @ vectors)))
 
 
-def _dominant_projector(corr: np.ndarray, rank: int, antenna_count: int) -> np.ndarray:
+def _dominant_projectors(eig: EigenDecomposition, rank: int, antenna_count: int) -> list[np.ndarray]:
     """Orthogonal projector onto the span of the dominant eigenvectors of
-    ``corr``: at most ``rank`` of them, and none at or below the rounding
-    level (``numerics.above_rounding``), which no channel decides."""
-    values, vectors = hermitian_eig(corr)
-    u = vectors[:, : min(rank, np.count_nonzero(above_rounding(values, antenna_count)))]
-    return u @ u.conj().T
+    each matrix of a stacked decomposition: at most ``rank`` of them, and
+    none at or below the rounding level (``numerics.above_rounding``),
+    which no channel decides."""
+    projectors = []
+    for values, vectors in zip(*eig):
+        u = vectors[:, : min(rank, np.count_nonzero(above_rounding(values, antenna_count)))]
+        projectors.append(u @ u.conj().T)
+    return projectors
 
 
 def chordal_distance(corr_a: np.ndarray, corr_b: np.ndarray, subspace_rank: int) -> float:
@@ -125,9 +134,7 @@ def chordal_distance(corr_a: np.ndarray, corr_b: np.ndarray, subspace_rank: int)
     m_ant = corr_a.shape[0]
     if subspace_rank < 1 or subspace_rank > m_ant:
         raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {subspace_rank}")
-    return _projector_distance(
-        _dominant_projector(corr_a, subspace_rank, m_ant), _dominant_projector(corr_b, subspace_rank, m_ant)
-    )
+    return _projector_distance(*_dominant_projectors(hermitian_eig(np.stack([corr_a, corr_b])), subspace_rank, m_ant))
 
 
 def default_subspace_rank(antenna_count: int) -> int:
@@ -180,14 +187,20 @@ def group_users(
     matrix, as in ``chordal_distance``.  The loop runs in the span of the
     correlations: one M x M eigendecomposition of their sum gives a basis U
     (M x r) of it, and every user and centroid matrix is decomposed as
-    U^H R U, at size r x r.  Each capped subspace lies in span(U), so the
-    distances are the full-space ones up to rounding, and each Lloyd step
-    computes every (user, centroid) distance once, into one K x G table.
+    U^H R U, at size r x r: the K users in one stacked ``hermitian_eig``
+    call, and each step's G centroids in one.  Each capped subspace lies in
+    span(U), so the distances are the full-space ones up to rounding, and
+    each Lloyd step computes every (user, centroid) distance once, into one
+    K x G table.
     The grouping keeps the sum's leading eigenvectors and each group's
     member average of the users' U^H R_k U for its ``joint`` subspace, so
-    the long-term stage makes no other M x M eigendecomposition.  All of
-    it runs in the ``numerics.real_frame`` of the correlations, in real
-    arithmetic when they are centro-Hermitian; only the basis is lifted.
+    the long-term stage makes no other M x M eigendecomposition.  A group's
+    reduced correlation is the matrix of its last centroid, so the last
+    step's centroid decompositions become ``Grouping.reduced_eigs`` (a
+    widened basis, r < S_g, decomposes its reduced stack in one call), and
+    reading them decomposes nothing.  All of it runs in the
+    ``numerics.real_frame`` of the correlations, in real arithmetic when
+    they are centro-Hermitian; only the basis is lifted.
     """
     n_users = len(correlations)
     if group_count > n_users:
@@ -201,7 +214,7 @@ def group_users(
 
     span = _span(correlations)
     reduced = span.reduced
-    user_projectors = [_dominant_projector(r, rank, m_ant) for r in reduced]
+    user_projectors = _dominant_projectors(hermitian_eig(reduced), rank, m_ant)
 
     # Farthest-point seeding from user 0: ``nearest[k]`` is user k's
     # distance to its nearest seed, and each new seed adds one column.
@@ -231,14 +244,13 @@ def group_users(
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centroids = [
-            _dominant_projector(_average_correlation(reduced, labels, g), rank, m_ant)
-            for g in range(group_count)
-        ]
+        eigs = hermitian_eig(np.stack([_average_correlation(reduced, labels, g) for g in range(group_count)]))
+        centroids = _dominant_projectors(eigs, rank, m_ant)
 
     order = sorted(range(group_count), key=lambda g: np.flatnonzero(labels == g)[0])
     labels = np.argsort(order)[labels]
-    return Grouping(labels, _joint(span, labels), cost_history)
+    # New group j is old group order[j], whose last centroid update decomposed its member average.
+    return _grouping(span, labels, cost_history, EigenDecomposition(*(part[order] for part in eigs)))
 
 
 def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequence[int]) -> Grouping:
@@ -251,7 +263,7 @@ def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequen
         raise ValueError(f"expected one label per correlation ({len(correlations)}), got shape {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0 or not np.bincount(labels).all():
         raise ValueError(f"labels must be integers using every group 0..G-1, got {labels.tolist()}")
-    return Grouping(labels, _joint(_span(correlations), labels))
+    return _grouping(_span(correlations), labels, [])
 
 
 class _Span(NamedTuple):
@@ -280,12 +292,17 @@ def _average_correlation(correlations: Sequence[np.ndarray], assignments: np.nda
     return sum(correlations[int(k)] for k in members) / len(members)
 
 
-def _joint(span: _Span, assignments: np.ndarray) -> JointSubspace:
-    """The joint subspace of the labels ``assignments``: the sum's leading
-    eigenvectors, lifted, and each group's reduced correlation in the
-    frame: its member average of ``span.reduced``, or, when the basis needs
-    more columns than U has (co-located users, r < S_g), its member average
-    of ``span.frame`` projected on them."""
+def _grouping(
+    span: _Span, assignments: np.ndarray, cost_history: list[float], averages_eig: EigenDecomposition | None = None
+) -> Grouping:
+    """The grouping of the labels ``assignments`` and its joint subspace:
+    the sum's leading eigenvectors, lifted, and each group's reduced
+    correlation in the frame: its member average of ``span.reduced``, or,
+    when the basis needs more columns than U has (co-located users,
+    r < S_g), its member average of ``span.frame`` projected on them.  Its
+    ``reduced_eigs`` are ``averages_eig``, the stacked decomposition of the
+    member averages of ``span.reduced`` in group order, when those are the
+    reduced correlations; otherwise one stacked decomposition of them."""
     group_count, rank = int(assignments.max()) + 1, span.reduced.shape[-1]
     width = max(rank, *np.bincount(assignments))
     wide = span.vectors[:, :width]
@@ -296,4 +313,9 @@ def _joint(span: _Span, assignments: np.ndarray) -> JointSubspace:
     joint = JointSubspace(span.lift(wide), reduced)
     for array in (joint.basis, *reduced):
         array.flags.writeable = False
-    return joint
+    grouping = Grouping(assignments, joint, cost_history)
+    if averages_eig is None or width > rank:
+        averages_eig = hermitian_eig(np.stack(reduced))
+    # Assigning sets the cached property, so a read decomposes nothing.
+    grouping.reduced_eigs = [EigenDecomposition(*matrix_eig) for matrix_eig in zip(*averages_eig)]
+    return grouping

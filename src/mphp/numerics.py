@@ -29,12 +29,13 @@ class NearSingularError(ArithmeticError):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian subspace: (A + A^H) / 2.  A real input
-    stays real: its Hermitian part is its symmetric part."""
+    """Project each matrix of a stack (..., n, n) onto the Hermitian
+    subspace: (A + A^H) / 2.  A real input stays real: its Hermitian part
+    is its symmetric part."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.conj().T)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 class EigenDecomposition(NamedTuple):
@@ -55,19 +56,21 @@ class EigenDecomposition(NamedTuple):
 
 
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+    """Eigendecompose a Hermitian matrix, or each matrix of a stack
+    (..., n, n), eigenvalues descending along the last axis.
 
     The input is symmetrized before factorization so the stored-Hermitian
-    invariant holds exactly regardless of rounding in the caller.
+    invariant holds exactly regardless of rounding in the caller.  LAPACK
+    factors each matrix of a stack on its own, so slice i of a stacked
+    call is bit-equal to the call on matrix i.
     """
     a = hermitian_part(a)
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("cannot eigendecompose an empty matrix")
     values, vectors = np.linalg.eigh(a)
-    order = np.arange(values.size)[::-1]
     return EigenDecomposition(
-        eigenvalues=np.ascontiguousarray(values[order]),
-        eigenvectors=np.ascontiguousarray(vectors[:, order]),
+        eigenvalues=np.ascontiguousarray(values[..., ::-1]),
+        eigenvectors=np.ascontiguousarray(vectors[..., ::-1]),
     )
 
 

@@ -151,6 +151,110 @@ class TestToeplitzCorrelation:
             assert np.all(np.diagonal(corr, lag) == np.diagonal(corr, lag)[0])
 
 
+def per_user_lag_correlation(params, geometry, quadrature_points=256):
+    """One user's correlation by its own lag sum, written out per user: the
+    oracle, byte for byte, for the batched pass of ``scenario_correlations``."""
+    m_ant = geometry.antenna_count
+    if params.angular_spread == 0.0:
+        thetas, weights = np.array([params.mean_aod]), np.array([1.0])
+    else:
+        half_width = AOD_TRUNCATION_SIGMAS * params.angular_spread
+        step = 2.0 * half_width / quadrature_points
+        thetas = (params.mean_aod - half_width) + (np.arange(quadrature_points) + 0.5) * step
+        weights = np.exp(-0.5 * ((thetas - params.mean_aod) / params.angular_spread) ** 2)
+        weights /= weights.sum()
+    phi = 2.0 * np.pi * geometry.element_spacing * np.sin(thetas)
+    b = int(np.ceil(np.sqrt(m_ant)))
+    coarse = np.exp(1j * np.outer(b * np.arange(-(-m_ant // b)), phi)) * weights
+    lags = (coarse @ np.exp(1j * np.outer(np.arange(b), phi)).T).ravel()[:m_ant]
+    lags *= params.mean_power / lags[0].real
+    both = np.append(lags[:0:-1].conj(), lags)
+    return np.array(np.lib.stride_tricks.sliding_window_view(both, m_ant)[:, ::-1], order="C")
+
+
+class TestBatchedCorrelations:
+    """All users' correlations come from one batched lag sum, byte-equal to
+    each user's own."""
+
+    @staticmethod
+    def mixed_users():
+        spreads = [0.0, 0.1, 0.3, 0.0, 0.02, 0.5, 0.0]
+        counts = [1, 6, 3, 6, 2, 6, 4]
+        powers = [1.0, 2.0, 0.5, 1.0, 3.0, 1.0, 0.7]
+        aods = np.linspace(-1.2, 1.1, len(spreads))
+        return [UserChannelParams(float(a), s, c, w) for a, s, c, w in zip(aods, spreads, counts, powers)]
+
+    @pytest.mark.parametrize("quadrature", [32, 256])
+    @pytest.mark.parametrize("spacing", [0.5, 0.37])
+    @pytest.mark.parametrize("m_ant", [1, 7, 16, 128])
+    def test_bytes_equal_per_user(self, m_ant, spacing, quadrature):
+        geom = ArrayGeometry(m_ant, element_spacing=spacing)
+        params = self.mixed_users()
+        stacked = scenario_correlations(params, geom, quadrature)
+        assert len(stacked) == len(params)
+        for p, corr in zip(params, stacked):
+            alone = correlation_from_params(p, geom, quadrature)
+            assert corr.dtype == alone.dtype == complex and corr.shape == (m_ant, m_ant)
+            assert corr.tobytes() == alone.tobytes()
+            assert corr.tobytes() == per_user_lag_correlation(p, geom, quadrature).tobytes()
+
+    @pytest.mark.parametrize("spread", [0.0, 0.1])
+    def test_one_spread_class(self, spread):
+        # Every user in one quadrature class, none in the other.
+        geom = ArrayGeometry(16)
+        params = [UserChannelParams(a, spread, 3, w) for a, w in ((-0.4, 1.0), (0.2, 2.0), (0.9, 0.5))]
+        for p, corr in zip(params, scenario_correlations(params, geom)):
+            assert corr.tobytes() == per_user_lag_correlation(p, geom).tobytes()
+
+    def test_neighbours_do_not_matter(self):
+        geom = ArrayGeometry(32)
+        params = self.mixed_users()
+        together = scenario_correlations(params, geom)
+        for k in range(len(params)):
+            assert together[k].tobytes() == scenario_correlations(params[k:] + params[:k], geom)[0].tobytes()
+
+
+def per_path_channels(paths, params, geometry):
+    """The channels of ``paths`` by a loop over users and their paths, each
+    path's scaled steering vector added in order: the oracle, byte for
+    byte, for ``channel_from_paths``' padded path sum."""
+    counts = [p.path_count for p in params]
+    scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], counts)
+    terms = _steering_matrix(paths.aods, geometry) * (scale * paths.gains)[..., None, :]
+    h = np.zeros((len(paths.aods), geometry.antenna_count, len(params)), dtype=complex)
+    first = 0
+    for k, count in enumerate(counts):
+        for i in range(count):
+            h[..., k] += terms[..., first + i]
+        first += count
+    return h
+
+
+class TestPathSum:
+    """``channel_from_paths`` sums each user's paths over a padded
+    (..., K, paths) view, byte-equal to a per-path loop."""
+
+    @pytest.mark.parametrize("counts", [(1, 6, 3), (6, 6, 6), (2, 1), (1,)])
+    @pytest.mark.parametrize("m_ant", [1, 7, 16, 64])
+    def test_bytes_equal_per_path_loop(self, m_ant, counts):
+        params = [
+            UserChannelParams(0.3 * k - 0.4, 0.1 * (k % 2), count, 1.0 + k) for k, count in enumerate(counts)
+        ]
+        for spacing in (0.5, 0.37):
+            geom = ArrayGeometry(m_ant, element_spacing=spacing)
+            paths = draw_paths(params, 11, range(30))
+            h = channel_from_paths(paths, params, geom)
+            assert h.shape == (30, m_ant, len(counts)) and h.flags.c_contiguous
+            assert h.tobytes() == per_path_channels(paths, params, geom).tobytes()
+
+    def test_paths_are_not_modified(self):
+        params = [UserChannelParams(0.1, 0.1, 1), UserChannelParams(-0.5, 0.2, 4)]
+        paths = draw_paths(params, 2, range(5))
+        aods, gains = paths.aods.copy(), paths.gains.copy()
+        channel_from_paths(paths, params, ArrayGeometry(16))
+        assert np.array_equal(paths.aods, aods) and np.array_equal(paths.gains, gains)
+
+
 @pytest.fixture(scope="module")
 def channel_draws():
     """10^4 single-user draws shared by the moment-matching tests."""

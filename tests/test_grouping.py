@@ -333,16 +333,16 @@ class TestGroupEigsReuse:
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
 
         def full_size():
-            return sum(args[0].shape == (m_ant, m_ant) for args in calls)
+            return sum(args[0].shape[-1] == m_ant for args in calls)
 
         grouping = group_users(corrs, n_groups)
-        assert full_size() == 1  # the sum of the correlations; users and centroids are r x r
-        assert all(args[0].shape[0] < m_ant for args in calls[1:])
+        assert full_size() == 1  # the sum of the correlations; users and centroids are r x r stacks
+        assert all(args[0].shape[-1] < m_ant for args in calls[1:])
         before = len(calls)
+        # The last Lloyd step's centroid decompositions are the groups' own.
         assert len(grouping.reduced_eigs) == n_groups
-        assert full_size() == 1
+        assert len(calls) == before
         width = grouping.joint.basis.shape[1]
-        assert [args[0].shape for args in calls[before:]] == [(width, width)] * n_groups
         # The relaxed solve, FRPS and the feedback count read the joint
         # subspace and its b x b decompositions: the relaxed solve's own
         # eigensolves (the Newton steps) are b x b, and nothing more is
@@ -351,7 +351,7 @@ class TestGroupEigsReuse:
         solve_relaxed(grouping, 1.0)
         design_long_term(SchemeId.FRPS_STATISTICAL, grouping, SystemConfig(M=m_ant, K=8, G=n_groups))
         statistics_feedback_count([values for values, _ in grouping.reduced_eigs], m_ant)
-        assert len(calls) == before + n_groups
+        assert len(calls) == before
         assert relaxed_calls and all(args[0].shape == (width, width) for args in relaxed_calls)
 
     def test_run_stopped_by_max_iters(self, monkeypatch):
@@ -364,6 +364,65 @@ class TestGroupEigsReuse:
         assert not np.array_equal(stopped.assignments, converged.assignments)
         assert_same_joint(grouping_from_labels(corrs, stopped.assignments).joint, stopped.joint)
         assert_reduced_eigs_match_fresh(stopped, group_averages(corrs, stopped))
+
+
+def assert_reduced_eigs_are_fresh(grouping):
+    """Each of ``reduced_eigs`` is byte-equal to a fresh decomposition of
+    its ``joint.reduced[g]``."""
+    assert len(grouping.reduced_eigs) == grouping.group_count
+    for (values, vectors), reduced in zip(grouping.reduced_eigs, grouping.joint.reduced):
+        fresh = hermitian_eig(reduced)
+        assert values.tobytes() == fresh.eigenvalues.tobytes()
+        assert vectors.shape == fresh.eigenvectors.shape
+        assert vectors.tobytes() == fresh.eigenvectors.tobytes()
+
+
+class TestReducedEigsReused:
+    """Every way of building a grouping sets ``reduced_eigs`` byte-equal to
+    fresh decompositions, and reading them decomposes nothing."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7919])
+    @pytest.mark.parametrize("n_groups", [1, 3, 8])
+    @pytest.mark.parametrize("m_ant", [16, 32, 64, 128])
+    def test_converged_group_users(self, monkeypatch, m_ant, n_groups, seed):
+        corrs = scenario_correlations(make_scenario(8, 3, seed=seed), ArrayGeometry(m_ant))
+        calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
+        grouping = group_users(corrs, n_groups)
+        # The sum, the users in one stack, then one stack of centroids per
+        # update, the last of which gives ``reduced_eigs``.
+        width, updates = grouping.joint.basis.shape[1], len(grouping.cost_history) - 1
+        expected = [(m_ant, m_ant), (8, width, width)] + [(n_groups, width, width)] * updates
+        assert [args[0].shape for args in calls] == expected
+        grouping.reduced_eigs
+        assert len(calls) == len(expected)
+        assert_reduced_eigs_are_fresh(grouping)
+
+    def test_group_users_stopped_by_max_iters(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        corrs = [random_psd(rng, 8, dof=2, trace=8.0) for _ in range(8)]
+        converged = group_users(corrs, 3, subspace_rank=2)
+        monkeypatch.setattr(grouping_mod, "MAX_ITERS", 1)
+        stopped = group_users(corrs, 3, subspace_rank=2)
+        assert not np.array_equal(stopped.assignments, converged.assignments)
+        assert_reduced_eigs_are_fresh(stopped)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 2], [2, 0, 1, 0], [1, 1, 0, 0]])
+    def test_grouping_from_labels(self, rng, labels):
+        corrs = [random_psd(rng, 6, dof=2) for _ in range(4)]
+        assert_reduced_eigs_are_fresh(grouping_from_labels(corrs, labels))
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_co_located_widening(self, monkeypatch, seed):
+        # Rank-one correlations and two users in one group: the basis takes
+        # a second column beyond the sum's rank.
+        grouping, scenario, geometry = build_context(parse_config(CO_LOCATED), seed)
+        corrs = scenario_correlations(scenario, geometry)
+        values = hermitian_eig(sum(corrs)).eigenvalues
+        assert grouping.joint.basis.shape[1] > np.count_nonzero(above_rounding(values, geometry.antenna_count))
+        calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
+        grouping.reduced_eigs
+        assert calls == []
+        assert_reduced_eigs_are_fresh(grouping)
 
 
 def assert_same_joint(got, expected):
@@ -413,10 +472,11 @@ class TestGroupingFromLabels:
         corrs = [random_psd(rng, 6, dof=1) for _ in range(4)]
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
         grouping = grouping_from_labels(corrs, [0, 0, 1, 2])
-        assert [args[0].shape for args in calls] == [(6, 6)]
         width = grouping.joint.basis.shape[1]
+        # The sum of the correlations, then the three groups' reduced correlations in one stack.
+        assert [args[0].shape for args in calls] == [(6, 6), (3, width, width)]
         grouping.reduced_eigs
-        assert [args[0].shape for args in calls[1:]] == [(width, width)] * 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "labels",

@@ -80,6 +80,32 @@ class TestHermitianEig:
     def test_returns_named_tuple(self):
         assert isinstance(hermitian_eig(np.eye(2)), EigenDecomposition)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+    def test_stack_bytes_equal_per_matrix(self, rng, kind, shape):
+        x = rng.standard_normal((*shape, 7, 7))
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal((*shape, 7, 7))
+        stack = x + np.swapaxes(x, -1, -2).conj()
+        values, vectors = hermitian_eig(stack)
+        assert values.shape == (*shape, 7) and vectors.shape == (*shape, 7, 7)
+        assert values.dtype == np.float64 and vectors.dtype == stack.dtype
+        assert values.flags.c_contiguous and vectors.flags.c_contiguous
+        for index in np.ndindex(shape):
+            alone = hermitian_eig(stack[index])
+            assert np.all(np.diff(values[index]) <= 0)
+            assert values[index].tobytes() == alone.eigenvalues.tobytes()
+            assert vectors[index].tobytes() == alone.eigenvectors.tobytes()
+
+    def test_stack_of_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            hermitian_eig(np.zeros((3, 2, 3)))
+
+    def test_stack_hermitian_part_is_per_matrix(self, rng):
+        stack = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        for matrix, part in zip(stack, hermitian_part(stack)):
+            assert part.tobytes() == hermitian_part(matrix).tobytes()
+
 
 class TestSolveRightInverse:
     def test_identity(self):

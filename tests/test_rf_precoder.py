@@ -628,7 +628,10 @@ class TestPhaseQuantization:
         assert nearest_phase_index(np.complex128(1e-310 + 1e-310j), 4) == 2
         assert nearest_phase_index(5e-324j, 4) == 4
         assert nearest_phase_index(complex(-5e-324, 0.0), 4) == 8
-        # Phases away from grid midpoints, so scalar and array abs agree.
+        # Phases 0.3 of a step past the grid points, far from the midpoints:
+        # the rounding of subnormal components (about 11 significant bits at
+        # 1e-320) moves np.angle far less than that, so every index is the
+        # intended one, and a scalar takes the array path's np.angle.
         phases = 2 * np.pi * (np.arange(16) + 0.3) / 16
         for scale in (1e-320, 1e-310, 2e-308):
             values = scale * np.exp(1j * phases)
@@ -670,10 +673,14 @@ class TestPhaseQuantization:
 
     def test_grid_built_once_per_bits(self):
         phase_grid.cache_clear()
+        # nearest_phase_index rounds the angle and builds no grid.
         assert [nearest_phase_index(1j, 5) for _ in range(3)] == [8, 8, 8]
+        assert phase_grid.cache_info().misses == 0
         grid = phase_grid(5)
+        assert phase_grid(5) is grid
         assert phase_grid.cache_info().misses == 1
-        assert phase_grid(5) is grid and phase_grid(4) is not grid
+        assert phase_grid(4) is not grid
+        assert phase_grid.cache_info().misses == 2
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.0
