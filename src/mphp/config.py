@@ -114,7 +114,9 @@ _BOUNDS = {
     "T": (1, None),
     "scenario.angular_spread": (0, None),
     "scenario.path_count": (1, 100),  # a slot block's steering matrix is SLOT_BLOCK x M x (K * path_count)
-    "scenario.aod_jitter": (0, None),
+    # A user's mean AoD is a cluster centre in (-pi/3, pi/3) plus at most
+    # this jitter, so it stays inside the (-pi/2, pi/2) a steering vector takes.
+    "scenario.aod_jitter": (0, math.pi / 6),
     "scenario.element_spacing": (0, None),
     **{f"power.{name}": (0, None) for name in ("p_baseband", "p_rf_chain", "p_phase_shifter")},
 }

@@ -5,7 +5,9 @@ One numeric policy for the repo: every Hermitian eigendecomposition and
 every zero-forcing inverse of the pipeline, with its condition test, goes
 through this module, and ``CONDITION_LIMIT``, the one cut-off for a
 near-singular matrix, is defined here and nowhere else, as is
-``real_frame``, which makes a ULA's correlations real.
+``real_frame``, which makes a ULA's correlations real.  A square
+zero-forcing stack is inverted by LU, and an SVD judges each matrix whose
+condition the LU inverse's norm bound leaves in doubt.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ CONDITION_LIMIT = 1e12
 class NearSingularError(ArithmeticError):
     """LAPACK failed inside the SVD of ``solve_right_inverse``.
 
-    Raised only where a ``LinAlgError`` from the SVD is wrapped.  A matrix
-    that is merely near singular is not an error: it fails the condition
-    test, gets a zero inverse, and its group is an outage in that slot.  The
-    pipeline never catches this, so a run that raises it stops.
+    Raised only where a ``LinAlgError`` from the SVD is wrapped: the SVD of
+    a wide stack, or of the square matrices that the LU path leaves in
+    doubt.  An LU inverse that stops at an exactly singular matrix is not
+    an error; that matrix goes to the SVD.  A matrix that is merely near
+    singular is not an error either: it fails the condition test, gets a
+    zero inverse, and its group is an outage in that slot.  The pipeline
+    never catches this, so a run that raises it stops.
     """
 
 
@@ -128,13 +133,21 @@ def above_rounding(eigenvalues: np.ndarray, antenna_count: int) -> np.ndarray:
 
 def solve_right_inverse(a: np.ndarray) -> np.ndarray:
     """The minimum-norm right inverse B (A @ B = I) of each matrix of a
-    stack (..., m, n), m <= n: B = U diag(1/s) V^H from one thin SVD
-    A^H = U diag(s) V^H, the pseudo-inverse that zero-forcing takes
+    stack (..., m, n), m <= n: the pseudo-inverse that zero-forcing takes
     (Spencer, Swindlehurst & Haardt, IEEE TSP 2004).  A matrix passes the
     condition test when its least singular value is positive and its
     condition number s[0] / s[-1] is at most ``CONDITION_LIMIT``, tested
     without dividing; one with non-finite entries fails.  A failing matrix
     gets B = 0.
+
+    A square stack is inverted by LU (``np.linalg.inv``).  A matrix keeps
+    that inverse when the bound c = ||A||_F ||A^-1||_F >= cond_2(A) (Golub
+    & Van Loan, *Matrix Computations*) is finite and at most
+    ``CONDITION_LIMIT / 2``, a margin that the rounding of c cannot cross.
+    Every other matrix, and every matrix of a wide stack, takes
+    B = U diag(1/s) V^H from one thin SVD A^H = U diag(s) V^H, whose
+    singular values alone decide its test.  Slice i of a stack is bit-equal
+    to the call on matrix i.
 
     Raises:
         ValueError: the stack is empty or tall (m > n).
@@ -145,6 +158,52 @@ def solve_right_inverse(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square or wide matrix, got shape {a.shape}")
     if a.shape[-2] == 0:
         raise ValueError("cannot invert an empty matrix")
+    return _lu_inverse(a) if a.shape[-2] == a.shape[-1] else _svd_inverse(a)
+
+
+def _lu_inverse(a: np.ndarray) -> np.ndarray:
+    """``solve_right_inverse`` of a square stack: LU inverses where the
+    Frobenius bound passes them, the SVD's answer everywhere else."""
+    singular = np.zeros(a.shape[:-2], dtype=bool)
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # LAPACK stops a whole stack at an exactly singular matrix.  Those
+        # are found one by one and swapped for I, so no other matrix's
+        # inverse depends on them, and the SVD judges them.
+        singular = np.reshape([_lu_fails(m) for m in a.reshape(-1, *a.shape[-2:])], a.shape[:-2])
+        inverse = np.linalg.inv(np.where(singular[..., None, None], np.eye(a.shape[-1]), a))
+    doubt = singular | ~(_frobenius_product(a, inverse) <= CONDITION_LIMIT / 2)
+    if doubt.any():
+        inverse[doubt] = _svd_inverse(a[doubt])
+    return inverse
+
+
+def _lu_fails(a: np.ndarray) -> bool:
+    """Whether LAPACK's LU stops at the matrix ``a`` (an exactly zero pivot)."""
+    try:
+        np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _frobenius_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||A||_F ||B||_F of each pair of matrices of two complex stacks,
+    capped near 2^64 (far above ``CONDITION_LIMIT``), and inf or NaN where
+    either matrix has a non-finite entry.  Each matrix is scaled by a power
+    of two from its largest entry, which is exact, so no square overflows."""
+    parts = np.stack((a, b)).view(float)
+    _, exponent = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+    scaled = np.ldexp(parts, -exponent[..., None, None]).reshape(*exponent.shape, -1)
+    # A scaled nonzero matrix has norm >= 1/2, so the floor of 1/4 only keeps
+    # an infinite norm from meeting the zero inverse of an infinite matrix.
+    norms = np.maximum(np.sqrt(np.einsum("...i,...i->...", scaled, scaled)), 0.25)
+    return np.ldexp(norms[0] * norms[1], np.minimum(exponent[0] + exponent[1], 64))
+
+
+def _svd_inverse(a: np.ndarray) -> np.ndarray:
+    """``solve_right_inverse`` of a stack by one thin SVD of A^H."""
     # A matrix with a non-finite entry is swapped for a zero one, which fails the test.
     finite = np.isfinite(a).all(axis=(-2, -1))[..., None, None]
     try:

@@ -185,16 +185,18 @@ def solve_alpha_star(
     replaced by the bracket's midpoint.  Returns the first evaluated
     ``alpha_star`` with relative residual |g| / (slope * alpha) at most
     ``tol``, and the relaxed precoder ``relaxed_step`` gives there
-    (``antenna_count`` is passed on to it).  ``solve_relaxed`` passes as
-    ``_start`` the ``alpha = 0`` evaluation, from ``Grouping.reduced_eigs``.
+    (``antenna_count`` is passed on to it).  Where the residual band lies
+    below the rounding of f, the bracket can stop shrinking first: once no
+    float lies strictly inside it, alpha* is pinned to within one float
+    spacing of its ends, and the evaluated end with the smaller |g| is
+    returned with its precoder.  ``solve_relaxed`` passes as ``_start`` the
+    ``alpha = 0`` evaluation, from ``Grouping.reduced_eigs``.
 
     Raises:
         DegenerateGroupError: f(0) <= 0, i.e. the group correlation carries
             no energy on its dominant subspace.
         RuntimeError: no point met ``tol`` in ``max_iters`` evaluations after
-            ``alpha = 0``; or, naming the rounding floor, the bracket
-            stopped shrinking first (no float lies strictly inside it), as
-            the residual band lies below the rounding of f.
+            ``alpha = 0``, and the bracket still held a float inside it.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -208,27 +210,23 @@ def solve_alpha_star(
         raise DegenerateGroupError(f"relaxed objective at alpha=0 is {value:.3e}, expected > 0")
 
     # g(lo) > 0, and the root lies in the open bracket (lo, hi): hi starts
-    # one float above f(0) / slope, later it is a point where g <= 0.
+    # one float above f(0) / slope, later it is a point where g <= 0.  Each
+    # evaluated end keeps (|g|, alpha, precoder) there.
     alpha, lo, hi = 0.0, 0.0, float(np.nextafter(value / slope, np.inf))
+    ends: dict[bool, tuple[float, float, np.ndarray]] = {}
     for _ in range(max_iters):
         residual = value - slope * alpha
         if residual > 0:
             lo = alpha
         else:
             hi = alpha
+        ends[residual > 0] = (abs(residual), alpha, f_star)
         step = alpha - residual / (_objective_derivative(f_star, leak_corr) - slope)
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
             if not lo < step < hi:
-                # Forming R - alpha * L rounds f by about eps * (||R|| + alpha * ||L||).
-                band = tol * slope * alpha
-                floor = np.finfo(float).eps * (
-                    float(np.linalg.norm(signal_corr)) + alpha * float(np.linalg.norm(leak_corr))
-                )
-                raise RuntimeError(
-                    f"alpha* solve stalled at the rounding floor: tol * slope * alpha = {band:.3e} at "
-                    f"alpha = {alpha:.6g} is below eps * (||R|| + alpha * ||L||) = {floor:.3e}; raise tol"
-                )
+                _, alpha, f_star = min(ends.values(), key=lambda end: end[0])
+                return alpha, f_star
         alpha = step
         f_star, value = objective(alpha)
         if abs(value - slope * alpha) <= tol * slope * alpha:

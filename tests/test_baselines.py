@@ -580,9 +580,11 @@ class TestWithPower:
 
 
 class TestOneZeroForcingPath:
-    """Every scheme zero-forces through ``zf_precoder`` (one SVD per matrix,
-    ``numerics.solve_right_inverse``), and ``build_precoders`` sets the
-    powers of every scheme's beams in one place."""
+    """Every scheme zero-forces through ``zf_precoder``
+    (``numerics.solve_right_inverse``: LU for a square stack with the SVD
+    judging each matrix in doubt, the SVD for a wide one), and
+    ``build_precoders`` sets the powers of every scheme's beams in one
+    place."""
 
     @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
     def test_one_zf_call_per_group_or_per_full_digital_build(self, monkeypatch, scheme):

@@ -1,11 +1,14 @@
 import gc
 import math
 import re
+import warnings
 import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mphp.experiment as experiment_mod
 import mphp.metrics as metrics_mod
@@ -173,6 +176,51 @@ class TestRunExperiment:
         first = rows_to_csv(run_experiment(config))
         second = rows_to_csv(run_experiment(config))
         assert first == second
+
+
+@st.composite
+def small_configs(draw):
+    """A config anywhere in ``SystemConfig``'s box, with M <= 32, K <= 8,
+    1-2 slots and P from 1e-3 to 1e8."""
+    m_ant = draw(st.integers(1, 32))
+    users = draw(st.integers(1, min(m_ant, 8)))
+    return SystemConfig(
+        M=m_ant,
+        K=users,
+        G=draw(st.integers(1, users)),
+        B=draw(st.integers(1, 10)),
+        P=10.0 ** draw(st.floats(-3.0, 8.0)),
+        n_slots=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        angular_spread=draw(st.floats(0.0, 2.0)),
+        path_count=draw(st.integers(1, 20)),
+        aod_jitter=draw(st.floats(0.0, math.pi / 6)),
+        element_spacing=draw(st.floats(0.1, 3.7)),
+    )
+
+
+# MPHP's alpha* bracket closes at the rounding floor at 80 dB here; the
+# solve returns the bracket end nearer the root instead of stopping the run.
+@example(config=SystemConfig(M=4, K=2, G=2, P=1e8, n_slots=2, seed=1, schemes=(SchemeId.MPHP,)))
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs())
+def test_every_in_bounds_config_runs(config):
+    # Every cell gives finite numbers or outages: no exception and no
+    # RuntimeWarning.  Only all-zero rates (every slot in outage, or a
+    # power so low that every rate rounds to zero) leave Jain's index
+    # undefined.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_experiment(config)
+        rows_to_csv(rows)
+    assert [row.scheme for row in rows] == [s for s in SchemeId if s in config.schemes]
+    for row in rows:
+        metrics = row.metrics
+        assert 0.0 <= metrics.outage_fraction <= 1.0
+        assert np.isfinite(metrics.per_user_rate).all()
+        for column in CSV_COLUMNS[2:]:
+            if column != "jain_index" or metrics.per_user_rate.any():
+                assert math.isfinite(getattr(metrics, column)), (row.scheme, column)
 
 
 # All five schemes on a small scenario.
@@ -486,6 +534,7 @@ class TestValidation:
             ("B", 11, "B must be <= 10, got 11"),
             ("n_slots", 1_000_001, "n_slots must be <= 1000000, got 1000001"),
             ("path_count", 101, "scenario.path_count must be <= 100, got 101"),
+            ("aod_jitter", 0.53, f"scenario.aod_jitter must be <= {math.pi / 6}, got 0.53"),
         ],
     )
     def test_bound_messages(self, field, value, message):
@@ -500,7 +549,7 @@ class TestValidation:
         assert parse_config(serialize_config(config)) == config
 
     def test_bounds_admit_their_caps(self):
-        config = SystemConfig(M=1024, B=10, n_slots=1_000_000, path_count=100)
+        config = SystemConfig(M=1024, B=10, n_slots=1_000_000, path_count=100, aod_jitter=math.pi / 6)
         assert parse_config(serialize_config(config)) == config
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mphp import numerics
 from mphp.channel import ArrayGeometry, UserChannelParams, correlation_from_params, steering_vector
 from mphp.numerics import (
     CONDITION_LIMIT,
@@ -134,12 +135,23 @@ class TestSolveRightInverse:
         assert not solve_right_inverse(np.ones((2, 2))).any()
 
     def test_failed_solve_is_near_singular(self, monkeypatch):
+        # A wide matrix always reaches the SVD.
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
         with pytest.raises(NearSingularError, match="^SVD failed: SVD did not converge$"):
-            solve_right_inverse(np.eye(2))
+            solve_right_inverse(np.eye(2, 3))
+
+    def test_failed_solve_in_doubt_is_near_singular(self, monkeypatch):
+        # A square matrix reaches the SVD when its Frobenius bound exceeds
+        # CONDITION_LIMIT / 2.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NearSingularError, match="^SVD failed: SVD did not converge$"):
+            solve_right_inverse(np.diag([1.0, 1.0 / CONDITION_LIMIT]))
 
     def test_signed_zero_singular_value_gives_zero(self, monkeypatch):
         # LAPACK may return an exactly singular matrix's last singular value
@@ -316,3 +328,87 @@ class TestStackedConditioning:
         assert np.abs(a @ b - np.eye(2)).max() <= 1e-14
         # The minimum-norm right inverse: B's columns lie in A's row space.
         assert np.allclose(b, np.linalg.pinv(a), rtol=0, atol=1e-14)
+
+
+def unitary(rng, n):
+    """A random n x n unitary: Q of a complex Gaussian matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def svd_rule(a):
+    """The SVD condition test on each matrix of a square stack: the singular
+    values of A^H, a matrix with a non-finite entry taken as zero."""
+    finite = np.isfinite(a).all(axis=(-2, -1))[..., None, None]
+    s = np.linalg.svd(np.where(finite, np.swapaxes(a, -1, -2).conj(), 0.0), compute_uv=False)
+    return (s[..., -1] > 0) & (s[..., 0] <= CONDITION_LIMIT * s[..., -1])
+
+
+class TestSquareStacksByLu:
+    """A square stack is inverted by LU; the SVD decides every matrix whose
+    Frobenius bound ||A||_F ||A^-1||_F exceeds CONDITION_LIMIT / 2."""
+
+    CONDITIONS = (1e11, 4e11, 6e11, 1e12 * (1 - 1e-6), 1e12 * (1 + 1e-6), 1e13)
+
+    def conditioned(self, rng):
+        # Spectrum (1, 1/sqrt(k), 1/k): the bound is k to within about 1/sqrt(k).
+        return [unitary(rng, 3) @ np.diag([1.0, k**-0.5, 1.0 / k]) @ unitary(rng, 3) for k in self.CONDITIONS]
+
+    def mixed_stack(self, rng):
+        nan = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        nan[1, 2] = np.nan
+        return np.stack([
+            np.ones((3, 3), dtype=complex),
+            *self.conditioned(rng),
+            np.diag([1e165, 1e155, 1e155]).astype(complex),
+            nan,
+        ])
+
+    def test_mixed_stack_matches_its_slices_and_the_svd_rule(self, rng):
+        a = self.mixed_stack(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = solve_right_inverse(a)
+            for t in range(len(a)):
+                assert np.array_equal(b[t], solve_right_inverse(a[t])), t
+        assert np.array_equal(b.any(axis=(-2, -1)), svd_rule(a))
+        # The two best-conditioned matrices and the scaled slice pass; the
+        # singular, 1e13 and NaN slices fail.
+        passed = b.any(axis=(-2, -1))
+        assert passed[[1, 2, 7]].all() and not passed[[0, 6, 8]].any()
+        assert np.abs(a[7] @ b[7] - np.eye(3)).max() <= 1e-15
+
+    def test_only_matrices_in_doubt_reach_the_svd(self, monkeypatch, rng):
+        # Without a singular or NaN slice, inv takes the whole stack at once
+        # and one SVD takes the matrices whose bound exceeds the margin.
+        a = np.stack([*self.conditioned(rng), np.diag([1e165, 1e155, 1e155]).astype(complex)])
+        svd_inputs = []
+        svd = np.linalg.svd
+
+        def recorded(x, **kwargs):
+            svd_inputs.append(x)
+            return svd(x, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        b = solve_right_inverse(a)
+        assert [x.shape for x in svd_inputs] == [(4, 3, 3)]
+        assert np.array_equal(svd_inputs[0], np.swapaxes(a[2:6], -1, -2).conj())
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert np.array_equal(b.any(axis=(-2, -1)), svd_rule(a))
+
+    def test_lu_inverse_is_the_inverse(self, rng):
+        a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        b = solve_right_inverse(a)
+        assert np.array_equal(b, np.linalg.inv(a))
+        assert np.allclose(b, np.linalg.pinv(a), rtol=0, atol=1e-12)
+
+    def test_bound_is_exact_under_scaling(self, rng):
+        # The power-of-two scaling is exact, so a matrix and its scaled
+        # copies get the same bound, with no overflow at either end.
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        bounds = [
+            numerics._frobenius_product(scale * a, np.linalg.inv(scale * a))
+            for scale in (2.0**-900, 1.0, 2.0**900)
+        ]
+        assert bounds[0] == bounds[1] == bounds[2]
+        assert bounds[1] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)), rel=1e-14)
