@@ -7,9 +7,9 @@ import numpy as np
 from mphp import (
     ArrayGeometry,
     UserChannelParams,
-    correlation_from_params,
     draw_channel,
     hermitian_eig,
+    scenario_correlations,
     steering_vector,
 )
 
@@ -22,7 +22,7 @@ print(f"steering vector at {params.mean_aod} rad: first entries {np.round(a[:3],
 print(f"all entries unit modulus: {np.allclose(np.abs(a), 1.0)}")
 
 print("\n=== spatial correlation ===")
-corr = correlation_from_params(params, geometry)
+corr = scenario_correlations([params], geometry)[0]
 values, vectors = hermitian_eig(corr)
 print(f"trace (should be M = {geometry.antenna_count}): {np.real(np.trace(corr)):.6f}")
 print(f"top five eigenvalues: {np.round(values[:5], 4)}")

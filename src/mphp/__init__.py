@@ -12,7 +12,6 @@ from .baselines import build_precoders, design_long_term
 from .channel import (
     ArrayGeometry,
     UserChannelParams,
-    correlation_from_params,
     draw_channel,
     make_scenario,
     scenario_correlations,
@@ -47,7 +46,6 @@ __all__ = [
     "ZeroColumnError",
     "build_precoders",
     "chordal_distance",
-    "correlation_from_params",
     "design_long_term",
     "draw_channel",
     "grfp_assign",

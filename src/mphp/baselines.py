@@ -87,16 +87,6 @@ class Scheme:
     build: Callable[[Any, np.ndarray, Grouping, SystemConfig], tuple[np.ndarray, np.ndarray]]
 
 
-def fixed_subarray_map(antenna_count: int, chain_count: int) -> np.ndarray:
-    """Static contiguous antenna-to-chain mapping (even split).
-
-    Zero-based form of assigning one-based antenna m to chain
-    ceil(m * L / M).
-    """
-    m = np.arange(1, antenna_count + 1)
-    return (m * chain_count - 1) // antenna_count
-
-
 def design_long_term(scheme: SchemeId, grouping: Grouping, config: SystemConfig) -> Any:
     """Design the slow-timescale part of a scheme.
 
@@ -147,8 +137,10 @@ def _no_long_term(grouping: Grouping, config: SystemConfig) -> None:
 
 
 def fixed_subarray_precoder(channel: np.ndarray, grouping: Grouping, bits: int) -> RfPrecoder:
-    """Static even antenna split with instantaneous phase alignment, per slot of a stack."""
-    mapping = fixed_subarray_map(channel.shape[-2], channel.shape[-1])
+    """Static even antenna split with instantaneous phase alignment, per
+    slot of a stack: one-based antenna m feeds chain ceil(m * L / M)."""
+    m_ant, chains = channel.shape[-2:]
+    mapping = (np.arange(1, m_ant + 1) * chains - 1) // m_ant
     return _aligned_quantized_precoder(channel, mapping, grouping.chain_users, bits)
 
 

@@ -93,42 +93,39 @@ def truncated_normal_ppf(uniforms: Sequence[float]) -> np.ndarray:
     return np.array([_STANDARD_NORMAL.inv_cdf(_CDF_LOW + u * _CDF_WIDTH) for u in uniforms])
 
 
-def correlation_from_params(
-    params: UserChannelParams,
+def draw_channel(
+    params: Sequence[UserChannelParams],
     geometry: ArrayGeometry,
-    quadrature_points: int = 256,
+    seed: int,
+    slot: int | Sequence[int] = 0,
 ) -> np.ndarray:
-    """Spatial correlation matrix E[h h^H] under the truncated-Gaussian AoD
-    density: the one-user case of ``scenario_correlations``."""
-    return scenario_correlations([params], geometry, quadrature_points)[0]
-
-
-@dataclass(frozen=True)
-class ChannelPaths:
-    """The array-independent part of a stack of slot draws (see ``draw_paths``)."""
-
-    aods: np.ndarray  # (n_slots, total path count): each user's path AoDs, users in order
-    gains: np.ndarray  # (n_slots, total path count): the paths' complex CN(0, 1) gains, in the same order
-
-
-def draw_paths(params: Sequence[UserChannelParams], seed: int, slots: Sequence[int]) -> ChannelPaths:
-    """Each slot's path AoDs and gains, for any array.
+    """Draw one block-fading channel matrix H of shape (M, K), or, for a
+    sequence of slot indices, one per slot stacked as (n, M, K).
 
     Slot t's one generator, seeded with entropy (seed, t), draws 3 p
     uniforms per user of p paths, users in order: p for the AoDs (drawn at
     zero spread too), then p moduli u1 and p phases u2 of the gains
     sqrt(-ln(1 - u1)) exp(2j pi u2), which are exactly CN(0, 1).  So a
     user's numbers sit at an offset fixed by the path counts of the users
-    before it: slot t depends on (seed, t) alone, and a user draws the same
-    paths whatever users follow it.  The drawn AoD uniforms go through one
-    truncated-normal inverse CDF.
+    before it: slot t regenerates bit for bit alone or in a stack, and user
+    k's column is the same whatever users follow it.  The drawn AoD
+    uniforms go through one truncated-normal inverse CDF.
+
+    Column k is user k's sum of its paths' steering vectors, each times its
+    gain and sqrt(mean_power / path_count), added path by path in order.
+    A user with fewer paths than the most is padded with zero-gain paths,
+    which add exact zeros; with equal counts the (n, M, K, paths) view of
+    the scaled steering table allocates nothing.  Every step is
+    elementwise, so row m does not depend on the array size: a narrower
+    array's channels are the leading rows of a wider one's.
     """
+    slots = [slot] if np.ndim(slot) == 0 else list(slot)
     if len(params) < 1:
         raise ValueError("need at least one user")
     if not slots or seed < 0 or min(slots) < 0:
         raise ValueError("need at least one slot; seed and slot must be non-negative")
     counts = np.array([p.path_count for p in params])
-    total, per_user = int(counts.sum()), np.repeat(counts, counts)
+    total, per_user, width = int(counts.sum()), np.repeat(counts, counts), int(counts.max())
     # A user after o paths starts at 3 o: its path i's AoD is at 3 o + i, the modulus p later, the phase 2 p later.
     aod_at = 2 * np.repeat(np.cumsum(counts) - counts, counts) + np.arange(total)
     uniforms = np.stack([np.random.default_rng([seed, int(t)]).random(3 * total) for t in slots])
@@ -140,29 +137,12 @@ def draw_paths(params: Sequence[UserChannelParams], seed: int, slots: Sequence[i
     drawn = spreads > 0.0
     standard = truncated_normal_ppf(uniforms[:, aod_at[drawn]].ravel().tolist())
     aods[:, drawn] = standard.reshape(len(slots), -1) * spreads[drawn] + aods[:, drawn]
-    return ChannelPaths(aods, gains)
 
-
-def channel_from_paths(
-    paths: ChannelPaths, params: Sequence[UserChannelParams], geometry: ArrayGeometry
-) -> np.ndarray:
-    """The (n_slots, M, K) channels of ``paths`` on ``geometry``.
-
-    Column k is user k's sum of its paths' steering vectors, each times its
-    gain and sqrt(mean_power / path_count), added path by path in order.
-    A user with fewer paths than the most is padded with zero-gain paths,
-    which add exact zeros; with equal counts the (n, M, K, paths) view of
-    the scaled steering table allocates nothing.  Every step is
-    elementwise, so row m does not depend on the array size: a narrower
-    array's channels are the leading rows of a wider one's.
-    """
-    counts = [p.path_count for p in params]
-    width = max(counts)
-    drawn = (np.arange(width) < np.array(counts)[:, None]).ravel()
-    aods, gains = paths.aods, paths.gains
-    if not drawn.all():
-        aods, gains = np.zeros((len(aods), drawn.size)), np.zeros((len(aods), drawn.size), dtype=complex)
-        aods[:, drawn], gains[:, drawn] = paths.aods, paths.gains
+    padded = (np.arange(width) < counts[:, None]).ravel()
+    if not padded.all():
+        unpadded = aods, gains
+        aods, gains = np.zeros((len(slots), padded.size)), np.zeros((len(slots), padded.size), dtype=complex)
+        aods[:, padded], gains[:, padded] = unpadded
     scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], width)
     terms = _steering_matrix(aods, geometry)
     terms *= (scale * gains)[..., None, :]
@@ -170,27 +150,6 @@ def channel_from_paths(
     h = np.zeros(by_path.shape[:-1], dtype=complex)
     for i in range(width):
         h += by_path[..., i]
-    return h
-
-
-def draw_channel(
-    params: Sequence[UserChannelParams],
-    geometry: ArrayGeometry,
-    seed: int,
-    slot: int | Sequence[int] = 0,
-) -> np.ndarray:
-    """Draw one block-fading channel matrix H of shape (M, K), or, for a
-    sequence of slot indices, one per slot stacked as (n, M, K).
-
-    Column k is user k's channel: sqrt(mean_power / path_count) times the
-    sum of CN(0,1)-weighted steering vectors at sampled AoDs.  Slot t is
-    drawn from entropy (seed, t), so it regenerates bit for bit alone or in
-    a stack, and user k's column is the same whatever users follow it.
-    This is ``channel_from_paths(draw_paths(...))``; the path draw reads no
-    array, so one draw can serve several arrays.
-    """
-    slots = [slot] if np.ndim(slot) == 0 else list(slot)
-    h = channel_from_paths(draw_paths(params, seed, slots), params, geometry)
     return h[0] if np.ndim(slot) == 0 else h
 
 

@@ -223,14 +223,13 @@ def monte_carlo_rates(
     fields its ``design_reads`` names; the baseband stage is redone every
     slot.  Slot t draws its channels from entropy (seed, t), so runs are
     reproducible and slots may be evaluated in any order.  Blocks of at
-    most ``SLOT_BLOCK`` slots, up to the largest count, have their paths
-    drawn (``channel.draw_paths``) and their channels built once per set
-    of users and element spacing, on the widest array a live point on them
-    reads (``channel.channel_from_paths``; a narrower array takes the
-    leading rows).  Then every (point, scheme) precoder build and SINR runs
-    on the block as one stack, a point with fewer slots taking the leading
-    ones, so all cells see the same channels (common random numbers) and
-    each gets the numbers of a run of its own.  Points
+    most ``SLOT_BLOCK`` slots, up to the largest count, have their channels
+    drawn (``channel.draw_channel``) once per set of users and element
+    spacing, on the widest array a live point on them reads; a narrower
+    array takes the leading rows.  Then every (point, scheme) precoder
+    build and SINR runs on the block as one stack, a point with fewer slots
+    taking the leading ones, so all cells see the same channels (common
+    random numbers) and each gets the numbers of a run of its own.  Points
     that differ only in P share one build's beams and ``usable`` mask, and
     each gets its own powers (``baselines._with_power``).  A block's draws
     are dropped once the block is done.  A failing stage raises
@@ -261,9 +260,8 @@ def monte_carlo_rates(
                 users, failed = tuple(context.scenario), (p, None)
                 spaced = (users, context.geometry.element_spacing)
                 if spaced not in channels:
-                    paths = channel_mod.draw_paths(context.scenario, seed, slots)
                     geometry = channel_mod.ArrayGeometry(widest[spaced], spaced[1])
-                    channels[spaced] = channel_mod.channel_from_paths(paths, context.scenario, geometry)
+                    channels[spaced] = channel_mod.draw_channel(context.scenario, geometry, seed, slots)
                 # Row m of a channel does not depend on the array size, so a narrower array takes the leading rows.
                 stack = channels[spaced][: counts[p] - start, : context.geometry.antenna_count]
                 for i, current in enumerate(schemes):

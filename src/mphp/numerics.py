@@ -168,24 +168,18 @@ def _lu_inverse(a: np.ndarray) -> np.ndarray:
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        # LAPACK stops a whole stack at an exactly singular matrix.  Those
-        # are found one by one and swapped for I, so no other matrix's
-        # inverse depends on them, and the SVD judges them.
-        singular = np.reshape([_lu_fails(m) for m in a.reshape(-1, *a.shape[-2:])], a.shape[:-2])
+        # LAPACK stops a whole stack at an exactly singular matrix: a zero
+        # pivot, which the same LU in slogdet reports as sign 0.  Those are
+        # swapped for I, so no other matrix's inverse depends on them, and
+        # the SVD judges them.  A NaN slice's LU warns (divide, invalid)
+        # here; the SVD judges every non-finite slice anyway.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singular = np.linalg.slogdet(a).sign == 0
         inverse = np.linalg.inv(np.where(singular[..., None, None], np.eye(a.shape[-1]), a))
     doubt = singular | ~(_frobenius_product(a, inverse) <= CONDITION_LIMIT / 2)
     if doubt.any():
         inverse[doubt] = _svd_inverse(a[doubt])
     return inverse
-
-
-def _lu_fails(a: np.ndarray) -> bool:
-    """Whether LAPACK's LU stops at the matrix ``a`` (an exactly zero pivot)."""
-    try:
-        np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return True
-    return False
 
 
 def _frobenius_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -73,16 +73,14 @@ def run_at_seed(schemes, points, seed):
 
 def inject_channels(monkeypatch, factory):
     """Make the engine's block draws give channel ``factory(t)`` at slot t:
-    ``draw_paths`` returns the block's slot range, and
-    ``channel_from_paths`` stacks the factory's channels over it.  Both are
-    the ``channel`` module's own names, so ``draw_channel`` is patched too:
-    a factory must not call it."""
+    the ``channel`` module's ``draw_channel``, which the engine draws
+    through, stacks the factory's channels over the block's slots.  A
+    factory must not call ``channel.draw_channel`` through the module."""
 
-    def channel_from_paths(slots, params, geometry):
+    def draw_channel(params, geometry, seed, slots):
         return np.stack([factory(t) for t in slots])
 
-    monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", lambda params, seed, slots: slots)
-    monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", channel_from_paths)
+    monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", draw_channel)
 
 
 # Co-located users (zero angular spread, zero AoD jitter) in one group: the

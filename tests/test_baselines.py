@@ -13,7 +13,6 @@ from mphp.baselines import (
     adaptive_instant_precoder,
     build_precoders,
     design_long_term,
-    fixed_subarray_map,
     fixed_subarray_precoder,
 )
 from mphp.channel import draw_channel
@@ -302,9 +301,13 @@ class TestSharedRelaxedProblem:
 
 class TestFixedSubarray:
     def test_mapping_formula(self):
-        assert np.array_equal(fixed_subarray_map(4, 2), [0, 0, 1, 1])
-        assert np.array_equal(fixed_subarray_map(6, 3), [0, 0, 1, 1, 2, 2])
-        assert np.array_equal(fixed_subarray_map(5, 2), [0, 0, 1, 1, 1])
+        def mapping(m_ant, users):
+            grouping = make_grouping([np.eye(m_ant, dtype=complex)] * users, list(range(users)))
+            return fixed_subarray_precoder(np.ones((m_ant, users), dtype=complex), grouping, bits=3).antenna_to_chain
+
+        assert np.array_equal(mapping(4, 2), [0, 0, 1, 1])
+        assert np.array_equal(mapping(6, 3), [0, 0, 1, 1, 2, 2])
+        assert np.array_equal(mapping(5, 2), [0, 0, 1, 1, 1])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_structural_invariants(self, seed):
@@ -313,7 +316,7 @@ class TestFixedSubarray:
         channel = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
         rf = fixed_subarray_precoder(channel, grouping, bits=3)
         validate_rf_precoder(rf)
-        assert np.array_equal(rf.antenna_to_chain, fixed_subarray_map(8, 2))
+        assert np.array_equal(rf.antenna_to_chain, [0, 0, 0, 0, 1, 1, 1, 1])
 
 
 class TestAdaptiveInstant:

@@ -67,6 +67,20 @@ def test_traced_run_counts_outages(bench_run):
     assert traced == untraced
 
 
+# Traced, but no pipeline stage calls it: the leakage is a diagnostic that demo 04 and the tests read.
+DEAD_BINDINGS = {"metrics.intra_group_leakage"}
+
+
+def test_every_live_binding_records_a_span(bench_run):
+    """A binding the pipeline stops calling through still exists, so only
+    its spans show that the benchmark's per-layer metric has gone dead."""
+    config = parse_config("M = 8\nK = 2\nG = 2\nn_slots = 2\nsweep.parameter = M\nsweep.values = 8, 16\n")
+    targets = bench_run.trace_targets()
+    with bench_run.spans.Tracer(targets, bench_run.observers(bench_run.Observed())) as tracer:
+        run_experiment(config)
+    unseen = {name for _, _, name in targets} - {span[0] for span in tracer.spans}
+    assert unseen == DEAD_BINDINGS
+
 
 def unread_imports(source):
     """Names a module's source imports but never reads (``__all__`` counts as a read)."""

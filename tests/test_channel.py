@@ -9,10 +9,7 @@ from mphp.channel import (
     ArrayGeometry,
     _steering_matrix,
     UserChannelParams,
-    channel_from_paths,
-    correlation_from_params,
     draw_channel,
-    draw_paths,
     make_scenario,
     scenario_correlations,
     steering_vector,
@@ -42,7 +39,7 @@ class TestCorrelation:
     def test_zero_spread_is_rank_one(self):
         geom = ArrayGeometry(8)
         params = UserChannelParams(mean_aod=0.3, angular_spread=0.0, path_count=4)
-        corr = correlation_from_params(params, geom)
+        corr = scenario_correlations([params], geom)[0]
         a = steering_vector(0.3, geom)
         assert np.allclose(corr, np.outer(a, a.conj()))
         values, _ = hermitian_eig(corr)
@@ -52,8 +49,8 @@ class TestCorrelation:
     def test_identical_params_identical_output(self):
         geom = ArrayGeometry(16)
         p = UserChannelParams(mean_aod=-0.4, angular_spread=0.05, path_count=6)
-        r1 = correlation_from_params(p, geom, quadrature_points=128)
-        r2 = correlation_from_params(p, geom, quadrature_points=128)
+        r1 = scenario_correlations([p], geom, quadrature_points=128)[0]
+        r2 = scenario_correlations([p], geom, quadrature_points=128)[0]
         assert np.array_equal(r1, r2)
 
     def test_against_high_resolution_quadrature(self):
@@ -61,7 +58,7 @@ class TestCorrelation:
         geom = ArrayGeometry(8)
         mean_aod, spread = 0.25, 0.1
         params = UserChannelParams(mean_aod=mean_aod, angular_spread=spread, path_count=4)
-        corr = correlation_from_params(params, geom, quadrature_points=256)
+        corr = scenario_correlations([params], geom, quadrature_points=256)[0]
 
         n = 2560
         lo, hi = mean_aod - 2 * spread, mean_aod + 2 * spread
@@ -87,7 +84,7 @@ class TestCorrelation:
     def test_psd_and_trace(self, spread, power):
         geom = ArrayGeometry(12)
         params = UserChannelParams(0.1, spread, path_count=3, mean_power=power)
-        corr = correlation_from_params(params, geom)
+        corr = scenario_correlations([params], geom)[0]
         assert np.array_equal(corr, corr.conj().T)
         values, _ = hermitian_eig(corr)
         assert np.all(values >= -1e-10 * np.real(np.trace(corr)))
@@ -99,14 +96,14 @@ class TestCorrelation:
         # A * diag(w) * A^H is PSD by construction: with no eigenvalue clamp,
         # the computed negative eigenvalues stay at rounding level even where
         # almost all of the M eigenvalues are zero.
-        corr = correlation_from_params(UserChannelParams(0.3, spread, path_count=3), ArrayGeometry(m_ant))
+        corr = scenario_correlations([UserChannelParams(0.3, spread, path_count=3)], ArrayGeometry(m_ant))[0]
         assert np.array_equal(corr, corr.conj().T)
         values, _ = hermitian_eig(corr)
         assert values[-1] >= -64 * np.finfo(float).eps * np.real(np.trace(corr))
 
     def test_too_few_quadrature_points(self):
         with pytest.raises(ValueError):
-            correlation_from_params(UserChannelParams(0.0, 0.1, 1), ArrayGeometry(4), 16)
+            scenario_correlations([UserChannelParams(0.0, 0.1, 1)], ArrayGeometry(4), 16)
 
 
 def steering_product_correlation(params, geometry, quadrature_points=256):
@@ -131,7 +128,7 @@ class TestToeplitzCorrelation:
         for mean_aod, spacing in ((0.7, 0.5), (-1.3, 0.37)):
             geom = ArrayGeometry(m_ant, element_spacing=spacing)
             params = UserChannelParams(mean_aod, spread, path_count=3, mean_power=power)
-            corr = correlation_from_params(params, geom)
+            corr = scenario_correlations([params], geom)[0]
             oracle = steering_product_correlation(params, geom)
             assert np.linalg.norm(corr - oracle) <= 1e-12 * np.linalg.norm(oracle)
             assert np.array_equal(corr, corr.conj().T)
@@ -139,14 +136,14 @@ class TestToeplitzCorrelation:
 
     def test_is_a_fresh_array(self):
         params = UserChannelParams(0.2, 0.05, path_count=3)
-        first = correlation_from_params(params, ArrayGeometry(16))
-        second = correlation_from_params(params, ArrayGeometry(16))
+        first = scenario_correlations([params], ArrayGeometry(16))[0]
+        second = scenario_correlations([params], ArrayGeometry(16))[0]
         first[3, 5] = 7.0
         assert not np.shares_memory(first, second)
         assert first[5, 3] != 7.0 and second[3, 5] != 7.0
 
     def test_is_toeplitz(self):
-        corr = correlation_from_params(UserChannelParams(-0.4, 0.1, path_count=3), ArrayGeometry(12))
+        corr = scenario_correlations([UserChannelParams(-0.4, 0.1, path_count=3)], ArrayGeometry(12))[0]
         for lag in range(-11, 12):
             assert np.all(np.diagonal(corr, lag) == np.diagonal(corr, lag)[0])
 
@@ -193,7 +190,7 @@ class TestBatchedCorrelations:
         stacked = scenario_correlations(params, geom, quadrature)
         assert len(stacked) == len(params)
         for p, corr in zip(params, stacked):
-            alone = correlation_from_params(p, geom, quadrature)
+            alone = scenario_correlations([p], geom, quadrature)[0]
             assert corr.dtype == alone.dtype == complex and corr.shape == (m_ant, m_ant)
             assert corr.tobytes() == alone.tobytes()
             assert corr.tobytes() == per_user_lag_correlation(p, geom, quadrature).tobytes()
@@ -214,25 +211,10 @@ class TestBatchedCorrelations:
             assert together[k].tobytes() == scenario_correlations(params[k:] + params[:k], geom)[0].tobytes()
 
 
-def per_path_channels(paths, params, geometry):
-    """The channels of ``paths`` by a loop over users and their paths, each
-    path's scaled steering vector added in order: the oracle, byte for
-    byte, for ``channel_from_paths``' padded path sum."""
-    counts = [p.path_count for p in params]
-    scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], counts)
-    terms = _steering_matrix(paths.aods, geometry) * (scale * paths.gains)[..., None, :]
-    h = np.zeros((len(paths.aods), geometry.antenna_count, len(params)), dtype=complex)
-    first = 0
-    for k, count in enumerate(counts):
-        for i in range(count):
-            h[..., k] += terms[..., first + i]
-        first += count
-    return h
-
-
 class TestPathSum:
-    """``channel_from_paths`` sums each user's paths over a padded
-    (..., K, paths) view, byte-equal to a per-path loop."""
+    """``draw_channel`` sums each user's paths over a padded (..., K,
+    paths) view, byte-equal to the per-user, per-path loop of
+    ``scalar_draw_channel``."""
 
     @pytest.mark.parametrize("counts", [(1, 6, 3), (6, 6, 6), (2, 1), (1,)])
     @pytest.mark.parametrize("m_ant", [1, 7, 16, 64])
@@ -242,17 +224,10 @@ class TestPathSum:
         ]
         for spacing in (0.5, 0.37):
             geom = ArrayGeometry(m_ant, element_spacing=spacing)
-            paths = draw_paths(params, 11, range(30))
-            h = channel_from_paths(paths, params, geom)
+            h = draw_channel(params, geom, seed=11, slot=range(30))
             assert h.shape == (30, m_ant, len(counts)) and h.flags.c_contiguous
-            assert h.tobytes() == per_path_channels(paths, params, geom).tobytes()
-
-    def test_paths_are_not_modified(self):
-        params = [UserChannelParams(0.1, 0.1, 1), UserChannelParams(-0.5, 0.2, 4)]
-        paths = draw_paths(params, 2, range(5))
-        aods, gains = paths.aods.copy(), paths.gains.copy()
-        channel_from_paths(paths, params, ArrayGeometry(16))
-        assert np.array_equal(paths.aods, aods) and np.array_equal(paths.gains, gains)
+            expected = np.stack([scalar_draw_channel(params, geom, 11, slot) for slot in range(30)])
+            assert h.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +265,7 @@ class TestDrawChannel:
     def test_sample_correlation_matches_analytic(self, channel_draws):
         geom, params, draws = channel_draws
         sample = (draws.conj()[:, :, None] * draws[:, None, :]).mean(axis=0).T
-        corr = correlation_from_params(params, geom)
+        corr = scenario_correlations([params], geom)[0]
         rel = np.linalg.norm(sample - corr) / np.linalg.norm(corr)
         assert rel <= 0.05
 
@@ -431,29 +406,6 @@ class TestMatchesScalarDraw:
             assert np.array_equal(stacked[slot], scalar_draw_channel(params, geom, seed, slot))
 
 
-class TestPathSplit:
-    """The path draw and the per-array product compose to the channel draw."""
-
-    @pytest.mark.parametrize("antennas", [1, 16, 64])
-    @pytest.mark.parametrize("spread", ["mixed", "zero"])
-    def test_composition_is_the_channel_draw(self, antennas, spread):
-        geom = ArrayGeometry(antennas)
-        params = TestMatchesScalarDraw.mixed_users(8, 3)
-        if spread == "zero":
-            params = [UserChannelParams(p.mean_aod, 0.0, p.path_count, p.mean_power) for p in params]
-        slots = [17, 0, 5, 1]
-        h = channel_from_paths(draw_paths(params, 3, slots), params, geom)
-        assert np.array_equal(h, draw_channel(params, geom, seed=3, slot=slots))
-        assert np.array_equal(h, np.stack([scalar_draw_channel(params, geom, 3, slot) for slot in slots]))
-
-    def test_one_path_draw_serves_two_arrays(self):
-        params = make_scenario(8, 3, seed=7)
-        paths = draw_paths(params, 7, range(4))
-        for geom in (ArrayGeometry(16), ArrayGeometry(64, element_spacing=0.37)):
-            expected = np.stack([scalar_draw_channel(params, geom, 7, slot) for slot in range(4)])
-            assert np.array_equal(channel_from_paths(paths, params, geom), expected)
-
-
 class TestDrawContract:
     """Slot t's draw depends on (seed, t) alone, each user's numbers sit at
     an offset fixed by the users before it, and a steering row does not
@@ -470,24 +422,28 @@ class TestDrawContract:
             )
 
     def test_zero_spread_users_keep_the_offsets(self):
-        # A zero-spread user still takes its AoD uniforms, so the user after it draws the same paths.
-        spread = TestMatchesScalarDraw.mixed_users(4, 9)
-        still = [UserChannelParams(p.mean_aod, 0.0, p.path_count, p.mean_power) if u == 1 else p for u, p in enumerate(spread)]
-        first, second = draw_paths(spread, 9, range(3)), draw_paths(still, 9, range(3))
-        assert np.array_equal(first.gains, second.gains)
-        cut = sum(p.path_count for p in spread[:1])
-        after = cut + spread[1].path_count
-        assert np.array_equal(first.aods[:, after:], second.aods[:, after:])
-        assert np.all(second.aods[:, cut:after] == spread[1].mean_aod)
+        # A zero-spread user still takes its AoD uniforms, so the users after it draw the same paths.
+        users = TestMatchesScalarDraw.mixed_users(4, 9)
+        spread, still = (
+            [UserChannelParams(p.mean_aod, s, p.path_count, p.mean_power) if u == 1 else p for u, p in enumerate(users)]
+            for s in (0.2, 0.0)
+        )
+        geom = ArrayGeometry(16)
+        first, second = draw_channel(spread, geom, seed=9, slot=range(3)), draw_channel(still, geom, seed=9, slot=range(3))
+        assert np.array_equal(np.delete(first, 1, axis=2), np.delete(second, 1, axis=2))
+        # The still user's gains are read where the oracle reads them, and all its paths leave at its mean AoD.
+        assert np.array_equal(second, np.stack([scalar_draw_channel(still, geom, 9, slot) for slot in range(3)]))
+        steering = steering_vector(still[1].mean_aod, geom)
+        assert np.allclose(second[:, :, 1], second[:, :1, 1] * steering, rtol=0.0, atol=1e-12)
+        assert not np.allclose(first[:, :, 1], first[:, :1, 1] * steering)
 
     @pytest.mark.parametrize("spacing", [0.5, 0.37])
     def test_narrower_arrays_are_the_leading_rows(self, spacing):
         params = TestMatchesScalarDraw.mixed_users(6, 4)
-        paths = draw_paths(params, 4, range(5))
-        wide = channel_from_paths(paths, params, ArrayGeometry(256, spacing))
+        wide = draw_channel(params, ArrayGeometry(256, spacing), seed=4, slot=range(5))
         for m_ant in (1, 4, 7, 16, 33, 64, 255):
-            assert np.array_equal(channel_from_paths(paths, params, ArrayGeometry(m_ant, spacing)), wide[:, :m_ant])
-        other = channel_from_paths(paths, params, ArrayGeometry(64, 0.5 if spacing != 0.5 else 0.37))
+            assert np.array_equal(draw_channel(params, ArrayGeometry(m_ant, spacing), seed=4, slot=range(5)), wide[:, :m_ant])
+        other = draw_channel(params, ArrayGeometry(64, 0.5 if spacing != 0.5 else 0.37), seed=4, slot=range(5))
         assert not np.allclose(other, wide[:, :64])
 
     @pytest.mark.parametrize("spacing", [0.5, 0.37])
@@ -498,7 +454,8 @@ class TestDrawContract:
         assert np.max(np.abs(_steering_matrix(thetas, geom) - exact)) <= 1e-12
 
     def test_gains_are_unit_power(self):
-        gains = draw_paths([UserChannelParams(0.0, 0.1, path_count=50)], 3, range(400)).gains
+        # On one antenna, a one-path user at AoD 0 has its path's gain as its channel.
+        gains = draw_channel([UserChannelParams(0.0, 0.0, path_count=1)] * 50, ArrayGeometry(1), seed=3, slot=range(400))[:, 0]
         assert gains.shape == (400, 50)
         # |g|^2 is Exp(1): mean 1 with standard deviation 1 / sqrt(20000).
         assert abs(np.mean(np.abs(gains) ** 2) - 1.0) <= 4 / np.sqrt(gains.size)

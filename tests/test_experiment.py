@@ -305,13 +305,13 @@ class TestRowContract:
     )
     def test_each_block_drawn_once_per_scenario(self, monkeypatch, parameter, values, n_slots):
         calls = []
-        draw = metrics_mod.channel_mod.draw_paths
+        draw = metrics_mod.channel_mod.draw_channel
 
         def counted(*args, **kwargs):
             calls.append(1)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
         config = parse_config(SMALL + f"n_slots = {n_slots}\nsweep.parameter = {parameter}\nsweep.values = {values}\n")
         run_experiment(config)
         most_slots = max(apply_sweep_value(config, parameter, v).n_slots for v in config.sweep_values)
@@ -321,20 +321,20 @@ class TestRowContract:
         "parameter,values,draws,builds", [("M", "8, 16, 32", 1, 3), ("K", "2, 3", 2, 2)], ids=["M", "K"]
     )
     def test_paths_drawn_once_per_block_per_user_scenario(self, monkeypatch, parameter, values, draws, builds):
-        # M leaves the users alone, so every array size reads the same users and path draws; K changes them.
+        # M leaves the users alone, so every array size reads the same users and block draws; K changes them.
         # Each context makes its own scenario.
         blocks, scenarios = [], []
-        draw, make = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.make_scenario
+        draw, make = metrics_mod.channel_mod.draw_channel, metrics_mod.channel_mod.make_scenario
 
-        def counted(params, seed, slots):
+        def counted(params, geometry, seed, slots):
             blocks.append(list(slots))
-            return draw(params, seed, slots)
+            return draw(params, geometry, seed, slots)
 
         def counted_make(*args, **kwargs):
             scenarios.append(1)
             return make(*args, **kwargs)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
         monkeypatch.setattr(metrics_mod.channel_mod, "make_scenario", counted_make)
         config = parse_config(SMALL + f"n_slots = 70\nsweep.parameter = {parameter}\nsweep.values = {values}\n")
         block = metrics_mod.SLOT_BLOCK
@@ -349,16 +349,16 @@ class TestRowContract:
 
     def test_no_path_draw_outlives_the_next_block(self, monkeypatch):
         refs, alive = [], []
-        draw = metrics_mod.channel_mod.draw_paths
+        draw = metrics_mod.channel_mod.draw_channel
 
-        def watched(params, seed, slots):
+        def watched(params, geometry, seed, slots):
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
-            paths = draw(params, seed, slots)
-            refs.append(weakref.ref(paths))
-            return paths
+            channels = draw(params, geometry, seed, slots)
+            refs.append(weakref.ref(channels))
+            return channels
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", watched)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", watched)
         run_experiment(parse_config(SMALL + "n_slots = 70\nsweep.parameter = M\nsweep.values = 8, 16, 32\n"))
         assert len(alive) == math.ceil(70 / metrics_mod.SLOT_BLOCK) >= 3
         assert max(alive) <= 1
@@ -477,7 +477,7 @@ class TestValidation:
         def failing(*args, **kwargs):
             raise ArithmeticError("synthetic draw failure")
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", failing)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
         config = parse_config(SMALL + "schemes = MPHP, FIXED_SUBARRAY\n")
         with pytest.raises(ExperimentError, match="scheme MPHP, FIXED_SUBARRAY at sweep value nan: synthetic"):
             run_experiment(config)

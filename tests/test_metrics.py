@@ -499,13 +499,13 @@ class TestSharedDraws:
         n_slots = config.n_slots
         context = build_context(config, seed=11)
         blocks = []
-        draw = metrics_mod.channel_mod.draw_paths
+        draw = metrics_mod.channel_mod.draw_channel
 
-        def counted(params, seed, slots):
+        def counted(params, geometry, seed, slots):
             blocks.append(list(slots))
-            return draw(params, seed, slots)
+            return draw(params, geometry, seed, slots)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted)
         monte_carlo_rates(list(SchemeId), [config], 23, contexts=[context])
         assert blocks == [list(range(s, min(s + SLOT_BLOCK, n_slots))) for s in range(0, n_slots, SLOT_BLOCK)]
 
@@ -565,30 +565,23 @@ class TestSweepPoints:
 
     def test_one_draw_per_block_and_one_design_per_distinct_state(self, monkeypatch):
         contexts = contexts_at_seed(self.POINTS, 11)
-        blocks, arrays, designs = [], [], []
-        draw, build = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.channel_from_paths
-        design = metrics_mod.design_long_term
+        blocks, designs = [], []
+        draw, design = metrics_mod.channel_mod.draw_channel, metrics_mod.design_long_term
 
-        def counted_draw(params, seed, slots):
-            blocks.append(list(slots))
-            return draw(params, seed, slots)
-
-        def counted_build(paths, params, geometry):
-            arrays.append((len(blocks) - 1, geometry.antenna_count))
-            return build(paths, params, geometry)
+        def counted_draw(params, geometry, seed, slots):
+            blocks.append((list(slots), geometry.antenna_count))
+            return draw(params, geometry, seed, slots)
 
         def counted_design(scheme, grouping, config):
             designs.append((config.M, scheme))
             return design(scheme, grouping, config)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted_draw)
-        monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", counted_build)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted_draw)
         monkeypatch.setattr(metrics_mod, "design_long_term", counted_design)
         monte_carlo_rates(list(SchemeId), self.POINTS, 23, contexts=contexts)
         most = max(point.n_slots for point in self.POINTS)
-        assert blocks == [list(range(s, min(s + SLOT_BLOCK, most))) for s in range(0, most, SLOT_BLOCK)]
-        # Each block's channels are built once, on the widest array that a live point reads.
-        assert arrays == [(0, 16), (1, 16), (2, 16)]
+        # Each block is drawn once, on the widest array that a live point reads.
+        assert blocks == [(list(range(s, min(s + SLOT_BLOCK, most))), 16) for s in range(0, most, SLOT_BLOCK)]
         # Per array, (P, B) takes 4 or 2 values and B takes 2; the real-time schemes have no design input.
         assert [designs.count((16, s)) for s in SchemeId] == [4, 1, 2, 1, 1]
         assert [designs.count((8, s)) for s in SchemeId] == [2, 1, 2, 1, 1]
@@ -602,25 +595,19 @@ class TestSweepPoints:
             SystemConfig(M=8, K=3, G=2, B=2, n_slots=SLOT_BLOCK + 1),
         ]
         contexts = contexts_at_seed(points, 11)
-        draws, builds = [], []
-        draw, build = metrics_mod.channel_mod.draw_paths, metrics_mod.channel_mod.channel_from_paths
+        draws = []
+        draw = metrics_mod.channel_mod.draw_channel
 
-        def counted_draw(params, seed, slots):
-            draws.append((len(params), list(slots)))
-            return draw(params, seed, slots)
+        def counted_draw(params, geometry, seed, slots):
+            draws.append((len(params), list(slots), geometry.antenna_count))
+            return draw(params, geometry, seed, slots)
 
-        def counted_build(paths, params, geometry):
-            builds.append((len(params), geometry.antenna_count))
-            return build(paths, params, geometry)
-
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", counted_draw)
-        monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", counted_build)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", counted_draw)
         runs = monte_carlo_rates(list(SchemeId), points, 23, contexts=contexts)
         first, second = list(range(SLOT_BLOCK)), list(range(SLOT_BLOCK, SLOT_BLOCK + 3))
-        # Paths are drawn once per block per set of users, and channels built
-        # once per set on the widest array that a live point on it reads.
-        assert draws == [(4, first), (3, first), (4, second), (3, second)]
-        assert builds == [(4, 16), (3, 16), (4, 16), (3, 8)]
+        # Channels are drawn once per block per set of users, on the widest
+        # array that a live point on it reads.
+        assert draws == [(4, first, 16), (3, first, 16), (4, second, 16), (3, second, 8)]
         for point, context, point_runs in zip(points, contexts, runs):
             assert [run.per_user_rate.shape for run in point_runs] == [(point.K,)] * len(SchemeId)
             (alone,) = monte_carlo_rates(list(SchemeId), [point], 23, contexts=[context])
@@ -664,37 +651,37 @@ class TestSweepPoints:
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_shared_failure_names_the_first_point_that_needs_the_block(self, monkeypatch):
-        draw = metrics_mod.channel_mod.draw_paths
+        draw = metrics_mod.channel_mod.draw_channel
 
-        def failing(params, seed, slots):
+        def failing(params, geometry, seed, slots):
             if slots[0] >= SLOT_BLOCK:
                 raise ArithmeticError("synthetic draw failure")
-            return draw(params, seed, slots)
+            return draw(params, geometry, seed, slots)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "draw_paths", failing)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
         with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
             run_at_seed([SchemeId.MPHP], self.POINTS, 23)
         assert info.value.scheme is None
 
     def test_array_failure_names_the_first_point_on_that_array(self, monkeypatch):
-        # One build per element spacing, on its widest array (M = 32), named by its first point (M = 16).
+        # One draw per element spacing, on its widest array (M = 32), named by its first point (M = 16).
         points = [
             SystemConfig(M=8, K=4, G=2, n_slots=3),
             SystemConfig(M=16, K=4, G=2, element_spacing=0.37, n_slots=3),
             SystemConfig(M=32, K=4, G=2, element_spacing=0.37, n_slots=3),
         ]
-        build, builds = metrics_mod.channel_mod.channel_from_paths, []
+        draw, draws = metrics_mod.channel_mod.draw_channel, []
 
-        def failing(paths, params, geometry):
-            builds.append((geometry.antenna_count, geometry.element_spacing))
+        def failing(params, geometry, seed, slots):
+            draws.append((geometry.antenna_count, geometry.element_spacing))
             if geometry.element_spacing == 0.37:
                 raise ArithmeticError("synthetic array failure")
-            return build(paths, params, geometry)
+            return draw(params, geometry, seed, slots)
 
-        monkeypatch.setattr(metrics_mod.channel_mod, "channel_from_paths", failing)
+        monkeypatch.setattr(metrics_mod.channel_mod, "draw_channel", failing)
         with pytest.raises(SchemeFailure, match="a shared stage failed at point 1") as info:
             run_at_seed([SchemeId.MPHP], points, 23)
-        assert builds == [(8, 0.5), (32, 0.37)]
+        assert draws == [(8, 0.5), (32, 0.37)]
         assert info.value.scheme is None
         assert isinstance(info.value.__cause__, ArithmeticError)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mphp import numerics
-from mphp.channel import ArrayGeometry, UserChannelParams, correlation_from_params, steering_vector
+from mphp.channel import ArrayGeometry, UserChannelParams, scenario_correlations, steering_vector
 from mphp.numerics import (
     CONDITION_LIMIT,
     EigenDecomposition,
@@ -221,7 +221,7 @@ def dense_q(m_ant):
 
 def ula_correlation(m_ant, spread, mean_aod=0.4):
     params = UserChannelParams(mean_aod=mean_aod, angular_spread=spread, path_count=4, mean_power=2.5)
-    return correlation_from_params(params, ArrayGeometry(m_ant, element_spacing=0.37))
+    return scenario_correlations([params], ArrayGeometry(m_ant, element_spacing=0.37))[0]
 
 
 FRAME_SPREADS = (0.0, 0.01, 0.03, 0.5)
