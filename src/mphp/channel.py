@@ -124,8 +124,14 @@ def draw_channel(
         raise ValueError("need at least one user")
     if not slots or seed < 0 or min(slots) < 0:
         raise ValueError("need at least one slot; seed and slot must be non-negative")
+    h = _path_sum(*_path_draws(params, seed, slots), params, geometry)
+    return h[0] if np.ndim(slot) == 0 else h
+
+
+def _path_draws(params: Sequence[UserChannelParams], seed: int, slots: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``draw_channel``'s (n, total paths) AoDs and gains, users' paths in order."""
     counts = np.array([p.path_count for p in params])
-    total, per_user, width = int(counts.sum()), np.repeat(counts, counts), int(counts.max())
+    total, per_user = int(counts.sum()), np.repeat(counts, counts)
     # A user after o paths starts at 3 o: its path i's AoD is at 3 o + i, the modulus p later, the phase 2 p later.
     aod_at = 2 * np.repeat(np.cumsum(counts) - counts, counts) + np.arange(total)
     uniforms = np.stack([np.random.default_rng([seed, int(t)]).random(3 * total) for t in slots])
@@ -137,11 +143,17 @@ def draw_channel(
     drawn = spreads > 0.0
     standard = truncated_normal_ppf(uniforms[:, aod_at[drawn]].ravel().tolist())
     aods[:, drawn] = standard.reshape(len(slots), -1) * spreads[drawn] + aods[:, drawn]
+    return aods, gains
 
+
+def _path_sum(aods: np.ndarray, gains: np.ndarray, params: Sequence[UserChannelParams], geometry: ArrayGeometry) -> np.ndarray:
+    """``draw_channel``'s (n, M, K) sum of the paths ``_path_draws`` drew; ``aods`` and ``gains`` stay as they are."""
+    counts = np.array([p.path_count for p in params])
+    width = int(counts.max())
     padded = (np.arange(width) < counts[:, None]).ravel()
     if not padded.all():
         unpadded = aods, gains
-        aods, gains = np.zeros((len(slots), padded.size)), np.zeros((len(slots), padded.size), dtype=complex)
+        aods, gains = np.zeros((len(aods), padded.size)), np.zeros((len(aods), padded.size), dtype=complex)
         aods[:, padded], gains[:, padded] = unpadded
     scale = np.repeat([np.sqrt(p.mean_power / p.path_count) for p in params], width)
     terms = _steering_matrix(aods, geometry)
@@ -150,7 +162,7 @@ def draw_channel(
     h = np.zeros(by_path.shape[:-1], dtype=complex)
     for i in range(width):
         h += by_path[..., i]
-    return h[0] if np.ndim(slot) == 0 else h
+    return h
 
 
 def make_scenario(

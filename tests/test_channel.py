@@ -7,6 +7,8 @@ from mphp.channel import (
     AOD_TRUNCATION_SIGMAS,
     STEERING_FINE,
     ArrayGeometry,
+    _path_draws,
+    _path_sum,
     _steering_matrix,
     UserChannelParams,
     draw_channel,
@@ -229,6 +231,14 @@ class TestPathSum:
             expected = np.stack([scalar_draw_channel(params, geom, 11, slot) for slot in range(30)])
             assert h.tobytes() == expected.tobytes()
 
+    def test_paths_are_not_modified(self):
+        # Equal path counts take the drawn arrays unpadded, unequal ones copy them into the padding.
+        for params in ([UserChannelParams(0.1, 0.1, 1), UserChannelParams(-0.5, 0.2, 4)], [UserChannelParams(0.3, 0.1, 3)] * 2):
+            aods, gains = _path_draws(params, 2, list(range(5)))
+            kept = aods.copy(), gains.copy()
+            _path_sum(aods, gains, params, ArrayGeometry(16))
+            assert np.array_equal(aods, kept[0]) and np.array_equal(gains, kept[1])
+
 
 @pytest.fixture(scope="module")
 def channel_draws():
@@ -404,6 +414,29 @@ class TestMatchesScalarDraw:
                 draw_channel(params, geom, seed=seed, slot=slot), scalar_draw_channel(params, geom, seed, slot)
             )
             assert np.array_equal(stacked[slot], scalar_draw_channel(params, geom, seed, slot))
+
+
+class TestPathSplit:
+    """``draw_channel``'s path draw and per-array path sum compose to the channel draw."""
+
+    @pytest.mark.parametrize("antennas", [1, 16, 64])
+    @pytest.mark.parametrize("spread", ["mixed", "zero"])
+    def test_composition_is_the_channel_draw(self, antennas, spread):
+        geom = ArrayGeometry(antennas)
+        params = TestMatchesScalarDraw.mixed_users(8, 3)
+        if spread == "zero":
+            params = [UserChannelParams(p.mean_aod, 0.0, p.path_count, p.mean_power) for p in params]
+        slots = [17, 0, 5, 1]
+        h = _path_sum(*_path_draws(params, 3, slots), params, geom)
+        assert np.array_equal(h, draw_channel(params, geom, seed=3, slot=slots))
+        assert np.array_equal(h, np.stack([scalar_draw_channel(params, geom, 3, slot) for slot in slots]))
+
+    def test_one_path_draw_serves_two_arrays(self):
+        params = make_scenario(8, 3, seed=7)
+        aods, gains = _path_draws(params, 7, list(range(4)))
+        for geom in (ArrayGeometry(16), ArrayGeometry(64, element_spacing=0.37)):
+            expected = np.stack([scalar_draw_channel(params, geom, 7, slot) for slot in range(4)])
+            assert np.array_equal(_path_sum(aods, gains, params, geom), expected)
 
 
 class TestDrawContract:
