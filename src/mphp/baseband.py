@@ -29,7 +29,8 @@ def effective_channel(channel_group: np.ndarray, rf_group: np.ndarray) -> np.nda
 def zf_precoder(effective: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder with unit-norm columns for each channel of a
     stack (..., S, n), S <= n users on n inputs: a group's effective
-    channel (n = S) or, for full digital, a whole slot's H^H (n = M).
+    channel (n = S, inverted by LU) or, for full digital, a whole slot's
+    H^H (n = M, through a thin QR).
 
     Its columns are those of ``solve_right_inverse``'s pseudo-inverse,
     normalised, so the product of the channel with its precoder is diagonal

@@ -109,10 +109,10 @@ def build_precoders(
 
     Statistical schemes reuse ``long_state`` untouched; real-time schemes
     rebuild their analog stage from the current channels.  The scheme's
-    build zero-forces (``zf_precoder``: per group, or once on H^H for full
-    digital), and a near-singular channel marks its group as an outage in
-    that slot instead of aborting it; then ``_with_power`` sets every power
-    in one step.
+    build zero-forces in one ``zf_precoder`` call (on every group's
+    effective channel, or on H^H for full digital), and a near-singular
+    channel marks its group as an outage in that slot instead of aborting
+    it; then ``_with_power`` sets every power in one step.
     """
     return _with_power(*SCHEMES[scheme].build(long_state, channel, grouping, config), grouping, config)
 
@@ -185,8 +185,9 @@ def _build_full_digital(
     config: SystemConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm zero-forcing beams on the instantaneous channels, from one
-    ``zf_precoder`` call on the stack of H^H; a slot whose channel fails the
-    condition test puts every group in outage."""
+    ``zf_precoder`` call on the stack of the wide H^H (a thin QR, and the
+    square path on its R factors); a slot whose channel fails the condition
+    test puts every group in outage."""
     beams = zf_precoder(np.swapaxes(channel.conj(), -1, -2))
     usable = np.broadcast_to(beams.any(axis=(-2, -1))[:, None], (len(beams), grouping.group_count))
     return beams, usable
@@ -195,15 +196,33 @@ def _build_full_digital(
 def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-group zero-forcing on a stack of channels (n, M, K) behind an
     analog matrix, shared (M, L) or one per slot (n, M, L): user k's beam is
-    its group's analog columns F_g times its ZF column w_k."""
-    beams = np.zeros(channel.shape, dtype=complex)
-    usable = np.zeros((len(channel), grouping.group_count), dtype=bool)
+    its group's analog columns F_g times its ZF column w_k.
+
+    One ``zf_precoder`` call takes every group of every slot, as an
+    (n, G, S, S) stack with S the largest group size.  Group g's effective
+    channel E_g fills the leading S_g x S_g block of its matrix, and
+    s_g I the rest, with zeros between.  s_g = ||E_g||_F / sqrt(S_g), the
+    root mean square of E_g's singular values, lies between its extreme
+    ones, so the pad keeps cond(E_g) and the condition test decides as on
+    E_g alone (an identity pad would not: it can raise cond(E_g) past the
+    limit).  The zeros keep the pad out of E_g's inverse, but LAPACK's
+    blocking depends on the matrix size, so a padded group's precoder may
+    differ from an S_g x S_g call's in the last bits."""
+    sizes = grouping.sizes
+    side = sizes.max()
+    stack = np.zeros((len(channel), len(sizes), side, side), dtype=complex)
     for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
-        f_group = f[..., chains]
-        w = zf_precoder(effective_channel(channel[..., members], f_group))
-        beams[..., members] = f_group @ w
-        usable[:, g] = w.any(axis=(-2, -1))
-    return beams, usable
+        stack[:, g, : sizes[g], : sizes[g]] = effective_channel(channel[..., members], f[..., chains])
+    # The pad is still zero, so each matrix's norm is its block's.
+    rms = np.linalg.norm(stack, axis=(-2, -1)) / np.sqrt(sizes)
+    diagonals = stack.reshape(*stack.shape[:2], -1)[..., :: side + 1]
+    np.copyto(diagonals, rms[..., None], where=np.arange(side) >= sizes[:, None])
+    w_all = zf_precoder(stack)
+    beams = np.zeros(channel.shape, dtype=complex)
+    for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
+        beams[..., members] = f[..., chains] @ w_all[:, g, : sizes[g], : sizes[g]]
+    # A group's precoder is all zero or has no zero column, pad columns included.
+    return beams, w_all.any(axis=(-2, -1))
 
 
 def _with_power(beams: np.ndarray, usable: np.ndarray, grouping: Grouping, config: SystemConfig) -> SlotPrecoders:

@@ -6,7 +6,8 @@ every zero-forcing inverse of the pipeline, with its condition test, goes
 through this module, and ``CONDITION_LIMIT``, the one cut-off for a
 near-singular matrix, is defined here and nowhere else, as is
 ``real_frame``, which makes a ULA's correlations real.  A square
-zero-forcing stack is inverted by LU, and an SVD judges each matrix whose
+zero-forcing stack is inverted by LU, a wide one through the LU inverse of
+the square R of its thin QR, and an SVD judges each square matrix whose
 condition the LU inverse's norm bound leaves in doubt.
 """
 
@@ -24,12 +25,13 @@ class NearSingularError(ArithmeticError):
     """LAPACK failed inside the SVD of ``solve_right_inverse``.
 
     Raised only where a ``LinAlgError`` from the SVD is wrapped: the SVD of
-    a wide stack, or of the square matrices that the LU path leaves in
-    doubt.  An LU inverse that stops at an exactly singular matrix is not
-    an error; that matrix goes to the SVD.  A matrix that is merely near
-    singular is not an error either: it fails the condition test, gets a
-    zero inverse, and its group is an outage in that slot.  The pipeline
-    never catches this, so a run that raises it stops.
+    the square matrices that the LU path leaves in doubt, which for a wide
+    stack are the R factors of its QR.  An LU inverse that stops at an
+    exactly singular matrix is not an error; that matrix goes to the SVD.
+    A matrix that is merely near singular is not an error either: it fails
+    the condition test, gets a zero inverse, and its group is an outage in
+    that slot.  The pipeline never catches this, so a run that raises it
+    stops.
     """
 
 
@@ -144,10 +146,12 @@ def solve_right_inverse(a: np.ndarray) -> np.ndarray:
     that inverse when the bound c = ||A||_F ||A^-1||_F >= cond_2(A) (Golub
     & Van Loan, *Matrix Computations*) is finite and at most
     ``CONDITION_LIMIT / 2``, a margin that the rounding of c cannot cross.
-    Every other matrix, and every matrix of a wide stack, takes
-    B = U diag(1/s) V^H from one thin SVD A^H = U diag(s) V^H, whose
-    singular values alone decide its test.  Slice i of a stack is bit-equal
-    to the call on matrix i.
+    Every other matrix takes B = U diag(1/s) V^H from one thin SVD
+    A^H = U diag(s) V^H, whose singular values alone decide its test.  A
+    wide stack, its non-finite matrices zeroed, is factored by one thin QR
+    A^H = Q R and gets B = Q (R^H)^-1, with (R^H)^-1 from the square path:
+    R has A's singular values, so the same rule decides, at rounding.
+    Slice i of a stack is bit-equal to the call on matrix i.
 
     Raises:
         ValueError: the stack is empty or tall (m > n).
@@ -158,7 +162,18 @@ def solve_right_inverse(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square or wide matrix, got shape {a.shape}")
     if a.shape[-2] == 0:
         raise ValueError("cannot invert an empty matrix")
-    return _lu_inverse(a) if a.shape[-2] == a.shape[-1] else _svd_inverse(a)
+    if a.shape[-2] == a.shape[-1]:
+        return _lu_inverse(a)
+    # A NaN Q times a zero inverse is NaN, so a non-finite matrix is zeroed first.
+    q, r = np.linalg.qr(_adjoint_or_zero(a))
+    return q @ _lu_inverse(np.swapaxes(r, -1, -2).conj())
+
+
+def _adjoint_or_zero(a: np.ndarray) -> np.ndarray:
+    """A^H of each matrix of a stack, or a zero matrix where A has a
+    non-finite entry, which fails the condition test."""
+    finite = np.isfinite(a).all(axis=(-2, -1))[..., None, None]
+    return np.where(finite, np.swapaxes(a, -1, -2).conj(), 0.0)
 
 
 def _lu_inverse(a: np.ndarray) -> np.ndarray:
@@ -197,11 +212,9 @@ def _frobenius_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _svd_inverse(a: np.ndarray) -> np.ndarray:
-    """``solve_right_inverse`` of a stack by one thin SVD of A^H."""
-    # A matrix with a non-finite entry is swapped for a zero one, which fails the test.
-    finite = np.isfinite(a).all(axis=(-2, -1))[..., None, None]
+    """``solve_right_inverse`` of a square stack by one SVD of A^H."""
     try:
-        u, s, vh = np.linalg.svd(np.where(finite, np.swapaxes(a, -1, -2).conj(), 0.0), full_matrices=False)
+        u, s, vh = np.linalg.svd(_adjoint_or_zero(a), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"SVD failed: {exc}") from exc
     passed = (s[..., -1] > 0) & (s[..., 0] <= CONDITION_LIMIT * s[..., -1])

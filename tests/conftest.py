@@ -25,6 +25,12 @@ def random_hermitian(rng, dim):
     return hermitian_part(x)
 
 
+def unitary(rng, n):
+    """A random n x n unitary: Q of a complex Gaussian matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 class LoopPrecoder(NamedTuple):
     """An oracle's analog precoder: the fields ``RfPrecoder`` exposes, with
     the oracle's own loop-built matrix ``f``, so that a design's ``f`` is

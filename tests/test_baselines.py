@@ -10,6 +10,7 @@ from mphp.baselines import (
     SCHEMES,
     SchemeId,
     _with_power,
+    _zf_all_groups,
     adaptive_instant_precoder,
     build_precoders,
     design_long_term,
@@ -28,7 +29,7 @@ from mphp.rf_precoder import (
     validate_rf_precoder,
 )
 
-from conftest import LoopPrecoder, count_calls, grouped_context, make_grouping
+from conftest import LoopPrecoder, count_calls, grouped_context, make_grouping, unitary
 
 
 def two_user_grouping(n_ant):
@@ -540,6 +541,100 @@ class TestSlotBeams:
         np.testing.assert_allclose(high.power, 10.0 * low.power, rtol=1e-14, atol=0)
 
 
+def labelled_grouping(sizes, m_ant, shuffle=True):
+    """A grouping of sum(sizes) users with the given group sizes, its labels
+    shuffled so that no group's members are contiguous."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    if shuffle:
+        np.random.default_rng(len(labels)).shuffle(labels)
+    return make_grouping([np.eye(m_ant, dtype=complex)] * len(labels), labels)
+
+
+def random_slots(rng, n_slots, m_ant, k_users):
+    """Random channels (n, M, K) and unit-modulus analog stages (n, M, K)."""
+    channel = rng.standard_normal((n_slots, m_ant, k_users)) + 1j * rng.standard_normal((n_slots, m_ant, k_users))
+    f = np.exp(2j * np.pi * rng.random((n_slots, m_ant, k_users))) / np.sqrt(m_ant)
+    return channel, f
+
+
+PADDED_SIZES = {
+    "sizes 5, 2, 1": (5, 2, 1),
+    "sizes 9, 2": (9, 2),
+    "sizes 3, 3, 2": (3, 3, 2),
+    "G = 1": (6,),
+    "G = K": (1, 1, 1, 1, 1),
+}
+
+
+class TestPaddedGroupStack:
+    """``_zf_all_groups`` zero-forces every group of a build in one
+    ``zf_precoder`` call on an (n, G, S, S) stack: group g's effective
+    channel E_g leads its matrix, padded with (||E_g||_F / sqrt(S_g)) I."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-slot f", "shared f"])
+    @pytest.mark.parametrize("case", sorted(PADDED_SIZES))
+    def test_matches_per_group_oracle(self, rng, case, shared):
+        sizes = PADDED_SIZES[case]
+        k_users = sum(sizes)
+        config = SystemConfig(M=2 * k_users + 2, K=k_users, G=len(sizes))
+        grouping = labelled_grouping(sizes, config.M)
+        channel, f = random_slots(rng, 6, config.M, k_users)
+        f = f[0] if shared else f
+        beams, usable = _zf_all_groups(f, channel, grouping, config)
+        assert usable.shape == (6, len(sizes)) and usable.all()
+        for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
+            effective = effective_channel(channel[..., members], f[..., chains])
+            expected = f[..., chains] @ zf_precoder(effective)
+            if len(members) == max(sizes):
+                # An unpadded block is the same LU call as the group's own.
+                assert np.array_equal(beams[..., members], expected)
+            else:
+                # LAPACK's blocking depends on the matrix size, so a padded
+                # block's inverse may differ from the group's own in the
+                # last bits; both lose about eps * cond(E_g).
+                bound = 16 * len(members) * np.finfo(float).eps * np.linalg.cond(effective)
+                assert (np.abs(beams[..., members] - expected).max(axis=(-2, -1)) <= bound).all()
+
+    def test_rms_pad_keeps_the_condition_decision(self, rng):
+        # Group 0 (users and chains 0, 1) behind F = I sees E_0 = H[:2, :2]^H.
+        # Singular values (0.5, 6e-13), cond 8.3e11, pass the test; (0.5,
+        # 4e-13), cond 1.25e12, fail it.  The pad 0.35 I keeps both
+        # decisions, where an identity pad would raise the first one's
+        # condition to 1.7e12.
+        grouping = labelled_grouping((2, 3), 5, shuffle=False)
+        config = SystemConfig(M=5, K=5, G=2)
+        channel, _ = random_slots(rng, 2, 5, 5)
+        blocks = [unitary(rng, 2) @ np.diag([0.5, least]) @ unitary(rng, 2) for least in (6e-13, 4e-13)]
+        channel[:, :2, :2] = np.swapaxes(np.stack(blocks), -1, -2).conj()
+        _, usable = _zf_all_groups(np.eye(5), channel, grouping, config)
+        assert usable.tolist() == [[True, True], [False, True]]
+        assert [zf_precoder(block).any() for block in blocks] == [True, False]
+        identity_padded = np.eye(3, dtype=complex)
+        identity_padded[:2, :2] = blocks[0]
+        assert not zf_precoder(identity_padded).any()
+
+    def test_failing_group_silences_only_itself(self, rng):
+        sizes = (3, 1, 2)
+        config = SystemConfig(M=14, K=6, G=3)
+        grouping = labelled_grouping(sizes, config.M)
+        channel, f = random_slots(rng, 3, config.M, config.K)
+        clean_beams, clean_usable = _zf_all_groups(f, channel, grouping, config)
+        members = grouping.members
+        channel[1][:, members[0]] = 0.0
+        channel[2][3, members[2][1]] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beams, usable = _zf_all_groups(f, channel, grouping, config)
+        silent = {(1, 0), (2, 2)}
+        assert clean_usable.all()
+        for t, g in np.ndindex(usable.shape):
+            assert usable[t, g] == ((t, g) not in silent)
+            if (t, g) in silent:
+                assert not beams[t][:, members[g]].any()
+            else:
+                assert np.array_equal(beams[t][:, members[g]], clean_beams[t][:, members[g]]), (t, g)
+
+
 class TestWithPower:
     """The power step: P / (K ||b_k||^2) for each user of a usable group, 0 in outage."""
 
@@ -583,14 +678,16 @@ class TestWithPower:
 
 
 class TestOneZeroForcingPath:
-    """Every scheme zero-forces through ``zf_precoder``
+    """Every scheme zero-forces through one ``zf_precoder`` call per build
     (``numerics.solve_right_inverse``: LU for a square stack with the SVD
-    judging each matrix in doubt, the SVD for a wide one), and
+    judging each matrix in doubt, the LU inverse of R from a thin QR for a
+    wide one): the full-digital scheme on the stack of H^H, the hybrid
+    schemes on one padded stack of every group's effective channel.
     ``build_precoders`` sets the powers of every scheme's beams in one
     place."""
 
     @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
-    def test_one_zf_call_per_group_or_per_full_digital_build(self, monkeypatch, scheme):
+    def test_one_zf_call_per_build(self, monkeypatch, scheme):
         import mphp.baselines as baselines
 
         config = BEAM_CASES["defaults"]
@@ -598,8 +695,11 @@ class TestOneZeroForcingPath:
         state = design_long_term(scheme, grouping, config)
         calls = count_calls(monkeypatch, baselines, "zf_precoder")
         build_precoders(scheme, state, channels, grouping, config)
-        assert len(calls) == (1 if scheme is SchemeId.FULL_DIGITAL_ZF else grouping.group_count)
-        assert all(len(args[0]) == len(channels) for args in calls)
+        assert len(calls) == 1
+        # The slot axis leads; a hybrid build stacks its G groups behind it.
+        side = max(grouping.sizes)
+        stacked = (config.K, config.M) if scheme is SchemeId.FULL_DIGITAL_ZF else (grouping.group_count, side, side)
+        assert calls[0][0].shape == (len(channels), *stacked)
 
     def test_no_builder_solves_or_estimates_a_condition_number(self, monkeypatch):
         config = BEAM_CASES["defaults"]

@@ -15,7 +15,7 @@ from mphp.numerics import (
     solve_right_inverse,
 )
 
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian, random_psd, unitary
 
 
 class TestHermitianEig:
@@ -135,13 +135,14 @@ class TestSolveRightInverse:
         assert not solve_right_inverse(np.ones((2, 2))).any()
 
     def test_failed_solve_is_near_singular(self, monkeypatch):
-        # A wide matrix always reaches the SVD.
+        # A rank-deficient wide matrix leaves its R factor in doubt, so the
+        # SVD judges it.
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
         with pytest.raises(NearSingularError, match="^SVD failed: SVD did not converge$"):
-            solve_right_inverse(np.eye(2, 3))
+            solve_right_inverse(np.ones((2, 3)))
 
     def test_failed_solve_in_doubt_is_near_singular(self, monkeypatch):
         # A square matrix reaches the SVD when its Frobenius bound exceeds
@@ -330,15 +331,9 @@ class TestStackedConditioning:
         assert np.allclose(b, np.linalg.pinv(a), rtol=0, atol=1e-14)
 
 
-def unitary(rng, n):
-    """A random n x n unitary: Q of a complex Gaussian matrix, phases fixed."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def svd_rule(a):
-    """The SVD condition test on each matrix of a square stack: the singular
-    values of A^H, a matrix with a non-finite entry taken as zero."""
+    """The SVD condition test on each matrix of a square or wide stack: the
+    singular values of A^H, a matrix with a non-finite entry taken as zero."""
     finite = np.isfinite(a).all(axis=(-2, -1))[..., None, None]
     s = np.linalg.svd(np.where(finite, np.swapaxes(a, -1, -2).conj(), 0.0), compute_uv=False)
     return (s[..., -1] > 0) & (s[..., 0] <= CONDITION_LIMIT * s[..., -1])
@@ -412,3 +407,81 @@ class TestSquareStacksByLu:
         ]
         assert bounds[0] == bounds[1] == bounds[2]
         assert bounds[1] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)), rel=1e-14)
+
+
+def complex_gaussian(rng, shape):
+    """A stack of matrices with independent complex Gaussian entries."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestWideStacksByQr:
+    """A wide stack is factored by one thin QR, A^H = Q R, and gets
+    B = Q (R^H)^-1, with R^H inverted and judged by the square path: R has
+    A's singular values, so the SVD rule decides, at rounding."""
+
+    @pytest.mark.parametrize("shape", [(6, 2, 5), (4, 8, 16), (3, 8, 64), (2, 1, 3)])
+    def test_matches_pinv(self, rng, shape):
+        a = complex_gaussian(rng, shape)
+        b = solve_right_inverse(a)
+        pinv = np.linalg.pinv(a)
+        assert np.abs(b - pinv).max() <= 1e-12 * np.abs(pinv).max()
+        residual = np.abs(a @ b - np.eye(shape[1])).max(axis=(-2, -1))
+        assert (residual <= 8 * shape[1] * EPS * np.linalg.cond(a)).all()
+
+    def test_residual_is_first_order_in_the_condition(self, rng):
+        # Spectra from 1 down to 1e-3 ... 1e-9: A B - I stays near eps * cond(A).
+        a = np.stack([unitary(rng, 4) @ np.diag(np.logspace(0, -k, 4)) @ unitary(rng, 9)[:4] for k in (3, 6, 9)])
+        residual = np.abs(a @ solve_right_inverse(a) - np.eye(4)).max(axis=(-2, -1))
+        assert (residual <= 32 * EPS * np.linalg.cond(a)).all()
+        assert residual[-1] > 1e3 * EPS
+
+    def test_failing_slices_are_zero_and_others_bit_equal(self, rng):
+        a = complex_gaussian(rng, (7, 3, 6))
+        a[1] = np.ones((3, 6))
+        a[2] = 0.0
+        a[3, 0, 4] = np.nan
+        a[4, 2, 1] = np.inf
+        a[5, 2] = a[5, 0] + a[5, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = solve_right_inverse(a)
+            for t in range(len(a)):
+                assert np.array_equal(b[t], solve_right_inverse(a[t])), t
+        assert np.array_equal(b.any(axis=(-2, -1)), [True, False, False, False, False, False, True])
+        assert not b[1:6].any()
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_condition_limit_decided_as_the_svd_rule(self, rng, side):
+        # 0.1% either side of the limit, beyond the rounding of s[-1] (about
+        # eps * s[0] = 2e-4 of it at the limit).
+        k = CONDITION_LIMIT * (1 + side * 1e-3)
+        a = np.stack([unitary(rng, 2) @ np.diag([1.0, 1.0 / k]) @ unitary(rng, 5)[:2] for _ in range(20)])
+        passed = solve_right_inverse(a).any(axis=(-2, -1))
+        assert np.array_equal(passed, svd_rule(a))
+        assert (passed == (side < 0)).all()
+
+    def test_doubtful_r_factors_reach_the_svd(self, monkeypatch, rng):
+        # Only the R factors in doubt go to the SVD, as one square stack.
+        a = complex_gaussian(rng, (4, 2, 5))
+        a[2, 1] = a[2, 0]
+        svd_inputs = []
+        svd = np.linalg.svd
+
+        def recorded(x, **kwargs):
+            svd_inputs.append(x)
+            return svd(x, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        b = solve_right_inverse(a)
+        assert [x.shape for x in svd_inputs] == [(1, 2, 2)]
+        assert np.array_equal(b.any(axis=(-2, -1)), [True, True, False, True])
+
+    def test_square_stack_takes_the_lu_path(self, monkeypatch, rng):
+        # M = K: the full-digital H^H is square, and no QR is taken.
+        a = complex_gaussian(rng, (5, 4, 4))
+
+        def failing(*args, **kwargs):
+            raise AssertionError("a square stack reached np.linalg.qr")
+
+        monkeypatch.setattr(np.linalg, "qr", failing)
+        assert np.array_equal(solve_right_inverse(a), np.linalg.inv(a))
