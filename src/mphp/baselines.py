@@ -211,8 +211,10 @@ def _zf_all_groups(f: np.ndarray, channel: np.ndarray, grouping: Grouping, confi
     sizes = grouping.sizes
     side = sizes.max()
     stack = np.zeros((len(channel), len(sizes), side, side), dtype=complex)
-    for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
-        stack[:, g, : sizes[g], : sizes[g]] = effective_channel(channel[..., members], f[..., chains])
+    # An infinite channel entry times a zero tap is NaN, which fails the condition test.
+    with np.errstate(invalid="ignore"):
+        for g, (chains, members) in enumerate(zip(grouping.rf_chains, grouping.members)):
+            stack[:, g, : sizes[g], : sizes[g]] = effective_channel(channel[..., members], f[..., chains])
     # The pad is still zero, so each matrix's norm is its block's.
     rms = np.linalg.norm(stack, axis=(-2, -1)) / np.sqrt(sizes)
     diagonals = stack.reshape(*stack.shape[:2], -1)[..., :: side + 1]

@@ -203,9 +203,11 @@ def scenario_correlations(
     params: Sequence[UserChannelParams],
     geometry: ArrayGeometry,
     quadrature_points: int = 256,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Per-user spatial correlation matrices E[h h^H] under the
-    truncated-Gaussian AoD density, all users in one pass.
+    truncated-Gaussian AoD density, all users in one pass, as one new
+    C-contiguous (K, M, M) array: row k is user k's matrix, itself
+    writeable and C-contiguous, and the only copy made of it.
 
     Midpoint quadrature over the truncated support, renormalized to trace
     M * mean_power; at zero spread the one point ``mean_aod`` with weight 1,
@@ -242,7 +244,7 @@ def scenario_correlations(
     lags *= np.array([p.mean_power for p in params])[:, None] / lags[:, :1].real
     # Row m of R is the reversed window m of [conj(c[M-1]), ..., conj(c[1]), c[0], ..., c[M-1]].
     both = np.concatenate([lags[:, :0:-1].conj(), lags], axis=1)
-    return list(np.array(np.lib.stride_tricks.sliding_window_view(both, m_ant, axis=1)[..., ::-1], order="C"))
+    return np.array(np.lib.stride_tricks.sliding_window_view(both, m_ant, axis=1)[..., ::-1], order="C")
 
 
 def _lag_sums(thetas: np.ndarray, weights: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:

@@ -187,11 +187,11 @@ def group_users(
     matrix, as in ``chordal_distance``.  The loop runs in the span of the
     correlations: one M x M eigendecomposition of their sum gives a basis U
     (M x r) of it, and every user and centroid matrix is decomposed as
-    U^H R U, at size r x r: the K users in one stacked ``hermitian_eig``
-    call, and each step's G centroids in one.  Each capped subspace lies in
-    span(U), so the distances are the full-space ones up to rounding, and
-    each Lloyd step computes every (user, centroid) distance once, into one
-    K x G table.
+    U^H R U, at size r x r: the K users in two stacked ``hermitian_eig``
+    calls of half of them each, and each step's G centroids in one.  Each
+    capped subspace lies in span(U), so the distances are the full-space
+    ones up to rounding, and each Lloyd step computes every (user,
+    centroid) distance once, into one K x G table.
     The grouping keeps the sum's leading eigenvectors and each group's
     member average of the users' U^H R_k U for its ``joint`` subspace, so
     the long-term stage makes no other M x M eigendecomposition.  A group's
@@ -201,6 +201,12 @@ def group_users(
     reading them decomposes nothing.  All of it runs in the
     ``numerics.real_frame`` of the correlations, in real arithmetic when
     they are centro-Hermitian; only the basis is lifted.
+
+    ``correlations`` is read as given: ``channel.scenario_correlations``'
+    (K, M, M) array without a copy, a list of matrices stacked once.  The
+    stage keeps neither that stack nor the real frame past the users'
+    reduced products, so beside the caller's correlations it holds about
+    the K reduced matrices and the users' projectors (each K r^2 floats).
     """
     n_users = len(correlations)
     if group_count > n_users:
@@ -213,8 +219,31 @@ def group_users(
         raise ValueError(f"subspace_rank must be in [1, {m_ant}], got {rank}")
 
     span = _span(correlations)
-    reduced = span.reduced
-    user_projectors = _dominant_projectors(hermitian_eig(reduced), rank, m_ant)
+    labels, cost_history, eigs = _lloyd(span.reduced, group_count, rank, m_ant)
+    order = sorted(range(group_count), key=lambda g: np.flatnonzero(labels == g)[0])
+    labels = np.argsort(order)[labels]
+    # New group j is old group order[j], whose last centroid update decomposed its member average.
+    return _grouping(span, labels, cost_history, EigenDecomposition(*(part[order] for part in eigs)))
+
+
+def _lloyd(
+    reduced: np.ndarray, group_count: int, rank: int, antenna_count: int
+) -> tuple[np.ndarray, list[float], EigenDecomposition]:
+    """``group_users``' labels, its cost history and its last step's stacked
+    centroid decompositions, from the users' reduced correlations
+    ``reduced`` (K x r x r).  Slice i of a stacked decomposition is
+    bit-equal to the call on matrix i, so the users are decomposed in two
+    halves, and their eigenvectors, the symmetrized copy of the stack and
+    the projectors are never all held at once.  Each step's centroids are
+    dropped before the next step's are made.  So beside ``reduced`` and
+    the users' projectors no more than about one more (K, r, r) array is
+    alive at a time."""
+    n_users = len(reduced)
+    user_projectors = [
+        p
+        for half in np.array_split(reduced, min(n_users, 2))
+        for p in _dominant_projectors(hermitian_eig(half), rank, antenna_count)
+    ]
 
     # Farthest-point seeding from user 0: ``nearest[k]`` is user k's
     # distance to its nearest seed, and each new seed adds one column.
@@ -225,9 +254,9 @@ def group_users(
         nearest = np.minimum(nearest, [_projector_distance(p, newest) for p in user_projectors])
         nearest[seeds] = -1.0
         seeds.append(int(np.argmax(nearest)))
-    centroids = [user_projectors[s].copy() for s in seeds]
+    centroids = [user_projectors[s] for s in seeds]
 
-    labels = None
+    labels = eigs = None
     cost_history: list[float] = []
     for _ in range(MAX_ITERS):
         dist = np.array([[_projector_distance(p, c) for c in centroids] for p in user_projectors])
@@ -244,13 +273,11 @@ def group_users(
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
+        # The next centroids replace these; dropping them first lowers the peak.
+        centroids = eigs = None
         eigs = hermitian_eig(np.stack([_average_correlation(reduced, labels, g) for g in range(group_count)]))
-        centroids = _dominant_projectors(eigs, rank, m_ant)
-
-    order = sorted(range(group_count), key=lambda g: np.flatnonzero(labels == g)[0])
-    labels = np.argsort(order)[labels]
-    # New group j is old group order[j], whose last centroid update decomposed its member average.
-    return _grouping(span, labels, cost_history, EigenDecomposition(*(part[order] for part in eigs)))
+        centroids = _dominant_projectors(eigs, rank, antenna_count)
+    return labels, cost_history, eigs
 
 
 def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequence[int]) -> Grouping:
@@ -267,24 +294,31 @@ def grouping_from_labels(correlations: Sequence[np.ndarray], assignments: Sequen
 
 
 class _Span(NamedTuple):
-    """The user correlations in their ``numerics.real_frame`` (K x M x M)
-    with its lift, the eigenvectors of their sum there (descending), and
-    each user's U^H T_k U (K x r x r), U the sum's r eigenvectors above
-    rounding."""
+    """The caller's user correlations T_k, as given, the lift of their
+    ``numerics.real_frame``, the eigenvectors of their sum in that frame
+    (descending), and each user's U^H T_k U there (K x r x r), U the sum's
+    r eigenvectors above rounding.  The frame itself (K x M x M) is not
+    kept: it is freed once the products U^H T_k exist, so the Lloyd loop
+    holds the correlations only as the caller does.  ``_grouping`` derives
+    the frame again in the one case that reads it (a widened basis)."""
 
-    frame: np.ndarray
+    correlations: Sequence[np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
     vectors: np.ndarray
     reduced: np.ndarray
 
 
 def _span(correlations: Sequence[np.ndarray]) -> _Span:
-    frame, lift = real_frame(np.stack(correlations))
+    # ``asarray`` stacks a list of matrices and takes a (K, M, M) array as it is.
+    frame, lift = real_frame(np.asarray(correlations))
     values, vectors = _frame_eig(sum(frame))
     basis = vectors[:, above_rounding(values, frame.shape[-1])]
     if basis.shape[1] == 0:
         raise ValueError("every correlation is zero")
-    return _Span(frame, lift, vectors, basis.conj().T @ frame @ basis)
+    # U^H T_k U is (U^H T_k) U; the frame is dropped before the second product.
+    left = basis.conj().T @ frame
+    del frame
+    return _Span(correlations, lift, vectors, left @ basis)
 
 
 def _average_correlation(correlations: Sequence[np.ndarray], assignments: np.ndarray, g: int) -> np.ndarray:
@@ -299,7 +333,8 @@ def _grouping(
     the sum's leading eigenvectors, lifted, and each group's reduced
     correlation in the frame: its member average of ``span.reduced``, or,
     when the basis needs more columns than U has (co-located users,
-    r < S_g), its member average of ``span.frame`` projected on them.  Its
+    r < S_g), its member average of the correlations' frame, derived again
+    from ``span.correlations``, projected on them.  Its
     ``reduced_eigs`` are ``averages_eig``, the stacked decomposition of the
     member averages of ``span.reduced`` in group order, when those are the
     reduced correlations; otherwise one stacked decomposition of them."""
@@ -307,7 +342,8 @@ def _grouping(
     width = max(rank, *np.bincount(assignments))
     wide = span.vectors[:, :width]
     if width > rank:
-        reduced = [wide.conj().T @ _average_correlation(span.frame, assignments, g) @ wide for g in range(group_count)]
+        frame = real_frame(np.asarray(span.correlations))[0]
+        reduced = [wide.conj().T @ _average_correlation(frame, assignments, g) @ wide for g in range(group_count)]
     else:
         reduced = [_average_correlation(span.reduced, assignments, g) for g in range(group_count)]
     joint = JointSubspace(span.lift(wide), reduced)

@@ -75,6 +75,8 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     if a.shape[-1] == 0:
         raise ValueError("cannot eigendecompose an empty matrix")
     values, vectors = np.linalg.eigh(a)
+    # The symmetrized copy goes before the vectors are copied in reverse.
+    del a
     return EigenDecomposition(
         eigenvalues=np.ascontiguousarray(values[..., ::-1]),
         eigenvectors=np.ascontiguousarray(vectors[..., ::-1]),
@@ -91,13 +93,20 @@ def real_frame(a: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.nda
     (Haardt & Nossek, IEEE TSP 1995), and the lift is V -> Q V.  With
     A = X + iY in n x n blocks, Q^H A Q = [[X11 + X12 J, Y12 J - Y11],
     [Y11 + Y12 J, X11 - X12 J]]: O(M^2) slices.  Any other stack stays as
-    it is, with the identity lift."""
+    it is, with the identity lift.
+
+    The test J A J = conj(A) reads the views X and Y, so it makes no
+    conjugate copy: J X J = X and J Y J = -Y.  A NaN entry fails it, and
+    +0.0 and -0.0 compare equal."""
     a = np.asarray(a)
     n, hi = a.shape[-1] // 2, (a.shape[-1] + 1) // 2
-    # Rows hi: mirror rows :n, so comparing rows :hi covers every entry.
-    if not np.array_equal(a[..., ::-1, ::-1][..., :hi, :], a[..., :hi, :].conj()):
-        return a, lambda vectors: vectors
     x, y = a.real, a.imag
+    # Rows hi: mirror rows :n, so comparing rows :hi covers every entry.
+    if not (
+        np.array_equal(x[..., ::-1, ::-1][..., :hi, :], x[..., :hi, :])
+        and np.array_equal(y[..., ::-1, ::-1][..., :hi, :], -y[..., :hi, :])
+    ):
+        return a, lambda vectors: vectors
     x11, y11 = x[..., :n, :n], y[..., :n, :n]
     x12j, y12j = x[..., :n, ::-1][..., :n], y[..., :n, ::-1][..., :n]
     out = np.empty(a.shape)

@@ -101,13 +101,16 @@ def _grid_position(values: np.ndarray, bits: int) -> np.ndarray:
 
 def nearest_phase_index(value: complex | np.ndarray, bits: int) -> int | np.ndarray:
     """Index of the grid point nearest value's phase, floor(arg / step + 1/2)
-    mod 2**bits, the rounding ``align_column_phase`` applies; 0 for value = 0.
+    mod 2**bits, the rounding ``align_column_phase`` applies; 0 for value = 0
+    and for a value with a NaN part, which has no phase.
 
     A scalar gives an ``int``; an array gives an integer array of its shape,
     quantized elementwise against one grid.
     """
     values = np.asarray(value, dtype=complex)
-    index = np.where(values != 0, np.floor(_grid_position(values, bits)).astype(int) % 2**bits, 0)
+    position = _grid_position(values, bits)
+    # Position 0 floors to index 0, and no NaN reaches the integer cast.
+    index = np.floor(np.where((values != 0) & ~np.isnan(position), position, 0.0)).astype(int) % 2**bits
     return int(index) if index.ndim == 0 else index
 
 

@@ -445,6 +445,39 @@ class TestOutagePolicy:
         assert np.array_equal(precoders.power, np.zeros((1, 2)))
 
 
+NON_FINITE = {
+    "inf": np.inf,
+    "inf-both": complex(-np.inf, np.inf),
+    "nan": np.nan,
+    "nan-imaginary": complex(0.5, np.nan),
+}
+
+
+class TestNonFiniteChannel:
+    """A channel entry that is infinite or NaN puts exactly its user's
+    group in outage in that slot (for full digital, the whole slot), and
+    no build warns: tier-1 turns every RuntimeWarning into an error."""
+
+    @pytest.mark.parametrize("bad", sorted(NON_FINITE))
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_silences_the_users_group(self, scheme, bad):
+        config = SystemConfig(M=16, K=4, G=2)
+        grouping, scenario, geometry = build_context(config, 1)
+        state = design_long_term(scheme, grouping, config)
+        clean = draw_channel(scenario, geometry, seed=3, slot=[0, 1])
+        for user in range(config.K):
+            channels = clean.copy()
+            channels[1, 5, user] = NON_FINITE[bad]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                precoders = build_precoders(scheme, state, channels, grouping, config)
+            if scheme is SchemeId.FULL_DIGITAL_ZF:
+                assert precoders.outage_groups == [(1, g) for g in range(grouping.group_count)]
+            else:
+                assert precoders.outage_groups == [(1, int(grouping.assignments[user]))]
+            assert np.isfinite(precoders.beams).all() and np.isfinite(precoders.power).all()
+
+
 def stack_with_outages(config, seed):
     """Five drawn slots of ``build_context``'s scenario at ``seed``, except
     that slot 1 zeroes user 0's column, slot 2 copies one member of the

@@ -519,6 +519,10 @@ class TestScenario:
         corrs = scenario_correlations(make_scenario(4, 2, seed=1), geom, 64)
         assert len(corrs) == 4
         assert all(c.shape == (10, 10) for c in corrs)
+        # One C-contiguous (K, M, M) array, not a list of its rows: the
+        # long-term stage reads it as it is and makes no stacked copy.
+        assert isinstance(corrs, np.ndarray) and corrs.shape == (4, 10, 10) and corrs.dtype == complex
+        assert corrs.flags.c_contiguous and corrs.flags.owndata and corrs.flags.writeable
 
     def test_invalid_cluster_count(self):
         with pytest.raises(ValueError):

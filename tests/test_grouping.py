@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,10 +389,10 @@ class TestReducedEigsReused:
         corrs = scenario_correlations(make_scenario(8, 3, seed=seed), ArrayGeometry(m_ant))
         calls = count_calls(monkeypatch, grouping_mod, "hermitian_eig")
         grouping = group_users(corrs, n_groups)
-        # The sum, the users in one stack, then one stack of centroids per
-        # update, the last of which gives ``reduced_eigs``.
+        # The sum, the users in two stacks of four, then one stack of
+        # centroids per update, the last of which gives ``reduced_eigs``.
         width, updates = grouping.joint.basis.shape[1], len(grouping.cost_history) - 1
-        expected = [(m_ant, m_ant), (8, width, width)] + [(n_groups, width, width)] * updates
+        expected = [(m_ant, m_ant)] + [(4, width, width)] * 2 + [(n_groups, width, width)] * updates
         assert [args[0].shape for args in calls] == expected
         grouping.reduced_eigs
         assert len(calls) == len(expected)
@@ -486,3 +487,65 @@ class TestGroupingFromLabels:
         corrs = [random_psd(rng, 4) for _ in range(3)]
         with pytest.raises(ValueError):
             grouping_from_labels(corrs, labels)
+
+
+def grouping_bytes(grouping):
+    """Every array of a grouping that ``group_users`` or
+    ``grouping_from_labels`` sets, as bytes, with the cost history."""
+    arrays = [grouping.assignments, grouping.joint.basis, *grouping.joint.reduced]
+    arrays += [part for eig in grouping.reduced_eigs for part in eig]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], grouping.cost_history
+
+
+class TestCorrelationsHeldOnce:
+    """The long-term stage holds each user's correlation once: it reads
+    ``scenario_correlations``' (K, M, M) array as it is, keeps no stacked
+    copy and no real frame through the Lloyd loop, and a list of the same
+    matrices gives the same grouping, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig(M=8, K=8, G=3), SystemConfig(angular_spread=0.0), parse_config(CO_LOCATED)],
+        ids=["default", "M=K", "zero-spread", "co-located"],
+    )
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_array_and_lists_give_one_grouping(self, config, seed):
+        grouping, scenario, geometry = build_context(config, seed)
+        corrs = scenario_correlations(scenario, geometry)
+        for given in (corrs, list(corrs), [c.copy() for c in corrs]):
+            assert grouping_bytes(group_users(given, config.G)) == grouping_bytes(grouping)
+            rebuilt = grouping_from_labels(given, grouping.assignments)
+            assert grouping_bytes(rebuilt)[0] == grouping_bytes(grouping)[0]
+
+    @pytest.mark.parametrize("given", [np.asarray, list], ids=["array", "list"])
+    def test_co_located_widening_derives_the_frame_again(self, monkeypatch, given):
+        # The width > rank branch reads the frame once more, from the
+        # correlations that ``_Span`` keeps; no span holds a frame.
+        grouping, scenario, geometry = build_context(parse_config(CO_LOCATED), 1)
+        corrs = scenario_correlations(scenario, geometry)
+        calls = count_calls(monkeypatch, grouping_mod, "real_frame")
+        rebuilt = group_users(given(corrs), 1)
+        assert len(calls) == 2
+        # Two rank-one users in one group: the basis widens from 1 to 2.
+        assert rebuilt.joint.basis.shape[1] == 2
+        assert_same_joint(rebuilt.joint, grouping.joint)
+
+    @pytest.mark.parametrize("m_ant, n_users, n_groups", [(128, 8, 3), (256, 16, 4)])
+    def test_group_users_peak_is_near_the_input(self, m_ant, n_users, n_groups):
+        # Beside the input the stage holds at most its real frame (half its
+        # bytes) and the users' products with the basis; a stacked copy
+        # (all of its bytes) or a conjugate one (half) would not fit.
+        corrs = scenario_correlations(make_scenario(n_users, n_groups, seed=1), ArrayGeometry(m_ant))
+        group_users(corrs, n_groups)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            group_users(corrs, n_groups)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.2 * corrs.nbytes, peak / corrs.nbytes

@@ -228,6 +228,60 @@ def ula_correlation(m_ant, spread, mean_aod=0.4):
 FRAME_SPREADS = (0.0, 0.01, 0.03, 0.5)
 
 
+def conjugate_centro_hermitian(a):
+    """The centro-Hermitian test ``real_frame`` made on a conjugate copy of
+    the stack's first half of rows: J A J = conj(A), compared on rows :hi."""
+    hi = (a.shape[-1] + 1) // 2
+    return np.array_equal(a[..., ::-1, ::-1][..., :hi, :], a[..., :hi, :].conj())
+
+
+def toeplitz_stack(m_ant, spreads=(0.01, 0.5, 0.1)):
+    return np.stack([ula_correlation(m_ant, spread, mean_aod) for spread, mean_aod in zip(spreads, (-0.7, 0.2, 0.5))])
+
+
+def flipped_imaginary_sign():
+    a = toeplitz_stack(8)
+    assert a[1, 2, 5].imag != 0.0
+    a[1, 2, 5] = a[1, 2, 5].conj()
+    return a, False
+
+
+def with_nan(part):
+    def case():
+        a = toeplitz_stack(9)
+        a[0, 1, 3] = complex(np.nan, a[0, 1, 3].imag) if part == "real" else complex(a[0, 1, 3].real, np.nan)
+        return a, False
+
+    return case
+
+
+def signed_zero_imaginary(signs):
+    # A real symmetric Toeplitz stack with +0.0 or -0.0 imaginary parts:
+    # both zeros compare equal, so each stack is centro-Hermitian.
+    def case():
+        real = toeplitz_stack(7).real
+        a = np.empty(real.shape, dtype=complex)
+        a.real = real
+        a.imag = np.copysign(0.0, signs(np.random.default_rng(3), real.shape))
+        return a, True
+
+    return case
+
+
+CENTRO_CASES = {
+    **{f"toeplitz-M{m}": (lambda m=m: (toeplitz_stack(m), True)) for m in (1, 2, 7, 8, 9, 16)},
+    **{f"toeplitz-M{m}-K1": (lambda m=m: (toeplitz_stack(m)[:1], True)) for m in (1, 7, 8)},
+    "flipped-imaginary-sign": flipped_imaginary_sign,
+    "nan-real": with_nan("real"),
+    "nan-imaginary": with_nan("imaginary"),
+    "plus-zero-imaginary": signed_zero_imaginary(lambda rng, shape: np.ones(shape)),
+    "minus-zero-imaginary": signed_zero_imaginary(lambda rng, shape: -np.ones(shape)),
+    "mixed-zero-imaginary": signed_zero_imaginary(lambda rng, shape: rng.choice([-1.0, 1.0], shape)),
+    "real-dtype-symmetric": lambda: (toeplitz_stack(8).real.copy(), True),
+    "real-dtype-asymmetric": lambda: (np.arange(16.0).reshape(1, 4, 4), False),
+}
+
+
 class TestRealFrame:
     @pytest.mark.parametrize("m_ant", [1, 2, 3, 8, 9, 128])
     def test_lift_is_the_unitary_q(self, m_ant):
@@ -274,6 +328,17 @@ class TestRealFrame:
             frame, lift = real_frame(a)
             assert frame is a
             assert lift(v) is v
+
+    @pytest.mark.parametrize("case", sorted(CENTRO_CASES))
+    def test_centro_hermitian_test_matches_the_conjugate_oracle(self, case):
+        # The test reads the real and imaginary views; it decides as the
+        # comparison with a conjugate copy did.
+        a, expected = CENTRO_CASES[case]()
+        assert conjugate_centro_hermitian(a) is expected
+        frame, _ = real_frame(a)
+        assert (frame is not a) is expected
+        if expected:
+            assert frame.dtype == np.float64
 
     @pytest.mark.parametrize("m_ant", [1, 2, 7, 8, 64])
     def test_hermitian_eig_on_both_paths(self, m_ant):

@@ -611,6 +611,13 @@ class TestPhaseQuantization:
     def test_zero_value_maps_to_index_zero(self):
         assert nearest_phase_index(0.0, 4) == 0
 
+    def test_nan_value_maps_to_index_zero_without_a_warning(self):
+        # A value with a NaN part has no phase; tier-1 makes the cast's
+        # RuntimeWarning an error, so this also checks that none is raised.
+        values = np.array([complex(np.nan, 0.0), complex(1.0, np.nan), complex(np.inf, 0.0), 1j, -1.0])
+        assert nearest_phase_index(values, 2).tolist() == [0, 0, 0, 1, 2]
+        assert nearest_phase_index(complex(np.nan, np.nan), 3) == 0
+
     def test_scalar_gives_int(self):
         assert type(nearest_phase_index(1j, 2)) is int
         assert type(nearest_phase_index(np.complex128(-1.0), 2)) is int
